@@ -20,6 +20,35 @@ churning through a dead node's row and column (§4.1's last paragraph).
 
 The manager is deliberately free of I/O: the router feeds it events and
 polls it, so every §4 behaviour is unit-testable in isolation.
+
+State layout
+------------
+Failover state is indexed by *view position* (the grid holds ``0..n-1``).
+
+* **Default pairs** — every destination has at most two default
+  servers, so their evidence lives in ``(n, 2)`` arrays filled from
+  :meth:`GridQuorum.default_pairs`: the pair itself, the last cover
+  time and the last omission time (``-inf`` = never). All default
+  servers are expected from the moment the grid is installed, so the
+  "expecting since" reference is one scalar. A server never lists
+  itself, so omissions do not count in the slot where the server *is*
+  the destination (same row/column). ``poll`` derives the
+  proximal / remote / both-failed masks for all destinations in a
+  handful of array operations, and ``note_recommendations`` updates the
+  slots of one server through a per-server index of flat positions.
+* **Off-default pairs** — a server's message also covers destinations
+  it is *not* a default for. That evidence is rewritten by every
+  message but read only while a destination is double-failed (when
+  picking or judging a failover server), so it is write-combined per
+  server (:class:`_OffDefaultLog`): the latest batch of destinations,
+  kept by reference with its arrival time, plus the last cover time of
+  any destination a later batch dropped. A dense ``(servers, n)``
+  layout would cost as much as the dicts it replaced.
+* **Scalar on purpose** — adopting, judging and retiring failover
+  servers runs per double-failed destination, in ascending order, in
+  plain Python: it draws from the node's random stream and inserts into
+  ``FailoverPoll.extra_servers``, and both orders are part of the
+  per-seed results. Only double-failed destinations reach it.
 """
 
 from __future__ import annotations
@@ -34,8 +63,15 @@ from repro.errors import RoutingError
 
 __all__ = ["FailoverConfig", "FailoverPoll", "FailoverManager"]
 
-IsUpFn = Callable[[int], bool]
 SeesAliveFn = Callable[[int], bool]
+
+#: "No such event yet" in the time arrays.
+_NEVER = -np.inf
+_NO_DSTS = np.empty(0, dtype=np.int64)
+
+
+def _known(t: float) -> Optional[float]:
+    return None if t == _NEVER else float(t)
 
 
 @dataclass(frozen=True)
@@ -103,6 +139,32 @@ class FailoverPoll:
     suppressed: int = 0
 
 
+class _OffDefaultLog:
+    """What one server told us about destinations it is not a default for.
+
+    See "State layout" in the module docstring.
+    """
+
+    __slots__ = ("batch", "batch_time", "dropped", "omitted", "adopted_at")
+
+    def __init__(self) -> None:
+        #: Destinations of the server's latest message (the caller's
+        #: array, by reference) and when it arrived.
+        self.batch = _NO_DSTS
+        self.batch_time = _NEVER
+        #: dst -> last cover time, for destinations a later batch dropped.
+        self.dropped: Dict[int, float] = {}
+        #: dst -> last affirmative omission while adopted for dst.
+        self.omitted: Dict[int, float] = {}
+        #: dst -> when this node last adopted the server for dst.
+        self.adopted_at: Dict[int, float] = {}
+
+    def last_cover(self, dst: int) -> Optional[float]:
+        if (self.batch == dst).any():
+            return self.batch_time
+        return self.dropped.get(dst)
+
+
 class FailoverManager:
     """Per-node §4.1 failover logic. See module docstring."""
 
@@ -116,38 +178,64 @@ class FailoverManager:
         self._rng = rng
         self.config = config or FailoverConfig()
         self._grid: Optional[GridQuorum] = None
-        # (server, dst) -> last time server covered dst in a rec message.
-        self._last_cover: Dict[Tuple[int, int], float] = {}
-        # (server, dst) -> time of last affirmative omission.
-        self._omitted_at: Dict[Tuple[int, int], float] = {}
-        # (server, dst) -> when we started expecting coverage.
-        self._expect_since: Dict[Tuple[int, int], float] = {}
-        # dst -> default rendezvous pair.
-        self._defaults: Dict[int, Tuple[int, ...]] = {}
-        # server -> destinations it is a default for.
-        self._dsts_by_server: Dict[int, List[int]] = {}
         self._state: Dict[int, _DstState] = {}
+        self._off_default: Dict[int, _OffDefaultLog] = {}
 
     # ------------------------------------------------------------------
     # Configuration inputs
     # ------------------------------------------------------------------
     def set_grid(self, grid: GridQuorum, now: float) -> None:
-        """Install a (new) membership grid; resets all failover state."""
+        """Install a (new) membership grid; resets all failover state.
+
+        The grid must be over view positions ``0..n-1`` (the routers'
+        grids are), because destinations index the state arrays.
+        """
+        n = grid.n
+        if grid.members != list(range(n)):
+            raise RoutingError("failover manager needs a grid over view positions 0..n-1")
         self._grid = grid
-        self._last_cover.clear()
-        self._omitted_at.clear()
-        self._expect_since.clear()
-        self._defaults.clear()
-        self._dsts_by_server.clear()
         self._state.clear()
-        for dst in grid.members:
-            if dst == self.me:
-                continue
-            pair = grid.default_rendezvous_pair(self.me, dst)
-            self._defaults[dst] = pair
-            for server in pair:
-                self._expect_since[(server, dst)] = now
-                self._dsts_by_server.setdefault(server, []).append(dst)
+        self._off_default.clear()
+        #: Default servers expect coverage from here on.
+        self._installed_at = now
+        pair = grid.default_pairs(self.me)
+        present = pair >= 0
+        own = pair == self.me
+        dst_of_slot = np.arange(n)[:, None]
+        self._pair = pair
+        self._cover = np.full((n, 2), _NEVER)
+        self._omit = np.full((n, 2), _NEVER)
+        self._cover_flat = self._cover.reshape(-1)
+        self._omit_flat = self._omit.reshape(-1)
+        self._absent = ~present
+        self._is_dst = present[:, 0]
+        # The link whose liveness decides a slot's proximal health: to
+        # the server, or, where this node is itself the rendezvous
+        # (same row/column), straight to the destination.
+        self._link = np.where(own, dst_of_slot, np.where(present, pair, 0))
+        #: Slots with a remote (coverage) verdict: real servers other than me.
+        self._remote_judged = present & ~own
+        #: Slots whose omissions count: a server never lists itself, so
+        #: its silence about itself is not evidence.
+        self._omission_counts = pair != dst_of_slot
+        # server -> (destinations it is a default for, ascending, and
+        # their flat positions dst * 2 + slot in the (n, 2) arrays).
+        flat = np.flatnonzero(present)
+        servers = pair.reshape(-1)[flat]
+        order = np.argsort(servers, kind="stable")
+        flat, servers = flat[order], servers[order]
+        dsts = flat >> 1
+        first = np.ones(flat.size, dtype=bool)
+        first[1:] = servers[1:] != servers[:-1]
+        starts = np.flatnonzero(first).tolist()
+        self._slots_by_server: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
+            server: (dsts[a:b], flat[a:b])
+            for server, a, b in zip(
+                servers[starts].tolist(), starts, [*starts[1:], flat.size]
+            )
+        }
+        #: Scratch membership mask for one message's destinations.
+        self._in_message = np.zeros(n, dtype=bool)
 
     @property
     def grid(self) -> GridQuorum:
@@ -157,64 +245,119 @@ class FailoverManager:
 
     def default_pair(self, dst: int) -> Tuple[int, ...]:
         """The destination's default rendezvous pair (for tests/metrics)."""
-        try:
-            return self._defaults[dst]
-        except KeyError:
-            raise RoutingError(f"unknown destination {dst}") from None
+        if self._grid is None or not 0 <= dst < self._grid.n or not self._is_dst[dst]:
+            raise RoutingError(f"unknown destination {dst}")
+        return tuple(s for s in self._pair[dst].tolist() if s >= 0)
 
     def active_failover(self, dst: int) -> Optional[int]:
         """Currently adopted failover server for ``dst``, if any."""
         st = self._state.get(dst)
         return st.active if st else None
 
+    def last_cover(self, server: int, dst: int) -> Optional[float]:
+        """When ``server`` last covered ``dst`` in a recommendation
+        message, or None if it never has under this grid."""
+        slot = self._default_slot(server, dst)
+        if slot is None:
+            log = self._off_default.get(server)
+            return log.last_cover(dst) if log is not None else None
+        return _known(self._cover[dst, slot])
+
     # ------------------------------------------------------------------
     # Event inputs
     # ------------------------------------------------------------------
-    def note_recommendations(
-        self, server: int, covered: Set[int], now: float
-    ) -> None:
+    def note_recommendations(self, server: int, dsts: np.ndarray, now: float) -> None:
         """Process one recommendation message from ``server``.
 
-        ``covered`` is the set of destinations the message carried entries
-        for. Destinations we expect ``server`` to cover but that are
-        absent count as affirmative remote-failure evidence (§4.1's
-        "observing that k stopped recommending any route to node j").
+        ``dsts`` holds the view positions (each in ``[0, n)``) of the
+        destinations the message carried entries for; it is kept by
+        reference, so the caller must not write to it afterwards.
+        Destinations we expect ``server`` to cover but that are absent
+        count as affirmative remote-failure evidence (§4.1's "observing
+        that k stopped recommending any route to node j").
         """
-        for dst in sorted(covered):
-            self._last_cover[(server, dst)] = now
-            self._omitted_at.pop((server, dst), None)
-        expected = list(self._dsts_by_server.get(server, ()))
-        st_active = [
-            dst for dst, st in self._state.items() if st.active == server
-        ]
-        for dst in expected + st_active:
-            if dst not in covered and dst != server:
-                self._omitted_at[(server, dst)] = now
+        in_message = self._in_message
+        in_message[dsts] = True
+        slots = self._slots_by_server.get(server)
+        if slots is not None:
+            expected, flat = slots
+            hit = in_message[expected]
+            self._omit_flat[flat] = np.where(hit, _NEVER, now)
+            self._cover_flat[flat[hit]] = now
+        log = self._off_default_log(server)
+        kept = in_message[log.batch]
+        if not kept.all():
+            for dst in log.batch[~kept].tolist():
+                log.dropped[dst] = log.batch_time
+        # An omission older than a cover needs no clearing: only
+        # ``omitted > last`` counts (see _remote_verdict).
+        for dst in log.adopted_at:
+            st = self._state.get(dst)
+            if (
+                st is not None
+                and st.active == server
+                and dst != server
+                and not in_message[dst]
+            ):
+                log.omitted[dst] = now
+        log.batch = dsts
+        log.batch_time = now
+        in_message[dsts] = False
 
-    def note_evidence_of_life(self, dst: int) -> None:
-        """A rendezvous client's table showed ``dst`` reachable; resume
-        failover attempts for it."""
-        st = self._state.get(dst)
-        if st and st.suppressed:
-            st.suppressed = False
-            st.excluded.clear()
-            st.attempts = 0
+    def _off_default_log(self, server: int) -> _OffDefaultLog:
+        log = self._off_default.get(server)
+        if log is None:
+            log = self._off_default[server] = _OffDefaultLog()
+        return log
 
     # ------------------------------------------------------------------
     # Health evaluation
     # ------------------------------------------------------------------
-    def _remote_failed(self, server: int, dst: int, now: float) -> bool:
-        last = self._last_cover.get((server, dst))
-        omitted = self._omitted_at.get((server, dst))
+    def _default_slot(self, server: int, dst: int) -> Optional[int]:
+        """Column of ``server`` in ``dst``'s default pair, if it is in it."""
+        first, second = self._pair[dst].tolist()
+        if server == first:
+            return 0
+        return 1 if server == second else None
+
+    def _remote_verdict(
+        self,
+        last: Optional[float],
+        omitted: Optional[float],
+        reference: Optional[float],
+        now: float,
+    ) -> bool:
+        """The remote-failure rule for one ``(server, dst)``: an omission
+        newer than the last cover, else silence since ``last`` (or since
+        ``reference``, when coverage was expected but never came)."""
         if omitted is not None and (last is None or omitted > last):
             return True
-        reference = self._expect_since.get((server, dst))
         if reference is None:
             return False  # not an expected server; no remote judgment
         anchor = last if last is not None else reference
         return now - anchor > self.config.remote_timeout_s
 
-    def server_failed(self, server: int, dst: int, now: float, is_up: IsUpFn) -> bool:
+    def _off_default_failed(self, server: int, dst: int, now: float) -> bool:
+        """Remote verdict for a server outside ``dst``'s default pair."""
+        log = self._off_default.get(server)
+        if log is None:
+            return False
+        omitted = log.omitted.get(dst)
+        reference = log.adopted_at.get(dst)
+        if omitted is None and reference is None:
+            return False  # never adopted for dst: nothing to judge by
+        return self._remote_verdict(log.last_cover(dst), omitted, reference, now)
+
+    def _remote_failed(self, server: int, dst: int, now: float) -> bool:
+        slot = self._default_slot(server, dst)
+        if slot is None:
+            return self._off_default_failed(server, dst, now)
+        omitted = self._omit[dst, slot] if self._omission_counts[dst, slot] else _NEVER
+        return self._remote_verdict(
+            _known(self._cover[dst, slot]), _known(omitted), self._installed_at, now
+        )
+
+    def server_failed(self, server: int, dst: int, now: float, up: np.ndarray) -> bool:
         """Is ``server`` (proximally or remotely) failed w.r.t. ``dst``?
 
         ``server == me`` encodes the same-row/column case where this node
@@ -222,8 +365,8 @@ class FailoverManager:
         direct link to the destination is down (no link state flows).
         """
         if server == self.me:
-            return not is_up(dst)
-        if not is_up(server):
+            return not up[dst]
+        if not up[server]:
             return True
         return self._remote_failed(server, dst, now)
 
@@ -233,45 +376,51 @@ class FailoverManager:
     def poll(
         self,
         now: float,
-        is_up: IsUpFn,
+        up: np.ndarray,
         sees_alive: SeesAliveFn,
         allow_relay: bool = False,
     ) -> FailoverPoll:
         """Evaluate all destinations; adopt/retire failover servers.
 
-        ``is_up(x)`` is the link monitor's liveness verdict for the direct
-        link to ``x``; ``sees_alive(dst)`` is whether any rendezvous
-        client's link-state row currently shows ``dst`` reachable.
-        ``allow_relay`` enables the §4.1 footnote-8 fallback: when no
-        failover candidate is directly reachable, one is adopted anyway
-        and addressed through a temporary one-hop relay.
+        ``up[x]`` is the link monitor's liveness verdict for the direct
+        link to view position ``x``; ``sees_alive(dst)`` is whether any
+        rendezvous client's link-state row currently shows ``dst``
+        reachable. ``allow_relay`` enables the §4.1 footnote-8 fallback:
+        when no failover candidate is directly reachable, one is adopted
+        anyway and addressed through a temporary one-hop relay.
         """
         grid = self.grid
         result = FailoverPoll()
-        for dst, pair in self._defaults.items():
-            proximal_both = all(
-                (not is_up(dst)) if s == self.me else (not is_up(s)) for s in pair
-            )
-            if proximal_both:
-                result.proximal_double_failures += 1
-            both_failed = all(
-                self.server_failed(s, dst, now, is_up) for s in pair
-            )
-            if not both_failed:
-                # Defaults (at least partially) healthy: revert (§4.1
-                # "reverts to its original rendezvous nodes").
-                self._state.pop(dst, None)
-                continue
-            result.double_failures += 1
-            st = self._state.setdefault(dst, _DstState())
+        cover = self._cover
+        proximal = ~up[self._link] | self._absent
+        anchor = np.where(cover > _NEVER, cover, self._installed_at)
+        remote = ((self._omit > cover) & self._omission_counts) | (
+            now - anchor > self.config.remote_timeout_s
+        )
+        failed = proximal | (remote & self._remote_judged)
+        both = failed[:, 0] & failed[:, 1] & self._is_dst
+        result.proximal_double_failures = int(
+            np.count_nonzero(proximal[:, 0] & proximal[:, 1] & self._is_dst)
+        )
+        # Defaults (at least partially) healthy: revert (§4.1 "reverts
+        # to its original rendezvous nodes").
+        for dst in [d for d in self._state if not both[d]]:
+            del self._state[dst]
+        double_failed = np.flatnonzero(both).tolist()
+        result.double_failures = len(double_failed)
+        if not double_failed:
+            return result
+        link_up = up.tolist()
+        for dst in double_failed:
+            st = self._state.get(dst)
+            if st is None:
+                st = self._state[dst] = _DstState()
             if st.active is not None:
                 # Relay-reached failovers have no meaningful proximal
                 # verdict; judge them on recommendation coverage only.
                 active_failed = (
-                    self._remote_failed(st.active, dst, now)
-                    if st.via_relay
-                    else self.server_failed(st.active, dst, now, is_up)
-                )
+                    not st.via_relay and not link_up[st.active]
+                ) or self._off_default_failed(st.active, dst, now)
                 if not active_failed:
                     result.extra_servers.add(st.active)
                     if st.via_relay:
@@ -295,15 +444,16 @@ class FailoverManager:
                 st.suppressed = True
                 result.suppressed += 1
                 continue
+            pair = self._pair[dst].tolist()
             usable = [
                 c
                 for c in grid.failover_candidates(dst)
                 if c != self.me
                 and c not in st.excluded
                 and c not in pair
-                and not self._remote_failed(c, dst, now)
+                and not self._off_default_failed(c, dst, now)
             ]
-            candidates = [c for c in usable if is_up(c)]
+            candidates = [c for c in usable if link_up[c]]
             via_relay = False
             if not candidates and allow_relay:
                 # Footnote 8: everything in dst's row+column is behind a
@@ -318,7 +468,7 @@ class FailoverManager:
             st.active = choice
             st.via_relay = via_relay
             st.attempts += 1
-            self._expect_since[(choice, dst)] = now
+            self._off_default_log(choice).adopted_at[dst] = now
             if via_relay:
                 result.adopted_via_relay.append((dst, choice))
                 result.relay_servers.add(choice)

@@ -33,6 +33,8 @@ import bisect
 import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import QuorumError
 
 __all__ = ["grid_dimensions", "GridQuorum"]
@@ -295,6 +297,30 @@ class GridQuorum:
         if not picks:  # pragma: no cover - coverage theorem prevents this
             raise QuorumError(f"no rendezvous found for pair ({i}, {j})")
         return tuple(picks)
+
+    def default_pairs(self, i: int) -> np.ndarray:
+        """:meth:`default_rendezvous_pair` of ``i`` with every member at once.
+
+        Returns an ``(n, 2)`` int64 array in fill order: row ``k`` holds
+        the pair for the member at fill slot ``k``. ``-1`` pads ``i``'s
+        own row and a second pick equal to the first.
+        """
+        ri, ci = self.position(i)
+        cols, n = self.cols, self.n
+        rj, cj = np.divmod(np.arange(n), cols)
+        # Same intersections and §3 blank substitutes as the scalar
+        # method, as fill slots: (ri, cj) else (ci, cj); (rj, ci) else
+        # (cj, ci). The substitutes lie in full rows, so they exist.
+        first = ri * cols + cj
+        first = np.where(first < n, first, ci * cols + cj)
+        second = rj * cols + ci
+        second = np.where(second < n, second, cj * cols + ci)
+        members = np.array(self._members, dtype=np.int64)
+        pairs = np.empty((n, 2), dtype=np.int64)
+        pairs[:, 0] = members[first]
+        pairs[:, 1] = np.where(first == second, -1, members[second])
+        pairs[self._index[i]] = -1
+        return pairs
 
     def failover_candidates(self, dst: int) -> Tuple[int, ...]:
         """§4.1 failover set for ``dst``: nodes in ``dst``'s row+column.

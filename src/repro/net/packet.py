@@ -10,7 +10,7 @@ same information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -145,16 +145,24 @@ class LinkStateMessage(Message):
 class RecommendationMessage(Message):
     """Round-2 best-one-hop recommendations for one rendezvous client.
 
-    ``entries`` is a list of ``(destination, one_hop)`` node-ID pairs; a
-    ``one_hop`` equal to the destination means "use the direct path".
+    ``entries`` is one ``(k, 2)`` int64 array of ``(destination,
+    one_hop)`` rows; a ``one_hop`` equal to the destination means "use
+    the direct path". A sequence of pairs is accepted and converted.
+    Receivers keep slices of it by reference: treat it as read-only
+    once the message is built.
     """
 
-    entries: List[Tuple[int, int]] = field(default_factory=list)
+    entries: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), dtype=np.int64)
+    )
     view_version: int = 0
     sent_at: float = 0.0
     #: §6.2.2 footnote 11: optionally timestamp entries so receivers can
     #: keep the most up-to-date best hop. Adds 2 B per entry on the wire.
     timestamped: bool = False
+
+    def __post_init__(self) -> None:
+        self.entries = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
 
     @property
     def kind(self) -> str:
@@ -168,9 +176,9 @@ class RecommendationMessage(Message):
             )
         return wire.recommendation_message_bytes(len(self.entries))
 
-    def destinations(self) -> List[int]:
+    def destinations(self) -> np.ndarray:
         """The destinations this message recommends hops for."""
-        return [dst for dst, _ in self.entries]
+        return self.entries[:, 0]
 
 
 @dataclass(slots=True)

@@ -21,8 +21,6 @@ the grid quorum is exactly what makes one lying rendezvous survivable.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.net.packet import RecommendationMessage
@@ -41,20 +39,17 @@ class MaliciousQuorumRouter(QuorumRouter):
         fresh = self._fresh_client_indices()
         if fresh.size < 2:
             return
-        reachable = np.array([self.link_up_view(int(c)) for c in fresh])
-        covered = [int(c) for c in fresh[reachable]]
-        if len(covered) < 2:
+        covered = fresh[self._links_up_view_many(fresh)]
+        if covered.size < 2:
             return
         now = self.sim.now
-        for a_idx in covered:
-            entries: List[Tuple[int, int]] = [
-                (b_idx, self.me_idx) for b_idx in covered if b_idx != a_idx
-            ]
-            if not entries:
-                continue
+        # Every destination, always via me; each recipient gets the rows
+        # for everyone but itself.
+        lie = np.stack((covered, np.full_like(covered, self.me_idx)), axis=1)
+        for a_idx in covered.tolist():
             msg = RecommendationMessage(
                 origin=self.me,
-                entries=entries,
+                entries=lie[covered != a_idx],
                 view_version=self.wire_view_version(),
                 sent_at=now,
                 timestamped=self.config.timestamped_recommendations,

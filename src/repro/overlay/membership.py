@@ -69,6 +69,7 @@ what makes view changes affordable at n >= 1000
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
@@ -112,13 +113,7 @@ class MembershipView:
 
     def index_of(self, member: int) -> int:
         """Grid/view position of ``member`` (row-major fill order)."""
-        lo, hi = 0, len(self.members)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.members[mid] < member:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(self.members, member)
         if lo == len(self.members) or self.members[lo] != member:
             raise MembershipError(f"{member} not in view v{self.version}")
         return lo

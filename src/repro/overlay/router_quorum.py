@@ -341,11 +341,9 @@ class QuorumRouter(RouterBase):
             pair_hop[i + 1 :, i] = best_h
             pair_ok[i, i + 1 :] = finite
             pair_ok[i + 1 :, i] = finite
+        table, keep = self._entry_table(covered_ids, covered_ids, pair_hop, pair_ok)
         for a_pos, a_idx in enumerate(covered_ids.tolist()):
-            entries = self._entries_for(
-                a_idx, covered_ids, pair_hop[a_pos], pair_ok[a_pos]
-            )
-            self._send_rec_message(view, a_idx, entries, now)
+            self._send_rec_message(view, a_idx, table[a_pos][keep[a_pos]], now)
         for a_idx in relay_clients:
             # Relayed clients are not covered destinations, so their
             # pairs are not in the symmetric table; compute full-width.
@@ -353,35 +351,44 @@ class QuorumRouter(RouterBase):
             totals = a_row[None, :] + covered_rows
             best_h = np.argmin(totals, axis=1)
             best_cost = totals[np.arange(m), best_h]
-            entries = self._entries_for(
-                a_idx, covered_ids, best_h, np.isfinite(best_cost)
+            table, keep = self._entry_table(
+                np.array([a_idx]), covered_ids, best_h[None, :], np.isfinite(best_cost)[None, :]
             )
-            self._send_rec_message(view, a_idx, entries, now)
+            self._send_rec_message(view, a_idx, table[0][keep[0]], now)
 
-    def _entries_for(
-        self,
-        a_idx: int,
+    @staticmethod
+    def _entry_table(
+        recipients: np.ndarray,
         covered_ids: np.ndarray,
         best_h: np.ndarray,
         finite: np.ndarray,
-    ) -> List[Tuple[int, int]]:
-        """Recommendation entries for recipient ``a_idx`` (vectorized)."""
-        keep = finite & (covered_ids != a_idx)
-        hops = np.where(
-            (best_h == a_idx) | (best_h == covered_ids),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Recommendation entries for every recipient at once.
+
+        ``best_h[a, b]`` / ``finite[a, b]`` are the best one-hop from
+        ``recipients[a]`` to ``covered_ids[b]`` and whether it exists.
+        Returns the ``(recipients, covered, 2)`` table of
+        ``(destination, one_hop)`` rows and the mask of the ones to
+        send: ``table[a][keep[a]]`` is recipient ``a``'s message.
+        """
+        me = recipients[:, None]
+        table = np.empty(best_h.shape + (2,), dtype=np.int64)
+        table[..., 0] = covered_ids
+        table[..., 1] = np.where(
+            (best_h == me) | (best_h == covered_ids),
             covered_ids,  # canonical "direct"
             best_h,
         )
-        return list(zip(covered_ids[keep].tolist(), hops[keep].tolist()))
+        return table, finite & (covered_ids != me)
 
     def _send_rec_message(
         self,
         view: MembershipView,
         a_idx: int,
-        entries: List[Tuple[int, int]],
+        entries: np.ndarray,
         now: float,
     ) -> None:
-        if not entries:
+        if len(entries) == 0:
             return
         msg = RecommendationMessage(
             origin=self.me,
@@ -426,10 +433,7 @@ class QuorumRouter(RouterBase):
         src_idx = view.index_of(src)
         now = self.sim.now
         timestamps_on = self.config.timestamped_recommendations
-        if not msg.entries:
-            self.failover.note_recommendations(src_idx, set(), now)
-            return
-        ent = np.asarray(msg.entries, dtype=np.int64)
+        ent = msg.entries
         dsts, hops = ent[:, 0], ent[:, 1]
         valid = (
             (dsts >= 0)
@@ -441,10 +445,11 @@ class QuorumRouter(RouterBase):
         dsts, hops = dsts[valid], hops[valid]
         # Even an entry too stale to install still counts as coverage:
         # the rendezvous demonstrably recommends this destination.
-        covered: Set[int] = set(dsts.tolist())
-        if np.unique(dsts).size != dsts.size:
-            # Duplicate destinations in one message (only a non-standard
-            # sender produces these): sequential last-wins semantics.
+        covered = dsts
+        if dsts.size > 1 and not (dsts[1:] > dsts[:-1]).all():
+            # Not strictly ascending, so possibly duplicate destinations
+            # (only a non-standard sender produces either): sequential
+            # last-wins semantics.
             self._apply_entries_scalar(dsts, hops, src_idx, msg.sent_at, now)
         else:
             if timestamps_on:
@@ -454,8 +459,8 @@ class QuorumRouter(RouterBase):
                 # is not evidence the installed hop still holds).
                 live = msg.sent_at >= self.route_sent_at[dsts]
                 dsts, hops = dsts[live], hops[live]
-            prev_time = self.route_time[dsts].copy()
-            prev_server = self.route_server[dsts].copy()
+            prev_time = self.route_time[dsts]
+            prev_server = self.route_server[dsts]
             displaced = (prev_server >= 0) & (prev_server != src_idx)
             dd = dsts[displaced]
             # Keep the displaced rendezvous' opinion as the secondary
@@ -506,7 +511,7 @@ class QuorumRouter(RouterBase):
     def _evaluate_failover(self) -> FailoverPoll:
         poll = self.failover.poll(
             self.sim.now,
-            self.link_up_view,
+            self.monitor.alive[self._member_ids],
             self._sees_alive,
             allow_relay=self.config.relay_failover,
         )

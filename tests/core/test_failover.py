@@ -16,8 +16,14 @@ def make_manager(n=9, me=0, remote_timeout=30.0, seed=1):
     return mgr
 
 
-def all_up(_):
-    return True
+def up_except(down=(), n=9):
+    """The monitor's liveness array with the links in ``down`` failed."""
+    up = np.ones(n, dtype=bool)
+    up[list(down)] = False
+    return up
+
+
+all_up = up_except()
 
 
 def never_alive(_):
@@ -60,8 +66,7 @@ class TestHealthEvaluation:
 
     def test_proximal_failure_of_one_default_is_tolerated(self):
         mgr = make_manager()
-        down = {2}
-        poll = mgr.poll(10.0, lambda x: x not in down, always_alive)
+        poll = mgr.poll(10.0, up_except({2}), always_alive)
         # dst 8 keeps its healthy default (6); no failover for it.
         assert mgr.active_failover(8) is None
         # dst 2 itself is unreachable: its same-row defaults are the two
@@ -72,8 +77,8 @@ class TestHealthEvaluation:
 
     def test_double_proximal_failure_triggers_failover(self):
         mgr = make_manager()
-        down = {2, 6}  # both defaults for dst 8
-        poll = mgr.poll(10.0, lambda x: x not in down, always_alive)
+        # Both defaults for dst 8 down.
+        poll = mgr.poll(10.0, up_except({2, 6}), always_alive)
         assert poll.double_failures >= 1
         adopted_dsts = {dst for dst, _ in poll.adopted}
         assert 8 in adopted_dsts
@@ -93,8 +98,8 @@ class TestHealthEvaluation:
     def test_coverage_refreshes_health(self):
         mgr = make_manager(remote_timeout=30.0)
         for t in (10.0, 25.0):
-            mgr.note_recommendations(2, {8}, t)
-            mgr.note_recommendations(6, {8}, t)
+            mgr.note_recommendations(2, np.array([8]), t)
+            mgr.note_recommendations(6, np.array([8]), t)
         poll = mgr.poll(40.0, all_up, always_alive)
         # dst 8 covered recently; other dsts may have failed over but 8
         # must not be double-failed.
@@ -102,12 +107,12 @@ class TestHealthEvaluation:
 
     def test_affirmative_omission_is_immediate(self):
         mgr = make_manager(remote_timeout=1000.0)
-        mgr.note_recommendations(2, {8}, 5.0)
-        mgr.note_recommendations(6, {8}, 5.0)
+        mgr.note_recommendations(2, np.array([8]), 5.0)
+        mgr.note_recommendations(6, np.array([8]), 5.0)
         # Both servers now send recs WITHOUT dst 8 -> remote failure even
         # though the timeout is huge.
-        mgr.note_recommendations(2, {1, 3}, 10.0)
-        mgr.note_recommendations(6, {1, 3}, 10.0)
+        mgr.note_recommendations(2, np.array([1, 3]), 10.0)
+        mgr.note_recommendations(6, np.array([1, 3]), 10.0)
         assert mgr.server_failed(2, 8, 11.0, all_up)
         assert mgr.server_failed(6, 8, 11.0, all_up)
         poll = mgr.poll(11.0, all_up, always_alive)
@@ -115,8 +120,7 @@ class TestHealthEvaluation:
 
     def test_recovery_reverts_to_defaults(self):
         mgr = make_manager()
-        down = {2, 6}
-        mgr.poll(10.0, lambda x: x not in down, always_alive)
+        mgr.poll(10.0, up_except({2, 6}), always_alive)
         assert mgr.active_failover(8) is not None
         # Links recover.
         poll = mgr.poll(20.0, all_up, always_alive)
@@ -130,45 +134,42 @@ class TestHealthEvaluation:
         # direct link up -> healthy
         assert not mgr.server_failed(0, 1, 5.0, all_up)
         # direct link down -> self-rendezvous failed
-        assert mgr.server_failed(0, 1, 5.0, lambda x: x != 1)
+        assert mgr.server_failed(0, 1, 5.0, up_except({1}))
 
 
 class TestFailoverLifecycle:
     def test_failed_failover_is_excluded_and_replaced(self):
         mgr = make_manager(remote_timeout=30.0)
-        down = {2, 6}
-        is_up = lambda x: x not in down
-        poll1 = mgr.poll(10.0, is_up, always_alive)
+        up = up_except({2, 6})
+        poll1 = mgr.poll(10.0, up, always_alive)
         first = mgr.active_failover(8)
         assert first is not None
         # The failover sends recs omitting 8 -> it cannot reach 8.
-        mgr.note_recommendations(first, {1, 2, 3}, 15.0)
-        poll2 = mgr.poll(16.0, is_up, always_alive)
+        mgr.note_recommendations(first, np.array([1, 2, 3]), 15.0)
+        poll2 = mgr.poll(16.0, up, always_alive)
         second = mgr.active_failover(8)
         assert second is not None and second != first
 
     def test_death_suppression_after_first_attempt(self):
         mgr = make_manager(remote_timeout=30.0)
-        down = {2, 6}
-        is_up = lambda x: x not in down
-        mgr.poll(10.0, is_up, never_alive)
+        up = up_except({2, 6})
+        mgr.poll(10.0, up, never_alive)
         first = mgr.active_failover(8)
         assert first is not None  # initial failover is always allowed
-        mgr.note_recommendations(first, {1}, 15.0)  # omits 8
-        poll = mgr.poll(16.0, is_up, never_alive)
+        mgr.note_recommendations(first, np.array([1]), 15.0)  # omits 8
+        poll = mgr.poll(16.0, up, never_alive)
         # No further failover: no client sees dst 8 alive.
         assert mgr.active_failover(8) is None
         assert poll.suppressed >= 1
 
     def test_evidence_of_life_resumes_failover(self):
         mgr = make_manager(remote_timeout=30.0)
-        down = {2, 6}
-        is_up = lambda x: x not in down
-        mgr.poll(10.0, is_up, never_alive)
+        up = up_except({2, 6})
+        mgr.poll(10.0, up, never_alive)
         first = mgr.active_failover(8)
-        mgr.note_recommendations(first, {1}, 15.0)
-        mgr.poll(16.0, is_up, never_alive)  # suppressed
-        poll = mgr.poll(30.0, is_up, always_alive)  # dst seen alive again
+        mgr.note_recommendations(first, np.array([1]), 15.0)
+        mgr.poll(16.0, up, never_alive)  # suppressed
+        poll = mgr.poll(30.0, up, always_alive)  # dst seen alive again
         assert mgr.active_failover(8) is not None
 
     def test_failover_choice_is_uniformish(self):
@@ -177,8 +178,7 @@ class TestFailoverLifecycle:
         seen = set()
         for seed in range(20):
             mgr = make_manager(seed=seed)
-            down = {2, 6}
-            mgr.poll(10.0, lambda x: x not in down, always_alive)
+            mgr.poll(10.0, up_except({2, 6}), always_alive)
             f = mgr.active_failover(8)
             if f is not None:
                 seen.add(f)
@@ -186,9 +186,35 @@ class TestFailoverLifecycle:
 
     def test_extra_servers_reported_while_active(self):
         mgr = make_manager()
-        down = {2, 6}
-        is_up = lambda x: x not in down
-        mgr.poll(10.0, is_up, always_alive)
+        up = up_except({2, 6})
+        mgr.poll(10.0, up, always_alive)
         active = mgr.active_failover(8)
-        poll = mgr.poll(12.0, is_up, always_alive)
+        poll = mgr.poll(12.0, up, always_alive)
         assert active in poll.extra_servers
+
+    def test_stale_cover_predating_adoption_fails_the_new_failover_at_once(self):
+        """Pinned, not endorsed (ROADMAP "Correctness and robustness").
+
+        The remote timeout of an adopted failover is anchored on its
+        last cover of the destination even when that cover predates the
+        adoption (``anchor = last if last is not None else reference``),
+        so a server that covered dst long ago, then stopped, is judged
+        failed at the very next poll after being adopted — before it
+        could have answered. Baked into every results table.
+        """
+        mgr = make_manager(remote_timeout=30.0)
+        candidates = [c for c in mgr.grid.failover_candidates(8) if c not in (0, 2, 6)]
+        for c in candidates:
+            mgr.note_recommendations(c, np.array([8]), 1.0)  # off-default cover
+        up = up_except({2, 6})
+        first = dict(mgr.poll(100.0, up, always_alive).adopted)[8]
+        assert mgr.last_cover(first, 8) == 1.0
+        # Half a second later — far inside the timeout counted from the
+        # adoption — the new failover is already retired and replaced.
+        second = dict(mgr.poll(100.5, up, always_alive).adopted)[8]
+        assert second != first
+        # Without the stale cover the same server gets its full timeout.
+        fresh = make_manager(remote_timeout=30.0)
+        first = dict(fresh.poll(100.0, up, always_alive).adopted)[8]
+        assert 8 not in dict(fresh.poll(100.5, up, always_alive).adopted)
+        assert fresh.active_failover(8) == first

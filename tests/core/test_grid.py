@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -266,3 +267,18 @@ class TestIncrementalUpdates:
                 pool.discard(m)
                 grid.insert_member(m)
             grid.assert_equals_fresh()
+
+
+def test_default_pairs_equals_the_scalar_pair_for_every_i_j():
+    """``GridQuorum.default_pairs(i)`` row ``j`` is
+    ``default_rendezvous_pair(i, j)``, for every pair at every size from
+    2 to 300 (every grid shape: square, one short row, blank columns)."""
+    for n in range(2, 301):
+        grid = GridQuorum(list(range(n)))
+        for i in range(n):
+            want = np.full((n, 2), -1, dtype=np.int64)
+            for j in range(n):
+                if j != i:
+                    pair = grid.default_rendezvous_pair(i, j)
+                    want[j, : len(pair)] = pair
+            assert np.array_equal(grid.default_pairs(i), want), (n, i)

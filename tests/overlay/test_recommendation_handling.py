@@ -70,7 +70,7 @@ class TestFootnote11Staleness:
         router.on_recommendation(rec(src_b, [(dst, 5)], view, sent_at=-5.0), src_b)
         # The rendezvous demonstrably recommends dst: no omission signal.
         src_b_idx = view.index_of(src_b)
-        assert router.failover._last_cover.get((src_b_idx, dst)) == ov.sim.now
+        assert router.failover.last_cover(src_b_idx, dst) == ov.sim.now
 
     def test_newer_entry_installs_and_refreshes(self):
         ov, router = make_router(timestamped=True)

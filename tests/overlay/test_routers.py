@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.net.failures import FailureTable, OutageSchedule
-from repro.net.trace import uniform_random_metric
-from repro.overlay.config import RouterKind
+from repro.net.trace import planetlab_like, uniform_random_metric
+from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.router_base import (
     SOURCE_DIRECT,
@@ -167,6 +167,29 @@ class TestQuorumFailover:
         # after the dust settles the router is not holding a failover
         # for the dead node (suppressed), and counted suppressions
         assert router.counters.get("failover_suppressed_polls") > 0
+
+    def test_lossless_bootstrap_adoption_count_is_pinned(self):
+        """Pinned, not endorsed (ROADMAP "Correctness and robustness").
+
+        Nothing ever fails in a lossless static overlay, yet its first
+        45 s see thousands of failover adoptions: during bootstrap a
+        rendezvous that does not yet hold every client's row omits the
+        missing ones, which its clients read as §4.1 remote failure. The
+        count is baked into every results table and into the benchmark
+        digest (``failover.adopted`` on ``steady_n256``, seed 42); a
+        change to it is a protocol change, not a refactor.
+        """
+        rng = np.random.default_rng(42)
+        ov = build_overlay(
+            trace=planetlab_like(256, rng, base_loss=0.0, lossy_fraction=0.0),
+            router=RouterKind.QUORUM,
+            rng=rng,
+            config=OverlayConfig(),
+            with_freshness=False,
+        )
+        ov.run(45.0)
+        adoptions = sum(n.router.counters.get("failover_adoptions") for n in ov.nodes)
+        assert adoptions == 4746
 
     def test_redundant_linkstate_fallback_available(self):
         """§4.2: a node can route via its clients' tables when its

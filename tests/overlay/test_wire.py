@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import WireFormatError
+from repro.net.packet import RecommendationMessage
 from repro.overlay import wire
 
 
@@ -124,6 +125,14 @@ class TestRecommendationCodec:
         data = wire.encode_recommendations(entries)
         assert len(data) == 4 * len(entries)
         assert wire.decode_recommendations(data) == entries
+
+    def test_round_trip_array_form(self):
+        # RecommendationMessage.entries is a (k, 2) int64 array.
+        entries = RecommendationMessage(origin=0, entries=[(3, 7), (10, 10), (65535, 0)]).entries
+        assert entries.shape == (3, 2) and entries.dtype == np.int64
+        data = wire.encode_recommendations(entries)
+        assert len(data) == 4 * len(entries)
+        assert np.array_equal(wire.decode_recommendations(data), entries)
 
     def test_empty(self):
         assert wire.decode_recommendations(b"") == []
