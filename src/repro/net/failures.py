@@ -226,8 +226,9 @@ class FailureTable:
     n: int
     link_schedules: Dict[Tuple[int, int], OutageSchedule] = field(default_factory=dict)
     node_schedules: Dict[int, OutageSchedule] = field(default_factory=dict)
-    # Per-source index built in __post_init__; declared so slots covers it.
-    _by_source: List[List[Tuple[int, OutageSchedule]]] = field(
+    # Per-source index (peer -> schedule) built in __post_init__;
+    # declared so slots covers it.
+    _by_source: List[Dict[int, OutageSchedule]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -239,12 +240,12 @@ class FailureTable:
             if not 0 <= i < self.n:
                 raise TopologyError(f"bad node key {i} for n={self.n}")
         # Per-source index for vectorized queries.
-        self._by_source: List[List[Tuple[int, OutageSchedule]]] = [
-            [] for _ in range(self.n)
+        self._by_source: List[Dict[int, OutageSchedule]] = [
+            {} for _ in range(self.n)
         ]
         for (i, j), sched in self.link_schedules.items():
-            self._by_source[i].append((j, sched))
-            self._by_source[j].append((i, sched))
+            self._by_source[i][j] = sched
+            self._by_source[j][i] = sched
 
     @staticmethod
     def _key(i: int, j: int) -> Tuple[int, int]:
@@ -273,13 +274,39 @@ class FailureTable:
             v[:] = False
             v[i] = True
             return v
-        for j, sched in self._by_source[i]:
+        for j, sched in self._by_source[i].items():
             if sched.is_down(t):
                 v[j] = False
         for j, sched in self.node_schedules.items():
             if j != i and sched.is_down(t):
                 v[j] = False
         return v
+
+    def up_many(self, i: int, js: np.ndarray, t: float) -> np.ndarray:
+        """:meth:`link_is_up` for every destination in ``js`` at once.
+
+        Only the addressed destinations' schedules are consulted (a
+        fan-out to ~2 sqrt(n) rendezvous servers does not pay for the
+        source's whole row, as :meth:`up_vector` would).
+        """
+        if not self.node_is_up(i, t):
+            return js == i
+        up = np.ones(js.shape[0], dtype=bool)
+        links = self._by_source[i]
+        nodes = self.node_schedules
+        if not links and not nodes:
+            return up
+        for pos, j in enumerate(js.tolist()):
+            if j == i:
+                continue
+            sched = links.get(j)
+            if sched is not None and sched.is_down(t):
+                up[pos] = False
+            elif nodes:
+                sched = nodes.get(j)
+                if sched is not None and sched.is_down(t):
+                    up[pos] = False
+        return up
 
     def concurrent_failures(self, i: int, t: float) -> int:
         """Number of destinations unreachable from ``i`` at time ``t``."""

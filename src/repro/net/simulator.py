@@ -34,6 +34,8 @@ from repro.errors import SimulationError
 
 __all__ = ["Event", "PeriodicTimer", "Simulator"]
 
+_INF = math.inf
+
 
 class Event:
     """A scheduled callback. Returned by scheduling calls; use to cancel.
@@ -47,7 +49,7 @@ class Event:
         skipped by the event loop.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "_in_queue")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -62,21 +64,17 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
+        #: The simulator whose heap holds this event; None once popped
+        #: (or for an event never scheduled).
         self._sim = sim
-        self._in_queue = False
 
     def cancel(self) -> None:
         """Prevent this event from firing. Idempotent."""
         if self.cancelled:
             return
         self.cancelled = True
-        if self._sim is not None and self._in_queue:
+        if self._sim is not None:
             self._sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -152,7 +150,10 @@ class Simulator:  # reprolint: disable=RL002(one Simulator per experiment, not p
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        #: Heap of ``(time, seq, event)``. ``seq`` is unique, so tuple
+        #: comparison is decided by the two leading numbers, in C, and
+        #: never reaches the :class:`Event` (which defines no ordering).
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_run = 0
         self._running = False
@@ -197,13 +198,13 @@ class Simulator:  # reprolint: disable=RL002(one Simulator per experiment, not p
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now or not math.isfinite(time):
+        if not self._now <= time < _INF:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
-        event = Event(time, next(self._seq), fn, args, sim=self)
-        event._in_queue = True
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     # ------------------------------------------------------------------
@@ -219,7 +220,7 @@ class Simulator:  # reprolint: disable=RL002(one Simulator per experiment, not p
             self.compact()
 
     def _note_popped(self, event: Event) -> None:
-        event._in_queue = False
+        event._sim = None
         if event.cancelled:
             self._cancelled_in_queue -= 1
 
@@ -230,7 +231,8 @@ class Simulator:  # reprolint: disable=RL002(one Simulator per experiment, not p
         (see :data:`COMPACT_MIN_CANCELLED`); safe to call any time —
         event ordering (time, then insertion sequence) is unaffected.
         """
-        self._queue = [e for e in self._queue if not e.cancelled]
+        # In place: the run loop holds a reference to the list.
+        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
         self._compactions += 1
@@ -255,11 +257,11 @@ class Simulator:  # reprolint: disable=RL002(one Simulator per experiment, not p
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             self._note_popped(event)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._events_run += 1
             event.fn(*event.args)
             return True
@@ -291,16 +293,19 @@ class Simulator:  # reprolint: disable=RL002(one Simulator per experiment, not p
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         try:
-            while self._queue:
-                event = self._queue[0]
+            queue = self._queue
+            heappop = heapq.heappop
+            while queue:
+                due, _, event = queue[0]
                 if event.cancelled:
-                    self._note_popped(heapq.heappop(self._queue))
+                    heappop(queue)
+                    self._note_popped(event)
                     continue
-                if event.time > time:
+                if due > time:
                     break
-                heapq.heappop(self._queue)
-                self._note_popped(event)
-                self._now = event.time
+                heappop(queue)
+                event._sim = None  # _note_popped, for a live event
+                self._now = due
                 self._events_run += 1
                 event.fn(*event.args)
             self._now = time

@@ -10,7 +10,7 @@ Links are bidirectional with identical cost, per the paper's §3 model.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
 
         self._rtt_ms = rtt_ms
         self._loss = loss
+        self._lossless = not loss.any()
         self._failures = failures
 
     # ------------------------------------------------------------------
@@ -140,8 +141,42 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
         return p <= 0.0 or rng.random() >= p
 
     # ------------------------------------------------------------------
-    # Vector queries (probing fast path)
+    # Vector queries (datagram fan-out and probing fast paths)
     # ------------------------------------------------------------------
+    def deliver_many(
+        self, i: int, js: np.ndarray, t: float, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One packet from ``i`` to each of ``js`` at time ``t``.
+
+        Returns ``(delivered, delay_s)``: ``delivered[k]`` is what
+        :meth:`packet_delivered` ``(i, js[k], t, rng)`` would have
+        sampled and ``delay_s[k]`` is :meth:`one_way_delay_s`
+        ``(i, js[k])``. Loss is drawn with a single ``rng.random(m)``
+        over exactly the destinations whose link is up and lossy, in
+        ``js`` order — the same ``Generator`` stream as ``m`` scalar
+        draws in a loop over ``js``.
+        """
+        in_range = 0 <= i < self.n and (js.size == 0 or js.min() >= 0)
+        if in_range:
+            try:
+                delay_s = self._rtt_ms[i, js] / 2000.0
+            except IndexError:  # numpy checks the upper bound
+                in_range = False
+        if not in_range:
+            raise TopologyError(
+                f"fan-out from {i} to {js} out of range for n={self.n}"
+            )
+        if self._failures is None:
+            delivered = np.ones(js.shape[0], dtype=bool)
+        else:
+            delivered = self._failures.up_many(i, js, t)
+        if not self._lossless:
+            p = self._loss[i, js]
+            lossy = np.flatnonzero(delivered & ~(p <= 0.0) & (js != i))
+            if lossy.size:
+                delivered[lossy] = rng.random(lossy.size) >= p[lossy]
+        return delivered, delay_s
+
     def up_vector(self, i: int, t: float) -> np.ndarray:
         """Boolean vector over destinations: link i<->j currently up."""
         self._check_pair(i, i)

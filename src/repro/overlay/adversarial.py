@@ -35,7 +35,7 @@ class MaliciousQuorumRouter(QuorumRouter):
     __slots__ = ()
 
     def _send_recommendations(self) -> None:
-        view = self._require_view()
+        self._require_view()
         fresh = self._fresh_client_indices()
         if fresh.size < 2:
             return
@@ -46,12 +46,14 @@ class MaliciousQuorumRouter(QuorumRouter):
         # Every destination, always via me; each recipient gets the rows
         # for everyone but itself.
         lie = np.stack((covered, np.full_like(covered, self.me_idx)), axis=1)
-        for a_idx in covered.tolist():
-            msg = RecommendationMessage(
+        msgs = [
+            RecommendationMessage(
                 origin=self.me,
                 entries=lie[covered != a_idx],
                 view_version=self.wire_view_version(),
                 sent_at=now,
                 timestamped=self.config.timestamped_recommendations,
             )
-            self.transport.send(self.me, view.members[a_idx], msg)
+            for a_idx in covered.tolist()
+        ]
+        self.transport.send_many(self.me, self._member_ids[covered], msgs)

@@ -111,19 +111,27 @@ class MembershipView:
     def n(self) -> int:
         return len(self.members)
 
+    def position(self, member: int) -> int:
+        """View position of ``member``, or -1 when it is not a member.
+
+        The one-lookup form for receive paths that need both the
+        membership test and the index.
+        """
+        members = self.members
+        lo = bisect.bisect_left(members, member)
+        if lo < len(members) and members[lo] == member:
+            return lo
+        return -1
+
     def index_of(self, member: int) -> int:
         """Grid/view position of ``member`` (row-major fill order)."""
-        lo = bisect.bisect_left(self.members, member)
-        if lo == len(self.members) or self.members[lo] != member:
+        pos = self.position(member)
+        if pos < 0:
             raise MembershipError(f"{member} not in view v{self.version}")
-        return lo
+        return pos
 
     def __contains__(self, member: int) -> bool:
-        try:
-            self.index_of(member)
-            return True
-        except MembershipError:
-            return False
+        return self.position(member) >= 0
 
 
 @dataclass(frozen=True, slots=True)

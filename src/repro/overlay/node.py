@@ -361,27 +361,29 @@ class OverlayNode:
     # Message / event dispatch
     # ------------------------------------------------------------------
     def on_message(self, msg: Message, src: int) -> None:
-        if isinstance(msg, RelayEnvelope):
+        # The two routing messages are nearly all traffic: match them by
+        # exact type (neither has a subclass) ahead of the isinstance
+        # chain. They are attributed to their *origin*, which for a
+        # relayed message differs from the transport-level sender.
+        cls = type(msg)
+        if cls is LinkStateMessage or cls is RecommendationMessage:
+            router = self.router
+            if router.view is None:
+                # Rebooting: bound to the transport but no view yet, so
+                # peers still routing on a view containing this node may
+                # message it. Unusable until a view arrives — drop.
+                router.dropped_stale_view += 1
+            elif cls is LinkStateMessage:
+                router.on_linkstate(msg, msg.origin)
+            else:
+                router.on_recommendation(msg, msg.origin)
+        elif isinstance(msg, RelayEnvelope):
             # §4.1 footnote 8: act as the temporary one-hop — unwrap and
             # forward toward the real target.
             if msg.target != self.id and msg.inner is not None:
                 self.transport.send(self.id, msg.target, msg.inner)
             elif msg.inner is not None:
                 self.on_message(msg.inner, msg.inner.origin)
-            return
-        # Routing messages are attributed to their *origin*, which for a
-        # relayed message differs from the transport-level sender.
-        if isinstance(msg, (LinkStateMessage, RecommendationMessage)):
-            if self.router.view is None:
-                # Rebooting: bound to the transport but no view yet, so
-                # peers still routing on a view containing this node may
-                # message it. Unusable until a view arrives — drop.
-                self.router.dropped_stale_view += 1
-                return
-            if isinstance(msg, LinkStateMessage):
-                self.router.on_linkstate(msg, msg.origin)
-            else:
-                self.router.on_recommendation(msg, msg.origin)
         elif isinstance(msg, MembershipUpdate):
             self._note_coordinator(src, msg.epoch)
             self.on_view(

@@ -44,7 +44,7 @@ class FullMeshRouter(RouterBase):
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """Broadcast this node's link state to every other member."""
-        view = self._require_view()
+        self._require_view()
         self._refresh_own_row()
         latency, alive, loss = self.monitor_rows_for_view()
         msg = LinkStateMessage(
@@ -55,17 +55,16 @@ class FullMeshRouter(RouterBase):
             view_version=self.wire_view_version(),
             sent_at=self.sim.now,
         )
-        for member in view.members:
-            if member != self.me:
-                self.transport.send(self.me, member, msg)
+        peers = np.delete(self._member_ids, self.me_idx)
+        self.transport.send_many(self.me, peers, msg)
 
     def on_linkstate(self, msg: LinkStateMessage, src: int) -> None:
-        view = self._require_view()
-        if msg.view_version != self.wire_view_version() or src not in view:
+        src_idx = self._require_view().position(src)
+        if src_idx < 0 or msg.view_version != self.wire_view_version():
             self._note_dropped_message(msg.view_version)
             return
         self.table.update_row(
-            view.index_of(src), msg.latency_ms, msg.alive, msg.loss, self.sim.now
+            src_idx, msg.latency_ms, msg.alive, msg.loss, self.sim.now
         )
 
     def on_recommendation(self, msg: RecommendationMessage, src: int) -> None:

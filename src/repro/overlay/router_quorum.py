@@ -28,7 +28,12 @@ import numpy as np
 from repro.core.failover import FailoverConfig, FailoverManager, FailoverPoll
 from repro.core.grid import GridQuorum
 from repro.core.metrics import PathMetric
-from repro.net.packet import LinkStateMessage, RecommendationMessage, RelayEnvelope
+from repro.net.packet import (
+    LinkStateMessage,
+    Message,
+    RecommendationMessage,
+    RelayEnvelope,
+)
 from repro.overlay.config import RouterKind
 from repro.overlay.linkstate import SparseLinkStateTable
 from repro.overlay.membership import MembershipView, ViewDelta
@@ -232,7 +237,6 @@ class QuorumRouter(RouterBase):
         return base + extras
 
     def _send_linkstate(self, server_indices: List[int]) -> None:
-        view = self._require_view()
         latency, alive, loss = self.monitor_rows_for_view()
         msg = LinkStateMessage(
             origin=self.me,
@@ -242,15 +246,24 @@ class QuorumRouter(RouterBase):
             view_version=self.wire_view_version(),
             sent_at=self.sim.now,
         )
-        for idx in server_indices:
-            if (
-                idx in self._relay_servers
-                and self.config.relay_failover
-                and not self.link_up_view(idx)
-            ):
-                self._send_via_relay(idx, msg)
-            else:
-                self.transport.send(self.me, view.members[idx], msg)
+        members = self._member_ids[server_indices]
+        if not (self._relay_servers and self.config.relay_failover):
+            self.transport.send_many(self.me, members, msg)
+            return
+        # Footnote 8: servers behind a broken direct link get the row
+        # through a temporary one-hop, in their place in the send order.
+        dsts: List[int] = []
+        msgs: List[Message] = []
+        for idx, member in zip(server_indices, members.tolist()):
+            out: Message = msg
+            if idx in self._relay_servers and not self.link_up_view(idx):
+                relayed = self._relay_datagram(idx, msg)
+                if relayed is None:
+                    continue
+                member, out = relayed
+            dsts.append(member)
+            msgs.append(out)
+        self.transport.send_many(self.me, dsts, msgs)
 
     def _pick_relay(self, server_idx: int) -> Optional[int]:
         """A reachable client whose table shows the server alive —
@@ -269,12 +282,16 @@ class QuorumRouter(RouterBase):
             return None
         return int(cand[pos])
 
-    def _send_via_relay(self, server_idx: int, msg: LinkStateMessage) -> None:
+    def _relay_datagram(
+        self, server_idx: int, msg: LinkStateMessage
+    ) -> Optional[Tuple[int, RelayEnvelope]]:
+        """``(relay member, envelope)`` carrying ``msg`` around the broken
+        link to ``server_idx``, or None when no client can relay."""
         view = self._require_view()
         relay_idx = self._pick_relay(server_idx)
         if relay_idx is None:
             self.counters.incr("relay_no_intermediate")
-            return
+            return None
         relayed = LinkStateMessage(
             origin=msg.origin,
             latency_ms=msg.latency_ms,
@@ -288,7 +305,7 @@ class QuorumRouter(RouterBase):
             origin=self.me, inner=relayed, target=view.members[server_idx]
         )
         self.counters.incr("relay_linkstate_sent")
-        self.transport.send(self.me, view.members[relay_idx], envelope)
+        return view.members[relay_idx], envelope
 
     def _fresh_client_indices(self) -> np.ndarray:
         """View indices of clients whose rows are usable (≤ 3r old)."""
@@ -342,8 +359,10 @@ class QuorumRouter(RouterBase):
             pair_ok[i, i + 1 :] = finite
             pair_ok[i + 1 :, i] = finite
         table, keep = self._entry_table(covered_ids, covered_ids, pair_hop, pair_ok)
+        # One (address, message) per client, put on the wire together.
+        out: List[Tuple[int, Message]] = []
         for a_pos, a_idx in enumerate(covered_ids.tolist()):
-            self._send_rec_message(view, a_idx, table[a_pos][keep[a_pos]], now)
+            self._add_rec_datagram(out, view, a_idx, table[a_pos][keep[a_pos]], now)
         for a_idx in relay_clients:
             # Relayed clients are not covered destinations, so their
             # pairs are not in the symmetric table; compute full-width.
@@ -354,7 +373,10 @@ class QuorumRouter(RouterBase):
             table, keep = self._entry_table(
                 np.array([a_idx]), covered_ids, best_h[None, :], np.isfinite(best_cost)[None, :]
             )
-            self._send_rec_message(view, a_idx, table[0][keep[0]], now)
+            self._add_rec_datagram(out, view, a_idx, table[0][keep[0]], now)
+        if out:
+            dsts, msgs = zip(*out)
+            self.transport.send_many(self.me, dsts, msgs)
 
     @staticmethod
     def _entry_table(
@@ -381,13 +403,17 @@ class QuorumRouter(RouterBase):
         )
         return table, finite & (covered_ids != me)
 
-    def _send_rec_message(
+    def _add_rec_datagram(
         self,
+        out: List[Tuple[int, Message]],
         view: MembershipView,
         a_idx: int,
         entries: np.ndarray,
         now: float,
     ) -> None:
+        """Append the ``(address, message)`` carrying ``entries`` to client
+        ``a_idx`` — nothing when there is nothing to say or no working
+        path (footnote 8's reply relay included)."""
         if len(entries) == 0:
             return
         msg = RecommendationMessage(
@@ -404,33 +430,34 @@ class QuorumRouter(RouterBase):
                     origin=self.me, inner=msg, target=view.members[a_idx]
                 )
                 self.counters.incr("relay_recommendation_sent")
-                self.transport.send(self.me, view.members[relay_idx], envelope)
+                out.append((view.members[relay_idx], envelope))
             return
-        self.transport.send(self.me, view.members[a_idx], msg)
+        out.append((view.members[a_idx], msg))
 
     # ------------------------------------------------------------------
     # Protocol: message handlers
     # ------------------------------------------------------------------
     def on_linkstate(self, msg: LinkStateMessage, src: int) -> None:
         view = self._require_view()
-        if msg.view_version != self.wire_view_version() or src not in view:
+        src_idx = view.position(src)
+        if src_idx < 0 or msg.view_version != self.wire_view_version():
             self._note_dropped_message(msg.view_version)
             return
-        src_idx = view.index_of(src)
         self.table.update_row(src_idx, msg.latency_ms, msg.alive, msg.loss, self.sim.now)
-        if msg.relay_via is not None and msg.relay_via in view:
+        relay_idx = -1 if msg.relay_via is None else view.position(msg.relay_via)
+        if relay_idx >= 0:
             # Footnote 8: this client is behind a broken direct link;
             # route recommendations back through the same relay.
-            self._reply_relay[src_idx] = view.index_of(msg.relay_via)
+            self._reply_relay[src_idx] = relay_idx
         else:
             self._reply_relay.pop(src_idx, None)
 
     def on_recommendation(self, msg: RecommendationMessage, src: int) -> None:
         view = self._require_view()
-        if msg.view_version != self.wire_view_version() or src not in view:
+        src_idx = view.position(src)
+        if src_idx < 0 or msg.view_version != self.wire_view_version():
             self._note_dropped_message(msg.view_version)
             return
-        src_idx = view.index_of(src)
         now = self.sim.now
         timestamps_on = self.config.timestamped_recommendations
         ent = msg.entries

@@ -129,13 +129,24 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    # The two scalar recorders run once per datagram sent and once per
+    # datagram delivered: the bucket is computed once and the growth
+    # check (:meth:`_array`) is left to the first write into a new bin.
     def record_out(self, node: int, kind: str, nbytes: int, t: float) -> None:
         """Count ``nbytes`` sent by ``node`` at time ``t``."""
-        self._array("out", kind, self._bucket(t))[node, self._bucket(t)] += nbytes
+        bucket = int(t // self.bucket_s)
+        arr = self._bins.get(("out", kind))
+        if arr is None or bucket >= arr.shape[1]:
+            arr = self._array("out", kind, bucket)
+        arr[node, bucket] += nbytes
 
     def record_in(self, node: int, kind: str, nbytes: int, t: float) -> None:
         """Count ``nbytes`` received by ``node`` at time ``t``."""
-        self._array("in", kind, self._bucket(t))[node, self._bucket(t)] += nbytes
+        bucket = int(t // self.bucket_s)
+        arr = self._bins.get(("in", kind))
+        if arr is None or bucket >= arr.shape[1]:
+            arr = self._array("in", kind, bucket)
+        arr[node, bucket] += nbytes
 
     def record_out_many(
         self, mask: np.ndarray, kind: str, nbytes_each: int, t: float

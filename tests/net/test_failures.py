@@ -173,11 +173,34 @@ class TestFailureTable:
                 else:
                     assert vec[j] == table.link_is_up(0, j, t)
 
+    def test_up_many_matches_scalar_queries(self):
+        table = FailureTable(
+            n=5,
+            link_schedules={
+                (0, 1): OutageSchedule([(0.0, 100.0)]),
+                (0, 3): OutageSchedule([(50.0, 60.0)]),
+                (2, 3): OutageSchedule([(50.0, 60.0)]),
+            },
+            node_schedules={
+                2: OutageSchedule([(55.0, 58.0)]),
+                4: OutageSchedule([(69.0, 71.0)]),
+            },
+        )
+        # Any order, duplicates, the source itself, a subset of the row.
+        js = np.array([3, 0, 1, 4, 2, 2, 0, 3])
+        for t in (25.0, 56.0, 70.0, 200.0):
+            for i in range(5):
+                assert table.up_many(i, js, t).tolist() == [
+                    table.link_is_up(i, j, t) for j in js.tolist()
+                ]
+                assert table.up_many(i, js[:0], t).tolist() == []
+
     def test_crashed_source_sees_everything_down(self):
         table = FailureTable(n=3, node_schedules={0: OutageSchedule([(0.0, 10.0)])})
         vec = table.up_vector(0, 5.0)
         assert vec[0]
         assert not vec[1] and not vec[2]
+        assert table.up_many(0, np.array([2, 0, 1]), 5.0).tolist() == [False, True, False]
 
     def test_concurrent_failures_counts_down_links(self):
         table = FailureTable(

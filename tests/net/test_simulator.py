@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.simulator import Simulator
+from repro.net.simulator import Event, Simulator
 
 
 class TestScheduling:
@@ -379,3 +379,73 @@ class TestLazyCompaction:
         e1.cancel()
         e3.cancel()
         assert sim.pending() == 0
+
+
+class TestHeapEntries:
+    """The heap holds ``(time, seq, event)``: ordering is decided by the
+    two leading numbers, in C, and never by comparing events."""
+
+    def test_events_define_no_ordering(self):
+        a = Event(1.0, 0, print, ())
+        b = Event(1.0, 1, print, ())
+        with pytest.raises(TypeError):
+            a < b
+
+    def test_time_seq_pairs_are_unique_so_events_are_never_compared(self):
+        sim = Simulator()
+        for _ in range(200):
+            sim.schedule_at(1.0, lambda: None)  # every pair ties on time
+        pairs = [(time, seq) for time, seq, _ in sim._queue]
+        assert len(set(pairs)) == len(pairs)
+        # Would raise TypeError if a tie ever reached the Event.
+        sim.run()
+        assert sim.events_run == 200
+
+    def test_ties_fire_in_insertion_order_before_and_after_compact(self):
+        sim = Simulator()
+        seen = []
+        events = [sim.schedule_at(5.0, seen.append, i) for i in range(400)]
+        for i, event in enumerate(events):
+            if i % 4 == 0 and i < 200:
+                event.cancel()
+        assert sim.compactions == 0
+        sim.run_until(5.0)  # same-time batch, uncompacted heap
+        survivors = [i for i in range(400) if not (i % 4 == 0 and i < 200)]
+        assert seen == survivors
+
+        seen.clear()
+        events = [sim.schedule_at(9.0, seen.append, i) for i in range(400)]
+        for i, event in enumerate(events):
+            if i % 2:
+                event.cancel()
+        sim.compact()  # heapify reorders the list, not the firing order
+        assert sim.cancelled_pending == 0
+        sim.run()
+        assert seen == list(range(0, 400, 2))
+
+    def test_compaction_from_inside_a_callback_keeps_the_run_going(self):
+        sim = Simulator()
+        seen = []
+        doomed = [sim.schedule_at(3.0, seen.append, "x") for _ in range(200)]
+
+        def cancel_all():
+            for event in doomed:
+                event.cancel()
+
+        sim.schedule_at(1.0, cancel_all)
+        sim.schedule_at(2.0, seen.append, "kept")
+        sim.schedule_at(4.0, seen.append, "late")
+        sim.run_until(10.0)
+        assert sim.compactions >= 1
+        assert seen == ["kept", "late"]
+
+    def test_cancelled_entries_are_skipped_and_not_counted(self):
+        sim = Simulator()
+        seen = []
+        first = sim.schedule_at(1.0, seen.append, "a")
+        sim.schedule_at(1.0, seen.append, "b")
+        first.cancel()
+        assert sim.step() is True
+        assert seen == ["b"]
+        assert sim.events_run == 1
+        assert sim.step() is False

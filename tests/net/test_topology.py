@@ -110,6 +110,32 @@ class TestPacketDelivery:
         topo = Topology(simple_rtt(4))
         assert topo.packet_delivered(2, 2, 0.0, rng)
 
+    def test_deliver_many_is_the_scalar_queries_in_order(self):
+        n = 5
+        loss = np.full((n, n), 0.4)
+        loss[0, 3] = loss[3, 0] = 0.0
+        failures = FailureTable(
+            n=n, link_schedules={(0, 2): OutageSchedule([(10.0, 20.0)])}
+        )
+        rtt = simple_rtt(n) + np.arange(n)[:, None] + np.arange(n)[None, :]
+        np.fill_diagonal(rtt, 0.0)
+        topo = Topology(rtt, loss=loss, failures=failures)
+        js = np.array([4, 2, 0, 3, 1, 1])
+        for t in (5.0, 15.0):
+            scalar_rng = np.random.default_rng(9)
+            vector_rng = np.random.default_rng(9)
+            expected = [topo.packet_delivered(0, j, t, scalar_rng) for j in js.tolist()]
+            delivered, delay_s = topo.deliver_many(0, js, t, vector_rng)
+            assert delivered.tolist() == expected
+            assert delay_s.tolist() == [topo.one_way_delay_s(0, j) for j in js.tolist()]
+            assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_deliver_many_rejects_out_of_range_nodes(self, rng):
+        topo = Topology(simple_rtt(4))
+        for i, js in ((0, [1, 4]), (0, [-1, 2]), (4, [1]), (-1, [1])):
+            with pytest.raises(TopologyError):
+                topo.deliver_many(i, np.array(js), 0.0, rng)
+
 
 class TestConcurrentFailures:
     def test_counts_match_failure_table(self):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TopologyError
+from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
@@ -261,3 +264,202 @@ class TestAccounting:
         rec_bytes = bw.bytes_per_node(kinds=("rec",))
         assert ls_bytes[0] > 0 and rec_bytes[0] > 0
         assert ls_bytes[0] != rec_bytes[0]
+
+
+# ----------------------------------------------------------------------
+# send_many == the loop of send
+# ----------------------------------------------------------------------
+@st.composite
+def fanout_worlds(draw):
+    """A small underlay with loss, outages, endpoints and unregistered
+    nodes, plus a script of fan-outs to replay on it."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # Few distinct RTTs, so arrivals collide and datagrams coalesce.
+    rtt = np.zeros((n, n))
+    loss = np.zeros((n, n))
+    link_schedules = {}
+    for i, j in pairs:
+        rtt[i, j] = rtt[j, i] = draw(st.sampled_from([20.0, 40.0, 60.0]))
+        loss[i, j] = loss[j, i] = draw(st.sampled_from([0.0, 0.0, 0.3, 0.7, 1.0]))
+        if draw(st.integers(0, 3)) == 0:
+            start = draw(st.sampled_from([0.0, 0.02, 0.05]))
+            link_schedules[(i, j)] = OutageSchedule([(start, start + 0.04)])
+    for i in range(n):
+        # An endpoint talking to its own host never touches the wire,
+        # whatever the matrix says about the diagonal.
+        loss[i, i] = draw(st.sampled_from([0.0, 1.0]))
+    node_schedules = {
+        i: OutageSchedule([(0.01, 0.06)])
+        for i in range(n)
+        if draw(st.integers(0, 5)) == 0
+    }
+    failures = None
+    if draw(st.booleans()):
+        failures = FailureTable(
+            n=n, link_schedules=link_schedules, node_schedules=node_schedules
+        )
+    registered = [i for i in range(n) if draw(st.integers(0, 4)) > 0]
+    # Service endpoints: above the node range and, sometimes, at the
+    # address of a node that never registered.
+    endpoints = {}
+    for address in range(n, n + draw(st.integers(0, 2))):
+        endpoints[address] = draw(st.integers(0, n - 1))
+    spare = [i for i in range(n) if i not in registered]
+    if spare and draw(st.booleans()):
+        endpoints[spare[0]] = draw(st.integers(0, n - 1))
+    addresses = list(range(n)) + sorted(a for a in endpoints if a >= n)
+    address = st.sampled_from(addresses)
+    script = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.004, 0.03]),  # advance before sending
+                address,  # src
+                st.lists(address, max_size=8),  # dsts: src, duplicates allowed
+                st.booleans(),  # one message for all / one per destination
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    quitter = draw(st.sampled_from(addresses))  # unregisters on first delivery
+    forwarder = draw(st.sampled_from(addresses))  # sends when it receives
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (n, rtt, loss, failures, registered, endpoints, script, quitter, forwarder, seed)
+
+
+def _replay(world, fan_out):
+    """Run the script with ``fan_out(transport, src, dsts, msgs)`` doing
+    the sending; returns every observable of the run."""
+    n, rtt, loss, failures, registered, endpoints, script, quitter, forwarder, seed = world
+    sim = Simulator()
+    bw = BandwidthRecorder(n, bucket_s=0.01)
+    rng = np.random.default_rng(seed)
+    transport = DatagramTransport(sim, Topology(rtt, loss, failures), rng, bw)
+    deliveries = []
+    # ``sent_at`` doubles as a serial number, so the delivery log can
+    # say *which* message arrived.
+    serial = iter(range(1, 10_000))
+    echo = ls_msg(forwarder, n)
+    echo.sent_at = -1.0
+
+    def handler_for(address):
+        def handler(msg, src):
+            deliveries.append((sim.now, address, src, msg.kind, msg.sent_at))
+            if address == quitter:
+                transport.unregister(address)
+            if address == forwarder and msg is not echo:
+                # Re-enters the transport: draws loss, takes a sequence
+                # number — synchronously when this is a self-send.
+                transport.send(address, (address + 1) % n, echo)
+
+        return handler
+
+    for i in registered:
+        transport.register(i, handler_for(i))
+    for address, host in endpoints.items():
+        transport.register_endpoint(address, host, handler_for(address))
+
+    results, heaps = [], []
+    for advance, src, dsts, broadcast in script:
+        sim.run_until(sim.now + advance)
+        if broadcast:
+            msgs = ls_msg(src, n)
+            msgs.sent_at = float(next(serial))
+        else:
+            # Mixed kinds and sizes, one per destination.
+            msgs = [
+                ls_msg(src, n)
+                if k % 3 == 0
+                else RecommendationMessage(origin=src, entries=[(0, 1)] * (k + 1))
+                for k in range(len(dsts))
+            ]
+            for msg in msgs:
+                msg.sent_at = float(next(serial))
+        results.append([bool(ok) for ok in fan_out(transport, src, dsts, msgs)])
+        heaps.append(sorted((time, seq) for time, seq, _ in sim._queue))
+    sim.run()
+    bins = {key: arr.tolist() for key, arr in sorted(bw._bins.items())}
+    counts = (
+        transport.sent_count,
+        transport.dropped_count,
+        transport.delivered_count,
+        transport.coalesced_count,
+        sim.events_run,
+    )
+    assert all(type(count) is int for count in counts)  # no numpy scalars leak
+    return results, heaps, deliveries, counts, bins, rng.bit_generator.state
+
+
+def _loop_of_send(transport, src, dsts, msgs):
+    each = msgs if isinstance(msgs, list) else [msgs] * len(dsts)
+    return [transport.send(src, dst, msg) for dst, msg in zip(dsts, each)]
+
+
+class TestSendMany:
+    @settings(max_examples=300, deadline=None)
+    @given(fanout_worlds())
+    def test_send_many_equals_the_loop_of_send(self, world):
+        """Same return values, same ``(time, seq)`` of every scheduled
+        event after every fan-out, same delivery sequence ``(time, dst,
+        src, msg)`` (including "unregister mid-bucket drops the rest"
+        and a handler that sends from inside a synchronous
+        self-delivery), same counters, same bandwidth bins and the same
+        RNG state afterwards."""
+        looped = _replay(world, _loop_of_send)
+        fanned = _replay(
+            world, lambda transport, src, dsts, msgs: transport.send_many(src, dsts, msgs)
+        )
+        for name, a, b in zip(
+            ("results", "heaps", "deliveries", "counts", "bins", "rng"), looped, fanned
+        ):
+            assert a == b, name
+
+    def test_unregister_mid_bucket_drops_the_rest(self):
+        sim, topo, transport, _ = make_setup()
+        got = []
+
+        def handler(msg, src):
+            got.append(msg)
+            transport.unregister(1)
+
+        transport.register(1, handler)
+        a, b = ls_msg(0, 3), ls_msg(0, 3)
+        transport.send_many(0, [1, 1], [a, b])
+        assert transport.coalesced_count == 1
+        sim.run()
+        assert got == [a]
+        assert transport.dropped_count == 1
+
+    def test_one_draw_per_up_and_lossy_destination_in_order(self):
+        n = 5
+        loss = np.zeros((n, n))
+        loss[0, 2] = loss[2, 0] = 0.5
+        loss[0, 4] = loss[4, 0] = 0.5
+        failures = FailureTable(
+            n=n, link_schedules={(0, 4): OutageSchedule([(0.0, 1.0)])}
+        )
+        sim, topo, transport, _ = make_setup(n=n, loss=loss, failures=failures)
+        reference = np.random.default_rng(1)  # make_setup's seed
+        in_flight = transport.send_many(0, [1, 2, 3, 4], ls_msg(0, n))
+        # Only 0->2 is both up and lossy: exactly one draw was consumed.
+        assert in_flight.tolist() == [True, bool(reference.random() >= 0.5), True, False]
+        assert transport._rng.bit_generator.state == reference.bit_generator.state
+
+    def test_message_count_must_match_destinations(self):
+        sim, topo, transport, _ = make_setup()
+        with pytest.raises(SimulationError):
+            transport.send_many(0, [1, 2], [ls_msg(0, 3)])
+
+    def test_out_of_range_address_rejected_before_anything_is_sent(self):
+        sim, topo, transport, bw = make_setup()
+        with pytest.raises(TopologyError):
+            transport.send_many(0, [1, 7], ls_msg(0, 3))
+        assert transport.sent_count == 0
+        assert bw.bytes_per_node().sum() == 0
+
+    def test_empty_fan_out_is_a_no_op(self):
+        sim, topo, transport, _ = make_setup()
+        assert transport.send_many(0, [], ls_msg(0, 3)).tolist() == []
+        assert transport.send_many(0, [], []).tolist() == []
+        assert transport.sent_count == 0 and sim.pending() == 0

@@ -24,6 +24,19 @@ class TestMembershipView:
         view = MembershipView(version=1, members=(1, 2))
         assert 1 in view and 5 not in view
 
+    def test_position_is_minus_one_for_non_members(self):
+        view = MembershipView(version=1, members=(3, 7, 9))
+        assert [view.position(m) for m in (3, 7, 9)] == [0, 1, 2]
+        assert [view.position(m) for m in (-1, 0, 5, 8, 10)] == [-1] * 5
+
+    def test_identity_is_version_and_members_only(self):
+        a = MembershipView(version=4, members=(1, 2, 5))
+        b = MembershipView(version=4, members=(1, 2, 5))
+        a.position(2)  # lookups leave no trace in eq / hash / repr
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "MembershipView(version=4, members=(1, 2, 5))"
+        assert a != MembershipView(version=5, members=(1, 2, 5))
+
     def test_unsorted_members_rejected(self):
         with pytest.raises(MembershipError):
             MembershipView(version=1, members=(3, 1))

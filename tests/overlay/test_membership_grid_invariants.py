@@ -97,12 +97,14 @@ class TestViewConsistency:
         for view in all_views.values():
             for pos, member in enumerate(view.members):
                 assert view.index_of(member) == pos
+                assert view.position(member) == pos
                 assert member in view
             # Non-members: __contains__ is False, index_of raises —
             # probe ids around every member boundary plus outsiders.
             candidates = set(range(-1, 30)) - set(view.members)
             for outsider in candidates:
                 assert outsider not in view
+                assert view.position(outsider) == -1
                 with pytest.raises(MembershipError):
                     view.index_of(outsider)
 
