@@ -1,12 +1,14 @@
-"""Pinned output digests of three small overlay runs.
+"""Pinned output digests of seven small overlay runs.
 
-A performance change must leave every simulated quantity alone. These
-digests were recorded at commit ``059e53a`` (before the datagram plane
-was vectorised) and hash what the bench digests hash — the final route
-table, bytes per message kind, events run and the transport's
-sent/delivered/dropped counts — so byte-identity is a few-second
-in-tree check. A change that moves a digest on purpose (a protocol fix)
-re-pins it and says so.
+A performance or design change must leave every simulated quantity
+alone. These digests hash what the bench digests hash — the final route
+table, the per-node held view versions, bytes per message kind, events
+run and the transport's sent/delivered/dropped counts — so byte-identity
+is a few-second in-tree check. The first three runs were first recorded
+at commit ``059e53a`` (before the datagram plane was vectorised); the
+four membership-plane runs, and ``view_versions`` in every digest, at
+``1770d5e`` (before the planes were put behind one interface). A change
+that moves a digest on purpose (a protocol fix) re-pins it and says so.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.coordinator_failover import scenario_config
+from repro.experiments.gossip_membership import gossip_config
 from repro.net.failures import build_failure_table
 from repro.net.trace import planetlab_like
 from repro.overlay.config import OverlayConfig, RouterKind
@@ -73,10 +76,87 @@ def _churn_three_coordinators() -> Overlay:
     return overlay
 
 
+def _plane_run(
+    config: OverlayConfig,
+    plan: FaultPlan,
+    n: int = 20,
+    loss: float = 0.0,
+    churn: bool = True,
+) -> Overlay:
+    """400 s of one membership plane: Poisson churn and/or ``plan``."""
+    rng = np.random.default_rng(7)
+    active = None
+    if churn:
+        trace = ChurnTrace.poisson(
+            n=n, rate_per_s=0.1, duration_s=400.0, seed=7, warmup_s=30.0
+        )
+        plan.add_churn(trace)
+        active = trace.initial_active
+    overlay = build_overlay(
+        trace=planetlab_like(n, rng, base_loss=loss, lossy_fraction=0.0),
+        router=RouterKind.QUORUM,
+        rng=rng,
+        config=config,
+        with_freshness=False,
+        active_members=active,
+    )
+    plan.install(overlay)
+    overlay.run(400.0)
+    return overlay
+
+
+def _out_of_band_deltas_batched() -> Overlay:
+    """Callback delivery of batched deltas; expiries and parting notices."""
+    return _plane_run(
+        OverlayConfig(
+            membership_deltas=True,
+            membership_notify_batch_s=5.0,
+            membership_timeout_s=90.0,
+        ),
+        FaultPlan(),
+    )
+
+
+def _in_band_lossy() -> Overlay:
+    """One wire coordinator at 8 % loss: gap repairs, unappliable deltas,
+    parting notices, view-triggered starts."""
+    return _plane_run(
+        OverlayConfig(
+            membership_deltas=True,
+            membership_in_band=True,
+            membership_timeout_s=90.0,
+        ),
+        FaultPlan(),
+        loss=0.08,
+    )
+
+
+def _gossip_crash_expiry_rejoin_leave() -> Overlay:
+    """Gossip: a reboot before expiry, a crash that expires and rejoins,
+    a graceful leave; 5 % loss so pulls are retried."""
+    plan = (
+        FaultPlan()
+        .fail_node(40.0, 3)
+        .fail_node(50.0, 7)
+        .join_node(80.0, 7)
+        .join_node(260.0, 3)
+        .leave_node(300.0, 5)
+    )
+    return _plane_run(gossip_config(), plan, n=16, loss=0.05, churn=False)
+
+
+def _three_coordinators_crash_restore() -> Overlay:
+    """k = 3 under churn with the primary crashed and later restored:
+    promotion, epoch bump, buffered-op replay, readmission."""
+    plan = FaultPlan().crash_coordinator(100.0, 0).restore_coordinator(220.0, 0)
+    return _plane_run(scenario_config(k=3), plan)
+
+
 def run_digest(overlay: Overlay) -> str:
     transport = overlay.transport
     parts = {
         "route_hops": hashlib.sha256(overlay.route_hops().tobytes()).hexdigest(),
+        "view_versions": hashlib.sha256(overlay.view_versions().tobytes()).hexdigest(),
         "bytes_by_kind": {
             kind: int(overlay.bandwidth.bytes_per_node((kind,)).sum())
             for kind in ALL_KINDS
@@ -90,9 +170,19 @@ def run_digest(overlay: Overlay) -> str:
 
 
 GOLDEN = [
-    (_lossy_quorum, "059f5518786af69d98a9c9248119bb74f2b88015d61d995104ed2996ce5252ad"),
-    (_full_mesh, "fda678d8737ca10a9ecd89f5dcc0f4bc3ee8a2b9572879d0ba6cc97947d6d3cd"),
-    (_churn_three_coordinators, "5c4acb5c404bc1c30bc190c7fbb2384eadcca92b6a060fd914422cf68d282e54"),
+    (_lossy_quorum, "8504a52a24abf32d5538ddce3cef0357e49aa1260e201a32a81ae8fbc7ef7887"),
+    (_full_mesh, "11ba95490335d31e2c87a31c9c2dc01741ad082310e07d2bb31f95351bb17156"),
+    (_churn_three_coordinators, "7ce0201b4fd56151e6a4ee6b03907880be0aa2c8772b337ea59d0c7b1f132cc6"),
+    (_out_of_band_deltas_batched, "d4f36ce9a1e4380f7875985379823ff770b8882899ee9f154dbda52897674b83"),
+    (_in_band_lossy, "c146e0cb3119f14ab08c0b32a1b32b230d4179a4258a15edce840e98c4ba32aa"),
+    (
+        _gossip_crash_expiry_rejoin_leave,
+        "b8af5e92962bce5faabe6eb932e7aba576c60cded4cb9d22145cf3bba568ff59",
+    ),
+    (
+        _three_coordinators_crash_restore,
+        "0297e3675e1bd99db77358de91aeb2bdcf57ea07f210d190c23098af571c10d0",
+    ),
 ]
 
 
