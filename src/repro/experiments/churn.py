@@ -13,16 +13,16 @@ These experiments drive the §5 membership machinery hard, replaying
   newcomers take to become fully routable.
 * **Lossy in-band membership** — the same Poisson churn on a lossy
   underlay, once with out-of-band (reliable callback) membership and
-  once with ``membership_in_band=True``: view updates travel the wire,
+  once with ``membership=InBand(...)``: view updates travel the wire,
   get lost, and are repaired via refresh piggybacks. Reports routing
   availability side by side with the new view-divergence metric
   (windows where live nodes held different view versions, and the
   routing disagreement inside them).
 
 Unless a caller overrides ``config``, churn runs default to delta
-publication with in-band wire delivery (``membership_deltas=True``,
-``membership_in_band=True``) — the hardened plane a deployment would
-actually run; the explicit in-band comparison above keeps its own
+publication with in-band wire delivery
+(``membership=InBand(deltas=True)``) — the hardened plane a deployment
+would actually run; the explicit in-band comparison above keeps its own
 side-by-side configs.
 
 "Disrupted" is judged against ground truth: a pair counts as disrupted
@@ -42,7 +42,7 @@ import numpy as np
 from repro.analysis.tables import render_table
 from repro.experiments.membership_scaling import IN_BAND_LOSS
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import InBand, OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.workloads import ChurnTrace, ChurnWorkload, run_churn_workload
 
@@ -75,7 +75,7 @@ def _default_churn_config() -> OverlayConfig:
     delivery latency; pass an explicit ``config`` to reproduce the old
     out-of-band tables.
     """
-    return OverlayConfig(membership_deltas=True, membership_in_band=True)
+    return OverlayConfig(membership=InBand(deltas=True))
 
 
 @dataclass
@@ -554,7 +554,7 @@ def run_in_band_churn(
     """Quorum-router churn on a lossy underlay, out-of-band vs in-band.
 
     Both runs share the trace, the underlay, and every config knob
-    except ``membership_in_band``, so any availability difference is
+    except the membership plane, so any availability difference is
     attributable to membership delivery riding the same lossy wire.
     The membership timeout is shortened so heartbeat repairs (timeout/3)
     actually occur within the run.
@@ -568,12 +568,11 @@ def run_in_band_churn(
         warmup_s=60.0,
     )
     rows = []
-    for mode, in_band in (("out-of-band", False), ("in-band", True)):
-        config = OverlayConfig(
-            membership_deltas=True,
-            membership_in_band=in_band,
-            membership_timeout_s=300.0,
-        )
+    for mode, plane in (
+        ("out-of-band", OutOfBand(deltas=True)),
+        ("in-band", InBand(deltas=True)),
+    ):
+        config = OverlayConfig(membership=plane, membership_timeout_s=300.0)
         rng = np.random.default_rng(seed)
         net = planetlab_like(churn.n, rng, base_loss=loss, lossy_fraction=0.0)
         overlay = build_overlay(
@@ -594,7 +593,7 @@ def run_in_band_churn(
                 mode,
                 stats,
                 workload.recorder.view_divergence_summary(),
-                overlay.membership.stats.as_dict(),
+                overlay.membership.counters(),
             )
         )
     return InBandChurnResult(

@@ -1,7 +1,7 @@
 """Coordinator-failover scenario suite: kill the membership plane.
 
 The paper's coordinator (§5) is a single point of failure the
-evaluation never stresses. With ``num_coordinators > 1`` the repo
+evaluation never stresses. With ``membership=Replicated(...)`` the repo
 replicates the view log across a ring of coordinator endpoints; this
 suite injects the three membership-plane faults that replication must
 survive, and measures convergence with the per-member view-divergence
@@ -42,8 +42,7 @@ import numpy as np
 
 from repro.analysis.tables import render_table
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
-from repro.overlay.coordination import CoordinatorGroup
+from repro.overlay.config import OverlayConfig, Replicated, RetryBackoff, RouterKind
 from repro.overlay.harness import Overlay, build_overlay
 from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.faults import FaultPlan
@@ -70,16 +69,16 @@ def scenario_config(k: int = 3) -> OverlayConfig:
     promote after 25 s of primary silence per rank.
     """
     return OverlayConfig(
-        membership_in_band=True,
-        membership_deltas=True,
-        num_coordinators=k,
         membership_timeout_s=90.0,
-        membership_notify_batch_s=5.0,
-        membership_failover_timeout_s=20.0,
-        membership_retry_base_s=2.0,
-        membership_retry_max_s=16.0,
-        coordinator_heartbeat_s=5.0,
-        coordinator_promote_timeout_s=25.0,
+        membership=Replicated(
+            coordinators=k,
+            deltas=True,
+            notify_batch_s=5.0,
+            failover_timeout_s=20.0,
+            retry=RetryBackoff(base_s=2.0, max_s=16.0),
+            heartbeat_s=5.0,
+            promote_timeout_s=25.0,
+        ),
     )
 
 
@@ -164,8 +163,7 @@ def _summarize(
     recorder: DisruptionRecorder,
     divergence_bound_s: float,
 ) -> FailoverScenarioResult:
-    group = overlay.membership
-    assert isinstance(group, CoordinatorGroup)
+    group = overlay.membership  # scenario_config: the replicated plane
     versions = overlay.view_versions()
     held = versions[sorted(overlay.active)]
     held = held[held >= 0]
@@ -176,7 +174,7 @@ def _summarize(
     missing = tuple(
         m for m in expected if m not in view or not overlay.nodes[m].started
     )
-    counters = group.merged_stats()
+    counters = group.counters()
     div = recorder.member_divergence_summary()
     return FailoverScenarioResult(
         name=name,
@@ -192,10 +190,8 @@ def _summarize(
         promotions=counters.get("promotions", 0),
         demotions=counters.get("demotions", 0),
         readmissions=counters.get("readmissions", 0),
-        node_failovers=sum(
-            node.membership_failovers for node in overlay.nodes
-        ),
-        node_retries=sum(node.membership_retries for node in overlay.nodes),
+        node_failovers=counters["node_failovers"],
+        node_retries=counters["node_retries"],
         divergence=div,
         divergence_bound_s=divergence_bound_s,
         min_availability=recorder.min_availability(MEASURE_FROM_S),

@@ -50,9 +50,7 @@ import numpy as np
 from repro.analysis.tables import render_table
 from repro.errors import WorkloadError
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
-from repro.overlay.coordination import CoordinatorGroup
-from repro.overlay.gossip import GossipMembershipPlane
+from repro.overlay.config import Gossip, OverlayConfig, RouterKind
 from repro.overlay.harness import Overlay, build_overlay
 from repro.overlay.stats import (
     GOSSIP_KINDS,
@@ -95,12 +93,8 @@ def gossip_config() -> OverlayConfig:
     epidemic dissemination O(log n) rounds.
     """
     return OverlayConfig(
-        membership_mode="gossip",
-        membership_in_band=False,
-        membership_deltas=True,
         membership_timeout_s=90.0,
-        gossip_interval_s=5.0,
-        gossip_fanout=3,
+        membership=Gossip(interval_s=5.0, fanout=3),
     )
 
 
@@ -218,16 +212,9 @@ def _summarize_arm(
     held = held[held >= 0]
     converged = held.size > 0 and int(held.min()) == int(held.max())
 
-    membership = overlay.membership
-    if isinstance(membership, GossipMembershipPlane):
-        view_members = set(membership.view.members)
-        counters = membership.merged_stats().as_dict()
-        kinds = GOSSIP_KINDS
-    else:
-        assert isinstance(membership, CoordinatorGroup)
-        view_members = set(membership.view.members)
-        counters = membership.merged_stats()
-        kinds = COORD_PLANE_KINDS
+    view_members = set(overlay.membership.view.members)
+    counters = overlay.membership.counters()
+    kinds = GOSSIP_KINDS if plane == PLANE_GOSSIP else COORD_PLANE_KINDS
 
     expected = sorted(overlay.active)
     missing = tuple(

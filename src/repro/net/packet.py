@@ -279,7 +279,7 @@ class MembershipRefresh(Message):
 class MembershipAck(Message):
     """A coordinator's acknowledgement of a member's refresh.
 
-    Only sent by replicated coordinator groups (``num_coordinators > 1``).
+    Only sent by replicated coordinator groups (``membership=Replicated(...)``).
     ``leader`` names the coordinator address the member should be talking
     to: the primary acks with its own address, while a backup receiving a
     misdirected refresh acks with a redirect to its believed primary.

@@ -18,11 +18,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.metrics import PathMetric
 from repro.errors import ConfigError
 
-__all__ = ["RouterKind", "OverlayConfig"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+__all__ = [
+    "RouterKind",
+    "RetryBackoff",
+    "OutOfBand",
+    "InBand",
+    "Replicated",
+    "Gossip",
+    "MembershipConfig",
+    "OverlayConfig",
+]
 
 
 class RouterKind(Enum):
@@ -30,6 +43,137 @@ class RouterKind(Enum):
 
     FULL_MESH = "full-mesh"  # RON's original link-state broadcast
     QUORUM = "quorum"  # this paper's two-round grid-quorum protocol
+
+
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if value <= 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
+
+
+@dataclass(frozen=True, slots=True)
+class RetryBackoff:
+    """Jittered exponential backoff: ``base_s * 2**attempt`` capped at
+    ``max_s``, stretched by a uniform factor in ``[1, 1 + jitter]`` so
+    correlated failures do not make every retrier fire in lockstep.
+    Shared by the coordinator ring walk and the gossip plane's pulls."""
+
+    base_s: float = 2.0
+    max_s: float = 30.0
+    jitter: float = 0.5
+
+    def __post_init__(self) -> None:
+        _require_positive(retry_base_s=self.base_s, retry_max_s=self.max_s)
+        if self.max_s < self.base_s:
+            raise ConfigError("retry max_s must be >= base_s")
+        if self.jitter < 0:
+            raise ConfigError("retry jitter must be non-negative")
+
+    def delay(self, attempt: int, rng: Optional[np.random.Generator]) -> float:
+        """The delay before (0-based) retry ``attempt``."""
+        delay = min(self.base_s * (2.0**attempt), self.max_s)
+        if rng is not None and self.jitter > 0:
+            delay *= 1.0 + self.jitter * float(rng.random())
+        return delay
+
+
+@dataclass(frozen=True, slots=True)
+class OutOfBand:
+    """The §5 coordinator delivering views by simulator callback — the
+    plane every paper-parameter run uses (reliable by construction, off
+    the transport, so the §6 bandwidth accounting matches the paper's)."""
+
+    #: Deliver versioned view *deltas* (full view on version gaps)
+    #: instead of full member lists; the quorum router then updates its
+    #: grid and tables in place.
+    deltas: bool = False
+    #: Batching window for view publication: all changes inside it
+    #: coalesce into one version bump and one broadcast. ``0`` publishes
+    #: every change immediately.
+    notify_batch_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.notify_batch_s < 0:
+            raise ConfigError("notify_batch_s must be non-negative")
+
+
+@dataclass(frozen=True, slots=True)
+class InBand(OutOfBand):
+    """The same single (epoch-0) coordinator as an endpoint on the
+    overlay transport, co-located at node 0: views are wire messages
+    subject to loss, outages and delay, and nodes heartbeat with
+    refreshes piggybacking their held version so lost updates are
+    detected and repaired."""
+
+    #: While the coordinator itself looks partitioned (it heard *no*
+    #: member heartbeat for over one heartbeat interval) or is freshly
+    #: promoted, the refresh timeout is stretched by this factor so a
+    #: coordinator outage cannot mass-expire healthy members. 1.0
+    #: disables the grace.
+    expiry_grace: float = 4.0
+
+    def __post_init__(self) -> None:
+        OutOfBand.__post_init__(self)
+        if self.expiry_grace < 1.0:
+            raise ConfigError("expiry_grace must be >= 1")
+
+
+@dataclass(frozen=True, slots=True)
+class Replicated(InBand):
+    """``coordinators`` in-band endpoints: a primary publishes views
+    while the others mirror its log over the wire and take over, with an
+    epoch bump, when it goes silent."""
+
+    coordinators: int = 3
+    #: A node that has heard nothing from its coordinator (view pushes
+    #: or refresh acks) for this long fails over to the next address in
+    #: the ring, retrying with ``retry``.
+    failover_timeout_s: float = 30.0
+    retry: RetryBackoff = RetryBackoff()
+    #: Primary-to-replica heartbeat period.
+    heartbeat_s: float = 10.0
+    #: A replica that heard nothing from the primary for ``rank * this``
+    #: promotes itself (rank = its ring distance after the primary, so
+    #: the first live replica wins without an election).
+    promote_timeout_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        InBand.__post_init__(self)
+        if self.coordinators < 2:
+            raise ConfigError("a replicated plane needs coordinators >= 2")
+        _require_positive(
+            failover_timeout_s=self.failover_timeout_s,
+            heartbeat_s=self.heartbeat_s,
+            promote_timeout_s=self.promote_timeout_s,
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Gossip:
+    """No coordinator: joins, leaves and crash expiries are locally
+    originated ops, version-vector-ordered and spread by periodic digest
+    push plus anti-entropy pull over the overlay transport."""
+
+    #: Period of each node's digest push round.
+    interval_s: float = 10.0
+    #: Number of random live peers a digest push targets.
+    fanout: int = 3
+    #: Per-origin op-log retention for range replay; pulls reaching past
+    #: it fall back to a full resolved-state snapshot.
+    log_ops: int = 128
+    #: Backoff of the anti-entropy and join pulls.
+    retry: RetryBackoff = RetryBackoff()
+
+    def __post_init__(self) -> None:
+        _require_positive(interval_s=self.interval_s)
+        if self.fanout < 1:
+            raise ConfigError("gossip fanout must be >= 1")
+        if self.log_ops < 1:
+            raise ConfigError("gossip log_ops must be >= 1")
+
+
+#: The membership plane an overlay runs, with that plane's tunables.
+MembershipConfig = Union[OutOfBand, InBand, Replicated, Gossip]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,74 +202,11 @@ class OverlayConfig:
     remote_timeout_intervals: float = 2.5
     #: Membership timeout (30 minutes, §5).
     membership_timeout_s: float = 1800.0
-    #: Incremental membership: deliver versioned view *deltas* (with a
-    #: full-view fallback on version gaps) instead of full member lists,
-    #: and let the quorum router update its grid/tables in place. Off by
-    #: default so the paper-parameter runs keep their exact schedules.
-    membership_deltas: bool = False
-    #: Batching window for membership publication: all view changes
-    #: inside the window coalesce into one version bump and one
-    #: (delta) broadcast. ``0`` publishes every change immediately.
-    membership_notify_batch_s: float = 0.0
-    #: In-band membership: the coordinator is an addressable endpoint on
-    #: the overlay transport (co-located at node 0) and view updates are
-    #: real wire messages subject to loss, outages, and delay; nodes
-    #: heartbeat with refresh messages piggybacking their held view
-    #: version so lost updates are detected and repaired. Off by default
-    #: so the paper-parameter runs keep their exact event schedules.
-    membership_in_band: bool = False
+    #: Which membership plane delivers the view, and its tunables.
+    membership: MembershipConfig = OutOfBand()
     #: Debug assertion path: after every incremental grid update, prove
     #: the delta-applied grid identical to a from-scratch construction.
     membership_grid_checks: bool = False
-    #: Replicated membership: number of coordinator endpoints. With the
-    #: default 1 the single in-process coordinator is used unchanged (every
-    #: existing table stays byte-identical). With k > 1 a primary publishes
-    #: views as today while k-1 replicas mirror the view log over the wire
-    #: and take over (with an epoch bump) when the primary goes silent.
-    #: Requires ``membership_in_band`` — failover is a wire protocol.
-    num_coordinators: int = 1
-    #: Replicated membership: a node that has heard nothing from its
-    #: current coordinator (view pushes or refresh acks) for this long
-    #: fails over to the next coordinator address in the ring.
-    membership_failover_timeout_s: float = 30.0
-    #: Failover retry backoff: first retry delay; doubles per attempt.
-    membership_retry_base_s: float = 2.0
-    #: Failover retry backoff cap.
-    membership_retry_max_s: float = 30.0
-    #: Failover retry jitter: each delay is stretched by a uniform factor
-    #: in ``[1, 1 + jitter]`` so a coordinator crash does not make every
-    #: member retry in lockstep.
-    membership_retry_jitter: float = 0.5
-    #: Expiry grace multiplier applied while the coordinator itself looks
-    #: partitioned or freshly promoted (it heard *no* member heartbeat for
-    #: over one heartbeat interval, or is inside its post-promotion grace
-    #: window): the refresh timeout is stretched by this factor so a
-    #: coordinator outage cannot mass-expire healthy members. Only
-    #: consulted on the in-band plane; 1.0 disables the grace.
-    membership_expiry_grace: float = 4.0
-    #: Which membership plane the overlay runs. ``"coordinator"`` (the
-    #: default) keeps the §5 coordinator — single or replicated per
-    #: ``num_coordinators`` — so every published table stays
-    #: byte-identical. ``"gossip"`` drops the coordinator entirely:
-    #: membership ops (join/leave/crash-expiry) are locally originated,
-    #: version-vector-ordered, and spread epidemic-style by periodic
-    #: digest push plus anti-entropy pull over the overlay transport.
-    membership_mode: str = "coordinator"
-    #: Gossip plane: period of each node's digest push round.
-    gossip_interval_s: float = 10.0
-    #: Gossip plane: number of random live peers a digest push targets.
-    gossip_fanout: int = 3
-    #: Gossip plane: per-origin op-log retention (ops kept for range
-    #: replay); pulls reaching past the retained window fall back to a
-    #: full resolved-state snapshot.
-    gossip_log_ops: int = 128
-    #: Replicated membership: primary-to-replica heartbeat period.
-    coordinator_heartbeat_s: float = 10.0
-    #: Replicated membership: a replica that heard nothing from the
-    #: primary for ``rank * this`` promotes itself (rank = its distance
-    #: after the primary in the ring, staggering candidates so the first
-    #: live replica wins without an election protocol).
-    coordinator_promote_timeout_s: float = 30.0
     #: Freshness sampling period used by the evaluation (§6.2.2: 30 s).
     freshness_sample_s: float = 30.0
     #: Bandwidth accounting bucket width (seconds).
@@ -154,63 +235,17 @@ class OverlayConfig:
             object.__setattr__(self, "path_metric", PathMetric.LATENCY)
         if self.loss_penalty_ms < 0:
             raise ConfigError("loss_penalty_ms must be non-negative")
-        positive = {
-            "probe_interval_s": self.probe_interval_s,
-            "rapid_probe_interval_s": self.rapid_probe_interval_s,
-            "routing_interval_full_s": self.routing_interval_full_s,
-            "routing_interval_quorum_s": self.routing_interval_quorum_s,
-            "rec_memory_intervals": self.rec_memory_intervals,
-            "remote_timeout_intervals": self.remote_timeout_intervals,
-            "membership_timeout_s": self.membership_timeout_s,
-            "membership_failover_timeout_s": self.membership_failover_timeout_s,
-            "membership_retry_base_s": self.membership_retry_base_s,
-            "membership_retry_max_s": self.membership_retry_max_s,
-            "gossip_interval_s": self.gossip_interval_s,
-            "coordinator_heartbeat_s": self.coordinator_heartbeat_s,
-            "coordinator_promote_timeout_s": self.coordinator_promote_timeout_s,
-            "freshness_sample_s": self.freshness_sample_s,
-            "bandwidth_bucket_s": self.bandwidth_bucket_s,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.membership_notify_batch_s < 0:
-            raise ConfigError("membership_notify_batch_s must be non-negative")
-        if self.num_coordinators < 1:
-            raise ConfigError("num_coordinators must be >= 1")
-        if self.num_coordinators > 1 and not self.membership_in_band:
-            raise ConfigError(
-                "num_coordinators > 1 requires membership_in_band: "
-                "replica mirroring and failover are wire protocols"
-            )
-        if self.membership_mode not in ("coordinator", "gossip"):
-            raise ConfigError(
-                "membership_mode must be 'coordinator' or 'gossip', "
-                f"got {self.membership_mode!r}"
-            )
-        if self.gossip_fanout < 1:
-            raise ConfigError("gossip_fanout must be >= 1")
-        if self.gossip_log_ops < 1:
-            raise ConfigError("gossip_log_ops must be >= 1")
-        if self.membership_mode == "gossip":
-            if self.membership_in_band:
-                raise ConfigError(
-                    "membership_mode='gossip' replaces the coordinator "
-                    "wire plane; membership_in_band must stay False"
-                )
-            if self.num_coordinators != 1:
-                raise ConfigError(
-                    "membership_mode='gossip' runs no coordinators; "
-                    "leave num_coordinators at 1"
-                )
-        if self.membership_retry_jitter < 0:
-            raise ConfigError("membership_retry_jitter must be non-negative")
-        if self.membership_expiry_grace < 1.0:
-            raise ConfigError("membership_expiry_grace must be >= 1")
-        if self.membership_retry_max_s < self.membership_retry_base_s:
-            raise ConfigError(
-                "membership_retry_max_s must be >= membership_retry_base_s"
-            )
+        _require_positive(
+            probe_interval_s=self.probe_interval_s,
+            rapid_probe_interval_s=self.rapid_probe_interval_s,
+            routing_interval_full_s=self.routing_interval_full_s,
+            routing_interval_quorum_s=self.routing_interval_quorum_s,
+            rec_memory_intervals=self.rec_memory_intervals,
+            remote_timeout_intervals=self.remote_timeout_intervals,
+            membership_timeout_s=self.membership_timeout_s,
+            freshness_sample_s=self.freshness_sample_s,
+            bandwidth_bucket_s=self.bandwidth_bucket_s,
+        )
         if self.probes_to_fail < 1:
             raise ConfigError("probes_to_fail must be >= 1")
         if not 0.0 < self.ewma_alpha <= 1.0:

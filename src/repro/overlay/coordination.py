@@ -33,10 +33,10 @@ Design
   that hears nothing for ``promote_timeout_s * rank`` promotes itself,
   where ``rank`` is its ring distance from the believed primary — the
   stagger makes the first live replica win without an election.
-* **Member failover** lives in :class:`~repro.overlay.node.Node`: members
-  heartbeat the primary, treat refresh acks and view pushes as proof of
-  life, and walk the coordinator ring with exponential backoff + jitter
-  when it goes silent.
+* **Member failover** lives in :class:`RingClient`, each node's
+  membership client on this plane: members heartbeat the primary, treat
+  refresh acks and view pushes as proof of life, and walk the
+  coordinator ring with exponential backoff + jitter when it goes silent.
 
 The group never loses a member permanently: a promoted primary adopts
 the mirrored view with an expiry grace window, and any member wrongly
@@ -47,7 +47,10 @@ the acting primary.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import MembershipError
 from repro.net.packet import (
@@ -55,20 +58,28 @@ from repro.net.packet import (
     CoordinatorPull,
     CoordinatorReplicate,
     MembershipAck,
+    MembershipDelta,
     MembershipRefresh,
+    MembershipUpdate,
     Message,
 )
 from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
+from repro.overlay.config import Replicated
 from repro.overlay.membership import (
     MembershipService,
     MembershipView,
     ViewCallback,
     ViewDelta,
+    WireClient,
+    readmit,
 )
 from repro.overlay.stats import CounterSet
 
-__all__ = ["Coordinator", "CoordinatorGroup"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.overlay.node import OverlayNode
+
+__all__ = ["Coordinator", "CoordinatorGroup", "RingClient"]
 
 ROLE_PRIMARY = "primary"
 ROLE_BACKUP = "backup"
@@ -99,7 +110,6 @@ class Coordinator:
         "role",
         "service",
         "_service_factory",
-        "_heartbeat_s",
         "_promote_timeout_s",
         "_m_epoch",
         "_m_view",
@@ -134,7 +144,6 @@ class Coordinator:
         self.role = ROLE_BACKUP
         self.service: Optional[MembershipService] = None
         self._service_factory = service_factory
-        self._heartbeat_s = heartbeat_s
         self._promote_timeout_s = promote_timeout_s
         #: Mirrored (replica) state: the log head this coordinator could
         #: promote from. Maintained while backup; seeded from the live
@@ -307,8 +316,9 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Role transitions
     # ------------------------------------------------------------------
-    def _promote(self) -> None:
-        """Become primary at a fresh epoch, continuing the mirrored log."""
+    def become_primary(self) -> MembershipService:
+        """Start a live service one epoch above the mirror, continuing
+        the mirrored log."""
         service = self._service_factory()
         service.adopt(self._m_view, tuple(self._m_log), self._m_epoch + 1)
         service.attach_transport(
@@ -318,6 +328,11 @@ class Coordinator:
         self.service = service
         self.role = ROLE_PRIMARY
         self.primary_addr = self.address
+        return service
+
+    def _promote(self) -> None:
+        """Take over from a silent primary and announce the new epoch."""
+        service = self.become_primary()
         self.stats.incr("promotions")
         if self._group is not None:
             self._group._on_promoted(self)
@@ -449,30 +464,218 @@ class Coordinator:
             ),
         )
 
+class RingClient(WireClient):
+    """A node's client on the replicated plane: a :class:`WireClient`
+    that heartbeats whichever coordinator it believes is primary and,
+    when that one goes silent past ``failover_timeout_s``, walks the
+    ring of ``addresses`` with jittered backoff (``rng`` supplies the
+    jitter) until an acknowledgement or view push proves one live."""
+
+    __slots__ = (
+        "_ring",
+        "_tunables",
+        "_rng",
+        "_heard_at",
+        "_refresh_sent_at",
+        "_watch_timer",
+        "_retry_event",
+        "_retry_attempt",
+        "_retry_sent_to",
+        "_phases",
+        "failovers",
+        "retries",
+    )
+
+    def __init__(
+        self,
+        node: "OverlayNode",
+        addresses: Tuple[int, ...],
+        tunables: Replicated,
+        rng: np.random.Generator,
+    ):
+        super().__init__(node, addresses[0])
+        self._ring = addresses
+        self._tunables = tunables
+        self._rng = rng
+        #: Last proof of life from the current coordinator (refresh acks
+        #: and view pushes both count).
+        self._heard_at = 0.0
+        #: When the last refresh went out. Coordinator silence only
+        #: proves death if a heartbeat was actually sent since we last
+        #: heard — the failover timeout may well be shorter than the
+        #: heartbeat interval.
+        self._refresh_sent_at = 0.0
+        self._watch_timer = None
+        self._retry_event = None
+        self._retry_attempt = 0
+        #: Address the last failover attempt was actually sent to; when
+        #: a redirect repoints the node mid-backoff, the next retry
+        #: contacts the new target instead of walking past it.
+        self._retry_sent_to: Optional[int] = None
+        #: Timer phases of the node's last start, reused on readmission.
+        self._phases: Optional[Tuple[float, float]] = None
+        self.failovers = 0
+        self.retries = 0
+
+    # -- lifecycle ------------------------------------------------------
+    def on_node_start(self, monitor_phase: float, router_phase: float) -> None:
+        super().on_node_start(monitor_phase, router_phase)
+        self._phases = (monitor_phase, router_phase)
+        self.watch()
+
+    def on_node_stop(self) -> None:
+        if self._watch_timer is not None:
+            self._watch_timer.stop()
+            self._watch_timer = None
+        self._cancel_retry()
+
+    def _cancel_retry(self) -> None:
+        if self._retry_event is not None:
+            self._retry_event.cancel()
+            self._retry_event = None
+
+    def reset(self) -> None:
+        super().reset()
+        self._retry_attempt = 0
+
+    def watch(self) -> None:
+        """Run the failover watch (idempotent). Also armed while a
+        joiner waits for its view: the coordinator it is pointed at may
+        be dead (its join could even be the one lost in that crash), and
+        the acquire refreshes must walk the ring, not nag a corpse."""
+        self._heard_at = self.node.sim.now
+        if self._watch_timer is not None:
+            return
+        interval = self._tunables.failover_timeout_s / 2.0
+        self._watch_timer = self.node.sim.periodic(
+            interval,
+            self._watch_tick,
+            phase=interval * (1.0 + float(self._rng.random())),
+        )
+
+    def on_expelled(self) -> None:
+        """A live node can be expelled *wrongly* here (expiry while the
+        plane was down or partitioned), so it stops routing but re-arms
+        the view-triggered start and keeps heartbeating: the acting
+        primary readmits any live non-member that reaches it, and the
+        readmission view restarts the node."""
+        self.node.stop()
+        if self._phases is None:
+            return
+        self.failovers += 1
+        self.node.arm_start_on_view(
+            *self._phases, self._tunables.failover_timeout_s / 2.0
+        )
+        self.watch()
+
+    # -- proof of life --------------------------------------------------
+    def heartbeat(self) -> None:
+        self._refresh_sent_at = self.node.sim.now
+        super().heartbeat()
+
+    def on_message(self, msg: Message, src: int) -> None:
+        if isinstance(msg, MembershipAck):
+            self._on_ack(msg, src)
+            return
+        if isinstance(msg, (MembershipUpdate, MembershipDelta)):
+            # A view push at the held epoch or newer is proof of life
+            # and identifies the acting primary (a deposed one proves
+            # nothing).
+            if src in self._ring and msg.epoch >= self.node.router.view_epoch:
+                self._heard_from(src)
+            super().on_message(msg, src)
+
+    def _on_ack(self, msg: MembershipAck, src: int) -> None:
+        if src not in self._ring:
+            return
+        if msg.leader == src:
+            self._heard_from(src)  # the acting primary acknowledged us
+        elif msg.leader in self._ring:
+            # A backup's redirect: repoint to its believed leader but do
+            # not count it as proof of life and do not re-send now — the
+            # heartbeat/retry cadence drives the next contact, which
+            # keeps two disagreeing backups from bouncing a message storm.
+            self.address = msg.leader
+
+    def _heard_from(self, address: int) -> None:
+        self._heard_at = self.node.sim.now
+        self.address = address
+        self._cancel_retry()
+        self._retry_attempt = 0
+        self._retry_sent_to = None
+
+    # -- the ring walk --------------------------------------------------
+    def _silent(self) -> bool:
+        return (
+            self.node.sim.now - self._heard_at > self._tunables.failover_timeout_s
+        )
+
+    def _watch_tick(self) -> None:
+        if not self.node.registered or self._retry_event is not None:
+            return  # off the network, or a failover is already in progress
+        if not self._silent():
+            return
+        if self._refresh_sent_at <= self._heard_at:
+            # Nothing has been sent since we last heard, so the silence
+            # proves nothing (the heartbeat cadence may be slower than
+            # the failover timeout). Probe now; the ack — or its
+            # continued absence — decides at the next tick.
+            self.heartbeat()
+            return
+        self.failovers += 1
+        self._retry_attempt = 0
+        # First attempt re-targets the *current* address — it may be a
+        # redirect target we have not actually contacted yet; only
+        # subsequent retries advance around the ring.
+        self._contact()
+
+    def _contact(self) -> None:
+        self._retry_sent_to = self.address
+        self.heartbeat()
+        self._retry_event = self.node.sim.schedule(
+            self._tunables.retry.delay(self._retry_attempt, self._rng),
+            self._retry_tick,
+        )
+
+    def _retry_tick(self) -> None:
+        self._retry_event = None
+        if not self._silent():
+            self._retry_attempt = 0
+            return  # the coordinator answered while we were waiting
+        if self._retry_sent_to == self.address:
+            # Nothing repointed us since the last attempt: walk the ring.
+            # (After a redirect the current address has not been tried
+            # yet — advancing would skip the believed leader, and with
+            # an unlucky ring layout could orbit it forever.)
+            ring = self._ring
+            self.address = ring[(ring.index(self.address) + 1) % len(ring)]
+        self.retries += 1
+        self._retry_attempt += 1
+        self._contact()
+
 
 #: A control operation buffered while no primary is live.
 _PendingOp = Tuple[str, int, Optional[ViewCallback]]
 
 
 class CoordinatorGroup:
-    """``k`` replicated coordinators behind a MembershipService facade.
+    """The replicated :class:`~repro.overlay.membership.MembershipPlane`:
+    ``k`` coordinators behind one facade.
 
-    The overlay harness talks to the group exactly as it talks to a
-    single :class:`MembershipService` (``bootstrap`` / ``join`` /
-    ``leave`` / ``evict`` / ``is_member`` / ``view`` / ``stats`` /
-    ``quiesce``); the group routes each call to the acting primary, or
-    buffers control operations while no primary is live and replays them
-    (guarded, idempotently) at the next promotion.
+    Control operations (``join`` / ``leave`` / ``evict`` / ``is_member``,
+    the same calls a single :class:`MembershipService` takes) route to
+    the acting primary, or are buffered while no primary is live and
+    replayed (guarded, idempotently) at the next promotion.
     """
 
     __slots__ = (
-        "_sim",
-        "_transport",
+        "_tunables",
         "coordinators",
         "addresses",
         "stats",
         "_members",
         "_pending_ops",
+        "_clients",
     )
 
     def __init__(
@@ -482,15 +685,14 @@ class CoordinatorGroup:
         addresses: Tuple[int, ...],
         hosts: Tuple[int, ...],
         service_factory: Callable[[], MembershipService],
-        heartbeat_s: float,
-        promote_timeout_s: float,
+        tunables: Replicated,
     ):
         if len(addresses) < 1 or len(addresses) != len(hosts):
             raise MembershipError("need one host per coordinator address")
-        self._sim = sim
-        self._transport = transport
+        self._tunables = tunables
         self.stats = CounterSet()
         self.addresses = addresses
+        self._clients: List[RingClient] = []
         self.coordinators = tuple(
             Coordinator(
                 sim,
@@ -500,8 +702,8 @@ class CoordinatorGroup:
                 host=hosts[i],
                 addresses=addresses,
                 service_factory=service_factory,
-                heartbeat_s=heartbeat_s,
-                promote_timeout_s=promote_timeout_s,
+                heartbeat_s=tunables.heartbeat_s,
+                promote_timeout_s=tunables.promote_timeout_s,
                 stats=self.stats,
             )
             for i, addr in enumerate(addresses)
@@ -517,20 +719,7 @@ class CoordinatorGroup:
         self._pending_ops: List[_PendingOp] = []
         # Coordinator 0 is the initial primary at epoch 1 (epoch 0 is
         # the unreplicated legacy coordinator's).
-        first = self.coordinators[0]
-        service = service_factory()
-        service.adopt(MembershipView(version=0, members=()), (), 1)
-        service.attach_transport(
-            transport, first.address, first.host, register=False
-        )
-        service.on_publish = first._replicate_delta
-        first.service = service
-        first.role = ROLE_PRIMARY
-        first.primary_addr = first.address
-
-    @property
-    def in_band(self) -> bool:
-        return True
+        self.coordinators[0].become_primary()
 
     @property
     def primary(self) -> Optional[Coordinator]:
@@ -545,43 +734,53 @@ class CoordinatorGroup:
                 best = coord
         return best
 
+    def _head(self) -> Coordinator:
+        """The acting primary, else whoever holds the newest view."""
+        return self.primary or max(
+            self.coordinators, key=lambda c: (c.epoch, c.held_view.version)
+        )
+
     @property
     def view(self) -> MembershipView:
-        """The newest view any live coordinator holds."""
-        acting = self.primary
-        if acting is not None:
-            return acting.held_view
-        best_view = MembershipView(version=0, members=())
-        best_epoch = -1
-        for coord in self.coordinators:
-            key = (coord.epoch, coord.held_view.version)
-            if key > (best_epoch, best_view.version):
-                best_epoch, best_view = coord.epoch, coord.held_view
-        return best_view
+        """The newest view any coordinator holds."""
+        return self._head().held_view
 
     def current_epoch_version(self) -> Tuple[int, int]:
         """The authoritative ``(epoch, version)`` pair right now."""
-        acting = self.primary
-        if acting is not None:
-            return acting.epoch, acting.held_view.version
-        view = self.view
-        return max(c.epoch for c in self.coordinators), view.version
+        head = self._head()
+        return head.epoch, head.held_view.version
 
-    def merged_stats(self) -> Dict[str, int]:
-        """Group counters plus every live service's counters."""
+    def counters(self) -> Dict[str, int]:
+        """Group counters, every live service's, and the ring clients'."""
         merged = self.stats.as_dict()
         for coord in self.coordinators:
             if coord.service is not None:
                 for name, value in coord.service.stats.as_dict().items():
                     merged[name] = merged.get(name, 0) + value
+        merged["node_failovers"] = sum(c.failovers for c in self._clients)
+        merged["node_retries"] = sum(c.retries for c in self._clients)
         return merged
 
+    def merged_stats(self) -> Dict[str, int]:
+        """Read by bench/tracing.py; :meth:`counters` is the interface."""
+        return self.counters()
+
     # ------------------------------------------------------------------
-    # MembershipService facade
+    # MembershipPlane
     # ------------------------------------------------------------------
-    def bootstrap(
-        self, members_and_callbacks: Dict[int, ViewCallback]
-    ) -> MembershipView:
+    def attach(self, node: "OverlayNode", rng: np.random.Generator) -> None:
+        # The per-node jitter rng is drawn only on this plane, so the
+        # others keep their exact build streams.
+        client = RingClient(
+            node,
+            self.addresses,
+            self._tunables,
+            np.random.default_rng(rng.integers(2**63)),
+        )
+        node.membership = client
+        self._clients.append(client)
+
+    def bootstrap(self, nodes: Sequence["OverlayNode"]) -> None:
         """Install the initial population and replicate the snapshot.
 
         The snapshot replication messages ride the lossy wire like any
@@ -592,23 +791,33 @@ class CoordinatorGroup:
         acting = self.primary
         if acting is None or acting.service is None:
             raise MembershipError("bootstrap requires a live primary")
-        self._members.update(members_and_callbacks)
+        self._members.update(node.id for node in nodes)
         # Bootstrap delivery is synchronous callbacks (out-of-band
         # provisioning), which know nothing of epochs; bind the
         # primary's epoch in so nodes start at (epoch, v1) and the
         # first heartbeat round is not a spurious repair wave.
         epoch = acting.service.epoch
-
-        def _bind(cb: ViewCallback) -> ViewCallback:
-            return lambda update: cb(update, epoch)  # type: ignore[call-arg]
-
-        view = acting.service.bootstrap(
-            {m: _bind(cb) for m, cb in members_and_callbacks.items()}
+        acting.service.bootstrap(
+            {node.id: partial(node.on_view, epoch=epoch) for node in nodes}
         )
         for addr in self.addresses:
             if addr != acting.address:
                 acting._send_snapshot(addr)
-        return view
+
+    def admit(
+        self, node: "OverlayNode", monitor_phase: float, router_phase: float
+    ) -> None:
+        readmit(self, node)
+        # As on the single in-band coordinator: start when the join's
+        # view arrives, re-requesting it just past the batching window.
+        node.arm_start_on_view(
+            monitor_phase, router_phase, 1.0 + self._tunables.notify_batch_s
+        )
+        node.membership.watch()
+
+    def depart(self, node: "OverlayNode") -> None:
+        node.teardown()
+        self.leave(node.id)
 
     def is_member(self, member: int) -> bool:
         acting = self.primary
@@ -626,34 +835,25 @@ class CoordinatorGroup:
             self._pending_ops.append(("join", member, callback))
 
     def leave(self, member: int) -> None:
-        self._members.discard(member)
-        acting = self.primary
-        if acting is not None and acting.service is not None:
-            if acting.service.is_member(member):
-                acting.service.leave(member)
-        else:
-            self.stats.incr("ops_buffered")
-            self._pending_ops.append(("leave", member, None))
+        self._remove("leave", member)
 
     def evict(self, member: int) -> None:
+        self._remove("evict", member)
+
+    def _remove(self, op: str, member: int) -> None:
         self._members.discard(member)
         acting = self.primary
-        if acting is not None and acting.service is not None:
-            if acting.service.is_member(member):
-                acting.service.evict(member)
-        else:
+        if acting is None or acting.service is None:
             self.stats.incr("ops_buffered")
-            self._pending_ops.append(("evict", member, None))
-
-    def refresh(self, member: int) -> None:
-        acting = self.primary
-        if acting is not None and acting.service is not None:
-            if acting.service.is_member(member):
-                acting.service.refresh(member)
+            self._pending_ops.append((op, member, None))
+        elif acting.service.is_member(member):
+            getattr(acting.service, op)(member)
 
     def quiesce(self) -> None:
         for coord in self.coordinators:
             coord.quiesce()
+        for client in self._clients:
+            client.on_node_stop()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -685,8 +885,5 @@ class CoordinatorGroup:
                     assert callback is not None
                     service.join(member, callback)
             elif service.is_member(member) and member not in self._members:
-                if op == "evict":
-                    service.evict(member)
-                else:
-                    service.leave(member)
+                getattr(service, op)(member)
         self.stats.incr("ops_replayed", len(ops))

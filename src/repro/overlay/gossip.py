@@ -1,7 +1,7 @@
 """Coordinator-free membership: peer-to-peer gossip anti-entropy.
 
-With ``membership_mode="gossip"`` the §5 coordinator disappears
-entirely. Membership changes — joins, graceful leaves, and crash
+With ``OverlayConfig(membership=Gossip(...))`` the §5 coordinator
+disappears entirely. Membership changes — joins, graceful leaves, and crash
 expiries — become locally-originated *ops* that any node can introduce:
 
     op = (origin, seq, action, target, stamp)
@@ -18,19 +18,19 @@ so at equal stamps a death claim (leave/expire) beats the join it
 refutes, and a member refutes a false death by re-joining at
 ``stamp + 1``. A member is *alive* iff its winning action is a join.
 
-Dissemination is push-pull epidemic: every ``gossip_interval_s`` each
+Dissemination is push-pull epidemic: every ``interval_s`` each
 node bumps its heartbeat counter and pushes a
 :class:`~repro.net.packet.GossipDigest` (version vector + heartbeat
-vector) to ``gossip_fanout`` random live peers. A receiver that is
+vector) to ``fanout`` random live peers. A receiver that is
 behind pulls the missing per-origin ranges
 (:class:`~repro.net.packet.GossipPull`); one that is ahead pushes its
 surplus ops straight back (:class:`~repro.net.packet.GossipOps`). When a
 responder's bounded op log no longer covers a requested range — or the
 range is unreasonably large — it falls back to a full resolved-state
 :class:`~repro.net.packet.GossipSnapshot`, the gossip analogue of the
-coordinator plane's full-view repair. Pull retries reuse the ring-walk
-backoff helper (:func:`repro.overlay.node.backoff_delay`), and the
-routers' version-gap callback triggers an immediate (rate-limited)
+coordinator plane's full-view repair. Pull retries back off like the
+coordinator ring walk (:class:`~repro.overlay.config.RetryBackoff`), and
+the routers' version-gap callback triggers an immediate (rate-limited)
 extra push round.
 
 Liveness is the merged heartbeat vector: when a member's heartbeat has
@@ -63,9 +63,9 @@ from repro.net.packet import (
 )
 from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
-from repro.overlay.config import OverlayConfig
-from repro.overlay.membership import MembershipView
-from repro.overlay.node import OverlayNode, backoff_delay
+from repro.overlay.config import Gossip
+from repro.overlay.membership import MembershipView, ViewDelta
+from repro.overlay.node import OverlayNode
 from repro.overlay.stats import CounterSet
 
 __all__ = [
@@ -139,19 +139,22 @@ def _record_key(record: Record) -> Tuple[int, int, int]:
 
 
 class GossipMembershipNode:
-    """One node's gossip membership engine.
+    """One node's gossip membership engine — its
+    :class:`~repro.overlay.membership.MembershipClient` on this plane.
 
     Owns the node's op logs, version vector, resolved records, and
     heartbeat vector; handles the gossip wire messages dispatched by
     :meth:`OverlayNode.on_message`; and installs resolved views into the
-    node's router via :meth:`OverlayNode.install_gossip_view`.
+    node's router. It runs its own push rounds, so it never arms the
+    node's heartbeat.
     """
 
     __slots__ = (
         "node",
         "sim",
         "transport",
-        "config",
+        "tunables",
+        "timeout_s",
         "me",
         "rng",
         "vv",
@@ -178,13 +181,17 @@ class GossipMembershipNode:
         self,
         node: OverlayNode,
         transport: DatagramTransport,
-        config: OverlayConfig,
+        tunables: Gossip,
+        timeout_s: float,
         rng: np.random.Generator,
     ):
         self.node = node
         self.sim: Simulator = node.sim
         self.transport = transport
-        self.config = config
+        self.tunables = tunables
+        #: A member whose heartbeat has not advanced for this long is
+        #: expired (the overlay's membership timeout).
+        self.timeout_s = timeout_s
         self.me = node.id
         self.rng = rng
         #: Version vector: per origin, the highest contiguously-applied
@@ -223,7 +230,6 @@ class GossipMembershipNode:
         #: (target, stamp) pairs this node already expired — one expire
         #: op per incarnation, however many ticks observe the silence.
         self._expired_marks: Set[Tuple[int, int]] = set()
-        node.gossip = self
 
     # ------------------------------------------------------------------
     # Resolution
@@ -261,7 +267,7 @@ class GossipMembershipNode:
     ) -> None:
         log = self.logs.get(origin)
         if log is None:
-            log = deque(maxlen=self.config.gossip_log_ops)
+            log = deque(maxlen=self.tunables.log_ops)
             self.logs[origin] = log
         log.append((seq, action, target, stamp))
         self.vv[origin] = seq
@@ -298,12 +304,12 @@ class GossipMembershipNode:
             self.hb.setdefault(member, 0)
             self.last_advance[member] = now
 
-    def on_node_start(self) -> None:
+    def on_node_start(self, monitor_phase: float, router_phase: float) -> None:
         """The owning node started: begin periodic push rounds, with an
         rng phase so rounds are unsynchronized across nodes."""
         if self._push_timer is not None:
             return
-        interval = self.config.gossip_interval_s
+        interval = self.tunables.interval_s
         self._push_timer = self.sim.periodic(
             interval,
             self._gossip_tick,
@@ -346,14 +352,7 @@ class GossipMembershipNode:
         dst = self._join_seeds[int(self.rng.integers(len(self._join_seeds)))]
         self.transport.send(self.me, dst, GossipPull(origin=self.me, ranges=()))
         self.counters.incr("pulls")
-        cfg = self.config
-        delay = backoff_delay(
-            self._join_attempt,
-            cfg.membership_retry_base_s,
-            cfg.membership_retry_max_s,
-            cfg.membership_retry_jitter,
-            self.rng,
-        )
+        delay = self.tunables.retry.delay(self._join_attempt, self.rng)
         self._join_attempt += 1
         self._join_event = self.sim.schedule(delay, self._join_retry_tick)
 
@@ -406,7 +405,7 @@ class GossipMembershipNode:
 
     def _check_expiries(self, now: float) -> bool:
         """Originate expire ops for members whose heartbeats stalled."""
-        timeout = self.config.membership_timeout_s
+        timeout = self.timeout_s
         changed = False
         for target in self.alive_members():
             if target == self.me:
@@ -453,7 +452,7 @@ class GossipMembershipNode:
         ]
 
     def _push_digest(self) -> None:
-        targets = self._pick_peers(self.config.gossip_fanout)
+        targets = self._pick_peers(self.tunables.fanout)
         # Probe one known-dead member per round. After a symmetric
         # partition both sides expire each other, leaving neither with a
         # live peer on the far side — mutual deafness no amount of
@@ -476,16 +475,16 @@ class GossipMembershipNode:
 
     def _push_ops(self, ops: Tuple[Op, ...]) -> None:
         """Eagerly push specific ops (join/leave announcements)."""
-        for dst in self._pick_peers(self.config.gossip_fanout):
+        for dst in self._pick_peers(self.tunables.fanout):
             self.transport.send(self.me, dst, GossipOps(origin=self.me, ops=ops))
             self.counters.incr("ops_sent", len(ops))
 
-    def nudge(self) -> None:
+    def on_version_gap(self) -> None:
         """Routing saw a newer view than ours is known by — run an extra
         digest round now, rate-limited to one per gossip interval."""
         if not self.active or not self.node.registered:
             return
-        if self.sim.now - self._last_push_at < self.config.gossip_interval_s:
+        if self.sim.now - self._last_push_at < self.tunables.interval_s:
             return
         self.counters.incr("nudges")
         self._push_digest()
@@ -612,8 +611,31 @@ class GossipMembershipNode:
             return
         members = self.alive_members()
         if self.me not in members:
+            return  # refuted before it is re-installed
+        # The packed version is identical across nodes holding identical
+        # op knowledge and strictly increasing locally, so the routers'
+        # version-equality drop rule keeps working.
+        version = self.view_version()
+        router = self.node.router
+        current = router.view
+        if current is not None and version <= current.version:
             return
-        self.node.install_gossip_view(members, self.view_version())
+        view = MembershipView(version=version, members=members)
+        if current is None:
+            router.on_view_change(view)
+        elif current.members == members:
+            router.rebrand_view(view)  # version only: no grid rebuild
+        else:
+            # A synthesized delta drives the incremental resize path.
+            was, now = set(current.members), set(members)
+            delta = ViewDelta(
+                from_version=current.version,
+                to_version=version,
+                joined=tuple(sorted(now - was)),
+                left=tuple(sorted(was - now)),
+            )
+            router.on_view_delta(view, delta)
+        self.node.start_if_armed()
 
     # ------------------------------------------------------------------
     # Range serving
@@ -690,14 +712,7 @@ class GossipMembershipNode:
     def _arm_pull_retry(self) -> None:
         if self._pull_event is not None:
             return
-        cfg = self.config
-        delay = backoff_delay(
-            self._pull_attempt,
-            cfg.membership_retry_base_s,
-            cfg.membership_retry_max_s,
-            cfg.membership_retry_jitter,
-            self.rng,
-        )
+        delay = self.tunables.retry.delay(self._pull_attempt, self.rng)
         self._pull_event = self.sim.schedule(delay, self._pull_retry_tick)
 
     def _settle_pull(self) -> None:
@@ -732,40 +747,38 @@ class GossipMembershipNode:
 
 
 class GossipMembershipPlane:  # reprolint: disable=RL002(one plane per experiment aggregating all engines)
-    """The harness-facing facade over all per-node gossip engines.
-
-    Plays the membership role :func:`repro.overlay.harness.build_overlay`
-    needs — bootstrap, join, leave — with no coordinator endpoint at
-    all: every operation delegates to the relevant node's engine, and
+    """The coordinator-free
+    :class:`~repro.overlay.membership.MembershipPlane`: no endpoint at
+    all — every operation delegates to the relevant node's engine, and
     convergence is the engines' business.
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        transport: DatagramTransport,
-        config: OverlayConfig,
+        self, transport: DatagramTransport, tunables: Gossip, timeout_s: float
     ):
-        self.sim = sim
         self.transport = transport
-        self.config = config
+        self.tunables = tunables
+        self.timeout_s = timeout_s
         self.engines: Dict[int, GossipMembershipNode] = {}
 
-    def attach_node(
-        self, node: OverlayNode, rng: np.random.Generator
-    ) -> GossipMembershipNode:
-        """Create (and register) the gossip engine for ``node``."""
-        if node.id in self.engines:
-            raise ConfigError(f"node {node.id} already has a gossip engine")
-        engine = GossipMembershipNode(node, self.transport, self.config, rng)
-        self.engines[node.id] = engine
-        return engine
+    def attach(self, node: OverlayNode, rng: np.random.Generator) -> None:
+        """Create the gossip engine for ``node``, with its own seeded
+        rng (push phases, peer selection, retry jitter). The draw exists
+        only on this plane, so the others keep their exact build streams."""
+        engine = GossipMembershipNode(
+            node,
+            self.transport,
+            self.tunables,
+            self.timeout_s,
+            np.random.default_rng(rng.integers(2**63)),
+        )
+        self.engines[node.id] = node.membership = node.gossip = engine
 
-    def bootstrap(self, active: Sequence[int]) -> None:
+    def bootstrap(self, nodes: Sequence[OverlayNode]) -> None:
         """Seed every engine with the initial member set (out-of-band,
         like the coordinator bootstrap) and install the initial view on
         the active participants."""
-        members = tuple(sorted(active))
+        members = tuple(sorted(node.id for node in nodes))
         member_set = set(members)
         for node_id in sorted(self.engines):
             engine = self.engines[node_id]
@@ -774,15 +787,26 @@ class GossipMembershipPlane:  # reprolint: disable=RL002(one plane per experimen
                 engine.active = True
                 engine._maybe_install()
 
-    def begin_join(self, node_id: int) -> None:
-        """Start the join protocol for ``node_id`` (bootstrap pull, then
-        a join op at a fresh incarnation stamp)."""
-        self.engines[node_id].begin_join()
+    def admit(
+        self, node: OverlayNode, monitor_phase: float, router_phase: float
+    ) -> None:
+        """Start the join protocol (bootstrap pull, then a join op at a
+        fresh incarnation stamp — nothing to evict, the stamp supersedes
+        any stale record). The node starts when the snapshot lands and
+        the engine installs its first view; the engine's backoff-retried
+        pull plays the acquisition role."""
+        self.engines[node.id].begin_join()
+        node.arm_start_on_view(monitor_phase, router_phase)
 
-    def leave(self, node_id: int) -> None:
-        """Graceful leave: the engine announces a leave op while the
-        node is still reachable (call *before* tearing the node down)."""
-        self.engines[node_id].originate_leave()
+    def depart(self, node: OverlayNode) -> None:
+        """Graceful leave: announce the leave op while the node can
+        still push it — after teardown nobody could learn of the
+        departure until crash expiry."""
+        self.engines[node.id].originate_leave()
+        node.teardown()
+
+    def is_member(self, member: int) -> bool:
+        return member in self.view.members
 
     def quiesce(self) -> None:
         """Stop every engine's timers (end-of-run cleanup)."""
@@ -812,8 +836,12 @@ class GossipMembershipPlane:  # reprolint: disable=RL002(one plane per experimen
             version=packed_view_version(vv), members=members
         )
 
-    def merged_stats(self) -> CounterSet:
+    def counters(self) -> Dict[str, int]:
         """All engines' counters summed."""
+        return self.merged_stats().as_dict()
+
+    def merged_stats(self) -> CounterSet:
+        """:meth:`counters` as a CounterSet, for bench/tracing.py."""
         merged = CounterSet()
         for node_id in sorted(self.engines):
             counts = self.engines[node_id].counters.as_dict()

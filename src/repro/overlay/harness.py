@@ -9,7 +9,7 @@ overlay nodes with staggered timer phases — and returns an
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -19,10 +19,15 @@ from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.net.trace import SyntheticTrace, planetlab_like
 from repro.net.transport import DatagramTransport
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import Gossip, InBand, OverlayConfig, Replicated, RouterKind
 from repro.overlay.coordination import CoordinatorGroup
 from repro.overlay.gossip import GossipMembershipPlane
-from repro.overlay.membership import MembershipService
+from repro.overlay.membership import (
+    InBandPlane,
+    MembershipPlane,
+    MembershipService,
+    OutOfBandPlane,
+)
 from repro.overlay.node import OverlayNode
 from repro.overlay.router_quorum import QuorumRouter
 from repro.overlay.stats import (
@@ -53,9 +58,9 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         router_kind: RouterKind,
         bandwidth: BandwidthRecorder,
         freshness: Optional[FreshnessRecorder],
-        membership: Union[MembershipService, CoordinatorGroup, GossipMembershipPlane],
-        active: Optional[Iterable[int]] = None,
-        lifecycle_rng: Optional[np.random.Generator] = None,
+        membership: MembershipPlane,
+        active: Iterable[int],
+        lifecycle_rng: np.random.Generator,
     ):
         self.sim = sim
         self.topology = topology
@@ -67,12 +72,8 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         self.freshness = freshness
         self.membership = membership
         #: Node IDs currently participating (joined and not left/failed).
-        self.active: Set[int] = (
-            set(range(len(nodes))) if active is None else set(active)
-        )
-        self._lifecycle_rng = (
-            lifecycle_rng if lifecycle_rng is not None else np.random.default_rng(0)
-        )
+        self.active: Set[int] = set(active)
+        self._lifecycle_rng = lifecycle_rng
         self.disruption: Optional[DisruptionRecorder] = None
 
     @property
@@ -102,52 +103,9 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         if node_id in self.active:
             raise ConfigError(f"node {node_id} is already active")
         node.prepare_join()
-        if isinstance(self.membership, GossipMembershipPlane):
-            # Coordinator-free: nothing to evict — a rejoin asserts a
-            # fresh incarnation stamp that supersedes any stale record.
-            self.membership.begin_join(node_id)
-        else:
-            if self.membership.is_member(node.id):
-                # A crashed incarnation whose refresh has not yet expired:
-                # model a reboot by evicting the stale entry so the node
-                # can cleanly re-join within the same run.
-                self.membership.evict(node.id)
-            self.membership.join(node.id, node.on_view)
+        phases = _draw_phases(self._lifecycle_rng, self.config, self.router_kind)
+        self.membership.admit(node, *phases)
         self.active.add(node_id)
-        rng = self._lifecycle_rng
-        monitor_phase = float(
-            rng.uniform(0.05, self.config.probe_interval_s * 0.2)
-        )
-        router_phase = float(
-            rng.uniform(
-                self.config.probe_interval_s * 0.2,
-                self.config.routing_interval_s(self.router_kind),
-            )
-        )
-        if isinstance(self.membership, GossipMembershipPlane):
-            # Start when the bootstrap snapshot lands and the engine
-            # installs the first view; the engine's own backoff-retried
-            # pull plays the acquisition role, so no acquire timer.
-            node.arm_start_on_view(monitor_phase, router_phase, 1.0)
-        elif self.config.membership_in_band:
-            # The join's full view travels the (lossy) wire: start when
-            # it actually arrives, and periodically re-request it until
-            # then. The acquisition interval sits just past the batching
-            # window so a node never nags the coordinator about a view
-            # that is still legitimately buffered.
-            node.arm_start_on_view(
-                monitor_phase,
-                router_phase,
-                acquire_interval_s=1.0 + self.config.membership_notify_batch_s,
-            )
-        else:
-            # Start strictly after the membership push lands — which with
-            # a batching window may lag the join by up to the window.
-            node.schedule_start(
-                0.1 + self.config.membership_notify_batch_s,
-                monitor_phase,
-                router_phase,
-            )
 
     def leave_node(self, node_id: int) -> None:
         """Gracefully remove a node: it announces its departure, all
@@ -155,15 +113,7 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         node = self.nodes[node_id]
         if node_id not in self.active:
             raise ConfigError(f"node {node_id} is not active")
-        if isinstance(self.membership, GossipMembershipPlane):
-            # Announce the leave op while the node can still push it —
-            # after teardown nobody could learn of the departure until
-            # crash expiry.
-            self.membership.leave(node.id)
-            node.teardown()
-        else:
-            node.teardown()
-            self.membership.leave(node.id)
+        self.membership.depart(node)
         self.active.discard(node_id)
 
     def fail_node(self, node_id: int) -> None:
@@ -225,10 +175,8 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         values untouched.
         """
         versions = np.full(self.n, -1, dtype=np.int64)
-        for i in sorted(self.active):
-            node = self.nodes[i]
-            if node.started and node.router.view is not None:
-                versions[i] = (node.held_epoch << 32) | node.router.view.version
+        for i in np.flatnonzero(self.started_mask()):
+            versions[i] = self.nodes[i].router.wire_view_version()
         return versions
 
     # ------------------------------------------------------------------
@@ -245,10 +193,11 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
     def membership_bytes(self, t0: float = 0.0, t1: Optional[float] = None) -> np.ndarray:
         """Per-node membership view-update bytes received over [t0, t1).
 
-        With ``membership_in_band`` the transport accounts the real
-        datagrams (lost updates cost the coordinator host its outgoing
-        bytes but are never received); out-of-band, each update's §5
-        wire size is credited to the receiver when it is scheduled.
+        On the wire planes (``InBand``, ``Replicated``) the transport
+        accounts the real datagrams (lost updates cost the coordinator
+        host its outgoing bytes but are never received); on ``OutOfBand``
+        each update's §5 wire size is credited to the receiver when it
+        is scheduled. Gossip traffic is accounted under its own kinds.
         Either way full views are O(n) per update, deltas O(changes).
         Refresh heartbeats are accounted separately (``member-ctl``).
         """
@@ -362,6 +311,67 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         return costs
 
 
+def _draw_phases(
+    rng: np.random.Generator, config: OverlayConfig, router: RouterKind
+) -> Tuple[float, float]:
+    """Uniformly random (monitor, router) timer phases for one node,
+    reproducing the paper's unsynchronized recommendation arrivals
+    (§6.2.2)."""
+    monitor_phase = float(rng.uniform(0.05, config.probe_interval_s * 0.2))
+    router_phase = float(
+        rng.uniform(config.probe_interval_s * 0.2, config.routing_interval_s(router))
+    )
+    return monitor_phase, router_phase
+
+
+def _build_membership(
+    config: OverlayConfig,
+    sim: Simulator,
+    transport: DatagramTransport,
+    bandwidth: BandwidthRecorder,
+    n: int,
+) -> MembershipPlane:
+    """The one place that reads which membership plane the config names."""
+    variant = config.membership
+    if isinstance(variant, Gossip):
+        return GossipMembershipPlane(transport, variant, config.membership_timeout_s)
+
+    # Only a coordinator on the wire can look partitioned from its members.
+    expiry_grace = variant.expiry_grace if isinstance(variant, InBand) else 1.0
+
+    def make_service() -> MembershipService:
+        return MembershipService(
+            sim,
+            timeout_s=config.membership_timeout_s,
+            deltas=variant.deltas,
+            notify_batch_s=variant.notify_batch_s,
+            bandwidth=bandwidth,
+            expiry_grace=expiry_grace,
+        )
+
+    if isinstance(variant, Replicated):
+        # k coordinator endpoints at addresses n..n+k-1, hosted on a
+        # spread of underlay nodes so one host outage cannot take the
+        # whole membership plane down. Index 0 is the initial primary;
+        # the others mirror its view log.
+        k = variant.coordinators
+        return CoordinatorGroup(
+            sim,
+            transport,
+            addresses=tuple(n + i for i in range(k)),
+            hosts=tuple((i * n) // k for i in range(k)),
+            service_factory=make_service,
+            tunables=variant,
+        )
+    if isinstance(variant, InBand):
+        # The coordinator answers at address n (one past the node ids)
+        # and shares node 0's links.
+        service = make_service()
+        service.attach_transport(transport, address=n, host=0)
+        return InBandPlane(service)
+    return OutOfBandPlane(make_service())
+
+
 def build_overlay(
     n: Optional[int] = None,
     router: RouterKind = RouterKind.QUORUM,
@@ -402,44 +412,7 @@ def build_overlay(
     transport = DatagramTransport(
         sim, topology, np.random.default_rng(rng.integers(2**63)), bandwidth
     )
-    def _make_service() -> MembershipService:
-        return MembershipService(
-            sim,
-            timeout_s=config.membership_timeout_s,
-            deltas=config.membership_deltas,
-            notify_batch_s=config.membership_notify_batch_s,
-            bandwidth=bandwidth,
-            expiry_grace=config.membership_expiry_grace,
-        )
-
-    membership: Union[MembershipService, CoordinatorGroup, GossipMembershipPlane]
-    if config.membership_mode == "gossip":
-        # Coordinator-free membership: no endpoint at all — every node
-        # runs a gossip engine (attached below) and membership ops
-        # converge by push-pull anti-entropy over the node addresses.
-        membership = GossipMembershipPlane(sim, transport, config)
-    elif config.num_coordinators > 1:
-        # Replicated membership: k coordinator endpoints at addresses
-        # n..n+k-1, hosted on a spread of underlay nodes so one host
-        # outage cannot take the whole membership plane down. Index 0
-        # is the initial primary; the others mirror its view log.
-        k = config.num_coordinators
-        membership = CoordinatorGroup(
-            sim,
-            transport,
-            addresses=tuple(n + i for i in range(k)),
-            hosts=tuple((i * n) // k for i in range(k)),
-            service_factory=_make_service,
-            heartbeat_s=config.coordinator_heartbeat_s,
-            promote_timeout_s=config.coordinator_promote_timeout_s,
-        )
-    else:
-        membership = _make_service()
-        if config.membership_in_band:
-            # The coordinator answers at address n (one past the node
-            # ids) and shares node 0's links: view updates are real
-            # datagrams on the same lossy wire the overlay routes over.
-            membership.attach_transport(transport, address=n, host=0)
+    membership = _build_membership(config, sim, transport, bandwidth, n)
 
     malicious_set = set(malicious)
     if malicious_set and router is not RouterKind.QUORUM:
@@ -464,58 +437,13 @@ def build_overlay(
     if not active <= set(range(n)):
         raise ConfigError("active_members must be topology indices")
 
-    def _make_refresh(member_id: int):
-        # A heartbeat may race its own expiry/leave by one notify delay,
-        # so it checks membership before refreshing.
-        def _refresh() -> None:
-            if membership.is_member(member_id):
-                membership.refresh(member_id)
-
-        return _refresh
+    for node in nodes:
+        membership.attach(node, rng)
+    membership.bootstrap([node for node in nodes if node.id in active])
 
     for node in nodes:
-        if isinstance(membership, GossipMembershipPlane):
-            # Every node gets a gossip engine with its own seeded rng
-            # (push phases, peer selection, retry jitter). These draws
-            # exist only on the gossip path, so default-mode runs keep
-            # their exact RNG streams and byte-identical tables.
-            membership.attach_node(
-                node, np.random.default_rng(rng.integers(2**63))
-            )
-        elif isinstance(membership, CoordinatorGroup):
-            # Replicated membership: each node heartbeats the primary
-            # and walks the coordinator ring (with jittered backoff)
-            # when it goes silent. The per-node jitter rng draws exist
-            # only on this path, so num_coordinators=1 runs keep their
-            # exact RNG streams.
-            node.configure_ring(
-                membership.addresses,
-                np.random.default_rng(rng.integers(2**63)),
-            )
-        elif config.membership_in_band:
-            # Heartbeats are wire messages to the coordinator endpoint,
-            # piggybacking the held view version (the gap detector).
-            node.membership_addr = membership.address
-        else:
-            node.on_refresh = _make_refresh(node.id)
-
-    if isinstance(membership, GossipMembershipPlane):
-        membership.bootstrap(sorted(active))
-    else:
-        membership.bootstrap(
-            {node.id: node.on_view for node in nodes if node.id in active}
-        )
-
-    routing_interval = config.routing_interval_s(router)
-    for node in nodes:
-        if node.id not in active:
-            continue
-        node.start(
-            monitor_phase=float(rng.uniform(0.05, config.probe_interval_s * 0.2)),
-            router_phase=float(
-                rng.uniform(config.probe_interval_s * 0.2, routing_interval)
-            ),
-        )
+        if node.id in active:
+            node.start(*_draw_phases(rng, config, router))
 
     overlay = Overlay(
         sim=sim,

@@ -65,6 +65,20 @@ Deltas are O(changes) on the wire where full views are O(n) — see
 :func:`repro.overlay.wire.membership_delta_message_bytes` — which is
 what makes view changes affordable at n >= 1000
 (``experiments/membership_scaling.py`` measures this).
+
+The two membership interfaces
+-----------------------------
+
+Whatever delivers the member list, the rest of the overlay sees two
+seams, both defined here. :class:`MembershipPlane` is what
+:func:`~repro.overlay.harness.build_overlay` and
+:class:`~repro.overlay.harness.Overlay` talk to (one per overlay);
+:class:`MembershipClient` is what an
+:class:`~repro.overlay.node.OverlayNode` talks to (one per node, made by
+the plane's ``attach``). This module holds the two single-coordinator
+planes (:class:`OutOfBandPlane`, :class:`InBandPlane`) and their clients;
+:mod:`repro.overlay.coordination` and :mod:`repro.overlay.gossip` hold
+the replicated and coordinator-free ones.
 """
 
 from __future__ import annotations
@@ -72,7 +86,19 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.errors import MembershipError
 from repro.net.packet import (
@@ -88,8 +114,20 @@ from repro.overlay.stats import BandwidthRecorder, CounterSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.transport import DatagramTransport
+    from repro.overlay.node import OverlayNode
 
-__all__ = ["MembershipView", "ViewDelta", "ViewUpdate", "MembershipService"]
+__all__ = [
+    "MembershipView",
+    "ViewDelta",
+    "ViewUpdate",
+    "MembershipService",
+    "MembershipPlane",
+    "MembershipClient",
+    "WireClient",
+    "OutOfBandPlane",
+    "InBandPlane",
+    "readmit",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,10 +199,6 @@ class ViewDelta:
                 raise MembershipError(f"delta {name} must be sorted and unique")
         if set(self.joined) & set(self.left):
             raise MembershipError("delta joined and left must be disjoint")
-
-    @property
-    def num_changes(self) -> int:
-        return len(self.joined) + len(self.left)
 
     def apply(self, view: MembershipView) -> MembershipView:
         """The view at ``to_version``, derived from ``view``.
@@ -269,7 +303,7 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         self._timeout_s = timeout_s
         self._notify_delay_s = notify_delay_s
         self._deltas = deltas
-        self._notify_batch_s = notify_batch_s
+        self.notify_batch_s = notify_batch_s
         self._bandwidth = bandwidth
         self._last_refresh: Dict[int, float] = {}
         self._subscribers: Dict[int, ViewCallback] = {}
@@ -316,11 +350,6 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
     def view(self) -> MembershipView:
         """The last *published* view (batched changes may be pending)."""
         return self._view
-
-    @property
-    def in_band(self) -> bool:
-        """Whether view updates travel the overlay wire."""
-        return self._transport is not None
 
     @property
     def epoch(self) -> int:
@@ -504,13 +533,8 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         incarnation is removed at once so the node can cleanly re-``join``
         within the same run instead of raising "already a member".
         """
-        if member not in self._last_refresh:
-            raise MembershipError(f"{member} is not a member")
-        del self._last_refresh[member]
-        del self._subscribers[member]
-        self._delivered.pop(member, None)
+        self.leave(member)
         self.stats.incr("evictions")
-        self._record_change(left=(member,))
 
     def refresh(self, member: int) -> None:
         """Heartbeat: keep ``member`` from expiring."""
@@ -602,10 +626,10 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         self, joined: Tuple[int, ...] = (), left: Tuple[int, ...] = ()
     ) -> None:
         _coalesce_into(self._pending_joined, self._pending_left, joined, left)
-        if self._notify_batch_s <= 0:
+        if self.notify_batch_s <= 0:
             self._flush()
         elif self._flush_event is None:
-            self._flush_event = self._sim.schedule(self._notify_batch_s, self._flush)
+            self._flush_event = self._sim.schedule(self.notify_batch_s, self._flush)
 
     def _flush(self) -> None:
         """Publish all buffered changes as one view transition."""
@@ -787,3 +811,329 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
             self._delivered.pop(m, None)
         self.stats.incr("expiries", len(stale))
         self._record_change(left=tuple(sorted(stale)))
+
+
+# ----------------------------------------------------------------------
+# The two membership interfaces
+# ----------------------------------------------------------------------
+class MembershipClient(Protocol):
+    """What an :class:`~repro.overlay.node.OverlayNode` asks of its
+    membership plane: the node owns lifecycle and message dispatch, the
+    client everything about how views reach it."""
+
+    def on_node_start(self, monitor_phase: float, router_phase: float) -> None:
+        """The node's timers started; arm the client's own."""
+
+    def on_node_stop(self) -> None:
+        """The node stopped (left, crashed, expelled); disarm them."""
+
+    def heartbeat(self) -> None:
+        """Fired by the timer a client arms with
+        :meth:`OverlayNode.start_heartbeat`; a client that arms none is
+        never asked."""
+
+    def on_message(self, msg: Message, src: int) -> None:
+        """Every datagram that is not routing traffic."""
+
+    def on_version_gap(self) -> None:
+        """A peer routes on a newer view than the node holds."""
+
+
+class MembershipPlane(Protocol):
+    """What the harness asks of a membership plane.
+
+    Each plane owns its join/leave ordering, when a joiner's timers
+    start, and whether a node costs a draw from the build rng.
+    """
+
+    @property
+    def view(self) -> MembershipView:
+        """The authoritative (or merged) view, for reporting."""
+
+    def attach(self, node: "OverlayNode", rng: np.random.Generator) -> None:
+        """Give ``node`` its :class:`MembershipClient` (``rng`` is the
+        build stream; draw from it only if the client needs its own)."""
+
+    def bootstrap(self, nodes: Sequence["OverlayNode"]) -> None:
+        """Install ``nodes`` as the initial membership, synchronously."""
+
+    def admit(
+        self, node: "OverlayNode", monitor_phase: float, router_phase: float
+    ) -> None:
+        """Join ``node`` and arrange for it to start with these phases."""
+
+    def depart(self, node: "OverlayNode") -> None:
+        """Graceful leave: announce it and take ``node`` off the network."""
+
+    def is_member(self, member: int) -> bool: ...
+
+    def counters(self) -> Dict[str, int]:
+        """The plane's event counters, summed over its parts."""
+
+    def quiesce(self) -> None:
+        """Stop every timer the plane owns; publish anything batched."""
+
+
+class CoordinatorClient:
+    """Node-side half of every coordinator plane: orders the views a
+    coordinator delivers through :meth:`OverlayNode.on_view` and hands
+    them to the router. Subclasses add how the node heartbeats and, on
+    an unreliable wire, how it asks for a missed update."""
+
+    __slots__ = ("node", "dropped_unappliable_deltas", "dropped_stale_full_views")
+
+    def __init__(self, node: "OverlayNode"):
+        self.node = node
+        #: Deltas whose base version did not match the held view (an
+        #: earlier update was lost on the wire).
+        self.dropped_unappliable_deltas = 0
+        #: Full views at or below the already-held version (repair
+        #: resends racing regular publication); ignored, not re-installed.
+        self.dropped_stale_full_views = 0
+
+    def on_node_start(self, monitor_phase: float, router_phase: float) -> None:
+        # Heartbeat well inside the membership timeout so a live node is
+        # never expired (§5: timeouts are long; only truly dead nodes go
+        # silent for a whole timeout).
+        self.node.start_heartbeat(self.node.config.membership_timeout_s / 3.0)
+
+    def on_node_stop(self) -> None:
+        pass
+
+    def reset(self) -> None:
+        """The node is about to join as a fresh incarnation."""
+
+    def on_message(self, msg: Message, src: int) -> None:
+        pass
+
+    def on_version_gap(self) -> None:
+        pass
+
+    def on_expelled(self) -> None:
+        """The authority said this node is out: stop for good."""
+        self.node.stop()
+
+    def on_view(self, update: ViewUpdate, epoch: int) -> None:
+        """Install a full view or apply a delta.
+
+        A view that no longer contains this node means it was removed
+        (leave or expiry). A torn-down (crashed) node ignores pushes —
+        it is off the network. Deltas chain off the currently held view;
+        the quorum router applies them incrementally (grid resize +
+        state remap) instead of rebuilding from scratch. An unappliable
+        delta means an earlier update was lost: :meth:`on_version_gap`
+        asks for the bridging update.
+
+        With replicated coordinators, views order by ``(epoch,
+        version)``, the held epoch being the router's ``view_epoch``: a
+        full view at a higher epoch installs even when its version
+        number is lower (the promoted primary's numbering continues the
+        mirrored log, which may trail what a deposed primary published),
+        a lower epoch is always stale, and deltas only apply within the
+        held epoch.
+        """
+        node = self.node
+        if not node.registered:
+            return
+        router = node.router
+        current = router.view
+        if isinstance(update, ViewDelta):
+            if (
+                current is None
+                or epoch != router.view_epoch
+                or current.version != update.from_version
+            ):
+                self.dropped_unappliable_deltas += 1
+                self.on_version_gap()
+                return
+            view = update.apply(current)
+            if node.id not in view:
+                self.on_expelled()
+                return
+            router.on_view_delta(view, update)
+            node.start_if_armed()
+            return
+        if epoch < router.view_epoch:
+            # A deposed primary's stale publication; the fencing rule
+            # guarantees the higher epoch is the surviving authority.
+            self.dropped_stale_full_views += 1
+            return
+        if (
+            current is not None
+            and epoch == router.view_epoch
+            and update.version <= current.version
+        ):
+            # A repair resend that raced regular publication; the held
+            # view is already at least this fresh — do not rebuild.
+            self.dropped_stale_full_views += 1
+            return
+        if node.id not in update:
+            if node.armed:
+                # A pre-rejoin expulsion still in flight (the previous
+                # incarnation's "you are out"); the join's view — which
+                # contains this node — is right behind it. Stopping here
+                # would cancel the armed start and strand the node.
+                self.dropped_stale_full_views += 1
+                return
+            self.on_expelled()
+            return
+        router.view_epoch = epoch
+        router.on_view_change(update)
+        node.start_if_armed()
+
+
+class CallbackClient(CoordinatorClient):
+    """Client of the out-of-band coordinator: delivery is reliable by
+    construction (nothing to repair, nothing arrives on the wire) and
+    the heartbeat is a direct call on the service."""
+
+    __slots__ = ("_service",)
+
+    def __init__(self, node: "OverlayNode", service: MembershipService):
+        super().__init__(node)
+        self._service = service
+
+    def heartbeat(self) -> None:
+        # A heartbeat may race its own expiry/leave by one notify delay,
+        # so it checks membership before refreshing.
+        if self._service.is_member(self.node.id):
+            self._service.refresh(self.node.id)
+
+
+class WireClient(CoordinatorClient):
+    """Client of an in-band coordinator at ``address``: heartbeats are
+    :class:`~repro.net.packet.MembershipRefresh` datagrams piggybacking
+    the held view, which is also how a missed update is detected and
+    its repair requested."""
+
+    __slots__ = ("address", "_repair_requested_for")
+
+    def __init__(self, node: "OverlayNode", address: int):
+        super().__init__(node)
+        self.address = address
+        #: Held ``(epoch, version)`` a repair was already requested for:
+        #: one nack per detected gap. Every install moves the held pair
+        #: forward, which re-arms the request.
+        self._repair_requested_for: Optional[Tuple[int, int]] = None
+
+    def reset(self) -> None:
+        super().reset()
+        self._repair_requested_for = None
+
+    def _held(self) -> Tuple[int, int]:
+        """The ``(epoch, version)`` a refresh piggybacks; (0, 0) = none."""
+        router = self.node.router
+        if router.view is None:
+            return (0, 0)
+        return (router.view_epoch, router.view.version)
+
+    def heartbeat(self) -> None:
+        epoch, version = self._held()
+        self.node.transport.send(
+            self.node.id,
+            self.address,
+            MembershipRefresh(
+                origin=self.node.id, view_version=version, epoch=epoch
+            ),
+        )
+
+    def on_message(self, msg: Message, src: int) -> None:
+        if isinstance(msg, MembershipUpdate):
+            self.node.on_view(
+                MembershipView(version=msg.version, members=msg.members),
+                msg.epoch,
+            )
+        elif isinstance(msg, MembershipDelta):
+            self.node.on_view(
+                ViewDelta(
+                    from_version=msg.from_version,
+                    to_version=msg.to_version,
+                    joined=msg.joined,
+                    left=msg.left,
+                ),
+                msg.epoch,
+            )
+
+    def on_version_gap(self) -> None:
+        held = self._held()
+        if self._repair_requested_for != held:
+            self._repair_requested_for = held
+            self.heartbeat()
+
+
+def readmit(authority, node: "OverlayNode") -> None:
+    """Join ``node`` at a coordinator ``authority`` (a service or a
+    replicated group), first evicting a crashed incarnation whose
+    refresh has not yet expired — a reboot within the same run."""
+    node.membership.reset()
+    if authority.is_member(node.id):
+        authority.evict(node.id)
+    authority.join(node.id, node.on_view)
+
+
+class OutOfBandPlane:  # reprolint: disable=RL002(one plane per overlay, not per node)
+    """The paper-mode plane (§5): one epoch-0 coordinator delivering
+    views by simulator callback. :class:`InBandPlane` puts the same
+    coordinator on the wire."""
+
+    def __init__(self, service: MembershipService):
+        self.service = service
+
+    @property
+    def view(self) -> MembershipView:
+        return self.service.view
+
+    @property
+    def stats(self) -> CounterSet:
+        """Read by bench/tracing.py; :meth:`counters` is the interface."""
+        return self.service.stats
+
+    def counters(self) -> Dict[str, int]:
+        return self.service.stats.as_dict()
+
+    def is_member(self, member: int) -> bool:
+        return self.service.is_member(member)
+
+    def quiesce(self) -> None:
+        self.service.quiesce()
+
+    def attach(self, node: "OverlayNode", rng: np.random.Generator) -> None:
+        node.membership = CallbackClient(node, self.service)
+
+    def bootstrap(self, nodes: Sequence["OverlayNode"]) -> None:
+        self.service.bootstrap({node.id: node.on_view for node in nodes})
+
+    def admit(
+        self, node: "OverlayNode", monitor_phase: float, router_phase: float
+    ) -> None:
+        readmit(self.service, node)
+        # Start strictly after the membership push lands — which with a
+        # batching window may lag the join by up to the window.
+        node.schedule_start(
+            0.1 + self.service.notify_batch_s, monitor_phase, router_phase
+        )
+
+    def depart(self, node: "OverlayNode") -> None:
+        node.teardown()
+        self.service.leave(node.id)
+
+
+class InBandPlane(OutOfBandPlane):  # reprolint: disable=RL002(one plane per overlay, not per node)
+    """The same coordinator after :meth:`MembershipService.attach_transport`:
+    an endpoint sharing its host's links, whose view updates are real
+    datagrams on the same lossy wire the overlay routes over."""
+
+    def attach(self, node: "OverlayNode", rng: np.random.Generator) -> None:
+        node.membership = WireClient(node, self.service.address)
+
+    def admit(
+        self, node: "OverlayNode", monitor_phase: float, router_phase: float
+    ) -> None:
+        readmit(self.service, node)
+        # The join's full view travels the (lossy) wire: start when it
+        # actually arrives, and re-request it until then. The interval
+        # sits just past the batching window so a node never nags the
+        # coordinator about a view that is still legitimately buffered.
+        node.arm_start_on_view(
+            monitor_phase, router_phase, 1.0 + self.service.notify_batch_s
+        )

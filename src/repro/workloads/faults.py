@@ -45,7 +45,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.net.failures import FailureTable, OutageSchedule, build_partition_table
-from repro.overlay.coordination import CoordinatorGroup
 from repro.overlay.harness import Overlay
 from repro.workloads.trace import (
     ACTION_FAIL,
@@ -265,48 +264,50 @@ class FaultPlan:
     def install(self, overlay: Overlay) -> None:
         """Schedule every crash/restore/churn event on the overlay's simulator.
 
-        Coordinator events require the overlay to run the replicated
-        coordinator plane; a plan holding only member events and outages
-        installs onto any membership plane (the gossip scenarios rely on
-        this to replay the identical member-level trace on both planes).
+        The whole plan is validated before anything is scheduled, so a
+        rejected plan leaves the simulator untouched. Coordinator events
+        need a membership plane that has coordinators to crash (the
+        replicated one); a plan holding only member events and outages
+        installs onto any plane (the gossip scenarios rely on this to
+        replay the identical member-level trace on both planes).
         """
-        group = overlay.membership
-        if self.events and not isinstance(group, CoordinatorGroup):
+        sim = overlay.sim
+        plane = overlay.membership
+        k = len(getattr(plane, "coordinators", ()))
+        if self.events and k == 0:
             raise WorkloadError(
-                "coordinator faults need num_coordinators > 1 "
-                "(overlay.membership must be a CoordinatorGroup)"
+                "coordinator faults need a membership plane with "
+                "coordinators to crash: OverlayConfig(membership=Replicated(...))"
             )
-        for ev in sorted(self.events, key=lambda e: (e.time, e.coordinator)):
-            assert isinstance(group, CoordinatorGroup)
-            if ev.coordinator >= len(group.coordinators):
+        for ev in self.events:
+            if ev.coordinator >= k:
                 raise WorkloadError(
-                    f"coordinator {ev.coordinator} does not exist "
-                    f"(k={len(group.coordinators)})"
+                    f"coordinator {ev.coordinator} does not exist (k={k})"
                 )
-            if ev.time < overlay.sim.now:
+            if ev.time < sim.now:
                 raise WorkloadError(
                     f"fault event at t={ev.time} is in the past"
                 )
-            if ev.action == ACTION_CRASH_COORD:
-                overlay.sim.schedule_at(
-                    ev.time, group.crash_coordinator, ev.coordinator
-                )
-            else:
-                overlay.sim.schedule_at(
-                    ev.time, group.restore_coordinator, ev.coordinator
-                )
-        for mev in sorted(self.member_events, key=lambda e: (e.time, e.node)):
+        for mev in self.member_events:
             if mev.node >= overlay.n:
                 raise WorkloadError(
                     f"member event node {mev.node} out of range (n={overlay.n})"
                 )
-            if mev.time < overlay.sim.now:
+            if mev.time < sim.now:
                 raise WorkloadError(
                     f"member event at t={mev.time} is in the past"
                 )
-            if mev.action == ACTION_FAIL:
-                overlay.sim.schedule_at(mev.time, overlay.fail_node, mev.node)
-            elif mev.action == ACTION_JOIN:
-                overlay.sim.schedule_at(mev.time, overlay.join_node, mev.node)
-            else:
-                overlay.sim.schedule_at(mev.time, overlay.leave_node, mev.node)
+        for ev in sorted(self.events, key=lambda e: (e.time, e.coordinator)):
+            action = (
+                plane.crash_coordinator
+                if ev.action == ACTION_CRASH_COORD
+                else plane.restore_coordinator
+            )
+            sim.schedule_at(ev.time, action, ev.coordinator)
+        member_actions = {
+            ACTION_FAIL: overlay.fail_node,
+            ACTION_JOIN: overlay.join_node,
+            ACTION_LEAVE: overlay.leave_node,
+        }
+        for mev in sorted(self.member_events, key=lambda e: (e.time, e.node)):
+            sim.schedule_at(mev.time, member_actions[mev.action], mev.node)

@@ -13,7 +13,13 @@ from repro.net.topology import Topology
 from repro.net.trace import planetlab_like
 from repro.net.transport import DatagramTransport
 from repro.overlay import wire
-from repro.overlay.config import OverlayConfig
+from repro.overlay.config import (
+    InBand,
+    OutOfBand,
+    OverlayConfig,
+    Replicated,
+    RetryBackoff,
+)
 from repro.overlay.coordination import (
     ROLE_BACKUP,
     ROLE_DOWN,
@@ -25,21 +31,29 @@ from repro.overlay.harness import build_overlay
 from repro.overlay.membership import MembershipService, MembershipView
 
 
-def _replicated_config(**overrides) -> OverlayConfig:
-    defaults = dict(
-        membership_in_band=True,
-        membership_deltas=True,
-        num_coordinators=3,
-        membership_timeout_s=90.0,
-        membership_notify_batch_s=5.0,
-        membership_failover_timeout_s=20.0,
-        membership_retry_base_s=2.0,
-        membership_retry_max_s=16.0,
-        coordinator_heartbeat_s=5.0,
-        coordinator_promote_timeout_s=25.0,
-    )
-    defaults.update(overrides)
-    return OverlayConfig(**defaults)
+REPLICATED = Replicated(
+    coordinators=3,
+    deltas=True,
+    notify_batch_s=5.0,
+    failover_timeout_s=20.0,
+    retry=RetryBackoff(base_s=2.0, max_s=16.0),
+    heartbeat_s=5.0,
+    promote_timeout_s=25.0,
+)
+
+
+def _replicated_config() -> OverlayConfig:
+    return OverlayConfig(membership_timeout_s=90.0, membership=REPLICATED)
+
+
+class StubNode:
+    """What a plane's ``bootstrap`` needs of a node."""
+
+    def __init__(self, node_id):
+        self.id = node_id
+
+    def on_view(self, update, epoch=0):
+        pass
 
 
 def _converged_epoch_version(overlay):
@@ -154,8 +168,7 @@ class TestCoordinatorGroupUnit:
             addresses=(6, 7, 8),
             hosts=(0, 2, 4),
             service_factory=factory,
-            heartbeat_s=5.0,
-            promote_timeout_s=20.0,
+            tunables=Replicated(heartbeat_s=5.0, promote_timeout_s=20.0),
         )
         return sim, group
 
@@ -163,12 +176,12 @@ class TestCoordinatorGroupUnit:
         _, group = self._group()
         roles = [c.role for c in group.coordinators]
         assert roles == [ROLE_PRIMARY, ROLE_BACKUP, ROLE_BACKUP]
-        group.bootstrap({0: lambda v, e=0: None, 1: lambda v, e=0: None})
+        group.bootstrap([StubNode(0), StubNode(1)])
         assert group.current_epoch_version() == (1, 1)
 
     def test_ops_buffered_while_primary_down_replay_on_promotion(self):
         sim, group = self._group()
-        group.bootstrap({0: lambda v, e=0: None, 1: lambda v, e=0: None})
+        group.bootstrap([StubNode(0), StubNode(1)])
         sim.run_until(10.0)
         group.crash_coordinator(0)
         assert group.coordinators[0].role == ROLE_DOWN
@@ -189,7 +202,7 @@ class TestCoordinatorGroupUnit:
 
     def test_restored_coordinator_resyncs_as_backup(self):
         sim, group = self._group()
-        group.bootstrap({0: lambda v, e=0: None})
+        group.bootstrap([StubNode(0)])
         sim.run_until(10.0)
         group.crash_coordinator(0)
         sim.run_until(120.0)
@@ -252,11 +265,18 @@ class TestCrashDuringBootstrapWindow:
 
 class TestConfigValidation:
     def test_replication_requires_in_band(self):
+        # Replica mirroring and failover are wire protocols: the
+        # replicated variant *is* an in-band one, and the flat flag that
+        # could ask for replicas without the wire no longer exists.
+        assert issubclass(Replicated, InBand)
+        with pytest.raises(TypeError):
+            OverlayConfig(num_coordinators=3)
+
+    def test_a_replicated_plane_has_at_least_two_coordinators(self):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            OverlayConfig(num_coordinators=3)
+            Replicated(coordinators=1)
 
     def test_default_is_single_coordinator(self):
-        config = OverlayConfig()
-        assert config.num_coordinators == 1
+        assert type(OverlayConfig().membership) is OutOfBand

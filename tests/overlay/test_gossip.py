@@ -16,7 +16,7 @@ from repro.errors import ConfigError
 from repro.net.packet import GossipDigest, GossipOps, GossipPull, GossipSnapshot
 from repro.net.simulator import Simulator
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import Gossip, OverlayConfig, RouterKind
 from repro.overlay.gossip import (
     MAX_REPLAY_OPS,
     OP_EXPIRE,
@@ -30,6 +30,20 @@ from repro.overlay.gossip import (
 from repro.overlay.harness import build_overlay
 
 
+class StubRouter:
+    """Holds whatever view the engine installs."""
+
+    view = None
+
+    def on_view_change(self, view):
+        self.view = view
+
+    rebrand_view = on_view_change
+
+    def on_view_delta(self, view, delta):
+        self.view = view
+
+
 class StubNode:
     """The slice of OverlayNode the engine touches."""
 
@@ -37,12 +51,10 @@ class StubNode:
         self.sim = sim
         self.id = node_id
         self.registered = True
-        self.gossip = None
-        self.installed = []
+        self.router = StubRouter()
 
-    def install_gossip_view(self, members, version):
-        self.installed.append((tuple(members), version))
-        return True
+    def start_if_armed(self):
+        pass
 
 
 class StubTransport:
@@ -54,20 +66,12 @@ class StubTransport:
 
 
 def make_engine(node_id=0, seed=0, **overrides):
-    cfg = dict(
-        membership_mode="gossip",
-        membership_in_band=False,
-        num_coordinators=1,
-        gossip_interval_s=5.0,
-        gossip_fanout=2,
-        membership_timeout_s=30.0,
-    )
-    cfg.update(overrides)
+    tunables = Gossip(**{"interval_s": 5.0, "fanout": 2, **overrides})
     sim = Simulator()
     node = StubNode(sim, node_id)
     transport = StubTransport()
     engine = GossipMembershipNode(
-        node, transport, OverlayConfig(**cfg), np.random.default_rng(seed)
+        node, transport, tunables, 30.0, np.random.default_rng(seed)
     )
     engine.active = True
     return engine, node, transport
@@ -201,7 +205,7 @@ class TestDigestExchange:
         assert engine.counters.as_dict()["dead_probes"] == 1
 
     def test_snapshot_fallback_on_truncated_log(self):
-        engine, _, transport = make_engine(gossip_log_ops=4)
+        engine, _, transport = make_engine(log_ops=4)
         engine.seed_bootstrap([0])
         for seq in range(2, 12):  # own log bounded at 4: early seqs evicted
             engine._apply_op(0, seq, OP_JOIN, 0, seq)
@@ -211,7 +215,7 @@ class TestDigestExchange:
         assert snaps[0].records == ((0, 11, OP_JOIN, 0),)
 
     def test_snapshot_fallback_on_oversized_range(self):
-        engine, _, transport = make_engine(gossip_log_ops=4 * MAX_REPLAY_OPS)
+        engine, _, transport = make_engine(log_ops=4 * MAX_REPLAY_OPS)
         engine.seed_bootstrap([0])
         for seq in range(2, MAX_REPLAY_OPS + 3):
             engine._apply_op(0, seq, OP_JOIN, 0, seq)
@@ -253,30 +257,22 @@ class TestJoinProtocol:
         # The joiner refreshed its stale tombstone: join at stamp 3+1.
         assert engine.records[2] == (4, OP_JOIN, 2)
         assert engine.active and not engine._joining
-        assert node.installed and node.installed[-1][0] == (0, 1, 2)
+        assert node.router.view.members == (0, 1, 2)
 
 
-def gossip_test_config(**overrides):
-    cfg = dict(
-        membership_mode="gossip",
-        membership_in_band=False,
-        num_coordinators=1,
-        gossip_interval_s=2.0,
-        gossip_fanout=3,
-        membership_timeout_s=20.0,
-        membership_deltas=True,
+def gossip_test_config():
+    return OverlayConfig(
+        membership_timeout_s=20.0, membership=Gossip(interval_s=2.0, fanout=3)
     )
-    cfg.update(overrides)
-    return OverlayConfig(**cfg)
 
 
-def build_gossip_overlay(n=12, seed=11, active_members=None, **overrides):
+def build_gossip_overlay(n=12, seed=11, active_members=None):
     rng = np.random.default_rng(seed)
     return build_overlay(
         trace=planetlab_like(n, rng),
         router=RouterKind.QUORUM,
         rng=rng,
-        config=gossip_test_config(**overrides),
+        config=gossip_test_config(),
         with_freshness=False,
         active_members=active_members,
     )

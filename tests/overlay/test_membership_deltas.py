@@ -15,7 +15,7 @@ from repro.core.grid import GridQuorum
 from repro.errors import MembershipError
 from repro.net.simulator import Simulator
 from repro.net.trace import uniform_random_metric
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.membership import MembershipService, MembershipView, ViewDelta
 from repro.workloads import (
@@ -290,12 +290,11 @@ class TestModeEquivalence:
 # ----------------------------------------------------------------------
 # Overlay integration: deltas drive the routers incrementally
 # ----------------------------------------------------------------------
-def build_delta_overlay(n, churn, **config_kwargs):
+def build_delta_overlay(n, churn, notify_batch_s=0.0):
     config = OverlayConfig(
-        membership_deltas=True,
+        membership=OutOfBand(deltas=True, notify_batch_s=notify_batch_s),
         membership_grid_checks=True,  # assert grids equal fresh builds
         membership_timeout_s=120.0,
-        **config_kwargs,
     )
     rng = np.random.default_rng(11)
     trace = uniform_random_metric(n, rng)
@@ -334,7 +333,7 @@ class TestOverlayIntegration:
             node = overlay.nodes[i]
             assert node.started
             assert node.router.view == view
-            assert node.dropped_unappliable_deltas == 0
+            assert node.membership.dropped_unappliable_deltas == 0
         # The rebooted node is fully routable again.
         assert overlay.nodes[0].route_to(1).usable
         assert overlay.nodes[1].route_to(0).usable
@@ -372,9 +371,7 @@ class TestOverlayIntegration:
         churn = ChurnTrace.flash_crowd(
             16, count=6, at_s=60.0, duration_s=120.0, seed=4, spread_s=3.0
         )
-        batched = build_delta_overlay(
-            16, churn, membership_notify_batch_s=5.0
-        )
+        batched = build_delta_overlay(16, churn, notify_batch_s=5.0)
         run_churn_workload(batched, churn, settle_s=120.0)
         immediate = build_delta_overlay(16, churn)
         run_churn_workload(immediate, churn, settle_s=120.0)

@@ -15,7 +15,7 @@ from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.packet import LinkStateMessage, MembershipDelta, MembershipRefresh
 from repro.net.trace import uniform_random_metric
 from repro.overlay import wire
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import InBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.stats import DisruptionRecorder
 
@@ -25,11 +25,12 @@ def build_in_band_overlay(
     active=None,
     failures=None,
     seed=11,
-    **config_kwargs,
+    notify_batch_s=0.0,
 ):
-    config_kwargs.setdefault("membership_deltas", True)
-    config_kwargs.setdefault("membership_timeout_s", 30.0)
-    config = OverlayConfig(membership_in_band=True, **config_kwargs)
+    config = OverlayConfig(
+        membership=InBand(deltas=True, notify_batch_s=notify_batch_s),
+        membership_timeout_s=30.0,
+    )
     rng = np.random.default_rng(seed)
     trace = uniform_random_metric(n, rng)  # lossless: drops are injected
     return build_overlay(
@@ -47,8 +48,7 @@ class TestWireDelivery:
     def test_view_updates_are_real_wire_messages(self):
         overlay = build_in_band_overlay(8, active=range(7))
         membership = overlay.membership
-        assert membership.in_band
-        assert membership.address == 8  # one past the node ids
+        assert membership.service.address == 8  # one past the node ids
         sent_before = overlay.transport.sent_count
         overlay.join_node(7)
         overlay.run(5.0)
@@ -108,7 +108,7 @@ class TestGapRepair:
         # heartbeat at t = 10).
         overlay.run(3.0)
         assert overlay.sim.now < 10.0
-        assert overlay.nodes[3].dropped_unappliable_deltas == 1
+        assert overlay.nodes[3].membership.dropped_unappliable_deltas == 1
         assert overlay.nodes[3].router.view == membership.view
         assert membership.stats.get("refresh_repairs") >= 1
         # The coalesced bridging delta (or full-view fallback) covered
@@ -142,7 +142,7 @@ class TestGapRepair:
 class TestBatchingAndLifecycle:
     def test_join_landing_inside_batch_window_starts_on_view(self):
         overlay = build_in_band_overlay(
-            10, active=range(9), membership_notify_batch_s=5.0
+            10, active=range(9), notify_batch_s=5.0
         )
         overlay.run(1.0)
         overlay.leave_node(4)  # opens a batching window
@@ -158,7 +158,7 @@ class TestBatchingAndLifecycle:
         # A crash followed by a rejoin within one batching window nets to
         # no membership change at all — but the rebooted node still needs
         # (and gets) a fresh full view to start from.
-        overlay = build_in_band_overlay(8, membership_notify_batch_s=5.0)
+        overlay = build_in_band_overlay(8, notify_batch_s=5.0)
         membership = overlay.membership
         overlay.run(1.0)
         v_before = membership.view.version
@@ -189,7 +189,7 @@ class TestBatchingAndLifecycle:
         assert membership.stats.get("expiries") == 1
         assert overlay.nodes[4].started
         assert overlay.nodes[4].router.view == membership.view
-        assert overlay.nodes[4].dropped_stale_full_views >= 1
+        assert overlay.nodes[4].membership.dropped_stale_full_views >= 1
 
     def test_routing_message_before_reboot_view_is_dropped(self):
         # Regression: a rebooted node is transport-bound before its new
@@ -224,7 +224,7 @@ class TestBatchingAndLifecycle:
         overlay = build_in_band_overlay(6)
         membership = overlay.membership
         overlay.run(1.0)
-        overlay.nodes[4]._refresh_timer.stop()  # heartbeats go silent
+        overlay.nodes[4]._heartbeat_timer.stop()  # heartbeats go silent
         overlay.run(95.0)  # timeout 30 s, expiry sweep every 60 s
         assert not membership.is_member(4)
         assert 4 not in membership.view

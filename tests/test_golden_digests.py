@@ -21,7 +21,7 @@ from repro.experiments.coordinator_failover import scenario_config
 from repro.experiments.gossip_membership import gossip_config
 from repro.net.failures import build_failure_table
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import InBand, OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import Overlay, build_overlay
 from repro.overlay.stats import ALL_KINDS
 from repro.workloads.faults import FaultPlan
@@ -109,8 +109,7 @@ def _out_of_band_deltas_batched() -> Overlay:
     """Callback delivery of batched deltas; expiries and parting notices."""
     return _plane_run(
         OverlayConfig(
-            membership_deltas=True,
-            membership_notify_batch_s=5.0,
+            membership=OutOfBand(deltas=True, notify_batch_s=5.0),
             membership_timeout_s=90.0,
         ),
         FaultPlan(),
@@ -121,11 +120,7 @@ def _in_band_lossy() -> Overlay:
     """One wire coordinator at 8 % loss: gap repairs, unappliable deltas,
     parting notices, view-triggered starts."""
     return _plane_run(
-        OverlayConfig(
-            membership_deltas=True,
-            membership_in_band=True,
-            membership_timeout_s=90.0,
-        ),
+        OverlayConfig(membership=InBand(deltas=True), membership_timeout_s=90.0),
         FaultPlan(),
         loss=0.08,
     )

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import Gossip, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.workloads import ACTION_FAIL, ACTION_JOIN, ACTION_LEAVE, ChurnTrace
 from repro.workloads.faults import FaultPlan, MemberEvent
@@ -234,11 +234,7 @@ class TestMemberEvents:
     def test_member_only_plan_installs_on_gossip_overlay(self):
         rng = np.random.default_rng(21)
         config = OverlayConfig(
-            membership_mode="gossip",
-            membership_in_band=False,
-            num_coordinators=1,
-            gossip_interval_s=2.0,
-            membership_timeout_s=20.0,
+            membership=Gossip(interval_s=2.0), membership_timeout_s=20.0
         )
         overlay = build_overlay(
             trace=planetlab_like(12, rng),
@@ -270,3 +266,31 @@ class TestMemberEvents:
         plan = FaultPlan().fail_node(10.0, 99)
         with pytest.raises(WorkloadError):
             plan.install(overlay)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan().fail_node(10.0, 3).fail_node(20.0, 99),
+            FaultPlan().crash_coordinator(10.0, 0).leave_node(0.5, 4),
+            FaultPlan().crash_coordinator(10.0, 0).restore_coordinator(20.0, 7),
+            FaultPlan().fail_node(10.0, 99).crash_coordinator(5.0, 0),
+        ],
+        ids=["node-out-of-range", "member-in-past", "no-such-coordinator", "late-bad-member"],
+    )
+    def test_rejected_plan_leaves_the_simulator_untouched(self, plan):
+        # The first event of each plan is valid: installing event by
+        # event would leave it on the heap when the second one raises.
+        from repro.experiments.coordinator_failover import scenario_config
+
+        rng = np.random.default_rng(5)
+        overlay = build_overlay(
+            trace=planetlab_like(8, rng),
+            rng=rng,
+            config=scenario_config(k=3),
+            with_freshness=False,
+        )
+        overlay.run(1.0)
+        pending = overlay.sim.pending()
+        with pytest.raises(WorkloadError):
+            plan.install(overlay)
+        assert overlay.sim.pending() == pending
