@@ -4,7 +4,7 @@ Unlike the figure benchmarks (single-shot reproductions), these use
 pytest-benchmark's statistical timing to watch for performance
 regressions in the pieces that dominate simulation time: the event
 loop, the one-hop min-plus kernel, grid construction, a full two-round
-protocol execution, and (since PR 4) the sparse link-state store, the
+protocol execution, and (since PR 4) the quorum link-state table, the
 bulk route kernel, and the full-overlay memory envelope.
 
 CI runs this file with ``--benchmark-disable`` (check mode): every
@@ -13,6 +13,7 @@ benchmark body executes once as a plain test, so the regression
 while the statistical timings remain a local/bench-host tool.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.net.simulator import Simulator
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
-from repro.overlay.linkstate import SparseLinkStateTable
+from repro.overlay.linkstate import LinkStateRow, SparseLinkStateTable
 
 
 def test_perf_simulator_event_loop(benchmark):
@@ -82,30 +83,35 @@ def test_perf_two_round_protocol_144(benchmark):
 # ----------------------------------------------------------------------
 # PR 4: sparse storage, bulk route kernel, and scale regression guards
 # ----------------------------------------------------------------------
+def _published_row(rng, n, idx):
+    """A frozen row as a client publishes it: all links up, no loss."""
+    return LinkStateRow(idx, rng.uniform(5.0, 400.0, n), np.ones(n, dtype=bool), np.zeros(n))
+
+
 def _filled_sparse_table(n, rows, seed=0):
-    table = SparseLinkStateTable(n, capacity_hint=rows)
+    table = SparseLinkStateTable(n)
     rng = np.random.default_rng(seed)
-    alive = np.ones(n, dtype=bool)
     held = rng.choice(n, size=rows, replace=False)
     for idx in held:
-        latency = rng.uniform(5.0, 400.0, n)
-        latency[idx] = 0.0
-        table.update_row(int(idx), latency, alive, np.zeros(n), 0.0)
+        table.update_row(int(idx), _published_row(rng, n, int(idx)), 0.0)
     return table, np.sort(held)
 
 
 def test_perf_sparse_update_and_minplus_2048(benchmark):
-    """One routing tick's table work at n=2048: a row install plus the
-    full min-plus over the ~2 sqrt(n) held cost rows."""
+    """One routing tick's table work at n=2048: a published row installed
+    by reference, the ~2 sqrt(n) held cost rows gathered into one matrix,
+    and the full min-plus over it."""
     n = 2048
     table, held = _filled_sparse_table(n, rows=2 * math.isqrt(n))
     rng = np.random.default_rng(1)
-    fresh_latency = rng.uniform(5.0, 400.0, n)
-    alive = np.ones(n, dtype=bool)
-    zeros = np.zeros(n)
+    # A client alternates between two published rows, so every install
+    # replaces the held object (row_version moves) as a real tick's does.
+    fresh = [_published_row(rng, n, int(held[0])) for _ in range(2)]
+    ticks = itertools.count(1)
 
     def tick():
-        table.update_row(int(held[0]), fresh_latency, alive, zeros, 1.0)
+        t = next(ticks)
+        table.update_row(int(held[0]), fresh[t % 2], float(t))
         rows = table.cost_matrix(held)
         best = 0
         for i in range(rows.shape[0] - 1):
@@ -115,6 +121,7 @@ def test_perf_sparse_update_and_minplus_2048(benchmark):
 
     benchmark(tick)
     assert table.held_rows == held.size
+    assert table.row_version[held[0]] > 1
 
 
 @pytest.fixture(scope="module")

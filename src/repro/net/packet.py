@@ -10,11 +10,14 @@ same information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.overlay import wire
+
+if TYPE_CHECKING:
+    from repro.overlay.linkstate import LinkStateRow
 
 __all__ = [
     "Message",
@@ -106,12 +109,12 @@ class LinkStateMessage(Message):
 
     Attributes
     ----------
-    latency_ms:
-        Estimated RTT to each destination; ``inf`` for down links.
-    alive:
-        Liveness flags per destination.
-    loss:
-        Loss-rate estimates per destination.
+    row:
+        The published :class:`~repro.overlay.linkstate.LinkStateRow` —
+        latency (``inf`` for down links), liveness and loss per
+        destination. Immutable and carried by reference: the sender's
+        own table, every message of the same monitor state and every
+        receiver's table hold this one object.
     view_version:
         Membership view version this row is indexed against.
     sec:
@@ -119,9 +122,7 @@ class LinkStateMessage(Message):
         only in the multi-hop extension.
     """
 
-    latency_ms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    alive: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    loss: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    row: LinkStateRow
     view_version: int = 0
     sent_at: float = 0.0
     sec: Optional[np.ndarray] = None
@@ -136,7 +137,7 @@ class LinkStateMessage(Message):
 
     def wire_size(self) -> int:
         base = wire.linkstate_message_bytes(
-            len(self.latency_ms), multihop=self.sec is not None
+            len(self.row.latency_ms), multihop=self.sec is not None
         )
         return base + (wire.NODE_ID_BYTES if self.relay_via is not None else 0)
 

@@ -13,6 +13,7 @@ from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
 from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.membership import MembershipView, ViewDelta
 from repro.overlay.monitor import LinkMonitor
 
@@ -189,19 +190,36 @@ class RouterBase(abc.ABC):
     def _refresh_own_row(self) -> None:
         """(Re)install this node's own measurement row in the table.
 
-        When the monitor reports no state change since the last install
-        (its ``version`` is unchanged), only the row's receive time is
-        touched: the contents would be byte-identical, and skipping the
-        copy keeps the cached cost row valid. The full-mesh router calls
-        this on every route query, so the skip is a hot-path win.
+        The row is built — projected onto view positions, put in
+        effective form and frozen — once per monitor ``version`` and
+        view; until the monitor measures something new only the row's
+        receive time is touched, and :meth:`_own_linkstate` keeps
+        publishing that one object. The full-mesh router calls this on
+        every route query, so the skip is a hot-path win.
         """
         now = self.sim.now
         if self.monitor.version == self._own_row_seen_version:
             self.table.touch_row(self.me_idx, now)
             return
-        latency, alive, loss = self.monitor_rows_for_view()
-        self.table.update_row(self.me_idx, latency, alive, loss, now)
+        ids = self._member_ids
+        row = LinkStateRow(
+            self.me_idx,
+            self.monitor.latency_row()[ids],
+            self.monitor.alive_row()[ids],
+            self.monitor.loss_row()[ids],
+        )
+        self.table.update_row(self.me_idx, row, now)
         self._own_row_seen_version = self.monitor.version
+
+    def _own_linkstate(self) -> LinkStateMessage:
+        """A round-1 message carrying the row this node's table holds for
+        itself (by reference; call :meth:`_refresh_own_row` first)."""
+        return LinkStateMessage(
+            origin=self.me,
+            row=self.table.row(self.me_idx),
+            view_version=self.wire_view_version(),
+            sent_at=self.sim.now,
+        )
 
     def on_view_delta(self, view: MembershipView, delta: ViewDelta) -> None:
         """Install a view derived from a :class:`ViewDelta`.
@@ -222,14 +240,6 @@ class RouterBase(abc.ABC):
         every view install). Bulk consumers use this to project
         view-indexed results onto stable underlay indices."""
         return self._member_ids
-
-    def monitor_rows_for_view(self) -> tuple:
-        """This node's measurement row projected onto view positions."""
-        return (
-            self.monitor.latency_row()[self._member_ids],
-            self.monitor.alive_row()[self._member_ids],
-            self.monitor.loss_row()[self._member_ids],
-        )
 
     def link_up_view(self, view_idx: int) -> bool:
         """Monitor liveness verdict for the member at ``view_idx``."""

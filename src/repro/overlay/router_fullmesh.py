@@ -34,8 +34,7 @@ class FullMeshRouter(RouterBase):
     __slots__ = ()
 
     def _rebuild_for_view(self, view: MembershipView) -> None:
-        # Every row really is held here, so dense storage is the right
-        # shape (the quorum router uses the row-sparse variant).
+        # Every row is expected here; one not yet received reads as dead.
         self.table = LinkStateTable(view.n)
         self._refresh_own_row()
 
@@ -46,26 +45,15 @@ class FullMeshRouter(RouterBase):
         """Broadcast this node's link state to every other member."""
         self._require_view()
         self._refresh_own_row()
-        latency, alive, loss = self.monitor_rows_for_view()
-        msg = LinkStateMessage(
-            origin=self.me,
-            latency_ms=latency,
-            alive=alive,
-            loss=loss,
-            view_version=self.wire_view_version(),
-            sent_at=self.sim.now,
-        )
         peers = np.delete(self._member_ids, self.me_idx)
-        self.transport.send_many(self.me, peers, msg)
+        self.transport.send_many(self.me, peers, self._own_linkstate())
 
     def on_linkstate(self, msg: LinkStateMessage, src: int) -> None:
         src_idx = self._require_view().position(src)
         if src_idx < 0 or msg.view_version != self.wire_view_version():
             self._note_dropped_message(msg.view_version)
             return
-        self.table.update_row(
-            src_idx, msg.latency_ms, msg.alive, msg.loss, self.sim.now
-        )
+        self.table.update_row(src_idx, msg.row, self.sim.now)
 
     def on_recommendation(self, msg: RecommendationMessage, src: int) -> None:
         # The full-mesh system has no round 2; ignore silently (can occur
@@ -78,11 +66,9 @@ class FullMeshRouter(RouterBase):
     def route_to(self, dst_idx: int) -> Route:
         """Best one-hop route from the local full table."""
         self._refresh_own_row()
-        own = self.table.cost_row(self.me_idx)  # cached effective latency
+        own = self.table.cost_row(self.me_idx)  # effective latency
         # cost via h: own[h] + L[h, dst]; rows never received are inf.
-        hop_costs = own + np.where(
-            self.table.alive[:, dst_idx], self.table.latency_ms[:, dst_idx], np.inf
-        )
+        hop_costs = own + self.table.latency_leg(np.arange(self.table.n), dst_idx)
         hop_costs[self.me_idx] = np.inf
         hop_costs[dst_idx] = own[dst_idx]  # the direct path
         hop = int(np.argmin(hop_costs))
@@ -101,11 +87,10 @@ class FullMeshRouter(RouterBase):
         self._refresh_own_row()
         n = self.table.n
         own = self.table.cost_row(self.me_idx)
-        costs = own[:, None] + np.where(
-            self.table.alive, self.table.latency_ms, np.inf
-        )
-        costs[self.me_idx, :] = np.inf
         idx = np.arange(n)
+        costs = self.table.cost_matrix(idx)  # a private copy: add in place
+        costs += own[:, None]
+        costs[self.me_idx, :] = np.inf
         costs[idx, idx] = own  # the direct path per destination
         hops = np.argmin(costs, axis=0)
         best = costs[hops, idx]

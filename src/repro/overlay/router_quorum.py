@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.failover import FailoverConfig, FailoverManager, FailoverPoll
 from repro.core.grid import GridQuorum
-from repro.core.metrics import PathMetric
 from repro.net.packet import (
     LinkStateMessage,
     Message,
@@ -80,14 +79,9 @@ class QuorumRouter(RouterBase):
         # The grid is built over view *indices* (0..n-1): members are
         # sorted and filled row-major, so index order == grid order.
         self.grid = GridQuorum(list(range(n)))
-        # A quorum node holds only its ~2 sqrt(n) clients' rows, so the
-        # table is row-sparse: O(n^1.5) memory instead of O(n^2). Loss
-        # rows are only materialized when the cost metric reads them.
-        self.table = SparseLinkStateTable(
-            n,
-            capacity_hint=len(self.grid.servers(self.me_idx, include_self=False)) + 4,
-            store_loss=self.config.path_metric is not PathMetric.LATENCY,
-        )
+        # A quorum node is sent only its ~2 sqrt(n) clients' rows:
+        # O(n^1.5) link state per node instead of O(n^2).
+        self.table = SparseLinkStateTable(n)
         self.counters = CounterSet()
 
         if not hasattr(self, "_rng"):
@@ -209,7 +203,7 @@ class QuorumRouter(RouterBase):
     def _cost_row(self, idx: int) -> np.ndarray:
         """A stored row as additive costs under the configured metric.
 
-        Served from the table's cost-row cache; READ-ONLY.
+        The shared row itself, not a copy: read-only.
         """
         return self.table.cost_row(
             idx, self.config.path_metric, self.config.loss_penalty_ms
@@ -237,15 +231,7 @@ class QuorumRouter(RouterBase):
         return base + extras
 
     def _send_linkstate(self, server_indices: List[int]) -> None:
-        latency, alive, loss = self.monitor_rows_for_view()
-        msg = LinkStateMessage(
-            origin=self.me,
-            latency_ms=latency,
-            alive=alive,
-            loss=loss,
-            view_version=self.wire_view_version(),
-            sent_at=self.sim.now,
-        )
+        msg = self._own_linkstate()
         members = self._member_ids[server_indices]
         if not (self._relay_servers and self.config.relay_failover):
             self.transport.send_many(self.me, members, msg)
@@ -267,8 +253,8 @@ class QuorumRouter(RouterBase):
 
     def _pick_relay(self, server_idx: int) -> Optional[int]:
         """A reachable client whose table shows the server alive —
-        the footnote-8 temporary one-hop. One min-plus over the packed
-        row buffer instead of a per-client Python loop."""
+        the footnote-8 temporary one-hop. One min-plus over the held
+        rows instead of a per-client Python loop."""
         fresh = self._fresh_client_indices()
         if fresh.size == 0:
             return None
@@ -294,9 +280,7 @@ class QuorumRouter(RouterBase):
             return None
         relayed = LinkStateMessage(
             origin=msg.origin,
-            latency_ms=msg.latency_ms,
-            alive=msg.alive,
-            loss=msg.loss,
+            row=msg.row,
             view_version=msg.view_version,
             sent_at=msg.sent_at,
             relay_via=view.members[relay_idx],
@@ -443,7 +427,7 @@ class QuorumRouter(RouterBase):
         if src_idx < 0 or msg.view_version != self.wire_view_version():
             self._note_dropped_message(msg.view_version)
             return
-        self.table.update_row(src_idx, msg.latency_ms, msg.alive, msg.loss, self.sim.now)
+        self.table.update_row(src_idx, msg.row, self.sim.now)
         relay_idx = -1 if msg.relay_via is None else view.position(msg.relay_via)
         if relay_idx >= 0:
             # Footnote 8: this client is behind a broken direct link;
@@ -593,7 +577,7 @@ class QuorumRouter(RouterBase):
     def _redundant_route(self, dst_idx: int) -> Optional[Route]:
         """§4.2 fallback: one-hop via a client whose table we hold.
 
-        A single min-plus gather over the packed row buffer.
+        A single min-plus gather over the held rows.
         """
         fresh = self._fresh_client_indices()
         fresh = fresh[fresh != dst_idx]
@@ -653,7 +637,7 @@ class QuorumRouter(RouterBase):
         Semantically identical to calling :meth:`route_to` per
         destination, but the recommendation-freshness test, the §4.2
         redundant fallback, and the direct-path fallback each become one
-        numpy operation over the packed row buffer. With recommendation
+        numpy operation over the held rows. With recommendation
         cross-validation enabled the per-destination path is taken (its
         conflict accounting is inherently sequential).
         """

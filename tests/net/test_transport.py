@@ -12,6 +12,7 @@ from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.net.transport import DatagramTransport
 from repro.overlay import wire
+from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.stats import BandwidthRecorder
 
 
@@ -28,9 +29,7 @@ def make_setup(n=3, rtt=100.0, loss=None, failures=None, with_bw=True):
 def ls_msg(origin, n):
     return LinkStateMessage(
         origin=origin,
-        latency_ms=np.full(n, 50.0),
-        alive=np.ones(n, dtype=bool),
-        loss=np.zeros(n),
+        row=LinkStateRow(0, np.full(n, 50.0), np.ones(n, dtype=bool), np.zeros(n)),
     )
 
 

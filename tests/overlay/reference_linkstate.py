@@ -1,0 +1,90 @@
+"""Test-only oracle: a link-state table that copies every row in.
+
+This is the dense ``LinkStateTable`` as it stood before rows became
+shared immutable values (PR 17), reduced to its semantics: every
+``update_row`` copies the caller's arrays into per-table ``(n, n)``
+blocks, and every reader derives its answer from those blocks the slow,
+obvious way. ``test_linkstate_shared.py`` holds the reference-holding
+tables bitwise equal to it. ``strict`` selects the quorum table's one
+difference: gathers over a never-received row raise.
+"""
+
+import numpy as np
+
+from repro.core.metrics import PathMetric, combine_latency_loss, loss_to_cost
+from repro.errors import RoutingError
+
+
+class CopyInTable:
+    def __init__(self, n, strict):
+        self.n, self.strict = n, strict
+        self.latency_ms = np.full((n, n), np.inf)
+        self.alive = np.zeros((n, n), dtype=bool)
+        self.loss = np.zeros((n, n))
+        self.row_time = np.full(n, -np.inf)
+        self.held = set()
+
+    def update_row(self, idx, latency_ms, alive, loss, now):
+        self.latency_ms[idx], self.alive[idx], self.loss[idx] = latency_ms, alive, loss
+        self.row_time[idx] = now
+        self.held.add(idx)
+
+    def touch_row(self, idx, now):
+        self.row_time[idx] = now
+
+    def row_age(self, idx, now):
+        return now - self.row_time[idx]
+
+    def fresh_rows(self, now, max_age):
+        return np.where(now - self.row_time <= max_age)[0]
+
+    def sees_alive(self, dst, now, max_age):
+        fresh = self.fresh_rows(now, max_age)
+        return bool(self.alive[fresh[fresh != dst], dst].any())
+
+    def effective_cost(self, idx, metric=None, loss_penalty_ms=1000.0):
+        loss = np.clip(self.loss[idx], 0.0, 1.0)
+        if metric is None or metric is PathMetric.LATENCY:
+            row = self.latency_ms[idx].copy()
+        elif metric is PathMetric.LOSS:
+            row = loss_to_cost(loss)
+        else:
+            row = combine_latency_loss(self.latency_ms[idx], loss, loss_penalty_ms)
+        row[~self.alive[idx]] = np.inf
+        row[idx] = 0.0
+        return row
+
+    cost_row = effective_cost
+
+    def effective_latency(self, idx):
+        return self.effective_cost(idx)
+
+    def cost_matrix(self, indices, metric=None, loss_penalty_ms=1000.0):
+        indices = [int(i) for i in indices]
+        if self.strict and not self.held.issuperset(indices):
+            raise RoutingError("rows never received")
+        rows = [self.effective_cost(i, metric, loss_penalty_ms) for i in indices]
+        return np.array(rows).reshape(len(indices), self.n)
+
+    def cost_gather(self, indices, dst, metric=None, loss_penalty_ms=1000.0):
+        return self.cost_matrix(indices, metric, loss_penalty_ms)[:, dst]
+
+    def cost_points(self, rows, cols, metric=None, loss_penalty_ms=1000.0):
+        matrix = self.cost_matrix(rows, metric, loss_penalty_ms)
+        return matrix[np.arange(len(matrix)), np.asarray(cols, dtype=np.int64)]
+
+    def latency_leg(self, indices, dst):
+        return self.cost_gather(indices, dst)
+
+    def remap(self, survivors_old, survivors_new, n_new):
+        new = CopyInTable(n_new, self.strict)
+        if len(survivors_old):
+            keep_new = np.ix_(survivors_new, survivors_new)
+            keep_old = np.ix_(survivors_old, survivors_old)
+            new.latency_ms[keep_new] = self.latency_ms[keep_old]
+            new.alive[keep_new] = self.alive[keep_old]
+            new.loss[keep_new] = self.loss[keep_old]
+            new.row_time[survivors_new] = self.row_time[survivors_old]
+        moved = dict(zip(np.asarray(survivors_old).tolist(), np.asarray(survivors_new).tolist()))
+        new.held = {moved[i] for i in self.held if i in moved}
+        return new

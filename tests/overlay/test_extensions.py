@@ -15,6 +15,7 @@ from repro.net.packet import (
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
+from repro.overlay.linkstate import LinkStateRow
 
 
 class TestTimestampedRecommendations:
@@ -62,32 +63,20 @@ class TestTimestampedRecommendations:
         assert router.route_hop[5] == 7  # last-delivered wins (baseline)
 
 
+def _row10():
+    return LinkStateRow(0, np.zeros(10), np.ones(10, dtype=bool), np.zeros(10))
+
+
 class TestRelayEnvelope:
     def test_wire_cost(self):
-        inner = LinkStateMessage(
-            origin=0,
-            latency_ms=np.zeros(10),
-            alive=np.ones(10, dtype=bool),
-            loss=np.zeros(10),
-        )
+        inner = LinkStateMessage(origin=0, row=_row10())
         env = RelayEnvelope(origin=0, inner=inner, target=5)
         assert env.wire_size() == inner.wire_size() + 4
         assert env.kind == inner.kind
 
     def test_relayed_linkstate_carries_extra_id(self):
-        base = LinkStateMessage(
-            origin=0,
-            latency_ms=np.zeros(10),
-            alive=np.ones(10, dtype=bool),
-            loss=np.zeros(10),
-        )
-        relayed = LinkStateMessage(
-            origin=0,
-            latency_ms=np.zeros(10),
-            alive=np.ones(10, dtype=bool),
-            loss=np.zeros(10),
-            relay_via=3,
-        )
+        base = LinkStateMessage(origin=0, row=_row10())
+        relayed = LinkStateMessage(origin=0, row=_row10(), relay_via=3)
         assert relayed.wire_size() == base.wire_size() + 2
 
 

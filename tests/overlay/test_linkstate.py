@@ -3,52 +3,88 @@
 import numpy as np
 import pytest
 
+from repro.core.metrics import PathMetric
 from repro.errors import RoutingError
-from repro.overlay.linkstate import LinkStateTable
+from repro.overlay.linkstate import LinkStateRow, LinkStateTable, SparseLinkStateTable
 
 
-def row(n, value=10.0):
-    lat = np.full(n, value)
-    lat[0] = 0.0
-    return lat, np.ones(n, dtype=bool), np.zeros(n)
+def row(n, idx=0, value=10.0):
+    return LinkStateRow(idx, np.full(n, value), np.ones(n, dtype=bool), np.zeros(n))
 
 
 class TestBasics:
     def test_initial_state(self):
         t = LinkStateTable(3)
-        assert np.all(np.isinf(t.latency_ms))
-        assert not t.alive.any()
+        assert t.held_rows == 0
+        assert t.row(1) is None
+        assert np.array_equal(t.effective_latency(1), [np.inf, 0.0, np.inf])
         assert np.all(np.isinf(t.row_age(1, 0.0)))
 
     def test_update_and_age(self):
         t = LinkStateTable(3)
-        lat, alive, loss = row(3)
-        t.update_row(1, lat, alive, loss, now=100.0)
+        t.update_row(1, row(3, 1), now=100.0)
         assert t.row_age(1, 130.0) == 30.0
-        assert t.latency_ms[1, 2] == 10.0
+        assert t.cost_row(1)[2] == 10.0
 
     def test_bad_index_rejected(self):
         t = LinkStateTable(3)
-        lat, alive, loss = row(3)
         with pytest.raises(RoutingError):
-            t.update_row(5, lat, alive, loss, 0.0)
+            t.update_row(5, row(8, 5), 0.0)
+        with pytest.raises(RoutingError):
+            row(3, 5)  # a row cannot sit outside its own columns either
 
     def test_bad_shape_rejected(self):
         t = LinkStateTable(3)
         with pytest.raises(RoutingError):
-            t.update_row(0, np.zeros(4), np.ones(4, dtype=bool), np.zeros(4), 0.0)
+            t.update_row(0, row(4), 0.0)
+        with pytest.raises(RoutingError):
+            LinkStateRow(0, np.zeros(3), np.ones(2, dtype=bool), np.zeros(3))
+        with pytest.raises(RoutingError):
+            LinkStateRow(0, np.zeros(3), np.ones(3, dtype=bool), np.zeros(4))
+
+    def test_row_of_another_position_rejected(self):
+        # The row's diagonal says whose it is; 2's row is not 1's.
+        t = LinkStateTable(3)
+        with pytest.raises(RoutingError):
+            t.update_row(1, row(3, 2), 0.0)
 
     def test_zero_size_rejected(self):
-        with pytest.raises(RoutingError):
-            LinkStateTable(0)
+        for table in (LinkStateTable, SparseLinkStateTable):
+            with pytest.raises(RoutingError):
+                table(0)
+
+    def test_touched_row_is_not_held(self):
+        # Regression: the dense table counted finite receive times, so a
+        # row that was only touched read as held.
+        for table in (LinkStateTable, SparseLinkStateTable):
+            t = table(4)
+            t.touch_row(2, 1.0)
+            assert t.held_rows == 0
+            t.update_row(2, row(4, 2), 2.0)
+            assert t.held_rows == 1
+
+    def test_unheld_row_gather_rejected_by_the_quorum_table_only(self):
+        one = np.array([1])
+        quorum = SparseLinkStateTable(5)
+        for gather in (
+            lambda: quorum.cost_matrix(one),
+            lambda: quorum.cost_gather(one, 2),
+            lambda: quorum.cost_points(one, np.array([2])),
+            lambda: quorum.latency_leg(one, 2),
+        ):
+            with pytest.raises(RoutingError, match="rows never received"):
+                gather()
+        mesh = LinkStateTable(5)
+        assert np.array_equal(mesh.cost_matrix(one)[0], mesh.cost_row(1))
+        assert mesh.cost_gather(one, 2)[0] == np.inf
+        assert mesh.latency_leg(one, 1)[0] == 0.0  # own diagonal
 
 
 class TestFreshness:
     def test_fresh_rows(self):
         t = LinkStateTable(4)
-        lat, alive, loss = row(4)
-        t.update_row(0, lat, alive, loss, now=10.0)
-        t.update_row(2, lat, alive, loss, now=50.0)
+        t.update_row(0, row(4, 0), now=10.0)
+        t.update_row(2, row(4, 2), now=50.0)
         assert list(t.fresh_rows(60.0, max_age=20.0)) == [2]
         assert sorted(t.fresh_rows(60.0, max_age=100.0)) == [0, 2]
 
@@ -56,9 +92,9 @@ class TestFreshness:
 class TestEffectiveLatency:
     def test_dead_links_masked(self):
         t = LinkStateTable(3)
-        lat = np.array([0.0, 20.0, 30.0])
+        lat = np.array([5.0, 20.0, 30.0])
         alive = np.array([True, True, False])
-        t.update_row(0, lat, alive, np.zeros(3), 0.0)
+        t.update_row(0, LinkStateRow(0, lat, alive, np.zeros(3)), 0.0)
         eff = t.effective_latency(0)
         assert eff[1] == 20.0
         assert np.isinf(eff[2])
@@ -66,39 +102,92 @@ class TestEffectiveLatency:
 
     def test_returns_copy(self):
         t = LinkStateTable(2)
-        lat, alive, loss = row(2)
-        t.update_row(0, lat, alive, loss, 0.0)
+        t.update_row(0, row(2), 0.0)
         eff = t.effective_latency(0)
         eff[1] = 999.0
-        assert t.latency_ms[0, 1] == 10.0
+        assert t.cost_row(0)[1] == 10.0
+
+
+class TestRowsAreValues:
+    """A row is copied in once, then only ever referenced."""
+
+    def test_callers_arrays_are_copied(self):
+        lat = np.array([0.0, 20.0, 30.0])
+        alive = np.array([True, True, True])
+        loss = np.array([0.0, 0.1, 0.2])
+        t = LinkStateTable(3)
+        t.update_row(0, LinkStateRow(0, lat, alive, loss), 0.0)
+        before = {m: t.effective_cost(0, m) for m in PathMetric}
+        lat[1], alive[2], loss[1] = 999.0, False, 0.9
+        for metric in PathMetric:
+            assert np.array_equal(t.effective_cost(0, metric), before[metric])
+        assert t.sees_alive(2, now=1.0, max_age=10.0)
+
+    def test_frozen_input_is_still_normalised(self):
+        lat = np.array([7.0, 20.0, 30.0])
+        alive = np.array([True, True, False])
+        for arr in (lat, alive):
+            arr.flags.writeable = False
+        r = LinkStateRow(0, lat, alive, np.zeros(3))
+        assert np.array_equal(r.latency_ms, [0.0, 20.0, np.inf])
+        assert lat[0] == 7.0
+
+    def test_stored_rows_are_read_only(self):
+        t = SparseLinkStateTable(3)
+        r = row(3, 1)
+        t.update_row(1, r, 0.0)
+        for arr in (
+            r.latency_ms,
+            r.alive,
+            r.loss,
+            t.cost_row(1),
+            t.cost_row(1, PathMetric.LOSS),
+            t.cost_row(1, PathMetric.COMBINED, 500.0),
+            t.cost_row(2),  # never received
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        t.cost_matrix(np.array([1]))[0, 0] = 1.0  # gathers are private copies
+        assert t.cost_row(1)[0] == 10.0
+
+    def test_row_version_follows_object_identity(self):
+        t = LinkStateTable(3)
+        r = row(3, 1)
+        t.update_row(1, r, 1.0)
+        t.update_row(1, r, 2.0)
+        assert (t.row_version[1], t.row_time[1]) == (1, 2.0)
+        t.update_row(1, row(3, 1), 3.0)  # equal content, another object
+        assert t.row_version[1] == 2
+        assert t.row(1) is not r
+
+    def test_loss_cost_is_computed_once_per_row(self):
+        r = row(3, 1)
+        a, b = LinkStateTable(3), SparseLinkStateTable(3)
+        a.update_row(1, r, 0.0)
+        b.update_row(1, r, 0.0)
+        assert a.cost_row(1, PathMetric.LOSS) is b.cost_row(1, PathMetric.LOSS)
+        assert a.cost_row(1) is r.latency_ms
 
 
 class TestSeesAlive:
     def test_fresh_row_showing_alive(self):
         t = LinkStateTable(4)
-        lat = np.full(4, 5.0)
-        alive = np.array([True, True, True, True])
-        t.update_row(1, lat, alive, np.zeros(4), now=100.0)
+        t.update_row(1, row(4, 1, 5.0), now=100.0)
         assert t.sees_alive(3, now=110.0, max_age=45.0)
 
     def test_stale_rows_ignored(self):
         t = LinkStateTable(4)
-        lat = np.full(4, 5.0)
-        alive = np.ones(4, dtype=bool)
-        t.update_row(1, lat, alive, np.zeros(4), now=100.0)
+        t.update_row(1, row(4, 1, 5.0), now=100.0)
         assert not t.sees_alive(3, now=300.0, max_age=45.0)
 
     def test_dst_own_row_excluded(self):
         # Only dst's own row is fresh; it cannot vouch for itself.
         t = LinkStateTable(4)
-        lat = np.full(4, 5.0)
-        alive = np.ones(4, dtype=bool)
-        t.update_row(3, lat, alive, np.zeros(4), now=100.0)
+        t.update_row(3, row(4, 3, 5.0), now=100.0)
         assert not t.sees_alive(3, now=110.0, max_age=45.0)
 
     def test_rows_showing_dead(self):
         t = LinkStateTable(4)
-        lat = np.full(4, 5.0)
         alive = np.array([True, True, True, False])
-        t.update_row(1, lat, alive, np.zeros(4), now=100.0)
+        t.update_row(1, LinkStateRow(1, np.full(4, 5.0), alive, np.zeros(4)), now=100.0)
         assert not t.sees_alive(3, now=110.0, max_age=45.0)

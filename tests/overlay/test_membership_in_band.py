@@ -17,6 +17,7 @@ from repro.net.trace import uniform_random_metric
 from repro.overlay import wire
 from repro.overlay.config import InBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
+from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.stats import DisruptionRecorder
 
 
@@ -203,11 +204,10 @@ class TestBatchingAndLifecycle:
         node = overlay.nodes[1]
         assert node.router.view is None  # reboot forgot the old view
         peer_view = overlay.nodes[0].router.view
+        n = peer_view.n
         msg = LinkStateMessage(
             origin=0,
-            latency_ms=np.full(peer_view.n, 50.0),
-            alive=np.ones(peer_view.n, dtype=bool),
-            loss=np.zeros(peer_view.n),
+            row=LinkStateRow(0, np.full(n, 50.0), np.ones(n, dtype=bool), np.zeros(n)),
             view_version=peer_view.version,
         )
         node.on_message(msg, 0)  # must not raise

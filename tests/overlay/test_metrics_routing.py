@@ -7,7 +7,7 @@ from repro.core.metrics import PathMetric
 from repro.net.trace import SyntheticTrace
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
-from repro.overlay.linkstate import LinkStateTable
+from repro.overlay.linkstate import LinkStateRow, LinkStateTable
 
 
 def lossy_triangle_trace(n=9):
@@ -54,14 +54,14 @@ class TestEffectiveCost:
         t = LinkStateTable(3)
         lat = np.array([0.0, 20.0, 30.0])
         alive = np.ones(3, dtype=bool)
-        t.update_row(0, lat, alive, np.array([0.0, 0.5, 0.0]), 0.0)
+        t.update_row(0, LinkStateRow(0, lat, alive, np.array([0.0, 0.5, 0.0])), 0.0)
         assert np.allclose(t.effective_cost(0), t.effective_latency(0))
 
     def test_loss_metric_transforms(self):
         t = LinkStateTable(3)
         lat = np.array([0.0, 20.0, 30.0])
         alive = np.ones(3, dtype=bool)
-        t.update_row(0, lat, alive, np.array([0.0, 0.5, 0.0]), 0.0)
+        t.update_row(0, LinkStateRow(0, lat, alive, np.array([0.0, 0.5, 0.0])), 0.0)
         row = t.effective_cost(0, PathMetric.LOSS)
         assert row[0] == 0.0
         assert row[1] == pytest.approx(-np.log(0.5))
@@ -71,7 +71,7 @@ class TestEffectiveCost:
         t = LinkStateTable(3)
         lat = np.array([0.0, 20.0, 20.0])
         alive = np.ones(3, dtype=bool)
-        t.update_row(0, lat, alive, np.array([0.0, 0.3, 0.0]), 0.0)
+        t.update_row(0, LinkStateRow(0, lat, alive, np.array([0.0, 0.3, 0.0])), 0.0)
         row = t.effective_cost(0, PathMetric.COMBINED, loss_penalty_ms=100.0)
         assert row[1] > row[2]
 
@@ -79,7 +79,7 @@ class TestEffectiveCost:
         t = LinkStateTable(3)
         lat = np.array([0.0, 20.0, 30.0])
         alive = np.array([True, True, False])
-        t.update_row(0, lat, alive, np.zeros(3), 0.0)
+        t.update_row(0, LinkStateRow(0, lat, alive, np.zeros(3)), 0.0)
         for metric in PathMetric:
             assert np.isinf(t.effective_cost(0, metric)[2])
 

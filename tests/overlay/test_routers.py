@@ -8,6 +8,7 @@ from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.trace import planetlab_like, uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
+from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.router_base import (
     SOURCE_DIRECT,
     SOURCE_RECOMMENDATION,
@@ -243,9 +244,7 @@ class TestViewChange:
 
         stale = LinkStateMessage(
             origin=1,
-            latency_ms=np.zeros(9),
-            alive=np.ones(9, dtype=bool),
-            loss=np.zeros(9),
+            row=LinkStateRow(1, np.zeros(9), np.ones(9, dtype=bool), np.zeros(9)),
             view_version=node.router.view.version - 1,
         )
         before = node.router.dropped_stale_view
