@@ -5,7 +5,8 @@ pytest-benchmark's statistical timing to watch for performance
 regressions in the pieces that dominate simulation time: the event
 loop, the one-hop min-plus kernel, grid construction, a full two-round
 protocol execution, and (since PR 4) the quorum link-state table, the
-bulk route kernel, and the full-overlay memory envelope.
+bulk route kernel, the full-overlay memory envelope, and (since PR 18)
+the full-mesh availability sample over the overlay's shared row block.
 
 CI runs this file with ``--benchmark-disable`` (check mode): every
 benchmark body executes once as a plain test, so the regression
@@ -24,7 +25,7 @@ from repro.core.onehop import best_one_hop_all_pairs
 from repro.core.protocol import run_two_round
 from repro.core.quorum import GridQuorumSystem
 from repro.net.simulator import Simulator
-from repro.net.trace import uniform_random_metric
+from repro.net.trace import planetlab_like, uniform_random_metric
 from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow, SparseLinkStateTable
@@ -152,6 +153,40 @@ def test_perf_route_ok_matrix_100(benchmark, routed_overlay_100):
     assert mask.all()
     frac = ok.sum() / (mask.sum() * (mask.sum() - 1))
     assert frac > 0.95
+
+
+def test_perf_fullmesh_route_ok_matrix_192(benchmark):
+    """One availability sample of a settled, lossless full-mesh overlay
+    (the ``fullmesh_n192`` workload takes 36): n ``route_vector`` calls
+    through one shared row block. The guard is a count, so it holds on
+    any machine: the n tables hold the same n published objects except
+    where a broadcast is in flight or a node has measured since it last
+    published, so a sample rewrites a few columns per router (measured
+    68-575) where it used to copy n rows per router (n^2 = 36 864)."""
+    n = 192
+    rng = np.random.default_rng(12)
+    ov = build_overlay(
+        trace=planetlab_like(n, rng, base_loss=0.0, lossy_fraction=0.0),
+        router=RouterKind.FULL_MESH,
+        rng=rng,
+        with_freshness=False,
+    )
+    ov.run(65.0)  # two routing intervals: every node has broadcast twice
+    ov.route_ok_matrix()  # the first sample sets the block up
+    ov.run(5.0)
+    block = ov.row_block
+    written = [block.columns_written]
+    for _ in range(2):
+        ov.route_ok_matrix()
+        written.append(block.columns_written)
+    first, second = np.diff(written)
+    assert 0 < first <= 4 * n
+    assert second <= first  # same instant: only own-row differences remain
+    assert block.costs.shape == block.sums.shape == (n, n)
+
+    ok, mask = benchmark(ov.route_ok_matrix)
+    assert mask.all()
+    assert ok.sum() == n * (n - 1)  # lossless and static: every route works
 
 
 def test_overlay_linkstate_memory_is_subquadratic_1024():

@@ -22,6 +22,7 @@ from repro.net.transport import DatagramTransport
 from repro.overlay.config import Gossip, InBand, OverlayConfig, Replicated, RouterKind
 from repro.overlay.coordination import CoordinatorGroup
 from repro.overlay.gossip import GossipMembershipPlane
+from repro.overlay.linkstate import RowBlock
 from repro.overlay.membership import (
     InBandPlane,
     MembershipPlane,
@@ -61,6 +62,7 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         membership: MembershipPlane,
         active: Iterable[int],
         lifecycle_rng: np.random.Generator,
+        row_block: RowBlock,
     ):
         self.sim = sim
         self.topology = topology
@@ -74,6 +76,10 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         #: Node IDs currently participating (joined and not left/failed).
         self.active: Set[int] = set(active)
         self._lifecycle_rng = lifecycle_rng
+        #: The gathered link-state block every router of this overlay
+        #: patches in turn (and the sampler's scratch); lives and dies
+        #: with the overlay, empty until a full-mesh route query.
+        self.row_block = row_block
         self.disruption: Optional[DisruptionRecorder] = None
 
     @property
@@ -253,11 +259,15 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         ok = np.zeros((self.n, self.n), dtype=bool)
         ids = np.nonzero(mask)[0]
         # Ground-truth link state, one row per measurable node. Rows of
-        # non-measured nodes stay False; they are only read behind a
-        # mask[hop] guard, which already rejects such hops.
-        up = np.zeros((self.n, self.n), dtype=bool)
-        for i in ids:
-            up[i] = self.topology.up_vector(int(i), t)
+        # non-measured nodes are only read behind a mask[hop] guard,
+        # which already rejects such hops: they stay False, or True
+        # where no failure table exists and every link is up.
+        all_up = self.topology.failures is None
+        up = self.row_block.up_scratch(self.n)
+        up.fill(all_up)
+        if not all_up:
+            for i in ids:
+                up[i] = self.topology.up_vector(int(i), t)
         for s in ids:
             s = int(s)
             node = self.nodes[s]
@@ -419,6 +429,7 @@ def build_overlay(
         raise ConfigError("malicious nodes are modeled for the quorum router")
     if malicious_set:
         from repro.overlay.adversarial import MaliciousQuorumRouter
+    row_block = RowBlock()
     nodes = [
         OverlayNode(
             node_id=i,
@@ -430,6 +441,7 @@ def build_overlay(
             rng=np.random.default_rng(rng.integers(2**63)),
             bandwidth=bandwidth,
             router_cls=MaliciousQuorumRouter if i in malicious_set else None,
+            row_block=row_block,
         )
         for i in range(n)
     ]
@@ -459,6 +471,7 @@ def build_overlay(
         # Drawn after every pre-existing draw so static (no-churn) runs
         # keep byte-identical results for a given seed.
         lifecycle_rng=np.random.default_rng(rng.integers(2**63)),
+        row_block=row_block,
     )
     if with_freshness:
         overlay.start_freshness_sampling()

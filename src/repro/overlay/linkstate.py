@@ -23,9 +23,24 @@ stored object does. Only :meth:`remap` builds new rows, because a view
 change moves columns — and it too builds each one once: the first holder
 to apply a delta to a shared row leaves the moved row on it for the rest.
 
-Readers gather what they need per call: :meth:`cost_matrix` concatenates
+Readers gather what they need per call — :meth:`cost_matrix` concatenates
 the requested rows into a fresh ``(k, n)`` block, the point readers pick
-single entries. Additive costs under a loss-based metric are memoised on
+single entries — except the one reader that wants *every* row on *every*
+call: the full-mesh route kernel, which the ground-truth sampler runs on
+each of ``n`` routers per sample. For it a gathered block, too, exists
+once per overlay: a :class:`RowBlock` whose column ``h`` is the cost row
+held for ``h``, beside the list of row objects its columns were written
+from. :meth:`gather_into` rewrites a column only where the visiting
+table's row *is not* the object already there. That identity test is
+sound because rows are frozen — the same object has the same bytes, so
+the patched block is bitwise ``cost_matrix(arange(n)).T`` — and it pays
+because the ``n`` full-mesh tables of one overlay hold the same ``n``
+published objects except where a broadcast is still in flight: a few
+columns move per visit where ``n`` rows were copied. The block belongs
+to the overlay (:func:`~repro.overlay.harness.build_overlay` hands it to
+every router), never to a table or to the module: a node's table reaches
+no ``(n, n)`` array, and dropping the overlay frees its rows. Additive
+costs under a loss-based metric are memoised on
 the row itself (:meth:`LinkStateRow.cost`), so they too are computed once
 per process. :meth:`nbytes` reports the *logical* footprint — what a
 deployed node, which cannot share memory with its peers, would hold: a
@@ -43,7 +58,16 @@ import numpy as np
 from repro.core.metrics import PathMetric, combine_latency_loss, loss_to_cost
 from repro.errors import RoutingError
 
-__all__ = ["LinkStateRow", "LinkStateTable", "SparseLinkStateTable"]
+__all__ = ["LinkStateRow", "LinkStateTable", "RowBlock", "SparseLinkStateTable"]
+
+#: What a cost vector was computed under; None is plain latency.
+CostKey = Optional[Tuple[PathMetric, float]]
+
+
+def _cost_key(metric: Optional[PathMetric], loss_penalty_ms: float) -> CostKey:
+    if metric is None or metric is PathMetric.LATENCY:
+        return None
+    return (metric, float(loss_penalty_ms))
 
 
 class LinkStateRow:
@@ -102,7 +126,7 @@ class LinkStateRow:
         # (``_RowTable.remap``) — weakly, or a table that is never
         # remapped again (a departed node's) would keep every later
         # generation of its rows alive through them.
-        self._cost_key: Optional[Tuple[PathMetric, float]] = None
+        self._cost_key: CostKey = None
         self._cost: Optional[np.ndarray] = None
         self._moved_by: Optional[bytes] = None
         self._moved: Optional["weakref.ref[LinkStateRow]"] = None
@@ -140,9 +164,9 @@ class LinkStateRow:
         The last non-latency answer is kept on the row, so every table
         that holds it shares one computation.
         """
-        if metric is None or metric is PathMetric.LATENCY:
+        key = _cost_key(metric, loss_penalty_ms)
+        if key is None:
             return self.latency_ms
-        key = (metric, float(loss_penalty_ms))
         if key != self._cost_key:
             loss = np.clip(self.loss, 0.0, 1.0)
             if metric is PathMetric.LOSS:
@@ -156,6 +180,54 @@ class LinkStateRow:
             cost.flags.writeable = False
             self._cost_key, self._cost = key, cost
         return self._cost
+
+
+class RowBlock:
+    """One overlay's gathered cost rows, patched in place between readers.
+
+    ``costs[d, h]`` is the cost of link ``h -> d`` as the row last
+    gathered for ``h`` reports it: column ``h`` is that row's cost
+    vector under ``key``, and ``held[h]`` the row object it was written
+    from (None: the never-received column, ``inf`` with ``0`` at ``h``).
+    :meth:`_RowTable.gather_into` brings the block to a table's rows;
+    ``sums`` is the reader's ``(n, n)`` scratch and ``idx`` is
+    ``arange(n)``. Nothing is allocated before the first gather, so an
+    overlay whose routers never ask (the quorum system) pays nothing.
+    """
+
+    __slots__ = ("n", "key", "costs", "held", "sums", "idx", "columns_written", "_up")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.key: CostKey = None
+        self.costs = self.sums = np.empty((0, 0))
+        self.idx = np.arange(0)
+        self.held: List[Optional[LinkStateRow]] = []
+        #: Columns of ``costs`` written so far: the block's memory
+        #: traffic in units of one row, for the perf guard.
+        self.columns_written = 0
+        self._up = np.empty((0, 0), dtype=bool)
+
+    def reset(self, n: int, key: CostKey) -> None:
+        """Become an ``(n, n)`` block under ``key`` that holds no row."""
+        if n != self.n:
+            self.n = n
+            self.costs = np.empty((n, n))
+            self.sums = np.empty((n, n))
+            self.idx = np.arange(n)
+        self.key = key
+        self.costs.fill(np.inf)
+        self.costs[self.idx, self.idx] = 0.0
+        self.held = [None] * n
+        self.columns_written += n
+
+    def up_scratch(self, n: int) -> np.ndarray:
+        """An ``(n, n)`` bool buffer for the sampler's ground-truth link
+        state, contents undefined (``n`` is the underlay's size, which
+        the view the cost block follows need not match)."""
+        if self._up.shape[0] != n:
+            self._up = np.empty((n, n), dtype=bool)
+        return self._up
 
 
 class _RowTable:
@@ -317,6 +389,33 @@ class _RowTable:
             return np.empty((0, self.n))
         # concatenate + reshape: a third of np.stack's time at these sizes.
         return np.concatenate(costs).reshape(len(costs), self.n)
+
+    def gather_into(
+        self,
+        block: RowBlock,
+        metric: Optional[PathMetric] = None,
+        loss_penalty_ms: float = 1000.0,
+    ) -> None:
+        """Bring ``block.costs`` to every row of this table, transposed:
+        bitwise ``LinkStateTable.cost_matrix(arange(n)).T`` (a row never
+        received reads as all-dead here, whichever the table).
+
+        Only columns whose held row *is not* the object this table holds
+        are rewritten. Rows are frozen, so the same object under the
+        same cost key is the same bytes; a block of another size or key
+        starts over from the all-unheard state.
+        """
+        key = _cost_key(metric, loss_penalty_ms)
+        if block.n != self.n or block.key != key:
+            block.reset(self.n, key)
+        held, costs, mine = block.held, block.costs, self._rows.get
+        changed = [h for h in range(self.n) if mine(h) is not held[h]]
+        for h in changed:
+            row = held[h] = mine(h)
+            costs[:, h] = (
+                self._unheard_row(h) if row is None else row.cost(metric, loss_penalty_ms)
+            )
+        block.columns_written += len(changed)
 
     def cost_gather(
         self,

@@ -17,6 +17,7 @@ from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.net.transport import DatagramTransport
 from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.linkstate import RowBlock
 from repro.overlay.monitor import LinkMonitor
 from repro.overlay.router_base import Route, RouterBase
 from repro.overlay.router_fullmesh import FullMeshRouter
@@ -66,6 +67,7 @@ class OverlayNode:
         rng: np.random.Generator,
         bandwidth: Optional[BandwidthRecorder] = None,
         router_cls: Optional[type] = None,
+        row_block: Optional[RowBlock] = None,
     ):
         self.id = node_id
         self.sim = sim
@@ -91,6 +93,7 @@ class OverlayNode:
             transport=transport,
             monitor=self.monitor,
             config=config,
+            row_block=row_block,
         )
         self.transport = transport
         self._started = False

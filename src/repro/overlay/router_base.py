@@ -13,7 +13,7 @@ from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
 from repro.overlay.config import OverlayConfig, RouterKind
-from repro.overlay.linkstate import LinkStateRow
+from repro.overlay.linkstate import LinkStateRow, RowBlock
 from repro.overlay.membership import MembershipView, ViewDelta
 from repro.overlay.monitor import LinkMonitor
 
@@ -73,6 +73,7 @@ class RouterBase(abc.ABC):
         "transport",
         "monitor",
         "config",
+        "row_block",
         "view",
         "me_idx",
         "table",
@@ -91,12 +92,17 @@ class RouterBase(abc.ABC):
         transport: DatagramTransport,
         monitor: LinkMonitor,
         config: OverlayConfig,
+        row_block: Optional[RowBlock] = None,
     ):
         self.me = me
         self.sim = sim
         self.transport = transport
         self.monitor = monitor
         self.config = config
+        #: The overlay's gathered row block, one for all its routers
+        #: (``build_overlay`` hands it in); a router built alone makes
+        #: its own when it first needs one.
+        self.row_block = row_block
         self.view: Optional[MembershipView] = None
         self.me_idx: int = -1
         self._timer = None

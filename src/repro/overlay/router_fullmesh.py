@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.overlay.config import RouterKind
-from repro.overlay.linkstate import LinkStateTable
+from repro.overlay.linkstate import LinkStateTable, RowBlock
 from repro.overlay.membership import MembershipView
 from repro.overlay.router_base import (
     SOURCE_DIRECT,
@@ -63,12 +63,21 @@ class FullMeshRouter(RouterBase):
     # ------------------------------------------------------------------
     # Route queries
     # ------------------------------------------------------------------
+    def _gathered(self) -> RowBlock:
+        """The overlay's row block, brought to this router's table."""
+        self._refresh_own_row()
+        block = self.row_block
+        if block is None:  # built alone, outside build_overlay
+            block = self.row_block = RowBlock()
+        self.table.gather_into(block)
+        return block
+
     def route_to(self, dst_idx: int) -> Route:
         """Best one-hop route from the local full table."""
-        self._refresh_own_row()
+        block = self._gathered()
         own = self.table.cost_row(self.me_idx)  # effective latency
         # cost via h: own[h] + L[h, dst]; rows never received are inf.
-        hop_costs = own + self.table.latency_leg(np.arange(self.table.n), dst_idx)
+        hop_costs = own + block.costs[dst_idx]
         hop_costs[self.me_idx] = np.inf
         hop_costs[dst_idx] = own[dst_idx]  # the direct path
         hop = int(np.argmin(hop_costs))
@@ -81,21 +90,20 @@ class FullMeshRouter(RouterBase):
 
     def route_vector(self) -> Tuple[np.ndarray, np.ndarray]:
         """All destinations at once: one ``(n, n)`` min-plus instead of
-        ``n`` Python calls. Column ``d`` reproduces :meth:`route_to`'s
-        ``hop_costs`` exactly, so hops and usability are identical."""
+        ``n`` Python calls. Row ``d`` of the sums reproduces
+        :meth:`route_to`'s ``hop_costs`` exactly, so hops and usability
+        are identical. The sums go into the block's scratch: nothing
+        larger than ``n`` is allocated here."""
         self._require_view()
-        self._refresh_own_row()
-        n = self.table.n
+        block = self._gathered()
         own = self.table.cost_row(self.me_idx)
-        idx = np.arange(n)
-        costs = self.table.cost_matrix(idx)  # a private copy: add in place
-        costs += own[:, None]
-        costs[self.me_idx, :] = np.inf
-        costs[idx, idx] = own  # the direct path per destination
-        hops = np.argmin(costs, axis=0)
-        best = costs[hops, idx]
-        usable = np.isfinite(best)
-        return np.where(usable, hops, -1).astype(np.int64), usable
+        sums, idx = block.sums, block.idx
+        np.add(block.costs, own, out=sums)  # sums[d, h] = L[h, d] + own[h]
+        sums[:, self.me_idx] = np.inf
+        sums[idx, idx] = own  # the direct path per destination
+        hops = sums.argmin(axis=1)
+        usable = np.isfinite(sums[idx, hops])
+        return np.where(usable, hops, -1), usable
 
     def last_rec_times(self) -> np.ndarray:
         """Freshness analogue for the baseline: link-state row ages."""

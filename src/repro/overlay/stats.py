@@ -16,6 +16,7 @@ aggregates afterwards.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -353,7 +354,11 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
             raise ConfigError("n must be positive")
         self.n = n
         self._down_since = np.full((n, n), np.nan)
-        self._events: List[Tuple[int, int, float, float]] = []
+        #: Closed disruptions, one ``(src, dst, start, end)`` chunk per
+        #: sample that closed any: three arrays and the sample's time.
+        #: Bootstrap ends every pair's first window in one sample, so
+        #: tuples are only made for whoever asks (:meth:`events`).
+        self._closed: List[Tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
         self._times: List[float] = []
         self._avail: List[float] = []
         self._measured_pairs: List[int] = []
@@ -421,10 +426,9 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
         tracking = ~np.isnan(self._down_since)
         # Close disruptions that healed; censor ones whose pair vanished.
         recovered = tracking & measured & ok
-        for s, d in zip(*np.nonzero(recovered)):
-            self._events.append(
-                (int(s), int(d), float(self._down_since[s, d]), float(now))
-            )
+        src, dst = np.nonzero(recovered)
+        if src.size:
+            self._closed.append((src, dst, self._down_since[src, dst], float(now)))
         self._down_since[recovered | (tracking & ~measured)] = np.nan
         # Open new disruptions.
         newly_down = measured & ~ok & np.isnan(self._down_since)
@@ -509,7 +513,11 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
 
     def events(self) -> List[Tuple[int, int, float, float]]:
         """Closed disruption intervals as ``(src, dst, start, end)``."""
-        return list(self._events)
+        return [
+            event
+            for src, dst, start, end in self._closed
+            for event in zip(src.tolist(), dst.tolist(), start.tolist(), repeat(end))
+        ]
 
     def open_disruptions(self) -> int:
         """Pairs currently mid-disruption (no recovery sampled yet)."""
@@ -519,9 +527,11 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
         self, t0: float = 0.0, t1: float = math.inf
     ) -> np.ndarray:
         """Durations (s) of closed disruptions that *started* in [t0, t1)."""
-        return np.array(
-            [e - s for _, _, s, e in self._events if t0 <= s < t1], dtype=float
-        )
+        durations = [
+            end - start[(t0 <= start) & (start < t1)]
+            for _, _, start, end in self._closed
+        ]
+        return np.concatenate(durations) if durations else np.array([], dtype=float)
 
     def min_availability(self, t0: float = 0.0, t1: float = math.inf) -> float:
         """Lowest sampled availability in [t0, t1) (1.0 if no samples)."""

@@ -6,13 +6,15 @@ shared immutable values (PR 17), reduced to its semantics: every
 blocks, and every reader derives its answer from those blocks the slow,
 obvious way. ``test_linkstate_shared.py`` holds the reference-holding
 tables bitwise equal to it. ``strict`` selects the quorum table's one
-difference: gathers over a never-received row raise.
+difference: gathers over a never-received row raise (``gather_into``
+reads one as all-dead in either table).
 """
 
 import numpy as np
 
 from repro.core.metrics import PathMetric, combine_latency_loss, loss_to_cost
 from repro.errors import RoutingError
+from repro.overlay.linkstate import _cost_key
 
 
 class CopyInTable:
@@ -23,6 +25,17 @@ class CopyInTable:
         self.loss = np.zeros((n, n))
         self.row_time = np.full(n, -np.inf)
         self.held = set()
+
+    @classmethod
+    def of(cls, table, strict):
+        """A copy-in table holding what ``table`` holds."""
+        ref = cls(table.n, strict)
+        for idx in range(table.n):
+            row = table.row(idx)
+            if row is not None:
+                ref.update_row(idx, row.latency_ms, row.alive, row.loss, 0.0)
+        ref.row_time[:] = table.row_time
+        return ref
 
     def update_row(self, idx, latency_ms, alive, loss, now):
         self.latency_ms[idx], self.alive[idx], self.loss[idx] = latency_ms, alive, loss
@@ -65,6 +78,14 @@ class CopyInTable:
             raise RoutingError("rows never received")
         rows = [self.effective_cost(i, metric, loss_penalty_ms) for i in indices]
         return np.array(rows).reshape(len(indices), self.n)
+
+    def gather_into(self, block, metric=None, loss_penalty_ms=1000.0):
+        # Copies are nobody's row objects: write every column, and leave
+        # a token no table holds so that the next visitor rewrites them.
+        block.reset(self.n, _cost_key(metric, loss_penalty_ms))
+        for h in range(self.n):
+            block.costs[:, h] = self.effective_cost(h, metric, loss_penalty_ms)
+        block.held = [object()] * self.n
 
     def cost_gather(self, indices, dst, metric=None, loss_penalty_ms=1000.0):
         return self.cost_matrix(indices, metric, loss_penalty_ms)[:, dst]

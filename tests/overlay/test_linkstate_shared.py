@@ -219,17 +219,6 @@ class TestTableMechanics:
             assert t.latency_leg(held, 4)[pos] == t.effective_latency(int(idx))[4]
 
 
-def copied(table, strict):
-    """A CopyInTable holding what ``table`` holds."""
-    ref = CopyInTable(table.n, strict)
-    for idx in range(table.n):
-        row = table.row(idx)
-        if row is not None:
-            ref.update_row(idx, row.latency_ms, row.alive, row.loss, 0.0)
-    ref.row_time[:] = table.row_time
-    return ref
-
-
 class TestRoutesFromReferenceTable:
     """Full ``route_to`` / ``route_vector`` outputs are bitwise-identical
     whether a live router reads shared rows or per-table copies."""
@@ -245,7 +234,7 @@ class TestRoutesFromReferenceTable:
             shared = router.table
             shared_routes = [router.route_to(d) for d in range(n)]
             s_hops, s_usable = router.route_vector()
-            router.table = copied(shared, strict=kind is RouterKind.QUORUM)
+            router.table = CopyInTable.of(shared, strict=kind is RouterKind.QUORUM)
             try:
                 copied_routes = [router.route_to(d) for d in range(n)]
                 c_hops, c_usable = router.route_vector()
@@ -373,7 +362,7 @@ class TestOneRowPerProcess:
         on_view_delta = QuorumRouter.on_view_delta
 
         def checking(router, view, delta):
-            oracle, old_members = copied(router.table, strict=True), router.member_ids
+            oracle, old_members = CopyInTable.of(router.table, strict=True), router.member_ids
             on_view_delta(router, view, delta)
             survivors_old = np.nonzero(np.isin(old_members, router.member_ids))[0]
             survivors_new = np.searchsorted(router.member_ids, old_members[survivors_old])

@@ -1,10 +1,15 @@
-"""Tests for bandwidth and freshness instrumentation."""
+"""Tests for bandwidth, freshness and disruption instrumentation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.overlay.stats import BandwidthRecorder, CounterSet, FreshnessRecorder
+from repro.overlay.stats import (
+    BandwidthRecorder,
+    CounterSet,
+    DisruptionRecorder,
+    FreshnessRecorder,
+)
 
 
 class TestBandwidthRecorder:
@@ -129,3 +134,46 @@ class TestCounterSet:
         assert c.get("a") == 5
         assert c.get("missing") == 0
         assert c.as_dict() == {"a": 5}
+
+
+class TestDisruptionRecorder:
+    def test_closed_events_match_the_per_pair_loop(self):
+        """The recorder keeps closed disruptions as per-sample array
+        chunks; ``events()`` / ``disruption_durations()`` must hand out
+        what the one-tuple-per-pair loop did, in its order."""
+        n = 9
+        rng = np.random.default_rng(3)
+        recorder = DisruptionRecorder(n)
+        down_since = np.full((n, n), np.nan)
+        expected = []
+        assert recorder.events() == []
+        assert recorder.disruption_durations().shape == (0,)
+        for step in range(40):
+            now = 5.0 * (step + 1)
+            active = rng.random(n) < 0.85
+            # Bootstrap: nothing routes; then most pairs do, so the first
+            # working sample closes a window for nearly every pair at once.
+            ok = rng.random((n, n)) < (0.0 if step < 2 else 0.8)
+            recorder.sample(now, ok, active)
+            measured = active[:, None] & active[None, :]
+            np.fill_diagonal(measured, False)
+            for s in range(n):
+                for d in range(n):
+                    tracking = not np.isnan(down_since[s, d])
+                    if tracking and measured[s, d] and ok[s, d]:
+                        expected.append((s, d, float(down_since[s, d]), now))
+                    if tracking and (not measured[s, d] or ok[s, d]):
+                        down_since[s, d] = np.nan
+                    if measured[s, d] and not ok[s, d] and np.isnan(down_since[s, d]):
+                        down_since[s, d] = now
+        events = recorder.events()
+        assert len(events) > n * n
+        assert events == expected
+        assert all(
+            [type(v) for v in event] == [int, int, float, float] for event in events
+        )
+        for t0, t1 in ((0.0, np.inf), (20.0, 100.0), (1e6, np.inf)):
+            durations = recorder.disruption_durations(t0, t1)
+            loop = np.array([e - s for _, _, s, e in expected if t0 <= s < t1], dtype=float)
+            assert durations.dtype == loop.dtype and np.array_equal(durations, loop)
+        assert recorder.open_disruptions() == int((~np.isnan(down_since)).sum())
