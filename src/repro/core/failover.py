@@ -2,11 +2,33 @@
 
 Each node tracks, per destination, the health of the two default
 rendezvous servers (the grid intersections). A server has *proximally*
-failed when the node's own link monitor marks it down; it has *remotely*
-failed for a destination when it stops recommending any route to that
-destination — detected affirmatively when a recommendation message from
-the server arrives without an entry for the destination, with a timeout
-backstop for lost messages.
+failed when the node's own link monitor marks it down. It has *remotely*
+failed for a destination by the paper's rule: the node detects it "by
+observing that k **stopped** recommending any route to node j" —
+
+* **by omission**: a recommendation message from the server arrives
+  without an entry for the destination, *and the server was covering
+  that destination before* (it has listed it at least once since the
+  grid was installed). A default rendezvous can only recommend ``j``
+  once ``j``'s own link-state row has reached it, so at bootstrap, and
+  after every view change that hands it new clients, its first messages
+  leave out the destinations it has not heard from yet. That is "has
+  not started", not "stopped": read as failure it makes every client
+  fail over away from every rendezvous that ticks early (4746 adoptions
+  on a lossless static n = 256 overlay, none of them after a fault).
+  An *adopted* failover server needs no prior cover: it was picked from
+  the destination's own row and column, so the destination is one of
+  its clients already, and it was sent this node's row the moment it
+  was adopted — a message from it that leaves the destination out is
+  its answer, and the paper's "failed failover".
+* **by timeout**: the server has not covered the destination for
+  ``remote_timeout_s``, counted from its last cover but never from
+  before this node began expecting one (the grid's installation for a
+  default, the adoption for a failover server — a cover that predates
+  the adoption says nothing about the answer to it). This is the
+  backstop for lost messages, and what still catches a default that
+  never covers at all: a rendezvous that is up for this node but cut
+  off from the destination, or silent altogether.
 
 When both defaults have failed for a destination (a "double rendezvous
 failure", the quantity of Figure 11), the node selects a failover
@@ -28,11 +50,12 @@ Failover state is indexed by *view position* (the grid holds ``0..n-1``).
 * **Default pairs** — every destination has at most two default
   servers, so their evidence lives in ``(n, 2)`` arrays filled from
   :meth:`GridQuorum.default_pairs`: the pair itself, the last cover
-  time and the last omission time (``-inf`` = never). All default
-  servers are expected from the moment the grid is installed, so the
-  "expecting since" reference is one scalar. A server never lists
-  itself, so omissions do not count in the slot where the server *is*
-  the destination (same row/column). ``poll`` derives the
+  time and the last omission time (``-inf`` = never; both are wiped
+  with the grid, so "has covered" means "under this view"). All
+  default servers are expected from the moment the grid is installed,
+  so the "expecting since" reference is one scalar. A server never
+  lists itself, so omissions do not count in the slot where the server
+  *is* the destination (same row/column). ``poll`` derives the
   proximal / remote / both-failed masks for all destinations in a
   handful of array operations, and ``note_recommendations`` updates the
   slots of one server through a per-server index of flat positions.
@@ -83,7 +106,8 @@ class FailoverConfig:
     remote_timeout_s:
         How long a server may go without covering a destination before it
         is presumed remotely failed (backstop for lost recommendation
-        messages; affirmative omissions trigger immediately).
+        messages; an omission by a server that was covering triggers
+        immediately).
     """
 
     remote_timeout_s: float = 37.5  # 2.5 routing intervals at r = 15 s
@@ -273,8 +297,8 @@ class FailoverManager:
         destinations the message carried entries for; it is kept by
         reference, so the caller must not write to it afterwards.
         Destinations we expect ``server`` to cover but that are absent
-        count as affirmative remote-failure evidence (§4.1's "observing
-        that k stopped recommending any route to node j").
+        are recorded as omissions; whether one counts as remote-failure
+        evidence is :meth:`_remote_verdict`'s business.
         """
         in_message = self._in_message
         in_message[dsts] = True
@@ -321,32 +345,31 @@ class FailoverManager:
         return 1 if server == second else None
 
     def _remote_verdict(
-        self,
-        last: Optional[float],
-        omitted: Optional[float],
-        reference: Optional[float],
-        now: float,
+        self, last: float, omitted: float, since: float, now: float, adopted: bool
     ) -> bool:
-        """The remote-failure rule for one ``(server, dst)``: an omission
-        newer than the last cover, else silence since ``last`` (or since
-        ``reference``, when coverage was expected but never came)."""
-        if omitted is not None and (last is None or omitted > last):
+        """The remote-failure rule for one ``(server, dst)`` (see the
+        module docstring): an omission newer than the last cover — from
+        a default only once it *has* covered — else silence for the
+        timeout, counted from the last cover but never from before
+        ``since``, when this node began expecting the server's answer."""
+        if omitted > last and (adopted or last > _NEVER):
             return True
-        if reference is None:
-            return False  # not an expected server; no remote judgment
-        anchor = last if last is not None else reference
-        return now - anchor > self.config.remote_timeout_s
+        return now - max(last, since) > self.config.remote_timeout_s
 
     def _off_default_failed(self, server: int, dst: int, now: float) -> bool:
         """Remote verdict for a server outside ``dst``'s default pair."""
         log = self._off_default.get(server)
-        if log is None:
-            return False
-        omitted = log.omitted.get(dst)
-        reference = log.adopted_at.get(dst)
-        if omitted is None and reference is None:
+        since = log.adopted_at.get(dst) if log is not None else None
+        if since is None:
             return False  # never adopted for dst: nothing to judge by
-        return self._remote_verdict(log.last_cover(dst), omitted, reference, now)
+        last = log.last_cover(dst)
+        return self._remote_verdict(
+            _NEVER if last is None else last,
+            log.omitted.get(dst, _NEVER),
+            since,
+            now,
+            adopted=True,
+        )
 
     def _remote_failed(self, server: int, dst: int, now: float) -> bool:
         slot = self._default_slot(server, dst)
@@ -354,7 +377,7 @@ class FailoverManager:
             return self._off_default_failed(server, dst, now)
         omitted = self._omit[dst, slot] if self._omission_counts[dst, slot] else _NEVER
         return self._remote_verdict(
-            _known(self._cover[dst, slot]), _known(omitted), self._installed_at, now
+            self._cover[dst, slot], omitted, self._installed_at, now, adopted=False
         )
 
     def server_failed(self, server: int, dst: int, now: float, up: np.ndarray) -> bool:
@@ -393,9 +416,9 @@ class FailoverManager:
         result = FailoverPoll()
         cover = self._cover
         proximal = ~up[self._link] | self._absent
-        anchor = np.where(cover > _NEVER, cover, self._installed_at)
-        remote = ((self._omit > cover) & self._omission_counts) | (
-            now - anchor > self.config.remote_timeout_s
+        # _remote_verdict for every default slot at once.
+        remote = ((self._omit > cover) & (cover > _NEVER) & self._omission_counts) | (
+            now - np.maximum(cover, self._installed_at) > self.config.remote_timeout_s
         )
         failed = proximal | (remote & self._remote_judged)
         both = failed[:, 0] & failed[:, 1] & self._is_dst

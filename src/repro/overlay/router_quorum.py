@@ -9,9 +9,12 @@ Every routing interval (15 s) a node:
    received within the last 3 routing intervals (§6.2.2), and sends each
    client one recommendation message covering its other clients;
 3. evaluates the §4.1 failover state: proximal failures from the link
-   monitor, remote failures from recommendation omissions/timeouts;
-   adopts failover servers for destinations whose both default rendezvous
-   have failed, with death suppression and reversion.
+   monitor, remote failures when a rendezvous that *was* recommending a
+   destination stops doing so (an omission after a cover, or silence for
+   the remote timeout — a rendezvous still waiting for its clients' first
+   rows has not failed); adopts failover servers for destinations whose
+   both default rendezvous have failed, with death suppression and
+   reversion.
 
 Route lookups prefer fresh rendezvous recommendations; when they are
 stale or the recommended hop is down, the node falls back to the §4.2
@@ -122,7 +125,9 @@ class QuorumRouter(RouterBase):
         *remapped* from old view positions to new ones, so routing state
         learned about surviving members is preserved across the view
         change instead of being thrown away. Failover bookkeeping resets,
-        exactly as on a full rebuild (its expectations are per-epoch).
+        exactly as on a full rebuild: under the new grid no default has
+        covered anything yet, so no omission counts until it does —
+        a joiner's rendezvous cannot hold its row for the first interval.
         """
         old_view = self.view
         if old_view is None:
@@ -556,7 +561,12 @@ class QuorumRouter(RouterBase):
             self._evaluate_failover()
 
     def on_link_up(self, j: int) -> None:
+        """A link came back: price it at once. Direct routes are costed
+        from this node's own row, which otherwise keeps the link at
+        ``inf`` until the next tick — up to a routing interval during
+        which the one route a joiner's neighbour needs reads unusable."""
         if self.view is not None:
+            self._refresh_own_row()
             self._evaluate_failover()
 
     def double_failure_count(self, proximal_only: bool = True) -> int:

@@ -192,29 +192,90 @@ class TestFailoverLifecycle:
         poll = mgr.poll(12.0, up, always_alive)
         assert active in poll.extra_servers
 
-    def test_stale_cover_predating_adoption_fails_the_new_failover_at_once(self):
-        """Pinned, not endorsed (ROADMAP "Correctness and robustness").
-
-        The remote timeout of an adopted failover is anchored on its
-        last cover of the destination even when that cover predates the
-        adoption (``anchor = last if last is not None else reference``),
-        so a server that covered dst long ago, then stopped, is judged
-        failed at the very next poll after being adopted — before it
-        could have answered. Baked into every results table.
-        """
-        mgr = make_manager(remote_timeout=30.0)
-        candidates = [c for c in mgr.grid.failover_candidates(8) if c not in (0, 2, 6)]
-        for c in candidates:
-            mgr.note_recommendations(c, np.array([8]), 1.0)  # off-default cover
+    def test_cover_predating_adoption_does_not_shorten_the_failovers_timeout(self):
+        """An adopted failover's timeout runs from ``max(last cover,
+        adoption)``: a server that covered dst long ago gets the same
+        full ``remote_timeout_s`` to answer as one that never did."""
         up = up_except({2, 6})
-        first = dict(mgr.poll(100.0, up, always_alive).adopted)[8]
-        assert mgr.last_cover(first, 8) == 1.0
-        # Half a second later — far inside the timeout counted from the
-        # adoption — the new failover is already retired and replaced.
-        second = dict(mgr.poll(100.5, up, always_alive).adopted)[8]
+        stale = make_manager(remote_timeout=30.0)
+        candidates = [c for c in stale.grid.failover_candidates(8) if c not in (0, 2, 6)]
+        for c in candidates:
+            stale.note_recommendations(c, np.array([8]), 1.0)  # off-default cover
+        for mgr in (stale, make_manager(remote_timeout=30.0)):
+            first = dict(mgr.poll(100.0, up, always_alive).adopted)[8]
+            assert mgr.last_cover(first, 8) == (1.0 if mgr is stale else None)
+            for t in (100.5, 115.0, 130.0):  # inside the timeout from adoption
+                assert not mgr.poll(t, up, always_alive).adopted
+                assert mgr.active_failover(8) == first
+            # ... and not a moment longer.
+            second = dict(mgr.poll(130.5, up, always_alive).adopted)[8]
+            assert second != first
+
+
+class TestRemoteRule:
+    """§4.1: k has remotely failed for j when it *stopped* recommending
+    j. dst 8's defaults are 2 and 6 (me = 0 on the 3x3 grid)."""
+
+    def test_omission_before_any_cover_is_ignored(self):
+        mgr = make_manager(remote_timeout=30.0)
+        # Both defaults tick before dst 8's row has reached them.
+        for t in (5.0, 20.0):
+            mgr.note_recommendations(2, np.array([1, 3]), t)
+            mgr.note_recommendations(6, np.array([1, 3]), t)
+            assert not mgr.server_failed(2, 8, t, all_up)
+            assert not mgr.server_failed(6, 8, t, all_up)
+            poll = mgr.poll(t, all_up, always_alive)
+            assert poll.double_failures == 0 and not poll.adopted
+
+    def test_omission_after_a_cover_counts_at_once(self):
+        mgr = make_manager(remote_timeout=1000.0)
+        for server in (2, 6):
+            mgr.note_recommendations(server, np.array([1, 3]), 5.0)  # not yet
+            mgr.note_recommendations(server, np.array([1, 3, 8]), 20.0)  # covering
+            assert not mgr.server_failed(server, 8, 20.0, all_up)
+            mgr.note_recommendations(server, np.array([1, 3]), 35.0)  # stopped
+            assert mgr.server_failed(server, 8, 35.0, all_up)
+        assert 8 in dict(mgr.poll(35.0, all_up, always_alive).adopted)
+        # A later cover clears it.
+        mgr.note_recommendations(2, np.array([8]), 50.0)
+        assert not mgr.server_failed(2, 8, 50.0, all_up)
+
+    def test_never_covering_default_fails_at_the_timeout_not_before(self):
+        mgr = make_manager(remote_timeout=30.0)
+        mgr.set_grid(mgr.grid, now=10.0)  # installed at t = 10
+        for t in (15.0, 30.0):
+            mgr.note_recommendations(2, np.array([1, 3]), t)  # alive, never lists 8
+            mgr.note_recommendations(6, np.array([8]), t)
+        assert not mgr.server_failed(2, 8, 40.0, all_up)
+        assert mgr.poll(40.0, all_up, always_alive).double_failures == 0
+        assert mgr.server_failed(2, 8, 40.5, all_up)
+        # One failed default is tolerated; both (6 goes quiet) are not.
+        assert 8 not in dict(mgr.poll(40.5, all_up, always_alive).adopted)
+        assert 8 in dict(mgr.poll(61.0, all_up, always_alive).adopted)
+
+    def test_set_grid_forgets_that_a_server_was_covering(self):
+        mgr = make_manager(remote_timeout=1000.0)
+        mgr.note_recommendations(2, np.array([8]), 5.0)
+        mgr.set_grid(mgr.grid, now=6.0)
+        mgr.note_recommendations(2, np.array([1]), 7.0)
+        assert not mgr.server_failed(2, 8, 8.0, all_up)
+
+    def test_a_server_never_lists_itself_and_that_is_not_an_omission(self):
+        # me = 0, dst 2 share row 0: the pair is (me, dst) and slot 1's
+        # server is the destination. It covers others, never itself.
+        mgr = make_manager(remote_timeout=1000.0)
+        assert set(mgr.default_pair(2)) == {0, 2}
+        mgr.note_recommendations(2, np.array([1, 2]), 5.0)  # a cover, however odd
+        mgr.note_recommendations(2, np.array([1]), 10.0)
+        assert not mgr.server_failed(2, 2, 11.0, all_up)
+        mgr.poll(11.0, all_up, always_alive)
+        assert mgr.active_failover(2) is None
+
+    def test_adopted_failover_needs_no_prior_cover(self):
+        mgr = make_manager(remote_timeout=1000.0)
+        up = up_except({2, 6})
+        first = dict(mgr.poll(10.0, up, always_alive).adopted)[8]
+        assert mgr.last_cover(first, 8) is None
+        mgr.note_recommendations(first, np.array([1, 3]), 12.0)  # its answer omits 8
+        second = dict(mgr.poll(12.5, up, always_alive).adopted)[8]
         assert second != first
-        # Without the stale cover the same server gets its full timeout.
-        fresh = make_manager(remote_timeout=30.0)
-        first = dict(fresh.poll(100.0, up, always_alive).adopted)[8]
-        assert 8 not in dict(fresh.poll(100.5, up, always_alive).adopted)
-        assert fresh.active_failover(8) == first

@@ -8,6 +8,7 @@ at sizes that keep the suite quick.
 import numpy as np
 import pytest
 
+from repro.analysis.bandwidth import quorum_emulation_bps
 from repro.experiments.ablation_interval import (
     format_interval_ablation,
     run_interval_ablation,
@@ -76,19 +77,25 @@ class TestFig1:
 class TestFig9:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig9(sizes=(16, 49, 100), duration_s=120.0, warmup_s=45.0)
+        # Eight routing intervals, on the recorder's 10 s bucket edges.
+        return run_fig9(sizes=(16, 49, 100), duration_s=120.0, warmup_s=60.0)
 
     def test_quorum_wins_at_100(self, result):
         k = result.sizes.index(100)
         assert result.measured_quorum_bps[k] < result.measured_fullmesh_bps[k]
 
     def test_measured_tracks_theory(self, result):
-        for k in range(len(result.sizes)):
+        """The quorum measurement is held to what the emulation sends —
+        2(sqrt(n)-1) messages of each kind each way, not the closed
+        form's 2 sqrt(n), which at n = 16 is 43 % more — and to the
+        byte: a failure-free overlay has no reason to send anything
+        else (rows to bootstrap failover servers were +0.2 ... +0.5 %)."""
+        for k, n in enumerate(result.sizes):
             assert result.measured_fullmesh_bps[k] == pytest.approx(
                 result.theory_fullmesh_bps[k], rel=0.25
             )
             assert result.measured_quorum_bps[k] == pytest.approx(
-                result.theory_quorum_bps[k], rel=0.30
+                quorum_emulation_bps(n), rel=1e-6
             )
 
     def test_measured_at_or_below_theory(self, result):
@@ -100,6 +107,7 @@ class TestFig9:
                 result.measured_fullmesh_bps[k]
                 <= result.theory_fullmesh_bps[k] * 1.02
             )
+            assert result.measured_quorum_bps[k] <= result.theory_quorum_bps[k]
 
     def test_table_renders(self, result):
         assert "Figure 9" in result.format_table()

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.failover import FailoverManager
 from repro.core.onehop import best_one_hop_all_pairs
+from repro.experiments.coordinator_failover import scenario_config
 from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.trace import planetlab_like, uniform_random_metric
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import InBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.router_base import (
@@ -14,6 +16,8 @@ from repro.overlay.router_base import (
     SOURCE_RECOMMENDATION,
     SOURCE_REDUNDANT,
 )
+from repro.workloads.faults import FaultPlan
+from repro.workloads.trace import ChurnEvent, ChurnTrace
 
 
 def build(n=16, router=RouterKind.QUORUM, seed=3, failures=None, run_s=0.0, trace=None):
@@ -169,16 +173,14 @@ class TestQuorumFailover:
         # for the dead node (suppressed), and counted suppressions
         assert router.counters.get("failover_suppressed_polls") > 0
 
-    def test_lossless_bootstrap_adoption_count_is_pinned(self):
-        """Pinned, not endorsed (ROADMAP "Correctness and robustness").
-
-        Nothing ever fails in a lossless static overlay, yet its first
-        45 s see thousands of failover adoptions: during bootstrap a
-        rendezvous that does not yet hold every client's row omits the
-        missing ones, which its clients read as §4.1 remote failure. The
-        count is baked into every results table and into the benchmark
-        digest (``failover.adopted`` on ``steady_n256``, seed 42); a
-        change to it is a protocol change, not a refactor.
+    def test_lossless_static_overlay_never_adopts(self):
+        """No adoption without a failure (§4.1): nothing ever fails in a
+        lossless static overlay, so nobody fails over — not even while
+        rendezvous servers are still waiting for their clients' first
+        rows and leave them out — and every rendezvous serves exactly
+        the 2(√n − 1) clients the grid assigns it, every interval. (Read
+        as failures, those bootstrap omissions were 4746 adoptions and
+        up to 65 fresh client rows per rendezvous for three intervals.)
         """
         rng = np.random.default_rng(42)
         ov = build_overlay(
@@ -188,9 +190,18 @@ class TestQuorumFailover:
             config=OverlayConfig(),
             with_freshness=False,
         )
-        ov.run(45.0)
-        adoptions = sum(n.router.counters.get("failover_adoptions") for n in ov.nodes)
-        assert adoptions == 4746
+        interval_s = ov.config.routing_interval_s(RouterKind.QUORUM)
+        for boundary in range(1, 9):  # t = 15 ... 120 s; the bench stops at 45
+            ov.run(interval_s)
+            assert ov.sim.now == boundary * interval_s
+            routers = [n.router for n in ov.nodes]
+            assert sum(r.counters.get("failover_adoptions") for r in routers) == 0
+            held = {r._fresh_client_indices().size for r in routers}
+            # The first interval's last rows are still in flight at t = 15.
+            assert held == {30} or (boundary == 1 and max(held) == 30)
+            assert {
+                len(r.grid.servers(r.me_idx, include_self=False)) for r in routers
+            } == {30}
 
     def test_redundant_linkstate_fallback_available(self):
         """§4.2: a node can route via its clients' tables when its
@@ -228,6 +239,68 @@ class TestViewChange:
         late = ov.nodes[9].route_to(0)
         assert late.usable
         assert ov.nodes[0].route_to(9).usable
+
+    @pytest.mark.parametrize("plane", ["out_of_band", "in_band_deltas", "replicated_k3"])
+    def test_joins_and_graceful_leaves_cause_no_remote_failover(self, plane, monkeypatch):
+        """Every view version wipes the §4.1 evidence, and a joiner's
+        rendezvous cannot hold its row for an interval: neither may read
+        as a rendezvous failure. On a lossless underlay with joins and
+        graceful leaves only, first-time joiners cause no adoption at
+        all; the few that remain (24 / 24 / 29 here; 1057 / 329 / 348
+        under the any-omission rule) are all *proximal* — a node that
+        left and came back is held down by its row and column
+        neighbours' link monitors until their next probe round, which is
+        the monitor's verdict to fix, not a recommendation's."""
+        config = {
+            "out_of_band": OverlayConfig(),
+            "in_band_deltas": OverlayConfig(membership=InBand(deltas=True)),
+            "replicated_k3": scenario_config(k=3),
+        }[plane]
+        adoptions = []
+        poll = FailoverManager.poll
+
+        def recording_poll(self, now, up, sees_alive, allow_relay=False):
+            result = poll(self, now, up, sees_alive, allow_relay)
+            for dst, _ in result.adopted + result.adopted_via_relay:
+                proximal = bool((~up[self._link[dst]] | self._absent[dst]).all())
+                adoptions.append((now, dst, proximal))
+            return result
+
+        monkeypatch.setattr(FailoverManager, "poll", recording_poll)
+        n = 64
+        for rejoins in (False, True):
+            if rejoins:
+                churn = ChurnTrace.poisson(
+                    n=n, rate_per_s=0.1, duration_s=300.0, seed=3, crash_fraction=0.0,
+                    warmup_s=45.0,
+                )
+            else:
+                # 16 first-time joiners in, 16 founders out, one per 8 s.
+                events = [
+                    ChurnEvent(45.0 + 8.0 * i, *(("join", 48 + i // 2) if i % 2 else ("leave", 16 + i // 2)))
+                    for i in range(32)
+                ]
+                churn = ChurnTrace(
+                    n=n, initial_active=tuple(range(48)), events=tuple(events), duration_s=300.0
+                )
+            assert churn.count("fail") == 0
+            rng = np.random.default_rng(3)
+            ov = build_overlay(
+                trace=planetlab_like(n, rng, base_loss=0.0, lossy_fraction=0.0),
+                router=RouterKind.QUORUM,
+                rng=rng,
+                config=config,
+                with_freshness=False,
+                active_members=churn.initial_active,
+            )
+            FaultPlan().add_churn(churn).install(ov)
+            del adoptions[:]
+            ov.run(360.0)
+            survivors = churn.active_at_end()
+            assert ov.nodes[survivors[0]].router.view.members == tuple(survivors)
+            if not rejoins:
+                assert adoptions == []
+            assert [a for a in adoptions if not a[2]] == []
 
     def test_leave_shrinks_view(self):
         ov = build(n=9, run_s=60.0)
