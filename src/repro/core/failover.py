@@ -69,9 +69,9 @@ Failover state is indexed by *view position* (the grid holds ``0..n-1``).
   layout would cost as much as the dicts it replaced.
 * **Scalar on purpose** — adopting, judging and retiring failover
   servers runs per double-failed destination, in ascending order, in
-  plain Python: it draws from the node's random stream and inserts into
-  ``FailoverPoll.extra_servers``, and both orders are part of the
-  per-seed results. Only double-failed destinations reach it.
+  plain Python: it draws from the node's random stream, and the order
+  of the draws is part of the per-seed results. Only double-failed
+  destinations reach it.
 """
 
 from __future__ import annotations

@@ -231,9 +231,7 @@ class QuorumRouter(RouterBase):
     def _server_indices(self) -> List[int]:
         """Default rendezvous servers plus adopted failover servers."""
         base = list(self.grid.servers(self.me_idx, include_self=False))
-        base_set = set(base)
-        extras = [s for s in self._extra_servers if s not in base_set]  # reprolint: disable=RL006(int-set order is insertion/value-determined under CPython and already baked into the published tables; sorting would reorder link-state sends and re-baseline every seed)
-        return base + extras
+        return base + sorted(self._extra_servers.difference(base))
 
     def _send_linkstate(self, server_indices: List[int]) -> None:
         msg = self._own_linkstate()

@@ -11,8 +11,11 @@ the §4.1 re-baseline on top of ``f5af393`` — the commit that made a
 rendezvous omission count only from a server that was covering the
 destination (no bootstrap or join failover storm; an adopted failover's
 timeout anchored on its adoption) and refreshed a node's own row when a
-link comes back. A change that moves a digest on purpose (a protocol
-fix) re-pins it and says so here.
+link comes back. Its follow-up, which sends link state to adopted
+failover servers in sorted order instead of set order, moved
+``_in_band_lossy`` alone (on a lossy wire the send order picks which
+datagrams the loss draws hit). A change that moves a digest on purpose
+(a protocol fix) re-pins it and says so here.
 """
 
 import hashlib
@@ -173,7 +176,7 @@ GOLDEN = [
     (_full_mesh, "11ba95490335d31e2c87a31c9c2dc01741ad082310e07d2bb31f95351bb17156"),
     (_churn_three_coordinators, "e7aad27252dd441825bd0e490bf7684cdf64eefa7f6fd283b8ca49c31a5195c0"),
     (_out_of_band_deltas_batched, "ba4fbd688a542bb6b5cb2fc31f07cec29c0b7f54f94887278df3e7ac3a3c6816"),
-    (_in_band_lossy, "075ffc07492e16fec2048a91517170835113069a0653e9b68b77202bb24fc973"),
+    (_in_band_lossy, "6b8e01f64f83d6ac5a4bddc446087640d5f4d75cd273bd809d923e3133bf5dfb"),
     (
         _gossip_crash_expiry_rejoin_leave,
         "1c437abd5b58cbffc392073074c4b34796aaac50b1a6c084e3c6fd2d9e3cce62",
