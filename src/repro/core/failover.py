@@ -183,10 +183,10 @@ class _OffDefaultLog:
         #: dst -> when this node last adopted the server for dst.
         self.adopted_at: Dict[int, float] = {}
 
-    def last_cover(self, dst: int) -> Optional[float]:
+    def last_cover(self, dst: int) -> float:
         if (self.batch == dst).any():
             return self.batch_time
-        return self.dropped.get(dst)
+        return self.dropped.get(dst, _NEVER)
 
 
 class FailoverManager:
@@ -284,7 +284,7 @@ class FailoverManager:
         slot = self._default_slot(server, dst)
         if slot is None:
             log = self._off_default.get(server)
-            return log.last_cover(dst) if log is not None else None
+            return _known(log.last_cover(dst)) if log is not None else None
         return _known(self._cover[dst, slot])
 
     # ------------------------------------------------------------------
@@ -362,13 +362,8 @@ class FailoverManager:
         since = log.adopted_at.get(dst) if log is not None else None
         if since is None:
             return False  # never adopted for dst: nothing to judge by
-        last = log.last_cover(dst)
         return self._remote_verdict(
-            _NEVER if last is None else last,
-            log.omitted.get(dst, _NEVER),
-            since,
-            now,
-            adopted=True,
+            log.last_cover(dst), log.omitted.get(dst, _NEVER), since, now, adopted=True
         )
 
     def _remote_failed(self, server: int, dst: int, now: float) -> bool:

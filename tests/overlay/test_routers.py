@@ -294,7 +294,7 @@ class TestViewChange:
                 active_members=churn.initial_active,
             )
             FaultPlan().add_churn(churn).install(ov)
-            del adoptions[:]
+            adoptions.clear()
             ov.run(360.0)
             survivors = churn.active_at_end()
             assert ov.nodes[survivors[0]].router.view.members == tuple(survivors)
