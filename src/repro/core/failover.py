@@ -9,26 +9,27 @@ observing that k **stopped** recommending any route to node j" —
 * **by omission**: a recommendation message from the server arrives
   without an entry for the destination, *and the server was covering
   that destination before* (it has listed it at least once since the
-  grid was installed). A default rendezvous can only recommend ``j``
-  once ``j``'s own link-state row has reached it, so at bootstrap, and
-  after every view change that hands it new clients, its first messages
-  leave out the destinations it has not heard from yet. That is "has
-  not started", not "stopped": read as failure it makes every client
-  fail over away from every rendezvous that ticks early (4746 adoptions
-  on a lossless static n = 256 overlay, none of them after a fault).
-  An *adopted* failover server needs no prior cover: it was picked from
-  the destination's own row and column, so the destination is one of
-  its clients already, and it was sent this node's row the moment it
-  was adopted — a message from it that leaves the destination out is
-  its answer, and the paper's "failed failover".
+  two became a default pair for this node). A default rendezvous can
+  only recommend ``j`` once ``j``'s own link-state row has reached it,
+  so at bootstrap, and after every view change that hands it new
+  clients, its first messages leave out the destinations it has not
+  heard from yet. That is "has not started", not "stopped": read as
+  failure it makes every client fail over away from every rendezvous
+  that ticks early (4746 adoptions on a lossless static n = 256
+  overlay, none of them after a fault). An *adopted* failover server
+  needs no prior cover: it was picked from the destination's own row
+  and column, so the destination is one of its clients already, and it
+  was sent this node's row the moment it was adopted — a message from
+  it that leaves the destination out is its answer, and the paper's
+  "failed failover".
 * **by timeout**: the server has not covered the destination for
   ``remote_timeout_s``, counted from its last cover but never from
-  before this node began expecting one (the grid's installation for a
-  default, the adoption for a failover server — a cover that predates
-  the adoption says nothing about the answer to it). This is the
-  backstop for lost messages, and what still catches a default that
-  never covers at all: a rendezvous that is up for this node but cut
-  off from the destination, or silent altogether.
+  before this node began expecting one (the view version that made it
+  the destination's default, the adoption for a failover server — a
+  cover that predates the adoption says nothing about the answer to
+  it). This is the backstop for lost messages, and what still catches
+  a default that never covers at all: a rendezvous that is up for this
+  node but cut off from the destination, or silent altogether.
 
 When both defaults have failed for a destination (a "double rendezvous
 failure", the quantity of Figure 11), the node selects a failover
@@ -50,12 +51,15 @@ Failover state is indexed by *view position* (the grid holds ``0..n-1``).
 * **Default pairs** — every destination has at most two default
   servers, so their evidence lives in ``(n, 2)`` arrays filled from
   :meth:`GridQuorum.default_pairs`: the pair itself, the last cover
-  time and the last omission time (``-inf`` = never; both are wiped
-  with the grid, so "has covered" means "under this view"). All
-  default servers are expected from the moment the grid is installed,
-  so the "expecting since" reference is one scalar. A server never
-  lists itself, so omissions do not count in the slot where the server
-  *is* the destination (same row/column). ``poll`` derives the
+  time, the last omission time (``-inf`` = never) and when the node
+  began expecting the server to cover. ``set_grid`` blanks all three;
+  on a view change :meth:`FailoverManager.carry_over` then moves the
+  previous view's values into every slot whose (server, destination)
+  members were a default pair already, so "has covered" means "since
+  the two became a default pair", not "under this view version". A
+  server never lists itself, so omissions do not count in the slot
+  where the server *is* the destination (same row/column). ``poll``
+  derives the
   proximal / remote / both-failed masks for all destinations in a
   handful of array operations, and ``note_recommendations`` updates the
   slots of one server through a per-server index of flat positions.
@@ -220,8 +224,6 @@ class FailoverManager:
         self._grid = grid
         self._state.clear()
         self._off_default.clear()
-        #: Default servers expect coverage from here on.
-        self._installed_at = now
         pair = grid.default_pairs(self.me)
         present = pair >= 0
         own = pair == self.me
@@ -229,6 +231,9 @@ class FailoverManager:
         self._pair = pair
         self._cover = np.full((n, 2), _NEVER)
         self._omit = np.full((n, 2), _NEVER)
+        #: When this node began expecting each slot's server to cover:
+        #: now, unless :meth:`carry_over` finds the pair is an older one.
+        self._since = np.full((n, 2), float(now))
         self._cover_flat = self._cover.reshape(-1)
         self._omit_flat = self._omit.reshape(-1)
         self._absent = ~present
@@ -261,6 +266,34 @@ class FailoverManager:
         #: Scratch membership mask for one message's destinations.
         self._in_message = np.zeros(n, dtype=bool)
 
+    def carry_over(self, old: "FailoverManager", old_to_new: np.ndarray) -> None:
+        """Keep what the previous view version's manager knew about every
+        default pair that survives into this grid.
+
+        ``old_to_new[p]`` is the new view position of the member at old
+        position ``p`` (-1: departed). Where ``(server, dst)`` was a
+        default pair for this node under ``old``'s grid and still is one,
+        its last cover, last omission and expecting-since time move to
+        the new slot: "was recommending it" holds across a view change,
+        and a silent server's timeout does not restart with every join.
+        Pairs the new grid creates keep :meth:`set_grid`'s blank slate,
+        and so do adopted failovers (re-adopted while the need remains).
+        """
+        old_dst = np.flatnonzero(old_to_new >= 0)
+        dst = old_to_new[old_dst]
+        was = old._pair[old_dst]
+        was = np.where(was >= 0, old_to_new[was], -1)
+        for slot in (0, 1):
+            for old_slot in (0, 1):
+                server = was[:, old_slot]
+                same = (self._pair[dst, slot] == server) & (server >= 0)
+                for mine, theirs in (
+                    (self._cover, old._cover),
+                    (self._omit, old._omit),
+                    (self._since, old._since),
+                ):
+                    mine[dst[same], slot] = theirs[old_dst[same], old_slot]
+
     @property
     def grid(self) -> GridQuorum:
         if self._grid is None:
@@ -280,7 +313,8 @@ class FailoverManager:
 
     def last_cover(self, server: int, dst: int) -> Optional[float]:
         """When ``server`` last covered ``dst`` in a recommendation
-        message, or None if it never has under this grid."""
+        message, or None if it never has (for a default: since the two
+        became a default pair)."""
         slot = self._default_slot(server, dst)
         if slot is None:
             log = self._off_default.get(server)
@@ -372,7 +406,7 @@ class FailoverManager:
             return self._off_default_failed(server, dst, now)
         omitted = self._omit[dst, slot] if self._omission_counts[dst, slot] else _NEVER
         return self._remote_verdict(
-            self._cover[dst, slot], omitted, self._installed_at, now, adopted=False
+            self._cover[dst, slot], omitted, self._since[dst, slot], now, adopted=False
         )
 
     def server_failed(self, server: int, dst: int, now: float, up: np.ndarray) -> bool:
@@ -413,7 +447,7 @@ class FailoverManager:
         proximal = ~up[self._link] | self._absent
         # _remote_verdict for every default slot at once.
         remote = ((self._omit > cover) & (cover > _NEVER) & self._omission_counts) | (
-            now - np.maximum(cover, self._installed_at) > self.config.remote_timeout_s
+            now - np.maximum(cover, self._since) > self.config.remote_timeout_s
         )
         failed = proximal | (remote & self._remote_judged)
         both = failed[:, 0] & failed[:, 1] & self._is_dst

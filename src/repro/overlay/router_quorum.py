@@ -124,10 +124,13 @@ class QuorumRouter(RouterBase):
         fill slots at all — and the link-state table and route arrays are
         *remapped* from old view positions to new ones, so routing state
         learned about surviving members is preserved across the view
-        change instead of being thrown away. Failover bookkeeping resets,
-        exactly as on a full rebuild: under the new grid no default has
-        covered anything yet, so no omission counts until it does —
-        a joiner's rendezvous cannot hold its row for the first interval.
+        change instead of being thrown away. So is the failover evidence
+        about every default ``(server, destination)`` pair that is still
+        one under the new grid; a pair the new grid creates starts blank
+        — no omission counts until its first cover, since a joiner's
+        rendezvous cannot hold its row for the first interval — and
+        adopted failover servers are dropped (re-adopted on the next
+        poll while both defaults are still failed).
         """
         old_view = self.view
         if old_view is None:
@@ -189,12 +192,14 @@ class QuorumRouter(RouterBase):
             if sent is not None:
                 sent[dead] = -np.inf
 
+        previous = self.failover
         self.failover = FailoverManager(
             self.me_idx,
             self._rng,
             FailoverConfig(remote_timeout_s=self.config.remote_timeout_s()),
         )
         self.failover.set_grid(self.grid, self.sim.now)
+        self.failover.carry_over(previous, old_to_new)
         self._extra_servers = set()
         self._relay_servers = set()
         self._reply_relay = {

@@ -16,8 +16,8 @@ class FailoverSpec:
         self.me, self.rng, self.timeout_s = me, rng, timeout_s
 
     def set_grid(self, grid, now):
-        """A new view: nobody has covered anything under it yet."""
-        self.grid, self.installed_at = grid, now
+        """A first view: nobody has covered anything yet."""
+        self.grid = grid
         self.pairs = {
             dst: grid.default_rendezvous_pair(self.me, dst)
             for dst in grid.members
@@ -27,6 +27,29 @@ class FailoverSpec:
         self.omitted_at = {}  # (server, dst): its last message leaving dst out
         self.adopted_at = {}  # (server, dst): when we last made it dst's failover
         self.failover = {}  # dst: the state of an ongoing double failure
+        # (server, dst): since when we expect this default to cover dst
+        self.expected_since = {
+            (server, dst): now for dst, pair in self.pairs.items() for server in pair
+        }
+
+    def change_view(self, me, grid, moved_to, now):
+        """A later view version: members keep their identity and change
+        position (``moved_to[old]``; the departed have none). A server
+        that was a destination's default rendezvous and still is one
+        "was recommending it" or was not, just as before; every other
+        expectation starts with the new view."""
+        before = self.covered_at, self.omitted_at, self.expected_since, self.pairs
+        self.me = me
+        self.set_grid(grid, now)
+        for old_dst, old_pair in before[3].items():
+            for old_server in old_pair:
+                key = moved_to.get(old_server), moved_to.get(old_dst)
+                if key in self.expected_since:  # still a default pair
+                    for kept, known in zip(
+                        (self.covered_at, self.omitted_at, self.expected_since), before
+                    ):
+                        if (old_server, old_dst) in known:
+                            kept[key] = known[old_server, old_dst]
 
     def note_recommendations(self, server, dsts, now):
         """One message from ``server`` listing ``dsts``. It leaves a
@@ -68,7 +91,7 @@ class FailoverSpec:
         return (
             self.proximally_failed(server, dst, up)
             or self.stopped_recommending(server, dst, is_failover=False)
-            or self.silent_too_long(server, dst, self.installed_at, now)
+            or self.silent_too_long(server, dst, self.expected_since[server, dst], now)
         )
 
     def failover_failed(self, server, dst, now):

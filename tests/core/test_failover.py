@@ -279,3 +279,113 @@ class TestRemoteRule:
         mgr.note_recommendations(first, np.array([1, 3]), 12.0)  # its answer omits 8
         second = dict(mgr.poll(12.5, up, always_alive).adopted)[8]
         assert second != first
+
+
+def carried(old, members_before, members_after, now, me_id=0):
+    """The manager a view change from ``members_before`` to
+    ``members_after`` (sorted ids) leaves behind, as the router builds it."""
+    position = {m: i for i, m in enumerate(members_after)}
+    old_to_new = np.array([position.get(m, -1) for m in members_before])
+    mgr = FailoverManager(position[me_id], np.random.default_rng(1), old.config)
+    mgr.set_grid(GridQuorum(list(range(len(members_after)))), now)
+    mgr.carry_over(old, old_to_new)
+    return mgr
+
+
+class TestCarryOver:
+    """A view change relabels positions; what a default rendezvous was
+    doing for a destination goes with the two members, not the slots."""
+
+    def test_was_covering_holds_across_a_view_change(self):
+        old = make_manager(n=21, remote_timeout=1000.0)  # 5 columns, 21..25
+        # me = 0; dst 12 at (2, 2): defaults (0, 2) = 2 and (2, 0) = 10.
+        assert set(old.default_pair(12)) == {2, 10}
+        for server in (2, 10):
+            old.note_recommendations(server, np.array([1, 12]), 5.0)
+        mgr = carried(old, range(21), range(22), now=6.0)  # 21 joins at the tail
+        assert mgr.last_cover(2, 12) == 5.0
+        mgr.note_recommendations(2, np.array([1]), 7.0)  # stopped
+        assert mgr.server_failed(2, 12, 7.0, up_except(n=22))
+        assert not mgr.server_failed(10, 12, 7.0, up_except(n=22))
+
+    def test_a_pair_the_new_grid_creates_starts_blank(self):
+        old = make_manager(n=21, remote_timeout=30.0)
+        for server in (2, 10):
+            old.note_recommendations(server, np.arange(1, 21), 5.0)
+        mgr = carried(old, range(21), range(22), now=6.0)
+        # The joiner, dst 21 at (4, 1): defaults (0, 1) = 1 and (4, 0) = 20.
+        assert set(mgr.default_pair(21)) == {1, 20}
+        for server in (1, 20):
+            assert mgr.last_cover(server, 21) is None
+            mgr.note_recommendations(server, np.array([2]), 7.0)
+            assert not mgr.server_failed(server, 21, 36.0, up_except(n=22))
+            assert mgr.server_failed(server, 21, 36.5, up_except(n=22))
+
+    def test_evidence_follows_the_members_when_positions_shift(self):
+        old = make_manager(n=9, remote_timeout=1000.0)
+        # me = 0; dst 5 at (1, 2): defaults 2 and 3. Member 4 leaves:
+        # 5 moves to position 4 = (1, 1), defaults now 1 and 3.
+        assert set(old.default_pair(5)) == {2, 3}
+        old.note_recommendations(3, np.array([5, 8]), 5.0)
+        old.note_recommendations(2, np.array([5, 8]), 5.0)
+        after = [0, 1, 2, 3, 5, 6, 7, 8]
+        mgr = carried(old, range(9), after, now=6.0)
+        assert set(mgr.default_pair(4)) == {1, 3}
+        assert mgr.last_cover(3, 4) == 5.0  # same two members, new slot
+        assert mgr.last_cover(1, 4) is None  # 1 was not 5's rendezvous before
+        # 8 -> position 7 = (2, 1): defaults 1 and (2, 0) = member 7; the
+        # member that covered it from (2, 0), 6, sits at position 5 now.
+        assert set(mgr.default_pair(7)) == {1, 6}
+        assert mgr.last_cover(6, 7) is None
+
+    def test_a_silent_defaults_timeout_does_not_restart(self):
+        """Joins faster than the timeout used to keep a default that
+        never covers alive for ever."""
+        mgr = make_manager(n=21, remote_timeout=30.0)
+        size = 21
+        for t in (10.0, 20.0, 30.0):  # a view version every 10 s
+            mgr.note_recommendations(2, np.array([1]), t - 1.0)  # up, never lists 12
+            mgr = carried(mgr, range(size), range(size + 1), now=t)
+            size += 1
+        up = up_except(n=size)
+        assert not mgr.server_failed(2, 12, 30.0, up)
+        assert mgr.server_failed(2, 12, 30.5, up)
+        # ... while the newest joiner's defaults count from its join.
+        assert not mgr.server_failed(3, 23, 59.0, up)
+
+    def test_adopted_failovers_are_not_carried(self):
+        old = make_manager(n=21, remote_timeout=1000.0)
+        up = up_except({2, 10}, n=21)
+        assert 12 in dict(old.poll(5.0, up, always_alive).adopted)
+        mgr = carried(old, range(21), range(22), now=6.0)
+        assert mgr.active_failover(12) is None
+        assert 12 in dict(mgr.poll(6.0, up_except({2, 10}, n=22), always_alive).adopted)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_a_lookup_by_member_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = np.sort(rng.choice(40, size=int(rng.integers(4, 30)), replace=False))
+        before = ids.tolist()
+        stay = [m for m in before[1:] if rng.random() < 0.8]
+        joined = [m for m in range(40, 46) if rng.random() < 0.5]
+        me_id = before[0]
+        after = sorted([me_id, *stay, *joined])
+        old = FailoverManager(0, np.random.default_rng(0), FailoverConfig(30.0))
+        old.set_grid(GridQuorum(list(range(len(before)))), now=3.0)
+        for server in range(1, len(before)):
+            listed = np.flatnonzero(rng.random(len(before)) < 0.5)
+            old.note_recommendations(server, listed, float(rng.integers(4, 9)))
+        mgr = carried(old, before, after, now=10.0, me_id=me_id)
+        known = {}
+        for dst, pair in enumerate(old._pair.tolist()):
+            for slot, server in enumerate(pair):
+                if server >= 0:
+                    known[before[server], before[dst]] = (
+                        old._cover[dst, slot], old._omit[dst, slot], 3.0
+                    )
+        for dst, pair in enumerate(mgr._pair.tolist()):
+            for slot, server in enumerate(pair):
+                if server >= 0:
+                    want = known.get((after[server], after[dst]), (-np.inf, -np.inf, 10.0))
+                    got = (mgr._cover[dst, slot], mgr._omit[dst, slot], mgr._since[dst, slot])
+                    assert got == want, (after[server], after[dst])

@@ -42,6 +42,22 @@ class Pair:
         self.new.set_grid(GridQuorum(list(range(n))), now)
         self.spec.set_grid(GridQuorum(list(range(n))), now)
 
+    def change_view(self, stay, joiners, now):
+        """Positions in ``stay`` (me among them) survive, ``joiners`` new
+        members are slotted in between them by sorted identity."""
+        ids = sorted([(2 * p, p) for p in stay] + [(2 * p - 1, None) for p in joiners])
+        old_to_new = np.full(self.n, -1)
+        for new, (_, old) in enumerate(ids):
+            if old is not None:
+                old_to_new[old] = new
+        self.n, self.me = len(ids), int(old_to_new[self.me])
+        previous = self.new
+        self.new = FailoverManager(self.me, self.new_rng, previous.config)
+        self.new.set_grid(GridQuorum(list(range(self.n))), now)
+        self.new.carry_over(previous, old_to_new)
+        moved_to = {old: int(new) for old, new in enumerate(old_to_new) if new >= 0}
+        self.spec.change_view(self.me, GridQuorum(list(range(self.n))), moved_to, now)
+
     def note(self, server, dsts, now):
         self.new.note_recommendations(server, np.array(dsts, dtype=np.int64), now)
         self.spec.note_recommendations(server, set(dsts), now)
@@ -104,7 +120,9 @@ def test_array_manager_follows_the_spec(data):
     node = st.integers(0, n - 1)
     for _ in range(draw(st.integers(0, 30), label="steps")):
         now += draw(st.sampled_from(STEPS_S), label="dt")
-        op = draw(st.sampled_from(("note", "note", "note", "poll", "poll", "grid")))
+        op = draw(
+            st.sampled_from(("note", "note", "note", "poll", "poll", "grid", "view", "view"))
+        )
         if op == "note":
             # Bias towards servers whose messages matter: adopted
             # failovers, then anyone (default or not, me included).
@@ -122,6 +140,13 @@ def test_array_manager_follows_the_spec(data):
             up = draw(bool_mask(n, st.booleans()), label="up")
             alive = draw(bool_mask(n, st.booleans()), label="alive")
             pair.poll(now, up, alive, draw(st.booleans(), label="allow_relay"))
+        elif op == "view":
+            # A view version: a few leave, a few join anywhere in the order.
+            leave = set(draw(st.lists(node, max_size=2), label="leave")) - {pair.me}
+            join = draw(st.lists(st.integers(0, n), max_size=2, unique=True), label="join")
+            pair.change_view([p for p in range(n) if p not in leave], join, now)
+            n = pair.n
+            node = st.integers(0, n - 1)
         else:
             pair.set_grid(n, now)
         pair.check_state(now, deep=n <= 9)

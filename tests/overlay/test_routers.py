@@ -8,7 +8,7 @@ from repro.core.onehop import best_one_hop_all_pairs
 from repro.experiments.coordinator_failover import scenario_config
 from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.trace import planetlab_like, uniform_random_metric
-from repro.overlay.config import InBand, OverlayConfig, RouterKind
+from repro.overlay.config import InBand, OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.router_base import (
@@ -242,9 +242,10 @@ class TestViewChange:
 
     @pytest.mark.parametrize("plane", ["out_of_band", "in_band_deltas", "replicated_k3"])
     def test_joins_and_graceful_leaves_cause_no_remote_failover(self, plane, monkeypatch):
-        """Every view version wipes the §4.1 evidence, and a joiner's
-        rendezvous cannot hold its row for an interval: neither may read
-        as a rendezvous failure. On a lossless underlay with joins and
+        """A view version carries the §4.1 evidence over only for the
+        pairs that were default pairs already, and a joiner's rendezvous
+        cannot hold its row for an interval: neither may read as a
+        rendezvous failure. On a lossless underlay with joins and
         graceful leaves only, first-time joiners cause no adoption at
         all; the few that remain (24 / 24 / 29 here; 1057 / 329 / 348
         under the any-omission rule) are all *proximal* — a node that
@@ -301,6 +302,42 @@ class TestViewChange:
             if not rejoins:
                 assert adoptions == []
             assert [a for a in adoptions if not a[2]] == []
+
+    def test_remote_failure_is_caught_under_churn_faster_than_the_timeout(self):
+        """Both default rendezvous of (0, 12) lose their links to 12
+        while a view version lands every 10 s, a quarter of the remote
+        timeout. They stop recommending 12 once its row goes stale;
+        node 0 must read that as "stopped" — they were covering 12 under
+        the previous view — and fail over. Evidence wiped per view
+        version never does: no cover under the new view, so no omission
+        counts, and the timeout restarts before it can run out."""
+        n = 22  # five columns at 21 and 22 members: only the tail moves
+        plan = FaultPlan().partition(70.0, 400.0, [2, 10], [12])
+        for k, t in enumerate(np.arange(60.0, 300.0, 10.0).tolist()):
+            (plan.join_node if k % 2 else plan.leave_node)(t, 21)
+        rng = np.random.default_rng(5)
+        ov = build_overlay(
+            trace=planetlab_like(n, rng, base_loss=0.0, lossy_fraction=0.0),
+            router=RouterKind.QUORUM,
+            rng=rng,
+            config=OverlayConfig(membership=OutOfBand(deltas=True)),
+            failures=plan.failure_table(n),
+            with_freshness=False,
+        )
+        plan.install(ov)
+        router = ov.nodes[0].router
+        assert router.config.remote_timeout_s() > 3 * 10.0
+        ov.run(65.0)
+        assert router.failover.default_pair(12) == (2, 10)
+        assert router.failover.active_failover(12) is None
+        # The cut at 70 s; 12's row stays fresh at 2 and 10 for three
+        # routing intervals, and their next messages leave it out.
+        ov.run(70.0)
+        assert router.view.version >= 7
+        assert router.failover.active_failover(12) not in (None, 2, 10)
+        assert router.route_to(12).usable
+        ov.run(120.0)  # and it stays failed over through twelve more versions
+        assert router.failover.active_failover(12) not in (None, 2, 10)
 
     def test_leave_shrinks_view(self):
         ov = build(n=9, run_s=60.0)
