@@ -28,7 +28,6 @@ __all__ = [
     "probing_bps",
     "fullmesh_routing_bps",
     "quorum_routing_bps",
-    "quorum_emulation_bps",
     "routing_bps",
     "total_bps",
     "BandwidthModel",
@@ -65,23 +64,6 @@ def quorum_routing_bps(n: float, routing_interval_s: float = 15.0) -> float:
     per_interval_bytes = 4 * s * (3 * n + wire.HEADER_BYTES) + 4 * s * (
         8 * s + wire.HEADER_BYTES
     )
-    return per_interval_bytes * 8 / routing_interval_s
-
-
-def quorum_emulation_bps(n: int, routing_interval_s: float = 15.0) -> float:
-    """What a failure-free quorum overlay of square ``n`` actually sends:
-    :func:`quorum_routing_bps` without the large-n approximations. A
-    node has ``m = 2 (sqrt(n) - 1)`` rendezvous servers and as many
-    clients; per interval it sends and receives ``m`` link-state
-    messages and ``m`` recommendation messages, each of the latter
-    listing the recipient's ``m - 1`` fellow clients."""
-    side = math.isqrt(n)
-    if side * side != n or n < 4 or routing_interval_s <= 0:
-        raise ConfigError("the exact quorum model needs a square n >= 4")
-    m = 2 * (side - 1)
-    per_interval_bytes = 2 * m * (
-        wire.LINKSTATE_ENTRY_BYTES * n + wire.HEADER_BYTES
-    ) + 2 * m * (wire.RECOMMENDATION_ENTRY_BYTES * (m - 1) + wire.HEADER_BYTES)
     return per_interval_bytes * 8 / routing_interval_s
 
 

@@ -5,10 +5,11 @@ experiment *logic* — series shapes, qualitative orderings, bound checks —
 at sizes that keep the suite quick.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.analysis.bandwidth import quorum_emulation_bps
 from repro.experiments.ablation_interval import (
     format_interval_ablation,
     run_interval_ablation,
@@ -31,6 +32,7 @@ from repro.experiments.multihop_scaling import (
     run_multihop_scaling,
 )
 from repro.experiments.scenarios import format_scenarios, run_all_scenarios
+from repro.overlay import wire
 
 
 class TestFig1:
@@ -94,8 +96,14 @@ class TestFig9:
             assert result.measured_fullmesh_bps[k] == pytest.approx(
                 result.theory_fullmesh_bps[k], rel=0.25
             )
+            # m servers and m clients: m rows and m recommendation
+            # messages (one entry per fellow client) each way, per 15 s.
+            m = 2 * (math.isqrt(n) - 1)
+            sent_bytes = m * wire.linkstate_message_bytes(n) + m * (
+                wire.recommendation_message_bytes(m - 1)
+            )
             assert result.measured_quorum_bps[k] == pytest.approx(
-                quorum_emulation_bps(n), rel=1e-6
+                2 * sent_bytes * 8 / 15.0, rel=1e-6
             )
 
     def test_measured_at_or_below_theory(self, result):
