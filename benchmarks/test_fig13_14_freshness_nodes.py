@@ -8,6 +8,7 @@ destinations within a minute, 97% of the time.
 """
 
 import numpy as np
+import pytest
 from conftest import emit
 
 
@@ -45,7 +46,24 @@ def test_fig13_14_freshness_by_connectivity(benchmark, deployment, results_dir):
     assert finite.mean() > 0.9
     assert (poor_p97[finite] < 60.0).mean() > 0.9
     # And the poorly connected node is indeed staler than the good one
-    # where the paper looks, in the tail. Its *typical* destination is
-    # the fresher of the two: every failover server it keeps adopted
-    # sends it a whole recommendation message per interval.
+    # in the tail, which is what the paper's two figures contrast.
     assert np.median(poor_p97[finite]) >= np.median(well_p97)
+
+
+@pytest.mark.xfail(
+    strict=False,
+    reason=(
+        "seed-dependent in this emulation: held on 2 of 6 seeds before the "
+        "section 4.1 re-baseline (seed 42 by 0.04 s) and on 1 of 6 after; the "
+        "poorly connected node hears ~540 extra recommendation messages from "
+        "the ~14 failover servers it holds (results/README.md, ROADMAP item 3)"
+    ),
+)
+def test_fig14_poorly_connected_node_is_staler_at_the_median(deployment):
+    """The other half of the paper's Fig. 13/14 contrast: the typical
+    destination too is staler from the poorly connected node."""
+    well, poor = deployment.well_and_poorly_connected()
+    median = deployment.freshness_stats["median"]
+    poor_med = np.delete(median[poor], poor)
+    well_med = np.delete(median[well], well)
+    assert np.median(poor_med[np.isfinite(poor_med)]) >= np.median(well_med)
