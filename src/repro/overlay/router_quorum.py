@@ -564,7 +564,12 @@ class QuorumRouter(RouterBase):
             self._evaluate_failover()
 
     def on_link_up(self, j: int) -> None:
+        """A link came back: price it at once. Direct routes are costed
+        from this node's own row, which otherwise keeps the link at
+        ``inf`` until the next tick — up to a routing interval during
+        which the one route a joiner's neighbour needs reads unusable."""
         if self.view is not None:
+            self._refresh_own_row()
             self._evaluate_failover()
 
     def double_failure_count(self, proximal_only: bool = True) -> int:

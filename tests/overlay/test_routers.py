@@ -203,6 +203,38 @@ class TestQuorumFailover:
                 len(r.grid.servers(r.me_idx, include_self=False)) for r in routers
             } == {30}
 
+    def test_a_recovered_link_is_priced_before_the_next_tick(self):
+        """Node 5 is cut off for a minute. When node 0's monitor sees the
+        link again no rendezvous can recommend 5 yet (every row they hold
+        says it is dead), so the one route is the direct link — costed
+        from node 0's own row, which must not keep the link at ``inf``
+        until the next routing tick."""
+        plan = FaultPlan().node_outage(20.0, 80.0, [5])
+        rng = np.random.default_rng(3)
+        ov = build_overlay(
+            trace=uniform_random_metric(9, rng),
+            router=RouterKind.QUORUM,
+            rng=rng,
+            failures=plan.failure_table(9),
+        )
+        node = ov.nodes[0]
+        router = node.router
+        seen = []
+
+        def link_up(j):
+            since_tick = ov.sim.now - router.table.row_time[router.me_idx]
+            router.on_link_up(j)
+            seen.append((j, since_tick, router.route_to(j)))
+
+        node.monitor.on_link_up = link_up
+        ov.run(79.0)
+        assert not router.route_to(5).usable
+        ov.run(45.0)
+        (j, since_tick, route), = seen
+        assert j == 5
+        assert 0.0 < since_tick < router.routing_interval_s  # between two ticks
+        assert route.usable and route.hop == 5 and route.source == SOURCE_DIRECT
+
     def test_redundant_linkstate_fallback_available(self):
         """§4.2: a node can route via its clients' tables when its
         recommendations are stale."""

@@ -10,8 +10,9 @@ vectorised) and has never moved. The six quorum runs were re-pinned by
 the §4.1 re-baseline on top of ``f5af393`` — the commit that made a
 rendezvous omission count only from a server that was covering the
 destination (no bootstrap or join failover storm; an adopted failover's
-timeout anchored on its adoption) and refreshed a node's own row when a
-link comes back. Its follow-up, which sends link state to adopted
+timeout anchored on its adoption). Refreshing a node's own row when a
+link comes back, which landed on its own later, sends nothing and moved
+none of them. The rule's follow-up, which sends link state to adopted
 failover servers in sorted order instead of set order, moved
 ``_in_band_lossy`` alone (on a lossy wire the send order picks which
 datagrams the loss draws hit). Carrying default-pair evidence across
