@@ -232,8 +232,9 @@ class FailoverManager:
         self._cover = np.full((n, 2), _NEVER)
         self._omit = np.full((n, 2), _NEVER)
         #: When this node began expecting each slot's server to cover:
-        #: now, unless :meth:`carry_over` finds the pair is an older one.
-        self._since = np.full((n, 2), float(now))
+        #: now (one broadcast scalar), until :meth:`carry_over` finds
+        #: pairs that are older than this grid.
+        self._since = np.broadcast_to(np.float64(now), (n, 2))
         self._cover_flat = self._cover.reshape(-1)
         self._omit_flat = self._omit.reshape(-1)
         self._absent = ~present
@@ -279,6 +280,7 @@ class FailoverManager:
         Pairs the new grid creates keep :meth:`set_grid`'s blank slate,
         and so do adopted failovers (re-adopted while the need remains).
         """
+        self._since = self._since.copy()
         old_dst = np.flatnonzero(old_to_new >= 0)
         dst = old_to_new[old_dst]
         was = old._pair[old_dst]
