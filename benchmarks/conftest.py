@@ -7,12 +7,16 @@ figure's data series, prints it, and writes it under ``results/``.
 """
 
 import pathlib
+import sys
 
 import pytest
 
 from repro.experiments.deployment import run_deployment
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+
+# The kernel guards compare with the tests' reference implementations.
+sys.path.insert(0, str(RESULTS_DIR.parent / "tests" / "overlay"))
 
 
 @pytest.fixture(scope="session")

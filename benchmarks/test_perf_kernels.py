@@ -5,8 +5,9 @@ pytest-benchmark's statistical timing to watch for performance
 regressions in the pieces that dominate simulation time: the event
 loop, the one-hop min-plus kernel, grid construction, a full two-round
 protocol execution, and (since PR 4) the quorum link-state table, the
-bulk route kernel, the full-overlay memory envelope, and (since PR 18)
-the full-mesh availability sample over the overlay's shared row block.
+bulk route kernel, the full-overlay memory envelope, (since PR 18) the
+full-mesh availability sample over the overlay's shared row block, and
+(since PR 24) one node's round-2 receive work for a routing interval.
 
 CI runs this file with ``--benchmark-disable`` (check mode): every
 benchmark body executes once as a plain test, so the regression
@@ -19,12 +20,14 @@ import math
 
 import numpy as np
 import pytest
+from reference_recommendations import AllSevenOracle  # tests/overlay, via conftest
 
 from repro.core.grid import GridQuorum
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.core.protocol import run_two_round
 from repro.core.quorum import GridQuorumSystem
 from repro.net.simulator import Simulator
+from repro.net.packet import RecommendationMessage
 from repro.net.trace import planetlab_like, uniform_random_metric
 from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
@@ -187,6 +190,51 @@ def test_perf_fullmesh_route_ok_matrix_192(benchmark):
     ok, mask = benchmark(ov.route_ok_matrix)
     assert mask.all()
     assert ok.sum() == n * (n - 1)  # lossless and static: every route works
+
+
+def test_perf_recommendation_receive_256(benchmark):
+    """One node's round-2 receive work for one routing interval at
+    n = 256: a message from each of its 30 rendezvous servers, 29
+    entries each (the server's other clients), cut from one entry array
+    per sender as ``_send_recommendations`` cuts them. The guard: the
+    route state left behind is the one-entry-at-a-time oracle's."""
+    n = 256
+    rng = np.random.default_rng(24)
+    ov = build_overlay(
+        trace=uniform_random_metric(n, rng),
+        router=RouterKind.QUORUM,
+        rng=rng,
+        with_freshness=False,
+    )
+    for node in ov.nodes:
+        node.stop()  # the clock stands still: every round writes the same state
+    router = ov.nodes[0].router
+    me, members = router.me_idx, router.view.members
+    messages = []
+    for server in router.grid.servers(me, include_self=False):
+        clients = np.array(sorted(router.grid.servers(server, include_self=False)))
+        table = np.stack((clients, rng.integers(0, n, clients.size)), axis=1)
+        entries = table[clients != me]
+        messages.append(
+            RecommendationMessage(
+                origin=members[server],
+                entries=entries,
+                view_version=router.wire_view_version(),
+                sent_at=0.0,
+            )
+        )
+    assert len(messages) == 30 and all(len(m.entries) == 29 for m in messages)
+
+    def receive():
+        for msg in messages:
+            router.on_recommendation(msg, msg.origin)
+
+    benchmark(receive)
+    oracle = AllSevenOracle(n, me, timestamped=False)
+    for msg in messages:
+        oracle.apply(router.view.index_of(msg.origin), msg.entries.tolist(), 0.0, 0.0)
+    oracle.assert_router_matches(router)
+    assert router.route_hop2 is None and router.route_sent_at is None
 
 
 def test_overlay_linkstate_memory_is_subquadratic_1024():

@@ -51,18 +51,30 @@ Failover state is indexed by *view position* (the grid holds ``0..n-1``).
 * **Default pairs** — every destination has at most two default
   servers, so their evidence lives in ``(n, 2)`` arrays filled from
   :meth:`GridQuorum.default_pairs`: the pair itself, the last cover
-  time, the last omission time (``-inf`` = never) and when the node
-  began expecting the server to cover. ``set_grid`` blanks all three;
-  on a view change :meth:`FailoverManager.carry_over` then moves the
-  previous view's values into every slot whose (server, destination)
-  members were a default pair already, so "has covered" means "since
-  the two became a default pair", not "under this view version". A
-  server never lists itself, so omissions do not count in the slot
-  where the server *is* the destination (same row/column). ``poll``
-  derives the
-  proximal / remote / both-failed masks for all destinations in a
-  handful of array operations, and ``note_recommendations`` updates the
-  slots of one server through a per-server index of flat positions.
+  time (``-inf`` = never) and when the node began expecting the server
+  to cover. ``set_grid`` blanks both; on a view change
+  :meth:`FailoverManager.carry_over` then moves the previous view's
+  values into every slot whose (server, destination) members were a
+  default pair already, so "has covered" means "since the two became a
+  default pair", not "under this view version".
+* **An omission is one number per server.** A message from a server
+  either lists a destination it is a default for or leaves it out, so
+  "its latest message left ``dst`` out" needs no time of its own: with
+  ``heard[server]`` the arrival time of the server's last message (one
+  ``(n,)`` array, carried by member across view changes), the slot's
+  last omission is newer than its last cover exactly when
+  ``heard[server] > cover[dst, slot]``. Three cases: the last message
+  listed ``dst`` — it wrote ``cover = heard``, no omission; it left
+  ``dst`` out — ``cover`` kept an earlier time, ``heard > cover``; the
+  slot is blank (a new pair, or a server never heard from) — ``cover``
+  is ``-inf``, which the "only once it has covered" rule ignores
+  whatever ``heard`` says. A message writes ``heard`` and the covers it
+  renews, nothing per omitted destination. A server never lists itself,
+  so omissions do not count in the slot where the server *is* the
+  destination (same row/column). ``poll`` derives the proximal / remote
+  / both-failed masks for all destinations in a handful of array
+  operations, and ``note_recommendations`` renews the covers of one
+  server through a per-server index of flat positions.
 * **Off-default pairs** — a server's message also covers destinations
   it is *not* a default for. That evidence is rewritten by every
   message but read only while a destination is double-failed (when
@@ -230,13 +242,13 @@ class FailoverManager:
         dst_of_slot = np.arange(n)[:, None]
         self._pair = pair
         self._cover = np.full((n, 2), _NEVER)
-        self._omit = np.full((n, 2), _NEVER)
+        #: When each server's last message arrived, whatever it listed.
+        self._heard = np.full(n, _NEVER)
         #: When this node began expecting each slot's server to cover:
         #: now (one broadcast scalar), until :meth:`carry_over` finds
         #: pairs that are older than this grid.
         self._since = np.broadcast_to(np.float64(now), (n, 2))
         self._cover_flat = self._cover.reshape(-1)
-        self._omit_flat = self._omit.reshape(-1)
         self._absent = ~present
         self._is_dst = present[:, 0]
         # The link whose liveness decides a slot's proximal health: to
@@ -274,15 +286,18 @@ class FailoverManager:
         ``old_to_new[p]`` is the new view position of the member at old
         position ``p`` (-1: departed). Where ``(server, dst)`` was a
         default pair for this node under ``old``'s grid and still is one,
-        its last cover, last omission and expecting-since time move to
-        the new slot: "was recommending it" holds across a view change,
-        and a silent server's timeout does not restart with every join.
-        Pairs the new grid creates keep :meth:`set_grid`'s blank slate,
-        and so do adopted failovers (re-adopted while the need remains).
+        its last cover and expecting-since time move to the new slot, and
+        every surviving server's last message time moves with the member
+        (so does its last omission, which is the two compared): "was
+        recommending it" holds across a view change, and a silent
+        server's timeout does not restart with every join. Pairs the new
+        grid creates keep :meth:`set_grid`'s blank slate, and so do
+        adopted failovers (re-adopted while the need remains).
         """
         self._since = self._since.copy()
         old_dst = np.flatnonzero(old_to_new >= 0)
         dst = old_to_new[old_dst]
+        self._heard[dst] = old._heard[old_dst]
         was = old._pair[old_dst]
         was = np.where(was >= 0, old_to_new[was], -1)
         for slot in (0, 1):
@@ -291,7 +306,6 @@ class FailoverManager:
                 same = (self._pair[dst, slot] == server) & (server >= 0)
                 for mine, theirs in (
                     (self._cover, old._cover),
-                    (self._omit, old._omit),
                     (self._since, old._since),
                 ):
                     mine[dst[same], slot] = theirs[old_dst[same], old_slot]
@@ -332,18 +346,18 @@ class FailoverManager:
         ``dsts`` holds the view positions (each in ``[0, n)``) of the
         destinations the message carried entries for; it is kept by
         reference, so the caller must not write to it afterwards.
-        Destinations we expect ``server`` to cover but that are absent
-        are recorded as omissions; whether one counts as remote-failure
-        evidence is :meth:`_remote_verdict`'s business.
+        A destination we expect ``server`` to cover but that is absent
+        is an omission — its slot's cover time falls behind the server's
+        last message time; whether one counts as remote-failure evidence
+        is :meth:`_remote_verdict`'s business.
         """
         in_message = self._in_message
         in_message[dsts] = True
+        self._heard[server] = now
         slots = self._slots_by_server.get(server)
         if slots is not None:
             expected, flat = slots
-            hit = in_message[expected]
-            self._omit_flat[flat] = np.where(hit, _NEVER, now)
-            self._cover_flat[flat[hit]] = now
+            self._cover_flat[flat[in_message[expected]]] = now
         log = self._off_default_log(server)
         kept = in_message[log.batch]
         if not kept.all():
@@ -406,7 +420,7 @@ class FailoverManager:
         slot = self._default_slot(server, dst)
         if slot is None:
             return self._off_default_failed(server, dst, now)
-        omitted = self._omit[dst, slot] if self._omission_counts[dst, slot] else _NEVER
+        omitted = self._heard[server] if self._omission_counts[dst, slot] else _NEVER
         return self._remote_verdict(
             self._cover[dst, slot], omitted, self._since[dst, slot], now, adopted=False
         )
@@ -448,7 +462,10 @@ class FailoverManager:
         cover = self._cover
         proximal = ~up[self._link] | self._absent
         # _remote_verdict for every default slot at once.
-        remote = ((self._omit > cover) & (cover > _NEVER) & self._omission_counts) | (
+        # (own and absent slots gather some other member's time; they
+        # carry no remote verdict and ``_remote_judged`` drops them.)
+        omitted = self._heard[self._link]
+        remote = ((omitted > cover) & (cover > _NEVER) & self._omission_counts) | (
             now - np.maximum(cover, self._since) > self.config.remote_timeout_s
         )
         failed = proximal | (remote & self._remote_judged)

@@ -163,7 +163,14 @@ class RecommendationMessage(Message):
     timestamped: bool = False
 
     def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
+        ent = self.entries
+        if not (
+            type(ent) is np.ndarray
+            and ent.dtype == np.int64
+            and ent.ndim == 2
+            and ent.shape[1] == 2
+        ):
+            self.entries = np.asarray(ent, dtype=np.int64).reshape(-1, 2)
 
     @property
     def kind(self) -> str:

@@ -455,10 +455,22 @@ class _RowTable:
         return len(self._rows)
 
     def remap(
-        self, survivors_old: np.ndarray, survivors_new: np.ndarray, n_new: int
+        self,
+        survivors_old: np.ndarray,
+        survivors_new: np.ndarray,
+        n_new: int,
+        now: float = 0.0,
+        max_age: float = np.inf,
     ) -> "_RowTable":
         """A new table over ``n_new`` view slots with surviving members'
         rows/columns carried over (membership delta application).
+
+        A row that :meth:`fresh_rows` ``(now, max_age)`` would not
+        return any more is dropped, not moved (its receive time still
+        carries over): a holder that only ever gathers rows inside that
+        window — the quorum router — can never read it again, and a
+        former client's row would otherwise be moved at every later
+        view delta for as long as the two stay members.
 
         The carried rows are new objects — their columns moved — cut
         from one ``(k, n_new)`` block per array; columns of members that
@@ -482,11 +494,12 @@ class _RowTable:
         source = np.full(n_new, n, dtype=np.int64)
         source[survivors_new] = survivors_old
         delta = source.tobytes()
+        readable = (now - self.row_time <= max_age).tolist()
         todo = []
         for idx, row in self._rows.items():
             new_idx = moved_to[idx]
-            if new_idx < 0:
-                continue  # the row's owner departed
+            if new_idx < 0 or not readable[idx]:
+                continue  # the row's owner departed, or it aged out
             moved_row = row._moved() if row._moved_by == delta else None
             if moved_row is not None:
                 new._rows[new_idx] = moved_row

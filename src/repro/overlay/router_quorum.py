@@ -52,7 +52,32 @@ __all__ = ["QuorumRouter"]
 
 
 class QuorumRouter(RouterBase):
-    """Two-round quorum routing with rapid rendezvous failover."""
+    """Two-round quorum routing with rapid rendezvous failover.
+
+    Route state is per destination, indexed by view position, and a
+    router holds only the arrays its configuration reads — every
+    recommendation message writes each array that exists, ~2 sqrt(n)
+    messages per routing interval:
+
+    * always ``route_hop`` / ``route_time`` / ``route_server``: the
+      recommended one-hop, when it arrived, and which rendezvous sent
+      it. Route queries read the first two; the third tells a
+      recommendation that displaces another rendezvous' from one that
+      renews its own sender's.
+    * ``route_sent_at`` with ``config.timestamped_recommendations``
+      only: when the installed hop was computed, which the footnote-11
+      test compares an arriving message with. Without the flag nothing
+      reads it.
+    * ``route_hop2`` / ``route_time2`` / ``route_server2`` with
+      ``config.verify_recommendations`` only: the displaced rendezvous'
+      opinion, which the §7 cross-validation prices against the
+      installed one. Without the flag nothing reads them.
+
+    An array that does not exist is ``None`` (a default router holds
+    three ``(n,)`` arrays, not seven), and :meth:`on_view_delta` remaps
+    whichever exist. The configuration is frozen, so which they are
+    never changes in a router's life.
+    """
 
     kind = RouterKind.QUORUM
 
@@ -104,16 +129,19 @@ class QuorumRouter(RouterBase):
         self._reply_relay: Dict[int, int] = {}
         self._last_double_failures = 0
 
-        # Route state, indexed by view position.
+        # Route state, indexed by view position (see the class docstring
+        # for which arrays exist).
         self.route_hop = np.full(n, -1, dtype=np.int64)
         self.route_time = np.full(n, -np.inf)
-        self.route_sent_at = np.full(n, -np.inf)
         self.route_server = np.full(n, -1, dtype=np.int64)
-        # Secondary candidate (most recent recommendation from a
-        # *different* rendezvous) for §7-style cross-validation.
-        self.route_hop2 = np.full(n, -1, dtype=np.int64)
-        self.route_time2 = np.full(n, -np.inf)
-        self.route_server2 = np.full(n, -1, dtype=np.int64)
+        self.route_sent_at = self.route_hop2 = None
+        self.route_time2 = self.route_server2 = None
+        if self.config.timestamped_recommendations:
+            self.route_sent_at = np.full(n, -np.inf)
+        if self.config.verify_recommendations:
+            self.route_hop2 = np.full(n, -1, dtype=np.int64)
+            self.route_time2 = np.full(n, -np.inf)
+            self.route_server2 = np.full(n, -1, dtype=np.int64)
         self._refresh_own_row()
 
     def on_view_delta(self, view: MembershipView, delta: ViewDelta) -> None:
@@ -160,37 +188,39 @@ class QuorumRouter(RouterBase):
         if self.config.membership_grid_checks:
             self.grid.assert_equals_fresh()
 
-        self.table = self.table.remap(survivors_old, survivors_new, n)
+        # Rows past the round-2 memory are never gathered again: drop them.
+        self.table = self.table.remap(
+            survivors_old, survivors_new, n, self.sim.now, self.config.rec_memory_s()
+        )
 
-        def scatter(arr: np.ndarray, fill: float) -> np.ndarray:
-            out = np.full(n, fill, dtype=arr.dtype)
-            out[survivors_new] = arr[survivors_old]
+        def moved(arr: Optional[np.ndarray], refs: bool) -> Optional[np.ndarray]:
+            """A route array over the new view positions; with ``refs``
+            its entries are view positions themselves and follow their
+            members (-1 when the referent departed)."""
+            if arr is None:
+                return None
+            out = np.full(n, -1 if refs else -np.inf, dtype=arr.dtype)
+            kept = arr[survivors_old]
+            if refs:
+                held = kept >= 0
+                kept[held] = old_to_new[kept[held]]
+            out[survivors_new] = kept
             return out
 
-        def remap_refs(arr: np.ndarray) -> np.ndarray:
-            # Entries are themselves old view indices; point them at the
-            # members' new positions (-1 when the referent departed).
-            out = arr.copy()
-            held = out >= 0
-            out[held] = old_to_new[out[held]]
-            return out
-
-        self.route_hop = remap_refs(scatter(self.route_hop, -1))
-        self.route_time = scatter(self.route_time, -np.inf)
-        self.route_sent_at = scatter(self.route_sent_at, -np.inf)
-        self.route_server = remap_refs(scatter(self.route_server, -1))
-        self.route_hop2 = remap_refs(scatter(self.route_hop2, -1))
-        self.route_time2 = scatter(self.route_time2, -np.inf)
-        self.route_server2 = remap_refs(scatter(self.route_server2, -1))
+        self.route_hop = moved(self.route_hop, refs=True)
+        self.route_time = moved(self.route_time, refs=False)
+        self.route_server = moved(self.route_server, refs=True)
+        self.route_sent_at = moved(self.route_sent_at, refs=False)
+        self.route_hop2 = moved(self.route_hop2, refs=True)
+        self.route_time2 = moved(self.route_time2, refs=False)
+        self.route_server2 = moved(self.route_server2, refs=True)
         # A route whose one-hop departed is gone, not merely stale.
-        for hop, time_, sent in (
-            (self.route_hop, self.route_time, self.route_sent_at),
-            (self.route_hop2, self.route_time2, None),
-        ):
-            dead = hop < 0
-            time_[dead] = -np.inf
-            if sent is not None:
-                sent[dead] = -np.inf
+        dead = self.route_hop < 0
+        self.route_time[dead] = -np.inf
+        if self.route_sent_at is not None:
+            self.route_sent_at[dead] = -np.inf
+        if self.route_hop2 is not None:
+            self.route_time2[self.route_hop2 < 0] = -np.inf
 
         previous = self.failover
         self.failover = FailoverManager(
@@ -337,35 +367,55 @@ class QuorumRouter(RouterBase):
         # The best one-hop between clients a and b is symmetric (IEEE
         # addition commutes, so argmin over row_a + row_b is identical
         # either way): compute each unordered pair once — this halves
-        # the dominant min-plus work of the whole protocol.
+        # the dominant min-plus work of the whole protocol — into the
+        # upper triangle, and mirror it when the loop is done.
         m = covered_ids.size
         pair_hop = np.zeros((m, m), dtype=np.int64)
-        pair_ok = np.zeros((m, m), dtype=bool)
+        pair_cost = np.full((m, m), np.inf)
+        positions = np.arange(m)
         for i in range(m - 1):
-            totals = covered_rows[i][None, :] + covered_rows[i + 1 :]
-            best_h = np.argmin(totals, axis=1)
-            best_cost = totals[np.arange(m - 1 - i), best_h]
-            finite = np.isfinite(best_cost)
+            totals = covered_rows[i] + covered_rows[i + 1 :]
+            best_h = totals.argmin(axis=1)
             pair_hop[i, i + 1 :] = best_h
-            pair_hop[i + 1 :, i] = best_h
-            pair_ok[i, i + 1 :] = finite
-            pair_ok[i + 1 :, i] = finite
+            pair_cost[i, i + 1 :] = totals[positions[: m - 1 - i], best_h]
+        pair_hop += pair_hop.T
+        pair_ok = np.isfinite(pair_cost)
+        pair_ok |= pair_ok.T
         table, keep = self._entry_table(covered_ids, covered_ids, pair_hop, pair_ok)
         # One (address, message) per client, put on the wire together.
+        # The messages are consecutive slices of one entry array.
+        entries = table[keep]
+        ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+        version = self.wire_view_version()
+        timestamped = self.config.timestamped_recommendations
         out: List[Tuple[int, Message]] = []
-        for a_pos, a_idx in enumerate(covered_ids.tolist()):
-            self._add_rec_datagram(out, view, a_idx, table[a_pos][keep[a_pos]], now)
+
+        def add(a_idx: int, rows: np.ndarray) -> None:
+            if len(rows):
+                msg = RecommendationMessage(
+                    origin=self.me,
+                    entries=rows,
+                    view_version=version,
+                    sent_at=now,
+                    timestamped=timestamped,
+                )
+                self._add_rec_datagram(out, view, a_idx, msg)
+
+        start = 0
+        for a_idx, end in zip(covered_ids.tolist(), ends):
+            add(a_idx, entries[start:end])
+            start = end
         for a_idx in relay_clients:
             # Relayed clients are not covered destinations, so their
             # pairs are not in the symmetric table; compute full-width.
             a_row = self.table.cost_row(a_idx, metric, penalty)
             totals = a_row[None, :] + covered_rows
             best_h = np.argmin(totals, axis=1)
-            best_cost = totals[np.arange(m), best_h]
+            best_cost = totals[positions, best_h]
             table, keep = self._entry_table(
                 np.array([a_idx]), covered_ids, best_h[None, :], np.isfinite(best_cost)[None, :]
             )
-            self._add_rec_datagram(out, view, a_idx, table[0][keep[0]], now)
+            add(a_idx, table[0][keep[0]])
         if out:
             dsts, msgs = zip(*out)
             self.transport.send_many(self.me, dsts, msgs)
@@ -400,21 +450,11 @@ class QuorumRouter(RouterBase):
         out: List[Tuple[int, Message]],
         view: MembershipView,
         a_idx: int,
-        entries: np.ndarray,
-        now: float,
+        msg: RecommendationMessage,
     ) -> None:
-        """Append the ``(address, message)`` carrying ``entries`` to client
-        ``a_idx`` — nothing when there is nothing to say or no working
-        path (footnote 8's reply relay included)."""
-        if len(entries) == 0:
-            return
-        msg = RecommendationMessage(
-            origin=self.me,
-            entries=entries,
-            view_version=self.wire_view_version(),
-            sent_at=now,
-            timestamped=self.config.timestamped_recommendations,
-        )
+        """Append the ``(address, message)`` carrying ``msg`` to client
+        ``a_idx`` — nothing when there is no working path (footnote 8's
+        reply relay included)."""
         if a_idx in self._reply_relay and not self.link_up_view(a_idx):
             relay_idx = self._reply_relay[a_idx]
             if self.link_up_view(relay_idx):
@@ -451,17 +491,25 @@ class QuorumRouter(RouterBase):
             self._note_dropped_message(msg.view_version)
             return
         now = self.sim.now
-        timestamps_on = self.config.timestamped_recommendations
+        n = view.n
         ent = msg.entries
-        dsts, hops = ent[:, 0], ent[:, 1]
-        valid = (
-            (dsts >= 0)
-            & (dsts < view.n)
-            & (hops >= 0)
-            & (hops < view.n)
-            & (dsts != self.me_idx)
-        )
-        dsts, hops = dsts[valid], hops[valid]
+        # The destinations as a private array: the failover log keeps
+        # them, and a view would pin the sender's whole entry array.
+        dsts, hops = ent[:, 0].copy(), ent[:, 1]
+        if len(ent) and (
+            ent.min() < 0 or ent.max() >= n or (dsts == self.me_idx).any()
+        ):
+            # Only a non-standard sender names a position outside the
+            # view or the receiver itself: drop those entries, apply the
+            # rest.
+            valid = (
+                (dsts >= 0)
+                & (dsts < n)
+                & (hops >= 0)
+                & (hops < n)
+                & (dsts != self.me_idx)
+            )
+            dsts, hops = dsts[valid], hops[valid]
         # Even an entry too stale to install still counts as coverage:
         # the rendezvous demonstrably recommends this destination.
         covered = dsts
@@ -471,25 +519,25 @@ class QuorumRouter(RouterBase):
             # last-wins semantics.
             self._apply_entries_scalar(dsts, hops, src_idx, msg.sent_at, now)
         else:
-            if timestamps_on:
+            if self.route_sent_at is not None:
                 # Footnote 11: an out-of-order (older-computed)
                 # recommendation must not clobber a newer best hop —
                 # nor refresh its freshness window (stale information
                 # is not evidence the installed hop still holds).
                 live = msg.sent_at >= self.route_sent_at[dsts]
                 dsts, hops = dsts[live], hops[live]
-            prev_time = self.route_time[dsts]
-            prev_server = self.route_server[dsts]
-            displaced = (prev_server >= 0) & (prev_server != src_idx)
-            dd = dsts[displaced]
-            # Keep the displaced rendezvous' opinion as the secondary
-            # candidate for cross-validation.
-            self.route_hop2[dd] = self.route_hop[dd]
-            self.route_time2[dd] = prev_time[displaced]
-            self.route_server2[dd] = prev_server[displaced]
+                self.route_sent_at[dsts] = msg.sent_at
+            if self.route_hop2 is not None:
+                # Keep the displaced rendezvous' opinion as the secondary
+                # candidate for cross-validation.
+                prev_server = self.route_server[dsts]
+                displaced = (prev_server >= 0) & (prev_server != src_idx)
+                dd = dsts[displaced]
+                self.route_hop2[dd] = self.route_hop[dd]
+                self.route_time2[dd] = self.route_time[dd]
+                self.route_server2[dd] = prev_server[displaced]
             self.route_time[dsts] = now
             self.route_hop[dsts] = hops
-            self.route_sent_at[dsts] = msg.sent_at
             self.route_server[dsts] = src_idx
         self.failover.note_recommendations(src_idx, covered, now)
 
@@ -502,21 +550,23 @@ class QuorumRouter(RouterBase):
         now: float,
     ) -> None:
         """Sequential fallback preserving last-wins duplicate semantics."""
-        timestamps_on = self.config.timestamped_recommendations
+        sent = self.route_sent_at
+        keep_displaced = self.route_hop2 is not None
         for dst_idx, hop_idx in zip(dsts.tolist(), hops.tolist()):
-            if timestamps_on and sent_at < self.route_sent_at[dst_idx]:
-                continue
-            prev_time = float(self.route_time[dst_idx])
+            if sent is not None:
+                if sent_at < sent[dst_idx]:
+                    continue
+                sent[dst_idx] = sent_at
             if (
-                self.route_server[dst_idx] >= 0
+                keep_displaced
+                and self.route_server[dst_idx] >= 0
                 and self.route_server[dst_idx] != src_idx
             ):
                 self.route_hop2[dst_idx] = self.route_hop[dst_idx]
-                self.route_time2[dst_idx] = prev_time
+                self.route_time2[dst_idx] = self.route_time[dst_idx]
                 self.route_server2[dst_idx] = self.route_server[dst_idx]
             self.route_time[dst_idx] = now
             self.route_hop[dst_idx] = hop_idx
-            self.route_sent_at[dst_idx] = sent_at
             self.route_server[dst_idx] = src_idx
 
     # ------------------------------------------------------------------

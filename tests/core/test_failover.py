@@ -362,7 +362,73 @@ class TestCarryOver:
         assert 12 in dict(mgr.poll(6.0, up_except({2, 10}, n=22), always_alive).adopted)
 
     @pytest.mark.parametrize("seed", range(20))
+    def test_one_time_per_server_says_what_one_omission_per_slot_said(self, seed):
+        """An omission used to be a time per ``(server, dst)`` slot that
+        every message rewrote (now where it left ``dst`` out, never where
+        it listed it) and that moved with the pair across a view change.
+        The manager keeps one last-message time per server instead;
+        message by message, with a view delta in the middle, every
+        default's verdict and the double-failure count are the same."""
+        rng = np.random.default_rng(seed)
+        members = np.sort(rng.choice(40, size=int(rng.integers(6, 30)), replace=False)).tolist()
+        me_id = members[0]
+        # A few talkative servers that stay: "stopped" takes two
+        # messages from the same one.
+        talkers = members[1:5]
+        mgr = FailoverManager(0, np.random.default_rng(0), FailoverConfig(1e6))
+        mgr.set_grid(GridQuorum(list(range(len(members)))), now=0.0)
+        slots = {}  # (server id, dst id) -> [last cover, last omission]
+
+        def pairs():
+            me = members.index(me_id)
+            for dst in range(len(members)):
+                for server in mgr.default_pair(dst) if dst != me else ():
+                    if server != me:
+                        yield server, dst
+
+        now = 0.0
+        for step in range(24):
+            now += float(rng.choice([0.0, 0.0, 1.0, 15.0]))
+            if step == 12:
+                stay = [m for m in members[5:] if rng.random() < 0.8]
+                joined = [m for m in range(40, 46) if rng.random() < 0.5]
+                after = sorted([me_id, *talkers, *stay, *joined])
+                mgr = carried(mgr, members, after, now, me_id=me_id)
+                members = after
+                slots = {
+                    key: slots[key]
+                    for key in ((members[s], members[d]) for s, d in pairs())
+                    if key in slots
+                }
+            server = members.index(talkers[int(rng.integers(len(talkers)))])
+            listed = np.flatnonzero(rng.random(len(members)) < 0.7)
+            mgr.note_recommendations(server, listed, now)
+            for s, dst in pairs():
+                if s == server:
+                    slot = slots.setdefault((members[s], members[dst]), [-np.inf, -np.inf])
+                    if dst in listed:
+                        slot[:] = now, -np.inf
+                    elif dst != server:
+                        slot[1] = now
+            up = up_except(n=len(members))
+            failed = {}
+            for s, dst in pairs():
+                cover, omitted = slots.get((members[s], members[dst]), (-np.inf, -np.inf))
+                failed[s, dst] = bool(omitted > cover > -np.inf)
+                assert mgr.server_failed(s, dst, now, up) == failed[s, dst], (step, s, dst)
+            both = sum(
+                all(failed.get((s, dst), False) for s in mgr.default_pair(dst))
+                for dst in range(len(members))
+                if members[dst] != me_id
+            )
+            assert mgr.poll(now, up, always_alive).double_failures == both, step
+
+    @pytest.mark.parametrize("seed", range(20))
     def test_equals_a_lookup_by_member_identity(self, seed):
+        """What the carried manager says about every default pair —
+        last cover, the verdict now, and when silence runs out (which
+        pins the expecting-since time) — is what a dict keyed by the two
+        members' identities says, whatever arrays hold it."""
         rng = np.random.default_rng(seed)
         ids = np.sort(rng.choice(40, size=int(rng.integers(4, 30)), replace=False))
         before = ids.tolist()
@@ -370,22 +436,46 @@ class TestCarryOver:
         joined = [m for m in range(40, 46) if rng.random() < 0.5]
         me_id = before[0]
         after = sorted([me_id, *stay, *joined])
-        old = FailoverManager(0, np.random.default_rng(0), FailoverConfig(30.0))
+        timeout = 30.0
+        old = FailoverManager(0, np.random.default_rng(0), FailoverConfig(timeout))
         old.set_grid(GridQuorum(list(range(len(before)))), now=3.0)
+        # (server id, dst id) -> [last cover, last omission], by identity.
+        known = {
+            (before[server], before[dst]): [-np.inf, -np.inf]
+            for dst in range(1, len(before))
+            for server in old.default_pair(dst)
+        }
         for server in range(1, len(before)):
             listed = np.flatnonzero(rng.random(len(before)) < 0.5)
-            old.note_recommendations(server, listed, float(rng.integers(4, 9)))
-        mgr = carried(old, before, after, now=10.0, me_id=me_id)
-        known = {}
-        for dst, pair in enumerate(old._pair.tolist()):
-            for slot, server in enumerate(pair):
-                if server >= 0:
-                    known[before[server], before[dst]] = (
-                        old._cover[dst, slot], old._omit[dst, slot], 3.0
-                    )
-        for dst, pair in enumerate(mgr._pair.tolist()):
-            for slot, server in enumerate(pair):
-                if server >= 0:
-                    want = known.get((after[server], after[dst]), (-np.inf, -np.inf, 10.0))
-                    got = (mgr._cover[dst, slot], mgr._omit[dst, slot], mgr._since[dst, slot])
-                    assert got == want, (after[server], after[dst])
+            at = float(rng.integers(4, 9))
+            old.note_recommendations(server, listed, at)
+            for dst in range(len(before)):
+                pair = known.get((before[server], before[dst]))
+                if pair is None:
+                    continue
+                if dst in listed:
+                    pair[0] = at
+                elif dst != server:  # nobody lists itself: not an omission
+                    pair[1] = at
+        now = 10.0
+        mgr = carried(old, before, after, now=now, me_id=me_id)
+        up = up_except(n=len(after))
+        me = after.index(me_id)
+        for dst in range(len(after)):
+            if dst == me:
+                continue
+            for server in mgr.default_pair(dst):
+                if server == me:
+                    continue  # own slot: proximal only
+                where = (after[server], after[dst])
+                cover, omitted = known.get(where, (-np.inf, -np.inf))
+                since = 3.0 if where in known else now
+                assert mgr.last_cover(server, dst) == (
+                    None if cover == -np.inf else cover
+                ), where
+                stopped = omitted > cover > -np.inf
+                assert mgr.server_failed(server, dst, now, up) == stopped, where
+                if not stopped:
+                    deadline = max(cover, since) + timeout
+                    assert not mgr.server_failed(server, dst, deadline, up), where
+                    assert mgr.server_failed(server, dst, deadline + 0.5, up), where

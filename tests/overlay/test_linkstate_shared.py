@@ -190,6 +190,26 @@ class TestTableMechanics:
         gc.collect()
         assert moved() is None
 
+    def test_remap_drops_a_row_no_gather_can_reach_any_more(self):
+        n = 6
+        rng = np.random.default_rng(2)
+        t = SparseLinkStateTable(n)
+        for idx, at in ((1, 0.0), (2, 15.0), (4, 55.0)):
+            t.update_row(idx, LinkStateRow(idx, *raw_row(rng, n, idx, tidy=True)), at)
+        survivors = np.array([0, 1, 2, 4, 5])
+        now, max_age = 60.0, 45.0
+        # Row 1 is past the window; row 2 is exactly at its edge, fresh.
+        assert t.fresh_rows(now, max_age).tolist() == [2, 4]
+        kept = t.remap(survivors, np.arange(5), 5, now, max_age)
+        assert kept.row(1) is None and kept.held_rows == 2
+        assert np.array_equal(kept.row(3).latency_ms, t.row(4).latency_ms[survivors])
+        # How old the dropped row was is still known: it cannot read fresh.
+        assert kept.row_time.tolist() == [-np.inf, 0.0, 15.0, 55.0, -np.inf]
+        assert kept.fresh_rows(now, max_age).tolist() == [2, 3]
+        assert kept.nbytes() < t.nbytes()
+        # A holder that names no window keeps every survivor's row.
+        assert t.remap(survivors, np.arange(5), 5).held_rows == 3
+
     def test_cost_follows_the_held_row(self):
         n = 6
         t = SparseLinkStateTable(n)

@@ -15,13 +15,18 @@ from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 
 
-def make_router(timestamped=True, n=9, seed=4):
+def make_router(timestamped=True, verify=False, n=9, seed=4):
+    """``route_sent_at`` exists only with ``timestamped``, the secondary
+    candidate (``route_hop2`` / ``time2`` / ``server2``) only with
+    ``verify``: a test that reads one asks for it here."""
     rng = np.random.default_rng(seed)
     ov = build_overlay(
         trace=uniform_random_metric(n, rng),
         router=RouterKind.QUORUM,
         rng=rng,
-        config=OverlayConfig(timestamped_recommendations=timestamped),
+        config=OverlayConfig(
+            timestamped_recommendations=timestamped, verify_recommendations=verify
+        ),
         with_freshness=False,
     )
     return ov, ov.nodes[0].router
@@ -73,7 +78,7 @@ class TestFootnote11Staleness:
         assert router.failover.last_cover(src_b_idx, dst) == ov.sim.now
 
     def test_newer_entry_installs_and_refreshes(self):
-        ov, router = make_router(timestamped=True)
+        ov, router = make_router(timestamped=True, verify=True)
         view = router.view
         dst = 3
         src_a, src_b = view.members[1], view.members[2]
@@ -119,8 +124,8 @@ class TestBatchApplication:
         # Same entry batch (unique dsts) applied via the vector path on
         # one router and forced through the scalar path on another must
         # leave identical route state.
-        ov_a, ra = make_router(timestamped=True, seed=6)
-        ov_b, rb = make_router(timestamped=True, seed=6)
+        ov_a, ra = make_router(timestamped=True, verify=True, seed=6)
+        ov_b, rb = make_router(timestamped=True, verify=True, seed=6)
         view = ra.view
         src1, src2 = view.members[1], view.members[2]
         batches = [

@@ -1,0 +1,174 @@
+"""Round 2 keeps only the route state its configuration reads.
+
+A default ``QuorumRouter`` holds three per-destination arrays (hop,
+arrival time, sender); ``timestamped_recommendations`` adds the
+footnote-11 computation time and ``verify_recommendations`` the §7
+secondary candidate. Whatever is held must equal
+``reference_recommendations.AllSevenOracle`` — one entry at a time, all
+seven values always — under every flag combination and any message
+sequence, a view delta in the middle included; and the route queries
+must not notice which arrays exist.
+
+Mutations these tests were checked against: maintaining the secondary
+candidate when ``route_hop2 is None`` instead of ``is not None`` (the
+verify guard the wrong way round — ``TypeError`` on the first displaced
+entry by default, a secondary that never fills with the flag on), and
+gating the footnote-11 test on the wrong flag.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_recommendations import AllSevenOracle
+
+from repro.net.packet import RecommendationMessage
+from repro.net.trace import uniform_random_metric
+from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.harness import build_overlay
+from repro.overlay.membership import ViewDelta
+from repro.overlay.router_base import SOURCE_RECOMMENDATION
+
+N = 10  # underlay nodes; the last one starts outside the view
+FLAGS = list(itertools.product((False, True), repeat=2))
+OPTIONAL = ("route_sent_at", "route_hop2", "route_time2", "route_server2")
+
+
+def quiet_router(timestamped, verify, seed=5):
+    """Node 0's router in an overlay where nothing else happens: every
+    node is stopped, so ``ov.run`` only moves the clock."""
+    rng = np.random.default_rng(seed)
+    ov = build_overlay(
+        trace=uniform_random_metric(N, rng),
+        router=RouterKind.QUORUM,
+        rng=rng,
+        config=OverlayConfig(
+            timestamped_recommendations=timestamped, verify_recommendations=verify
+        ),
+        with_freshness=False,
+        active_members=range(N - 1),
+    )
+    for node in ov.nodes:
+        node.stop()
+    return ov, ov.nodes[0].router
+
+
+def deliver(router, oracle, server, entries, sent_at):
+    """One message to the router and to the oracle; both must then hold
+    the same routes and have seen the same destinations covered."""
+    now = router.sim.now
+    msg = RecommendationMessage(
+        origin=router.view.members[server],
+        entries=entries,
+        view_version=router.wire_view_version(),
+        sent_at=sent_at,
+        timestamped=router.config.timestamped_recommendations,
+    )
+    router.on_recommendation(msg, msg.origin)
+    covered = oracle.apply(server, entries, sent_at, now)
+    oracle.assert_router_matches(router)
+    for dst in covered:
+        assert router.failover.last_cover(server, dst) == now, (server, dst)
+
+
+def change_view(router, oracle, leaver, joiner):
+    view = router.view
+    delta = ViewDelta(
+        from_version=view.version,
+        to_version=view.version + 1,
+        joined=(joiner,) if joiner is not None else (),
+        left=(view.members[leaver],),
+    )
+    after = delta.apply(view)
+    moved_to = {
+        old: after.position(member)
+        for old, member in enumerate(view.members)
+        if member in after
+    }
+    router.on_view_delta(after, delta)
+    oracle.change_view(moved_to, after.n, router.me_idx)
+    oracle.assert_router_matches(router)
+
+
+@st.composite
+def message(draw, n, me):
+    """``(server, entries, age of the computation)``: half the time what
+    a rendezvous sends (ascending, in range, not me), half the time
+    anything — out of range, about me, repeated, unordered."""
+    server = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        dsts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n)))
+        entries = [(d, draw(st.integers(0, n - 1))) for d in dsts]
+    else:
+        position = st.integers(-2, n + 1)
+        entries = draw(st.lists(st.tuples(position, position), max_size=2 * n))
+    return server, entries, draw(st.sampled_from((0.0, 0.0, 3.0, 20.0)))
+
+
+@pytest.mark.parametrize("timestamped,verify", FLAGS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_held_route_state_equals_the_all_seven_oracle(timestamped, verify, data):
+    ov, router = quiet_router(timestamped, verify)
+    oracle = AllSevenOracle(router.view.n, router.me_idx, timestamped)
+    view_changes_at = data.draw(st.sets(st.integers(0, 11), max_size=2), label="deltas")
+    joiner = N - 1
+    for step in range(data.draw(st.integers(1, 12), label="steps")):
+        ov.run(data.draw(st.sampled_from((0.0, 0.5, 16.0, 31.0)), label="dt"))
+        n = router.view.n
+        if step in view_changes_at and n > 4:
+            leaver = data.draw(st.integers(1, n - 1), label="leaver")
+            change_view(router, oracle, leaver, joiner)
+            joiner = None
+            n = router.view.n
+        server, entries, age = data.draw(message(n, router.me_idx), label="message")
+        deliver(router, oracle, server, entries, router.sim.now - age)
+    for name in OPTIONAL:
+        flag = timestamped if name == "route_sent_at" else verify
+        assert (getattr(router, name) is not None) == flag, name
+
+    # Route queries see the oracle's routes ...
+    now = router.sim.now
+    routes = [router.route_to(dst) for dst in range(n)]
+    hops, usable = router.route_vector()
+    for dst, route in enumerate(routes):
+        assert (hops[dst], usable[dst]) == (route.hop, route.usable), dst
+        fresh = now - oracle.time[dst] <= 2.0 * router.routing_interval_s
+        if dst != router.me_idx and oracle.hop[dst] >= 0 and fresh and not verify:
+            # (every link is up: nothing has been probed, let alone failed)
+            assert route.source == SOURCE_RECOMMENDATION, dst
+            assert route.hop == oracle.hop[dst], dst
+    # ... and read no array their configuration does not name: handed
+    # all seven, they answer the same.
+    oracle.install_all_seven(router)
+    assert [router.route_to(dst) for dst in range(n)] == routes
+    again = router.route_vector()
+    assert again[0].tolist() == hops.tolist() and again[1].tolist() == usable.tolist()
+
+
+def test_a_default_router_holds_three_route_arrays():
+    ov, router = quiet_router(timestamped=False, verify=False)
+    for name in OPTIONAL:
+        assert getattr(router, name) is None, name
+    for name in ("route_hop", "route_time", "route_server"):
+        assert getattr(router, name).shape == (router.view.n,), name
+    # ... through a view delta and a full rebuild alike.
+    change_view(router, AllSevenOracle(router.view.n, router.me_idx, False), 3, N - 1)
+    router.on_view_change(router.view)
+    for name in OPTIONAL:
+        assert getattr(router, name) is None, name
+
+
+def test_a_displaced_route_is_kept_only_for_cross_validation():
+    for verify in (False, True):
+        ov, router = quiet_router(timestamped=False, verify=verify)
+        oracle = AllSevenOracle(router.view.n, router.me_idx, False)
+        deliver(router, oracle, 1, [(3, 4)], 0.0)
+        deliver(router, oracle, 2, [(3, 5)], 0.0)
+        assert oracle.hop2[3] == 4 and oracle.server2[3] == 1
+        if verify:
+            assert router.route_hop2[3] == 4 and router.route_server2[3] == 1
+        else:
+            assert router.route_hop2 is None
