@@ -6,8 +6,9 @@ regressions in the pieces that dominate simulation time: the event
 loop, the one-hop min-plus kernel, grid construction, a full two-round
 protocol execution, and (since PR 4) the quorum link-state table, the
 bulk route kernel, the full-overlay memory envelope, (since PR 18) the
-full-mesh availability sample over the overlay's shared row block, and
-(since PR 24) one node's round-2 receive work for a routing interval.
+full-mesh availability sample over the overlay's shared row block,
+(since PR 24) one node's round-2 receive work for a routing interval,
+and one gossip digest received in the steady state and one op behind.
 
 CI runs this file with ``--benchmark-disable`` (check mode): every
 benchmark body executes once as a plain test, so the regression
@@ -15,8 +16,10 @@ benchmark body executes once as a plain test, so the regression
 while the statistical timings remain a local/bench-host tool.
 """
 
+import collections
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +30,10 @@ from repro.core.onehop import best_one_hop_all_pairs
 from repro.core.protocol import run_two_round
 from repro.core.quorum import GridQuorumSystem
 from repro.net.simulator import Simulator
-from repro.net.packet import RecommendationMessage
+from repro.net.packet import GossipDigest, RecommendationMessage
 from repro.net.trace import planetlab_like, uniform_random_metric
-from repro.overlay.config import RouterKind
+from repro.overlay.config import Gossip, RouterKind
+from repro.overlay.gossip import GossipMembershipNode
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow, SparseLinkStateTable
 
@@ -235,6 +239,51 @@ def test_perf_recommendation_receive_256(benchmark):
         oracle.apply(router.view.index_of(msg.origin), msg.entries.tolist(), 0.0, 0.0)
     oracle.assert_router_matches(router)
     assert router.route_hop2 is None and router.route_sent_at is None
+
+
+class _CountingTransport:
+    """Counts what a gossip engine sends, by message type."""
+
+    def __init__(self):
+        self.sent = collections.Counter()
+
+    def send(self, src, dst, msg):
+        self.sent[type(msg).__name__] += 1
+
+
+def test_perf_gossip_digest_64(benchmark):
+    """One member's digest handling at n = 64 (the ``gossip_rack_n64``
+    size), both ways a digest arrives: from a peer whose version vector
+    equals ours — the steady state, one tuple comparison — and from one
+    a single op ahead. The guard: the first sends nothing and wants
+    nothing, the second pulls exactly the missing op's range."""
+    n = 64
+    transport = _CountingTransport()
+    node = SimpleNamespace(sim=Simulator(), id=0, registered=True)
+    engine = GossipMembershipNode(
+        node, transport, Gossip(), 1800.0, np.random.default_rng(0)
+    )
+    engine.seed_bootstrap(range(n))
+    engine.active = True
+    # The peer's own tuples, equal to ours but not the same objects.
+    vv = tuple((origin, seq) for origin, seq in engine._vv_items())
+    beats = tuple((member, 1) for member in range(n))
+    equal = GossipDigest(origin=1, vv=vv, heartbeats=beats)
+    ahead = GossipDigest(
+        origin=1, vv=tuple((o, s + (o == 1)) for o, s in vv), heartbeats=beats
+    )
+
+    engine.on_message(equal, 1)
+    assert not transport.sent and not engine._want_vv
+    engine.on_message(ahead, 1)
+    assert transport.sent == {"GossipPull": 1} and engine._want_vv == {1: 2}
+
+    def receive():
+        engine.on_message(equal, 1)
+        engine.on_message(ahead, 1)
+
+    benchmark(receive)
+    assert set(transport.sent) == {"GossipPull"}
 
 
 def test_overlay_linkstate_memory_is_subquadratic_1024():

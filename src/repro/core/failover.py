@@ -228,10 +228,11 @@ class FailoverManager:
         """Install a (new) membership grid; resets all failover state.
 
         The grid must be over view positions ``0..n-1`` (the routers'
-        grids are), because destinations index the state arrays.
+        shared grids are, by construction), because destinations index
+        the state arrays.
         """
         n = grid.n
-        if grid.members != list(range(n)):
+        if not grid.shared and grid.members != list(range(n)):
             raise RoutingError("failover manager needs a grid over view positions 0..n-1")
         self._grid = grid
         self._state.clear()

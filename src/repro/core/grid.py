@@ -18,13 +18,18 @@ per node.
 
 The construction is deterministic given the member list, so all overlay
 nodes that share a membership view derive identical grids (§5,
-"Membership Service"). Because the fill is row-major over an explicit
-member list, a single membership change can be applied *incrementally*
-(:meth:`GridQuorum.insert_member` / :meth:`GridQuorum.remove_member`):
-only the positions at or after the changed slot move, and row/column
-membership is derived from the fill by slicing rather than stored — no
-from-scratch re-derivation. :meth:`GridQuorum.assert_equals_fresh`
-proves a delta-applied grid identical to one rebuilt from scratch.
+"Membership Service"). The routers build theirs over view *positions*
+``0..n-1``, so that grid is a function of ``n`` alone, and every router
+of a view size shares one: :meth:`GridQuorum.of_size` builds it once
+per size and process, and refuses to let a holder resize it.
+
+Because the fill is row-major over an explicit member list, a single
+membership change can still be applied *incrementally* to a grid of
+one's own (:meth:`GridQuorum.insert_member` /
+:meth:`GridQuorum.remove_member`): only the positions at or after the
+changed slot move, and row/column membership is derived from the fill
+by slicing rather than stored. :meth:`GridQuorum.assert_equals_fresh`
+proves a grid identical to one rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from repro.errors import QuorumError
 __all__ = ["grid_dimensions", "GridQuorum"]
 
 _NO_EXTRA: FrozenSet[int] = frozenset()
+
+#: :meth:`GridQuorum.of_size`'s grids, by size.
+_OF_SIZE: Dict[int, "GridQuorum"] = {}
 
 
 def grid_dimensions(n: int) -> Tuple[int, int]:
@@ -92,7 +100,25 @@ class GridQuorum:
         self._canonical = all(
             members[i] < members[i + 1] for i in range(len(members) - 1)
         )
+        #: True for the one grid per size :meth:`of_size` hands out.
+        self.shared = False
         self._refit(from_idx=None)
+
+    @classmethod
+    def of_size(cls, n: int) -> "GridQuorum":
+        """The grid over view positions ``0..n-1``, built once per size.
+
+        Every holder gets the same object, so it cannot be resized —
+        a view of another size takes that size's grid instead. That
+        makes the memo safe to keep for the process: each entry is a
+        pure function of ``n``, and there is one per size ever asked for.
+        """
+        grid = _OF_SIZE.get(n)
+        if grid is None:
+            grid = cls(range(n))
+            grid.shared = True
+            _OF_SIZE[n] = grid
+        return grid
 
     # ------------------------------------------------------------------
     # Geometry derivation
@@ -143,11 +169,11 @@ class GridQuorum:
         """Add ``member`` at its canonical (sorted) fill slot; return it.
 
         Only slots at or after the insertion point are re-derived; when
-        the insertion lands at the tail (the common case for the view-
-        index grids the routers build, whose members are ``0..n-1``),
-        nothing shifts at all. Requires the current fill to be in sorted
-        canonical order.
+        the insertion lands at the tail, nothing shifts at all. Requires
+        the current fill to be in sorted canonical order, and a grid of
+        one's own (not :meth:`of_size`'s).
         """
+        self._require_unshared()
         if member in self._index:
             raise QuorumError(f"{member} is already in this grid")
         if not self._canonical:
@@ -162,9 +188,10 @@ class GridQuorum:
     def remove_member(self, member: int) -> int:
         """Remove ``member``; return the fill slot it occupied.
 
-        Slots before the removed one are untouched; a tail removal (the
-        routers' shrinking view-index grids) shifts nothing.
+        Slots before the removed one are untouched; a tail removal
+        shifts nothing.
         """
+        self._require_unshared()
         if self.n == 1:
             raise QuorumError("grid needs at least one member")
         idx = self._index.pop(member, None)
@@ -173,6 +200,13 @@ class GridQuorum:
         del self._members[idx]
         self._refit(from_idx=idx)
         return idx
+
+    def _require_unshared(self) -> None:
+        if self.shared:
+            raise QuorumError(
+                f"the shared grid over positions 0..{self.n - 1} cannot be "
+                "resized; take GridQuorum.of_size() of the new size"
+            )
 
     def assert_equals_fresh(self) -> None:
         """Prove this (possibly delta-applied) grid identical to a

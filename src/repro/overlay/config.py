@@ -204,9 +204,6 @@ class OverlayConfig:
     membership_timeout_s: float = 1800.0
     #: Which membership plane delivers the view, and its tunables.
     membership: MembershipConfig = OutOfBand()
-    #: Debug assertion path: after every incremental grid update, prove
-    #: the delta-applied grid identical to a from-scratch construction.
-    membership_grid_checks: bool = False
     #: Freshness sampling period used by the evaluation (§6.2.2: 30 s).
     freshness_sample_s: float = 30.0
     #: Bandwidth accounting bucket width (seconds).

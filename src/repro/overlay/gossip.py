@@ -44,6 +44,13 @@ vector`` — that is strictly increasing locally and equal across nodes
 exactly when their op knowledge is equal, so the routers'
 version-equality drop rule and the harness's view-divergence metric
 work unchanged (with coordinator epoch 0).
+
+An engine derives four things from its state on nearly every message —
+the alive and dead member tuples (from ``records``) and the sorted
+vector and packed version (from ``vv``) — and caches each until a
+writer of its source clears it: ``_merge_record`` when a target's
+liveness changes, ``_apply_op`` / ``_on_snapshot`` when an entry of
+``vv`` moves.
 """
 
 from __future__ import annotations
@@ -175,6 +182,10 @@ class GossipMembershipNode:
         "_join_seeds",
         "_joining",
         "_expired_marks",
+        "_alive",
+        "_dead",
+        "_vv_sorted",
+        "_version",
     )
 
     def __init__(
@@ -230,21 +241,32 @@ class GossipMembershipNode:
         #: (target, stamp) pairs this node already expired — one expire
         #: op per incarnation, however many ticks observe the silence.
         self._expired_marks: Set[Tuple[int, int]] = set()
+        #: Derivations cached until their source moves (None: stale).
+        self._alive: Optional[Tuple[int, ...]] = None
+        self._dead: Optional[Tuple[int, ...]] = None
+        self._vv_sorted: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._version: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
     def alive_members(self) -> Tuple[int, ...]:
         """Members whose winning record is a join, sorted."""
-        return tuple(
-            target
-            for target in sorted(self.records)
-            if self.records[target][1] == OP_JOIN
-        )
+        if self._alive is None:
+            records = self.records
+            self._alive = tuple(
+                target for target in sorted(records) if records[target][1] == OP_JOIN
+            )
+        return self._alive
 
     def view_version(self) -> int:
         """This engine's packed view version."""
-        return packed_view_version(self.vv)
+        if self._version is None:
+            self._version = packed_view_version(self.vv)
+        return self._version
+
+    def _vv_changed(self) -> None:
+        self._vv_sorted = self._version = None
 
     # ------------------------------------------------------------------
     # Op application
@@ -254,6 +276,8 @@ class GossipMembershipNode:
         if existing is not None and _record_key(record) <= _record_key(existing):
             return False
         self.records[target] = record
+        if existing is None or (existing[1] == OP_JOIN) != (record[1] == OP_JOIN):
+            self._alive = self._dead = None
         if record[1] == OP_JOIN:
             # A fresh incarnation starts its expiry clock now.
             self.last_advance[target] = self.sim.now
@@ -271,6 +295,7 @@ class GossipMembershipNode:
             self.logs[origin] = log
         log.append((seq, action, target, stamp))
         self.vv[origin] = seq
+        self._vv_changed()
         self._merge_record(target, (stamp, action, origin))
 
     def _drain_pending(self, origin: int) -> bool:
@@ -426,7 +451,9 @@ class GossipMembershipNode:
         return changed
 
     def _vv_items(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.vv.items()))
+        if self._vv_sorted is None:
+            self._vv_sorted = tuple(sorted(self.vv.items()))
+        return self._vv_sorted
 
     def _hb_items(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(
@@ -443,13 +470,16 @@ class GossipMembershipNode:
         chosen = self.rng.choice(len(peers), size=k, replace=False)
         return [peers[int(i)] for i in sorted(int(c) for c in chosen)]
 
-    def _dead_targets(self) -> List[int]:
+    def _dead_targets(self) -> Tuple[int, ...]:
         """Known members whose winning record is a leave or expiry."""
-        return [
-            target
-            for target in sorted(self.records)
-            if target != self.me and self.records[target][1] != OP_JOIN
-        ]
+        if self._dead is None:
+            records, me = self.records, self.me
+            self._dead = tuple(
+                target
+                for target in sorted(records)
+                if target != me and records[target][1] != OP_JOIN
+            )
+        return self._dead
 
     def _push_digest(self) -> None:
         targets = self._pick_peers(self.tunables.fanout)
@@ -504,6 +534,10 @@ class GossipMembershipNode:
 
     def _on_digest(self, msg: GossipDigest, src: int) -> None:
         self._merge_heartbeats(msg.heartbeats)
+        if msg.vv == self._vv_items():
+            # The steady state: nothing to pull, no surplus to serve, no
+            # advertisement above our own vector.
+            return
         sender_ahead: List[Tuple[int, int]] = []
         theirs: Dict[int, int] = {}
         for origin, seq in msg.vv:
@@ -523,8 +557,8 @@ class GossipMembershipNode:
         # for the sender to digest us.
         surplus = tuple(
             (origin, theirs.get(origin, 0))
-            for origin in sorted(self.vv)
-            if self.vv[origin] > theirs.get(origin, 0)
+            for origin, seq in self._vv_items()
+            if seq > theirs.get(origin, 0)
         )
         if surplus:
             self._serve_ranges(surplus, src)
@@ -562,6 +596,7 @@ class GossipMembershipNode:
         for origin, seq in msg.vv:
             if seq > self.vv.get(origin, 0):
                 self.vv[origin] = seq
+                self._vv_changed()
                 changed = True
             if seq > self._want_vv.get(origin, 0):
                 self._want_vv[origin] = seq

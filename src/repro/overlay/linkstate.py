@@ -428,20 +428,6 @@ class _RowTable:
         costs = self._costs(indices, metric, loss_penalty_ms)
         return np.array([cost.item(dst) for cost in costs], dtype=np.float64)
 
-    def cost_points(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        metric: Optional[PathMetric] = None,
-        loss_penalty_ms: float = 1000.0,
-    ) -> np.ndarray:
-        """``cost_row(rows[i])[cols[i]]`` for each i (paired gather)."""
-        costs = self._costs(rows, metric, loss_penalty_ms)
-        cols = np.asarray(cols, dtype=np.int64).tolist()
-        return np.array(
-            [cost.item(col) for cost, col in zip(costs, cols)], dtype=np.float64
-        )
-
     def latency_leg(self, indices: np.ndarray, dst: int) -> np.ndarray:
         """``effective_latency(i)[dst]`` for each ``i`` (vector)."""
         return self.cost_gather(indices, dst)

@@ -104,9 +104,10 @@ class QuorumRouter(RouterBase):
     # ------------------------------------------------------------------
     def _rebuild_for_view(self, view: MembershipView) -> None:
         n = view.n
-        # The grid is built over view *indices* (0..n-1): members are
-        # sorted and filled row-major, so index order == grid order.
-        self.grid = GridQuorum(list(range(n)))
+        # The grid is over view *indices* (0..n-1): members are sorted
+        # and filled row-major, so index order == grid order, and every
+        # router of a view size shares that size's grid.
+        self.grid = GridQuorum.of_size(n)
         # A quorum node is sent only its ~2 sqrt(n) clients' rows:
         # O(n^1.5) link state per node instead of O(n^2).
         self.table = SparseLinkStateTable(n)
@@ -147,9 +148,8 @@ class QuorumRouter(RouterBase):
     def on_view_delta(self, view: MembershipView, delta: ViewDelta) -> None:
         """Apply a membership delta without rebuilding from scratch.
 
-        The grid (over view indices ``0..n-1``) is resized incrementally
-        — a size change is a run of tail inserts/removes, which shift no
-        fill slots at all — and the link-state table and route arrays are
+        The grid (over view indices ``0..n-1``) is the new size's shared
+        one, and the link-state table and route arrays are
         *remapped* from old view positions to new ones, so routing state
         learned about surviving members is preserved across the view
         change instead of being thrown away. So is the failover evidence
@@ -160,33 +160,24 @@ class QuorumRouter(RouterBase):
         adopted failover servers are dropped (re-adopted on the next
         poll while both defaults are still failed).
         """
-        old_view = self.view
-        if old_view is None:
+        if self.view is None:
             self.on_view_change(view)
             return
-        old_n, n = old_view.n, view.n
-        # Old view position -> new view position; -1 for departed members.
-        new_index = {m: i for i, m in enumerate(view.members)}
-        old_to_new = np.fromiter(
-            (new_index.get(m, -1) for m in old_view.members),
-            dtype=np.int64,
-            count=old_n,
-        )
-        survivors_old = np.nonzero(old_to_new >= 0)[0]
+        n = view.n
+        # Old view position -> new view position; -1 for departed
+        # members. Both id arrays are sorted, so one search places every
+        # old member, and an equality check tells who is still there.
+        new_ids = np.fromiter(view.members, dtype=np.int64, count=n)
+        old_to_new = np.searchsorted(new_ids, self._member_ids)
+        found = new_ids[np.minimum(old_to_new, n - 1)] == self._member_ids
+        old_to_new[~found] = -1
+        survivors_old = np.nonzero(found)[0]
         survivors_new = old_to_new[survivors_old]
 
         self.view = view
         self.me_idx = view.index_of(self.me)
-        self._member_ids = np.fromiter(view.members, dtype=np.int64)
-
-        # Incremental grid resize: view-index grids always hold 0..n-1,
-        # so growing/shrinking is pure tail insertion/removal.
-        while self.grid.n > n:
-            self.grid.remove_member(self.grid.n - 1)
-        while self.grid.n < n:
-            self.grid.insert_member(self.grid.n)
-        if self.config.membership_grid_checks:
-            self.grid.assert_equals_fresh()
+        self._member_ids = new_ids
+        self.grid = GridQuorum.of_size(n)
 
         # Rows past the round-2 memory are never gathered again: drop them.
         self.table = self.table.remap(
@@ -732,24 +723,12 @@ class QuorumRouter(RouterBase):
         idxs = np.nonzero(hop_up)[0]
         hop_up[idxs] = link_up[rec_hop[idxs]]
         use_rec = hop_direct | hop_up
+        #    _estimate_cost adds the hop's row entry to the first leg only
+        #    where it is finite, so the estimate is finite exactly where
+        #    the first leg is.
         rd = np.nonzero(use_rec)[0]
-        if rd.size:
-            h = rec_hop[rd]
-            # _estimate_cost: own first leg, plus the hop's row entry
-            # when we hold a fresh row for it (0 contribution otherwise).
-            second = np.zeros(rd.size)
-            nd = np.nonzero(h != rd)[0]
-            if nd.size:
-                aged_ok = (
-                    now - self.table.row_time[h[nd]]
-                ) <= self.config.rec_memory_s()
-                sel = nd[aged_ok]
-                if sel.size:
-                    vals = self.table.cost_points(h[sel], rd[sel], metric, penalty)
-                    second[sel] = np.where(np.isfinite(vals), vals, 0.0)
-            cost = own[h] + second
-            hops[rd] = h
-            usable[rd] = np.isfinite(cost)
+        hops[rd] = rec_hop[rd]
+        usable[rd] = np.isfinite(own[hops[rd]])
 
         # 2. §4.2 redundant fallback for the rest.
         rem = np.nonzero(~use_rec)[0]

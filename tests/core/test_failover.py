@@ -50,6 +50,14 @@ class TestBasics:
         # intersections (0,2)=2 and (2,0)=6.
         assert set(mgr.default_pair(8)) == {2, 6}
 
+    def test_grid_must_be_over_view_positions(self):
+        mgr = FailoverManager(0, np.random.default_rng(0))
+        with pytest.raises(RoutingError, match="view positions"):
+            mgr.set_grid(GridQuorum(list(range(1, 10))), now=0.0)
+        for grid in (GridQuorum.of_size(9), GridQuorum(list(range(9)))):
+            mgr.set_grid(grid, now=0.0)
+            assert mgr.grid is grid
+
     def test_unknown_destination_rejected(self):
         mgr = make_manager()
         with pytest.raises(RoutingError):

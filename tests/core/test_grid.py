@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.grid import GridQuorum, grid_dimensions
 from repro.errors import QuorumError
+from repro.net.trace import uniform_random_metric
+from repro.overlay.config import RouterKind
+from repro.overlay.harness import build_overlay
 
 
 class TestGridDimensions:
@@ -267,6 +270,45 @@ class TestIncrementalUpdates:
                 pool.discard(m)
                 grid.insert_member(m)
             grid.assert_equals_fresh()
+
+
+class TestSharedGridPerSize:
+    """Every router of a view size holds the one grid over its positions."""
+
+    def test_one_object_per_size_equal_to_a_fresh_build(self):
+        for n in (1, 2, 9, 10, 18, 64):
+            grid = GridQuorum.of_size(n)
+            assert GridQuorum.of_size(n) is grid and grid.shared
+            assert grid.members == list(range(n))
+            grid.assert_equals_fresh()
+        assert GridQuorum.of_size(9) is not GridQuorum.of_size(10)
+        assert not GridQuorum(list(range(9))).shared
+
+    def test_a_holder_cannot_resize_the_shared_grid(self):
+        grid = GridQuorum.of_size(12)
+        with pytest.raises(QuorumError, match="cannot be resized"):
+            grid.insert_member(12)
+        with pytest.raises(QuorumError, match="cannot be resized"):
+            grid.remove_member(11)
+        assert grid.n == 12
+        grid.assert_equals_fresh()
+        # A grid of one's own still resizes.
+        own = GridQuorum(list(range(12)))
+        own.insert_member(12)
+        own.assert_equals_fresh()
+
+    def test_routers_of_one_view_size_hold_the_same_grid(self):
+        rng = np.random.default_rng(3)
+        overlay = build_overlay(
+            trace=uniform_random_metric(10, rng),
+            router=RouterKind.QUORUM,
+            rng=rng,
+            with_freshness=False,
+        )
+        grids = {id(node.router.grid) for node in overlay.nodes}
+        assert grids == {id(GridQuorum.of_size(10))}
+        with pytest.raises(QuorumError):
+            overlay.nodes[0].router.grid.insert_member(10)
 
 
 def _scalar_default_pairs(grid, i):

@@ -90,10 +90,6 @@ class CopyInTable:
     def cost_gather(self, indices, dst, metric=None, loss_penalty_ms=1000.0):
         return self.cost_matrix(indices, metric, loss_penalty_ms)[:, dst]
 
-    def cost_points(self, rows, cols, metric=None, loss_penalty_ms=1000.0):
-        matrix = self.cost_matrix(rows, metric, loss_penalty_ms)
-        return matrix[np.arange(len(matrix)), np.asarray(cols, dtype=np.int64)]
-
     def latency_leg(self, indices, dst):
         return self.cost_gather(indices, dst)
 

@@ -197,7 +197,7 @@ class TestDigestExchange:
         engine, _, transport = make_engine()
         engine.seed_bootstrap([0, 1])
         engine._on_ops(GossipOps(origin=0, ops=((0, 2, OP_LEAVE, 1, 1),)))
-        assert engine._dead_targets() == [1]
+        assert engine._dead_targets() == (1,)
         engine._push_digest()
         digests = [dst for _, dst, m in transport.sent if isinstance(m, GossipDigest)]
         # No live peer remains, but the dead member still gets the digest.
@@ -258,6 +258,128 @@ class TestJoinProtocol:
         assert engine.records[2] == (4, OP_JOIN, 2)
         assert engine.active and not engine._joining
         assert node.router.view.members == (0, 1, 2)
+
+
+def assert_derivations_fresh(engine):
+    """The cached derivations equal their from-scratch definitions."""
+    records = engine.records
+    assert engine.alive_members() == tuple(
+        t for t in sorted(records) if records[t][1] == OP_JOIN
+    )
+    assert engine._dead_targets() == tuple(
+        t for t in sorted(records) if t != engine.me and records[t][1] != OP_JOIN
+    )
+    assert engine._vv_items() == tuple(sorted(engine.vv.items()))
+    assert engine.view_version() == packed_view_version(engine.vv)
+
+
+def run_gossip_schedule(seed, steps=160, k=5):
+    """``k`` engines on one clock exchange messages through a bag the
+    seeded schedule delivers out of order, twice, or never; the last
+    engine starts outside and joins, members leave, rejoin, go silent
+    into expiry and refute it, and snapshots are served at will. After
+    every step every engine's caches are checked, and every digest whose
+    vector equals the receiver's must send nothing and raise no wanted
+    sequence."""
+    rng = np.random.default_rng(seed)
+    sim = Simulator()
+    bag = StubTransport()
+    tunables = Gossip(interval_s=5.0, fanout=2, log_ops=4)
+    engines = [
+        GossipMembershipNode(
+            StubNode(sim, i), bag, tunables, 30.0, np.random.default_rng(seed * 7 + i)
+        )
+        for i in range(k)
+    ]
+    for engine in engines:
+        engine.seed_bootstrap(range(k - 1))
+        engine.active = engine.me < k - 1
+    equal_digests = 0
+    for _ in range(steps):
+        roll = rng.random()
+        engine = engines[int(rng.integers(k))]
+        if roll < 0.45 and bag.sent:
+            pick = int(rng.integers(len(bag.sent)))
+            _, dst, msg = bag.sent[pick] if rng.random() < 0.2 else bag.sent.pop(pick)
+            target = engines[dst]
+            if isinstance(msg, GossipDigest) and msg.vv == target._vv_items():
+                sent, want = len(bag.sent), dict(target._want_vv)
+                target.on_message(msg, msg.origin)
+                assert len(bag.sent) == sent and target._want_vv == want
+                equal_digests += 1
+            else:
+                target.on_message(msg, msg.origin)
+        elif roll < 0.55 and bag.sent:
+            bag.sent.pop(int(rng.integers(len(bag.sent))))  # lost
+        elif roll < 0.7:
+            if engine.active:
+                engine._gossip_tick()  # heartbeat, expiries, digest push
+        elif roll < 0.78:
+            peer = int(rng.integers(k))
+            if peer != engine.me:
+                engine._send_snapshot(peer)
+        elif roll < 0.84:
+            if engine.active and rng.random() < 0.5:
+                engine.originate_leave()
+            elif not engine.active and not engine._joining:
+                if any(m != engine.me for m in engine.alive_members()):
+                    engine.begin_join()
+        else:
+            # Time passes: pull retries fire, silent members go stale.
+            sim.run_until(sim.now + float(rng.choice([1.0, 5.0, 40.0])))
+        for each in engines:
+            assert_derivations_fresh(each)
+    return engines, equal_digests
+
+
+class TestCachedDerivations:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_caches_equal_their_definitions_under_any_schedule(self, seed):
+        run_gossip_schedule(seed)
+
+    def test_the_schedules_cover_every_writer(self):
+        seen = {"equal digests": 0}
+        for seed in range(12):
+            engines, equal_digests = run_gossip_schedule(seed)
+            seen["equal digests"] += equal_digests
+            for engine in engines:
+                for name, count in engine.counters.as_dict().items():
+                    seen[name] = seen.get(name, 0) + count
+        for name in (
+            "joins", "leaves", "expiries", "refutes", "snapshots", "pulls", "equal digests"
+        ):
+            assert seen.get(name, 0) > 0, name
+
+    def test_an_equal_vector_digest_sends_nothing(self):
+        a, _, transport = make_engine(node_id=0)
+        b, _, _ = make_engine(node_id=1)
+        for engine in (a, b):
+            engine.seed_bootstrap(range(4))
+        b.hb[1] = 7
+        want = dict(a._want_vv)
+        a.on_message(
+            GossipDigest(origin=1, vv=b._vv_items(), heartbeats=b._hb_items()), src=1
+        )
+        assert transport.sent == [] and a._want_vv == want
+        assert a.hb[1] == 7  # heartbeats still merge
+        # One op behind: the receiver pulls exactly that range.
+        b.originate(OP_JOIN, 9, 1)
+        a.on_message(GossipDigest(origin=1, vv=b._vv_items(), heartbeats=()), src=1)
+        pulls = [m for _, _, m in transport.sent if isinstance(m, GossipPull)]
+        assert [p.ranges for p in pulls] == [((1, 1),)] and a._want_vv[1] == 2
+
+    def test_a_cached_derivation_is_reused_until_its_source_moves(self):
+        engine, _, _ = make_engine()
+        engine.seed_bootstrap(range(3))
+        alive, vv = engine.alive_members(), engine._vv_items()
+        assert engine.alive_members() is alive and engine._vv_items() is vv
+        engine._merge_record(1, (2, OP_JOIN, 1))  # a new stamp, still alive
+        assert engine.alive_members() is alive
+        engine._merge_record(1, (2, OP_LEAVE, 1))
+        assert engine.alive_members() == (0, 2) and engine._dead_targets() == (1,)
+        engine._on_snapshot(GossipSnapshot(origin=2, vv=((2, 5),)))
+        assert engine._vv_items() == ((0, 1), (1, 1), (2, 5))
+        assert engine.view_version() == packed_view_version({0: 1, 1: 1, 2: 5})
 
 
 def gossip_test_config():

@@ -69,7 +69,6 @@ class TestBasics:
         for gather in (
             lambda: quorum.cost_matrix(one),
             lambda: quorum.cost_gather(one, 2),
-            lambda: quorum.cost_points(one, np.array([2])),
             lambda: quorum.latency_leg(one, 2),
         ):
             with pytest.raises(RoutingError, match="rows never received"):

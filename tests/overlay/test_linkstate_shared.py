@@ -77,14 +77,12 @@ def assert_same_answers(new, ref, now, rng):
     held = sorted(ref.held)
     for indices in (held, list(range(n)), rng.integers(0, n, size=n + 2).tolist(), []):
         indices = np.array(indices, dtype=np.int64)
-        cols = rng.integers(0, n, size=indices.size)
         dst = int(rng.integers(0, n))
         for metric in METRICS:
             args = (metric, PENALTY)
             for got in (
                 both(lambda: new.cost_matrix(indices, *args), lambda: ref.cost_matrix(indices, *args)),
                 both(lambda: new.cost_gather(indices, dst, *args), lambda: ref.cost_gather(indices, dst, *args)),
-                both(lambda: new.cost_points(indices, cols, *args), lambda: ref.cost_points(indices, cols, *args)),
                 both(lambda: new.latency_leg(indices, dst), lambda: ref.latency_leg(indices, dst)),
             ):
                 if got is not None:
@@ -233,8 +231,6 @@ class TestTableMechanics:
         for pos, idx in enumerate(held):
             assert np.array_equal(mat[pos], t.effective_cost(int(idx)))
         assert np.array_equal(t.cost_gather(held, 5), mat[:, 5])
-        cols = np.array([1, 2, 9])
-        assert np.array_equal(t.cost_points(held, cols), mat[np.arange(3), cols])
         for pos, idx in enumerate(held):
             assert t.latency_leg(held, 4)[pos] == t.effective_latency(int(idx))[4]
 

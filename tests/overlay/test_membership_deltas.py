@@ -293,7 +293,6 @@ class TestModeEquivalence:
 def build_delta_overlay(n, churn, notify_batch_s=0.0):
     config = OverlayConfig(
         membership=OutOfBand(deltas=True, notify_batch_s=notify_batch_s),
-        membership_grid_checks=True,  # assert grids equal fresh builds
         membership_timeout_s=120.0,
     )
     rng = np.random.default_rng(11)
@@ -306,6 +305,19 @@ def build_delta_overlay(n, churn, notify_batch_s=0.0):
         with_freshness=False,
         active_members=churn.initial_active,
     )
+
+
+def assert_routers_share_fresh_grids(overlay):
+    """Every router that holds a view — departed ones with their last —
+    holds its view size's one shared grid, equal to a fresh build."""
+    sizes = set()
+    for node in overlay.nodes:
+        view = node.router.view
+        if view is not None:
+            assert node.router.grid is GridQuorum.of_size(view.n), node.id
+            sizes.add(view.n)
+    for n in sorted(sizes):
+        GridQuorum.of_size(n).assert_equals_fresh()
 
 
 class TestOverlayIntegration:
@@ -341,6 +353,7 @@ class TestOverlayIntegration:
         assert overlay.membership.stats.get("view_delta_msgs") > 0
         # Membership wire cost was accounted.
         assert overlay.membership_bytes().sum() > 0
+        assert_routers_share_fresh_grids(overlay)
 
     def test_delta_and_full_view_runs_agree_on_final_views(self):
         churn = self._churn()
@@ -384,3 +397,4 @@ class TestOverlayIntegration:
         for i in batched.active:
             assert batched.nodes[i].started
             assert batched.nodes[i].router.view == batched.membership.view
+        assert_routers_share_fresh_grids(batched)

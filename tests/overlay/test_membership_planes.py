@@ -137,7 +137,7 @@ def test_plane_tunables_live_on_the_variant_only(flat_keyword):
 
 
 def test_a_variant_carries_only_its_own_planes_tunables():
-    assert len(dataclasses.fields(OverlayConfig)) <= 18
+    assert len(dataclasses.fields(OverlayConfig)) <= 17
     for variant in (OutOfBand, InBand, Replicated):
         assert not hasattr(variant(), "fanout")
     assert not hasattr(Gossip(), "coordinators")

@@ -7,7 +7,8 @@ secondary candidate. Whatever is held must equal
 ``reference_recommendations.AllSevenOracle`` — one entry at a time, all
 seven values always — under every flag combination and any message
 sequence, a view delta in the middle included; and the route queries
-must not notice which arrays exist.
+must not notice which arrays exist, and must agree with each other when
+a hop's row prices the destination at ``inf`` or NaN.
 
 Mutations these tests were checked against: maintaining the secondary
 candidate when ``route_hop2 is None`` instead of ``is not None`` (the
@@ -28,6 +29,7 @@ from repro.net.packet import RecommendationMessage
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
+from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.membership import ViewDelta
 from repro.overlay.router_base import SOURCE_RECOMMENDATION
 
@@ -128,6 +130,18 @@ def test_held_route_state_equals_the_all_seven_oracle(timestamped, verify, data)
     for name in OPTIONAL:
         flag = timestamped if name == "route_sent_at" else verify
         assert (getattr(router, name) is not None) == flag, name
+
+    # Rows held for some hops price some destinations at inf or NaN: the
+    # estimate of a recommended route adds the hop's entry only where it
+    # is finite, so usability is the first leg's either way.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rows"))
+    hops_with_rows = data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="held")
+    for h in sorted(hops_with_rows - {router.me_idx}):
+        latency = rng.uniform(5.0, 300.0, n)
+        poisoned = rng.random(n) < 0.5
+        latency[poisoned] = rng.choice([np.inf, np.nan], size=int(poisoned.sum()))
+        row = LinkStateRow(h, latency, np.ones(n, dtype=bool), np.zeros(n))
+        router.table.update_row(h, row, router.sim.now)
 
     # Route queries see the oracle's routes ...
     now = router.sim.now
