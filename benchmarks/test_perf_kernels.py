@@ -239,6 +239,15 @@ def test_perf_recommendation_receive_256(benchmark):
         oracle.apply(router.view.index_of(msg.origin), msg.entries.tolist(), 0.0, 0.0)
     oracle.assert_router_matches(router)
     assert router.route_hop2 is None and router.route_sent_at is None
+    # §4.1 evidence: every default that listed a destination covered it,
+    # and no failover was adopted, so no off-default log exists.
+    failover = router.failover
+    for msg in messages:
+        server = router.view.index_of(msg.origin)
+        for dst in msg.entries[:, 0].tolist():
+            if server in failover.default_pair(dst):
+                assert failover.last_cover(server, dst) == 0.0, (server, dst)
+    assert failover._off_default == {}
 
 
 class _CountingTransport:

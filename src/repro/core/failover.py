@@ -47,10 +47,14 @@ polls it, so every §4 behaviour is unit-testable in isolation.
 State layout
 ------------
 Failover state is indexed by *view position* (the grid holds ``0..n-1``).
+A manager holds what the node learned, the node's default pairs, and
+references to what the view size alone determines; nothing else the
+grid already says is copied per node.
 
 * **Default pairs** — every destination has at most two default
-  servers, so their evidence lives in ``(n, 2)`` arrays filled from
-  :meth:`GridQuorum.default_pairs`: the pair itself, the last cover
+  servers. ``_pair`` (``(n, 2)`` int64 from
+  :meth:`GridQuorum.default_pairs`, ``-1`` for none) names them, and
+  their evidence lives in ``(n, 2)`` arrays beside it: the last cover
   time (``-inf`` = never) and when the node began expecting the server
   to cover. ``set_grid`` blanks both; on a view change
   :meth:`FailoverManager.carry_over` then moves the previous view's
@@ -71,18 +75,39 @@ Failover state is indexed by *view position* (the grid holds ``0..n-1``).
   whatever ``heard`` says. A message writes ``heard`` and the covers it
   renews, nothing per omitted destination. A server never lists itself,
   so omissions do not count in the slot where the server *is* the
-  destination (same row/column). ``poll`` derives the proximal / remote
-  / both-failed masks for all destinations in a handful of array
-  operations, and ``note_recommendations`` renews the covers of one
-  server through a per-server index of flat positions.
+  destination (same row/column). ``poll`` derives each slot's link
+  (the server, or the destination where this node is the rendezvous)
+  and the absent / own / omission-counting masks from ``_pair`` on every
+  call, then the proximal / remote / both-failed masks for all
+  destinations, in a handful of array operations.
+* **One slot index per view size.** ``note_recommendations`` renews the
+  covers of one server through a per-server index of flat positions
+  ``dst * 2 + slot``, and which slots a server fills depends on the
+  view size alone: for a node at grid cell ``(ri, ci)``, the server at
+  ``(ri, c)`` is slot 0 of every destination in column ``c``, and the
+  server at ``(r, ci)`` slot 1 of every destination in row ``r``. The
+  §3 blank-space substitutes add two cases: for a bottom-row node, the
+  server at ``(ci, c)`` stands in for the blank ``(ri, c)`` (slot 0,
+  column ``c``); for a node in a blank column, the server at
+  ``(r, ci)`` also stands in for the blank ``(bottom, ci)`` towards the
+  bottom-row node in column ``r`` (slot 1, after row ``r``). The
+  ``(destinations, flat positions)`` arrays are built once per size
+  (:class:`_SizeIndex`); a manager's per-server dict only refers to
+  them.
 * **Off-default pairs** — a server's message also covers destinations
-  it is *not* a default for. That evidence is rewritten by every
-  message but read only while a destination is double-failed (when
-  picking or judging a failover server), so it is write-combined per
-  server (:class:`_OffDefaultLog`): the latest batch of destinations,
-  kept by reference with its arrival time, plus the last cover time of
-  any destination a later batch dropped. A dense ``(servers, n)``
-  layout would cost as much as the dicts it replaced.
+  it is *not* a default for, but a verdict reads that only for a server
+  this node *adopted* for the destination. So a log
+  (:class:`_OffDefaultLog`) exists only for a server this node has
+  adopted, and keeps, for the destinations it was adopted for and from
+  the first adoption on, the last cover, the last omission while it was
+  the active failover, and the last adoption. That is exact: the
+  timeout runs from ``max(cover, adopted_at)``, and omissions are
+  recorded only while adopted, so a cover older than the first adoption
+  reads the same as none. The exception is a cover at the adoption's
+  own instant, from a message that arrived before the poll that
+  adopted: the manager keeps the destination arrays of every message of
+  the current sim instant (dropped when the clock moves) and seeds the
+  cover from them.
 * **Scalar on purpose** — adopting, judging and retiring failover
   servers runs per double-failed destination, in ascending order, in
   plain Python: it draws from the node's random stream, and the order
@@ -97,16 +122,20 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.grid import GridQuorum
+from repro.core.grid import GridQuorum, grid_dimensions
 from repro.errors import RoutingError
 
 __all__ = ["FailoverConfig", "FailoverPoll", "FailoverManager"]
 
 SeesAliveFn = Callable[[int], bool]
+#: A server's destinations (ascending) and their flat slot positions.
+Slots = Tuple[np.ndarray, np.ndarray]
 
 #: "No such event yet" in the time arrays.
 _NEVER = -np.inf
-_NO_DSTS = np.empty(0, dtype=np.int64)
+
+#: :meth:`_SizeIndex.of_size`'s indexes, by view size.
+_INDEX_OF_SIZE: Dict[int, "_SizeIndex"] = {}
 
 
 def _known(t: float) -> Optional[float]:
@@ -180,29 +209,95 @@ class FailoverPoll:
 
 
 class _OffDefaultLog:
-    """What one server told us about destinations it is not a default for.
+    """What one adopted failover server answered about the destinations
+    it was adopted for, from the first adoption on.
 
     See "State layout" in the module docstring.
     """
 
-    __slots__ = ("batch", "batch_time", "dropped", "omitted", "adopted_at")
+    __slots__ = ("covers", "omitted", "adopted_at")
 
     def __init__(self) -> None:
-        #: Destinations of the server's latest message (the caller's
-        #: array, by reference) and when it arrived.
-        self.batch = _NO_DSTS
-        self.batch_time = _NEVER
-        #: dst -> last cover time, for destinations a later batch dropped.
-        self.dropped: Dict[int, float] = {}
+        #: dst -> last cover time since the first adoption for dst (a
+        #: cover earlier in that adoption's own instant included).
+        self.covers: Dict[int, float] = {}
         #: dst -> last affirmative omission while adopted for dst.
         self.omitted: Dict[int, float] = {}
         #: dst -> when this node last adopted the server for dst.
         self.adopted_at: Dict[int, float] = {}
 
-    def last_cover(self, dst: int) -> float:
-        if (self.batch == dst).any():
-            return self.batch_time
-        return self.dropped.get(dst, _NEVER)
+
+def _slots(dsts: np.ndarray, slot: int) -> Slots:
+    return dsts, dsts * 2 + slot
+
+
+class _SizeIndex:
+    """What every manager of one view size derives from the grid alone:
+    which slots each server's message renews, and the destination of
+    every slot. Built once per size and process (see "State layout")."""
+
+    __slots__ = ("n", "cols", "fill", "dst_of_slot", "_columns", "_rows", "_rows_blank", "_own")
+
+    @classmethod
+    def of_size(cls, n: int) -> "_SizeIndex":
+        index = _INDEX_OF_SIZE.get(n)
+        if index is None:
+            index = _INDEX_OF_SIZE[n] = cls(n)
+        return index
+
+    def __init__(self, n: int):
+        rows, cols = grid_dimensions(n)
+        self.n, self.cols = n, cols
+        #: Filled cells of the bottom row; columns from here on are blank there.
+        self.fill = n - (rows - 1) * cols
+        position = np.arange(n)
+        #: ``dst_of_slot[dst, 0] == dst``, broadcasting over both slots.
+        self.dst_of_slot = position[:, None]
+        in_row = [position[r * cols : (r + 1) * cols] for r in range(rows)]
+        #: Slot 0 of column c's destinations.
+        self._columns = [_slots(position[c::cols], 0) for c in range(cols)]
+        #: Slot 1 of row r's destinations; ``_rows_blank`` for a server
+        #: in a blank column, which also stands in for the blank bottom
+        #: cell of its column towards the bottom-row node in column r.
+        self._rows = [_slots(row, 1) for row in in_row]
+        self._rows_blank = self._rows
+        if self.fill < cols:
+            bottom = (rows - 1) * cols
+            self._rows_blank = [
+                _slots(np.append(row, bottom + r) if r < self.fill else row, 1)
+                for r, row in enumerate(in_row)
+            ]
+        #: position -> its slots as a server for itself, built on demand.
+        self._own: Dict[int, Slots] = {}
+
+    def slots_by_server(self, me: int) -> Dict[int, Slots]:
+        """Server -> the slots its message renews for the node at ``me``:
+        :meth:`GridQuorum.default_pairs` ``(me)`` inverted."""
+        n, cols = self.n, self.cols
+        ri, ci = divmod(me, cols)
+        out: Dict[int, Slots] = {}
+        for c, column in enumerate(self._columns):
+            server = ri * cols + c
+            # A blank (ri, c) — this node is in the bottom row — has the
+            # §3 substitute (ci, c).
+            out[server if server < n else ci * cols + c] = column
+        rows = self._rows_blank if ci >= self.fill else self._rows
+        for r, row in enumerate(rows):
+            server = r * cols + ci
+            if server < n:
+                out[server] = row
+        # This node's own cell was given its column's and its row's
+        # slots above; as a server for itself it has both, minus itself.
+        own = self._own.get(me)
+        if own is None:
+            flat = np.concatenate((self._columns[ci][1], rows[ri][1]))
+            flat = np.sort(flat[flat >> 1 != me])
+            own = self._own[me] = (flat >> 1, flat)
+        if own[1].size:
+            out[me] = own
+        else:
+            del out[me]
+        return out
 
 
 class FailoverManager:
@@ -237,11 +332,9 @@ class FailoverManager:
         self._grid = grid
         self._state.clear()
         self._off_default.clear()
-        pair = grid.default_pairs(self.me)
-        present = pair >= 0
-        own = pair == self.me
-        dst_of_slot = np.arange(n)[:, None]
-        self._pair = pair
+        index = _SizeIndex.of_size(n)
+        self._pair = grid.default_pairs(self.me)
+        self._dst_of_slot = index.dst_of_slot
         self._cover = np.full((n, 2), _NEVER)
         #: When each server's last message arrived, whatever it listed.
         self._heard = np.full(n, _NEVER)
@@ -250,35 +343,14 @@ class FailoverManager:
         #: pairs that are older than this grid.
         self._since = np.broadcast_to(np.float64(now), (n, 2))
         self._cover_flat = self._cover.reshape(-1)
-        self._absent = ~present
-        self._is_dst = present[:, 0]
-        # The link whose liveness decides a slot's proximal health: to
-        # the server, or, where this node is itself the rendezvous
-        # (same row/column), straight to the destination.
-        self._link = np.where(own, dst_of_slot, np.where(present, pair, 0))
-        #: Slots with a remote (coverage) verdict: real servers other than me.
-        self._remote_judged = present & ~own
-        #: Slots whose omissions count: a server never lists itself, so
-        #: its silence about itself is not evidence.
-        self._omission_counts = pair != dst_of_slot
-        # server -> (destinations it is a default for, ascending, and
-        # their flat positions dst * 2 + slot in the (n, 2) arrays).
-        flat = np.flatnonzero(present)
-        servers = pair.reshape(-1)[flat]
-        order = np.argsort(servers, kind="stable")
-        flat, servers = flat[order], servers[order]
-        dsts = flat >> 1
-        first = np.ones(flat.size, dtype=bool)
-        first[1:] = servers[1:] != servers[:-1]
-        starts = np.flatnonzero(first).tolist()
-        self._slots_by_server: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
-            server: (dsts[a:b], flat[a:b])
-            for server, a, b in zip(
-                servers[starts].tolist(), starts, [*starts[1:], flat.size]
-            )
-        }
-        #: Scratch membership mask for one message's destinations.
-        self._in_message = np.zeros(n, dtype=bool)
+        #: server -> (destinations it is a default for, ascending, and
+        #: their flat positions dst * 2 + slot in the (n, 2) arrays);
+        #: the arrays are the view size's, shared by every manager.
+        self._slots_by_server = index.slots_by_server(self.me)
+        #: Every message of the current sim instant, by server: an
+        #: adoption at this instant seeds its cover from them.
+        self._instant = _NEVER
+        self._instant_messages: Dict[int, List[np.ndarray]] = {}
 
     def carry_over(self, old: "FailoverManager", old_to_new: np.ndarray) -> None:
         """Keep what the previous view version's manager knew about every
@@ -319,7 +391,7 @@ class FailoverManager:
 
     def default_pair(self, dst: int) -> Tuple[int, ...]:
         """The destination's default rendezvous pair (for tests/metrics)."""
-        if self._grid is None or not 0 <= dst < self._grid.n or not self._is_dst[dst]:
+        if self._grid is None or not 0 <= dst < self._grid.n or self._pair[dst, 0] < 0:
             raise RoutingError(f"unknown destination {dst}")
         return tuple(s for s in self._pair[dst].tolist() if s >= 0)
 
@@ -330,12 +402,13 @@ class FailoverManager:
 
     def last_cover(self, server: int, dst: int) -> Optional[float]:
         """When ``server`` last covered ``dst`` in a recommendation
-        message, or None if it never has (for a default: since the two
-        became a default pair)."""
+        message, or None if it never has: for a default, since the two
+        became a default pair; for any other server, since this node
+        first adopted it for ``dst`` (nothing is kept otherwise)."""
         slot = self._default_slot(server, dst)
         if slot is None:
             log = self._off_default.get(server)
-            return _known(log.last_cover(dst)) if log is not None else None
+            return _known(log.covers.get(dst, _NEVER)) if log is not None else None
         return _known(self._cover[dst, slot])
 
     # ------------------------------------------------------------------
@@ -346,44 +419,47 @@ class FailoverManager:
 
         ``dsts`` holds the view positions (each in ``[0, n)``) of the
         destinations the message carried entries for; it is kept by
-        reference, so the caller must not write to it afterwards.
+        reference until the clock moves, so the caller must not write to
+        it afterwards.
         A destination we expect ``server`` to cover but that is absent
         is an omission — its slot's cover time falls behind the server's
         last message time; whether one counts as remote-failure evidence
         is :meth:`_remote_verdict`'s business.
         """
-        in_message = self._in_message
+        in_message = np.zeros(self._heard.size, dtype=bool)
         in_message[dsts] = True
         self._heard[server] = now
         slots = self._slots_by_server.get(server)
         if slots is not None:
             expected, flat = slots
             self._cover_flat[flat[in_message[expected]]] = now
-        log = self._off_default_log(server)
-        kept = in_message[log.batch]
-        if not kept.all():
-            for dst in log.batch[~kept].tolist():
-                log.dropped[dst] = log.batch_time
+        if now != self._instant:
+            self._instant = now
+            self._instant_messages = {}
+        self._instant_messages.setdefault(server, []).append(dsts)
+        log = self._off_default.get(server)
+        if log is None:
+            return
         # An omission older than a cover needs no clearing: only
         # ``omitted > last`` counts (see _remote_verdict).
         for dst in log.adopted_at:
+            if in_message[dst]:
+                log.covers[dst] = now
+                continue
             st = self._state.get(dst)
-            if (
-                st is not None
-                and st.active == server
-                and dst != server
-                and not in_message[dst]
-            ):
+            if st is not None and st.active == server and dst != server:
                 log.omitted[dst] = now
-        log.batch = dsts
-        log.batch_time = now
-        in_message[dsts] = False
 
-    def _off_default_log(self, server: int) -> _OffDefaultLog:
+    def _adopt(self, server: int, dst: int, now: float) -> None:
+        """Start judging ``server`` as ``dst``'s failover from ``now``."""
         log = self._off_default.get(server)
         if log is None:
             log = self._off_default[server] = _OffDefaultLog()
-        return log
+        if now == self._instant and any(
+            (listed == dst).any() for listed in self._instant_messages.get(server, ())
+        ):
+            log.covers[dst] = now  # a message earlier this instant listed it
+        log.adopted_at[dst] = now
 
     # ------------------------------------------------------------------
     # Health evaluation
@@ -414,14 +490,15 @@ class FailoverManager:
         if since is None:
             return False  # never adopted for dst: nothing to judge by
         return self._remote_verdict(
-            log.last_cover(dst), log.omitted.get(dst, _NEVER), since, now, adopted=True
+            log.covers.get(dst, _NEVER), log.omitted.get(dst, _NEVER), since, now, adopted=True
         )
 
     def _remote_failed(self, server: int, dst: int, now: float) -> bool:
         slot = self._default_slot(server, dst)
         if slot is None:
             return self._off_default_failed(server, dst, now)
-        omitted = self._heard[server] if self._omission_counts[dst, slot] else _NEVER
+        # A server never lists itself: its silence about itself is no omission.
+        omitted = self._heard[server] if server != dst else _NEVER
         return self._remote_verdict(
             self._cover[dst, slot], omitted, self._since[dst, slot], now, adopted=False
         )
@@ -460,19 +537,28 @@ class FailoverManager:
         """
         grid = self.grid
         result = FailoverPoll()
-        cover = self._cover
-        proximal = ~up[self._link] | self._absent
-        # _remote_verdict for every default slot at once.
-        # (own and absent slots gather some other member's time; they
-        # carry no remote verdict and ``_remote_judged`` drops them.)
-        omitted = self._heard[self._link]
-        remote = ((omitted > cover) & (cover > _NEVER) & self._omission_counts) | (
+        cover, pair, dst_of_slot = self._cover, self._pair, self._dst_of_slot
+        absent = pair < 0
+        own = pair == self.me
+        is_dst = ~absent[:, 0]
+        # The link whose liveness decides a slot's proximal health: to
+        # the server, or, where this node is itself the rendezvous (same
+        # row/column), straight to the destination. An absent slot's -1
+        # gathers the last member's values, which ``absent`` overrides.
+        link = np.where(own, dst_of_slot, pair)
+        proximal = ~up[link] | absent
+        # _remote_verdict for every default slot at once. A server never
+        # lists itself, so its silence about itself is no omission; own
+        # slots gather some other member's time and carry no remote
+        # verdict.
+        omitted = self._heard[link]
+        remote = ((omitted > cover) & (cover > _NEVER) & (pair != dst_of_slot)) | (
             now - np.maximum(cover, self._since) > self.config.remote_timeout_s
         )
-        failed = proximal | (remote & self._remote_judged)
-        both = failed[:, 0] & failed[:, 1] & self._is_dst
+        failed = proximal | (remote & ~own)
+        both = failed[:, 0] & failed[:, 1] & is_dst
         result.proximal_double_failures = int(
-            np.count_nonzero(proximal[:, 0] & proximal[:, 1] & self._is_dst)
+            np.count_nonzero(proximal[:, 0] & proximal[:, 1] & is_dst)
         )
         # Defaults (at least partially) healthy: revert (§4.1 "reverts
         # to its original rendezvous nodes").
@@ -516,13 +602,13 @@ class FailoverManager:
                 st.suppressed = True
                 result.suppressed += 1
                 continue
-            pair = self._pair[dst].tolist()
+            defaults = pair[dst].tolist()
             usable = [
                 c
                 for c in grid.failover_candidates(dst)
                 if c != self.me
                 and c not in st.excluded
-                and c not in pair
+                and c not in defaults
                 and not self._off_default_failed(c, dst, now)
             ]
             candidates = [c for c in usable if link_up[c]]
@@ -540,7 +626,7 @@ class FailoverManager:
             st.active = choice
             st.via_relay = via_relay
             st.attempts += 1
-            self._off_default_log(choice).adopted_at[dst] = now
+            self._adopt(choice, dst, now)
             if via_relay:
                 result.adopted_via_relay.append((dst, choice))
                 result.relay_servers.add(choice)

@@ -484,8 +484,10 @@ class QuorumRouter(RouterBase):
         now = self.sim.now
         n = view.n
         ent = msg.entries
-        # The destinations as a private array: the failover log keeps
-        # them, and a view would pin the sender's whole entry array.
+        # The destinations as a private array: the failover manager keeps
+        # them until the clock moves, a view would pin the sender's whole
+        # entry array, and a strided view is buffered by every later
+        # fancy index.
         dsts, hops = ent[:, 0].copy(), ent[:, 1]
         if len(ent) and (
             ent.min() < 0 or ent.max() >= n or (dsts == self.me_idx).any()

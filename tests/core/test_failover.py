@@ -1,5 +1,7 @@
 """Unit tests for the §4.1 failover state machine."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -211,13 +213,35 @@ class TestFailoverLifecycle:
             stale.note_recommendations(c, np.array([8]), 1.0)  # off-default cover
         for mgr in (stale, make_manager(remote_timeout=30.0)):
             first = dict(mgr.poll(100.0, up, always_alive).adopted)[8]
-            assert mgr.last_cover(first, 8) == (1.0 if mgr is stale else None)
+            assert mgr.last_cover(first, 8) is None
             for t in (100.5, 115.0, 130.0):  # inside the timeout from adoption
                 assert not mgr.poll(t, up, always_alive).adopted
                 assert mgr.active_failover(8) == first
             # ... and not a moment longer.
             second = dict(mgr.poll(130.5, up, always_alive).adopted)[8]
             assert second != first
+
+    def test_a_cover_at_the_adoptions_own_instant_counts(self):
+        """An adopted failover's covers are kept from its adoption on;
+        one that arrived at the adoption's own instant, before the poll,
+        counts too — even when a later message of that instant left the
+        destination out. Keeping only each server's latest message of
+        the instant reads the omission after the adoption as "stopped"."""
+        up = up_except({2, 6})
+        mgr = make_manager(remote_timeout=30.0)
+        candidates = [c for c in mgr.grid.failover_candidates(8) if c not in (0, 2, 6)]
+        for c in candidates:
+            mgr.note_recommendations(c, np.array([8]), 5.0)
+            mgr.note_recommendations(c, np.array([], dtype=np.int64), 5.0)
+        first = dict(mgr.poll(5.0, up, always_alive).adopted)[8]
+        assert mgr.last_cover(first, 8) == 5.0
+        mgr.note_recommendations(first, np.array([], dtype=np.int64), 5.0)
+        assert not mgr.server_failed(first, 8, 5.0, up)
+        assert 8 not in dict(mgr.poll(5.0, up, always_alive).adopted)
+        assert mgr.active_failover(8) == first
+        # Its next message that leaves 8 out is the answer.
+        mgr.note_recommendations(first, np.array([], dtype=np.int64), 6.0)
+        assert mgr.server_failed(first, 8, 6.0, up)
 
 
 class TestRemoteRule:
@@ -487,3 +511,86 @@ class TestCarryOver:
                     deadline = max(cover, since) + timeout
                     assert not mgr.server_failed(server, dst, deadline, up), where
                     assert mgr.server_failed(server, dst, deadline + 0.5, up), where
+
+
+def slots_by_server_from_pairs(grid, me):
+    """The per-server slot index built from one node's default pairs,
+    the way each manager used to build its own: server -> (destinations,
+    ascending, and their flat positions ``dst * 2 + slot``)."""
+    pair = grid.default_pairs(me)
+    flat = np.flatnonzero(pair >= 0)
+    servers = pair.reshape(-1)[flat]
+    return {
+        int(server): (flat[servers == server] >> 1, flat[servers == server])
+        for server in np.unique(servers)
+    }
+
+
+def manager_at(n, me):
+    mgr = FailoverManager(me, np.random.default_rng(0))
+    mgr.set_grid(GridQuorum.of_size(n), now=0.0)
+    return mgr
+
+
+class TestStateLayout:
+    """The manager holds evidence and its default pairs; what the view
+    size alone determines is built once per size and shared."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 12, 13, 20, 21, 31, 40, 160])
+    def test_shared_slot_index_inverts_the_default_pairs(self, n):
+        grid = GridQuorum(list(range(n)))
+        for me in range(n):
+            want = slots_by_server_from_pairs(grid, me)
+            got = manager_at(n, me)._slots_by_server
+            assert sorted(got) == sorted(want), me
+            for server, (dsts, flat) in want.items():
+                assert got[server][0].dtype == got[server][1].dtype == np.int64
+                assert got[server][0].tolist() == dsts.tolist(), (me, server)
+                assert got[server][1].tolist() == flat.tolist(), (me, server)
+
+    def test_managers_of_one_size_share_the_index_arrays(self):
+        n = 21  # 5 x 5, blank bottom-row cells from column 1 on
+        a, b = manager_at(n, 0), FailoverManager(3, np.random.default_rng(0))
+        b.set_grid(GridQuorum(list(range(n))), now=0.0)  # a grid of its own
+        # Row 0's other servers are slot 0 of their columns for both.
+        for server in (1, 2, 4):
+            for mine, theirs in zip(a._slots_by_server[server], b._slots_by_server[server]):
+                assert mine is theirs, server
+        assert a._dst_of_slot is b._dst_of_slot
+
+    def test_a_manager_holds_forty_bytes_per_destination(self):
+        """``_pair`` (16), ``_cover`` (16) and ``_heard`` (8) bytes per
+        destination; a failover log only for an adopted server."""
+        n, me = 1024, 100
+        mgr = manager_at(n, me)
+        sent = []  # (server, destinations): its clients but itself and me
+        for t, server in enumerate(sorted(set(mgr._slots_by_server) - {me})):
+            clients = mgr.grid.servers(server, include_self=False)
+            sent.append((server, np.array([d for d in clients if d != me], dtype=np.int64)))
+            mgr.note_recommendations(*sent[-1], 0.1 * t)  # inside the timeout
+        assert mgr._off_default == {}
+        # Not the manager's: the node's random stream, the grid, the
+        # size's index and the arrays the messages arrived in.
+        shared = [mgr._rng, mgr.grid, mgr._dst_of_slot, *(dsts for _, dsts in sent)]
+        shared += [a for slots in mgr._slots_by_server.values() for a in slots]
+        seen = {id(obj) for obj in shared}
+        held, stack = 0, [mgr]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, np.ndarray) and obj.base is None:
+                held += obj.nbytes
+            for ref in gc.get_referents(obj):
+                if id(ref) not in seen and not isinstance(ref, type):
+                    seen.add(id(ref))
+                    stack.append(ref)
+        assert held <= 40 * n
+        # Every default that listed a destination covered it.
+        for server, dsts in sent:
+            for dst in dsts.tolist():
+                if server in mgr.default_pair(dst):
+                    assert mgr.last_cover(server, dst) is not None
+        # An adoption makes a log for the adopted server, and only that.
+        dst = next(d for d in range(n) if d != me and me not in mgr.default_pair(d))
+        poll = mgr.poll(10.0, up_except(mgr.default_pair(dst), n=n), always_alive)
+        assert dict(poll.adopted)[dst] in mgr._off_default
+        assert set(mgr._off_default) == {server for _, server in poll.adopted}

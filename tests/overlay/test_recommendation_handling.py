@@ -68,13 +68,14 @@ class TestFootnote11Staleness:
     def test_stale_entry_still_counts_as_coverage(self):
         ov, router = make_router(timestamped=True)
         view = router.view
-        dst = 3
+        dst = 8  # its default rendezvous (on the 3x3 grid) are 2 and 6
         src_a, src_b = view.members[1], view.members[2]
+        src_b_idx = view.index_of(src_b)
+        assert src_b_idx in router.failover.default_pair(dst)
         router.on_recommendation(rec(src_a, [(dst, 4)], view, sent_at=0.0), src_a)
         ov.run(1.0)
         router.on_recommendation(rec(src_b, [(dst, 5)], view, sent_at=-5.0), src_b)
         # The rendezvous demonstrably recommends dst: no omission signal.
-        src_b_idx = view.index_of(src_b)
         assert router.failover.last_cover(src_b_idx, dst) == ov.sim.now
 
     def test_newer_entry_installs_and_refreshes(self):

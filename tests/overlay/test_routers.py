@@ -295,7 +295,10 @@ class TestViewChange:
         def recording_poll(self, now, up, sees_alive, allow_relay=False):
             result = poll(self, now, up, sees_alive, allow_relay)
             for dst, _ in result.adopted + result.adopted_via_relay:
-                proximal = bool((~up[self._link[dst]] | self._absent[dst]).all())
+                proximal = not any(
+                    up[dst if server == self.me else server]
+                    for server in self.default_pair(dst)
+                )
                 adoptions.append((now, dst, proximal))
             return result
 
