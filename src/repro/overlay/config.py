@@ -83,9 +83,12 @@ class OutOfBand:
     plane every paper-parameter run uses (reliable by construction, off
     the transport, so the §6 bandwidth accounting matches the paper's)."""
 
-    #: Deliver versioned view *deltas* (full view on version gaps)
-    #: instead of full member lists; the quorum router then updates its
-    #: grid and tables in place.
+    #: Put versioned view *deltas* on the wire (full view on version
+    #: gaps) instead of full member lists. A wire format only: a node
+    #: applies a delta to its held view and its router is handed views
+    #: either way, so on a lossless wire this moves the ``member`` bytes
+    #: and nothing else (on a lossy one, a lost delta also waits for a
+    #: repair where the next full view would have bridged the gap).
     deltas: bool = False
     #: Batching window for view publication: all changes inside it
     #: coalesce into one version bump and one broadcast. ``0`` publishes

@@ -71,7 +71,7 @@ from repro.net.packet import (
 from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
 from repro.overlay.config import Gossip
-from repro.overlay.membership import MembershipView, ViewDelta
+from repro.overlay.membership import MembershipView
 from repro.overlay.node import OverlayNode
 from repro.overlay.stats import CounterSet
 
@@ -655,21 +655,7 @@ class GossipMembershipNode:
         current = router.view
         if current is not None and version <= current.version:
             return
-        view = MembershipView(version=version, members=members)
-        if current is None:
-            router.on_view_change(view)
-        elif current.members == members:
-            router.rebrand_view(view)  # version only: no grid rebuild
-        else:
-            # A synthesized delta drives the incremental resize path.
-            was, now = set(current.members), set(members)
-            delta = ViewDelta(
-                from_version=current.version,
-                to_version=version,
-                joined=tuple(sorted(now - was)),
-                left=tuple(sorted(was - now)),
-            )
-            router.on_view_delta(view, delta)
+        router.on_view_change(MembershipView(version=version, members=members))
         self.node.start_if_armed()
 
     # ------------------------------------------------------------------

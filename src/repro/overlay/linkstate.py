@@ -449,7 +449,7 @@ class _RowTable:
         max_age: float = np.inf,
     ) -> "_RowTable":
         """A new table over ``n_new`` view slots with surviving members'
-        rows/columns carried over (membership delta application).
+        rows/columns carried over (a view with another member set).
 
         A row that :meth:`fresh_rows` ``(now, max_age)`` would not
         return any more is dropped, not moved (its receive time still

@@ -914,15 +914,16 @@ class CoordinatorClient:
         self.node.stop()
 
     def on_view(self, update: ViewUpdate, epoch: int) -> None:
-        """Install a full view or apply a delta.
+        """Order a full view or a delta, then hand the router the view.
 
         A view that no longer contains this node means it was removed
         (leave or expiry). A torn-down (crashed) node ignores pushes —
-        it is off the network. Deltas chain off the currently held view;
-        the quorum router applies them incrementally (grid resize +
-        state remap) instead of rebuilding from scratch. An unappliable
-        delta means an earlier update was lost: :meth:`on_version_gap`
-        asks for the bridging update.
+        it is off the network. A delta is applied here, to the held
+        view, and the router is handed the view it yields: deltas are a
+        wire format, and the router carries its state across a full view
+        and a derived one alike (:meth:`RouterBase.on_view_change`). An
+        unappliable delta means an earlier update was lost:
+        :meth:`on_version_gap` asks for the bridging update.
 
         With replicated coordinators, views order by ``(epoch,
         version)``, the held epoch being the router's ``view_epoch``: a
@@ -946,14 +947,11 @@ class CoordinatorClient:
                 self.dropped_unappliable_deltas += 1
                 self.on_version_gap()
                 return
-            view = update.apply(current)
-            if node.id not in view:
+            update = update.apply(current)
+            if node.id not in update:
                 self.on_expelled()
                 return
-            router.on_view_delta(view, update)
-            node.start_if_armed()
-            return
-        if epoch < router.view_epoch:
+        elif epoch < router.view_epoch:
             # A deposed primary's stale publication; the fencing rule
             # guarantees the higher epoch is the surviving authority.
             self.dropped_stale_full_views += 1
@@ -964,7 +962,7 @@ class CoordinatorClient:
             and update.version <= current.version
         ):
             # A repair resend that raced regular publication; the held
-            # view is already at least this fresh — do not rebuild.
+            # view is already at least this fresh — do not reinstall.
             self.dropped_stale_full_views += 1
             return
         if node.id not in update:

@@ -14,7 +14,7 @@ from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.linkstate import LinkStateRow, RowBlock
-from repro.overlay.membership import MembershipView, ViewDelta
+from repro.overlay.membership import MembershipView
 from repro.overlay.monitor import LinkMonitor
 
 __all__ = ["Route", "RouterBase"]
@@ -61,7 +61,14 @@ class Route:
 
 
 class RouterBase(abc.ABC):
-    """Common structure: timers, view handling, message dispatch."""
+    """Common structure: timers, view handling, message dispatch.
+
+    Membership reaches a router as views only, through
+    :meth:`on_view_change`; how a plane put the view on the wire (whole
+    or as a delta) is the plane's business. A subclass says how to build
+    its per-view state from nothing (:meth:`_rebuild_for_view`) and how
+    to carry it to a view with another member set (:meth:`on_view_delta`).
+    """
 
     kind: RouterKind
 
@@ -166,32 +173,39 @@ class RouterBase(abc.ABC):
         self.view = None
         self.me_idx = -1
 
-    def rebrand_view(self, view: MembershipView) -> None:
-        """Adopt a new view *version* whose member set is unchanged.
-
-        The gossip plane advances its packed view version on every
-        membership-op merge, including ones (heartbeat-only knowledge,
-        refuted expiries) that leave the resolved member set identical.
-        All per-view routing state is still valid — only the version tag
-        routing messages carry needs to move.
-        """
-        held = self._require_view()
-        if view.members != held.members:
-            raise RoutingError(
-                f"rebrand at node {self.me} would change the member set"
-            )
-        self.view = view
-
     def on_view_change(self, view: MembershipView) -> None:
-        """Install a new membership view and rebuild routing state."""
-        self.view = view
-        self.me_idx = view.index_of(self.me)
+        """Install ``view``: the one way a router is handed membership.
+
+        Every plane calls this, whether the view came whole or was
+        derived from a delta on the wire. With no view held (first
+        install, or after :meth:`forget_view`) routing state is built
+        from nothing. A view with the held member set only retags: every
+        per-view structure is still valid, and only the version routing
+        messages carry moves. Otherwise what was learned about surviving
+        members moves to their new positions (:meth:`on_view_delta`).
+        """
+        held = self.view
+        if held is not None and view.members == held.members:
+            self.view = view
+            return
         # View position -> underlay (monitor/topology) index. Node IDs
         # are underlay indices, so this maps view-indexed tables onto
         # the monitor's topology-indexed measurement arrays.
-        self._member_ids = np.fromiter(view.members, dtype=np.int64)
+        new_ids = np.fromiter(view.members, dtype=np.int64, count=view.n)
+        self.view = view
+        self.me_idx = view.index_of(self.me)
         self._own_row_seen_version = -1
-        self._rebuild_for_view(view)
+        if held is None:
+            self._member_ids = new_ids
+            self._rebuild_for_view(view)
+            return
+        # Old view position -> new view position; -1 for departed
+        # members. Both id arrays are sorted, so one search places every
+        # old member, and an equality check tells who is still there.
+        old_ids, self._member_ids = self._member_ids, new_ids
+        old_to_new = np.searchsorted(new_ids, old_ids)
+        old_to_new[new_ids[np.minimum(old_to_new, view.n - 1)] != old_ids] = -1
+        self.on_view_delta(old_to_new)
 
     def _refresh_own_row(self) -> None:
         """(Re)install this node's own measurement row in the table.
@@ -227,16 +241,6 @@ class RouterBase(abc.ABC):
             sent_at=self.sim.now,
         )
 
-    def on_view_delta(self, view: MembershipView, delta: ViewDelta) -> None:
-        """Install a view derived from a :class:`ViewDelta`.
-
-        The base implementation falls back to a full rebuild; routers
-        that can update their per-view state incrementally (the quorum
-        router's grid and tables) override this.
-        """
-        del delta
-        self.on_view_change(view)
-
     # ------------------------------------------------------------------
     # View <-> underlay index projection helpers
     # ------------------------------------------------------------------
@@ -261,7 +265,15 @@ class RouterBase(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _rebuild_for_view(self, view: MembershipView) -> None:
-        """Reset per-view routing state (tables, grids, failover)."""
+        """Build per-view routing state (tables, grids, failover) from
+        nothing: the first view a router (or a rebooted node) holds."""
+
+    @abc.abstractmethod
+    def on_view_delta(self, old_to_new: np.ndarray) -> None:
+        """Carry per-view routing state to a view with another member
+        set, already installed by :meth:`on_view_change`.
+        ``old_to_new[p]`` is the new position of the member that held
+        old position ``p``, or -1 when it left the view."""
 
     @abc.abstractmethod
     def tick(self) -> None:

@@ -38,6 +38,16 @@ class FullMeshRouter(RouterBase):
         self.table = LinkStateTable(view.n)
         self._refresh_own_row()
 
+    def on_view_delta(self, old_to_new: np.ndarray) -> None:
+        """Surviving members' rows move to their new positions; a joiner's
+        row, and every row's column for a joiner, read as dead until its
+        owner broadcasts under the new view."""
+        survivors_old = np.nonzero(old_to_new >= 0)[0]
+        self.table = self.table.remap(
+            survivors_old, old_to_new[survivors_old], self.view.n
+        )
+        self._refresh_own_row()
+
     # ------------------------------------------------------------------
     # Protocol
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.net.packet import (
 )
 from repro.overlay.config import RouterKind
 from repro.overlay.linkstate import SparseLinkStateTable
-from repro.overlay.membership import MembershipView, ViewDelta
+from repro.overlay.membership import MembershipView
 from repro.overlay.router_base import (
     SOURCE_DIRECT,
     SOURCE_RECOMMENDATION,
@@ -145,8 +145,8 @@ class QuorumRouter(RouterBase):
             self.route_server2 = np.full(n, -1, dtype=np.int64)
         self._refresh_own_row()
 
-    def on_view_delta(self, view: MembershipView, delta: ViewDelta) -> None:
-        """Apply a membership delta without rebuilding from scratch.
+    def on_view_delta(self, old_to_new: np.ndarray) -> None:
+        """Carry routing state to a view with another member set.
 
         The grid (over view indices ``0..n-1``) is the new size's shared
         one, and the link-state table and route arrays are
@@ -160,23 +160,9 @@ class QuorumRouter(RouterBase):
         adopted failover servers are dropped (re-adopted on the next
         poll while both defaults are still failed).
         """
-        if self.view is None:
-            self.on_view_change(view)
-            return
-        n = view.n
-        # Old view position -> new view position; -1 for departed
-        # members. Both id arrays are sorted, so one search places every
-        # old member, and an equality check tells who is still there.
-        new_ids = np.fromiter(view.members, dtype=np.int64, count=n)
-        old_to_new = np.searchsorted(new_ids, self._member_ids)
-        found = new_ids[np.minimum(old_to_new, n - 1)] == self._member_ids
-        old_to_new[~found] = -1
-        survivors_old = np.nonzero(found)[0]
+        n = self.view.n
+        survivors_old = np.nonzero(old_to_new >= 0)[0]
         survivors_new = old_to_new[survivors_old]
-
-        self.view = view
-        self.me_idx = view.index_of(self.me)
-        self._member_ids = new_ids
         self.grid = GridQuorum.of_size(n)
 
         # Rows past the round-2 memory are never gathered again: drop them.
@@ -228,7 +214,6 @@ class QuorumRouter(RouterBase):
             for c, r in self._reply_relay.items()
             if old_to_new[c] >= 0 and old_to_new[r] >= 0
         }
-        self._own_row_seen_version = -1
         self._refresh_own_row()
 
     def _cost_row(self, idx: int) -> np.ndarray:

@@ -38,11 +38,6 @@ class StubRouter:
     def on_view_change(self, view):
         self.view = view
 
-    rebrand_view = on_view_change
-
-    def on_view_delta(self, view, delta):
-        self.view = view
-
 
 class StubNode:
     """The slice of OverlayNode the engine touches."""

@@ -375,11 +375,11 @@ class TestOneRowPerProcess:
 
         remapped = []
         rng = np.random.default_rng(0)
-        on_view_delta = QuorumRouter.on_view_delta
+        on_view_change = QuorumRouter.on_view_change
 
-        def checking(router, view, delta):
+        def checking(router, view):
             oracle, old_members = CopyInTable.of(router.table, strict=True), router.member_ids
-            on_view_delta(router, view, delta)
+            on_view_change(router, view)
             survivors_old = np.nonzero(np.isin(old_members, router.member_ids))[0]
             survivors_new = np.searchsorted(router.member_ids, old_members[survivors_old])
             oracle = oracle.remap(survivors_old, survivors_new, view.n)
@@ -390,7 +390,7 @@ class TestOneRowPerProcess:
             assert_same_answers(router.table, oracle, now, rng)
             remapped.append(router.me)
 
-        monkeypatch.setattr(QuorumRouter, "on_view_delta", checking)
+        monkeypatch.setattr(QuorumRouter, "on_view_change", checking)
         ov.leave_node(17)
         ov.run(1.0)
         assert sorted(remapped) == [i for i in range(n) if i != 17]

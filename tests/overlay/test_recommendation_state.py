@@ -92,7 +92,7 @@ def change_view(router, oracle, leaver, joiner):
         for old, member in enumerate(view.members)
         if member in after
     }
-    router.on_view_delta(after, delta)
+    router.on_view_change(after)
     oracle.change_view(moved_to, after.n, router.me_idx)
     oracle.assert_router_matches(router)
 
@@ -173,7 +173,9 @@ def test_a_default_router_holds_three_route_arrays():
         assert getattr(router, name).shape == (router.view.n,), name
     # ... through a view delta and a full rebuild alike.
     change_view(router, AllSevenOracle(router.view.n, router.me_idx, False), 3, N - 1)
-    router.on_view_change(router.view)
+    view = router.view
+    router.forget_view()
+    router.on_view_change(view)
     for name in OPTIONAL:
         assert getattr(router, name) is None, name
 

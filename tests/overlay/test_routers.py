@@ -338,14 +338,17 @@ class TestViewChange:
                 assert adoptions == []
             assert [a for a in adoptions if not a[2]] == []
 
-    def test_remote_failure_is_caught_under_churn_faster_than_the_timeout(self):
+    @pytest.mark.parametrize("deltas", [True, False], ids=["deltas", "full_views"])
+    def test_remote_failure_is_caught_under_churn_faster_than_the_timeout(self, deltas):
         """Both default rendezvous of (0, 12) lose their links to 12
         while a view version lands every 10 s, a quarter of the remote
         timeout. They stop recommending 12 once its row goes stale;
         node 0 must read that as "stopped" — they were covering 12 under
         the previous view — and fail over. Evidence wiped per view
         version never does: no cover under the new view, so no omission
-        counts, and the timeout restarts before it can run out."""
+        counts, and the timeout restarts before it can run out. Whether
+        the versions arrive as deltas or as full views is a wire format:
+        the router carries its evidence across either."""
         n = 22  # five columns at 21 and 22 members: only the tail moves
         plan = FaultPlan().partition(70.0, 400.0, [2, 10], [12])
         for k, t in enumerate(np.arange(60.0, 300.0, 10.0).tolist()):
@@ -355,7 +358,7 @@ class TestViewChange:
             trace=planetlab_like(n, rng, base_loss=0.0, lossy_fraction=0.0),
             router=RouterKind.QUORUM,
             rng=rng,
-            config=OverlayConfig(membership=OutOfBand(deltas=True)),
+            config=OverlayConfig(membership=OutOfBand(deltas=deltas)),
             failures=plan.failure_table(n),
             with_freshness=False,
         )

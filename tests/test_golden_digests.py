@@ -20,8 +20,15 @@ view versions (``FailoverManager.carry_over``) then moved the four runs
 whose membership plane delivers view deltas —
 ``_churn_three_coordinators``, ``_out_of_band_deltas_batched``,
 ``_in_band_lossy``, ``_three_coordinators_crash_restore`` — and neither
-static run nor the gossip one. A change that moves a digest on purpose
-(a protocol fix) re-pins it and says so here.
+static run nor the gossip one. Handing routers views only — a full view
+carries state across like a derived one, and a view with the held
+member set only retags — moved ``_three_coordinators_crash_restore``
+alone: its 14 post-promotion full views that move a node from epoch 1
+to 2 with unchanged members used to rebuild blank and now retag, so
+adopted failover
+servers survive the epoch bump (events 6966 → 7052, ``rec`` 360 656 →
+383 416 B; route table and view versions unchanged). A change that
+moves a digest on purpose (a protocol fix) re-pins it and says so here.
 """
 
 import hashlib
@@ -189,7 +196,7 @@ GOLDEN = [
     ),
     (
         _three_coordinators_crash_restore,
-        "14955a870f8c469e0adbf85285ab0678f5241192a8b37303e2daea75582b0b95",
+        "569f11048d4f33e8f3835969426d4b9d561b81b891a772436f047ab60add3fe9",
     ),
 ]
 
