@@ -4,10 +4,11 @@ Unlike the figure benchmarks (single-shot reproductions), these use
 pytest-benchmark's statistical timing to watch for performance
 regressions in the pieces that dominate simulation time: the event
 loop, the one-hop min-plus kernel, grid construction, a full two-round
-protocol execution, and (since PR 4) the quorum link-state table, the
-bulk route kernel, the full-overlay memory envelope, (since PR 18) the
+protocol execution, the quorum link-state table, the bulk route
+kernel, the per-node link-state memory envelope of the benchmark's
+``steady_n256`` overlay, the
 full-mesh availability sample over the overlay's shared row block,
-(since PR 24) one node's round-2 receive work for a routing interval,
+one node's round-2 receive work for a routing interval,
 and one gossip digest received in the steady state and one op behind.
 
 CI runs this file with ``--benchmark-disable`` (check mode): every
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 from reference_recommendations import AllSevenOracle  # tests/overlay, via conftest
 
+from bench.workloads import WORKLOADS  # the repo root, via conftest
 from repro.core.grid import GridQuorum
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.core.protocol import run_two_round
@@ -295,19 +297,25 @@ def test_perf_gossip_digest_64(benchmark):
     assert set(transport.sent) == {"GossipPull"}
 
 
-def test_overlay_linkstate_memory_is_subquadratic_1024():
-    """Regression guard for the PR-4 acceptance bar: a full quorum
-    overlay at n=1024 keeps every node's link-state store at
-    O(n * sqrt(n)) bytes — far below the dense n^2 footprint that made
-    n >= 2048 uninstantiable before."""
-    from repro.experiments.perf_scaling import run_overlay_at_scale
-
-    stats = run_overlay_at_scale(1024, duration_s=45.0, seed=42)
-    n = stats.n
-    # Dense would be ~17 MB/node; the sparse store must stay an order
+def test_overlay_linkstate_memory_is_subquadratic():
+    """Regression guard on the benchmark's own ``steady_n256`` workload
+    (seed 42, 45 sim-s): every node's link-state store stays at
+    O(n * sqrt(n)) bytes, far below the dense n^2 footprint, while the
+    overlay routes. The n = 1024 / 2048 / 4096 rungs are ``bench.child``
+    runs of the same builder (``bench/README.md``)."""
+    workload = WORKLOADS["steady_n256"]
+    overlay = workload.build(42, workload.n, workload.duration_s).overlay
+    overlay.run(workload.duration_s)
+    n = overlay.n
+    table_bytes = max(node.router.table.nbytes() for node in overlay.nodes)
+    # What one dense n x n table would cost: latency and loss float64,
+    # alive bool, and per-row time and version.
+    dense_bytes = n * n * (8 + 8 + 1) + n * (8 + 8)
+    # Dense would be ~1.1 MB/node; the sparse store must stay an order
     # of magnitude below and inside the O(n^1.5) envelope.
-    assert stats.linkstate_bytes_max < stats.linkstate_bytes_dense / 8
-    assert stats.linkstate_bytes_max < 60 * n * math.isqrt(n) + 64 * n
+    assert table_bytes < dense_bytes / 8
+    assert table_bytes < 60 * n * math.isqrt(n) + 64 * n
     # The overlay must actually have routed while doing so.
-    assert stats.route_usable_frac > 0.9
-    assert stats.transport_coalesced > 0
+    ok, mask = overlay.route_ok_matrix()
+    assert ok.sum() / (mask.sum() * (mask.sum() - 1)) > 0.9
+    assert overlay.transport.coalesced_count > 0

@@ -20,13 +20,12 @@ Usage (also via ``python -m repro``)::
     repro-experiments failover --smoke         # crash+partition CI subset
     repro-experiments gossip                   # coordinator-free membership
     repro-experiments gossip --smoke           # n=24 CI variant
-    repro-experiments perf                     # scale runs + BENCH_PR4.json
-    repro-experiments perf --smoke             # fast n=256 CI variant
     repro-experiments all                      # everything above
 
 Each command prints the same rows/series the paper's corresponding
 figure or table reports; ``--out DIR`` additionally writes them to
-files.
+files. Host wall time and memory at scale are the benchmark's to
+measure, not the CLI's: see ``bench/README.md``.
 """
 
 from __future__ import annotations
@@ -302,37 +301,6 @@ def _cmd_gossip(args: argparse.Namespace) -> None:
         )
 
 
-def _cmd_perf(args: argparse.Namespace) -> None:
-    from repro.experiments.perf_scaling import run_perf_suite
-
-    # The perf suite is wall-clock-measured at fixed simulated horizons;
-    # the global --duration knob (meant for protocol experiments) is
-    # deliberately not applied here so BENCH numbers stay comparable.
-    sizes = (1024, 2048, 4096) if args.n is None else (args.n,)
-    result = run_perf_suite(sizes=sizes, seed=args.seed, smoke=args.smoke)
-    print(result.format_table())
-    print()
-    if result.churn_reference is not None:
-        ref = result.churn_reference
-        print(
-            f"churn n=256 reference: {ref['current_wall_s']:.1f}s "
-            f"(pre-PR4 baseline {ref['baseline_wall_s']:.1f}s, "
-            f"{ref['speedup']:.2f}x)"
-        )
-        print()
-    if args.out is None and result.smoke:
-        # A smoke run must not clobber the committed full-scale bench
-        # record in the repo root; it only persists when --out is given
-        # (CI does, and uploads the file as an artifact).
-        print("smoke run: pass --out DIR to persist BENCH_PR4.json")
-        return
-    out = args.out if args.out is not None else pathlib.Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    bench_path = out / "BENCH_PR4.json"
-    bench_path.write_text(result.to_json() + "\n")
-    print(f"wrote {bench_path}")
-
-
 def _cmd_sosr(args: argparse.Namespace) -> None:
     from repro.experiments.related_work import (
         format_related_work,
@@ -355,7 +323,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "gossip": _cmd_gossip,
     "deployment": _cmd_deployment,
     "membership": _cmd_membership,
-    "perf": _cmd_perf,
     "scenarios": _cmd_scenarios,
     "ablations": _cmd_ablations,
     "multihop": _cmd_multihop,
@@ -396,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="membership/perf/failover/gossip: fast CI path (smaller runs)",
+        help="membership/failover/gossip: fast CI path (smaller runs)",
     )
     parser.add_argument(
         "--in-band",
@@ -426,12 +393,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "all":
         for name in sorted(_COMMANDS):
             print(f"##### {name} #####")
-            if name == "perf" and not args.smoke:
-                # The full perf suite is a multi-GB, tens-of-minutes
-                # measurement; 'all' runs its smoke variant instead.
-                smoke_args = argparse.Namespace(**{**vars(args), "smoke": True})
-                _COMMANDS[name](smoke_args)
-                continue
             _COMMANDS[name](args)
     else:
         _COMMANDS[args.command](args)

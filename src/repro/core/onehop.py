@@ -82,18 +82,27 @@ def best_one_hop_all_pairs(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     direct) cost; ``hops[i, j]`` the intermediate (``j`` for direct).
     This is the oracle the distributed protocol must match (Theorem 1).
     """
-    w = validate_cost_matrix(w)
+    return _all_pairs(validate_cost_matrix(w))
+
+
+def _all_pairs(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The n^3 kernel behind both all-pairs oracles (``w`` validated).
+
+    Each source's sums ``totals[j, h] = w[i, h] + w[h, j]`` are reduced
+    along contiguous rows of ``wT``; ``argmin`` keeps the first
+    minimising ``h``.
+    """
     n = w.shape[0]
+    idx = np.arange(n)
+    wT = np.ascontiguousarray(w.T)
     costs = np.empty_like(w)
     hops = np.empty((n, n), dtype=np.int64)
     for i in range(n):
-        # totals[h, j] = w[i, h] + w[h, j]
-        totals = w[i][:, None] + w
-        best_h = np.argmin(totals, axis=0)
-        costs[i] = totals[best_h, np.arange(n)]
+        totals = w[i][None, :] + wT
+        best_h = np.argmin(totals, axis=1)
+        costs[i] = totals[idx, best_h]
         hops[i] = best_h
     # Normalize degenerate hops to "direct".
-    idx = np.arange(n)
     direct_like = (hops == idx[:, None]) | (hops == idx[None, :])
     hops = np.where(direct_like, np.broadcast_to(idx[None, :], (n, n)), hops)
     np.fill_diagonal(hops, idx)
@@ -144,21 +153,7 @@ def best_one_hop_all_pairs_asymmetric(
     w: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All-pairs optimal directed one-hop routes for directed costs."""
-    w = validate_asymmetric_cost_matrix(w)
-    n = w.shape[0]
-    costs = np.empty_like(w)
-    hops = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        totals = w[i][:, None] + w  # totals[h, j] = w[i, h] + w[h, j]
-        best_h = np.argmin(totals, axis=0)
-        costs[i] = totals[best_h, np.arange(n)]
-        hops[i] = best_h
-    idx = np.arange(n)
-    direct_like = (hops == idx[:, None]) | (hops == idx[None, :])
-    hops = np.where(direct_like, np.broadcast_to(idx[None, :], (n, n)), hops)
-    np.fill_diagonal(hops, idx)
-    np.fill_diagonal(costs, 0.0)
-    return costs, hops
+    return _all_pairs(validate_asymmetric_cost_matrix(w))
 
 
 def one_hop_totals(w: np.ndarray, i: int, j: int) -> np.ndarray:

@@ -8,7 +8,9 @@
 * :mod:`repro.experiments.ablation_quorum` — quorum-construction ablation
 * :mod:`repro.experiments.ablation_interval` — routing-interval ablation
 * :mod:`repro.experiments.multihop_scaling` — §3 multi-hop extension
-* :mod:`repro.experiments.perf_scaling` — full-overlay perf/memory runs
+
+Host wall time and memory are not measured here: ``bench/`` records
+them, per workload and per layer (``bench/README.md``).
 """
 
 from repro.experiments.adversarial import (
@@ -52,14 +54,6 @@ from repro.experiments.multihop_scaling import (
     format_multihop_scaling,
     run_multihop_scaling,
 )
-from repro.experiments.perf_scaling import (
-    PerfRunStats,
-    PerfSuiteResult,
-    run_overlay_at_scale,
-    run_perf_suite,
-    run_scale_suite,
-    time_churn_reference,
-)
 from repro.experiments.related_work import (
     AvailabilityResult,
     LatencyRepairResult,
@@ -93,8 +87,6 @@ __all__ = [
     "MembershipRunStats",
     "MembershipScalingResult",
     "MultiHopRow",
-    "PerfRunStats",
-    "PerfSuiteResult",
     "QuorumAblationRow",
     "ScenarioResult",
     "capacity_table",
@@ -113,10 +105,6 @@ __all__ = [
     "run_membership_mode",
     "run_membership_scaling",
     "run_multihop_scaling",
-    "run_overlay_at_scale",
-    "run_perf_suite",
     "run_quorum_ablation",
-    "run_scale_suite",
     "run_scenario",
-    "time_churn_reference",
 ]

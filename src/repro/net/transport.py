@@ -147,9 +147,6 @@ class DatagramTransport:  # reprolint: disable=RL002(one shared transport per si
         if 0 <= node_id < self._registered.shape[0]:
             self._registered[node_id] = False
 
-    def is_registered(self, node_id: int) -> bool:
-        return node_id in self._handlers
-
     def registered_vector(self) -> np.ndarray:
         """Per-node registration mask (read-only; do not mutate).
 

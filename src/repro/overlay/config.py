@@ -16,7 +16,7 @@ the *relative* cost of the two algorithms is interval-independent (§5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -270,7 +270,3 @@ class OverlayConfig:
     def remote_timeout_s(self) -> float:
         """Remote rendezvous failure timeout in seconds."""
         return self.remote_timeout_intervals * self.routing_interval_quorum_s
-
-    def with_overrides(self, **kwargs) -> "OverlayConfig":
-        """A copy with the given fields replaced (validated)."""
-        return replace(self, **kwargs)

@@ -301,25 +301,6 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         # alive[me] is always True, so ~alive counts failed peers only.
         return np.array([int((~node.monitor.alive).sum()) for node in self.nodes])
 
-    def ground_truth_onehop_cost(self) -> np.ndarray:
-        """Best achievable one-hop cost per pair on the *current* underlay.
-
-        Uses the true RTT matrix with currently-down links removed; the
-        effectiveness evaluation compares routers' choices against this.
-        """
-        t = self.sim.now
-        w = self.topology.rtt_matrix_ms.copy()
-        n = self.n
-        for i in range(n):
-            up = self.topology.up_vector(i, t)
-            w[i, ~up] = np.inf
-            w[~up, i] = np.inf
-        np.fill_diagonal(w, 0.0)
-        from repro.core.onehop import best_one_hop_all_pairs
-
-        costs, _ = best_one_hop_all_pairs(w)
-        return costs
-
 
 def _draw_phases(
     rng: np.random.Generator, config: OverlayConfig, router: RouterKind

@@ -9,6 +9,7 @@ from repro.core.onehop import (
     best_excluding_top_fraction,
     best_one_hop,
     best_one_hop_all_pairs,
+    best_one_hop_all_pairs_asymmetric,
     one_hop_totals,
     validate_cost_matrix,
 )
@@ -126,6 +127,46 @@ class TestAllPairs:
         costs, hops = best_one_hop_all_pairs(w)
         assert costs[0, 1] == 30.0
         assert hops[0, 1] == 2
+
+
+def tie_heavy_costs(rng, n, symmetric):
+    """Costs from {1, 2, 3} with ~15 % dead links: most pairs have several
+    minimising hops, so only the tie-break decides which one is returned."""
+    w = rng.integers(1, 4, size=(n, n)).astype(float)
+    w[rng.random((n, n)) < 0.15] = np.inf
+    if symmetric:
+        w = np.triu(w, 1)
+        w = w + w.T
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+class TestAllPairsTieBreak:
+    """The all-pairs oracles return, per pair, the *first* minimising hop
+    (normalised to the direct form) and that hop's total, bit for bit."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_first_minimising_hop_and_exact_cost(self, symmetric, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 41))
+        w = tie_heavy_costs(rng, n, symmetric)
+        expected_costs = np.zeros((n, n))
+        expected_hops = np.empty((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                totals = w[i] + w[:, j]
+                h = int(np.argmin(totals))
+                expected_hops[i, j] = j if h in (i, j) else h
+                if i != j:
+                    expected_costs[i, j] = totals[h]
+        oracles = [best_one_hop_all_pairs]
+        if not symmetric:
+            oracles.append(best_one_hop_all_pairs_asymmetric)
+        for oracle in oracles:
+            costs, hops = oracle(w)
+            np.testing.assert_array_equal(hops, expected_hops)
+            assert costs.tobytes() == expected_costs.tobytes()
 
 
 class TestExclusionAnalysis:

@@ -10,9 +10,14 @@ class TestParser:
     def test_known_commands(self):
         parser = build_parser()
         for cmd in ("capacity", "fig1", "fig9", "deployment", "scenarios",
-                    "ablations", "multihop", "sosr", "churn", "perf", "all"):
+                    "ablations", "multihop", "sosr", "churn", "all"):
             args = parser.parse_args([cmd])
             assert args.command == cmd
+
+    def test_perf_command_is_gone(self):
+        # Host wall time and memory are measured by bench/, not the CLI.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["perf"])
 
     def test_nodes_alias_and_rate(self):
         args = build_parser().parse_args(
@@ -92,16 +97,3 @@ class TestCommands:
         written = {p.name for p in tmp_path.iterdir()}
         assert "table_churn_comparison.txt" in written
         assert "table_churn_mass_failure.txt" in written
-
-    def test_perf_smoke_writes_bench_json(self, tmp_path, capsys):
-        import json
-
-        assert main(["perf", "--smoke", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "Perf scaling" in out
-        bench = json.loads((tmp_path / "BENCH_PR4.json").read_text())
-        assert bench["smoke"] is True
-        run = bench["scale_runs"][0]
-        assert run["n"] == 256
-        assert run["route_usable_frac"] > 0.9
-        assert run["linkstate_bytes_max"] * 8 < run["linkstate_bytes_dense"]

@@ -2,8 +2,9 @@
 
 ``repro/overlay/`` and ``repro/net/`` hold the state that exists once
 per overlay node or once per simulator event — the O(n) and O(events)
-object populations that dominate memory at n >= 4096 (BENCH_PR4: 89.5 GB
-RSS at n=4096, almost all of it per-node Python objects). A ``__dict__``
+object populations that dominate memory at n >= 4096 (the first n=4096
+scale run, recorded in CHANGES.md, peaked at 89.5 GB RSS, almost all of
+it per-node Python objects). A ``__dict__``
 costs ~100+ bytes per instance; ``__slots__`` removes it. Classes in
 these packages must declare ``__slots__`` directly or via
 ``@dataclass(slots=True)``; genuine singletons (one per experiment, not
