@@ -105,9 +105,9 @@ grid already says is copied per node.
   recorded only while adopted, so a cover older than the first adoption
   reads the same as none. The exception is a cover at the adoption's
   own instant, from a message that arrived before the poll that
-  adopted: the manager keeps the destination arrays of every message of
-  the current sim instant (dropped when the clock moves) and seeds the
-  cover from them.
+  adopted: the manager keeps the listed-destination masks of every
+  message of the current sim instant (dropped when the clock moves) and
+  seeds the cover from them.
 * **Scalar on purpose** — adopting, judging and retiring failover
   servers runs per double-failed destination, in ascending order, in
   plain Python: it draws from the node's random stream, and the order
@@ -347,8 +347,9 @@ class FailoverManager:
         #: their flat positions dst * 2 + slot in the (n, 2) arrays);
         #: the arrays are the view size's, shared by every manager.
         self._slots_by_server = index.slots_by_server(self.me)
-        #: Every message of the current sim instant, by server: an
-        #: adoption at this instant seeds its cover from them.
+        #: The listed-destination mask of every message of the current
+        #: sim instant, by server: an adoption at this instant seeds its
+        #: cover from them.
         self._instant = _NEVER
         self._instant_messages: Dict[int, List[np.ndarray]] = {}
 
@@ -414,36 +415,34 @@ class FailoverManager:
     # ------------------------------------------------------------------
     # Event inputs
     # ------------------------------------------------------------------
-    def note_recommendations(self, server: int, dsts: np.ndarray, now: float) -> None:
+    def note_recommendations(self, server: int, listed: np.ndarray, now: float) -> None:
         """Process one recommendation message from ``server``.
 
-        ``dsts`` holds the view positions (each in ``[0, n)``) of the
-        destinations the message carried entries for; it is kept by
-        reference until the clock moves, so the caller must not write to
-        it afterwards.
+        ``listed`` is the receiver's ``(n,)`` bool mask over view
+        positions: True where the message carried an entry for that
+        destination. It is kept by reference until the clock moves, so
+        the caller must not write to it afterwards.
         A destination we expect ``server`` to cover but that is absent
         is an omission — its slot's cover time falls behind the server's
         last message time; whether one counts as remote-failure evidence
         is :meth:`_remote_verdict`'s business.
         """
-        in_message = np.zeros(self._heard.size, dtype=bool)
-        in_message[dsts] = True
         self._heard[server] = now
         slots = self._slots_by_server.get(server)
         if slots is not None:
             expected, flat = slots
-            self._cover_flat[flat[in_message[expected]]] = now
+            self._cover_flat[flat[listed[expected]]] = now
         if now != self._instant:
             self._instant = now
             self._instant_messages = {}
-        self._instant_messages.setdefault(server, []).append(dsts)
+        self._instant_messages.setdefault(server, []).append(listed)
         log = self._off_default.get(server)
         if log is None:
             return
         # An omission older than a cover needs no clearing: only
         # ``omitted > last`` counts (see _remote_verdict).
         for dst in log.adopted_at:
-            if in_message[dst]:
+            if listed[dst]:
                 log.covers[dst] = now
                 continue
             st = self._state.get(dst)
@@ -456,7 +455,7 @@ class FailoverManager:
         if log is None:
             log = self._off_default[server] = _OffDefaultLog()
         if now == self._instant and any(
-            (listed == dst).any() for listed in self._instant_messages.get(server, ())
+            listed[dst] for listed in self._instant_messages.get(server, ())
         ):
             log.covers[dst] = now  # a message earlier this instant listed it
         log.adopted_at[dst] = now

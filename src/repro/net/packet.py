@@ -148,9 +148,10 @@ class RecommendationMessage(Message):
 
     ``entries`` is one ``(k, 2)`` int64 array of ``(destination,
     one_hop)`` rows; a ``one_hop`` equal to the destination means "use
-    the direct path". A sequence of pairs is accepted and converted.
-    Receivers keep slices of it by reference: treat it as read-only
-    once the message is built.
+    the direct path". Any memory layout is accepted, and a sequence of
+    pairs is converted. A standard sender's entries are the transposed
+    column range of one ``(2, total)`` array, so each column is
+    contiguous. Receivers keep nothing of it past their handler.
     """
 
     entries: np.ndarray = field(
@@ -183,10 +184,6 @@ class RecommendationMessage(Message):
                 + wire.TIMESTAMPED_REC_ENTRY_BYTES * len(self.entries)
             )
         return wire.recommendation_message_bytes(len(self.entries))
-
-    def destinations(self) -> np.ndarray:
-        """The destinations this message recommends hops for."""
-        return self.entries[:, 0]
 
 
 @dataclass(slots=True)

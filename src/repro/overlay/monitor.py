@@ -105,7 +105,8 @@ class LinkMonitor:
         self.est_rtt_ms[me] = 0.0
         self.alive = np.ones(n, dtype=bool)
         self.loss_est = np.zeros(n)
-        self.consecutive_losses = np.zeros(n, dtype=np.int64)
+        #: Probe losses in a row per peer; a count never nears 2**31.
+        self.consecutive_losses = np.zeros(n, dtype=np.int32)
         #: Bumped whenever row-visible state (RTT/liveness/loss
         #: estimates) changes; routers use it to skip rebuilding their
         #: own link-state row when nothing was measured in between.

@@ -359,18 +359,20 @@ class QuorumRouter(RouterBase):
         pair_ok |= pair_ok.T
         table, keep = self._entry_table(covered_ids, covered_ids, pair_hop, pair_ok)
         # One (address, message) per client, put on the wire together.
-        # The messages are consecutive slices of one entry array.
-        entries = table[keep]
+        # The messages are consecutive column ranges of one (2, total)
+        # entry array, so each message's destination and hop columns are
+        # contiguous.
+        entries = np.compress(keep.reshape(-1), table.reshape(2, -1), axis=1)
         ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
         version = self.wire_view_version()
         timestamped = self.config.timestamped_recommendations
         out: List[Tuple[int, Message]] = []
 
-        def add(a_idx: int, rows: np.ndarray) -> None:
-            if len(rows):
+        def add(a_idx: int, columns: np.ndarray) -> None:
+            if columns.shape[1]:
                 msg = RecommendationMessage(
                     origin=self.me,
-                    entries=rows,
+                    entries=columns.T,
                     view_version=version,
                     sent_at=now,
                     timestamped=timestamped,
@@ -379,7 +381,7 @@ class QuorumRouter(RouterBase):
 
         start = 0
         for a_idx, end in zip(covered_ids.tolist(), ends):
-            add(a_idx, entries[start:end])
+            add(a_idx, entries[:, start:end])
             start = end
         for a_idx in relay_clients:
             # Relayed clients are not covered destinations, so their
@@ -391,7 +393,7 @@ class QuorumRouter(RouterBase):
             table, keep = self._entry_table(
                 np.array([a_idx]), covered_ids, best_h[None, :], np.isfinite(best_cost)[None, :]
             )
-            add(a_idx, table[0][keep[0]])
+            add(a_idx, np.compress(keep[0], table[:, 0], axis=1))
         if out:
             dsts, msgs = zip(*out)
             self.transport.send_many(self.me, dsts, msgs)
@@ -407,14 +409,15 @@ class QuorumRouter(RouterBase):
 
         ``best_h[a, b]`` / ``finite[a, b]`` are the best one-hop from
         ``recipients[a]`` to ``covered_ids[b]`` and whether it exists.
-        Returns the ``(recipients, covered, 2)`` table of
-        ``(destination, one_hop)`` rows and the mask of the ones to
-        send: ``table[a][keep[a]]`` is recipient ``a``'s message.
+        Returns the ``(2, recipients, covered)`` table — a destination
+        plane and a one-hop plane — and the mask of the entries to send:
+        ``np.compress(keep[a], table[:, a], axis=1).T`` is recipient
+        ``a``'s message.
         """
         me = recipients[:, None]
-        table = np.empty(best_h.shape + (2,), dtype=np.int64)
-        table[..., 0] = covered_ids
-        table[..., 1] = np.where(
+        table = np.empty((2,) + best_h.shape, dtype=np.int64)
+        table[0] = covered_ids
+        table[1] = np.where(
             (best_h == me) | (best_h == covered_ids),
             covered_ids,  # canonical "direct"
             best_h,
@@ -461,6 +464,15 @@ class QuorumRouter(RouterBase):
             self._reply_relay.pop(src_idx, None)
 
     def on_recommendation(self, msg: RecommendationMessage, src: int) -> None:
+        """Install one rendezvous' round-2 entries and note its §4.1
+        evidence, in a fixed handful of array operations.
+
+        One unsigned max validates both columns, and one ``(n,)`` bool
+        mask of the listed destinations finds an entry about this node
+        (dropped) and a repeated destination (the only case applied one
+        entry at a time, last wins); the same mask is the failover
+        manager's cover / omission evidence. Nothing of ``msg`` is kept.
+        """
         view = self._require_view()
         src_idx = view.position(src)
         if src_idx < 0 or msg.view_version != self.wire_view_version():
@@ -468,35 +480,33 @@ class QuorumRouter(RouterBase):
             return
         now = self.sim.now
         n = view.n
+        me = self.me_idx
         ent = msg.entries
-        # The destinations as a private array: the failover manager keeps
-        # them until the clock moves, a view would pin the sender's whole
-        # entry array, and a strided view is buffered by every later
-        # fancy index.
-        dsts, hops = ent[:, 0].copy(), ent[:, 1]
-        if len(ent) and (
-            ent.min() < 0 or ent.max() >= n or (dsts == self.me_idx).any()
-        ):
+        dsts, hops = ent[:, 0], ent[:, 1]
+        # One range check over both columns: a negative position reads
+        # >= 2**63 as unsigned.
+        if len(ent) and ent.view(np.uint64).max() >= n:
             # Only a non-standard sender names a position outside the
-            # view or the receiver itself: drop those entries, apply the
-            # rest.
-            valid = (
-                (dsts >= 0)
-                & (dsts < n)
-                & (hops >= 0)
-                & (hops < n)
-                & (dsts != self.me_idx)
-            )
+            # view: drop those entries, apply the rest.
+            valid = (dsts >= 0) & (dsts < n) & (hops >= 0) & (hops < n)
             dsts, hops = dsts[valid], hops[valid]
-        # Even an entry too stale to install still counts as coverage:
+        # Even an entry too stale to install is listed, i.e. coverage:
         # the rendezvous demonstrably recommends this destination.
-        covered = dsts
-        if dsts.size > 1 and not (dsts[1:] > dsts[:-1]).all():
-            # Not strictly ascending, so possibly duplicate destinations
-            # (only a non-standard sender produces either): sequential
-            # last-wins semantics.
+        listed = np.zeros(n, dtype=bool)
+        listed[dsts] = True
+        if listed[me]:
+            # Only a non-standard sender names the receiver itself.
+            listed[me] = False
+            valid = dsts != me
+            dsts, hops = dsts[valid], hops[valid]
+        if np.count_nonzero(listed) != len(dsts):
+            # A repeated destination (only a non-standard sender sends
+            # one): sequential last-wins semantics.
             self._apply_entries_scalar(dsts, hops, src_idx, msg.sent_at, now)
         else:
+            # Distinct destinations, in any order: every entry writes its
+            # own slots, so one fancy-indexed write per array is the
+            # sequential result.
             if self.route_sent_at is not None:
                 # Footnote 11: an out-of-order (older-computed)
                 # recommendation must not clobber a newer best hop —
@@ -517,7 +527,7 @@ class QuorumRouter(RouterBase):
             self.route_time[dsts] = now
             self.route_hop[dsts] = hops
             self.route_server[dsts] = src_idx
-        self.failover.note_recommendations(src_idx, covered, now)
+        self.failover.note_recommendations(src_idx, listed, now)
 
     def _apply_entries_scalar(
         self,

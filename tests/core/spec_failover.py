@@ -8,7 +8,18 @@ draw by random draw. When the two disagree, decide which one the paper
 agrees with before editing either.
 """
 
+import numpy as np
+
 from repro.core.failover import FailoverPoll
+
+
+def listed_mask(n, dsts):
+    """The ``(n,)`` bool mask a receiving router hands
+    ``FailoverManager.note_recommendations`` for a message listing
+    ``dsts`` (view positions)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(list(dsts), dtype=np.int64)] = True
+    return mask
 
 
 class FailoverSpec:

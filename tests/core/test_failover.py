@@ -4,6 +4,7 @@ import gc
 
 import numpy as np
 import pytest
+from spec_failover import listed_mask
 
 from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.grid import GridQuorum
@@ -16,6 +17,11 @@ def make_manager(n=9, me=0, remote_timeout=30.0, seed=1):
     )
     mgr.set_grid(GridQuorum(list(range(n))), now=0.0)
     return mgr
+
+
+def note(mgr, server, dsts, now):
+    """One recommendation message from ``server`` listing ``dsts``."""
+    mgr.note_recommendations(server, listed_mask(mgr.grid.n, dsts), now)
 
 
 def up_except(down=(), n=9):
@@ -108,8 +114,8 @@ class TestHealthEvaluation:
     def test_coverage_refreshes_health(self):
         mgr = make_manager(remote_timeout=30.0)
         for t in (10.0, 25.0):
-            mgr.note_recommendations(2, np.array([8]), t)
-            mgr.note_recommendations(6, np.array([8]), t)
+            note(mgr, 2, [8], t)
+            note(mgr, 6, [8], t)
         poll = mgr.poll(40.0, all_up, always_alive)
         # dst 8 covered recently; other dsts may have failed over but 8
         # must not be double-failed.
@@ -117,12 +123,12 @@ class TestHealthEvaluation:
 
     def test_affirmative_omission_is_immediate(self):
         mgr = make_manager(remote_timeout=1000.0)
-        mgr.note_recommendations(2, np.array([8]), 5.0)
-        mgr.note_recommendations(6, np.array([8]), 5.0)
+        note(mgr, 2, [8], 5.0)
+        note(mgr, 6, [8], 5.0)
         # Both servers now send recs WITHOUT dst 8 -> remote failure even
         # though the timeout is huge.
-        mgr.note_recommendations(2, np.array([1, 3]), 10.0)
-        mgr.note_recommendations(6, np.array([1, 3]), 10.0)
+        note(mgr, 2, [1, 3], 10.0)
+        note(mgr, 6, [1, 3], 10.0)
         assert mgr.server_failed(2, 8, 11.0, all_up)
         assert mgr.server_failed(6, 8, 11.0, all_up)
         poll = mgr.poll(11.0, all_up, always_alive)
@@ -155,7 +161,7 @@ class TestFailoverLifecycle:
         first = mgr.active_failover(8)
         assert first is not None
         # The failover sends recs omitting 8 -> it cannot reach 8.
-        mgr.note_recommendations(first, np.array([1, 2, 3]), 15.0)
+        note(mgr, first, [1, 2, 3], 15.0)
         poll2 = mgr.poll(16.0, up, always_alive)
         second = mgr.active_failover(8)
         assert second is not None and second != first
@@ -166,7 +172,7 @@ class TestFailoverLifecycle:
         mgr.poll(10.0, up, never_alive)
         first = mgr.active_failover(8)
         assert first is not None  # initial failover is always allowed
-        mgr.note_recommendations(first, np.array([1]), 15.0)  # omits 8
+        note(mgr, first, [1], 15.0)  # omits 8
         poll = mgr.poll(16.0, up, never_alive)
         # No further failover: no client sees dst 8 alive.
         assert mgr.active_failover(8) is None
@@ -177,7 +183,7 @@ class TestFailoverLifecycle:
         up = up_except({2, 6})
         mgr.poll(10.0, up, never_alive)
         first = mgr.active_failover(8)
-        mgr.note_recommendations(first, np.array([1]), 15.0)
+        note(mgr, first, [1], 15.0)
         mgr.poll(16.0, up, never_alive)  # suppressed
         poll = mgr.poll(30.0, up, always_alive)  # dst seen alive again
         assert mgr.active_failover(8) is not None
@@ -210,7 +216,7 @@ class TestFailoverLifecycle:
         stale = make_manager(remote_timeout=30.0)
         candidates = [c for c in stale.grid.failover_candidates(8) if c not in (0, 2, 6)]
         for c in candidates:
-            stale.note_recommendations(c, np.array([8]), 1.0)  # off-default cover
+            note(stale, c, [8], 1.0)  # off-default cover
         for mgr in (stale, make_manager(remote_timeout=30.0)):
             first = dict(mgr.poll(100.0, up, always_alive).adopted)[8]
             assert mgr.last_cover(first, 8) is None
@@ -231,16 +237,16 @@ class TestFailoverLifecycle:
         mgr = make_manager(remote_timeout=30.0)
         candidates = [c for c in mgr.grid.failover_candidates(8) if c not in (0, 2, 6)]
         for c in candidates:
-            mgr.note_recommendations(c, np.array([8]), 5.0)
-            mgr.note_recommendations(c, np.array([], dtype=np.int64), 5.0)
+            note(mgr, c, [8], 5.0)
+            note(mgr, c, [], 5.0)
         first = dict(mgr.poll(5.0, up, always_alive).adopted)[8]
         assert mgr.last_cover(first, 8) == 5.0
-        mgr.note_recommendations(first, np.array([], dtype=np.int64), 5.0)
+        note(mgr, first, [], 5.0)
         assert not mgr.server_failed(first, 8, 5.0, up)
         assert 8 not in dict(mgr.poll(5.0, up, always_alive).adopted)
         assert mgr.active_failover(8) == first
         # Its next message that leaves 8 out is the answer.
-        mgr.note_recommendations(first, np.array([], dtype=np.int64), 6.0)
+        note(mgr, first, [], 6.0)
         assert mgr.server_failed(first, 8, 6.0, up)
 
 
@@ -252,8 +258,8 @@ class TestRemoteRule:
         mgr = make_manager(remote_timeout=30.0)
         # Both defaults tick before dst 8's row has reached them.
         for t in (5.0, 20.0):
-            mgr.note_recommendations(2, np.array([1, 3]), t)
-            mgr.note_recommendations(6, np.array([1, 3]), t)
+            note(mgr, 2, [1, 3], t)
+            note(mgr, 6, [1, 3], t)
             assert not mgr.server_failed(2, 8, t, all_up)
             assert not mgr.server_failed(6, 8, t, all_up)
             poll = mgr.poll(t, all_up, always_alive)
@@ -262,22 +268,22 @@ class TestRemoteRule:
     def test_omission_after_a_cover_counts_at_once(self):
         mgr = make_manager(remote_timeout=1000.0)
         for server in (2, 6):
-            mgr.note_recommendations(server, np.array([1, 3]), 5.0)  # not yet
-            mgr.note_recommendations(server, np.array([1, 3, 8]), 20.0)  # covering
+            note(mgr, server, [1, 3], 5.0)  # not yet
+            note(mgr, server, [1, 3, 8], 20.0)  # covering
             assert not mgr.server_failed(server, 8, 20.0, all_up)
-            mgr.note_recommendations(server, np.array([1, 3]), 35.0)  # stopped
+            note(mgr, server, [1, 3], 35.0)  # stopped
             assert mgr.server_failed(server, 8, 35.0, all_up)
         assert 8 in dict(mgr.poll(35.0, all_up, always_alive).adopted)
         # A later cover clears it.
-        mgr.note_recommendations(2, np.array([8]), 50.0)
+        note(mgr, 2, [8], 50.0)
         assert not mgr.server_failed(2, 8, 50.0, all_up)
 
     def test_never_covering_default_fails_at_the_timeout_not_before(self):
         mgr = make_manager(remote_timeout=30.0)
         mgr.set_grid(mgr.grid, now=10.0)  # installed at t = 10
         for t in (15.0, 30.0):
-            mgr.note_recommendations(2, np.array([1, 3]), t)  # alive, never lists 8
-            mgr.note_recommendations(6, np.array([8]), t)
+            note(mgr, 2, [1, 3], t)  # alive, never lists 8
+            note(mgr, 6, [8], t)
         assert not mgr.server_failed(2, 8, 40.0, all_up)
         assert mgr.poll(40.0, all_up, always_alive).double_failures == 0
         assert mgr.server_failed(2, 8, 40.5, all_up)
@@ -287,9 +293,9 @@ class TestRemoteRule:
 
     def test_set_grid_forgets_that_a_server_was_covering(self):
         mgr = make_manager(remote_timeout=1000.0)
-        mgr.note_recommendations(2, np.array([8]), 5.0)
+        note(mgr, 2, [8], 5.0)
         mgr.set_grid(mgr.grid, now=6.0)
-        mgr.note_recommendations(2, np.array([1]), 7.0)
+        note(mgr, 2, [1], 7.0)
         assert not mgr.server_failed(2, 8, 8.0, all_up)
 
     def test_a_server_never_lists_itself_and_that_is_not_an_omission(self):
@@ -297,8 +303,8 @@ class TestRemoteRule:
         # server is the destination. It covers others, never itself.
         mgr = make_manager(remote_timeout=1000.0)
         assert set(mgr.default_pair(2)) == {0, 2}
-        mgr.note_recommendations(2, np.array([1, 2]), 5.0)  # a cover, however odd
-        mgr.note_recommendations(2, np.array([1]), 10.0)
+        note(mgr, 2, [1, 2], 5.0)  # a cover, however odd
+        note(mgr, 2, [1], 10.0)
         assert not mgr.server_failed(2, 2, 11.0, all_up)
         mgr.poll(11.0, all_up, always_alive)
         assert mgr.active_failover(2) is None
@@ -308,7 +314,7 @@ class TestRemoteRule:
         up = up_except({2, 6})
         first = dict(mgr.poll(10.0, up, always_alive).adopted)[8]
         assert mgr.last_cover(first, 8) is None
-        mgr.note_recommendations(first, np.array([1, 3]), 12.0)  # its answer omits 8
+        note(mgr, first, [1, 3], 12.0)  # its answer omits 8
         second = dict(mgr.poll(12.5, up, always_alive).adopted)[8]
         assert second != first
 
@@ -333,23 +339,23 @@ class TestCarryOver:
         # me = 0; dst 12 at (2, 2): defaults (0, 2) = 2 and (2, 0) = 10.
         assert set(old.default_pair(12)) == {2, 10}
         for server in (2, 10):
-            old.note_recommendations(server, np.array([1, 12]), 5.0)
+            note(old, server, [1, 12], 5.0)
         mgr = carried(old, range(21), range(22), now=6.0)  # 21 joins at the tail
         assert mgr.last_cover(2, 12) == 5.0
-        mgr.note_recommendations(2, np.array([1]), 7.0)  # stopped
+        note(mgr, 2, [1], 7.0)  # stopped
         assert mgr.server_failed(2, 12, 7.0, up_except(n=22))
         assert not mgr.server_failed(10, 12, 7.0, up_except(n=22))
 
     def test_a_pair_the_new_grid_creates_starts_blank(self):
         old = make_manager(n=21, remote_timeout=30.0)
         for server in (2, 10):
-            old.note_recommendations(server, np.arange(1, 21), 5.0)
+            note(old, server, range(1, 21), 5.0)
         mgr = carried(old, range(21), range(22), now=6.0)
         # The joiner, dst 21 at (4, 1): defaults (0, 1) = 1 and (4, 0) = 20.
         assert set(mgr.default_pair(21)) == {1, 20}
         for server in (1, 20):
             assert mgr.last_cover(server, 21) is None
-            mgr.note_recommendations(server, np.array([2]), 7.0)
+            note(mgr, server, [2], 7.0)
             assert not mgr.server_failed(server, 21, 36.0, up_except(n=22))
             assert mgr.server_failed(server, 21, 36.5, up_except(n=22))
 
@@ -358,8 +364,8 @@ class TestCarryOver:
         # me = 0; dst 5 at (1, 2): defaults 2 and 3. Member 4 leaves:
         # 5 moves to position 4 = (1, 1), defaults now 1 and 3.
         assert set(old.default_pair(5)) == {2, 3}
-        old.note_recommendations(3, np.array([5, 8]), 5.0)
-        old.note_recommendations(2, np.array([5, 8]), 5.0)
+        note(old, 3, [5, 8], 5.0)
+        note(old, 2, [5, 8], 5.0)
         after = [0, 1, 2, 3, 5, 6, 7, 8]
         mgr = carried(old, range(9), after, now=6.0)
         assert set(mgr.default_pair(4)) == {1, 3}
@@ -376,7 +382,7 @@ class TestCarryOver:
         mgr = make_manager(n=21, remote_timeout=30.0)
         size = 21
         for t in (10.0, 20.0, 30.0):  # a view version every 10 s
-            mgr.note_recommendations(2, np.array([1]), t - 1.0)  # up, never lists 12
+            note(mgr, 2, [1], t - 1.0)  # up, never lists 12
             mgr = carried(mgr, range(size), range(size + 1), now=t)
             size += 1
         up = up_except(n=size)
@@ -434,7 +440,7 @@ class TestCarryOver:
                 }
             server = members.index(talkers[int(rng.integers(len(talkers)))])
             listed = np.flatnonzero(rng.random(len(members)) < 0.7)
-            mgr.note_recommendations(server, listed, now)
+            note(mgr, server, listed, now)
             for s, dst in pairs():
                 if s == server:
                     slot = slots.setdefault((members[s], members[dst]), [-np.inf, -np.inf])
@@ -480,7 +486,7 @@ class TestCarryOver:
         for server in range(1, len(before)):
             listed = np.flatnonzero(rng.random(len(before)) < 0.5)
             at = float(rng.integers(4, 9))
-            old.note_recommendations(server, listed, at)
+            note(old, server, listed, at)
             for dst in range(len(before)):
                 pair = known.get((before[server], before[dst]))
                 if pair is None:
@@ -563,15 +569,15 @@ class TestStateLayout:
         destination; a failover log only for an adopted server."""
         n, me = 1024, 100
         mgr = manager_at(n, me)
-        sent = []  # (server, destinations): its clients but itself and me
+        sent = []  # (server, listed): its clients but itself and me
         for t, server in enumerate(sorted(set(mgr._slots_by_server) - {me})):
             clients = mgr.grid.servers(server, include_self=False)
-            sent.append((server, np.array([d for d in clients if d != me], dtype=np.int64)))
+            sent.append((server, listed_mask(n, [d for d in clients if d != me])))
             mgr.note_recommendations(*sent[-1], 0.1 * t)  # inside the timeout
         assert mgr._off_default == {}
         # Not the manager's: the node's random stream, the grid, the
-        # size's index and the arrays the messages arrived in.
-        shared = [mgr._rng, mgr.grid, mgr._dst_of_slot, *(dsts for _, dsts in sent)]
+        # size's index and the receiver's listed masks.
+        shared = [mgr._rng, mgr.grid, mgr._dst_of_slot, *(listed for _, listed in sent)]
         shared += [a for slots in mgr._slots_by_server.values() for a in slots]
         seen = {id(obj) for obj in shared}
         held, stack = 0, [mgr]
@@ -585,8 +591,8 @@ class TestStateLayout:
                     stack.append(ref)
         assert held <= 40 * n
         # Every default that listed a destination covered it.
-        for server, dsts in sent:
-            for dst in dsts.tolist():
+        for server, listed in sent:
+            for dst in np.flatnonzero(listed).tolist():
                 if server in mgr.default_pair(dst):
                     assert mgr.last_cover(server, dst) is not None
         # An adoption makes a log for the adopted server, and only that.

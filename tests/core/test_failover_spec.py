@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from spec_failover import FailoverSpec
+from spec_failover import FailoverSpec, listed_mask
 
 from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.grid import GridQuorum
@@ -60,7 +60,7 @@ class Pair:
         self.spec.change_view(self.me, GridQuorum(list(range(self.n))), moved_to, now)
 
     def note(self, server, dsts, now):
-        self.new.note_recommendations(server, np.array(dsts, dtype=np.int64), now)
+        self.new.note_recommendations(server, listed_mask(self.n, dsts), now)
         self.spec.note_recommendations(server, set(dsts), now)
 
     def adopted_servers(self):

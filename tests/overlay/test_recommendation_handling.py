@@ -10,9 +10,10 @@ counting as §4.1 coverage for failover omission detection.
 import numpy as np
 
 from repro.net.packet import RecommendationMessage
-from repro.net.trace import uniform_random_metric
+from repro.net.trace import planetlab_like, uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
+from repro.overlay.router_quorum import QuorumRouter
 
 
 def make_router(timestamped=True, verify=False, n=9, seed=4):
@@ -30,6 +31,20 @@ def make_router(timestamped=True, verify=False, n=9, seed=4):
         with_freshness=False,
     )
     return ov, ov.nodes[0].router
+
+
+def scalar_path_callers(monkeypatch):
+    """The routers that take ``_apply_entries_scalar`` from now on, one
+    item per call."""
+    callers = []
+    original = QuorumRouter._apply_entries_scalar
+
+    def counted(self, *args):
+        callers.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(QuorumRouter, "_apply_entries_scalar", counted)
+    return callers
 
 
 def rec(origin, entries, view, sent_at, timestamped=True):
@@ -121,10 +136,10 @@ class TestBatchApplication:
         assert router.route_hop[me] == -1
         assert router.route_hop[3] == -1
 
-    def test_vector_and_scalar_paths_agree(self):
-        # Same entry batch (unique dsts) applied via the vector path on
-        # one router and forced through the scalar path on another must
-        # leave identical route state.
+    def test_vector_and_scalar_paths_agree(self, monkeypatch):
+        # Same entry batch (unique dsts, ascending or not) applied via
+        # the vector path on one router and forced through the scalar
+        # path on another must leave identical route state.
         ov_a, ra = make_router(timestamped=True, verify=True, seed=6)
         ov_b, rb = make_router(timestamped=True, verify=True, seed=6)
         view = ra.view
@@ -133,7 +148,9 @@ class TestBatchApplication:
             (src1, [(3, 4), (5, 2), (7, 7)], 0.0),
             (src2, [(3, 6), (5, 5)], -1.0),  # older-computed
             (src1, [(3, 1), (7, 2)], 2.0),
+            (src2, [(7, 3), (1, 5), (5, 8), (3, 3)], 3.0),  # unordered
         ]
+        callers = scalar_path_callers(monkeypatch)
         for src, entries, sent_at in batches:
             ra.on_recommendation(rec(src, entries, view, sent_at), src)
             dsts = np.array([d for d, _ in entries])
@@ -149,3 +166,34 @@ class TestBatchApplication:
             "route_server2",
         ):
             assert np.array_equal(getattr(ra, arr), getattr(rb, arr)), arr
+        # Only a repeated destination takes the scalar path.
+        assert not any(router is ra for router in callers)
+
+    def test_a_standard_senders_messages_take_the_vector_path(self, monkeypatch):
+        """Three routing intervals of a lossless n = 25 quorum overlay:
+        no delivered message repeats a destination, so none takes the
+        scalar path, and every message's destination and hop columns are
+        contiguous (cut from one ``(2, total)`` entry array per sender)."""
+        rng = np.random.default_rng(5)
+        ov = build_overlay(
+            trace=planetlab_like(25, rng, base_loss=0.0, lossy_fraction=0.0),
+            router=RouterKind.QUORUM,
+            rng=rng,
+            config=OverlayConfig(),
+            with_freshness=False,
+        )
+        callers = scalar_path_callers(monkeypatch)
+        delivered = []
+        on_recommendation = QuorumRouter.on_recommendation
+
+        def recorded(self, msg, src):
+            delivered.append(msg)
+            return on_recommendation(self, msg, src)
+
+        monkeypatch.setattr(QuorumRouter, "on_recommendation", recorded)
+        ov.run(3 * ov.config.routing_interval_s(RouterKind.QUORUM))
+        assert len(delivered) > 25
+        assert callers == []
+        for msg in delivered:
+            assert msg.entries[:, 0].flags.c_contiguous
+            assert msg.entries[:, 1].flags.c_contiguous
