@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference_recommendations import AllSevenOracle  # tests/overlay, via conftest
+from reference_recommendations import AllArraysOracle  # tests/overlay, via conftest
 
 from bench.workloads import WORKLOADS  # the repo root, via conftest
 from repro.core.grid import GridQuorum
@@ -96,7 +96,7 @@ def test_perf_two_round_protocol_144(benchmark):
 # ----------------------------------------------------------------------
 def _published_row(rng, n, idx):
     """A frozen row as a client publishes it: all links up, no loss."""
-    return LinkStateRow(idx, rng.uniform(5.0, 400.0, n), np.ones(n, dtype=bool), np.zeros(n))
+    return LinkStateRow(idx, rng.uniform(5.0, 400.0, n), np.ones(n, dtype=bool))
 
 
 def _filled_sparse_table(n, rows, seed=0):
@@ -243,11 +243,11 @@ def test_perf_recommendation_receive_256(benchmark, monkeypatch):
 
     benchmark(receive)
     assert scalar_path == []
-    oracle = AllSevenOracle(n, me, timestamped=False)
+    oracle = AllArraysOracle(n, me)
     for msg in messages:
-        oracle.apply(router.view.index_of(msg.origin), msg.entries.tolist(), 0.0, 0.0)
+        oracle.apply(router.view.index_of(msg.origin), msg.entries.tolist(), 0.0)
     oracle.assert_router_matches(router)
-    assert router.route_hop2 is None and router.route_sent_at is None
+    assert router.route_hop2 is None
     # §4.1 evidence: every default that listed a destination covered it,
     # and no failover was adopted, so no off-default log exists.
     failover = router.failover

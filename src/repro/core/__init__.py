@@ -11,7 +11,6 @@ from repro.core.lowerbound import (
     optimality_ratio,
     theorem4_min_edges_per_node,
 )
-from repro.core.metrics import PathMetric, combine_latency_loss, cost_to_loss, loss_to_cost
 from repro.core.multihop import (
     MultiHopResult,
     minplus,
@@ -52,7 +51,6 @@ __all__ = [
     "GridQuorum",
     "GridQuorumSystem",
     "MultiHopResult",
-    "PathMetric",
     "QuorumSystem",
     "RandomQuorum",
     "TwoRoundResult",
@@ -61,8 +59,6 @@ __all__ = [
     "best_one_hop_all_pairs",
     "best_one_hop_all_pairs_asymmetric",
     "best_one_hop_asymmetric",
-    "combine_latency_loss",
-    "cost_to_loss",
     "count_diamonds_codegree",
     "count_diamonds_exhaustive",
     "coverage_fraction",
@@ -70,7 +66,6 @@ __all__ = [
     "grid_dimensions",
     "grid_quorum_edges_received",
     "lemma3_bound",
-    "loss_to_cost",
     "minplus",
     "one_hop_totals",
     "optimality_ratio",

@@ -170,9 +170,6 @@ class _DstState:
     excluded: Set[int] = field(default_factory=set)
     attempts: int = 0
     suppressed: bool = False
-    #: §4.1 footnote 8: the active failover is only reachable through a
-    #: temporary one-hop relay, so proximal health checks don't apply.
-    via_relay: bool = False
 
 
 @dataclass
@@ -196,11 +193,9 @@ class FailoverPoll:
     """
 
     adopted: List[Tuple[int, int]] = field(default_factory=list)
-    #: footnote-8 adoptions: failovers only reachable via a relay.
+    #: Always empty; read by bench/tracing.py.
     adopted_via_relay: List[Tuple[int, int]] = field(default_factory=list)
     extra_servers: Set[int] = field(default_factory=set)
-    #: subset of ``extra_servers`` that must be addressed through relays.
-    relay_servers: Set[int] = field(default_factory=set)
     double_failures: int = 0
     #: destinations whose both defaults are unreachable *from this node*
     #: (proximal only) — the exact quantity Figure 11 plots.
@@ -518,21 +513,13 @@ class FailoverManager:
     # ------------------------------------------------------------------
     # Polling
     # ------------------------------------------------------------------
-    def poll(
-        self,
-        now: float,
-        up: np.ndarray,
-        sees_alive: SeesAliveFn,
-        allow_relay: bool = False,
-    ) -> FailoverPoll:
+    def poll(self, now: float, up: np.ndarray, sees_alive: SeesAliveFn) -> FailoverPoll:
         """Evaluate all destinations; adopt/retire failover servers.
 
         ``up[x]`` is the link monitor's liveness verdict for the direct
         link to view position ``x``; ``sees_alive(dst)`` is whether any
         rendezvous client's link-state row currently shows ``dst``
-        reachable. ``allow_relay`` enables the §4.1 footnote-8 fallback:
-        when no failover candidate is directly reachable, one is adopted
-        anyway and addressed through a temporary one-hop relay.
+        reachable.
         """
         grid = self.grid
         result = FailoverPoll()
@@ -573,19 +560,11 @@ class FailoverManager:
             if st is None:
                 st = self._state[dst] = _DstState()
             if st.active is not None:
-                # Relay-reached failovers have no meaningful proximal
-                # verdict; judge them on recommendation coverage only.
-                active_failed = (
-                    not st.via_relay and not link_up[st.active]
-                ) or self._off_default_failed(st.active, dst, now)
-                if not active_failed:
+                if link_up[st.active] and not self._off_default_failed(st.active, dst, now):
                     result.extra_servers.add(st.active)
-                    if st.via_relay:
-                        result.relay_servers.add(st.active)
                     continue
                 st.excluded.add(st.active)
                 st.active = None
-                st.via_relay = False
             if st.suppressed:
                 if sees_alive(dst):
                     st.suppressed = False
@@ -602,34 +581,23 @@ class FailoverManager:
                 result.suppressed += 1
                 continue
             defaults = pair[dst].tolist()
-            usable = [
+            candidates = [
                 c
                 for c in grid.failover_candidates(dst)
                 if c != self.me
                 and c not in st.excluded
                 and c not in defaults
+                and link_up[c]
                 and not self._off_default_failed(c, dst, now)
             ]
-            candidates = [c for c in usable if link_up[c]]
-            via_relay = False
-            if not candidates and allow_relay:
-                # Footnote 8: everything in dst's row+column is behind a
-                # broken direct link; pick one anyway and relay to it.
-                candidates = usable
-                via_relay = True
             if not candidates:
                 # Exhausted the row+column; allow a fresh cycle later.
                 st.excluded.clear()
                 continue
             choice = int(candidates[int(self._rng.integers(len(candidates)))])
             st.active = choice
-            st.via_relay = via_relay
             st.attempts += 1
             self._adopt(choice, dst, now)
-            if via_relay:
-                result.adopted_via_relay.append((dst, choice))
-                result.relay_servers.add(choice)
-            else:
-                result.adopted.append((dst, choice))
+            result.adopted.append((dst, choice))
             result.extra_servers.add(choice)
         return result

@@ -25,7 +25,6 @@ __all__ = [
     "ProbeReply",
     "LinkStateMessage",
     "RecommendationMessage",
-    "RelayEnvelope",
     "MembershipUpdate",
     "MembershipDelta",
     "MembershipRefresh",
@@ -111,10 +110,10 @@ class LinkStateMessage(Message):
     ----------
     row:
         The published :class:`~repro.overlay.linkstate.LinkStateRow` —
-        latency (``inf`` for down links), liveness and loss per
-        destination. Immutable and carried by reference: the sender's
-        own table, every message of the same monitor state and every
-        receiver's table hold this one object.
+        latency (``inf`` for down links) and liveness per destination.
+        Immutable and carried by reference: the sender's own table, every
+        message of the same monitor state and every receiver's table hold
+        this one object.
     view_version:
         Membership view version this row is indexed against.
     sec:
@@ -126,20 +125,15 @@ class LinkStateMessage(Message):
     view_version: int = 0
     sent_at: float = 0.0
     sec: Optional[np.ndarray] = None
-    #: §4.1 footnote 8: when this table was relayed through a temporary
-    #: one-hop, the relay's node ID — the rendezvous uses it to route its
-    #: recommendations back around the broken direct link.
-    relay_via: Optional[int] = None
 
     @property
     def kind(self) -> str:
         return KIND_LINKSTATE
 
     def wire_size(self) -> int:
-        base = wire.linkstate_message_bytes(
+        return wire.linkstate_message_bytes(
             len(self.row.latency_ms), multihop=self.sec is not None
         )
-        return base + (wire.NODE_ID_BYTES if self.relay_via is not None else 0)
 
 
 @dataclass(slots=True)
@@ -159,9 +153,6 @@ class RecommendationMessage(Message):
     )
     view_version: int = 0
     sent_at: float = 0.0
-    #: §6.2.2 footnote 11: optionally timestamp entries so receivers can
-    #: keep the most up-to-date best hop. Adds 2 B per entry on the wire.
-    timestamped: bool = False
 
     def __post_init__(self) -> None:
         ent = self.entries
@@ -178,34 +169,7 @@ class RecommendationMessage(Message):
         return KIND_RECOMMENDATION
 
     def wire_size(self) -> int:
-        if self.timestamped:
-            return (
-                wire.HEADER_BYTES
-                + wire.TIMESTAMPED_REC_ENTRY_BYTES * len(self.entries)
-            )
         return wire.recommendation_message_bytes(len(self.entries))
-
-
-@dataclass(slots=True)
-class RelayEnvelope(Message):
-    """§4.1 footnote 8: a message sent via a temporary one-hop relay.
-
-    The relay node unwraps the envelope and forwards ``inner`` to
-    ``target``. On the wire the envelope costs the inner message plus a
-    2-byte target ID and a 2-byte flags field.
-    """
-
-    inner: Optional[Message] = None
-    target: int = -1
-
-    @property
-    def kind(self) -> str:
-        assert self.inner is not None
-        return self.inner.kind
-
-    def wire_size(self) -> int:
-        assert self.inner is not None
-        return self.inner.wire_size() + 2 * wire.NODE_ID_BYTES
 
 
 @dataclass(slots=True)

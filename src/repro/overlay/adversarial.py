@@ -52,7 +52,6 @@ class MaliciousQuorumRouter(QuorumRouter):
                 entries=lie[covered != a_idx],
                 view_version=self.wire_view_version(),
                 sent_at=now,
-                timestamped=self.config.timestamped_recommendations,
             )
             for a_idx in covered.tolist()
         ]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.core.metrics import PathMetric
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -211,30 +210,12 @@ class OverlayConfig:
     freshness_sample_s: float = 30.0
     #: Bandwidth accounting bucket width (seconds).
     bandwidth_bucket_s: float = 10.0
-    #: §6.2.2 footnote 11 extension: timestamp recommendation entries so
-    #: receivers keep the most recently *computed* best hop instead of
-    #: the most recently *delivered* one (costs 2 B/entry on the wire).
-    timestamped_recommendations: bool = False
-    #: §4.1 footnote 8 extension: when a failover rendezvous is not
-    #: directly reachable, relay link state (and the recommendations
-    #: coming back) through a temporary one-hop intermediate.
-    relay_failover: bool = False
     #: §7 future-work extension: keep recommendations from two distinct
     #: rendezvous per destination and locally cross-validate them at
     #: lookup time, surviving a lying (malicious) rendezvous.
     verify_recommendations: bool = False
-    #: Which link attribute routing optimizes. RON supports latency,
-    #: loss, and a combined application metric; the paper's evaluation
-    #: optimizes latency.
-    path_metric: "PathMetric" = None  # type: ignore[assignment]
-    #: Loss penalty (ms per unit -log(1-p)) for the COMBINED metric.
-    loss_penalty_ms: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.path_metric is None:
-            object.__setattr__(self, "path_metric", PathMetric.LATENCY)
-        if self.loss_penalty_ms < 0:
-            raise ConfigError("loss_penalty_ms must be non-negative")
         _require_positive(
             probe_interval_s=self.probe_interval_s,
             rapid_probe_interval_s=self.rapid_probe_interval_s,

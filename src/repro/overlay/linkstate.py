@@ -1,7 +1,7 @@
 """Partial link-state tables (§5 "Table Exchange").
 
-Each node maintains a partial ``n x n`` picture of estimated latency,
-liveness and loss: its own row comes from the link monitor, the other
+Each node maintains a partial ``n x n`` picture of estimated latency
+and liveness: its own row comes from the link monitor, the other
 rows arrive via table exchanges (all rows in the full-mesh system; the
 rendezvous clients' rows in the quorum system). Row receive-times are
 tracked so the rendezvous can honor the "use measurements from the last
@@ -39,10 +39,8 @@ published objects except where a broadcast is still in flight: a few
 columns move per visit where ``n`` rows were copied. The block belongs
 to the overlay (:func:`~repro.overlay.harness.build_overlay` hands it to
 every router), never to a table or to the module: a node's table reaches
-no ``(n, n)`` array, and dropping the overlay frees its rows. Additive
-costs under a loss-based metric are memoised on
-the row itself (:meth:`LinkStateRow.cost`), so they too are computed once
-per process. :meth:`nbytes` reports the *logical* footprint — what a
+no ``(n, n)`` array, and dropping the overlay frees its rows.
+:meth:`nbytes` reports the *logical* footprint — what a
 deployed node, which cannot share memory with its peers, would hold: a
 quorum node's ~2 sqrt(n) rows cost O(n^1.5), the full-mesh node's ``n``
 rows O(n^2), which is the point of the paper's design.
@@ -51,155 +49,85 @@ rows O(n^2), which is the point of the paper's design.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.metrics import PathMetric, combine_latency_loss, loss_to_cost
 from repro.errors import RoutingError
 
 __all__ = ["LinkStateRow", "LinkStateTable", "RowBlock", "SparseLinkStateTable"]
-
-#: What a cost vector was computed under; None is plain latency.
-CostKey = Optional[Tuple[PathMetric, float]]
-
-
-def _cost_key(metric: Optional[PathMetric], loss_penalty_ms: float) -> CostKey:
-    if metric is None or metric is PathMetric.LATENCY:
-        return None
-    return (metric, float(loss_penalty_ms))
-
 
 class LinkStateRow:
     """One node's link state as published: immutable once built.
 
     ``latency_ms`` is in effective form — ``inf`` where ``alive`` is
     False, ``0.0`` at ``idx``, the view position of the node the row
-    describes. All three arrays are read-only; build a new row instead
-    of writing into one.
+    describes. Both arrays are read-only; build a new row instead of
+    writing into one.
     """
 
-    __slots__ = (
-        "idx",
-        "latency_ms",
-        "alive",
-        "loss",
-        "_cost_key",
-        "_cost",
-        "_moved_by",
-        "_moved",
-        "__weakref__",
-    )
+    __slots__ = ("idx", "latency_ms", "alive", "_moved_by", "_moved", "__weakref__")
 
-    def __init__(
-        self, idx: int, latency_ms: np.ndarray, alive: np.ndarray, loss: np.ndarray
-    ):
+    def __init__(self, idx: int, latency_ms: np.ndarray, alive: np.ndarray):
         """Copy the caller's arrays in, normalise them, freeze the copies."""
         latency_ms = np.array(latency_ms, dtype=np.float64)
         alive = np.array(alive, dtype=bool)
-        loss = np.array(loss, dtype=np.float64)
         if latency_ms.ndim != 1 or not 0 <= idx < latency_ms.size:
             raise RoutingError(
                 f"row index {idx} out of range for a row of shape {latency_ms.shape}"
             )
-        if alive.shape != latency_ms.shape or loss.shape != latency_ms.shape:
+        if alive.shape != latency_ms.shape:
             raise RoutingError(
-                f"alive {alive.shape} / loss {loss.shape} do not match "
-                f"latency {latency_ms.shape}"
+                f"alive {alive.shape} does not match latency {latency_ms.shape}"
             )
         latency_ms[~alive] = np.inf
         latency_ms[idx] = 0.0
-        for arr in (latency_ms, alive, loss):
-            arr.flags.writeable = False
-        self._set(idx, latency_ms, alive, loss)
+        latency_ms.flags.writeable = alive.flags.writeable = False
+        self._set(idx, latency_ms, alive)
 
-    def _set(
-        self, idx: int, latency_ms: np.ndarray, alive: np.ndarray, loss: np.ndarray
-    ) -> None:
+    def _set(self, idx: int, latency_ms: np.ndarray, alive: np.ndarray) -> None:
         self.idx = idx
         self.latency_ms = latency_ms
         self.alive = alive
-        self.loss = loss
-        # Derived values, kept on the row so that every table holding it
-        # shares one computation: the last non-latency cost asked for
-        # (``cost``) and the row a view delta turned this one into
-        # (``_RowTable.remap``) — weakly, or a table that is never
-        # remapped again (a departed node's) would keep every later
-        # generation of its rows alive through them.
-        self._cost_key: CostKey = None
-        self._cost: Optional[np.ndarray] = None
+        # The row a view delta turned this one into (``_RowTable.remap``),
+        # kept on the row so that every table holding it shares one
+        # computation — weakly, or a table that is never remapped again
+        # (a departed node's) would keep every later generation of its
+        # rows alive through it.
         self._moved_by: Optional[bytes] = None
         self._moved: Optional["weakref.ref[LinkStateRow]"] = None
 
     @classmethod
-    def _adopt(
-        cls, idx: int, latency_ms: np.ndarray, alive: np.ndarray, loss: np.ndarray
-    ) -> "LinkStateRow":
+    def _adopt(cls, idx: int, latency_ms: np.ndarray, alive: np.ndarray) -> "LinkStateRow":
         """A row over read-only arrays already in effective form
         (``remap``'s block rows): held as they are, not copied."""
         row = cls.__new__(cls)
-        row._set(idx, latency_ms, alive, loss)
+        row._set(idx, latency_ms, alive)
         return row
 
     @property
     def nbytes(self) -> int:
-        """What a holder that could not share this row would keep:
-        latency and liveness, plus loss and the cost derived from it
-        once a loss-based metric has read them (a latency-only
-        deployment drops the loss column on receipt)."""
-        total = self.latency_ms.nbytes + self.alive.nbytes
-        if self._cost is not None:
-            total += self.loss.nbytes + self._cost.nbytes
-        return total
-
-    def cost(
-        self, metric: Optional[PathMetric] = None, loss_penalty_ms: float = 1000.0
-    ) -> np.ndarray:
-        """The row as additive path costs under ``metric`` (read-only).
-
-        LATENCY is the effective latency itself; LOSS is ``-log(1 - p)``
-        so the sum over a path maximizes delivery probability; COMBINED
-        is latency plus ``loss_penalty_ms`` per unit of transformed loss
-        (RON's application metric). Dead links are ``inf`` throughout.
-        The last non-latency answer is kept on the row, so every table
-        that holds it shares one computation.
-        """
-        key = _cost_key(metric, loss_penalty_ms)
-        if key is None:
-            return self.latency_ms
-        if key != self._cost_key:
-            loss = np.clip(self.loss, 0.0, 1.0)
-            if metric is PathMetric.LOSS:
-                cost = loss_to_cost(loss)
-            else:
-                cost = combine_latency_loss(
-                    self.latency_ms, loss, loss_penalty_ms=loss_penalty_ms
-                )
-            cost[~self.alive] = np.inf
-            cost[self.idx] = 0.0
-            cost.flags.writeable = False
-            self._cost_key, self._cost = key, cost
-        return self._cost
+        """What a holder that could not share this row would keep."""
+        return self.latency_ms.nbytes + self.alive.nbytes
 
 
 class RowBlock:
     """One overlay's gathered cost rows, patched in place between readers.
 
     ``costs[d, h]`` is the cost of link ``h -> d`` as the row last
-    gathered for ``h`` reports it: column ``h`` is that row's cost
-    vector under ``key``, and ``held[h]`` the row object it was written
-    from (None: the never-received column, ``inf`` with ``0`` at ``h``).
+    gathered for ``h`` reports it: column ``h`` is that row's effective
+    latency, and ``held[h]`` the row object it was written from (None:
+    the never-received column, ``inf`` with ``0`` at ``h``).
     :meth:`_RowTable.gather_into` brings the block to a table's rows;
     ``sums`` is the reader's ``(n, n)`` scratch and ``idx`` is
     ``arange(n)``. Nothing is allocated before the first gather, so an
     overlay whose routers never ask (the quorum system) pays nothing.
     """
 
-    __slots__ = ("n", "key", "costs", "held", "sums", "idx", "columns_written", "_up")
+    __slots__ = ("n", "costs", "held", "sums", "idx", "columns_written", "_up")
 
     def __init__(self) -> None:
         self.n = 0
-        self.key: CostKey = None
         self.costs = self.sums = np.empty((0, 0))
         self.idx = np.arange(0)
         self.held: List[Optional[LinkStateRow]] = []
@@ -208,14 +136,13 @@ class RowBlock:
         self.columns_written = 0
         self._up = np.empty((0, 0), dtype=bool)
 
-    def reset(self, n: int, key: CostKey) -> None:
-        """Become an ``(n, n)`` block under ``key`` that holds no row."""
+    def reset(self, n: int) -> None:
+        """Become an ``(n, n)`` block that holds no row."""
         if n != self.n:
             self.n = n
             self.costs = np.empty((n, n))
             self.sums = np.empty((n, n))
             self.idx = np.arange(n)
-        self.key = key
         self.costs.fill(np.inf)
         self.costs[self.idx, self.idx] = 0.0
         self.held = [None] * n
@@ -311,21 +238,16 @@ class _RowTable:
         """The row object held for ``idx``; None if never received."""
         return self._rows.get(idx)
 
-    def cost_row(
-        self,
-        idx: int,
-        metric: Optional[PathMetric] = None,
-        loss_penalty_ms: float = 1000.0,
-    ) -> np.ndarray:
-        """Row ``idx`` as additive path costs (:meth:`LinkStateRow.cost`):
-        the shared, read-only array itself, not a copy."""
+    def cost_row(self, idx: int) -> np.ndarray:
+        """Row ``idx``'s effective latency, the additive path cost routing
+        minimises: the shared, read-only array itself, not a copy."""
         row = self._rows.get(idx)
         if row is not None:
-            return row.cost(metric, loss_penalty_ms)
+            return row.latency_ms
         return self._unheard_row(idx)
 
     def _unheard_row(self, idx: int) -> np.ndarray:
-        """What a never-received row costs under every metric: ``inf``
+        """What a never-received row costs: ``inf``
         everywhere, ``0`` on its own diagonal (read-only).
 
         The full-mesh bootstrap reads ~n of these per route query, so
@@ -342,95 +264,57 @@ class _RowTable:
             self._unheard.flags.writeable = False
         return self._unheard[n - 1 - idx : 2 * n - 1 - idx]
 
-    def effective_cost(
-        self,
-        idx: int,
-        metric: Optional[PathMetric] = None,
-        loss_penalty_ms: float = 1000.0,
-    ) -> np.ndarray:
+    def effective_cost(self, idx: int) -> np.ndarray:
         """:meth:`cost_row` as a private, writeable copy."""
-        return self.cost_row(idx, metric, loss_penalty_ms).copy()
-
-    def effective_latency(self, idx: int) -> np.ndarray:
-        """Row ``idx`` with dead links forced to ``inf`` (copy)."""
         return self.cost_row(idx).copy()
 
     # ------------------------------------------------------------------
     # Multi-row gathers (routing kernels)
     # ------------------------------------------------------------------
-    def _costs_with_absent(
-        self, idxs: List[int], metric: Optional[PathMetric], loss_penalty_ms: float
-    ) -> List[np.ndarray]:
+    def _costs_with_absent(self, idxs: List[int]) -> List[np.ndarray]:
         """:meth:`_costs` when at least one of ``idxs`` was never received."""
         raise NotImplementedError
 
-    def _costs(
-        self, indices: np.ndarray, metric: Optional[PathMetric], loss_penalty_ms: float
-    ) -> List[np.ndarray]:
+    def _costs(self, indices: np.ndarray) -> List[np.ndarray]:
         """The read-only cost row of each of ``indices``, in order."""
         idxs = np.asarray(indices, dtype=np.int64).tolist()
         rows = self._rows
         try:
-            if metric is None or metric is PathMetric.LATENCY:
-                return [rows[i].latency_ms for i in idxs]
-            return [rows[i].cost(metric, loss_penalty_ms) for i in idxs]
+            return [rows[i].latency_ms for i in idxs]
         except KeyError:
-            return self._costs_with_absent(idxs, metric, loss_penalty_ms)
+            return self._costs_with_absent(idxs)
 
-    def cost_matrix(
-        self,
-        indices: np.ndarray,
-        metric: Optional[PathMetric] = None,
-        loss_penalty_ms: float = 1000.0,
-    ) -> np.ndarray:
+    def cost_matrix(self, indices: np.ndarray) -> np.ndarray:
         """Cost rows for ``indices`` gathered into a fresh ``(k, n)`` matrix."""
-        costs = self._costs(indices, metric, loss_penalty_ms)
+        costs = self._costs(indices)
         if not costs:
             return np.empty((0, self.n))
         # concatenate + reshape: a third of np.stack's time at these sizes.
         return np.concatenate(costs).reshape(len(costs), self.n)
 
-    def gather_into(
-        self,
-        block: RowBlock,
-        metric: Optional[PathMetric] = None,
-        loss_penalty_ms: float = 1000.0,
-    ) -> None:
+    def gather_into(self, block: RowBlock) -> None:
         """Bring ``block.costs`` to every row of this table, transposed:
         bitwise ``LinkStateTable.cost_matrix(arange(n)).T`` (a row never
         received reads as all-dead here, whichever the table).
 
         Only columns whose held row *is not* the object this table holds
-        are rewritten. Rows are frozen, so the same object under the
-        same cost key is the same bytes; a block of another size or key
-        starts over from the all-unheard state.
+        are rewritten. Rows are frozen, so the same object is the same
+        bytes; a block of another size starts over from the all-unheard
+        state.
         """
-        key = _cost_key(metric, loss_penalty_ms)
-        if block.n != self.n or block.key != key:
-            block.reset(self.n, key)
+        if block.n != self.n:
+            block.reset(self.n)
         held, costs, mine = block.held, block.costs, self._rows.get
         changed = [h for h in range(self.n) if mine(h) is not held[h]]
         for h in changed:
             row = held[h] = mine(h)
-            costs[:, h] = (
-                self._unheard_row(h) if row is None else row.cost(metric, loss_penalty_ms)
-            )
+            costs[:, h] = self._unheard_row(h) if row is None else row.latency_ms
         block.columns_written += len(changed)
 
-    def cost_gather(
-        self,
-        indices: np.ndarray,
-        dst: int,
-        metric: Optional[PathMetric] = None,
-        loss_penalty_ms: float = 1000.0,
-    ) -> np.ndarray:
+    def cost_gather(self, indices: np.ndarray, dst: int) -> np.ndarray:
         """``cost_row(i)[dst]`` for each ``i`` in ``indices`` (vector)."""
-        costs = self._costs(indices, metric, loss_penalty_ms)
+        costs = self._costs(indices)
         return np.array([cost.item(dst) for cost in costs], dtype=np.float64)
-
-    def latency_leg(self, indices: np.ndarray, dst: int) -> np.ndarray:
-        """``effective_latency(i)[dst]`` for each ``i`` (vector)."""
-        return self.cost_gather(indices, dst)
 
     # ------------------------------------------------------------------
     # Structure
@@ -503,13 +387,9 @@ class _RowTable:
             block.flags.writeable = False  # and so is every row cut from it
             return block
 
-        blocks = (
-            moved("latency_ms", np.inf, np.float64),
-            moved("alive", False, bool),
-            moved("loss", 0.0, np.float64),
-        )
-        for (new_idx, row), latency_ms, alive, loss in zip(todo, *blocks):
-            moved_row = LinkStateRow._adopt(new_idx, latency_ms, alive, loss)
+        blocks = (moved("latency_ms", np.inf, np.float64), moved("alive", False, bool))
+        for (new_idx, row), latency_ms, alive in zip(todo, *blocks):
+            moved_row = LinkStateRow._adopt(new_idx, latency_ms, alive)
             row._moved_by, row._moved = delta, weakref.ref(moved_row)
             new._rows[new_idx] = moved_row
         return new
@@ -536,14 +416,9 @@ class LinkStateTable(_RowTable):
 
     __slots__ = ()
 
-    def _costs_with_absent(
-        self, idxs: List[int], metric: Optional[PathMetric], loss_penalty_ms: float
-    ) -> List[np.ndarray]:
+    def _costs_with_absent(self, idxs: List[int]) -> List[np.ndarray]:
         rows = self._rows
-        return [
-            rows[i].cost(metric, loss_penalty_ms) if i in rows else self._unheard_row(i)
-            for i in idxs
-        ]
+        return [rows[i].latency_ms if i in rows else self._unheard_row(i) for i in idxs]
 
 
 class SparseLinkStateTable(_RowTable):
@@ -553,8 +428,6 @@ class SparseLinkStateTable(_RowTable):
 
     __slots__ = ()
 
-    def _costs_with_absent(
-        self, idxs: List[int], metric: Optional[PathMetric], loss_penalty_ms: float
-    ) -> List[np.ndarray]:
+    def _costs_with_absent(self, idxs: List[int]) -> List[np.ndarray]:
         missing = [i for i in idxs if i not in self._rows]
         raise RoutingError(f"rows never received: {missing}")

@@ -67,7 +67,6 @@ class LinkMonitor:
         "on_link_up",
         "est_rtt_ms",
         "alive",
-        "loss_est",
         "consecutive_losses",
         "version",
         "_rapid_pending",
@@ -104,10 +103,9 @@ class LinkMonitor:
         self.est_rtt_ms = np.full(n, np.inf)
         self.est_rtt_ms[me] = 0.0
         self.alive = np.ones(n, dtype=bool)
-        self.loss_est = np.zeros(n)
         #: Probe losses in a row per peer; a count never nears 2**31.
         self.consecutive_losses = np.zeros(n, dtype=np.int32)
-        #: Bumped whenever row-visible state (RTT/liveness/loss
+        #: Bumped whenever row-visible state (RTT/liveness
         #: estimates) changes; routers use it to skip rebuilding their
         #: own link-state row when nothing was measured in between.
         self.version = 0
@@ -157,7 +155,6 @@ class LinkMonitor:
         self.est_rtt_ms.fill(np.inf)
         self.est_rtt_ms[self.me] = 0.0
         self.alive.fill(True)
-        self.loss_est.fill(0.0)
         self.consecutive_losses.fill(0)
         self.version += 1
 
@@ -177,9 +174,6 @@ class LinkMonitor:
 
     def alive_row(self) -> np.ndarray:
         return self.alive.copy()
-
-    def loss_row(self) -> np.ndarray:
-        return self.loss_est.copy()
 
     # ------------------------------------------------------------------
     # Probing
@@ -244,14 +238,6 @@ class LinkMonitor:
             alpha * sample[steady] + (1 - alpha) * self.est_rtt_ms[steady]
         )
 
-        # Loss estimate: EWMA of the loss indicator.
-        others = np.ones(self.n, dtype=bool)
-        others[self.me] = False
-        indicator = (~delivered & others).astype(float)
-        self.loss_est[others] = (
-            0.2 * indicator[others] + 0.8 * self.loss_est[others]
-        )
-
         came_back = ok & ~self.alive
         self.consecutive_losses[ok] = 0
         self.alive[ok] = True
@@ -265,7 +251,8 @@ class LinkMonitor:
             if self.on_link_up is not None:
                 self.on_link_up(int(j))
 
-        lost = ~delivered & others
+        lost = ~delivered
+        lost[self.me] = False
         self.consecutive_losses[lost] += 1
         self._after_loss(np.where(lost)[0])
 

@@ -7,12 +7,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, RoutingError
-from repro.net.packet import (
-    LinkStateMessage,
-    Message,
-    RecommendationMessage,
-    RelayEnvelope,
-)
+from repro.net.packet import LinkStateMessage, Message, RecommendationMessage
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.net.transport import DatagramTransport
@@ -244,9 +239,7 @@ class OverlayNode:
     # ------------------------------------------------------------------
     def on_message(self, msg: Message, src: int) -> None:
         # The two routing messages are nearly all traffic: match them by
-        # exact type (neither has a subclass) ahead of the isinstance
-        # chain. They are attributed to their *origin*, which for a
-        # relayed message differs from the transport-level sender.
+        # exact type (neither has a subclass).
         cls = type(msg)
         if cls is LinkStateMessage or cls is RecommendationMessage:
             router = self.router
@@ -259,13 +252,6 @@ class OverlayNode:
                 router.on_linkstate(msg, msg.origin)
             else:
                 router.on_recommendation(msg, msg.origin)
-        elif isinstance(msg, RelayEnvelope):
-            # §4.1 footnote 8: act as the temporary one-hop — unwrap and
-            # forward toward the real target.
-            if msg.target != self.id and msg.inner is not None:
-                self.transport.send(self.id, msg.target, msg.inner)
-            elif msg.inner is not None:
-                self.on_message(msg.inner, msg.inner.origin)
         else:
             # Probes are handled by the vectorized monitor fast path, so
             # whatever is left is the membership plane's.

@@ -226,7 +226,6 @@ class RouterBase(abc.ABC):
             self.me_idx,
             self.monitor.latency_row()[ids],
             self.monitor.alive_row()[ids],
-            self.monitor.loss_row()[ids],
         )
         self.table.update_row(self.me_idx, row, now)
         self._own_row_seen_version = self.monitor.version

@@ -24,18 +24,13 @@ stale or the recommended hop is down, the node falls back to the §4.2
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.failover import FailoverConfig, FailoverManager, FailoverPoll
 from repro.core.grid import GridQuorum
-from repro.net.packet import (
-    LinkStateMessage,
-    Message,
-    RecommendationMessage,
-    RelayEnvelope,
-)
+from repro.net.packet import LinkStateMessage, Message, RecommendationMessage
 from repro.overlay.config import RouterKind
 from repro.overlay.linkstate import SparseLinkStateTable
 from repro.overlay.membership import MembershipView
@@ -64,17 +59,13 @@ class QuorumRouter(RouterBase):
       it. Route queries read the first two; the third tells a
       recommendation that displaces another rendezvous' from one that
       renews its own sender's.
-    * ``route_sent_at`` with ``config.timestamped_recommendations``
-      only: when the installed hop was computed, which the footnote-11
-      test compares an arriving message with. Without the flag nothing
-      reads it.
     * ``route_hop2`` / ``route_time2`` / ``route_server2`` with
       ``config.verify_recommendations`` only: the displaced rendezvous'
       opinion, which the §7 cross-validation prices against the
       installed one. Without the flag nothing reads them.
 
     An array that does not exist is ``None`` (a default router holds
-    three ``(n,)`` arrays, not seven), and :meth:`on_view_delta` remaps
+    three ``(n,)`` arrays, not six), and :meth:`on_view_delta` remaps
     whichever exist. The configuration is frozen, so which they are
     never changes in a router's life.
     """
@@ -87,12 +78,9 @@ class QuorumRouter(RouterBase):
         "failover",
         "_rng",
         "_extra_servers",
-        "_relay_servers",
-        "_reply_relay",
         "_last_double_failures",
         "route_hop",
         "route_time",
-        "route_sent_at",
         "route_server",
         "route_hop2",
         "route_time2",
@@ -124,10 +112,6 @@ class QuorumRouter(RouterBase):
         )
         self.failover.set_grid(self.grid, self.sim.now)
         self._extra_servers: Set[int] = set()
-        self._relay_servers: Set[int] = set()
-        #: client view-index -> relay node view-index for replies
-        #: (§4.1 footnote 8).
-        self._reply_relay: Dict[int, int] = {}
         self._last_double_failures = 0
 
         # Route state, indexed by view position (see the class docstring
@@ -135,10 +119,7 @@ class QuorumRouter(RouterBase):
         self.route_hop = np.full(n, -1, dtype=np.int64)
         self.route_time = np.full(n, -np.inf)
         self.route_server = np.full(n, -1, dtype=np.int64)
-        self.route_sent_at = self.route_hop2 = None
-        self.route_time2 = self.route_server2 = None
-        if self.config.timestamped_recommendations:
-            self.route_sent_at = np.full(n, -np.inf)
+        self.route_hop2 = self.route_time2 = self.route_server2 = None
         if self.config.verify_recommendations:
             self.route_hop2 = np.full(n, -1, dtype=np.int64)
             self.route_time2 = np.full(n, -np.inf)
@@ -187,15 +168,12 @@ class QuorumRouter(RouterBase):
         self.route_hop = moved(self.route_hop, refs=True)
         self.route_time = moved(self.route_time, refs=False)
         self.route_server = moved(self.route_server, refs=True)
-        self.route_sent_at = moved(self.route_sent_at, refs=False)
         self.route_hop2 = moved(self.route_hop2, refs=True)
         self.route_time2 = moved(self.route_time2, refs=False)
         self.route_server2 = moved(self.route_server2, refs=True)
         # A route whose one-hop departed is gone, not merely stale.
         dead = self.route_hop < 0
         self.route_time[dead] = -np.inf
-        if self.route_sent_at is not None:
-            self.route_sent_at[dead] = -np.inf
         if self.route_hop2 is not None:
             self.route_time2[self.route_hop2 < 0] = -np.inf
 
@@ -208,22 +186,7 @@ class QuorumRouter(RouterBase):
         self.failover.set_grid(self.grid, self.sim.now)
         self.failover.carry_over(previous, old_to_new)
         self._extra_servers = set()
-        self._relay_servers = set()
-        self._reply_relay = {
-            int(old_to_new[c]): int(old_to_new[r])
-            for c, r in self._reply_relay.items()
-            if old_to_new[c] >= 0 and old_to_new[r] >= 0
-        }
         self._refresh_own_row()
-
-    def _cost_row(self, idx: int) -> np.ndarray:
-        """A stored row as additive costs under the configured metric.
-
-        The shared row itself, not a copy: read-only.
-        """
-        return self.table.cost_row(
-            idx, self.config.path_metric, self.config.loss_penalty_ms
-        )
 
     def _links_up_view_many(self, view_indices: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`link_up_view` over view indices."""
@@ -245,65 +208,8 @@ class QuorumRouter(RouterBase):
         return base + sorted(self._extra_servers.difference(base))
 
     def _send_linkstate(self, server_indices: List[int]) -> None:
-        msg = self._own_linkstate()
         members = self._member_ids[server_indices]
-        if not (self._relay_servers and self.config.relay_failover):
-            self.transport.send_many(self.me, members, msg)
-            return
-        # Footnote 8: servers behind a broken direct link get the row
-        # through a temporary one-hop, in their place in the send order.
-        dsts: List[int] = []
-        msgs: List[Message] = []
-        for idx, member in zip(server_indices, members.tolist()):
-            out: Message = msg
-            if idx in self._relay_servers and not self.link_up_view(idx):
-                relayed = self._relay_datagram(idx, msg)
-                if relayed is None:
-                    continue
-                member, out = relayed
-            dsts.append(member)
-            msgs.append(out)
-        self.transport.send_many(self.me, dsts, msgs)
-
-    def _pick_relay(self, server_idx: int) -> Optional[int]:
-        """A reachable client whose table shows the server alive —
-        the footnote-8 temporary one-hop. One min-plus over the held
-        rows instead of a per-client Python loop."""
-        fresh = self._fresh_client_indices()
-        if fresh.size == 0:
-            return None
-        cand = fresh[(fresh != server_idx) & self._links_up_view_many(fresh)]
-        if cand.size == 0:
-            return None
-        own = self.table.effective_latency(self.me_idx)
-        cost = own[cand] + self.table.latency_leg(cand, server_idx)
-        pos = int(np.argmin(cost))
-        if not np.isfinite(cost[pos]):
-            return None
-        return int(cand[pos])
-
-    def _relay_datagram(
-        self, server_idx: int, msg: LinkStateMessage
-    ) -> Optional[Tuple[int, RelayEnvelope]]:
-        """``(relay member, envelope)`` carrying ``msg`` around the broken
-        link to ``server_idx``, or None when no client can relay."""
-        view = self._require_view()
-        relay_idx = self._pick_relay(server_idx)
-        if relay_idx is None:
-            self.counters.incr("relay_no_intermediate")
-            return None
-        relayed = LinkStateMessage(
-            origin=msg.origin,
-            row=msg.row,
-            view_version=msg.view_version,
-            sent_at=msg.sent_at,
-            relay_via=view.members[relay_idx],
-        )
-        envelope = RelayEnvelope(
-            origin=self.me, inner=relayed, target=view.members[server_idx]
-        )
-        self.counters.incr("relay_linkstate_sent")
-        return view.members[relay_idx], envelope
+        self.transport.send_many(self.me, members, self._own_linkstate())
 
     def _fresh_client_indices(self) -> np.ndarray:
         """View indices of clients whose rows are usable (≤ 3r old)."""
@@ -324,21 +230,12 @@ class QuorumRouter(RouterBase):
             return
         # Coverage filter: destinations this node can reach directly are
         # recommendable; unreachable ones are omitted (the §4.1 remote-
-        # failure signal). Clients behind a relay (footnote 8) are not
-        # recommendable as destinations but still *receive* messages.
-        reachable = self._links_up_view_many(fresh)
-        covered = fresh[reachable]
-        relay_clients = [
-            int(c)
-            for c in fresh[~reachable]
-            if int(c) in self._reply_relay and self.config.relay_failover
-        ]
-        if covered.size < 1 or covered.size + len(relay_clients) < 2:
+        # failure signal), and are not sent recommendations either.
+        covered = fresh[self._links_up_view_many(fresh)]
+        if covered.size < 2:
             return
-        metric = self.config.path_metric
-        penalty = self.config.loss_penalty_ms
         covered_ids = covered.astype(np.int64)
-        covered_rows = self.table.cost_matrix(covered_ids, metric, penalty)
+        covered_rows = self.table.cost_matrix(covered_ids)
         now = self.sim.now
         # The best one-hop between clients a and b is symmetric (IEEE
         # addition commutes, so argmin over row_a + row_b is identical
@@ -357,7 +254,7 @@ class QuorumRouter(RouterBase):
         pair_hop += pair_hop.T
         pair_ok = np.isfinite(pair_cost)
         pair_ok |= pair_ok.T
-        table, keep = self._entry_table(covered_ids, covered_ids, pair_hop, pair_ok)
+        table, keep = self._entry_table(covered_ids, pair_hop, pair_ok)
         # One (address, message) per client, put on the wire together.
         # The messages are consecutive column ranges of one (2, total)
         # entry array, so each message's destination and hop columns are
@@ -365,56 +262,36 @@ class QuorumRouter(RouterBase):
         entries = np.compress(keep.reshape(-1), table.reshape(2, -1), axis=1)
         ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
         version = self.wire_view_version()
-        timestamped = self.config.timestamped_recommendations
         out: List[Tuple[int, Message]] = []
-
-        def add(a_idx: int, columns: np.ndarray) -> None:
-            if columns.shape[1]:
-                msg = RecommendationMessage(
-                    origin=self.me,
-                    entries=columns.T,
-                    view_version=version,
-                    sent_at=now,
-                    timestamped=timestamped,
-                )
-                self._add_rec_datagram(out, view, a_idx, msg)
-
         start = 0
         for a_idx, end in zip(covered_ids.tolist(), ends):
-            add(a_idx, entries[:, start:end])
+            if end > start:
+                msg = RecommendationMessage(
+                    origin=self.me,
+                    entries=entries[:, start:end].T,
+                    view_version=version,
+                    sent_at=now,
+                )
+                out.append((view.members[a_idx], msg))
             start = end
-        for a_idx in relay_clients:
-            # Relayed clients are not covered destinations, so their
-            # pairs are not in the symmetric table; compute full-width.
-            a_row = self.table.cost_row(a_idx, metric, penalty)
-            totals = a_row[None, :] + covered_rows
-            best_h = np.argmin(totals, axis=1)
-            best_cost = totals[positions, best_h]
-            table, keep = self._entry_table(
-                np.array([a_idx]), covered_ids, best_h[None, :], np.isfinite(best_cost)[None, :]
-            )
-            add(a_idx, np.compress(keep[0], table[:, 0], axis=1))
         if out:
             dsts, msgs = zip(*out)
             self.transport.send_many(self.me, dsts, msgs)
 
     @staticmethod
     def _entry_table(
-        recipients: np.ndarray,
-        covered_ids: np.ndarray,
-        best_h: np.ndarray,
-        finite: np.ndarray,
+        covered_ids: np.ndarray, best_h: np.ndarray, finite: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Recommendation entries for every recipient at once.
+        """Recommendation entries for every client at once.
 
         ``best_h[a, b]`` / ``finite[a, b]`` are the best one-hop from
-        ``recipients[a]`` to ``covered_ids[b]`` and whether it exists.
-        Returns the ``(2, recipients, covered)`` table — a destination
-        plane and a one-hop plane — and the mask of the entries to send:
-        ``np.compress(keep[a], table[:, a], axis=1).T`` is recipient
-        ``a``'s message.
+        ``covered_ids[a]`` to ``covered_ids[b]`` and whether it exists.
+        Returns the ``(2, m, m)`` table — a destination plane and a
+        one-hop plane — and the mask of the entries to send:
+        ``np.compress(keep[a], table[:, a], axis=1).T`` is client ``a``'s
+        message.
         """
-        me = recipients[:, None]
+        me = covered_ids[:, None]
         table = np.empty((2,) + best_h.shape, dtype=np.int64)
         table[0] = covered_ids
         table[1] = np.where(
@@ -424,44 +301,15 @@ class QuorumRouter(RouterBase):
         )
         return table, finite & (covered_ids != me)
 
-    def _add_rec_datagram(
-        self,
-        out: List[Tuple[int, Message]],
-        view: MembershipView,
-        a_idx: int,
-        msg: RecommendationMessage,
-    ) -> None:
-        """Append the ``(address, message)`` carrying ``msg`` to client
-        ``a_idx`` — nothing when there is no working path (footnote 8's
-        reply relay included)."""
-        if a_idx in self._reply_relay and not self.link_up_view(a_idx):
-            relay_idx = self._reply_relay[a_idx]
-            if self.link_up_view(relay_idx):
-                envelope = RelayEnvelope(
-                    origin=self.me, inner=msg, target=view.members[a_idx]
-                )
-                self.counters.incr("relay_recommendation_sent")
-                out.append((view.members[relay_idx], envelope))
-            return
-        out.append((view.members[a_idx], msg))
-
     # ------------------------------------------------------------------
     # Protocol: message handlers
     # ------------------------------------------------------------------
     def on_linkstate(self, msg: LinkStateMessage, src: int) -> None:
-        view = self._require_view()
-        src_idx = view.position(src)
+        src_idx = self._require_view().position(src)
         if src_idx < 0 or msg.view_version != self.wire_view_version():
             self._note_dropped_message(msg.view_version)
             return
         self.table.update_row(src_idx, msg.row, self.sim.now)
-        relay_idx = -1 if msg.relay_via is None else view.position(msg.relay_via)
-        if relay_idx >= 0:
-            # Footnote 8: this client is behind a broken direct link;
-            # route recommendations back through the same relay.
-            self._reply_relay[src_idx] = relay_idx
-        else:
-            self._reply_relay.pop(src_idx, None)
 
     def on_recommendation(self, msg: RecommendationMessage, src: int) -> None:
         """Install one rendezvous' round-2 entries and note its §4.1
@@ -502,19 +350,11 @@ class QuorumRouter(RouterBase):
         if np.count_nonzero(listed) != len(dsts):
             # A repeated destination (only a non-standard sender sends
             # one): sequential last-wins semantics.
-            self._apply_entries_scalar(dsts, hops, src_idx, msg.sent_at, now)
+            self._apply_entries_scalar(dsts, hops, src_idx, now)
         else:
             # Distinct destinations, in any order: every entry writes its
             # own slots, so one fancy-indexed write per array is the
             # sequential result.
-            if self.route_sent_at is not None:
-                # Footnote 11: an out-of-order (older-computed)
-                # recommendation must not clobber a newer best hop —
-                # nor refresh its freshness window (stale information
-                # is not evidence the installed hop still holds).
-                live = msg.sent_at >= self.route_sent_at[dsts]
-                dsts, hops = dsts[live], hops[live]
-                self.route_sent_at[dsts] = msg.sent_at
             if self.route_hop2 is not None:
                 # Keep the displaced rendezvous' opinion as the secondary
                 # candidate for cross-validation.
@@ -530,21 +370,11 @@ class QuorumRouter(RouterBase):
         self.failover.note_recommendations(src_idx, listed, now)
 
     def _apply_entries_scalar(
-        self,
-        dsts: np.ndarray,
-        hops: np.ndarray,
-        src_idx: int,
-        sent_at: float,
-        now: float,
+        self, dsts: np.ndarray, hops: np.ndarray, src_idx: int, now: float
     ) -> None:
         """Sequential fallback preserving last-wins duplicate semantics."""
-        sent = self.route_sent_at
         keep_displaced = self.route_hop2 is not None
         for dst_idx, hop_idx in zip(dsts.tolist(), hops.tolist()):
-            if sent is not None:
-                if sent_at < sent[dst_idx]:
-                    continue
-                sent[dst_idx] = sent_at
             if (
                 keep_displaced
                 and self.route_server[dst_idx] >= 0
@@ -567,27 +397,14 @@ class QuorumRouter(RouterBase):
 
     def _evaluate_failover(self) -> FailoverPoll:
         poll = self.failover.poll(
-            self.sim.now,
-            self.monitor.alive[self._member_ids],
-            self._sees_alive,
-            allow_relay=self.config.relay_failover,
+            self.sim.now, self.monitor.alive[self._member_ids], self._sees_alive
         )
         self._extra_servers = set(poll.extra_servers)
-        self._relay_servers = set(poll.relay_servers)
-        newly_adopted = sorted(
-            {s for _, s in poll.adopted} | {s for _, s in poll.adopted_via_relay}
-        )
+        newly_adopted = sorted({s for _, s in poll.adopted})
         if newly_adopted:
             # Send link state to newly adopted failover servers right
             # away (scenario 2's "immediately selects ... and sends").
-            self.counters.incr(
-                "failover_adoptions",
-                len(poll.adopted) + len(poll.adopted_via_relay),
-            )
-            if poll.adopted_via_relay:
-                self.counters.incr(
-                    "failover_relay_adoptions", len(poll.adopted_via_relay)
-                )
+            self.counters.incr("failover_adoptions", len(poll.adopted))
             self._refresh_own_row()
             self._send_linkstate(newly_adopted)
         if poll.suppressed:
@@ -634,10 +451,8 @@ class QuorumRouter(RouterBase):
         fresh = fresh[fresh != dst_idx]
         if fresh.size == 0:
             return None
-        own = self._cost_row(self.me_idx)
-        via = own[fresh] + self.table.cost_gather(
-            fresh, dst_idx, self.config.path_metric, self.config.loss_penalty_ms
-        )
+        own = self.table.cost_row(self.me_idx)
+        via = own[fresh] + self.table.cost_gather(fresh, dst_idx)
         pos = int(np.argmin(via))
         cost = float(via[pos])
         if not np.isfinite(cost):
@@ -653,7 +468,7 @@ class QuorumRouter(RouterBase):
         if dst_idx == self.me_idx:
             return Route(dst=dst_idx, hop=dst_idx, cost_ms=0.0, source=SOURCE_DIRECT, age_s=0.0)
         now = self.sim.now
-        own = self._cost_row(self.me_idx)
+        own = self.table.cost_row(self.me_idx)
 
         rec_age = now - float(self.route_time[dst_idx])
         hop = int(self.route_hop[dst_idx])
@@ -698,9 +513,7 @@ class QuorumRouter(RouterBase):
         n = view.n
         now = self.sim.now
         me = self.me_idx
-        metric = self.config.path_metric
-        penalty = self.config.loss_penalty_ms
-        own = self._cost_row(me)
+        own = self.table.cost_row(me)
         link_up = self.monitor.alive[self._member_ids]
 
         hops = np.full(n, -1, dtype=np.int64)
@@ -733,7 +546,7 @@ class QuorumRouter(RouterBase):
         if rem.size:
             fresh = self._fresh_client_indices()
             if fresh.size:
-                rows = self.table.cost_matrix(fresh, metric, penalty)
+                rows = self.table.cost_matrix(fresh)
                 via = own[fresh][:, None] + rows[:, rem]  # (k, r)
                 # A client cannot be the one-hop to itself.
                 col_of = np.full(n, -1, dtype=np.int64)
@@ -798,7 +611,7 @@ class QuorumRouter(RouterBase):
         first_leg = float(own[hop])
         hop_age = self.table.row_age(hop, self.sim.now)
         if hop_age <= self.config.rec_memory_s():
-            second = float(self._cost_row(hop)[dst_idx])
+            second = float(self.table.cost_row(hop)[dst_idx])
         else:
             second = np.nan  # unknown; cost is a lower-bound estimate
         return first_leg + (second if np.isfinite(second) else 0.0)

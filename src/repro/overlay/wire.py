@@ -40,7 +40,6 @@ __all__ = [
     "MULTIHOP_LS_ENTRY_BYTES",
     "MULTIHOP_REC_ENTRY_BYTES",
     "ASYMMETRIC_LS_ENTRY_BYTES",
-    "TIMESTAMPED_REC_ENTRY_BYTES",
     "PROBE_BYTES",
     "NODE_ID_BYTES",
     "VIEW_VERSION_BYTES",
@@ -96,9 +95,6 @@ MULTIHOP_LS_ENTRY_BYTES = LINKSTATE_ENTRY_BYTES + 2
 #: Asymmetric link state carries both directions' latency (§3 footnote
 #: 2): 2 B outgoing + 2 B incoming + 1 B liveness/loss per entry.
 ASYMMETRIC_LS_ENTRY_BYTES = LINKSTATE_ENTRY_BYTES + 2
-
-#: Timestamped recommendations (§6.2.2 footnote 11) add a 2 B timestamp.
-TIMESTAMPED_REC_ENTRY_BYTES = RECOMMENDATION_ENTRY_BYTES + 2
 
 #: Multi-hop recommendations add a 2 B path cost per entry (§3).
 MULTIHOP_REC_ENTRY_BYTES = RECOMMENDATION_ENTRY_BYTES + 2

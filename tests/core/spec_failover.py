@@ -114,7 +114,7 @@ class FailoverSpec:
         )
 
     # -- one evaluation pass ---------------------------------------------
-    def poll(self, now, up, sees_alive, allow_relay=False):
+    def poll(self, now, up, sees_alive):
         out = FailoverPoll()
         for dst, pair in sorted(self.pairs.items()):
             if all(self.proximally_failed(s, dst, up) for s in pair):
@@ -125,17 +125,14 @@ class FailoverSpec:
             out.double_failures += 1
             st = self.failover.setdefault(
                 dst,
-                dict(active=None, relayed=False, excluded=set(), tried=0, paused=False),
+                dict(active=None, excluded=set(), tried=0, paused=False),
             )
             if st["active"] is not None:
-                unreachable = not st["relayed"] and not up[st["active"]]
-                if not (unreachable or self.failover_failed(st["active"], dst, now)):
+                if up[st["active"]] and not self.failover_failed(st["active"], dst, now):
                     out.extra_servers.add(st["active"])
-                    if st["relayed"]:
-                        out.relay_servers.add(st["active"])
                     continue
                 st["excluded"].add(st["active"])  # a failed failover
-                st["active"], st["relayed"] = None, False
+                st["active"] = None
             # After the first attempt, only chase a destination somebody
             # can still see; otherwise pause until it shows life again.
             if (st["paused"] or st["tried"] >= 1) and not sees_alive(dst):
@@ -144,25 +141,21 @@ class FailoverSpec:
                 continue
             if st["paused"]:
                 st.update(paused=False, excluded=set(), tried=0)
-            usable = [
+            candidates = [
                 c
                 for c in self.grid.failover_candidates(dst)
                 if c != self.me
                 and c not in pair
                 and c not in st["excluded"]
+                and up[c]
                 and not self.failover_failed(c, dst, now)
             ]
-            reachable = [c for c in usable if up[c]]
-            relayed = not reachable and allow_relay  # footnote 8
-            candidates = usable if relayed else reachable
             if not candidates:
                 st["excluded"].clear()  # row+column exhausted: start over later
                 continue
             choice = candidates[int(self.rng.integers(len(candidates)))]  # uniformly
-            st.update(active=choice, relayed=relayed, tried=st["tried"] + 1)
+            st.update(active=choice, tried=st["tried"] + 1)
             self.adopted_at[choice, dst] = now
-            (out.adopted_via_relay if relayed else out.adopted).append((dst, choice))
+            out.adopted.append((dst, choice))
             out.extra_servers.add(choice)
-            if relayed:
-                out.relay_servers.add(choice)
         return out

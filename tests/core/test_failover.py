@@ -200,6 +200,17 @@ class TestFailoverLifecycle:
                 seen.add(f)
         assert len(seen) >= 2
 
+    def test_adopted_via_relay_stays_empty(self):
+        # Nothing relays: the field is kept only for a reader outside
+        # src/ (bench/tracing.py), and every adoption is a direct one.
+        mgr = make_manager()
+        poll = mgr.poll(10.0, up_except({2, 6}), always_alive)
+        assert poll.adopted
+        assert poll.adopted_via_relay == []
+        poll = mgr.poll(41.0, all_up, always_alive)
+        assert poll.adopted
+        assert poll.adopted_via_relay == []
+
     def test_extra_servers_reported_while_active(self):
         mgr = make_manager()
         up = up_except({2, 6})

@@ -66,9 +66,9 @@ class Pair:
     def adopted_servers(self):
         return sorted({st["active"] for st in self.spec.failover.values()} - {None})
 
-    def poll(self, now, up, alive, allow_relay):
-        got = self.new.poll(now, up, lambda d: bool(alive[d]), allow_relay)
-        want = self.spec.poll(now, up, lambda d: bool(alive[d]), allow_relay)
+    def poll(self, now, up, alive):
+        got = self.new.poll(now, up, lambda d: bool(alive[d]))
+        want = self.spec.poll(now, up, lambda d: bool(alive[d]))
         assert got == want  # dataclass equality: every field, sets as sets
         return got
 
@@ -139,7 +139,7 @@ def test_array_manager_follows_the_spec(data):
         elif op == "poll":
             up = draw(bool_mask(n, st.booleans()), label="up")
             alive = draw(bool_mask(n, st.booleans()), label="alive")
-            pair.poll(now, up, alive, draw(st.booleans(), label="allow_relay"))
+            pair.poll(now, up, alive)
         elif op == "view":
             # A view version: a few leave, a few join anywhere in the order.
             leave = set(draw(st.lists(node, max_size=2), label="leave")) - {pair.me}
@@ -165,7 +165,7 @@ def test_timeout_only_run_matches(n):
     adoptions = 0
     for step in range(8):
         now = 20.0 * step
-        adoptions += len(pair.poll(now, up, alive, allow_relay=False).adopted)
+        adoptions += len(pair.poll(now, up, alive).adopted)
         pair.check_state(now, deep=True)
     assert adoptions > 0 or n <= 3  # no server outside the pair to adopt
 
@@ -189,5 +189,5 @@ def test_standard_senders_with_one_link_down_match(n):
         for down in range(n):
             up = np.ones(n, dtype=bool)
             up[down] = False
-            pair.poll(2.0 + down, up, alive, allow_relay=False)
+            pair.poll(2.0 + down, up, alive)
             pair.check_state(2.0 + down, deep=False)

@@ -29,7 +29,7 @@ def make_setup(n=3, rtt=100.0, loss=None, failures=None, with_bw=True):
 def ls_msg(origin, n):
     return LinkStateMessage(
         origin=origin,
-        row=LinkStateRow(0, np.full(n, 50.0), np.ones(n, dtype=bool), np.zeros(n)),
+        row=LinkStateRow(0, np.full(n, 50.0), np.ones(n, dtype=bool)),
     )
 
 

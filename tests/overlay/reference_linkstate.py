@@ -12,9 +12,7 @@ reads one as all-dead in either table).
 
 import numpy as np
 
-from repro.core.metrics import PathMetric, combine_latency_loss, loss_to_cost
 from repro.errors import RoutingError
-from repro.overlay.linkstate import _cost_key
 
 
 class CopyInTable:
@@ -22,7 +20,6 @@ class CopyInTable:
         self.n, self.strict = n, strict
         self.latency_ms = np.full((n, n), np.inf)
         self.alive = np.zeros((n, n), dtype=bool)
-        self.loss = np.zeros((n, n))
         self.row_time = np.full(n, -np.inf)
         self.held = set()
 
@@ -33,12 +30,12 @@ class CopyInTable:
         for idx in range(table.n):
             row = table.row(idx)
             if row is not None:
-                ref.update_row(idx, row.latency_ms, row.alive, row.loss, 0.0)
+                ref.update_row(idx, row.latency_ms, row.alive, 0.0)
         ref.row_time[:] = table.row_time
         return ref
 
-    def update_row(self, idx, latency_ms, alive, loss, now):
-        self.latency_ms[idx], self.alive[idx], self.loss[idx] = latency_ms, alive, loss
+    def update_row(self, idx, latency_ms, alive, now):
+        self.latency_ms[idx], self.alive[idx] = latency_ms, alive
         self.row_time[idx] = now
         self.held.add(idx)
 
@@ -55,43 +52,31 @@ class CopyInTable:
         fresh = self.fresh_rows(now, max_age)
         return bool(self.alive[fresh[fresh != dst], dst].any())
 
-    def effective_cost(self, idx, metric=None, loss_penalty_ms=1000.0):
-        loss = np.clip(self.loss[idx], 0.0, 1.0)
-        if metric is None or metric is PathMetric.LATENCY:
-            row = self.latency_ms[idx].copy()
-        elif metric is PathMetric.LOSS:
-            row = loss_to_cost(loss)
-        else:
-            row = combine_latency_loss(self.latency_ms[idx], loss, loss_penalty_ms)
+    def effective_cost(self, idx):
+        row = self.latency_ms[idx].copy()
         row[~self.alive[idx]] = np.inf
         row[idx] = 0.0
         return row
 
     cost_row = effective_cost
 
-    def effective_latency(self, idx):
-        return self.effective_cost(idx)
-
-    def cost_matrix(self, indices, metric=None, loss_penalty_ms=1000.0):
+    def cost_matrix(self, indices):
         indices = [int(i) for i in indices]
         if self.strict and not self.held.issuperset(indices):
             raise RoutingError("rows never received")
-        rows = [self.effective_cost(i, metric, loss_penalty_ms) for i in indices]
+        rows = [self.effective_cost(i) for i in indices]
         return np.array(rows).reshape(len(indices), self.n)
 
-    def gather_into(self, block, metric=None, loss_penalty_ms=1000.0):
+    def gather_into(self, block):
         # Copies are nobody's row objects: write every column, and leave
         # a token no table holds so that the next visitor rewrites them.
-        block.reset(self.n, _cost_key(metric, loss_penalty_ms))
+        block.reset(self.n)
         for h in range(self.n):
-            block.costs[:, h] = self.effective_cost(h, metric, loss_penalty_ms)
+            block.costs[:, h] = self.effective_cost(h)
         block.held = [object()] * self.n
 
-    def cost_gather(self, indices, dst, metric=None, loss_penalty_ms=1000.0):
-        return self.cost_matrix(indices, metric, loss_penalty_ms)[:, dst]
-
-    def latency_leg(self, indices, dst):
-        return self.cost_gather(indices, dst)
+    def cost_gather(self, indices, dst):
+        return self.cost_matrix(indices)[:, dst]
 
     def remap(self, survivors_old, survivors_new, n_new):
         new = CopyInTable(n_new, self.strict)
@@ -100,7 +85,6 @@ class CopyInTable:
             keep_old = np.ix_(survivors_old, survivors_old)
             new.latency_ms[keep_new] = self.latency_ms[keep_old]
             new.alive[keep_new] = self.alive[keep_old]
-            new.loss[keep_new] = self.loss[keep_old]
             new.row_time[survivors_new] = self.row_time[survivors_old]
         moved = dict(zip(np.asarray(survivors_old).tolist(), np.asarray(survivors_new).tolist()))
         new.held = {moved[i] for i in self.held if i in moved}

@@ -1,11 +1,11 @@
 """Round-2 receive side, one entry at a time, keeping everything.
 
 A test-only reference for ``QuorumRouter.on_recommendation``: plain
-lists, one loop, and all seven per-destination values whatever the
-configuration — the installed hop with its arrival time, sender and
-computation time, and the displaced rendezvous' hop, time and sender.
-The router keeps only the ones its configuration reads;
-``assert_router_matches`` compares those it holds.
+lists, one loop, and all six per-destination values whatever the
+configuration — the installed hop with its arrival time and sender, and
+the displaced rendezvous' hop, time and sender. The router keeps only
+the ones its configuration reads; ``assert_router_matches`` compares
+those it holds.
 """
 
 import numpy as np
@@ -13,27 +13,24 @@ import numpy as np
 NEVER = -np.inf
 
 
-class AllSevenOracle:
-    def __init__(self, n, me, timestamped):
-        self.n, self.me, self.timestamped = n, me, timestamped
+class AllArraysOracle:
+    def __init__(self, n, me):
+        self.n, self.me = n, me
         self.hop = [-1] * n
         self.time = [NEVER] * n
         self.server = [-1] * n
-        self.sent_at = [NEVER] * n
         self.hop2 = [-1] * n
         self.time2 = [NEVER] * n
         self.server2 = [-1] * n
 
-    def apply(self, server, entries, sent_at, now):
+    def apply(self, server, entries, now):
         """One message from ``server``; returns the destinations it
-        covered (§4.1 counts an entry too stale to install)."""
+        covered."""
         covered = []
         for dst, hop in entries:
             if not (0 <= dst < self.n and 0 <= hop < self.n) or dst == self.me:
                 continue  # dropped; the rest of the message applies
             covered.append(dst)
-            if self.timestamped and sent_at < self.sent_at[dst]:
-                continue  # footnote 11: older-computed, not installed
             if self.server[dst] >= 0 and self.server[dst] != server:
                 self.hop2[dst] = self.hop[dst]
                 self.time2[dst] = self.time[dst]
@@ -41,17 +38,16 @@ class AllSevenOracle:
             self.hop[dst] = hop
             self.time[dst] = now
             self.server[dst] = server
-            self.sent_at[dst] = sent_at
         return covered
 
     def change_view(self, moved_to, n, me):
         """Members keep their identity and change position
         (``moved_to[old]``; the departed have none). A route through a
-        departed one-hop is gone — hop, arrival and computation time,
-        though not the memory of who sent it; a departed sender is
-        forgotten, the route it recommended is not."""
+        departed one-hop is gone — hop and arrival time, though not the
+        memory of who sent it; a departed sender is forgotten, the route
+        it recommended is not."""
         old = self.arrays()
-        self.__init__(n, me, self.timestamped)
+        self.__init__(n, me)
         new = self.arrays()
         for was, at in moved_to.items():
             for which in ("", "2"):  # the installed route, the displaced one
@@ -62,15 +58,12 @@ class AllSevenOracle:
                 if via >= 0:
                     new["route_hop" + which][at] = via
                     new["route_time" + which][at] = old["route_time" + which][was]
-                    if not which:
-                        new["route_sent_at"][at] = old["route_sent_at"][was]
 
     def arrays(self):
         return {
             "route_hop": self.hop,
             "route_time": self.time,
             "route_server": self.server,
-            "route_sent_at": self.sent_at,
             "route_hop2": self.hop2,
             "route_time2": self.time2,
             "route_server2": self.server2,
@@ -83,7 +76,7 @@ class AllSevenOracle:
             if held is not None:
                 assert held.tolist() == values, name
 
-    def install_all_seven(self, router):
-        """Give ``router`` all seven arrays, whatever its configuration."""
+    def install_all_arrays(self, router):
+        """Give ``router`` all six arrays, whatever its configuration."""
         for name, values in self.arrays().items():
             setattr(router, name, np.array(values))  # positions int64, times float64

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.metrics import PathMetric
 from repro.errors import RoutingError
 from repro.overlay.linkstate import LinkStateRow, LinkStateTable, SparseLinkStateTable
 
 
 def row(n, idx=0, value=10.0):
-    return LinkStateRow(idx, np.full(n, value), np.ones(n, dtype=bool), np.zeros(n))
+    return LinkStateRow(idx, np.full(n, value), np.ones(n, dtype=bool))
 
 
 class TestBasics:
@@ -17,7 +16,7 @@ class TestBasics:
         t = LinkStateTable(3)
         assert t.held_rows == 0
         assert t.row(1) is None
-        assert np.array_equal(t.effective_latency(1), [np.inf, 0.0, np.inf])
+        assert np.array_equal(t.effective_cost(1), [np.inf, 0.0, np.inf])
         assert np.all(np.isinf(t.row_age(1, 0.0)))
 
     def test_update_and_age(self):
@@ -38,9 +37,7 @@ class TestBasics:
         with pytest.raises(RoutingError):
             t.update_row(0, row(4), 0.0)
         with pytest.raises(RoutingError):
-            LinkStateRow(0, np.zeros(3), np.ones(2, dtype=bool), np.zeros(3))
-        with pytest.raises(RoutingError):
-            LinkStateRow(0, np.zeros(3), np.ones(3, dtype=bool), np.zeros(4))
+            LinkStateRow(0, np.zeros(3), np.ones(2, dtype=bool))
 
     def test_row_of_another_position_rejected(self):
         # The row's diagonal says whose it is; 2's row is not 1's.
@@ -69,14 +66,13 @@ class TestBasics:
         for gather in (
             lambda: quorum.cost_matrix(one),
             lambda: quorum.cost_gather(one, 2),
-            lambda: quorum.latency_leg(one, 2),
         ):
             with pytest.raises(RoutingError, match="rows never received"):
                 gather()
         mesh = LinkStateTable(5)
         assert np.array_equal(mesh.cost_matrix(one)[0], mesh.cost_row(1))
         assert mesh.cost_gather(one, 2)[0] == np.inf
-        assert mesh.latency_leg(one, 1)[0] == 0.0  # own diagonal
+        assert mesh.cost_gather(one, 1)[0] == 0.0  # own diagonal
 
 
 class TestFreshness:
@@ -93,8 +89,8 @@ class TestEffectiveLatency:
         t = LinkStateTable(3)
         lat = np.array([5.0, 20.0, 30.0])
         alive = np.array([True, True, False])
-        t.update_row(0, LinkStateRow(0, lat, alive, np.zeros(3)), 0.0)
-        eff = t.effective_latency(0)
+        t.update_row(0, LinkStateRow(0, lat, alive), 0.0)
+        eff = t.effective_cost(0)
         assert eff[1] == 20.0
         assert np.isinf(eff[2])
         assert eff[0] == 0.0  # self forced to zero
@@ -102,7 +98,7 @@ class TestEffectiveLatency:
     def test_returns_copy(self):
         t = LinkStateTable(2)
         t.update_row(0, row(2), 0.0)
-        eff = t.effective_latency(0)
+        eff = t.effective_cost(0)
         eff[1] = 999.0
         assert t.cost_row(0)[1] == 10.0
 
@@ -113,13 +109,11 @@ class TestRowsAreValues:
     def test_callers_arrays_are_copied(self):
         lat = np.array([0.0, 20.0, 30.0])
         alive = np.array([True, True, True])
-        loss = np.array([0.0, 0.1, 0.2])
         t = LinkStateTable(3)
-        t.update_row(0, LinkStateRow(0, lat, alive, loss), 0.0)
-        before = {m: t.effective_cost(0, m) for m in PathMetric}
-        lat[1], alive[2], loss[1] = 999.0, False, 0.9
-        for metric in PathMetric:
-            assert np.array_equal(t.effective_cost(0, metric), before[metric])
+        t.update_row(0, LinkStateRow(0, lat, alive), 0.0)
+        before = t.effective_cost(0)
+        lat[1], alive[2] = 999.0, False
+        assert np.array_equal(t.effective_cost(0), before)
         assert t.sees_alive(2, now=1.0, max_age=10.0)
 
     def test_frozen_input_is_still_normalised(self):
@@ -127,7 +121,7 @@ class TestRowsAreValues:
         alive = np.array([True, True, False])
         for arr in (lat, alive):
             arr.flags.writeable = False
-        r = LinkStateRow(0, lat, alive, np.zeros(3))
+        r = LinkStateRow(0, lat, alive)
         assert np.array_equal(r.latency_ms, [0.0, 20.0, np.inf])
         assert lat[0] == 7.0
 
@@ -138,10 +132,7 @@ class TestRowsAreValues:
         for arr in (
             r.latency_ms,
             r.alive,
-            r.loss,
             t.cost_row(1),
-            t.cost_row(1, PathMetric.LOSS),
-            t.cost_row(1, PathMetric.COMBINED, 500.0),
             t.cost_row(2),  # never received
         ):
             with pytest.raises(ValueError, match="read-only"):
@@ -159,13 +150,30 @@ class TestRowsAreValues:
         assert t.row_version[1] == 2
         assert t.row(1) is not r
 
-    def test_loss_cost_is_computed_once_per_row(self):
+    def test_cost_row_is_the_one_shared_row(self):
         r = row(3, 1)
         a, b = LinkStateTable(3), SparseLinkStateTable(3)
         a.update_row(1, r, 0.0)
         b.update_row(1, r, 0.0)
-        assert a.cost_row(1, PathMetric.LOSS) is b.cost_row(1, PathMetric.LOSS)
-        assert a.cost_row(1) is r.latency_ms
+        assert a.cost_row(1) is b.cost_row(1) is r.latency_ms
+
+
+    def test_row_holds_latency_and_alive_only(self):
+        r = row(7, 2)
+        assert r.nbytes == 7 * (8 + 1)
+        assert r.nbytes == r.latency_ms.nbytes + r.alive.nbytes
+
+    def test_remap_moves_both_columns_and_joiners_read_dead(self):
+        # Position 1 leaves a view of 5; one member joins at the end.
+        t = LinkStateTable(5)
+        alive = np.array([True, True, True, False, True])
+        t.update_row(2, LinkStateRow(2, [5.0, 6.0, 0.0, 7.0, 9.0], alive), 0.0)
+        moved = t.remap(np.array([0, 2, 3, 4]), np.array([0, 1, 2, 3]), 5).row(1)
+        assert moved.idx == 1
+        assert list(moved.alive) == [True, True, False, True, False]
+        assert list(moved.latency_ms) == [5.0, 0.0, np.inf, 9.0, np.inf]
+        assert not moved.alive.flags.writeable
+        assert not moved.latency_ms.flags.writeable
 
 
 class TestSeesAlive:
@@ -188,5 +196,5 @@ class TestSeesAlive:
     def test_rows_showing_dead(self):
         t = LinkStateTable(4)
         alive = np.array([True, True, True, False])
-        t.update_row(1, LinkStateRow(1, np.full(4, 5.0), alive, np.zeros(4)), now=100.0)
+        t.update_row(1, LinkStateRow(1, np.full(4, 5.0), alive), now=100.0)
         assert not t.sees_alive(3, now=110.0, max_age=45.0)

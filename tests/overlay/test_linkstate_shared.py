@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_linkstate import CopyInTable
 
-from repro.core.metrics import PathMetric
 from repro.errors import RoutingError
 from repro.net.packet import LinkStateMessage
 from repro.net.trace import planetlab_like, uniform_random_metric
@@ -27,22 +26,17 @@ from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow, LinkStateTable, SparseLinkStateTable
 from repro.overlay.router_quorum import QuorumRouter
 
-METRICS = (None, PathMetric.LATENCY, PathMetric.LOSS, PathMetric.COMBINED)
-PENALTY = 500.0
-
-
 def raw_row(rng, n, idx, tidy):
     """A row as a caller might hand it in. ``tidy`` rows are in the
     monitor's form (dead entries ``inf``, own entry alive and 0); the
     others leave all of that to the row's normalisation."""
     alive = rng.random(n) < 0.8
     latency = rng.uniform(5.0, 400.0, n)
-    loss = np.where(rng.random(n) < 0.3, rng.uniform(0.0, 1.2, n), 0.0)
     if tidy:
         alive[idx] = True
         latency[~alive] = np.inf
         latency[idx] = 0.0
-    return latency, alive, loss
+    return latency, alive
 
 
 def both(reader_new, reader_ref):
@@ -65,30 +59,25 @@ def assert_same_answers(new, ref, now, rng):
     for idx in range(n):
         assert new.row_age(idx, now) == ref.row_age(idx, now)
         assert (new.row(idx) is not None) == (idx in ref.held)
-        assert np.array_equal(new.effective_latency(idx), ref.effective_latency(idx))
         for max_age in (15.0, 45.0):
             assert new.sees_alive(idx, now, max_age) == ref.sees_alive(idx, now, max_age)
-        for metric in METRICS:
-            expected = ref.effective_cost(idx, metric, PENALTY)
-            assert np.array_equal(new.effective_cost(idx, metric, PENALTY), expected)
-            shared = new.cost_row(idx, metric, PENALTY)
-            assert np.array_equal(shared, expected)
-            assert not shared.flags.writeable
+        expected = ref.effective_cost(idx)
+        assert np.array_equal(new.effective_cost(idx), expected)
+        shared = new.cost_row(idx)
+        assert np.array_equal(shared, expected)
+        assert not shared.flags.writeable
     held = sorted(ref.held)
     for indices in (held, list(range(n)), rng.integers(0, n, size=n + 2).tolist(), []):
         indices = np.array(indices, dtype=np.int64)
         dst = int(rng.integers(0, n))
-        for metric in METRICS:
-            args = (metric, PENALTY)
-            for got in (
-                both(lambda: new.cost_matrix(indices, *args), lambda: ref.cost_matrix(indices, *args)),
-                both(lambda: new.cost_gather(indices, dst, *args), lambda: ref.cost_gather(indices, dst, *args)),
-                both(lambda: new.latency_leg(indices, dst), lambda: ref.latency_leg(indices, dst)),
-            ):
-                if got is not None:
-                    assert got[0].dtype == got[1].dtype == np.float64
-                    assert got[0].shape == got[1].shape
-                    assert np.array_equal(got[0], got[1])
+        for got in (
+            both(lambda: new.cost_matrix(indices), lambda: ref.cost_matrix(indices)),
+            both(lambda: new.cost_gather(indices, dst), lambda: ref.cost_gather(indices, dst)),
+        ):
+            if got is not None:
+                assert got[0].dtype == got[1].dtype == np.float64
+                assert got[0].shape == got[1].shape
+                assert np.array_equal(got[0], got[1])
 
 
 class TestSharedEqualsCopied:
@@ -109,17 +98,16 @@ class TestSharedEqualsCopied:
             op = data.draw(st.sampled_from(["update", "update", "touch", "remap"]))
             if op == "update":
                 idx = data.draw(st.integers(0, n - 1), label="idx")
-                latency, alive, loss = raw_row(rng, n, idx, tidy=data.draw(st.booleans()))
+                latency, alive = raw_row(rng, n, idx, tidy=data.draw(st.booleans()))
                 frozen = data.draw(st.booleans(), label="frozen")
-                for arr in (latency, alive, loss):
-                    arr.flags.writeable = not frozen
-                row = LinkStateRow(idx, latency, alive, loss)
+                latency.flags.writeable = alive.flags.writeable = not frozen
+                row = LinkStateRow(idx, latency, alive)
                 for new, ref in tables:
                     new.update_row(idx, row, now)
-                    ref.update_row(idx, latency, alive, loss, now)
+                    ref.update_row(idx, latency, alive, now)
                     assert new.row(idx) is row
                 if not frozen:  # the caller keeps writing into its arrays
-                    latency[:], alive[:], loss[:] = -1.0, ~alive, 0.5
+                    latency[:], alive[:] = -1.0, ~alive
             elif op == "touch":
                 idx = data.draw(st.integers(0, n - 1), label="idx")
                 for new, ref in tables:
@@ -160,11 +148,6 @@ class TestTableMechanics:
         # the 8 shared rows count in both tables.
         assert mesh.nbytes() >= n * n * (8 + 1)
         assert quorum.nbytes() < mesh.nbytes() / 10
-        # A loss-based metric makes a node keep the loss column and the
-        # cost it derives from it as well.
-        before = quorum.nbytes()
-        quorum.cost_matrix(np.arange(8), PathMetric.LOSS)
-        assert quorum.nbytes() == before + 8 * n * (8 + 8)
 
     def test_a_shared_row_is_moved_once_per_delta(self):
         n = 6
@@ -213,11 +196,12 @@ class TestTableMechanics:
         t = SparseLinkStateTable(n)
         rng = np.random.default_rng(0)
         t.update_row(2, LinkStateRow(2, *raw_row(rng, n, 2, tidy=True)), 0.0)
-        before = t.cost_row(2, PathMetric.COMBINED, PENALTY)
-        assert t.cost_row(2, PathMetric.COMBINED, PENALTY) is before  # memoised
+        before = t.cost_row(2)
+        assert before is t.row(2).latency_ms  # the held row's array, not a copy
         t.update_row(2, LinkStateRow(2, *raw_row(rng, n, 2, tidy=True)), 1.0)
-        after = t.cost_row(2, PathMetric.COMBINED, PENALTY)
-        assert np.array_equal(after, t.effective_cost(2, PathMetric.COMBINED, PENALTY))
+        after = t.cost_row(2)
+        assert after is t.row(2).latency_ms
+        assert np.array_equal(after, t.effective_cost(2))
         assert not np.array_equal(before, after)
 
     def test_gathers_match_rows(self):
@@ -232,7 +216,7 @@ class TestTableMechanics:
             assert np.array_equal(mat[pos], t.effective_cost(int(idx)))
         assert np.array_equal(t.cost_gather(held, 5), mat[:, 5])
         for pos, idx in enumerate(held):
-            assert t.latency_leg(held, 4)[pos] == t.effective_latency(int(idx))[4]
+            assert t.cost_gather(held, 4)[pos] == t.effective_cost(int(idx))[4]
 
 
 class TestRoutesFromReferenceTable:
@@ -270,7 +254,6 @@ def published(monkeypatch):
 
     def recording(self, src, dsts, msgs):
         for msg in msgs if isinstance(msgs, (list, tuple)) else [msgs]:
-            msg = getattr(msg, "inner", msg)  # footnote-8 relay envelope
             if isinstance(msg, LinkStateMessage):
                 log.setdefault(msg.origin, []).append((self._sim.now, msg.row))
         return send_many(self, src, dsts, msgs)
@@ -386,7 +369,7 @@ class TestOneRowPerProcess:
             # The router re-installed its own row after the remap.
             own = router.table.row(router.me_idx)
             now = router.sim.now
-            oracle.update_row(router.me_idx, own.latency_ms, own.alive, own.loss, now)
+            oracle.update_row(router.me_idx, own.latency_ms, own.alive, now)
             assert_same_answers(router.table, oracle, now, rng)
             remapped.append(router.me)
 

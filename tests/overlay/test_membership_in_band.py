@@ -207,7 +207,7 @@ class TestBatchingAndLifecycle:
         n = peer_view.n
         msg = LinkStateMessage(
             origin=0,
-            row=LinkStateRow(0, np.full(n, 50.0), np.ones(n, dtype=bool), np.zeros(n)),
+            row=LinkStateRow(0, np.full(n, 50.0), np.ones(n, dtype=bool)),
             view_version=peer_view.version,
         )
         node.on_message(msg, 0)  # must not raise

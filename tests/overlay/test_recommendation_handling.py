@@ -1,10 +1,8 @@
-"""Recommendation-message application: footnote 11 and batch semantics.
+"""Recommendation-message application: delivery order and batch semantics.
 
-Covers the PR-4 fix: with timestamped recommendations an out-of-order
-*stale* entry must neither clobber the newer hop (pre-existing
-behavior) nor refresh the route's freshness window (the bug — stale
-information is not evidence the installed hop still holds), while still
-counting as §4.1 coverage for failover omission detection.
+The last-delivered recommendation wins, whenever it was computed: an
+out-of-order entry installs, refreshes the route's freshness window and
+counts as §4.1 coverage for failover omission detection.
 """
 
 import numpy as np
@@ -16,18 +14,15 @@ from repro.overlay.harness import build_overlay
 from repro.overlay.router_quorum import QuorumRouter
 
 
-def make_router(timestamped=True, verify=False, n=9, seed=4):
-    """``route_sent_at`` exists only with ``timestamped``, the secondary
-    candidate (``route_hop2`` / ``time2`` / ``server2``) only with
-    ``verify``: a test that reads one asks for it here."""
+def make_router(verify=False, n=9, seed=4):
+    """The secondary candidate (``route_hop2`` / ``time2`` / ``server2``)
+    exists only with ``verify``: a test that reads one asks for it here."""
     rng = np.random.default_rng(seed)
     ov = build_overlay(
         trace=uniform_random_metric(n, rng),
         router=RouterKind.QUORUM,
         rng=rng,
-        config=OverlayConfig(
-            timestamped_recommendations=timestamped, verify_recommendations=verify
-        ),
+        config=OverlayConfig(verify_recommendations=verify),
         with_freshness=False,
     )
     return ov, ov.nodes[0].router
@@ -47,41 +42,38 @@ def scalar_path_callers(monkeypatch):
     return callers
 
 
-def rec(origin, entries, view, sent_at, timestamped=True):
+def rec(origin, entries, view, sent_at):
     return RecommendationMessage(
-        origin=origin,
-        entries=entries,
-        view_version=view.version,
-        sent_at=sent_at,
-        timestamped=timestamped,
+        origin=origin, entries=entries, view_version=view.version, sent_at=sent_at
     )
 
 
-class TestFootnote11Staleness:
-    def test_stale_entry_does_not_extend_freshness(self):
-        ov, router = make_router(timestamped=True)
+class TestOutOfOrderDelivery:
+    def test_out_of_order_rec_overwrites_without_timestamps(self):
+        ov, router = make_router()
         view = router.view
-        dst, hop_new, hop_old = 3, 4, 5
+        newer = rec(view.members[1], [(5, 3)], view, sent_at=100.0)
+        older = rec(view.members[2], [(5, 7)], view, sent_at=90.0)
+        router.on_recommendation(newer, view.members[1])
+        router.on_recommendation(older, view.members[2])  # delivered later, computed earlier
+        assert router.route_hop[5] == 7  # last-delivered wins
+
+    def test_out_of_order_batch_overwrites_on_the_vector_path(self, monkeypatch):
+        ov, router = make_router()
+        view = router.view
+        callers = scalar_path_callers(monkeypatch)
         src_a, src_b = view.members[1], view.members[2]
-
-        router.on_recommendation(rec(src_a, [(dst, hop_new)], view, sent_at=0.0), src_a)
-        t_installed = float(router.route_time[dst])
-        assert router.route_hop[dst] == hop_new
-
-        ov.run(1.0)  # later arrival of an older-computed message
-        stale = rec(src_b, [(dst, hop_old)], view, sent_at=-5.0)
-        router.on_recommendation(stale, src_b)
-
-        # The newer hop survives (pre-existing footnote-11 behavior)...
-        assert router.route_hop[dst] == hop_new
-        assert router.route_sent_at[dst] == 0.0
-        # ...and the freshness window is NOT silently extended (PR-4
-        # fix: route_time used to be refreshed before the staleness
-        # check, keeping a possibly-broken hop "fresh" forever).
-        assert float(router.route_time[dst]) == t_installed
+        router.on_recommendation(rec(src_a, [(5, 3), (6, 3), (7, 3)], view, 100.0), src_a)
+        ov.run(1.0)
+        router.on_recommendation(rec(src_b, [(7, 4), (5, 4)], view, 90.0), src_b)
+        assert list(router.route_hop[5:8]) == [4, 3, 4]
+        assert router.route_server[5] == router.route_server[7] == view.index_of(src_b)
+        assert float(router.route_time[5]) == float(router.route_time[7]) == ov.sim.now
+        assert float(router.route_time[6]) < ov.sim.now
+        assert callers == []
 
     def test_stale_entry_still_counts_as_coverage(self):
-        ov, router = make_router(timestamped=True)
+        ov, router = make_router()
         view = router.view
         dst = 8  # its default rendezvous (on the 3x3 grid) are 2 and 6
         src_a, src_b = view.members[1], view.members[2]
@@ -94,7 +86,7 @@ class TestFootnote11Staleness:
         assert router.failover.last_cover(src_b_idx, dst) == ov.sim.now
 
     def test_newer_entry_installs_and_refreshes(self):
-        ov, router = make_router(timestamped=True, verify=True)
+        ov, router = make_router(verify=True)
         view = router.view
         dst = 3
         src_a, src_b = view.members[1], view.members[2]
@@ -102,7 +94,6 @@ class TestFootnote11Staleness:
         ov.run(1.0)
         router.on_recommendation(rec(src_b, [(dst, 5)], view, sent_at=0.5), src_b)
         assert router.route_hop[dst] == 5
-        assert router.route_sent_at[dst] == 0.5
         assert float(router.route_time[dst]) == ov.sim.now
         # The displaced rendezvous' opinion is kept as the secondary.
         assert router.route_hop2[dst] == 4
@@ -111,26 +102,20 @@ class TestFootnote11Staleness:
 
 class TestBatchApplication:
     def test_duplicate_destinations_last_wins(self):
-        ov, router = make_router(timestamped=False)
+        ov, router = make_router()
         view = router.view
         src = view.members[1]
-        msg = rec(src, [(3, 4), (3, 5), (6, 7), (3, 8)], view, 0.0, timestamped=False)
+        msg = rec(src, [(3, 4), (3, 5), (6, 7), (3, 8)], view, 0.0)
         router.on_recommendation(msg, src)
         assert router.route_hop[3] == 8  # sequential last-wins
         assert router.route_hop[6] == 7
 
     def test_out_of_range_and_self_entries_ignored(self):
-        ov, router = make_router(timestamped=False)
+        ov, router = make_router()
         view = router.view
         src = view.members[1]
         me = router.me_idx
-        msg = rec(
-            src,
-            [(-1, 2), (3, view.n), (view.n, 2), (me, 4), (5, 6)],
-            view,
-            0.0,
-            timestamped=False,
-        )
+        msg = rec(src, [(-1, 2), (3, view.n), (view.n, 2), (me, 4), (5, 6)], view, 0.0)
         router.on_recommendation(msg, src)
         assert router.route_hop[5] == 6
         assert router.route_hop[me] == -1
@@ -140,8 +125,8 @@ class TestBatchApplication:
         # Same entry batch (unique dsts, ascending or not) applied via
         # the vector path on one router and forced through the scalar
         # path on another must leave identical route state.
-        ov_a, ra = make_router(timestamped=True, verify=True, seed=6)
-        ov_b, rb = make_router(timestamped=True, verify=True, seed=6)
+        ov_a, ra = make_router(verify=True, seed=6)
+        ov_b, rb = make_router(verify=True, seed=6)
         view = ra.view
         src1, src2 = view.members[1], view.members[2]
         batches = [
@@ -155,11 +140,10 @@ class TestBatchApplication:
             ra.on_recommendation(rec(src, entries, view, sent_at), src)
             dsts = np.array([d for d, _ in entries])
             hops = np.array([h for _, h in entries])
-            rb._apply_entries_scalar(dsts, hops, view.index_of(src), sent_at, rb.sim.now)
+            rb._apply_entries_scalar(dsts, hops, view.index_of(src), rb.sim.now)
         for arr in (
             "route_hop",
             "route_time",
-            "route_sent_at",
             "route_server",
             "route_hop2",
             "route_time2",

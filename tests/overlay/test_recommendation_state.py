@@ -1,11 +1,10 @@
 """Round 2 keeps only the route state its configuration reads.
 
 A default ``QuorumRouter`` holds three per-destination arrays (hop,
-arrival time, sender); ``timestamped_recommendations`` adds the
-footnote-11 computation time and ``verify_recommendations`` the §7
-secondary candidate. Whatever is held must equal
-``reference_recommendations.AllSevenOracle`` — one entry at a time, all
-seven values always — under every flag combination and any message
+arrival time, sender); ``verify_recommendations`` adds the §7 secondary
+candidate. Whatever is held must equal
+``reference_recommendations.AllArraysOracle`` — one entry at a time, all
+six values always — with the flag off and on and under any message
 sequence, a view delta in the middle included; and the route queries
 must not notice which arrays exist, and must agree with each other when
 a hop's row prices the destination at ``inf`` or NaN.
@@ -13,17 +12,14 @@ a hop's row prices the destination at ``inf`` or NaN.
 Mutations these tests were checked against: maintaining the secondary
 candidate when ``route_hop2 is None`` instead of ``is not None`` (the
 verify guard the wrong way round — ``TypeError`` on the first displaced
-entry by default, a secondary that never fills with the flag on), and
-gating the footnote-11 test on the wrong flag.
+entry by default, a secondary that never fills with the flag on).
 """
-
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_recommendations import AllSevenOracle
+from reference_recommendations import AllArraysOracle
 
 from repro.net.packet import RecommendationMessage
 from repro.net.trace import uniform_random_metric
@@ -34,11 +30,10 @@ from repro.overlay.membership import ViewDelta
 from repro.overlay.router_base import SOURCE_RECOMMENDATION
 
 N = 10  # underlay nodes; the last one starts outside the view
-FLAGS = list(itertools.product((False, True), repeat=2))
-OPTIONAL = ("route_sent_at", "route_hop2", "route_time2", "route_server2")
+OPTIONAL = ("route_hop2", "route_time2", "route_server2")
 
 
-def quiet_router(timestamped, verify, seed=5):
+def quiet_router(verify, seed=5):
     """Node 0's router in an overlay where nothing else happens: every
     node is stopped, so ``ov.run`` only moves the clock."""
     rng = np.random.default_rng(seed)
@@ -46,9 +41,7 @@ def quiet_router(timestamped, verify, seed=5):
         trace=uniform_random_metric(N, rng),
         router=RouterKind.QUORUM,
         rng=rng,
-        config=OverlayConfig(
-            timestamped_recommendations=timestamped, verify_recommendations=verify
-        ),
+        config=OverlayConfig(verify_recommendations=verify),
         with_freshness=False,
         active_members=range(N - 1),
     )
@@ -57,7 +50,7 @@ def quiet_router(timestamped, verify, seed=5):
     return ov, ov.nodes[0].router
 
 
-def deliver(router, oracle, server, entries, sent_at):
+def deliver(router, oracle, server, entries):
     """One message to the router and to the oracle; both must then hold
     the same routes, and the router must have seen every destination
     covered that the server is a default rendezvous for (the only
@@ -67,11 +60,10 @@ def deliver(router, oracle, server, entries, sent_at):
         origin=router.view.members[server],
         entries=entries,
         view_version=router.wire_view_version(),
-        sent_at=sent_at,
-        timestamped=router.config.timestamped_recommendations,
+        sent_at=now,
     )
     router.on_recommendation(msg, msg.origin)
-    covered = oracle.apply(server, entries, sent_at, now)
+    covered = oracle.apply(server, entries, now)
     oracle.assert_router_matches(router)
     for dst in covered:
         if server in router.failover.default_pair(dst):
@@ -99,7 +91,7 @@ def change_view(router, oracle, leaver, joiner):
 
 @st.composite
 def message(draw, n, me):
-    """``(server, entries, age of the computation)``: half the time what
+    """``(server, entries)``: half the time what
     a rendezvous sends (ascending, in range, not me), half the time
     anything — out of range, about me, repeated, unordered."""
     server = draw(st.integers(1, n - 1))
@@ -109,15 +101,15 @@ def message(draw, n, me):
     else:
         position = st.integers(-2, n + 1)
         entries = draw(st.lists(st.tuples(position, position), max_size=2 * n))
-    return server, entries, draw(st.sampled_from((0.0, 0.0, 3.0, 20.0)))
+    return server, entries
 
 
-@pytest.mark.parametrize("timestamped,verify", FLAGS)
+@pytest.mark.parametrize("verify", (False, True))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_held_route_state_equals_the_all_seven_oracle(timestamped, verify, data):
-    ov, router = quiet_router(timestamped, verify)
-    oracle = AllSevenOracle(router.view.n, router.me_idx, timestamped)
+def test_held_route_state_equals_the_all_arrays_oracle(verify, data):
+    ov, router = quiet_router(verify)
+    oracle = AllArraysOracle(router.view.n, router.me_idx)
     view_changes_at = data.draw(st.sets(st.integers(0, 11), max_size=2), label="deltas")
     joiner = N - 1
     for step in range(data.draw(st.integers(1, 12), label="steps")):
@@ -128,11 +120,10 @@ def test_held_route_state_equals_the_all_seven_oracle(timestamped, verify, data)
             change_view(router, oracle, leaver, joiner)
             joiner = None
             n = router.view.n
-        server, entries, age = data.draw(message(n, router.me_idx), label="message")
-        deliver(router, oracle, server, entries, router.sim.now - age)
+        server, entries = data.draw(message(n, router.me_idx), label="message")
+        deliver(router, oracle, server, entries)
     for name in OPTIONAL:
-        flag = timestamped if name == "route_sent_at" else verify
-        assert (getattr(router, name) is not None) == flag, name
+        assert (getattr(router, name) is not None) == verify, name
 
     # Rows held for some hops price some destinations at inf or NaN: the
     # estimate of a recommended route adds the hop's entry only where it
@@ -143,7 +134,7 @@ def test_held_route_state_equals_the_all_seven_oracle(timestamped, verify, data)
         latency = rng.uniform(5.0, 300.0, n)
         poisoned = rng.random(n) < 0.5
         latency[poisoned] = rng.choice([np.inf, np.nan], size=int(poisoned.sum()))
-        row = LinkStateRow(h, latency, np.ones(n, dtype=bool), np.zeros(n))
+        row = LinkStateRow(h, latency, np.ones(n, dtype=bool))
         router.table.update_row(h, row, router.sim.now)
 
     # Route queries see the oracle's routes ...
@@ -158,21 +149,21 @@ def test_held_route_state_equals_the_all_seven_oracle(timestamped, verify, data)
             assert route.source == SOURCE_RECOMMENDATION, dst
             assert route.hop == oracle.hop[dst], dst
     # ... and read no array their configuration does not name: handed
-    # all seven, they answer the same.
-    oracle.install_all_seven(router)
+    # all six, they answer the same.
+    oracle.install_all_arrays(router)
     assert [router.route_to(dst) for dst in range(n)] == routes
     again = router.route_vector()
     assert again[0].tolist() == hops.tolist() and again[1].tolist() == usable.tolist()
 
 
 def test_a_default_router_holds_three_route_arrays():
-    ov, router = quiet_router(timestamped=False, verify=False)
+    ov, router = quiet_router(verify=False)
     for name in OPTIONAL:
         assert getattr(router, name) is None, name
     for name in ("route_hop", "route_time", "route_server"):
         assert getattr(router, name).shape == (router.view.n,), name
     # ... through a view delta and a full rebuild alike.
-    change_view(router, AllSevenOracle(router.view.n, router.me_idx, False), 3, N - 1)
+    change_view(router, AllArraysOracle(router.view.n, router.me_idx), 3, N - 1)
     view = router.view
     router.forget_view()
     router.on_view_change(view)
@@ -182,10 +173,10 @@ def test_a_default_router_holds_three_route_arrays():
 
 def test_a_displaced_route_is_kept_only_for_cross_validation():
     for verify in (False, True):
-        ov, router = quiet_router(timestamped=False, verify=verify)
-        oracle = AllSevenOracle(router.view.n, router.me_idx, False)
-        deliver(router, oracle, 1, [(3, 4)], 0.0)
-        deliver(router, oracle, 2, [(3, 5)], 0.0)
+        ov, router = quiet_router(verify=verify)
+        oracle = AllArraysOracle(router.view.n, router.me_idx)
+        deliver(router, oracle, 1, [(3, 4)])
+        deliver(router, oracle, 2, [(3, 5)])
         assert oracle.hop2[3] == 4 and oracle.server2[3] == 1
         if verify:
             assert router.route_hop2[3] == 4 and router.route_server2[3] == 1

@@ -7,7 +7,7 @@ from repro.core.failover import FailoverManager
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.experiments.coordinator_failover import scenario_config
 from repro.net.failures import FailureTable, OutageSchedule
-from repro.net.trace import planetlab_like, uniform_random_metric
+from repro.net.trace import SyntheticTrace, planetlab_like, uniform_random_metric
 from repro.overlay.config import InBand, OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow
@@ -87,6 +87,56 @@ class TestQuorumRouterSteadyState:
         ov = build(n=9, run_s=50.0)
         r = ov.nodes[2].route_to(2)
         assert r.hop == r.dst and r.cost_ms == 0.0
+
+
+def lossy_triangle_trace(n=9):
+    """Node 0 <-> 8: direct link fast but very lossy; detour via 4 is
+    lossless and only slightly slower. All other links have visible
+    (5%) loss."""
+    rtt = np.full((n, n), 80.0)
+    loss = np.full((n, n), 0.05)
+    rtt[0, 8] = rtt[8, 0] = 50.0
+    loss[0, 8] = loss[8, 0] = 0.30
+    rtt[0, 4] = rtt[4, 0] = 40.0
+    rtt[4, 8] = rtt[8, 4] = 40.0
+    loss[0, 4] = loss[4, 0] = 0.0
+    loss[4, 8] = loss[8, 4] = 0.0
+    np.fill_diagonal(rtt, 0.0)
+    np.fill_diagonal(loss, 0.0)
+    return SyntheticTrace(
+        rtt_ms=rtt,
+        loss=loss,
+        regions=np.zeros(n, dtype=int),
+        access_ms=np.zeros(n),
+        is_hub=np.zeros(n, dtype=bool),
+        inflated=np.zeros((n, n), dtype=bool),
+    )
+
+
+class TestLatencyMetric:
+    def test_latency_router_takes_lossy_shortcut(self):
+        """Routes minimise latency, the paper's metric, whatever a
+        link's loss: 50 ms direct beats the 80 ms lossless detour."""
+        ov = build_overlay(
+            trace=lossy_triangle_trace(),
+            router=RouterKind.QUORUM,
+            rng=np.random.default_rng(5),
+            with_freshness=False,
+        )
+        ov.run(240.0)
+        assert ov.nodes[0].route_to(8).is_direct
+
+    def test_full_mesh_router_takes_lossy_shortcut(self):
+        ov = build_overlay(
+            trace=lossy_triangle_trace(),
+            router=RouterKind.FULL_MESH,
+            rng=np.random.default_rng(5),
+            with_freshness=False,
+        )
+        ov.run(240.0)
+        route = ov.nodes[0].route_to(8)
+        assert route.is_direct
+        assert route.cost_ms == pytest.approx(50.0, rel=0.05)
 
 
 class TestFullMeshRouterSteadyState:
@@ -246,6 +296,44 @@ class TestQuorumFailover:
         assert route.source in (SOURCE_REDUNDANT, SOURCE_DIRECT)
         assert route.usable
 
+    def test_without_relay_no_post_failure_recommendation(self):
+        """No temporary one-hop relays link state to a failover
+        rendezvous (§4.1 footnote 8 is not modelled): Src loses its
+        direct links to Dst and to everything in Dst's row and column,
+        and Dst to everything in Src's, so no rendezvous can serve
+        (Src, Dst) and Src hears no recommendation for Dst after the
+        failure."""
+        n, src, fail_at, seed = 16, 0, 150.0, 19
+        trace = uniform_random_metric(n, np.random.default_rng(seed))
+        probe = build_overlay(
+            trace=trace,
+            router=RouterKind.QUORUM,
+            rng=np.random.default_rng(seed),
+            with_freshness=False,
+        )
+        grid = probe.nodes[src].router.grid
+        # A destination not sharing a row/column with src.
+        dst = next(
+            d
+            for d in range(n - 1, 0, -1)
+            if src not in grid.servers(d) and d not in grid.servers(src)
+        )
+        forever = OutageSchedule([(fail_at, 1e12)])
+        links = {tuple(sorted((src, dst))): forever}
+        for member in grid.servers(dst, include_self=False):
+            links[tuple(sorted((src, member)))] = forever
+        for member in grid.servers(src, include_self=False):
+            links[tuple(sorted((dst, member)))] = forever
+        ov = build_overlay(
+            trace=trace,
+            router=RouterKind.QUORUM,
+            rng=np.random.default_rng(seed),
+            failures=FailureTable(n=n, link_schedules=links),
+            with_freshness=False,
+        )
+        ov.run(fail_at + 150.0)
+        assert float(ov.nodes[src].router.route_time[dst]) < fail_at + 30.0
+
 
 class TestViewChange:
     def test_rebuild_on_join(self):
@@ -292,9 +380,9 @@ class TestViewChange:
         adoptions = []
         poll = FailoverManager.poll
 
-        def recording_poll(self, now, up, sees_alive, allow_relay=False):
-            result = poll(self, now, up, sees_alive, allow_relay)
-            for dst, _ in result.adopted + result.adopted_via_relay:
+        def recording_poll(self, now, up, sees_alive):
+            result = poll(self, now, up, sees_alive)
+            for dst, _ in result.adopted:
                 proximal = not any(
                     up[dst if server == self.me else server]
                     for server in self.default_pair(dst)
@@ -392,7 +480,7 @@ class TestViewChange:
 
         stale = LinkStateMessage(
             origin=1,
-            row=LinkStateRow(1, np.zeros(9), np.ones(9, dtype=bool), np.zeros(9)),
+            row=LinkStateRow(1, np.zeros(9), np.ones(9, dtype=bool)),
             view_version=node.router.view.version - 1,
         )
         before = node.router.dropped_stale_view

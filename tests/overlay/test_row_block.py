@@ -6,7 +6,7 @@ They used to copy the rows into a fresh ``(n, n)`` matrix each time
 patch one shared :class:`RowBlock` by row identity. The property below
 walks one block through sequences of tables — sharing some row objects,
 differing at others, missing some, touched-only at some, remapped to
-other sizes in the middle, read under changing path metrics — and holds
+other sizes in the middle — and holds
 the block, ``route_vector`` and ``route_to`` equal to the fresh gather
 at every visit. The remaining tests pin what identity buys (columns
 written) and whose the block is (the overlay's: its rows die with it).
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_linkstate import CopyInTable
 
-from repro.core.metrics import PathMetric
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
@@ -31,22 +30,17 @@ from repro.overlay.linkstate import (
     SparseLinkStateTable,
 )
 
-METRICS = (None, PathMetric.LATENCY, PathMetric.COMBINED, PathMetric.LOSS)
-PENALTY = 500.0
-
-
 def tied_row(rng, n, idx):
     """A row over few distinct values, so that equal path costs (argmin
     ties) and dead links (``inf``) are the rule, not the exception."""
     latency = rng.choice([10.0, 20.0, 30.0, 40.0], size=n)
     alive = rng.random(n) < 0.75
-    loss = rng.choice([0.0, 0.0, 0.1, 0.5, 1.0, 1.2], size=n)
-    return LinkStateRow(idx, latency, alive, loss)
+    return LinkStateRow(idx, latency, alive)
 
 
-def fresh_gather(table, metric=None):
+def fresh_gather(table):
     """The block a visit must leave behind: every cost row, transposed."""
-    return table.cost_matrix(np.arange(table.n), metric, PENALTY).T
+    return table.cost_matrix(np.arange(table.n)).T
 
 
 def fresh_route_vector(table, me):
@@ -127,16 +121,14 @@ class TestBlockEqualsFreshGather:
                     if other.n == size and (other is table or data.draw(st.booleans())):
                         tables[i] = other.remap(survivors_old, survivors_new, n_new)
             elif step == "gather":
-                metric = data.draw(st.sampled_from(METRICS), label="metric")
-                table.gather_into(block, metric, PENALTY)
-                assert_block_is(block, fresh_gather(table, metric))
+                table.gather_into(block)
+                assert_block_is(block, fresh_gather(table))
                 assert all(block.held[h] is table.row(h) for h in range(table.n))
             elif step == "copy":
                 # Per-table copies share no objects: all columns move,
                 # and the next reference-holding visitor trusts none.
-                metric = data.draw(st.sampled_from(METRICS), label="metric")
-                CopyInTable.of(table, strict=False).gather_into(block, metric, PENALTY)
-                assert_block_is(block, fresh_gather(table, metric))
+                CopyInTable.of(table, strict=False).gather_into(block)
+                assert_block_is(block, fresh_gather(table))
             else:
                 router = routers[data.draw(st.integers(0, 1), label="router")]
                 router.table = table
@@ -170,10 +162,10 @@ class TestColumnsWritten:
         b = filled(n, [tied_row(rng, n, 0), *rows[1:4], None, rows[5]])
         block = RowBlock()
 
-        def written(table, metric=None):
+        def written(table):
             before = block.columns_written
-            table.gather_into(block, metric, PENALTY)
-            assert_block_is(block, fresh_gather(table, metric))
+            table.gather_into(block)
+            assert_block_is(block, fresh_gather(table))
             return block.columns_written - before
 
         assert written(a) == n + n  # a block of this size is set up, then filled
@@ -182,15 +174,9 @@ class TestColumnsWritten:
         assert written(b) == 0
         assert written(a) == 2
         # An equal row is not the same row: identity, not content.
-        same_bytes = LinkStateRow(3, rows[3].latency_ms, rows[3].alive, rows[3].loss)
+        same_bytes = LinkStateRow(3, rows[3].latency_ms, rows[3].alive)
         a.update_row(3, same_bytes, 1.0)
         assert written(a) == 1
-        # The cost key is part of what is held; plain latency has one name.
-        assert written(a, PathMetric.LATENCY) == 0
-        assert written(a, PathMetric.COMBINED) == n + n
-        assert written(a, PathMetric.COMBINED) == 0
-        assert written(a, PathMetric.LOSS) == n + n
-        assert written(b, PathMetric.LOSS) == 3
         # Another size starts over.
         shrunk = a.remap(np.arange(1, n), np.arange(n - 1), n - 1)
         assert written(shrunk) == 2 * (n - 1)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import WireFormatError
-from repro.net.packet import RecommendationMessage
+from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.overlay import wire
+from repro.overlay.linkstate import LinkStateRow
 
 
 class TestMessageSizes:
@@ -24,6 +25,17 @@ class TestMessageSizes:
 
     def test_multihop_recommendation_adds_cost(self):
         assert wire.recommendation_message_bytes(10, multihop=True) == 46 + 6 * 10
+
+    def test_recommendation_message_costs_4_per_entry(self):
+        assert RecommendationMessage(origin=0, entries=[]).wire_size() == 46
+        msg = RecommendationMessage(origin=0, entries=[(1, 2)] * 10)
+        assert msg.wire_size() == wire.recommendation_message_bytes(10) == 46 + 4 * 10
+
+    def test_linkstate_message_costs_3_per_entry(self):
+        row = LinkStateRow(0, np.zeros(10), np.ones(10, dtype=bool))
+        assert LinkStateMessage(origin=0, row=row).wire_size() == 46 + 3 * 10
+        multihop = LinkStateMessage(origin=0, row=row, sec=np.zeros(10))
+        assert multihop.wire_size() == 46 + 5 * 10
 
     def test_probe_is_bare_header(self):
         assert wire.PROBE_BYTES == wire.HEADER_BYTES == 46

@@ -1,0 +1,116 @@
+"""The extensions no table measured stay removed.
+
+§4.1 footnote 8's relay to an unreachable failover rendezvous, §6.2.2
+footnote 11's timestamped recommendation entries and RON's loss /
+combined path metrics were overlay options that no results table,
+bench workload, example or experiment turned on (``results/README.md``,
+"Not reproduced"). An option comes back together with the table that
+measures it; until then these guards keep its config field, message
+fields and per-node state out of the tree.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.core
+from repro.core.failover import FailoverConfig, FailoverManager
+from repro.core.grid import GridQuorum
+from repro.net import packet
+from repro.net.packet import LinkStateMessage, RecommendationMessage
+from repro.overlay import wire
+from repro.overlay.config import OverlayConfig
+from repro.overlay.linkstate import LinkStateRow
+from repro.overlay.monitor import LinkMonitor
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def row10():
+    return LinkStateRow(0, np.zeros(10), np.ones(10, dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("relay_failover", True),
+        ("timestamped_recommendations", True),
+        ("path_metric", "loss"),
+        ("loss_penalty_ms", 100.0),
+    ],
+)
+def test_overlay_config_rejects_removed_option(option, value):
+    assert option not in OverlayConfig.__dataclass_fields__
+    with pytest.raises(TypeError):
+        OverlayConfig(**{option: value})
+
+
+def test_core_metrics_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.metrics")
+
+
+@pytest.mark.parametrize(
+    "name", ["PathMetric", "combine_latency_loss", "cost_to_loss", "loss_to_cost"]
+)
+def test_repro_core_exports_no_loss_metric(name):
+    assert name not in repro.core.__all__
+    assert not hasattr(repro.core, name)
+
+
+def test_packet_has_no_relay_envelope():
+    assert "RelayEnvelope" not in packet.__all__
+    assert not hasattr(packet, "RelayEnvelope")
+
+
+def test_linkstate_message_has_no_relay_via():
+    with pytest.raises(TypeError):
+        LinkStateMessage(origin=0, row=row10(), relay_via=3)
+
+
+def test_recommendation_message_has_no_timestamped_flag():
+    with pytest.raises(TypeError):
+        RecommendationMessage(origin=0, entries=[(1, 2)], timestamped=True)
+
+
+def test_wire_has_no_timestamped_entry_size():
+    assert not hasattr(wire, "TIMESTAMPED_REC_ENTRY_BYTES")
+
+
+def test_linkstate_row_has_no_loss_column():
+    with pytest.raises(TypeError):
+        LinkStateRow(0, np.zeros(3), np.ones(3, dtype=bool), np.zeros(3))
+    assert not hasattr(row10(), "loss")
+
+
+@pytest.mark.parametrize("attr", ["loss_est", "loss_row"])
+def test_monitor_keeps_no_loss_estimate(attr):
+    assert attr not in LinkMonitor.__slots__
+    assert not hasattr(LinkMonitor, attr)
+
+
+def test_failover_poll_takes_no_allow_relay():
+    mgr = FailoverManager(0, np.random.default_rng(1), FailoverConfig())
+    mgr.set_grid(GridQuorum(list(range(9))), now=0.0)
+    up = np.ones(9, dtype=bool)
+    with pytest.raises(TypeError):
+        mgr.poll(10.0, up, lambda _: True, allow_relay=True)
+
+
+def test_src_repro_names_no_removed_extension():
+    """What is left of the words is the always-empty field ``bench/``
+    reads and ``net/trace.py``'s prose about detours."""
+    pattern = re.compile(r"relay|timestamped|PathMetric|loss_penalty|loss_est", re.I)
+    hits = [
+        f"{path.relative_to(REPO_ROOT / 'src' / 'repro')}: {line.strip()}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if pattern.search(line)
+    ]
+    assert hits == [
+        "core/failover.py: adopted_via_relay: List[Tuple[int, int]] = field(default_factory=list)",
+        "net/trace.py: direct path can be beaten by relaying through a well-connected host.",
+    ]
