@@ -52,15 +52,17 @@ references to what the view size alone determines; nothing else the
 grid already says is copied per node.
 
 * **Default pairs** — every destination has at most two default
-  servers. ``_pair`` (``(n, 2)`` int64 from
-  :meth:`GridQuorum.default_pairs`, ``-1`` for none) names them, and
-  their evidence lives in ``(n, 2)`` arrays beside it: the last cover
-  time (``-inf`` = never) and when the node began expecting the server
-  to cover. ``set_grid`` blanks both; on a view change
-  :meth:`FailoverManager.carry_over` then moves the previous view's
-  values into every slot whose (server, destination) members were a
-  default pair already, so "has covered" means "since the two became a
-  default pair", not "under this view version".
+  servers. ``_pair`` (``(n, 2)`` view positions from
+  :meth:`GridQuorum.default_pairs`, ``-1`` for none, held as int32:
+  8 B per destination) names them, and their evidence lives in
+  ``(n, 2)`` float64 arrays beside it: the last cover time (``-inf`` =
+  never) and when the node began expecting the server to cover (one
+  broadcast scalar until a carry-over writes it). ``set_grid`` blanks
+  both; on a view change :meth:`FailoverManager.carry_over` then moves
+  the previous view's values into every slot whose (server,
+  destination) members were a default pair already, so "has covered"
+  means "since the two became a default pair", not "under this view
+  version".
 * **An omission is one number per server.** A message from a server
   either lists a destination it is a default for or leaves it out, so
   "its latest message left ``dst`` out" needs no time of its own: with
@@ -328,7 +330,7 @@ class FailoverManager:
         self._state.clear()
         self._off_default.clear()
         index = _SizeIndex.of_size(n)
-        self._pair = grid.default_pairs(self.me)
+        self._pair = grid.default_pairs(self.me).astype(np.int32)
         self._dst_of_slot = index.dst_of_slot
         self._cover = np.full((n, 2), _NEVER)
         #: When each server's last message arrived, whatever it listed.

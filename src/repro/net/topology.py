@@ -30,7 +30,9 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
         Symmetric ``(n, n)`` RTT matrix in milliseconds, zero diagonal.
     loss:
         Symmetric ``(n, n)`` per-packet loss probability matrix, or None
-        for a lossless network.
+        for a lossless network. A lossless topology keeps no matrix (an
+        all-zero one is dropped after validation): every link reads loss
+        0 and no packet draws from the random stream.
     failures:
         Optional :class:`FailureTable`; links in an outage drop all
         packets.
@@ -54,13 +56,14 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
         if off_diag.size and off_diag.min() <= 0:
             raise TopologyError("off-diagonal RTTs must be positive")
 
-        if loss is None:
-            loss = np.zeros_like(rtt_ms)
-        loss = np.asarray(loss, dtype=float)
-        if loss.shape != rtt_ms.shape:
-            raise TopologyError("loss matrix shape must match rtt_ms")
-        if np.any(loss < 0) or np.any(loss > 1):
-            raise TopologyError("loss entries must be probabilities")
+        if loss is not None:
+            loss = np.asarray(loss, dtype=float)
+            if loss.shape != rtt_ms.shape:
+                raise TopologyError("loss matrix shape must match rtt_ms")
+            if np.any(loss < 0) or np.any(loss > 1):
+                raise TopologyError("loss entries must be probabilities")
+            if not loss.any():
+                loss = None
 
         if failures is not None and failures.n != n:
             raise TopologyError(
@@ -68,8 +71,8 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
             )
 
         self._rtt_ms = rtt_ms
-        self._loss = loss
-        self._lossless = not loss.any()
+        #: None for a lossless network.
+        self._loss: Optional[np.ndarray] = loss
         self._failures = failures
 
     # ------------------------------------------------------------------
@@ -120,7 +123,7 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
     def loss_probability(self, i: int, j: int) -> float:
         """Per-packet loss probability on the i->j link (excl. outages)."""
         self._check_pair(i, j)
-        return float(self._loss[i, j])
+        return 0.0 if self._loss is None else float(self._loss[i, j])
 
     def link_is_up(self, i: int, j: int, t: float) -> bool:
         """Whether the link is up (not in an injected outage) at time t."""
@@ -137,6 +140,8 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
             return True
         if not self.link_is_up(i, j, t):
             return False
+        if self._loss is None:
+            return True
         p = self._loss[i, j]
         return p <= 0.0 or rng.random() >= p
 
@@ -170,7 +175,7 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
             delivered = np.ones(js.shape[0], dtype=bool)
         else:
             delivered = self._failures.up_many(i, js, t)
-        if not self._lossless:
+        if self._loss is not None:
             p = self._loss[i, js]
             lossy = np.flatnonzero(delivered & ~(p <= 0.0) & (js != i))
             if lossy.size:
@@ -192,7 +197,7 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
     def loss_vector(self, i: int) -> np.ndarray:
         """Loss probability from i to every node (copy)."""
         self._check_pair(i, i)
-        return self._loss[i].copy()
+        return np.zeros(self.n) if self._loss is None else self._loss[i].copy()
 
     def concurrent_failures(self, i: int, t: float) -> int:
         """Ground-truth count of destinations unreachable from ``i``."""

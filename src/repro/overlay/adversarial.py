@@ -55,4 +55,4 @@ class MaliciousQuorumRouter(QuorumRouter):
             )
             for a_idx in covered.tolist()
         ]
-        self.transport.send_many(self.me, self._member_ids[covered], msgs)
+        self.transport.send_many(self.me, self.view.member_ids[covered], msgs)

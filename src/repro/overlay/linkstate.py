@@ -12,16 +12,18 @@ by the router, from its monitor, or from arrays a caller hands in, which
 are copied — put in *effective* form (dead links ``inf``, own diagonal
 ``0``) and frozen: its arrays are read-only and nothing writes to it
 again. A table is a map ``view position -> row`` of *references* plus
-the dense ``row_time`` / ``row_version`` vectors. The router installs
-its row in its own table and publishes that same object in every
+the dense ``row_time`` vector. The router installs its row in its own
+table and publishes that same object in every
 :class:`~repro.net.packet.LinkStateMessage` until its monitor changes;
 every receiver's table points at it. In this one-process simulation a
 row that 2 sqrt(n) rendezvous servers (or all ``n - 1`` full-mesh peers)
 hold therefore exists once, not once per receiver, and "did this row
-change" is an identity test — ``row_version`` advances only when the
-stored object does. Only :meth:`remap` builds new rows, because a view
-change moves columns — and it too builds each one once: the first holder
-to apply a delta to a shared row leaves the moved row on it for the rest.
+change" is an identity test on :meth:`row`. The all-dead row of a
+position never heard from is shared too: it is a window into one
+read-only vector per table size (:func:`_unheard_window`). Only
+:meth:`remap` builds new rows, because a view change moves columns —
+and it too builds each one once: the first holder to apply a delta to a
+shared row leaves the moved row on it for the rest.
 
 Readers gather what they need per call — :meth:`cost_matrix` concatenates
 the requested rows into a fresh ``(k, n)`` block, the point readers pick
@@ -56,6 +58,26 @@ import numpy as np
 from repro.errors import RoutingError
 
 __all__ = ["LinkStateRow", "LinkStateTable", "RowBlock", "SparseLinkStateTable"]
+
+#: :func:`_unheard_window`'s vectors, by table size.
+_UNHEARD_OF_SIZE: Dict[int, np.ndarray] = {}
+
+
+def _unheard_window(n: int) -> np.ndarray:
+    """The read-only ``(2n - 1)`` vector every never-received row of a
+    size-``n`` table is a window into: ``inf`` everywhere, ``0`` in the
+    middle. Built once per size and process; like
+    :meth:`~repro.core.grid.GridQuorum.of_size`'s grids, each entry is a
+    pure function of ``n``.
+    """
+    window = _UNHEARD_OF_SIZE.get(n)
+    if window is None:
+        window = np.full(2 * n - 1, np.inf)
+        window[n - 1] = 0.0
+        window.flags.writeable = False
+        _UNHEARD_OF_SIZE[n] = window
+    return window
+
 
 class LinkStateRow:
     """One node's link state as published: immutable once built.
@@ -166,18 +188,14 @@ class _RowTable:
     gathers make of it is the subclass's one decision.
     """
 
-    __slots__ = ("n", "row_time", "row_version", "_rows", "_unheard")
+    __slots__ = ("n", "row_time", "_rows")
 
     def __init__(self, n: int):
         if n <= 0:
             raise RoutingError("table size must be positive")
         self.n = n
         self.row_time = np.full(n, -np.inf, dtype=np.float64)
-        #: Bumped when :meth:`update_row` stores a *different* row object;
-        #: re-installing the held one only refreshes its receive time.
-        self.row_version = np.zeros(n, dtype=np.int64)
         self._rows: Dict[int, LinkStateRow] = {}
-        self._unheard: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Updates
@@ -194,9 +212,7 @@ class _RowTable:
             raise RoutingError(
                 f"row built for view position {row.idx} installed at {idx}"
             )
-        if self._rows.get(idx) is not row:
-            self._rows[idx] = row
-            self.row_version[idx] += 1
+        self._rows[idx] = row
         self.row_time[idx] = now
 
     def touch_row(self, idx: int, now: float) -> None:
@@ -251,18 +267,15 @@ class _RowTable:
         everywhere, ``0`` on its own diagonal (read-only).
 
         The full-mesh bootstrap reads ~n of these per route query, so
-        they are not built: in an all-``inf`` vector of ``2n - 1`` with
-        one ``0`` in the middle, row ``idx`` is the length-``n`` window
-        that puts the ``0`` at ``idx``.
+        they are not built: in the size's all-``inf`` vector of
+        ``2n - 1`` with one ``0`` in the middle (:func:`_unheard_window`),
+        row ``idx`` is the length-``n`` window that puts the ``0`` at
+        ``idx``.
         """
         n = self.n
         if not 0 <= idx < n:
             raise RoutingError(f"row index {idx} out of range (n={n})")
-        if self._unheard is None:
-            self._unheard = np.full(2 * n - 1, np.inf)
-            self._unheard[n - 1] = 0.0
-            self._unheard.flags.writeable = False
-        return self._unheard[n - 1 - idx : 2 * n - 1 - idx]
+        return _unheard_window(n)[n - 1 - idx : 2 * n - 1 - idx]
 
     def effective_cost(self, idx: int) -> np.ndarray:
         """:meth:`cost_row` as a private, writeable copy."""
@@ -396,12 +409,8 @@ class _RowTable:
 
     def nbytes(self) -> int:
         """Logical footprint: held rows counted as if this table owned
-        them (a deployed node's cost), plus the receive-time vectors."""
-        return (
-            sum(row.nbytes for row in self._rows.values())
-            + self.row_time.nbytes
-            + self.row_version.nbytes
-        )
+        them (a deployed node's cost), plus the receive-time vector."""
+        return sum(row.nbytes for row in self._rows.values()) + self.row_time.nbytes
 
 
 # Two names for bench/tracing.py, which patches ``update_row`` and ``remap``

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -140,6 +140,7 @@ class MembershipView:
 
     version: int
     members: Tuple[int, ...]
+    _ids: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if tuple(sorted(set(self.members))) != self.members:
@@ -148,6 +149,18 @@ class MembershipView:
     @property
     def n(self) -> int:
         return len(self.members)
+
+    @property
+    def member_ids(self) -> np.ndarray:
+        """Underlay node id per view position: ``members`` as a read-only
+        int64 array, built on first use and held by the view, so every
+        router holding this view object reads the same array."""
+        ids = self._ids
+        if ids is None:
+            ids = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
+            ids.flags.writeable = False
+            object.__setattr__(self, "_ids", ids)
+        return ids
 
     def position(self, member: int) -> int:
         """View position of ``member``, or -1 when it is not a member.

@@ -89,7 +89,6 @@ class RouterBase(abc.ABC):
         "_own_row_seen_version",
         "on_version_gap",
         "view_epoch",
-        "_member_ids",
     )
 
     def __init__(
@@ -188,21 +187,16 @@ class RouterBase(abc.ABC):
         if held is not None and view.members == held.members:
             self.view = view
             return
-        # View position -> underlay (monitor/topology) index. Node IDs
-        # are underlay indices, so this maps view-indexed tables onto
-        # the monitor's topology-indexed measurement arrays.
-        new_ids = np.fromiter(view.members, dtype=np.int64, count=view.n)
         self.view = view
         self.me_idx = view.index_of(self.me)
         self._own_row_seen_version = -1
         if held is None:
-            self._member_ids = new_ids
             self._rebuild_for_view(view)
             return
         # Old view position -> new view position; -1 for departed
         # members. Both id arrays are sorted, so one search places every
         # old member, and an equality check tells who is still there.
-        old_ids, self._member_ids = self._member_ids, new_ids
+        old_ids, new_ids = held.member_ids, view.member_ids
         old_to_new = np.searchsorted(new_ids, old_ids)
         old_to_new[new_ids[np.minimum(old_to_new, view.n - 1)] != old_ids] = -1
         self.on_view_delta(old_to_new)
@@ -221,7 +215,7 @@ class RouterBase(abc.ABC):
         if self.monitor.version == self._own_row_seen_version:
             self.table.touch_row(self.me_idx, now)
             return
-        ids = self._member_ids
+        ids = self.view.member_ids
         row = LinkStateRow(
             self.me_idx,
             self.monitor.latency_row()[ids],
@@ -245,14 +239,17 @@ class RouterBase(abc.ABC):
     # ------------------------------------------------------------------
     @property
     def member_ids(self) -> np.ndarray:
-        """Underlay node id per view position (read-only; rebuilt on
-        every view install). Bulk consumers use this to project
-        view-indexed results onto stable underlay indices."""
-        return self._member_ids
+        """Underlay node id per view position: the held view's read-only
+        :attr:`MembershipView.member_ids`, so routers that hold one view
+        object share one array. View position -> underlay
+        (monitor/topology) index: node IDs are underlay indices, so bulk
+        consumers use this to project view-indexed results onto stable
+        underlay indices."""
+        return self.view.member_ids
 
     def link_up_view(self, view_idx: int) -> bool:
         """Monitor liveness verdict for the member at ``view_idx``."""
-        return self.monitor.is_up(int(self._member_ids[view_idx]))
+        return self.monitor.is_up(int(self.view.member_ids[view_idx]))
 
     def _require_view(self) -> MembershipView:
         if self.view is None:
@@ -321,7 +318,7 @@ class RouterBase(abc.ABC):
         """
         out = np.full(n_underlay, -np.inf)
         if self.view is not None:
-            out[self._member_ids] = self.last_rec_times()
+            out[self.view.member_ids] = self.last_rec_times()
         return out
 
     # ------------------------------------------------------------------

@@ -55,7 +55,7 @@ class FullMeshRouter(RouterBase):
         """Broadcast this node's link state to every other member."""
         self._require_view()
         self._refresh_own_row()
-        peers = np.delete(self._member_ids, self.me_idx)
+        peers = np.delete(self.view.member_ids, self.me_idx)
         self.transport.send_many(self.me, peers, self._own_linkstate())
 
     def on_linkstate(self, msg: LinkStateMessage, src: int) -> None:

@@ -58,7 +58,8 @@ class QuorumRouter(RouterBase):
       recommended one-hop, when it arrived, and which rendezvous sent
       it. Route queries read the first two; the third tells a
       recommendation that displaces another rendezvous' from one that
-      renews its own sender's.
+      renews its own sender's. Hops and servers are view positions
+      (``-1``: none), so they are int32; times are float64 sim seconds.
     * ``route_hop2`` / ``route_time2`` / ``route_server2`` with
       ``config.verify_recommendations`` only: the displaced rendezvous'
       opinion, which the §7 cross-validation prices against the
@@ -116,14 +117,14 @@ class QuorumRouter(RouterBase):
 
         # Route state, indexed by view position (see the class docstring
         # for which arrays exist).
-        self.route_hop = np.full(n, -1, dtype=np.int64)
+        self.route_hop = np.full(n, -1, dtype=np.int32)
         self.route_time = np.full(n, -np.inf)
-        self.route_server = np.full(n, -1, dtype=np.int64)
+        self.route_server = np.full(n, -1, dtype=np.int32)
         self.route_hop2 = self.route_time2 = self.route_server2 = None
         if self.config.verify_recommendations:
-            self.route_hop2 = np.full(n, -1, dtype=np.int64)
+            self.route_hop2 = np.full(n, -1, dtype=np.int32)
             self.route_time2 = np.full(n, -np.inf)
-            self.route_server2 = np.full(n, -1, dtype=np.int64)
+            self.route_server2 = np.full(n, -1, dtype=np.int32)
         self._refresh_own_row()
 
     def on_view_delta(self, old_to_new: np.ndarray) -> None:
@@ -190,7 +191,7 @@ class QuorumRouter(RouterBase):
 
     def _links_up_view_many(self, view_indices: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`link_up_view` over view indices."""
-        return self.monitor.alive[self._member_ids[view_indices]]
+        return self.monitor.alive[self.view.member_ids[view_indices]]
 
     # ------------------------------------------------------------------
     # Protocol: periodic tick
@@ -208,7 +209,7 @@ class QuorumRouter(RouterBase):
         return base + sorted(self._extra_servers.difference(base))
 
     def _send_linkstate(self, server_indices: List[int]) -> None:
-        members = self._member_ids[server_indices]
+        members = self.view.member_ids[server_indices]
         self.transport.send_many(self.me, members, self._own_linkstate())
 
     def _fresh_client_indices(self) -> np.ndarray:
@@ -235,25 +236,8 @@ class QuorumRouter(RouterBase):
         if covered.size < 2:
             return
         covered_ids = covered.astype(np.int64)
-        covered_rows = self.table.cost_matrix(covered_ids)
+        pair_hop, pair_ok = self._best_one_hops(self.table.cost_matrix(covered_ids))
         now = self.sim.now
-        # The best one-hop between clients a and b is symmetric (IEEE
-        # addition commutes, so argmin over row_a + row_b is identical
-        # either way): compute each unordered pair once — this halves
-        # the dominant min-plus work of the whole protocol — into the
-        # upper triangle, and mirror it when the loop is done.
-        m = covered_ids.size
-        pair_hop = np.zeros((m, m), dtype=np.int64)
-        pair_cost = np.full((m, m), np.inf)
-        positions = np.arange(m)
-        for i in range(m - 1):
-            totals = covered_rows[i] + covered_rows[i + 1 :]
-            best_h = totals.argmin(axis=1)
-            pair_hop[i, i + 1 :] = best_h
-            pair_cost[i, i + 1 :] = totals[positions[: m - 1 - i], best_h]
-        pair_hop += pair_hop.T
-        pair_ok = np.isfinite(pair_cost)
-        pair_ok |= pair_ok.T
         table, keep = self._entry_table(covered_ids, pair_hop, pair_ok)
         # One (address, message) per client, put on the wire together.
         # The messages are consecutive column ranges of one (2, total)
@@ -277,6 +261,36 @@ class QuorumRouter(RouterBase):
         if out:
             dsts, msgs = zip(*out)
             self.transport.send_many(self.me, dsts, msgs)
+
+    @staticmethod
+    def _best_one_hops(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The min-plus kernel of round 2 over ``m`` clients' cost rows.
+
+        Returns ``(pair_hop, pair_ok)``, both ``(m, m)``: ``pair_hop[a, b]``
+        is the first ``h`` minimising ``rows[a, h] + rows[b, h]`` (0 on the
+        diagonal) and ``pair_ok[a, b]`` whether that minimum is finite.
+
+        The best one-hop between clients a and b is symmetric (IEEE
+        addition commutes, so argmin over row_a + row_b is identical
+        either way): each unordered pair is computed once — this halves
+        the dominant min-plus work of the whole protocol — into the
+        upper triangle, and mirrored when the loop is done. Every row's
+        sums go into one scratch buffer and their argmin straight into
+        ``pair_hop``. Rows are in :class:`LinkStateRow`'s normal form
+        (entries ``>= 0`` or ``inf``), so a minimum is finite exactly
+        when some ``h`` is finite in both rows: one boolean product of
+        the finite masks, without the minima themselves.
+        """
+        m, n = rows.shape
+        pair_hop = np.zeros((m, m), dtype=np.int64)
+        sums = np.empty((m - 1, n))
+        for i in range(m - 1):
+            np.add(rows[i], rows[i + 1 :], out=sums[: m - 1 - i]).argmin(
+                axis=1, out=pair_hop[i, i + 1 :]
+            )
+        pair_hop += pair_hop.T
+        finite = np.isfinite(rows)
+        return pair_hop, finite @ finite.T
 
     @staticmethod
     def _entry_table(
@@ -397,7 +411,7 @@ class QuorumRouter(RouterBase):
 
     def _evaluate_failover(self) -> FailoverPoll:
         poll = self.failover.poll(
-            self.sim.now, self.monitor.alive[self._member_ids], self._sees_alive
+            self.sim.now, self.monitor.alive[self.view.member_ids], self._sees_alive
         )
         self._extra_servers = set(poll.extra_servers)
         newly_adopted = sorted({s for _, s in poll.adopted})
@@ -514,7 +528,7 @@ class QuorumRouter(RouterBase):
         now = self.sim.now
         me = self.me_idx
         own = self.table.cost_row(me)
-        link_up = self.monitor.alive[self._member_ids]
+        link_up = self.monitor.alive[self.view.member_ids]
 
         hops = np.full(n, -1, dtype=np.int64)
         usable = np.zeros(n, dtype=bool)
@@ -522,7 +536,9 @@ class QuorumRouter(RouterBase):
 
         # 1. Fresh recommendations whose hop is the destination itself
         #    or a currently-up link.
-        rec_hop = self.route_hop
+        # The stored hops are int32; widened once, every comparison and
+        # gather below runs on index-width integers without a cast.
+        rec_hop = self.route_hop.astype(np.intp)
         rec_fresh = (
             ((now - self.route_time) <= 2.0 * self.routing_interval_s)
             & (rec_hop >= 0)

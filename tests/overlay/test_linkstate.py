@@ -140,15 +140,15 @@ class TestRowsAreValues:
         t.cost_matrix(np.array([1]))[0, 0] = 1.0  # gathers are private copies
         assert t.cost_row(1)[0] == 10.0
 
-    def test_row_version_follows_object_identity(self):
+    def test_held_row_follows_object_identity(self):
         t = LinkStateTable(3)
         r = row(3, 1)
         t.update_row(1, r, 1.0)
-        t.update_row(1, r, 2.0)
-        assert (t.row_version[1], t.row_time[1]) == (1, 2.0)
-        t.update_row(1, row(3, 1), 3.0)  # equal content, another object
-        assert t.row_version[1] == 2
-        assert t.row(1) is not r
+        t.update_row(1, r, 2.0)  # re-installing the held row refreshes its time
+        assert t.row(1) is r and t.row_time[1] == 2.0
+        other = row(3, 1)  # equal content, another object
+        t.update_row(1, other, 3.0)
+        assert t.row(1) is other and t.row_time[1] == 3.0
 
     def test_cost_row_is_the_one_shared_row(self):
         r = row(3, 1)

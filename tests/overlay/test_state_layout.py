@@ -1,0 +1,182 @@
+"""How per-destination state is laid out: narrow where it is a position,
+shared where it depends only on the view or its size.
+
+A node's routing state grows with the view: ``n`` nodes each hold arrays
+over ``n`` destinations, which sets the simulator's memory per ordered
+pair. These tests pin, at small ``n``, each fact that keeps that figure
+down:
+
+* view positions are stored as int32 (route hops and senders, default
+  rendezvous pairs);
+* the underlay id of every view position is one read-only array held by
+  the view, so routers that hold one view object share it;
+* the all-dead row of a never-received position is a window into one
+  vector per table size;
+* a lossless topology holds no ``(n, n)`` loss matrix, and draws nothing;
+* the router, failover and table arrays over destinations stay within a
+  byte budget per destination.
+"""
+
+import numpy as np
+import pytest
+
+from repro.net.topology import Topology
+from repro.net.trace import uniform_random_metric
+from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.harness import build_overlay
+from repro.overlay.linkstate import LinkStateTable, SparseLinkStateTable
+
+N = 16
+
+
+def overlay(router=RouterKind.QUORUM, n=N, seed=3, **kwargs):
+    rng = np.random.default_rng(seed)
+    return build_overlay(
+        trace=uniform_random_metric(n, rng), router=router, rng=rng, with_freshness=False, **kwargs
+    )
+
+
+def routers(ov):
+    return [node.router for node in ov.nodes if node.router.view is not None]
+
+
+def owned_bytes_per_destination(obj, n):
+    """Bytes of the arrays over ``n`` destinations that ``obj`` owns:
+    every ndarray attribute whose first axis is ``n`` and whose memory is
+    its own (a view, a broadcast or a shared array costs nothing here)."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names.update(getattr(cls, "__slots__", ()))
+    total = 0
+    for name in names:
+        arr = getattr(obj, name, None)
+        if isinstance(arr, np.ndarray) and arr.ndim and arr.shape[0] == n and arr.flags.owndata:
+            total += arr.nbytes
+    return total / n
+
+
+class TestNarrowPositions:
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_route_positions_are_int32(self, verify):
+        ov = overlay(config=OverlayConfig(verify_recommendations=verify))
+        ov.run(60.0)
+        for router in routers(ov):
+            for name in ("route_hop", "route_server") + (
+                ("route_hop2", "route_server2") if verify else ()
+            ):
+                assert getattr(router, name).dtype == np.int32, name
+            assert router.route_time.dtype == np.float64
+
+    def test_int32_survives_a_view_delta(self):
+        ov = overlay(active_members=range(N - 1))
+        ov.run(30.0)
+        ov.join_node(N - 1)
+        ov.run(30.0)
+        for router in routers(ov):
+            assert router.view.n == N
+            assert router.route_hop.dtype == router.route_server.dtype == np.int32
+            assert router.failover._pair.dtype == np.int32
+
+    def test_default_pairs_are_int32(self):
+        ov = overlay()
+        for router in routers(ov):
+            pair = router.failover._pair
+            assert pair.dtype == np.int32 and pair.shape == (N, 2)
+            dst = (router.me_idx + 1) % N
+            assert router.failover.default_pair(dst) == tuple(
+                s for s in router.grid.default_pairs(router.me_idx)[dst].tolist() if s >= 0
+            )
+
+
+class TestSharedPerView:
+    def test_routers_of_one_view_share_one_read_only_id_array(self):
+        ov = overlay()
+        ov.run(20.0)
+        held = routers(ov)
+        view = held[0].view
+        assert all(r.view is view for r in held)  # out-of-band: one object
+        ids = view.member_ids
+        assert all(r.member_ids is ids for r in held)
+        assert ids.dtype == np.int64 and ids.tolist() == list(view.members)
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 1
+
+    def test_a_new_view_brings_its_own_shared_array(self):
+        ov = overlay(active_members=range(N - 1))
+        ov.run(20.0)
+        old = routers(ov)[0].member_ids
+        ov.join_node(N - 1)
+        ov.run(20.0)
+        held = routers(ov)
+        ids = held[0].view.member_ids
+        assert ids is not old and ids.tolist() == list(range(N))
+        assert all(r.member_ids is ids for r in held)
+
+    def test_full_mesh_tables_of_one_size_share_one_unheard_window(self):
+        ov = overlay(router=RouterKind.FULL_MESH, n=12)  # built, not run: no row received yet
+        window = LinkStateTable(12).cost_row(0).base
+        for router in routers(ov):
+            unheard = router.table.cost_row((router.me_idx + 1) % 12)
+            assert unheard.base is window and not unheard.flags.writeable
+        assert SparseLinkStateTable(12).cost_row(5).base is window
+        assert LinkStateTable(13).cost_row(0).base is not window
+        assert np.array_equal(LinkStateTable(12).cost_row(3), np.where(np.arange(12) == 3, 0.0, np.inf))
+
+    def test_a_table_owns_only_its_receive_times(self):
+        table = SparseLinkStateTable(N)
+        assert owned_bytes_per_destination(table, N) == 8
+        assert table.nbytes() == 8 * N
+
+
+class TestLosslessTopology:
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_holds_no_loss_matrix(self, zeros):
+        rtt = uniform_random_metric(8, np.random.default_rng(0)).rtt_ms
+        topo = Topology(rtt, np.zeros_like(rtt) if zeros else None)
+        assert topo._loss is None
+        assert topo.loss_probability(1, 2) == 0.0
+        assert np.array_equal(topo.loss_vector(3), np.zeros(8))
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        assert all(topo.packet_delivered(0, j, 1.0, rng) for j in range(8))
+        delivered, _ = topo.deliver_many(0, np.arange(8), 1.0, rng)
+        assert delivered.all()
+        assert rng.bit_generator.state == state  # nothing drawn
+
+    def test_a_lossy_topology_keeps_its_matrix(self):
+        rtt = uniform_random_metric(8, np.random.default_rng(0)).rtt_ms
+        loss = np.full_like(rtt, 0.25)
+        topo = Topology(rtt, loss)
+        assert topo._loss is not None and topo.loss_probability(1, 2) == 0.25
+        assert np.array_equal(topo.loss_vector(3), loss[3])
+
+    def test_an_overlay_on_a_lossless_trace_holds_none(self):
+        assert overlay().topology._loss is None
+
+
+class TestByteBudget:
+    """Router + failover + table arrays over destinations: route hop and
+    sender (4 + 4), route time (8), default pairs (8), cover times (16),
+    last-message times (8), receive times (8) — and the expecting-since
+    times (16) once a view delta has carried them over."""
+
+    def per_destination(self, router):
+        n = router.view.n
+        return sum(
+            owned_bytes_per_destination(obj, n)
+            for obj in (router, router.failover, router.table)
+        )
+
+    def test_first_view(self):
+        ov = overlay()
+        ov.run(60.0)
+        for router in routers(ov):
+            assert self.per_destination(router) <= 56
+
+    def test_after_a_view_delta(self):
+        ov = overlay(active_members=range(N - 1))
+        ov.run(30.0)
+        ov.join_node(N - 1)
+        ov.run(30.0)
+        budgets = [self.per_destination(r) for r in routers(ov)]
+        assert max(budgets) <= 72
