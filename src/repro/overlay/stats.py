@@ -73,6 +73,13 @@ ALL_KINDS: Tuple[str, ...] = (
 class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment aggregating all nodes)
     """Per-node byte counters in fixed-width time buckets.
 
+    State layout: one ``(n, buckets)`` int64 array per ``(direction,
+    kind)`` written, allocated at its first write with just the columns
+    that write needs and doubled on demand, so an array holds at most
+    twice the buckets written (a 45-s run at 10-s buckets: 5 columns).
+    With ``t1=None`` the queries run through the last bucket holding
+    any bytes.
+
     Parameters
     ----------
     n:
@@ -89,9 +96,8 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
             raise ConfigError("bucket_s must be positive")
         self.n = n
         self.bucket_s = float(bucket_s)
-        # (direction, kind) -> array of shape (n, num_buckets), grown lazily.
+        # (direction, kind) -> array of shape (n, buckets), grown lazily.
         self._bins: Dict[Tuple[str, str], np.ndarray] = {}
-        self._num_buckets = 64
 
     def _bucket(self, t: float) -> int:
         return int(t // self.bucket_s)
@@ -116,14 +122,13 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
     def _array(self, direction: str, kind: str, bucket: int) -> np.ndarray:
         arr = self._bins.get((direction, kind))
         if arr is None:
-            arr = np.zeros((self.n, self._num_buckets), dtype=np.int64)
+            arr = np.zeros((self.n, bucket + 1), dtype=np.int64)
             self._bins[(direction, kind)] = arr
-        if bucket >= arr.shape[1]:
+        elif bucket >= arr.shape[1]:
             new_cols = max(bucket + 1, arr.shape[1] * 2)
             grown = np.zeros((self.n, new_cols), dtype=np.int64)
             grown[:, : arr.shape[1]] = arr
             self._bins[(direction, kind)] = grown
-            self._num_buckets = max(self._num_buckets, new_cols)
             arr = grown
         return arr
 
@@ -175,6 +180,16 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
             raise ConfigError(f"bad window [{t0}, {t1})")
         return self._bucket(t0), self._bucket(t1 - 1e-9) + 1
 
+    def _filled_buckets(self) -> int:
+        """Buckets through the last one holding any bytes (0 before the
+        first): where ``t1=None`` ends the queries."""
+        filled = 0
+        for arr in self._bins.values():
+            cols = np.flatnonzero(arr.any(axis=0))
+            if cols.size:
+                filled = max(filled, int(cols[-1]) + 1)
+        return filled
+
     def bytes_per_node(
         self,
         kinds: Optional[Iterable[str]] = None,
@@ -185,12 +200,14 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
         """Total bytes per node over ``[t0, t1)`` for the given kinds.
 
         Both directions are summed by default, matching the paper's
-        "incoming and outgoing" accounting.
+        "incoming and outgoing" accounting. ``t1=None`` sums through the
+        last bucket holding any bytes (zeros if none follows ``t0``).
         """
-        if t1 is None:
-            t1 = self._num_buckets * self.bucket_s
         kinds = tuple(kinds) if kinds is not None else ALL_KINDS
-        b0, b1 = self._slice(t0, t1)
+        if t1 is None:
+            b0, b1 = self._bucket(t0), self._filled_buckets()
+        else:
+            b0, b1 = self._slice(t0, t1)
         total = np.zeros(self.n, dtype=np.int64)
         for (direction, kind), arr in self._bins.items():
             if direction in directions and kind in kinds:
@@ -208,10 +225,11 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
         """Mean bits/second per node (in+out) over ``[t0, t1)``.
 
         The rate is computed over the bucket-aligned window actually
-        summed, so unaligned ``t0``/``t1`` do not skew it.
+        summed, so unaligned ``t0``/``t1`` do not skew it. ``t1=None``
+        ends the window with the last bucket holding any bytes.
         """
         if t1 is None:
-            t1 = self._num_buckets * self.bucket_s
+            t1 = self._filled_buckets() * self.bucket_s
         b0, b1 = self._slice(t0, t1)
         duration = (b1 - b0) * self.bucket_s
         return self.bytes_per_node(kinds, t0, t1) * 8.0 / duration
@@ -225,10 +243,11 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
     ) -> np.ndarray:
         """Per-node maximum rate over any aligned ``window_s`` window.
 
-        This is Figure 10's "max (any 1-min window)" series.
+        This is Figure 10's "max (any 1-min window)" series. ``t1=None``
+        ends the period with the last bucket holding any bytes.
         """
         if t1 is None:
-            t1 = self._num_buckets * self.bucket_s
+            t1 = self._filled_buckets() * self.bucket_s
         per_window = round(window_s / self.bucket_s)
         if per_window < 1 or abs(per_window * self.bucket_s - window_s) > 1e-9:
             raise ConfigError(
@@ -347,18 +366,33 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
 
     Like the other recorders this one is passive and deterministic:
     identical event sequences produce byte-identical series.
+
+    State layout: a pair's open window is the int32 index into the
+    sample times of the sample that opened it (``-1``: none open), 4 B
+    per ordered pair. A sample that closes windows keeps one chunk of
+    int32 flat pair indices (``src * n + dst``) and int32 start indices
+    beside its own time, 8 B per closed pair; bootstrap closes nearly
+    every pair's first window in one sample, and tuples are only made
+    for whoever asks (:meth:`events`). Flat indices bound ``n`` to
+    :data:`MAX_N`.
     """
+
+    #: Largest ``n`` whose ``n * n`` flat pair indices fit in int32.
+    MAX_N = 46_340
 
     def __init__(self, n: int):
         if n <= 0:
             raise ConfigError("n must be positive")
+        if n > self.MAX_N:
+            raise ConfigError(
+                f"n = {n} exceeds {self.MAX_N}: flat pair indices are int32"
+            )
         self.n = n
-        self._down_since = np.full((n, n), np.nan)
-        #: Closed disruptions, one ``(src, dst, start, end)`` chunk per
-        #: sample that closed any: three arrays and the sample's time.
-        #: Bootstrap ends every pair's first window in one sample, so
-        #: tuples are only made for whoever asks (:meth:`events`).
-        self._closed: List[Tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
+        self._down_since = np.full((n, n), -1, dtype=np.int32)
+        #: Closed disruptions, one ``(pair, start, end)`` chunk per sample
+        #: that closed any: flat pair indices, the opening samples'
+        #: indices into ``_times`` and the closing sample's time.
+        self._closed: List[Tuple[np.ndarray, np.ndarray, float]] = []
         self._times: List[float] = []
         self._avail: List[float] = []
         self._measured_pairs: List[int] = []
@@ -412,27 +446,32 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
             )
         measured = active[:, None] & active[None, :]
         np.fill_diagonal(measured, False)
+        broken = measured & ~ok
 
-        if versions is not None:
-            self.sample_views(now, versions, active)
+        # Measured pairs join live nodes: only a divergent sample has
+        # pairs holding different versions.
+        if versions is not None and self.sample_views(now, versions, active):
             held = versions >= 0
-            differ = (versions[:, None] != versions[None, :]) & (
-                held[:, None] & held[None, :]
-            )
-            div_pairs = measured & differ
-            self._div_pair_measured += int(div_pairs.sum())
-            self._div_pair_broken += int((div_pairs & ~ok).sum())
+            differ = versions[:, None] != versions[None, :]
+            differ &= held[:, None]
+            differ &= held[None, :]
+            self._div_pair_measured += int(np.count_nonzero(differ & measured))
+            differ &= broken
+            self._div_pair_broken += int(np.count_nonzero(differ))
 
-        tracking = ~np.isnan(self._down_since)
+        down_since = self._down_since
+        tracking = down_since >= 0
         # Close disruptions that healed; censor ones whose pair vanished.
         recovered = tracking & measured & ok
-        src, dst = np.nonzero(recovered)
-        if src.size:
-            self._closed.append((src, dst, self._down_since[src, dst], float(now)))
-        self._down_since[recovered | (tracking & ~measured)] = np.nan
-        # Open new disruptions.
-        newly_down = measured & ~ok & np.isnan(self._down_since)
-        self._down_since[newly_down] = now
+        pair = np.flatnonzero(recovered)
+        if pair.size:
+            start = down_since.ravel()[pair]
+            self._closed.append((pair.astype(np.int32), start, float(now)))
+        tracking &= ~measured
+        down_since[recovered | tracking] = -1
+        # Open new disruptions at this sample's index.
+        broken &= down_since < 0
+        down_since[broken] = len(self._times)
 
         pairs = int(measured.sum())
         self._times.append(float(now))
@@ -443,8 +482,9 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
 
     def sample_views(
         self, now: float, versions: np.ndarray, live: np.ndarray
-    ) -> None:
-        """Record one view-version snapshot (divergence tracking only).
+    ) -> bool:
+        """Record one view-version snapshot (divergence tracking only)
+        and return whether it was divergent.
 
         Callable on its own for membership-layer experiments that never
         compute a route matrix; :meth:`sample` delegates here when given
@@ -461,7 +501,7 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
                 f"got {versions.shape} and {live.shape}"
             )
         held = versions[live]
-        divergent = held.size > 1 and np.unique(held).size > 1
+        divergent = held.size > 1 and bool((held != held[0]).any())
         self._view_samples += 1
         if divergent:
             self._div_samples += 1
@@ -491,6 +531,7 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
         self._member_div_since[closed | (tracking & ~live)] = np.nan
         newly = diverged & np.isnan(self._member_div_since)
         self._member_div_since[newly] = now
+        return divergent
 
     def mark(self, label: str, now: float) -> None:
         """Tag an instant (e.g. the mass-failure time) for later queries."""
@@ -513,24 +554,32 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
 
     def events(self) -> List[Tuple[int, int, float, float]]:
         """Closed disruption intervals as ``(src, dst, start, end)``."""
+        times = np.array(self._times)
+        n = self.n
         return [
             event
-            for src, dst, start, end in self._closed
-            for event in zip(src.tolist(), dst.tolist(), start.tolist(), repeat(end))
+            for pair, start, end in self._closed
+            for event in zip(
+                (pair // n).tolist(),
+                (pair % n).tolist(),
+                times[start].tolist(),
+                repeat(end),
+            )
         ]
 
     def open_disruptions(self) -> int:
         """Pairs currently mid-disruption (no recovery sampled yet)."""
-        return int((~np.isnan(self._down_since)).sum())
+        return int(np.count_nonzero(self._down_since >= 0))
 
     def disruption_durations(
         self, t0: float = 0.0, t1: float = math.inf
     ) -> np.ndarray:
         """Durations (s) of closed disruptions that *started* in [t0, t1)."""
-        durations = [
-            end - start[(t0 <= start) & (start < t1)]
-            for _, _, start, end in self._closed
-        ]
+        times = np.array(self._times)
+        durations = []
+        for _, index, end in self._closed:
+            start = times[index]
+            durations.append(end - start[(t0 <= start) & (start < t1)])
         return np.concatenate(durations) if durations else np.array([], dtype=float)
 
     def min_availability(self, t0: float = 0.0, t1: float = math.inf) -> float:

@@ -14,8 +14,13 @@ down:
   vector per table size;
 * a lossless topology holds no ``(n, n)`` loss matrix, and draws nothing;
 * the router, failover and table arrays over destinations stay within a
-  byte budget per destination.
+  byte budget per destination;
+* the measurement layer holds a few bytes per ordered pair: an int32
+  sample index per open disruption window, 8 B per closed one, and
+  bandwidth bins sized to the buckets written.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +29,9 @@ from repro.net.topology import Topology
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
+from repro.errors import ConfigError
 from repro.overlay.linkstate import LinkStateTable, SparseLinkStateTable
+from repro.overlay.stats import BandwidthRecorder, DisruptionRecorder
 
 N = 16
 
@@ -180,3 +187,51 @@ class TestByteBudget:
         ov.run(30.0)
         budgets = [self.per_destination(r) for r in routers(ov)]
         assert max(budgets) <= 72
+
+
+class TestRecorderLayout:
+    def test_open_windows_are_int32_sample_indices(self):
+        recorder = DisruptionRecorder(N)
+        assert recorder._down_since.dtype == np.int32
+        assert recorder._down_since.nbytes == 4 * N * N
+        active = np.ones(N, dtype=bool)
+        recorder.sample(5.0, np.zeros((N, N), dtype=bool), active)
+        recorder.sample(10.0, np.zeros((N, N), dtype=bool), active)
+        opened = recorder._down_since[~np.eye(N, dtype=bool)]
+        assert (opened == 0).all()  # the first sample's index, still open
+        assert recorder.open_disruptions() == N * (N - 1)
+
+    def test_a_bootstrap_closing_sample_stores_8_bytes_per_pair(self):
+        recorder = DisruptionRecorder(N)
+        active = np.ones(N, dtype=bool)
+        recorder.sample(5.0, np.zeros((N, N), dtype=bool), active)
+        recorder.sample(10.0, np.ones((N, N), dtype=bool), active)
+        (chunk,) = recorder._closed
+        arrays = [part for part in chunk if isinstance(part, np.ndarray)]
+        closed = N * (N - 1)
+        assert all(arr.shape == (closed,) for arr in arrays)
+        assert sum(arr.nbytes for arr in arrays) <= 8 * closed
+        assert len(recorder.events()) == closed and recorder.open_disruptions() == 0
+
+    def test_bins_hold_at_most_twice_the_buckets_written(self):
+        ov = overlay()
+        ov.run(45.0)
+        bins = ov.bandwidth._bins
+        assert bins
+        for arr in bins.values():
+            assert arr.shape[1] <= 2 * 5  # 45 s of 10-s buckets
+        bw = BandwidthRecorder(4, bucket_s=1.0)
+        for t in (3.0, 4.0, 9.0, 30.0, 31.0, 100.0):
+            bw.record_out(1, "ls", 1, t)
+            assert bw._bins[("out", "ls")].shape[1] <= 2 * (int(t) + 1)
+
+    def test_a_recorder_too_large_for_int32_pairs_raises_before_allocating(self):
+        assert DisruptionRecorder.MAX_N ** 2 < 2**31 <= (DisruptionRecorder.MAX_N + 1) ** 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="int32"):
+                DisruptionRecorder(46_341)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
