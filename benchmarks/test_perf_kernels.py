@@ -38,7 +38,6 @@ from repro.overlay.config import Gossip, RouterKind
 from repro.overlay.gossip import GossipMembershipNode
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow, SparseLinkStateTable
-from repro.overlay.router_quorum import QuorumRouter
 
 
 def test_perf_simulator_event_loop(benchmark):
@@ -199,13 +198,13 @@ def test_perf_fullmesh_route_ok_matrix_192(benchmark):
     assert ok.sum() == n * (n - 1)  # lossless and static: every route works
 
 
-def test_perf_recommendation_receive_256(benchmark, monkeypatch):
+def test_perf_recommendation_receive_256(benchmark):
     """One node's round-2 receive work for one routing interval at
     n = 256: a message from each of its 30 rendezvous servers, 29
     entries each (the server's other clients), cut from one ``(2,
     total)`` entry array per sender as ``_send_recommendations`` cuts
-    them. The guards: no message takes the scalar path, and the route
-    state left behind is the one-entry-at-a-time oracle's."""
+    them. The guard: the route state left behind is the
+    one-entry-at-a-time oracle's."""
     n = 256
     rng = np.random.default_rng(24)
     ov = build_overlay(
@@ -232,17 +231,11 @@ def test_perf_recommendation_receive_256(benchmark, monkeypatch):
             )
         )
     assert len(messages) == 30 and all(len(m.entries) == 29 for m in messages)
-    scalar_path = []
-    monkeypatch.setattr(
-        QuorumRouter, "_apply_entries_scalar", lambda *args: scalar_path.append(args)
-    )
-
     def receive():
         for msg in messages:
             router.on_recommendation(msg, msg.origin)
 
     benchmark(receive)
-    assert scalar_path == []
     oracle = AllArraysOracle(n, me)
     for msg in messages:
         oracle.apply(router.view.index_of(msg.origin), msg.entries.tolist(), 0.0)

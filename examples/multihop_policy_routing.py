@@ -80,11 +80,11 @@ def main() -> None:
         ("multi-hop l<=4", multi.costs),
     ):
         cross = result_costs[np.ix_(a, b)]
-        reachable = np.isfinite(cross).mean()
-        mean_ms = np.nanmean(np.where(np.isfinite(cross), cross, np.nan))
+        finite = cross[np.isfinite(cross)]
+        reachable = finite.size / cross.size
         rows.append(
             [name, f"{reachable * 100:.0f}%",
-             "-" if np.isnan(mean_ms) else f"{mean_ms:.1f}"]
+             f"{finite.mean():.1f}" if finite.size else "-"]
         )
     print()
     print(

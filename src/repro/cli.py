@@ -96,8 +96,8 @@ def _cmd_deployment(args: argparse.Namespace) -> None:
     _write(args.out, "fig11_double_failures", result.fig11_table())
     _write(args.out, "fig12_freshness_pairs", result.fig12_table())
     well, poor = result.well_and_poorly_connected()
-    _write(args.out, "fig13_freshness_well", result.fig13_14_table(well))
-    _write(args.out, "fig14_freshness_poor", result.fig13_14_table(poor))
+    _write(args.out, "fig13_freshness_well_connected", result.fig13_14_table(well))
+    _write(args.out, "fig14_freshness_poorly_connected", result.fig13_14_table(poor))
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> None:

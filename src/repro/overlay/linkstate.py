@@ -324,11 +324,6 @@ class _RowTable:
             costs[:, h] = self._unheard_row(h) if row is None else row.latency_ms
         block.columns_written += len(changed)
 
-    def cost_gather(self, indices: np.ndarray, dst: int) -> np.ndarray:
-        """``cost_row(i)[dst]`` for each ``i`` in ``indices`` (vector)."""
-        costs = self._costs(indices)
-        return np.array([cost.item(dst) for cost in costs], dtype=np.float64)
-
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

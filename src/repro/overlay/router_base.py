@@ -247,10 +247,6 @@ class RouterBase(abc.ABC):
         underlay indices."""
         return self.view.member_ids
 
-    def link_up_view(self, view_idx: int) -> bool:
-        """Monitor liveness verdict for the member at ``view_idx``."""
-        return self.monitor.is_up(int(self.view.member_ids[view_idx]))
-
     def _require_view(self) -> MembershipView:
         if self.view is None:
             raise RoutingError(f"router at node {self.me} has no membership view")
@@ -287,24 +283,15 @@ class RouterBase(abc.ABC):
     def route_to(self, dst_idx: int) -> Route:
         """Best currently-known route to view index ``dst_idx``."""
 
+    @abc.abstractmethod
     def route_vector(self) -> Tuple[np.ndarray, np.ndarray]:
         """All destinations' routes in one call: ``(hops, usable)``.
 
         ``hops[d]`` equals ``route_to(d).hop`` and ``usable[d]`` equals
-        ``route_to(d).usable`` for every view index ``d``. The base
-        implementation is the literal per-destination loop; routers
-        override it with a vectorized kernel. Bulk consumers (the
-        ground-truth availability sampler, route-table dumps) use this
-        instead of ``n`` separate :meth:`route_to` calls.
+        ``route_to(d).usable`` for every view index ``d``. Bulk consumers
+        (the ground-truth availability sampler, route-table dumps) use
+        this instead of ``n`` separate :meth:`route_to` calls.
         """
-        view = self._require_view()
-        hops = np.full(view.n, -1, dtype=np.int64)
-        usable = np.zeros(view.n, dtype=bool)
-        for d in range(view.n):
-            route = self.route_to(d)
-            hops[d] = route.hop
-            usable[d] = route.usable
-        return hops, usable
 
     @abc.abstractmethod
     def last_rec_times(self) -> np.ndarray:

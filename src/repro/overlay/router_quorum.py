@@ -20,6 +20,8 @@ Route lookups prefer fresh rendezvous recommendations; when they are
 stale or the recommended hop is down, the node falls back to the §4.2
 *redundant link-state* path: it already holds the full tables of its
 ~2 sqrt(n) clients, so it evaluates one-hop routes through them directly.
+One kernel (``QuorumRouter._routes``) answers both route queries, one
+destination or all of them.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ class QuorumRouter(RouterBase):
         self._refresh_own_row()
 
     def _links_up_view_many(self, view_indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`link_up_view` over view indices."""
+        """Monitor liveness verdict per member at ``view_indices``."""
         return self.monitor.alive[self.view.member_ids[view_indices]]
 
     # ------------------------------------------------------------------
@@ -331,9 +333,10 @@ class QuorumRouter(RouterBase):
 
         One unsigned max validates both columns, and one ``(n,)`` bool
         mask of the listed destinations finds an entry about this node
-        (dropped) and a repeated destination (the only case applied one
-        entry at a time, last wins); the same mask is the failover
-        manager's cover / omission evidence. Nothing of ``msg`` is kept.
+        (dropped) and a repeated destination (its last entry wins); the
+        same mask is the failover manager's cover / omission evidence.
+        One write per route array then installs every message. Nothing
+        of ``msg`` is kept.
         """
         view = self._require_view()
         src_idx = view.position(src)
@@ -363,43 +366,30 @@ class QuorumRouter(RouterBase):
             dsts, hops = dsts[valid], hops[valid]
         if np.count_nonzero(listed) != len(dsts):
             # A repeated destination (only a non-standard sender sends
-            # one): sequential last-wins semantics.
-            self._apply_entries_scalar(dsts, hops, src_idx, now)
-        else:
-            # Distinct destinations, in any order: every entry writes its
-            # own slots, so one fancy-indexed write per array is the
-            # sequential result.
-            if self.route_hop2 is not None:
-                # Keep the displaced rendezvous' opinion as the secondary
-                # candidate for cross-validation.
-                prev_server = self.route_server[dsts]
-                displaced = (prev_server >= 0) & (prev_server != src_idx)
-                dd = dsts[displaced]
-                self.route_hop2[dd] = self.route_hop[dd]
-                self.route_time2[dd] = self.route_time[dd]
-                self.route_server2[dd] = prev_server[displaced]
-            self.route_time[dsts] = now
-            self.route_hop[dsts] = hops
-            self.route_server[dsts] = src_idx
+            # one): as applied one at a time, the last entry wins — the
+            # last of each run of equal destinations in stable order.
+            order = np.argsort(dsts, kind="stable")
+            run_end = np.ones(len(order), dtype=bool)
+            sorted_dsts = dsts[order]
+            run_end[:-1] = sorted_dsts[1:] != sorted_dsts[:-1]
+            last = order[run_end]
+            dsts, hops = dsts[last], hops[last]
+        # Distinct destinations, in any order: every entry writes its own
+        # slots, so one fancy-indexed write per array is the sequential
+        # result.
+        if self.route_hop2 is not None:
+            # Keep the displaced rendezvous' opinion as the secondary
+            # candidate for cross-validation.
+            prev_server = self.route_server[dsts]
+            displaced = (prev_server >= 0) & (prev_server != src_idx)
+            dd = dsts[displaced]
+            self.route_hop2[dd] = self.route_hop[dd]
+            self.route_time2[dd] = self.route_time[dd]
+            self.route_server2[dd] = prev_server[displaced]
+        self.route_time[dsts] = now
+        self.route_hop[dsts] = hops
+        self.route_server[dsts] = src_idx
         self.failover.note_recommendations(src_idx, listed, now)
-
-    def _apply_entries_scalar(
-        self, dsts: np.ndarray, hops: np.ndarray, src_idx: int, now: float
-    ) -> None:
-        """Sequential fallback preserving last-wins duplicate semantics."""
-        keep_displaced = self.route_hop2 is not None
-        for dst_idx, hop_idx in zip(dsts.tolist(), hops.tolist()):
-            if (
-                keep_displaced
-                and self.route_server[dst_idx] >= 0
-                and self.route_server[dst_idx] != src_idx
-            ):
-                self.route_hop2[dst_idx] = self.route_hop[dst_idx]
-                self.route_time2[dst_idx] = self.route_time[dst_idx]
-                self.route_server2[dst_idx] = self.route_server[dst_idx]
-            self.route_time[dst_idx] = now
-            self.route_hop[dst_idx] = hop_idx
-            self.route_server[dst_idx] = src_idx
 
     # ------------------------------------------------------------------
     # Failover (§4.1)
@@ -456,117 +446,75 @@ class QuorumRouter(RouterBase):
     # ------------------------------------------------------------------
     # Route queries
     # ------------------------------------------------------------------
-    def _redundant_route(self, dst_idx: int) -> Optional[Route]:
-        """§4.2 fallback: one-hop via a client whose table we hold.
+    def _routes(
+        self, dsts: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The §4.2 lookup order over the distinct view positions ``dsts``
+        (none of them this node's); ``None`` means every position, this
+        node's own left to the caller.
 
-        A single min-plus gather over the held rows.
+        Returns ``(hops, usable, from_rec)``, one entry per destination,
+        from the first of these that applies (``hops == -1``: none):
+
+        1. a fresh recommendation whose hop is the destination itself or
+           a link that is up — with ``verify_recommendations`` the hop
+           the §7 cross-validation keeps (:meth:`_cross_validate`);
+        2. the redundant path: the best one-hop through a fresh client
+           whose row this node holds;
+        3. the direct path, when its link is up.
+
+        Each step is a few numpy operations over all the destinations
+        (only the §7 pricing runs per conflict), and a destination's
+        answer reads nothing of another's: any subset reads the same as
+        every position.
         """
-        fresh = self._fresh_client_indices()
-        fresh = fresh[fresh != dst_idx]
-        if fresh.size == 0:
-            return None
-        own = self.table.cost_row(self.me_idx)
-        via = own[fresh] + self.table.cost_gather(fresh, dst_idx)
-        pos = int(np.argmin(via))
-        cost = float(via[pos])
-        if not np.isfinite(cost):
-            return None
-        hop = int(fresh[pos])
-        return Route(
-            dst=dst_idx, hop=hop, cost_ms=cost, source=SOURCE_REDUNDANT, age_s=0.0
-        )
-
-    def route_to(self, dst_idx: int) -> Route:
-        """Preferred order: fresh recommendation, redundant table, direct."""
-        self._require_view()
-        if dst_idx == self.me_idx:
-            return Route(dst=dst_idx, hop=dst_idx, cost_ms=0.0, source=SOURCE_DIRECT, age_s=0.0)
-        now = self.sim.now
-        own = self.table.cost_row(self.me_idx)
-
-        rec_age = now - float(self.route_time[dst_idx])
-        hop = int(self.route_hop[dst_idx])
-        rec_fresh = rec_age <= 2.0 * self.routing_interval_s and hop >= 0
-        if rec_fresh and self.config.verify_recommendations:
-            hop = self._cross_validated_hop(own, dst_idx, hop, now)
-        if rec_fresh and (hop == dst_idx or self.link_up_view(hop)):
-            cost = self._estimate_cost(own, hop, dst_idx)
-            return Route(
-                dst=dst_idx,
-                hop=hop,
-                cost_ms=cost,
-                source=SOURCE_RECOMMENDATION,
-                age_s=rec_age,
-            )
-        fallback = self._redundant_route(dst_idx)
-        if fallback is not None:
-            return fallback
-        if self.link_up_view(dst_idx):
-            return Route(
-                dst=dst_idx,
-                hop=dst_idx,
-                cost_ms=float(own[dst_idx]),
-                source=SOURCE_DIRECT,
-                age_s=0.0,
-            )
-        return Route(dst=dst_idx, hop=-1, cost_ms=np.inf, source=SOURCE_DIRECT, age_s=np.inf)
-
-    def route_vector(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All destinations' routes in one pass (see :class:`RouterBase`).
-
-        Semantically identical to calling :meth:`route_to` per
-        destination, but the recommendation-freshness test, the §4.2
-        redundant fallback, and the direct-path fallback each become one
-        numpy operation over the held rows. With recommendation
-        cross-validation enabled the per-destination path is taken (its
-        conflict accounting is inherently sequential).
-        """
-        view = self._require_view()
-        if self.config.verify_recommendations:
-            return super().route_vector()
-        n = view.n
-        now = self.sim.now
+        n = self.view.n
         me = self.me_idx
         own = self.table.cost_row(me)
         link_up = self.monitor.alive[self.view.member_ids]
-
-        hops = np.full(n, -1, dtype=np.int64)
-        usable = np.zeros(n, dtype=bool)
-        arange = np.arange(n)
+        # Every position reads the route arrays themselves, no gather.
+        targets = np.arange(n) if dsts is None else dsts
+        rec_hop, rec_time = self.route_hop, self.route_time
+        if dsts is not None:
+            rec_hop, rec_time = rec_hop[dsts], rec_time[dsts]
+        hops = np.full(len(targets), -1, dtype=np.int64)
+        usable = np.zeros(len(targets), dtype=bool)
 
         # 1. Fresh recommendations whose hop is the destination itself
         #    or a currently-up link.
         # The stored hops are int32; widened once, every comparison and
         # gather below runs on index-width integers without a cast.
-        rec_hop = self.route_hop.astype(np.intp)
-        rec_fresh = (
-            ((now - self.route_time) <= 2.0 * self.routing_interval_s)
-            & (rec_hop >= 0)
-        )
-        rec_fresh[me] = False
-        hop_direct = rec_fresh & (rec_hop == arange)
+        rec_hop = rec_hop.astype(np.intp)
+        rec_fresh = ((self.sim.now - rec_time) <= 2.0 * self.routing_interval_s) & (rec_hop >= 0)
+        if dsts is None:
+            rec_fresh[me] = False
+        if self.config.verify_recommendations:
+            self._cross_validate(rec_hop, rec_fresh, targets, own, link_up)
+        hop_direct = rec_fresh & (rec_hop == targets)
         hop_up = rec_fresh & ~hop_direct
         idxs = np.nonzero(hop_up)[0]
         hop_up[idxs] = link_up[rec_hop[idxs]]
-        use_rec = hop_direct | hop_up
+        from_rec = hop_direct | hop_up
         #    _estimate_cost adds the hop's row entry to the first leg only
         #    where it is finite, so the estimate is finite exactly where
         #    the first leg is.
-        rd = np.nonzero(use_rec)[0]
+        rd = np.nonzero(from_rec)[0]
         hops[rd] = rec_hop[rd]
         usable[rd] = np.isfinite(own[hops[rd]])
 
         # 2. §4.2 redundant fallback for the rest.
-        rem = np.nonzero(~use_rec)[0]
-        rem = rem[rem != me]
+        rem = np.nonzero(~from_rec)[0]
+        if dsts is None:
+            rem = rem[rem != me]
         if rem.size:
             fresh = self._fresh_client_indices()
             if fresh.size:
+                rem_dst = targets[rem]
                 rows = self.table.cost_matrix(fresh)
-                via = own[fresh][:, None] + rows[:, rem]  # (k, r)
+                via = own[fresh][:, None] + rows[:, rem_dst]  # (k, r)
                 # A client cannot be the one-hop to itself.
                 col_of = np.full(n, -1, dtype=np.int64)
-                col_of[rem] = np.arange(rem.size)
+                col_of[rem_dst] = np.arange(rem.size)
                 fc = col_of[fresh]
                 have = np.nonzero(fc >= 0)[0]
                 via[have, fc[have]] = np.inf
@@ -578,42 +526,81 @@ class QuorumRouter(RouterBase):
                 rem = rem[~okr]
             # 3. Bare direct path.
             if rem.size:
-                direct = rem[link_up[rem]]
-                hops[direct] = direct
-                usable[direct] = np.isfinite(own[direct])
+                direct = rem[link_up[targets[rem]]]
+                hops[direct] = targets[direct]
+                usable[direct] = np.isfinite(own[hops[direct]])
+        return hops, usable, from_rec
 
-        hops[me] = me
-        usable[me] = True
-        return hops, usable
+    def _cross_validate(
+        self,
+        rec_hop: np.ndarray,
+        rec_fresh: np.ndarray,
+        targets: np.ndarray,
+        own: np.ndarray,
+        link_up: np.ndarray,
+    ) -> None:
+        """§7 defense: where two rendezvous' fresh recommendations
+        disagree, keep the cheaper hop in ``rec_hop`` (in place).
 
-    def _cross_validated_hop(
-        self, own: np.ndarray, dst_idx: int, primary: int, now: float
-    ) -> int:
-        """§7 defense: compare the two rendezvous' candidate hops locally.
-
-        The grid quorum gives every pair two rendezvous; when their
-        recommendations disagree, the node evaluates both hops against
-        the link-state rows it already holds (its own measurements plus
-        its ~2√n clients' tables) and keeps the cheaper. A single lying
-        rendezvous therefore cannot redirect traffic: its self-serving
-        hop is priced by *its own* announced link state, which honest
-        measurement keeps truthful.
+        The grid quorum gives every pair two rendezvous; the node
+        evaluates both candidate hops against the link-state rows it
+        already holds (its own measurements plus its ~2√n clients'
+        tables). A single lying rendezvous therefore cannot redirect
+        traffic: its self-serving hop is priced by *its own* announced
+        link state, which honest measurement keeps truthful. A secondary
+        whose link is down never overrides. Each disagreement counts as a
+        ``rec_conflicts``, each override as a ``rec_conflicts_overridden``.
         """
-        secondary = int(self.route_hop2[dst_idx])
-        sec_age = now - float(self.route_time2[dst_idx])
-        if secondary < 0 or sec_age > 2.0 * self.routing_interval_s:
-            return primary
-        if secondary == primary:
-            return primary
-        self.counters.incr("rec_conflicts")
-        if secondary != dst_idx and not self.link_up_view(secondary):
-            return primary
-        primary_cost = self._estimate_cost(own, primary, dst_idx)
-        secondary_cost = self._estimate_cost(own, secondary, dst_idx)
-        if secondary_cost < primary_cost:
-            self.counters.incr("rec_conflicts_overridden")
-            return secondary
-        return primary
+        secondary = self.route_hop2[targets]
+        conflicts = np.flatnonzero(
+            rec_fresh
+            & (secondary >= 0)
+            & ((self.sim.now - self.route_time2[targets]) <= 2.0 * self.routing_interval_s)
+            & (secondary != rec_hop)
+        ).tolist()
+        if not conflicts:
+            return
+        self.counters.incr("rec_conflicts", len(conflicts))
+        overridden = 0
+        for p in conflicts:
+            dst, hop2 = int(targets[p]), int(secondary[p])
+            if hop2 != dst and not link_up[hop2]:
+                continue
+            if self._estimate_cost(own, hop2, dst) < self._estimate_cost(own, int(rec_hop[p]), dst):
+                rec_hop[p] = hop2
+                overridden += 1
+        if overridden:
+            self.counters.incr("rec_conflicts_overridden", overridden)
+
+    def route_to(self, dst_idx: int) -> Route:
+        """:meth:`route_vector`'s route to ``dst_idx``, priced and
+        labelled with where it came from."""
+        self._require_view()
+        if dst_idx == self.me_idx:
+            return Route(dst=dst_idx, hop=dst_idx, cost_ms=0.0, source=SOURCE_DIRECT, age_s=0.0)
+        hops, _, from_rec = self._routes(np.array([dst_idx]))
+        hop = int(hops[0])
+        own = self.table.cost_row(self.me_idx)
+        if from_rec[0]:
+            cost = self._estimate_cost(own, hop, dst_idx)
+            age = self.sim.now - float(self.route_time[dst_idx])
+            return Route(dst=dst_idx, hop=hop, cost_ms=cost, source=SOURCE_RECOMMENDATION, age_s=age)
+        if hop < 0:
+            return Route(dst=dst_idx, hop=-1, cost_ms=np.inf, source=SOURCE_DIRECT, age_s=np.inf)
+        if hop == dst_idx:
+            return Route(dst=dst_idx, hop=hop, cost_ms=float(own[hop]), source=SOURCE_DIRECT, age_s=0.0)
+        # The redundant path's cost, as step 2 of _routes summed it.
+        cost = float(own[hop] + self.table.cost_row(hop)[dst_idx])
+        return Route(dst=dst_idx, hop=hop, cost_ms=cost, source=SOURCE_REDUNDANT, age_s=0.0)
+
+    def route_vector(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All destinations' routes in one pass (see :class:`RouterBase`):
+        :meth:`_routes` over every position, this node reaching itself."""
+        self._require_view()
+        hops, usable, _ = self._routes()
+        hops[self.me_idx] = self.me_idx
+        usable[self.me_idx] = True
+        return hops, usable
 
     def _estimate_cost(self, own: np.ndarray, hop: int, dst_idx: int) -> float:
         """Best local estimate of the recommended path's cost.

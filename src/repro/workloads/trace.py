@@ -8,7 +8,7 @@ comparison "quorum vs. full mesh under *identical* churn" literal: both
 overlays replay the exact same event list, and a trace can be printed,
 diffed, or persisted alongside the results it produced.
 
-Three generator families cover the scenario space the Chord-style churn
+Four generators cover the scenario space the Chord-style churn
 literature evaluates:
 
 * :meth:`ChurnTrace.poisson` — sustained churn: a Poisson process of
@@ -18,20 +18,11 @@ literature evaluates:
   at one instant and watch recovery.
 * :meth:`ChurnTrace.flash_crowd` — a burst of joins inside a few
   seconds, the "everyone shows up at once" membership transient.
-
-* :meth:`ChurnTrace.crash_reboot` — crash a set of nodes, then have the
-  same nodes rejoin later in the same trace (a reboot): the membership
-  service evicts the stale crashed entry (or has already expired it) so
-  the re-``join`` is clean.
-
 * :meth:`ChurnTrace.correlated_failure` — crash whole *groups* of nodes
   near-simultaneously (a rack power loss, an AS-level outage): failures
   in deployed systems are correlated, not independent, and correlated
   loss is what stresses epidemic dissemination hardest because an entire
   neighborhood of gossip peers disappears at once.
-* :meth:`ChurnTrace.poisson_diurnal` — Poisson churn whose rate follows
-  a diurnal (cosine) profile, the day/night load shape measurement
-  studies report for deployed peer-to-peer systems.
 
 Feasibility (joins only of standby *or* previously crashed nodes,
 departures only of active nodes, never fewer than ``min_active``
@@ -279,47 +270,6 @@ class ChurnTrace:
         )
 
     @staticmethod
-    def crash_reboot(
-        n: int,
-        fraction: float,
-        crash_at_s: float,
-        reboot_at_s: float,
-        duration_s: float,
-        seed: int,
-    ) -> "ChurnTrace":
-        """Crash ``fraction`` of the overlay, then reboot the same nodes.
-
-        The crashed nodes rejoin at ``reboot_at_s`` — within the same
-        trace — exercising the membership service's reboot path: a
-        crashed entry that has not yet refresh-expired is evicted so the
-        re-join is clean.
-        """
-        if not 0.0 < fraction < 1.0:
-            raise WorkloadError("fraction must be in (0, 1)")
-        if not 0.0 <= crash_at_s < reboot_at_s < duration_s:
-            raise WorkloadError("need crash_at_s < reboot_at_s < duration_s")
-        rng = np.random.default_rng(seed)
-        k = int(round(fraction * n))
-        if k < 1:
-            raise WorkloadError(f"fraction {fraction} crashes no nodes at n={n}")
-        if n - k < 4:
-            raise WorkloadError("crash would leave fewer than 4 nodes")
-        failed = sorted(rng.choice(n, size=k, replace=False).tolist())
-        events = tuple(
-            ChurnEvent(time=crash_at_s, action=ACTION_FAIL, node=node)
-            for node in failed
-        ) + tuple(
-            ChurnEvent(time=reboot_at_s, action=ACTION_JOIN, node=node)
-            for node in failed
-        )
-        return ChurnTrace(
-            n=n,
-            initial_active=tuple(range(n)),
-            events=events,
-            duration_s=duration_s,
-        )
-
-    @staticmethod
     def correlated_failure(
         n: int,
         group_size: int,
@@ -389,86 +339,6 @@ class ChurnTrace:
         return ChurnTrace(
             n=n,
             initial_active=tuple(range(n)),
-            events=tuple(events),
-            duration_s=duration_s,
-        )
-
-    @staticmethod
-    def poisson_diurnal(
-        n: int,
-        peak_rate_per_s: float,
-        duration_s: float,
-        seed: int,
-        period_s: float,
-        floor_fraction: float = 0.2,
-        active_fraction: float = 0.75,
-        crash_fraction: float = 0.5,
-        min_active: int = 8,
-        warmup_s: float = 0.0,
-    ) -> "ChurnTrace":
-        """Poisson churn modulated by a diurnal (cosine) rate profile.
-
-        The instantaneous event rate is::
-
-            rate(t) = peak * (floor + (1 - floor) * (1 - cos(2*pi*t/T)) / 2)
-
-        i.e. it dips to ``floor_fraction * peak`` at ``t = 0, T, 2T, ...``
-        and peaks halfway through each period — the day/night shape of
-        measured peer-to-peer session traces. Events are drawn by
-        Lewis-Shedler thinning of a homogeneous ``peak_rate_per_s``
-        process; join/leave/crash mechanics match :meth:`poisson`.
-        """
-        if peak_rate_per_s <= 0:
-            raise WorkloadError("peak_rate_per_s must be positive")
-        if period_s <= 0:
-            raise WorkloadError("period_s must be positive")
-        if not 0.0 <= floor_fraction <= 1.0:
-            raise WorkloadError("floor_fraction must be in [0, 1]")
-        if not 0.0 <= crash_fraction <= 1.0:
-            raise WorkloadError("crash_fraction must be in [0, 1]")
-        if not 0.0 < active_fraction <= 1.0:
-            raise WorkloadError("active_fraction must be in (0, 1]")
-        rng = np.random.default_rng(seed)
-        k = max(min(n, min_active), int(round(n * active_fraction)))
-        initial = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        active = set(initial)
-        standby = sorted(set(range(n)) - active)
-        events: List[ChurnEvent] = []
-        two_pi = 2.0 * np.pi
-        t = warmup_s + float(rng.exponential(1.0 / peak_rate_per_s))
-        while t < duration_s:
-            # Thinning: accept this candidate with probability
-            # rate(t) / peak, which is the bracket of the profile above.
-            profile = floor_fraction + (1.0 - floor_fraction) * 0.5 * (
-                1.0 - float(np.cos(two_pi * t / period_s))
-            )
-            if rng.random() < profile:
-                can_join = bool(standby)
-                can_depart = len(active) > min_active
-                if not can_join and not can_depart:
-                    break
-                if can_join and (not can_depart or rng.random() < 0.5):
-                    node = standby.pop(int(rng.integers(len(standby))))
-                    events.append(ChurnEvent(time=t, action=ACTION_JOIN, node=node))
-                    active.add(node)
-                else:
-                    pool = sorted(active)
-                    node = pool[int(rng.integers(len(pool)))]
-                    active.discard(node)
-                    if rng.random() < crash_fraction:
-                        events.append(
-                            ChurnEvent(time=t, action=ACTION_FAIL, node=node)
-                        )
-                    else:
-                        events.append(
-                            ChurnEvent(time=t, action=ACTION_LEAVE, node=node)
-                        )
-                        standby.append(node)
-                        standby.sort()
-            t += float(rng.exponential(1.0 / peak_rate_per_s))
-        return ChurnTrace(
-            n=n,
-            initial_active=initial,
             events=tuple(events),
             duration_s=duration_s,
         )

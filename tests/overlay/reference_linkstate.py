@@ -75,9 +75,6 @@ class CopyInTable:
             block.costs[:, h] = self.effective_cost(h)
         block.held = [object()] * self.n
 
-    def cost_gather(self, indices, dst):
-        return self.cost_matrix(indices)[:, dst]
-
     def remap(self, survivors_old, survivors_new, n_new):
         new = CopyInTable(n_new, self.strict)
         if len(survivors_old):

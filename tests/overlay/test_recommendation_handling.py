@@ -6,6 +6,8 @@ counts as §4.1 coverage for failover omission detection.
 """
 
 import numpy as np
+import pytest
+from reference_recommendations import AllArraysOracle
 
 from repro.net.packet import RecommendationMessage
 from repro.net.trace import planetlab_like, uniform_random_metric
@@ -28,20 +30,6 @@ def make_router(verify=False, n=9, seed=4):
     return ov, ov.nodes[0].router
 
 
-def scalar_path_callers(monkeypatch):
-    """The routers that take ``_apply_entries_scalar`` from now on, one
-    item per call."""
-    callers = []
-    original = QuorumRouter._apply_entries_scalar
-
-    def counted(self, *args):
-        callers.append(self)
-        return original(self, *args)
-
-    monkeypatch.setattr(QuorumRouter, "_apply_entries_scalar", counted)
-    return callers
-
-
 def rec(origin, entries, view, sent_at):
     return RecommendationMessage(
         origin=origin, entries=entries, view_version=view.version, sent_at=sent_at
@@ -58,10 +46,9 @@ class TestOutOfOrderDelivery:
         router.on_recommendation(older, view.members[2])  # delivered later, computed earlier
         assert router.route_hop[5] == 7  # last-delivered wins
 
-    def test_out_of_order_batch_overwrites_on_the_vector_path(self, monkeypatch):
+    def test_out_of_order_batch_overwrites_on_the_vector_path(self):
         ov, router = make_router()
         view = router.view
-        callers = scalar_path_callers(monkeypatch)
         src_a, src_b = view.members[1], view.members[2]
         router.on_recommendation(rec(src_a, [(5, 3), (6, 3), (7, 3)], view, 100.0), src_a)
         ov.run(1.0)
@@ -70,7 +57,6 @@ class TestOutOfOrderDelivery:
         assert router.route_server[5] == router.route_server[7] == view.index_of(src_b)
         assert float(router.route_time[5]) == float(router.route_time[7]) == ov.sim.now
         assert float(router.route_time[6]) < ov.sim.now
-        assert callers == []
 
     def test_stale_entry_still_counts_as_coverage(self):
         ov, router = make_router()
@@ -121,43 +107,35 @@ class TestBatchApplication:
         assert router.route_hop[me] == -1
         assert router.route_hop[3] == -1
 
-    def test_vector_and_scalar_paths_agree(self, monkeypatch):
-        # Same entry batch (unique dsts, ascending or not) applied via
-        # the vector path on one router and forced through the scalar
-        # path on another must leave identical route state.
-        ov_a, ra = make_router(verify=True, seed=6)
-        ov_b, rb = make_router(verify=True, seed=6)
-        view = ra.view
-        src1, src2 = view.members[1], view.members[2]
+    @pytest.mark.parametrize("verify", (False, True))
+    def test_repeated_destinations_match_the_oracle(self, verify):
+        # Batches that repeat a destination, ascending or not, leave the
+        # route state of one entry at a time: the last entry wins, and a
+        # rendezvous displaced by the first of a run stays displaced.
+        ov, router = make_router(verify=verify, seed=6)
+        for node in ov.nodes:
+            node.stop()  # ov.run only moves the clock
+        view = router.view
+        oracle = AllArraysOracle(view.n, router.me_idx)
         batches = [
-            (src1, [(3, 4), (5, 2), (7, 7)], 0.0),
-            (src2, [(3, 6), (5, 5)], -1.0),  # older-computed
-            (src1, [(3, 1), (7, 2)], 2.0),
-            (src2, [(7, 3), (1, 5), (5, 8), (3, 3)], 3.0),  # unordered
+            (1, [(3, 4), (5, 2), (3, 7), (7, 7)], 0.0),
+            (2, [(3, 6), (5, 5), (5, 1)], 1.0),
+            (1, [(7, 2), (3, 1), (7, 5), (3, 2), (7, 8)], 2.0),
+            (2, [(7, 3), (1, 5), (5, 8), (3, 3), (1, 1), (5, 4)], 3.0),
         ]
-        callers = scalar_path_callers(monkeypatch)
-        for src, entries, sent_at in batches:
-            ra.on_recommendation(rec(src, entries, view, sent_at), src)
-            dsts = np.array([d for d, _ in entries])
-            hops = np.array([h for _, h in entries])
-            rb._apply_entries_scalar(dsts, hops, view.index_of(src), rb.sim.now)
-        for arr in (
-            "route_hop",
-            "route_time",
-            "route_server",
-            "route_hop2",
-            "route_time2",
-            "route_server2",
-        ):
-            assert np.array_equal(getattr(ra, arr), getattr(rb, arr)), arr
-        # Only a repeated destination takes the scalar path.
-        assert not any(router is ra for router in callers)
+        for server, entries, dt in batches:
+            ov.run(dt)
+            src = view.members[server]
+            router.on_recommendation(rec(src, entries, view, ov.sim.now), src)
+            oracle.apply(server, entries, ov.sim.now)
+            oracle.assert_router_matches(router)
+        assert (router.route_hop2 is not None) == verify
 
     def test_a_standard_senders_messages_take_the_vector_path(self, monkeypatch):
         """Three routing intervals of a lossless n = 25 quorum overlay:
-        no delivered message repeats a destination, so none takes the
-        scalar path, and every message's destination and hop columns are
-        contiguous (cut from one ``(2, total)`` entry array per sender)."""
+        every message's destination and hop columns are contiguous (cut
+        from one ``(2, total)`` entry array per sender), and none repeats
+        a destination."""
         rng = np.random.default_rng(5)
         ov = build_overlay(
             trace=planetlab_like(25, rng, base_loss=0.0, lossy_fraction=0.0),
@@ -166,7 +144,6 @@ class TestBatchApplication:
             config=OverlayConfig(),
             with_freshness=False,
         )
-        callers = scalar_path_callers(monkeypatch)
         delivered = []
         on_recommendation = QuorumRouter.on_recommendation
 
@@ -177,7 +154,7 @@ class TestBatchApplication:
         monkeypatch.setattr(QuorumRouter, "on_recommendation", recorded)
         ov.run(3 * ov.config.routing_interval_s(RouterKind.QUORUM))
         assert len(delivered) > 25
-        assert callers == []
         for msg in delivered:
             assert msg.entries[:, 0].flags.c_contiguous
             assert msg.entries[:, 1].flags.c_contiguous
+            assert len(set(msg.entries[:, 0].tolist())) == len(msg.entries)

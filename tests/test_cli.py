@@ -1,9 +1,12 @@
 """Tests for the experiment CLI."""
 
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -70,10 +73,17 @@ class TestCommands:
         assert "table_capacity.txt" in written
         assert "table_config.txt" in written
 
-    def test_deployment_small(self, capsys):
-        assert main(["deployment", "--n", "25", "--duration", "120"]) == 0
+    def test_deployment_small(self, tmp_path, capsys):
+        assert main(
+            ["deployment", "--n", "25", "--duration", "120", "--out", str(tmp_path)]
+        ) == 0
         out = capsys.readouterr().out
         assert "Figure 8" in out and "Figure 12" in out
+        # Every table lands under its published name.
+        written = {p.name for p in tmp_path.iterdir()}
+        published = {p.name for p in (REPO_ROOT / "results").iterdir()}
+        assert len(written) == 6
+        assert written <= published, sorted(written - published)
 
     def test_adversarial_small(self, capsys):
         assert main(["adversarial", "--n", "25", "--duration", "120"]) == 0

@@ -7,6 +7,12 @@ bench workload, example or experiment turned on (``results/README.md``,
 "Not reproduced"). An option comes back together with the table that
 measures it; until then these guards keep its config field, message
 fields and per-node state out of the tree.
+
+The same holds for churn generators no table, workload or example
+replays (``ChurnTrace.crash_reboot``, ``poisson_diurnal``), and for the
+second copies of a route decision: ``QuorumRouter`` has one route kernel
+and one recommendation install, so the scalar lookup, the scalar
+install and the helpers only they called stay gone.
 """
 
 import importlib
@@ -23,8 +29,11 @@ from repro.net import packet
 from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.overlay import wire
 from repro.overlay.config import OverlayConfig
-from repro.overlay.linkstate import LinkStateRow
+from repro.overlay.linkstate import LinkStateRow, LinkStateTable, SparseLinkStateTable
 from repro.overlay.monitor import LinkMonitor
+from repro.overlay.router_base import RouterBase
+from repro.overlay.router_quorum import QuorumRouter
+from repro.workloads import ChurnTrace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -114,3 +123,37 @@ def test_src_repro_names_no_removed_extension():
         "core/failover.py: adopted_via_relay: List[Tuple[int, int]] = field(default_factory=list)",
         "net/trace.py: direct path can be beaten by relaying through a well-connected host.",
     ]
+
+
+REMOVED_METHODS = [
+    (ChurnTrace, "crash_reboot"),
+    (ChurnTrace, "poisson_diurnal"),
+    (QuorumRouter, "_apply_entries_scalar"),
+    (QuorumRouter, "_redundant_route"),
+    (QuorumRouter, "_cross_validated_hop"),
+    (RouterBase, "link_up_view"),
+    (LinkStateTable, "cost_gather"),
+    (SparseLinkStateTable, "cost_gather"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name", REMOVED_METHODS, ids=[f"{o.__name__}.{n}" for o, n in REMOVED_METHODS]
+)
+def test_removed_method_stays_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_route_vector_has_no_per_destination_loop():
+    assert RouterBase.route_vector.__isabstractmethod__
+
+
+def test_src_repro_names_no_removed_method():
+    names = {name for _, name in REMOVED_METHODS}
+    hits = [
+        f"{path.relative_to(REPO_ROOT / 'src' / 'repro')}: {name}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for name in sorted(names)
+        if name in path.read_text()
+    ]
+    assert hits == []

@@ -128,18 +128,6 @@ class TestChurnTrace:
         )
         assert trace.active_at_end() == (0, 1, 2, 3)
 
-    def test_crash_reboot_generator(self):
-        trace = ChurnTrace.crash_reboot(
-            n=16, fraction=0.25, crash_at_s=60.0, reboot_at_s=180.0,
-            duration_s=300.0, seed=3,
-        )
-        assert trace.count(ACTION_FAIL) == 4
-        assert trace.count(ACTION_JOIN) == 4
-        assert {ev.node for ev in trace.events if ev.action == ACTION_FAIL} == {
-            ev.node for ev in trace.events if ev.action == ACTION_JOIN
-        }
-        assert len(trace.active_at_end()) == 16
-
     def test_leave_then_rejoin_is_feasible(self):
         trace = ChurnTrace(
             n=4,

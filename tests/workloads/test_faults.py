@@ -2,8 +2,8 @@
 
 Covers the :class:`FaultPlan` construction invariants (canonical
 partition pairs, merge-on-insert of overlapping windows, node-outage
-compilation into the failure table) and the correlated / diurnal churn
-generators, plus installing a member-only plan on a coordinator-free
+compilation into the failure table) and the correlated churn
+generator, plus installing a member-only plan on a coordinator-free
 (gossip) overlay.
 """
 
@@ -14,7 +14,7 @@ from repro.errors import WorkloadError
 from repro.net.trace import planetlab_like
 from repro.overlay.config import Gossip, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
-from repro.workloads import ACTION_FAIL, ACTION_JOIN, ACTION_LEAVE, ChurnTrace
+from repro.workloads import ACTION_FAIL, ACTION_JOIN, ChurnTrace
 from repro.workloads.faults import FaultPlan, MemberEvent
 
 
@@ -91,56 +91,6 @@ class TestCorrelatedFailure:
             ChurnTrace.correlated_failure(
                 n=6, group_size=3, groups_to_fail=1,
                 crash_at_s=50.0, duration_s=200.0, seed=0,
-            )
-
-
-class TestPoissonDiurnal:
-    def test_valid_and_deterministic(self):
-        kw = dict(
-            n=40, peak_rate_per_s=0.2, duration_s=1200.0, period_s=600.0,
-        )
-        a = ChurnTrace.poisson_diurnal(seed=7, **kw)
-        b = ChurnTrace.poisson_diurnal(seed=7, **kw)
-        assert a.events == b.events and a.initial_active == b.initial_active
-        assert a.events
-        for ev in a.events:
-            assert 0.0 <= ev.time < 1200.0
-
-    def test_rate_dips_at_period_boundaries(self):
-        # Aggregate event mass around the profile troughs (t ~ 0 mod T)
-        # vs the peaks (t ~ T/2 mod T): the cosine modulation must show.
-        trace = ChurnTrace.poisson_diurnal(
-            n=60,
-            peak_rate_per_s=0.5,
-            duration_s=6000.0,
-            seed=13,
-            period_s=600.0,
-            floor_fraction=0.1,
-            min_active=4,
-        )
-        period = 600.0
-        trough = peak = 0
-        for ev in trace.events:
-            phase = (ev.time % period) / period
-            if phase < 0.25 or phase >= 0.75:
-                trough += 1
-            else:
-                peak += 1
-        assert peak > 1.5 * trough
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            ChurnTrace.poisson_diurnal(
-                n=20, peak_rate_per_s=0.0, duration_s=100.0, seed=0, period_s=50.0
-            )
-        with pytest.raises(WorkloadError):
-            ChurnTrace.poisson_diurnal(
-                n=20, peak_rate_per_s=0.1, duration_s=100.0, seed=0, period_s=0.0
-            )
-        with pytest.raises(WorkloadError):
-            ChurnTrace.poisson_diurnal(
-                n=20, peak_rate_per_s=0.1, duration_s=100.0, seed=0,
-                period_s=50.0, floor_fraction=1.5,
             )
 
 
