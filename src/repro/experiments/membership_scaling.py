@@ -24,9 +24,13 @@ repaired (nack on an unappliable delta, plus the periodic heartbeat as
 backstop). Besides cost, it measures the **view divergence** the loss
 creates: windows during which live members held different versions.
 
-Convergence is checked literally: every live subscriber mirrors the
-updates it receives (applying deltas to its held view) and must end the
-run holding exactly the coordinator's final ``(version, members)``.
+Every member is a membership-only stand-in node running the overlay's
+own coordinator client: :class:`~repro.overlay.membership.CallbackClient`
+out-of-band, :class:`~repro.overlay.membership.WireClient` in-band. Both
+modes replay the trace through one driver. Convergence is checked
+literally: every live member must end the run holding exactly the
+coordinator's final ``(version, members)``; out-of-band, where delivery
+is reliable, no client may have dropped a delta either.
 
 All quantities are deterministic per seed — the tables are regenerated
 byte-identically by the ``membership`` CLI subcommand and the
@@ -36,23 +40,24 @@ byte-identically by the ``membership`` CLI subcommand and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.tables import render_table
 from repro.errors import ConfigError
-from repro.net.packet import MembershipDelta, MembershipRefresh, MembershipUpdate
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.net.trace import planetlab_like
 from repro.net.transport import DatagramTransport
 from repro.overlay import wire
 from repro.overlay.membership import (
+    CallbackClient,
+    CoordinatorClient,
     MembershipService,
     MembershipView,
-    ViewDelta,
     ViewUpdate,
+    WireClient,
 )
 from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.trace import (
@@ -98,28 +103,123 @@ IN_BAND_LOSS = 0.01
 DIVERGENCE_SAMPLE_S = 5.0
 
 
-class _MirrorSubscriber:
-    """A subscriber that replays updates exactly as an overlay node would.
+class _StandIn:
+    """A membership-only stand-in for :class:`~repro.overlay.node.OverlayNode`.
 
-    Holds the resulting view so convergence is checked literally, not
-    inferred from version counters.
+    It carries what a :class:`~repro.overlay.membership.CoordinatorClient`
+    reads of a node (``id``, ``transport``, ``registered``, ``armed``,
+    ``start_if_armed``, ``stop``) and of its router (``view``,
+    ``view_epoch``, ``on_view_change``). It has no routing and no
+    probing, so n = 2048 stays cheap. The client's "you are out" calls
+    :meth:`stop`, which only sets ``out``: the member heartbeats no more.
     """
 
-    __slots__ = ("view", "full_updates", "delta_updates")
+    __slots__ = ("id", "transport", "membership", "router", "view", "view_epoch", "out")
 
-    def __init__(self) -> None:
+    #: The replay, not the client, handles a crash (off the wire, out of
+    #: the heartbeat loop); out-of-band updates still reach a crashed
+    #: stand-in until the coordinator expires it.
+    registered = True
+    armed = False
+
+    def __init__(self, node_id: int, transport: Optional[DatagramTransport]):
+        self.id = node_id
+        self.transport = transport
+        self.membership: Optional[CoordinatorClient] = None
+        self.router = self  # the client installs views here
         self.view: Optional[MembershipView] = None
-        self.full_updates = 0
-        self.delta_updates = 0
+        self.view_epoch = 0
+        self.out = False
 
-    def on_update(self, update: ViewUpdate) -> None:
-        if isinstance(update, ViewDelta):
-            assert self.view is not None, "delta before any full view"
-            self.view = update.apply(self.view)
-            self.delta_updates += 1
-        else:
-            self.view = update
-            self.full_updates += 1
+    def on_view_change(self, view: MembershipView) -> None:
+        self.view = view
+
+    def start_if_armed(self) -> None:
+        pass
+
+    def stop(self) -> None:
+        self.out = True
+
+    def on_view(self, update: ViewUpdate, epoch: int = 0) -> None:
+        self.membership.on_view(update, epoch)
+
+
+def _replay(
+    trace: ChurnTrace,
+    sim: Simulator,
+    service: MembershipService,
+    client: Callable[[_StandIn], CoordinatorClient],
+    settle_s: float,
+    drain_s: float,
+    transport: Optional[DatagramTransport] = None,
+    sample: Optional[Callable[[Dict[int, _StandIn]], None]] = None,
+) -> Tuple[bool, List[CoordinatorClient]]:
+    """Replay ``trace`` against ``service``, one stand-in per member.
+
+    A join is a fresh process whose ``client(node)`` subscribes; a
+    rejoin of a crashed node the service still lists evicts it first
+    (the reboot path, as the harness does). A leave or a crash takes
+    the member off ``transport`` and out of the heartbeat loop; a
+    crashed member then expires on its refresh timeout. Every
+    ``HEARTBEAT_S`` each live member that is not out heartbeats through
+    its client. ``sample(live)``, if given, runs every
+    ``DIVERGENCE_SAMPLE_S`` and once after the drain.
+
+    Returns whether every live member ended holding the coordinator's
+    exact final view, and every client the run attached.
+    """
+    live: Dict[int, _StandIn] = {}
+    clients: List[CoordinatorClient] = []
+
+    def admit(m: int) -> _StandIn:
+        node = _StandIn(m, transport)
+        node.membership = client(node)
+        clients.append(node.membership)
+        if transport is not None:
+            transport.register(m, node.membership.on_message)
+        live[m] = node
+        return node
+
+    def apply(ev: ChurnEvent) -> None:
+        if ev.action == ACTION_JOIN:
+            if service.is_member(ev.node):
+                service.evict(ev.node)  # reboot of a not-yet-expired crash
+            service.join(ev.node, admit(ev.node).on_view)
+            return
+        if ev.action == ACTION_LEAVE:
+            service.leave(ev.node)
+        live.pop(ev.node)  # a crashed member expires on its refresh timeout
+        if transport is not None:
+            transport.unregister(ev.node)
+
+    # Events are created in a fixed order (trace, heartbeat, sampler,
+    # bootstrap): the simulator breaks time ties by creation order, and
+    # the tables depend on it (CONTRIBUTING, "The order rule").
+    for ev in trace.events:
+        sim.schedule_at(ev.time, apply, ev)
+
+    def heartbeat() -> None:
+        for m in sorted(live):
+            if not live[m].out:
+                live[m].membership.heartbeat()
+
+    sim.periodic(HEARTBEAT_S, heartbeat, phase=HEARTBEAT_S)
+    if sample is not None:
+        sim.periodic(DIVERGENCE_SAMPLE_S, sample, live, phase=DIVERGENCE_SAMPLE_S)
+    for m in trace.initial_active:
+        admit(m)
+    service.bootstrap({m: live[m].on_view for m in trace.initial_active})
+    sim.run_until(trace.duration_s + settle_s)
+    # Deterministic close: flush pending batches, then give the final
+    # updates (and, on a lossy wire, their repairs) time to land.
+    service.quiesce()
+    sim.run_until(sim.now + drain_s)
+    if sample is not None:
+        sample(live)
+    converged = all(
+        live[m].view == service.view for m in sorted(live) if service.is_member(m)
+    )
+    return converged, clients
 
 
 @dataclass
@@ -171,12 +271,13 @@ def run_membership_mode(
     mode: str,
     settle_s: float = 90.0,
 ) -> MembershipRunStats:
-    """Replay one churn trace against a fresh membership service.
+    """Replay one churn trace against a fresh out-of-band service.
 
-    Only the membership machinery runs (no overlay nodes): each member is
-    a :class:`_MirrorSubscriber`, crashes simply stop a node's heartbeat
-    (expiry does the rest), and a rejoin of a still-member crashed node
-    exercises the eviction (reboot) path exactly like the harness does.
+    Only the membership machinery runs: each member is a stand-in node
+    whose :class:`~repro.overlay.membership.CallbackClient` installs the
+    updates it is called with. Out-of-band delivery is reliable, so a
+    client that dropped a delta (one that did not chain onto its held
+    view) fails convergence just as a wrong final view does.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown membership delivery mode {mode!r}")
@@ -188,48 +289,15 @@ def run_membership_mode(
         deltas=mode != "full",
         notify_batch_s=NOTIFY_BATCH_S if mode == "delta-batch" else 0.0,
     )
-    subscribers: Dict[int, _MirrorSubscriber] = {
-        m: _MirrorSubscriber() for m in trace.initial_active
-    }
-    alive: Set[int] = set(trace.initial_active)
-
-    def apply(ev: ChurnEvent) -> None:
-        if ev.action == ACTION_JOIN:
-            if service.is_member(ev.node):
-                service.evict(ev.node)  # reboot of a not-yet-expired crash
-            subscribers[ev.node] = _MirrorSubscriber()  # fresh process
-            service.join(ev.node, subscribers[ev.node].on_update)
-            alive.add(ev.node)
-        elif ev.action == ACTION_LEAVE:
-            service.leave(ev.node)
-            alive.discard(ev.node)
-            subscribers.pop(ev.node, None)
-        else:
-            alive.discard(ev.node)  # crash: go silent, let refresh expire
-
-    for ev in trace.events:
-        sim.schedule_at(ev.time, apply, ev)
-
-    def heartbeat() -> None:
-        for m in sorted(alive):
-            if service.is_member(m):
-                service.refresh(m)
-
-    sim.periodic(TIMEOUT_S / 3.0, heartbeat, phase=TIMEOUT_S / 3.0)
-    service.bootstrap(
-        {m: subscribers[m].on_update for m in trace.initial_active}
+    converged, clients = _replay(
+        trace,
+        sim,
+        service,
+        lambda node: CallbackClient(node, service),
+        settle_s=settle_s,
+        drain_s=1.0,
     )
-    sim.run_until(trace.duration_s + settle_s)
-    # Deterministic close: flush pending batches, stop expiry, drain the
-    # delayed notifications.
-    service.quiesce()
-    sim.run_until(sim.now + 1.0)
-
     stats = service.stats
-    live_members = [m for m in service.view.members if m in alive]
-    converged = all(
-        subscribers[m].view == service.view for m in live_members
-    )
     return MembershipRunStats(
         n=trace.n,
         mode=mode,
@@ -241,7 +309,8 @@ def run_membership_mode(
         total_bytes=stats.get("view_full_bytes") + stats.get("view_delta_bytes"),
         gap_fallbacks=stats.get("view_gap_fallbacks"),
         final_members=service.view.n,
-        converged=converged,
+        converged=converged
+        and not any(c.dropped_unappliable_deltas for c in clients),
     )
 
 
@@ -351,93 +420,6 @@ def churn_trace_for(
 # ----------------------------------------------------------------------
 # In-band delivery: the same trace, but on a lossy wire
 # ----------------------------------------------------------------------
-class _InBandMember:
-    """A membership-only node on the wire: mirrors updates arriving as
-    real datagrams, heartbeats with its held-version piggyback, and
-    nacks (an immediate refresh) when a delta reveals a missed update —
-    the same client behavior :class:`~repro.overlay.node.OverlayNode`
-    implements for full overlays.
-    """
-
-    __slots__ = (
-        "member",
-        "transport",
-        "coordinator",
-        "view",
-        "out",
-        "full_updates",
-        "delta_updates",
-        "dropped_unappliable",
-        "refreshes_sent",
-        "_nacked_from",
-    )
-
-    def __init__(self, member: int, transport: DatagramTransport, coordinator: int):
-        self.member = member
-        self.transport = transport
-        self.coordinator = coordinator
-        self.view: Optional[MembershipView] = None
-        self.out = False
-        self.full_updates = 0
-        self.delta_updates = 0
-        self.dropped_unappliable = 0
-        self.refreshes_sent = 0
-        self._nacked_from: Optional[int] = None
-
-    def held_version(self) -> int:
-        return self.view.version if self.view is not None else 0
-
-    def send_refresh(self) -> None:
-        self.refreshes_sent += 1
-        self.transport.send(
-            self.member,
-            self.coordinator,
-            MembershipRefresh(origin=self.member, view_version=self.held_version()),
-        )
-
-    def _request_repair(self) -> None:
-        held = self.held_version()
-        if self._nacked_from == held:
-            return  # one nack per detected gap; heartbeat is the backstop
-        self._nacked_from = held
-        self.send_refresh()
-
-    def _install(self, view: MembershipView) -> None:
-        if self.member not in view:
-            self.out = True  # the "you are out" notice: stop participating
-            return
-        self.view = view
-        self._nacked_from = None
-
-    def on_view(self, update: ViewUpdate) -> None:
-        """Bootstrap-time callback (synchronous, like the harness)."""
-        assert isinstance(update, MembershipView)
-        self.full_updates += 1
-        self._install(update)
-
-    def handle(self, msg, src: int) -> None:
-        """Transport delivery handler."""
-        if isinstance(msg, MembershipUpdate):
-            view = MembershipView(version=msg.version, members=msg.members)
-            if self.view is not None and view.version <= self.view.version:
-                return  # repair resend that raced regular publication
-            self.full_updates += 1
-            self._install(view)
-        elif isinstance(msg, MembershipDelta):
-            delta = ViewDelta(
-                from_version=msg.from_version,
-                to_version=msg.to_version,
-                joined=msg.joined,
-                left=msg.left,
-            )
-            if self.view is None or self.view.version != delta.from_version:
-                self.dropped_unappliable += 1
-                self._request_repair()
-                return
-            self.delta_updates += 1
-            self._install(delta.apply(self.view))
-
-
 @dataclass
 class InBandMembershipStats:
     """Summary of one in-band (lossy wire) membership run."""
@@ -450,8 +432,6 @@ class InBandMembershipStats:
     full_updates: int
     delta_updates: int
     update_bytes: int
-    refresh_msgs: int
-    refresh_bytes: int
     repairs: int
     gap_fallbacks: int
     parting_notices: int
@@ -475,9 +455,11 @@ def run_membership_in_band(
     The coordinator is a transport endpoint co-located at node 0 of a
     PlanetLab-like underlay with uniform per-packet ``loss``; every view
     update and refresh is a datagram subject to that loss and to real
-    delivery delay. The run reports, besides the usual cost counters,
-    the view divergence the loss created and whether every live member
-    reconverged to the coordinator's exact final view.
+    delivery delay. Each member is a stand-in node running the
+    overlay's :class:`~repro.overlay.membership.WireClient`. The run
+    reports, besides the usual cost counters, the view divergence the
+    loss created and whether every live member reconverged to the
+    coordinator's exact final view.
     """
     rng = np.random.default_rng(seed)
     net = planetlab_like(trace.n, rng, base_loss=loss, lossy_fraction=0.0)
@@ -494,52 +476,15 @@ def run_membership_in_band(
     )
     coordinator = trace.n
     service.attach_transport(transport, address=coordinator, host=0)
-
-    members: Dict[int, _InBandMember] = {}
-    alive: Set[int] = set()
-
-    def admit(m: int) -> _InBandMember:
-        node = _InBandMember(m, transport, coordinator)
-        members[m] = node
-        transport.register(m, node.handle)
-        alive.add(m)
-        return node
-
-    def apply(ev: ChurnEvent) -> None:
-        if ev.action == ACTION_JOIN:
-            if service.is_member(ev.node):
-                service.evict(ev.node)  # reboot of a not-yet-expired crash
-            node = admit(ev.node)  # fresh process, no view yet
-            service.join(ev.node, node.on_view)
-        elif ev.action == ACTION_LEAVE:
-            service.leave(ev.node)
-            transport.unregister(ev.node)
-            alive.discard(ev.node)
-            members.pop(ev.node, None)
-        else:  # crash: go silent, drop deliveries, let refresh expire
-            transport.unregister(ev.node)
-            alive.discard(ev.node)
-            members.pop(ev.node, None)
-
-    for ev in trace.events:
-        sim.schedule_at(ev.time, apply, ev)
-
-    # Members that received the "you are out" notice (``out``) behave
-    # like a stopped overlay node: no more heartbeats, and they leave
-    # the live population the divergence metric is computed over.
-    def heartbeat() -> None:
-        for m in sorted(alive):
-            if not members[m].out:
-                members[m].send_refresh()
-
-    sim.periodic(HEARTBEAT_S, heartbeat, phase=HEARTBEAT_S)
-
     recorder = DisruptionRecorder(trace.n)
 
-    def sample_views() -> None:
+    # Members that received the "you are out" notice (``out``) behave
+    # like a stopped overlay node: they leave the live population the
+    # divergence metric is computed over.
+    def sample_views(members: Dict[int, _StandIn]) -> None:
         versions = np.full(trace.n, -1, dtype=np.int64)
         live = np.zeros(trace.n, dtype=bool)
-        for m in sorted(alive):
+        for m in sorted(members):
             node = members[m]
             if node.out:
                 continue
@@ -548,27 +493,20 @@ def run_membership_in_band(
                 versions[m] = node.view.version
         recorder.sample_views(sim.now, versions, live)
 
-    sim.periodic(DIVERGENCE_SAMPLE_S, sample_views, phase=DIVERGENCE_SAMPLE_S)
-
-    for m in trace.initial_active:
-        admit(m)
-    service.bootstrap({m: members[m].on_view for m in trace.initial_active})
-    sim.run_until(trace.duration_s + settle_s)
-    # Deterministic close: flush pending batches, then leave enough time
-    # for the final updates — and, where those were lost, for heartbeat
-    # repairs — to land before judging convergence.
-    service.quiesce()
-    sim.run_until(sim.now + 2.0 * HEARTBEAT_S + 5.0)
-    sample_views()
-
-    stats = service.stats
-    converged = all(
-        members[m].view == service.view
-        for m in sorted(alive)
-        if service.is_member(m)
+    # The drain leaves time for the final updates and, where those were
+    # lost, for heartbeat repairs.
+    converged, _ = _replay(
+        trace,
+        sim,
+        service,
+        lambda node: WireClient(node, coordinator),
+        settle_s=settle_s,
+        drain_s=2.0 * HEARTBEAT_S + 5.0,
+        transport=transport,
+        sample=sample_views,
     )
+    stats = service.stats
     divergence = recorder.view_divergence_summary()
-    refresh_msgs = sum(node.refreshes_sent for node in members.values())
     return InBandMembershipStats(
         n=trace.n,
         loss=loss,
@@ -578,8 +516,6 @@ def run_membership_in_band(
         full_updates=stats.get("view_full_msgs"),
         delta_updates=stats.get("view_delta_msgs"),
         update_bytes=stats.get("view_full_bytes") + stats.get("view_delta_bytes"),
-        refresh_msgs=refresh_msgs,
-        refresh_bytes=refresh_msgs * wire.MEMBERSHIP_REFRESH_BYTES,
         repairs=stats.get("refresh_repairs"),
         gap_fallbacks=stats.get("view_gap_fallbacks"),
         parting_notices=stats.get("parting_notices"),

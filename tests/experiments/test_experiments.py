@@ -307,3 +307,72 @@ class TestChurnExperiments:
         assert stats.repairs > 0  # ...and the reliability layer repaired it
         assert stats.converged
         assert not stats.div_open
+
+
+class TestMembershipScalingClients:
+    """The membership experiments run the overlay's own coordinator
+    clients on membership-only stand-in nodes."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.node.id)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_runs_drive_callback_and_wire_clients(self, monkeypatch):
+        from repro.experiments.membership_scaling import (
+            churn_trace_for,
+            run_membership_in_band,
+            run_membership_mode,
+        )
+        from repro.overlay.membership import CallbackClient, WireClient
+
+        gaps = self.count_calls(monkeypatch, WireClient, "on_version_gap")
+        heartbeats = self.count_calls(monkeypatch, CallbackClient, "heartbeat")
+        trace = churn_trace_for(64, duration_s=150.0, seed=7)
+        assert run_membership_mode(trace, "delta").converged
+        assert heartbeats
+        stats = run_membership_in_band(
+            churn_trace_for(128, duration_s=200.0, seed=7), loss=0.02, seed=7
+        )
+        assert stats.converged
+        assert gaps  # a lost delta made a WireClient ask for the repair
+
+    def test_dropped_delta_fails_out_of_band_convergence(self, monkeypatch):
+        """Out-of-band delivery is reliable: a delta that does not chain
+        onto the held view is a fault even if the final view is right."""
+        from repro.experiments import membership_scaling
+        from repro.experiments.membership_scaling import (
+            churn_trace_for,
+            run_membership_mode,
+        )
+        from repro.overlay.membership import ViewDelta
+
+        stand_in = membership_scaling._StandIn
+        on_view = stand_in.on_view
+        injected = []
+
+        def with_one_stray_delta(self, update, epoch=0):
+            if isinstance(update, ViewDelta) and not injected:
+                stray = ViewDelta(
+                    from_version=update.to_version + 1,
+                    to_version=update.to_version + 2,
+                    joined=(),
+                    left=(),
+                )
+                on_view(self, stray, epoch)
+                injected.append(self.membership.dropped_unappliable_deltas)
+            on_view(self, update, epoch)
+
+        monkeypatch.setattr(stand_in, "on_view", with_one_stray_delta)
+        trace = churn_trace_for(64, duration_s=150.0, seed=7)
+        assert not run_membership_mode(trace, "delta").converged
+        assert injected == [1]  # the stray was dropped, not applied
+        monkeypatch.undo()
+        assert run_membership_mode(trace, "delta").converged

@@ -12,7 +12,10 @@ The same holds for churn generators no table, workload or example
 replays (``ChurnTrace.crash_reboot``, ``poisson_diurnal``), and for the
 second copies of a route decision: ``QuorumRouter`` has one route kernel
 and one recommendation install, so the scalar lookup, the scalar
-install and the helpers only they called stay gone.
+install and the helpers only they called stay gone. Likewise the
+membership experiments run the overlay's ``CallbackClient`` /
+``WireClient``, so their private copies of those clients, and the
+per-node refresh counts only the wire copy kept, stay gone.
 """
 
 import importlib
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 import repro.core
+from repro.experiments import membership_scaling
 from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.grid import GridQuorum
 from repro.net import packet
@@ -157,3 +161,14 @@ def test_src_repro_names_no_removed_method():
         if name in path.read_text()
     ]
     assert hits == []
+
+
+@pytest.mark.parametrize("name", ["_InBandMember", "_MirrorSubscriber"])
+def test_membership_experiments_keep_no_client_copy(name):
+    assert not hasattr(membership_scaling, name)
+
+
+@pytest.mark.parametrize("field_name", ["refresh_msgs", "refresh_bytes"])
+def test_in_band_stats_count_no_refreshes(field_name):
+    fields = membership_scaling.InBandMembershipStats.__dataclass_fields__
+    assert field_name not in fields
