@@ -3,7 +3,8 @@
 
 Builds a 36-node quorum-routed overlay, lets it converge, then replays a
 deterministic churn trace that crashes 25% of the nodes at one instant
-(plus a couple of graceful leaves and a rejoin). Prints:
+(plus a graceful leave and a rejoin) through a fault plan and the
+``replay`` driver. Prints:
 
 * the trace itself (every event is pre-materialized from a seed),
 * the availability time series around the mass-failure event,
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro import RouterKind, build_overlay
 from repro.net.trace import planetlab_like
-from repro.workloads import ChurnEvent, ChurnTrace, run_churn_workload
+from repro.workloads import ChurnEvent, ChurnTrace, FaultPlan, replay
 
 N = 36
 FAIL_AT = 240.0
@@ -62,8 +63,8 @@ def main() -> None:
     )
 
     print(f"replaying churn on a {N}-node quorum overlay ...")
-    workload = run_churn_workload(overlay, churn, settle_s=240.0)
-    recorder = workload.recorder
+    plan = FaultPlan().add_churn(churn)
+    recorder = replay(overlay, plan, until_s=churn.duration_s + 240.0)
 
     print("\n=== availability around the mass failure (t=%.0fs) ===" % FAIL_AT)
     times, avail = recorder.availability_series()

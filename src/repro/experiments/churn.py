@@ -29,7 +29,10 @@ side-by-side configs.
 while the source's *chosen* route does not actually work on the current
 underlay (for example, it still forwards through a crashed node). The
 quantities come from :class:`~repro.overlay.stats.DisruptionRecorder`
-samples taken every ``SAMPLE_PERIOD_S`` virtual seconds.
+samples taken every 5 virtual seconds. Every run replays its trace as a
+:class:`~repro.workloads.faults.FaultPlan` through
+:func:`~repro.experiments.replay.run_plan`; recovery is measured from
+the trace's first crash (a flash crowd: from the burst).
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ import numpy as np
 
 from repro.analysis.tables import render_table
 from repro.experiments.membership_scaling import IN_BAND_LOSS
-from repro.net.trace import planetlab_like
+from repro.experiments.replay import run_plan
 from repro.overlay.config import InBand, OutOfBand, OverlayConfig, RouterKind
-from repro.overlay.harness import build_overlay
-from repro.workloads import ChurnTrace, ChurnWorkload, run_churn_workload
+from repro.overlay.harness import Overlay
+from repro.overlay.stats import DisruptionRecorder
+from repro.workloads import ChurnTrace, FaultPlan
 
 __all__ = [
     "ChurnRunStats",
@@ -61,7 +65,6 @@ __all__ = [
     "run_rate_sweep",
 ]
 
-SAMPLE_PERIOD_S = 5.0
 ROUTERS: Tuple[RouterKind, ...] = (RouterKind.QUORUM, RouterKind.FULL_MESH)
 
 
@@ -94,7 +97,7 @@ class ChurnRunStats:
     disruption_p90_s: float
     disruption_p99_s: float
     disruption_max_s: float
-    recovery_s: Optional[float]  # after the first mass-failure mark
+    recovery_s: Optional[float]  # after the first crash (or the flash crowd)
 
     @property
     def recovered(self) -> bool:
@@ -105,21 +108,22 @@ def _percentile(durations: np.ndarray, q: float) -> float:
     return float(np.percentile(durations, q)) if durations.size else 0.0
 
 
-def _stats_from_workload(
-    workload: ChurnWorkload, measure_from_s: float
+def _run_stats(
+    overlay: Overlay,
+    recorder: DisruptionRecorder,
+    trace: ChurnTrace,
+    measure_from_s: float,
+    recover_from_s: Optional[float] = None,
 ) -> ChurnRunStats:
-    recorder = workload.recorder
-    assert recorder is not None
+    """Summarize one replay; recovery counts from ``recover_from_s``,
+    by default the trace's first crash (none: no recovery time)."""
     times, avail = recorder.availability_series()
     window = times >= measure_from_s
     durations = recorder.disruption_durations(measure_from_s)
-    marks = recorder.marks
-    recovery = (
-        recorder.recovery_time_after(marks[0][1]) if marks else None
-    )
-    trace = workload.trace
+    origins = (recover_from_s,) if recover_from_s is not None else trace.fail_times()
+    recovery = recorder.recovery_time_after(origins[0]) if origins else None
     return ChurnRunStats(
-        router=workload.overlay.router_kind.value,
+        router=overlay.router_kind.value,
         n=trace.n,
         num_joins=trace.count("join"),
         num_leaves=trace.count("leave"),
@@ -144,21 +148,16 @@ def run_churn_run(
     config: Optional[OverlayConfig] = None,
 ) -> ChurnRunStats:
     """Replay one churn trace on a fresh overlay and summarize it."""
-    config = config if config is not None else _default_churn_config()
-    rng = np.random.default_rng(seed)
-    net = planetlab_like(churn.n, rng, base_loss=0.0, lossy_fraction=0.0)
-    overlay = build_overlay(
-        trace=net,
+    overlay, recorder = run_plan(
+        FaultPlan().add_churn(churn),
+        churn.n,
+        seed,
+        config if config is not None else _default_churn_config(),
+        churn.duration_s + settle_s,
         router=router,
-        rng=rng,
-        config=config,
-        with_freshness=False,
         active_members=churn.initial_active,
     )
-    workload = run_churn_workload(
-        overlay, churn, settle_s=settle_s, sample_period_s=SAMPLE_PERIOD_S
-    )
-    return _stats_from_workload(workload, measure_from_s)
+    return _run_stats(overlay, recorder, churn, measure_from_s)
 
 
 # ----------------------------------------------------------------------
@@ -450,21 +449,16 @@ def run_flash_crowd(
     )
     rows = []
     for router in ROUTERS:
-        rng = np.random.default_rng(seed)
-        net = planetlab_like(churn.n, rng, base_loss=0.0, lossy_fraction=0.0)
-        overlay = build_overlay(
-            trace=net,
+        overlay, recorder = run_plan(
+            FaultPlan().add_churn(churn),
+            n,
+            seed,
+            config,
+            churn.duration_s + settle_s,
             router=router,
-            rng=rng,
-            config=config,
-            with_freshness=False,
             active_members=churn.initial_active,
         )
-        workload = ChurnWorkload(overlay, churn, sample_period_s=SAMPLE_PERIOD_S)
-        recorder = workload.install()
-        recorder.mark("flash-crowd", at_s)
-        workload.run(settle_s=settle_s)
-        rows.append(_stats_from_workload(workload, measure_from_s=at_s))
+        rows.append(_run_stats(overlay, recorder, churn, at_s, at_s))
     return FlashCrowdResult(n=n, count=count, at_s=at_s, rows=rows)
 
 
@@ -572,27 +566,20 @@ def run_in_band_churn(
         ("out-of-band", OutOfBand(deltas=True)),
         ("in-band", InBand(deltas=True)),
     ):
-        config = OverlayConfig(membership=plane, membership_timeout_s=300.0)
-        rng = np.random.default_rng(seed)
-        net = planetlab_like(churn.n, rng, base_loss=loss, lossy_fraction=0.0)
-        overlay = build_overlay(
-            trace=net,
-            router=RouterKind.QUORUM,
-            rng=rng,
-            config=config,
-            with_freshness=False,
+        overlay, recorder = run_plan(
+            FaultPlan().add_churn(churn),
+            n,
+            seed,
+            OverlayConfig(membership=plane, membership_timeout_s=300.0),
+            churn.duration_s + settle_s,
             active_members=churn.initial_active,
+            loss=loss,
         )
-        workload = run_churn_workload(
-            overlay, churn, settle_s=settle_s, sample_period_s=SAMPLE_PERIOD_S
-        )
-        stats = _stats_from_workload(workload, measure_from_s)
-        assert workload.recorder is not None
         rows.append(
             (
                 mode,
-                stats,
-                workload.recorder.view_divergence_summary(),
+                _run_stats(overlay, recorder, churn, measure_from_s),
+                recorder.view_divergence_summary(),
                 overlay.membership.counters(),
             )
         )

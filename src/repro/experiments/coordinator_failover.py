@@ -38,12 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.tables import render_table
-from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, Replicated, RetryBackoff, RouterKind
-from repro.overlay.harness import Overlay, build_overlay
+from repro.experiments.replay import run_plan, view_convergence
+from repro.overlay.config import OverlayConfig, Replicated, RetryBackoff
+from repro.overlay.harness import Overlay
 from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.faults import FaultPlan
 
@@ -54,7 +52,6 @@ __all__ = [
     "scenario_config",
 ]
 
-SAMPLE_PERIOD_S = 5.0
 MEASURE_FROM_S = 60.0
 
 
@@ -129,28 +126,12 @@ def _run_scenario(
     plan: FaultPlan,
     duration_s: float,
     divergence_bound_s: float,
-    joins: Sequence[Tuple[float, int]] = (),
     initial_active: Optional[Sequence[int]] = None,
     k: int = 3,
 ) -> FailoverScenarioResult:
-    config = scenario_config(k)
-    rng = np.random.default_rng(seed)
-    net = planetlab_like(n, rng, base_loss=0.0, lossy_fraction=0.0)
-    failures = plan.failure_table(n) if plan.cuts else None
-    overlay = build_overlay(
-        trace=net,
-        router=RouterKind.QUORUM,
-        rng=rng,
-        config=config,
-        failures=failures,
-        with_freshness=False,
-        active_members=initial_active,
+    overlay, recorder = run_plan(
+        plan, n, seed, scenario_config(k), duration_s, active_members=initial_active
     )
-    plan.install(overlay)
-    recorder = overlay.attach_disruption(SAMPLE_PERIOD_S)
-    for at_s, node in joins:
-        overlay.sim.schedule_at(at_s, overlay.join_node, node)
-    overlay.run(duration_s)
     return _summarize(
         name, description, overlay, recorder, divergence_bound_s
     )
@@ -164,16 +145,9 @@ def _summarize(
     divergence_bound_s: float,
 ) -> FailoverScenarioResult:
     group = overlay.membership  # scenario_config: the replicated plane
-    versions = overlay.view_versions()
-    held = versions[sorted(overlay.active)]
-    held = held[held >= 0]
-    converged = held.size > 0 and int(held.min()) == int(held.max())
     epoch, version = group.current_epoch_version()
     view = group.view
-    expected = sorted(overlay.active)
-    missing = tuple(
-        m for m in expected if m not in view or not overlay.nodes[m].started
-    )
+    converged, missing = view_convergence(overlay, view)
     counters = group.counters()
     div = recorder.member_divergence_summary()
     return FailoverScenarioResult(
@@ -184,7 +158,7 @@ def _summarize(
         converged=converged,
         final_epoch=epoch,
         final_version=version,
-        members_expected=len(expected),
+        members_expected=len(overlay.active),
         members_final=len(view.members),
         missing=missing,
         promotions=counters.get("promotions", 0),
@@ -212,6 +186,7 @@ def _crash_mid_batch(n: int, seed: int) -> FailoverScenarioResult:
     joiner = n - 1
     plan = (
         FaultPlan()
+        .join_node(200.0, joiner)
         .crash_coordinator(202.0, 0)
         .restore_coordinator(500.0, 0)
     )
@@ -224,7 +199,6 @@ def _crash_mid_batch(n: int, seed: int) -> FailoverScenarioResult:
         duration_s=800.0,
         # Repoint + promotion detection, well under one member timeout.
         divergence_bound_s=120.0,
-        joins=((200.0, joiner),),
         initial_active=tuple(i for i in range(n) if i != joiner),
     )
 

@@ -45,13 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.analysis.tables import render_table
 from repro.errors import WorkloadError
-from repro.net.trace import planetlab_like
-from repro.overlay.config import Gossip, OverlayConfig, RouterKind
-from repro.overlay.harness import Overlay, build_overlay
+from repro.experiments.coordinator_failover import scenario_config
+from repro.experiments.replay import run_plan, view_convergence
+from repro.overlay.config import Gossip, OverlayConfig
+from repro.overlay.harness import Overlay
 from repro.overlay.stats import (
     GOSSIP_KINDS,
     KIND_MEMBERSHIP,
@@ -68,7 +67,6 @@ __all__ = [
     "run_gossip_scenarios",
 ]
 
-SAMPLE_PERIOD_S = 5.0
 MEASURE_FROM_S = 60.0
 
 PLANE_GOSSIP = "gossip"
@@ -96,12 +94,6 @@ def gossip_config() -> OverlayConfig:
         membership_timeout_s=90.0,
         membership=Gossip(interval_s=5.0, fanout=3),
     )
-
-
-def _coord_config() -> OverlayConfig:
-    from repro.experiments.coordinator_failover import scenario_config
-
-    return scenario_config(k=3)
 
 
 def _coordinator_hosts(n: int, k: int = 3) -> Tuple[int, ...]:
@@ -174,24 +166,10 @@ def _run_arm(
     joiner: Optional[int] = None,
     initial_active: Optional[Sequence[int]] = None,
 ) -> GossipScenarioResult:
-    config = gossip_config() if plane == PLANE_GOSSIP else _coord_config()
-    rng = np.random.default_rng(seed)
-    net = planetlab_like(n, rng, base_loss=0.0, lossy_fraction=0.0)
-    failures = (
-        plan.failure_table(n) if (plan.cuts or plan.node_outages) else None
+    config = gossip_config() if plane == PLANE_GOSSIP else scenario_config(k=3)
+    overlay, recorder = run_plan(
+        plan, n, seed, config, duration_s, active_members=initial_active
     )
-    overlay = build_overlay(
-        trace=net,
-        router=RouterKind.QUORUM,
-        rng=rng,
-        config=config,
-        failures=failures,
-        with_freshness=False,
-        active_members=initial_active,
-    )
-    plan.install(overlay)
-    recorder = overlay.attach_disruption(SAMPLE_PERIOD_S)
-    overlay.run(duration_s)
     return _summarize_arm(
         name, plane, expect, overlay, recorder, fault_at_s, duration_s, joiner
     )
@@ -207,21 +185,10 @@ def _summarize_arm(
     duration_s: float,
     joiner: Optional[int],
 ) -> GossipScenarioResult:
-    versions = overlay.view_versions()
-    held = versions[sorted(overlay.active)]
-    held = held[held >= 0]
-    converged = held.size > 0 and int(held.min()) == int(held.max())
-
-    view_members = set(overlay.membership.view.members)
+    view = overlay.membership.view
+    converged, missing = view_convergence(overlay, view)
     counters = overlay.membership.counters()
     kinds = GOSSIP_KINDS if plane == PLANE_GOSSIP else COORD_PLANE_KINDS
-
-    expected = sorted(overlay.active)
-    missing = tuple(
-        m
-        for m in expected
-        if m not in view_members or not overlay.nodes[m].started
-    )
     div = recorder.member_divergence_summary()
     post_fault_ends = [
         end
@@ -241,8 +208,8 @@ def _summarize_arm(
         expect=expect,
         n=overlay.n,
         converged=converged,
-        members_expected=len(expected),
-        members_final=len(view_members),
+        members_expected=len(overlay.active),
+        members_final=len(view.members),
         missing=missing,
         joiner=joiner,
         joiner_started=(

@@ -355,7 +355,7 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
       which a pair's route was continuously broken (pairs that stop
       being measured mid-disruption, because an endpoint left or died,
       are censored rather than recorded);
-    * **recovery times** — for a marked instant (a mass-failure event,
+    * **recovery times** — for a given instant (a mass-failure event,
       say), how long until availability first returns above a threshold;
     * **view divergence** — with in-band (lossy) membership delivery,
       live nodes can transiently hold *different* view versions. The
@@ -396,7 +396,6 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
         self._times: List[float] = []
         self._avail: List[float] = []
         self._measured_pairs: List[int] = []
-        self._marks: List[Tuple[str, float]] = []
         # View-divergence bookkeeping (in-band membership).
         self._div_open_since: Optional[float] = None
         self._div_windows: List[Tuple[float, float]] = []
@@ -533,20 +532,12 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
         self._member_div_since[newly] = now
         return divergent
 
-    def mark(self, label: str, now: float) -> None:
-        """Tag an instant (e.g. the mass-failure time) for later queries."""
-        self._marks.append((label, float(now)))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def num_samples(self) -> int:
         return len(self._times)
-
-    @property
-    def marks(self) -> List[Tuple[str, float]]:
-        return list(self._marks)
 
     def availability_series(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(times, availability)`` arrays, one entry per sample."""

@@ -1,4 +1,4 @@
-"""Dynamic-membership workloads for the overlay (churn engine).
+"""Dynamic-membership workloads for the overlay: churn traces and fault plans.
 
 The paper's §5 membership service supports joins, leaves, and refresh
 expiry, but the original evaluation (§6) runs on an essentially static
@@ -20,13 +20,17 @@ Layout
     Traces are generated ahead of the run so two router kinds can replay
     *identical* churn.
 
-:mod:`repro.workloads.engine`
-    :class:`ChurnWorkload` — binds a trace to an overlay: schedules each
-    event on the simulator, applies it through the overlay's lifecycle
-    API (``join_node`` / ``leave_node`` / ``fail_node``), and wires up
-    the :class:`~repro.overlay.stats.DisruptionRecorder` that measures
+:mod:`repro.workloads.faults`
+    :class:`FaultPlan` — the one schedule of faults an overlay is given:
+    member crash/join/leave events (a whole trace through ``add_churn``),
+    coordinator crash/restore, partitions and node outages. ``install``
+    validates the plan against the overlay and schedules each member
+    event on the simulator, applied through the overlay's lifecycle API
+    (``join_node`` / ``leave_node`` / ``fail_node``). :func:`replay` is
+    the driver: it installs a plan, attaches the
+    :class:`~repro.overlay.stats.DisruptionRecorder` that measures
     per-pair route availability, disruption durations, and
-    time-to-recover across view transitions.
+    time-to-recover across view transitions, and runs the simulator.
 
 Semantics worth knowing
 -----------------------
@@ -46,20 +50,22 @@ Semantics worth knowing
 Quick start::
 
     from repro.overlay.harness import build_overlay
-    from repro.workloads import ChurnTrace, run_churn_workload
+    from repro.workloads import ChurnTrace, FaultPlan, replay
 
     churn = ChurnTrace.mass_failure(n=64, fraction=0.25, at_s=300.0,
                                     duration_s=600.0, seed=7)
     overlay = build_overlay(n=64, active_members=churn.initial_active)
-    workload = run_churn_workload(overlay, churn, settle_s=180.0)
-    print(workload.recorder.recovery_time_after(300.0))
+    recorder = replay(overlay, FaultPlan().add_churn(churn), until_s=780.0)
+    print(recorder.recovery_time_after(300.0))
 
-The `churn` CLI subcommand (``python -m repro churn``) and
-:mod:`repro.experiments.churn` build the paper-style results tables on
-top of these pieces.
+The `churn`, `failover` and `gossip` CLI subcommands
+(:mod:`repro.experiments.churn`, :mod:`~repro.experiments.coordinator_failover`,
+:mod:`~repro.experiments.gossip_membership`) build their results tables
+on top of these pieces, each run through
+:func:`repro.experiments.replay.run_plan`.
 """
 
-from repro.workloads.engine import ChurnWorkload, run_churn_workload
+from repro.workloads.faults import FaultPlan, replay
 from repro.workloads.trace import (
     ACTION_FAIL,
     ACTION_JOIN,
@@ -74,6 +80,6 @@ __all__ = [
     "ACTION_LEAVE",
     "ChurnEvent",
     "ChurnTrace",
-    "ChurnWorkload",
-    "run_churn_workload",
+    "FaultPlan",
+    "replay",
 ]

@@ -1,13 +1,17 @@
 """Fault injection plans: coordinator, member, and underlay faults in one trace.
 
-A :class:`FaultPlan` layers correlated faults on top of the existing
-failure machinery: coordinator crash/restore and member crash/join/leave
-events are scheduled on the overlay's simulator (like
-:class:`~repro.workloads.engine.ChurnWorkload` events), while partitions
-and node outages compile down to an ordinary
+A :class:`FaultPlan` is the one thing that schedules faults on an
+overlay: coordinator crash/restore and member crash/join/leave events
+(:class:`~repro.workloads.trace.ChurnEvent` s, a whole
+:class:`~repro.workloads.trace.ChurnTrace` at once through
+:meth:`FaultPlan.add_churn`) are scheduled on the overlay's simulator,
+while partitions and node outages compile down to an ordinary
 :class:`~repro.net.failures.FailureTable` of
 :class:`~repro.net.failures.OutageSchedule` windows — built *before* the
 overlay, because outage schedules are immutable topology inputs.
+:func:`replay` installs a plan, attaches the
+:class:`~repro.overlay.stats.DisruptionRecorder` and runs the simulator:
+every churn, failover and gossip experiment goes through it.
 
 The fault shapes the failover and gossip-membership suites need:
 
@@ -46,19 +50,22 @@ from typing import Dict, List, Sequence, Tuple
 from repro.errors import WorkloadError
 from repro.net.failures import FailureTable, OutageSchedule, build_partition_table
 from repro.overlay.harness import Overlay
+from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.trace import (
     ACTION_FAIL,
     ACTION_JOIN,
     ACTION_LEAVE,
+    ChurnEvent,
     ChurnTrace,
 )
 
-__all__ = ["FaultEvent", "MemberEvent", "FaultPlan"]
+__all__ = ["FaultEvent", "FaultPlan", "replay"]
 
 ACTION_CRASH_COORD = "crash-coordinator"
 ACTION_RESTORE_COORD = "restore-coordinator"
 
-_MEMBER_ACTIONS = (ACTION_JOIN, ACTION_LEAVE, ACTION_FAIL)
+#: Virtual seconds between :func:`replay`'s disruption samples.
+SAMPLE_PERIOD_S = 5.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,23 +83,6 @@ class FaultEvent:
             raise WorkloadError(f"unknown fault action {self.action!r}")
         if self.coordinator < 0:
             raise WorkloadError("coordinator index must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class MemberEvent:
-    """One scheduled member-level fault (crash, join, or graceful leave)."""
-
-    time: float
-    action: str
-    node: int
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise WorkloadError("member event time must be non-negative")
-        if self.action not in _MEMBER_ACTIONS:
-            raise WorkloadError(f"unknown member action {self.action!r}")
-        if self.node < 0:
-            raise WorkloadError("node id must be non-negative")
 
 
 def _canonical_sides(
@@ -122,12 +112,13 @@ class FaultPlan:
 
     Build the plan first, derive its :meth:`failure_table` to construct
     the overlay's topology, then :meth:`install` it on the built overlay
-    to schedule the crash/restore/churn events.
+    (or hand both to :func:`replay`) to schedule the crash/restore/churn
+    events. A plan installs once.
     """
 
     events: List[FaultEvent] = field(default_factory=list)
     #: Member-level crash/join/leave events.
-    member_events: List[MemberEvent] = field(default_factory=list)
+    member_events: List[ChurnEvent] = field(default_factory=list)
     #: Partition cuts as ``(start, end, side_a, side_b)`` node-id sets.
     #: Sides are canonicalized and same-pair windows merged on insert.
     cuts: List[Tuple[float, float, Tuple[int, ...], Tuple[int, ...]]] = field(
@@ -137,6 +128,12 @@ class FaultPlan:
     node_outages: List[Tuple[float, float, Tuple[int, ...]]] = field(
         default_factory=list
     )
+    #: ``(n, initial_active)`` of every absorbed trace, checked against
+    #: the overlay at install.
+    _starts: List[Tuple[int, Tuple[int, ...]]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _installed: bool = field(default=False, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -153,31 +150,31 @@ class FaultPlan:
 
     def fail_node(self, time: float, node: int) -> "FaultPlan":
         """Crash-stop member ``node`` at ``time``."""
-        self.member_events.append(MemberEvent(time, ACTION_FAIL, node))
+        self.member_events.append(ChurnEvent(time, ACTION_FAIL, node))
         return self
 
     def join_node(self, time: float, node: int) -> "FaultPlan":
         """Join (or reboot) member ``node`` at ``time``."""
-        self.member_events.append(MemberEvent(time, ACTION_JOIN, node))
+        self.member_events.append(ChurnEvent(time, ACTION_JOIN, node))
         return self
 
     def leave_node(self, time: float, node: int) -> "FaultPlan":
         """Gracefully depart member ``node`` at ``time``."""
-        self.member_events.append(MemberEvent(time, ACTION_LEAVE, node))
+        self.member_events.append(ChurnEvent(time, ACTION_LEAVE, node))
         return self
 
     def add_churn(self, trace: ChurnTrace) -> "FaultPlan":
         """Absorb every event of a :class:`ChurnTrace` into this plan.
 
-        This is how a correlated crash set (e.g.
-        :meth:`ChurnTrace.correlated_failure`) combines with coordinator
-        faults and underlay outages in one deterministic trace. The
-        trace's feasibility was validated on its construction; the
-        combined plan is replayed against the overlay's own state at
-        install time.
+        This is how a churn trace reaches an overlay, alone or combined
+        with coordinator faults and underlay outages in one deterministic
+        schedule. The trace's feasibility was validated on its
+        construction; :meth:`install` checks that the overlay has the
+        trace's ``n`` and starts from its ``initial_active`` set, and
+        replays the combined plan against the overlay's own state.
         """
-        for ev in trace.events:
-            self.member_events.append(MemberEvent(ev.time, ev.action, ev.node))
+        self.member_events.extend(trace.events)
+        self._starts.append((trace.n, trace.initial_active))
         return self
 
     def partition(
@@ -265,15 +262,22 @@ class FaultPlan:
         """Schedule every crash/restore/churn event on the overlay's simulator.
 
         The whole plan is validated before anything is scheduled, so a
-        rejected plan leaves the simulator untouched. Coordinator events
-        need a membership plane that has coordinators to crash (the
-        replicated one); a plan holding only member events and outages
-        installs onto any plane (the gossip scenarios rely on this to
-        replay the identical member-level trace on both planes).
+        rejected plan leaves the simulator untouched: the member events
+        are replayed symbolically against ``overlay.active`` in schedule
+        order (a crash or leave needs an active node, a join an inactive
+        one), no event may lie in the past, every absorbed trace must
+        match the overlay's ``n`` and current active set, and a plan
+        installs only once. Coordinator events need a membership plane
+        that has coordinators to crash (the replicated one); a plan
+        holding only member events and outages installs onto any plane
+        (the gossip scenarios rely on this to replay the identical
+        member-level trace on both planes).
         """
         sim = overlay.sim
         plane = overlay.membership
         k = len(getattr(plane, "coordinators", ()))
+        if self._installed:
+            raise WorkloadError("fault plan already installed")
         if self.events and k == 0:
             raise WorkloadError(
                 "coordinator faults need a membership plane with "
@@ -281,22 +285,32 @@ class FaultPlan:
             )
         for ev in self.events:
             if ev.coordinator >= k:
+                raise WorkloadError(f"coordinator {ev.coordinator} does not exist (k={k})")
+        times = [ev.time for ev in self.events] + [ev.time for ev in self.member_events]
+        if times and min(times) < sim.now:
+            raise WorkloadError(f"event at t={min(times)} is in the past (now t={sim.now})")
+        for n, initial_active in self._starts:
+            if n != overlay.n:
+                raise WorkloadError(f"trace is for n={n}, overlay has n={overlay.n}")
+            if set(initial_active) != overlay.active:
                 raise WorkloadError(
-                    f"coordinator {ev.coordinator} does not exist (k={k})"
+                    "overlay active set does not match trace.initial_active; "
+                    "build the overlay with active_members=trace.initial_active"
                 )
-            if ev.time < sim.now:
-                raise WorkloadError(
-                    f"fault event at t={ev.time} is in the past"
-                )
-        for mev in self.member_events:
+        member_events = sorted(self.member_events, key=lambda e: (e.time, e.node))
+        active = set(overlay.active)
+        for mev in member_events:
             if mev.node >= overlay.n:
-                raise WorkloadError(
-                    f"member event node {mev.node} out of range (n={overlay.n})"
-                )
-            if mev.time < sim.now:
-                raise WorkloadError(
-                    f"member event at t={mev.time} is in the past"
-                )
+                raise WorkloadError(f"member event node {mev.node} out of range (n={overlay.n})")
+            joining = mev.action == ACTION_JOIN
+            if joining == (mev.node in active):
+                state = "active" if joining else "not active"
+                raise WorkloadError(f"{mev.action} of node {mev.node} at t={mev.time}: it is {state} then")
+            if joining:
+                active.add(mev.node)
+            else:
+                active.discard(mev.node)
+        self._installed = True
         for ev in sorted(self.events, key=lambda e: (e.time, e.coordinator)):
             action = (
                 plane.crash_coordinator
@@ -309,5 +323,19 @@ class FaultPlan:
             ACTION_JOIN: overlay.join_node,
             ACTION_LEAVE: overlay.leave_node,
         }
-        for mev in sorted(self.member_events, key=lambda e: (e.time, e.node)):
+        for mev in member_events:
             sim.schedule_at(mev.time, member_actions[mev.action], mev.node)
+
+
+def replay(overlay: Overlay, plan: FaultPlan, until_s: float) -> DisruptionRecorder:
+    """Install ``plan`` on ``overlay``, sample disruption, run to ``until_s``.
+
+    The recorder samples route availability every
+    :data:`SAMPLE_PERIOD_S`; leave a few minutes after the last event
+    for recovery to show (detection takes up to a probing interval,
+    route repair up to two routing intervals).
+    """
+    plan.install(overlay)
+    recorder = overlay.attach_disruption(SAMPLE_PERIOD_S)
+    overlay.sim.run_until(until_s)
+    return recorder

@@ -24,7 +24,8 @@ from repro.workloads import (
     ACTION_LEAVE,
     ChurnEvent,
     ChurnTrace,
-    run_churn_workload,
+    FaultPlan,
+    replay,
 )
 
 
@@ -338,7 +339,7 @@ class TestOverlayIntegration:
     def test_delta_churn_run_converges_and_routes(self):
         churn = self._churn()
         overlay = build_delta_overlay(12, churn)
-        run_churn_workload(overlay, churn, settle_s=150.0)
+        replay(overlay, FaultPlan().add_churn(churn), churn.duration_s + 150.0)
         view = overlay.membership.view
         assert set(view.members) == set(overlay.active)
         for i in overlay.active:
@@ -358,7 +359,7 @@ class TestOverlayIntegration:
     def test_delta_and_full_view_runs_agree_on_final_views(self):
         churn = self._churn()
         delta_overlay = build_delta_overlay(12, churn)
-        run_churn_workload(delta_overlay, churn, settle_s=150.0)
+        replay(delta_overlay, FaultPlan().add_churn(churn), churn.duration_s + 150.0)
 
         config = OverlayConfig(membership_timeout_s=120.0)
         rng = np.random.default_rng(11)
@@ -371,7 +372,7 @@ class TestOverlayIntegration:
             with_freshness=False,
             active_members=churn.initial_active,
         )
-        run_churn_workload(full_overlay, churn, settle_s=150.0)
+        replay(full_overlay, FaultPlan().add_churn(churn), churn.duration_s + 150.0)
 
         assert delta_overlay.membership.view == full_overlay.membership.view
         for i in delta_overlay.active:
@@ -385,9 +386,9 @@ class TestOverlayIntegration:
             16, count=6, at_s=60.0, duration_s=120.0, seed=4, spread_s=3.0
         )
         batched = build_delta_overlay(16, churn, notify_batch_s=5.0)
-        run_churn_workload(batched, churn, settle_s=120.0)
+        replay(batched, FaultPlan().add_churn(churn), churn.duration_s + 120.0)
         immediate = build_delta_overlay(16, churn)
-        run_churn_workload(immediate, churn, settle_s=120.0)
+        replay(immediate, FaultPlan().add_churn(churn), churn.duration_s + 120.0)
         assert (
             batched.membership.view.members
             == immediate.membership.view.members

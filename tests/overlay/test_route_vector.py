@@ -17,7 +17,7 @@ from repro.net.trace import uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.router_quorum import QuorumRouter
-from repro.workloads import ChurnTrace, run_churn_workload
+from repro.workloads import ChurnTrace, FaultPlan, replay
 
 CONFLICT_COUNTERS = ("rec_conflicts", "rec_conflicts_overridden")
 
@@ -120,7 +120,7 @@ class TestRouteVectorUnderChurn:
             with_freshness=False,
             active_members=churn.initial_active,
         )
-        run_churn_workload(ov, churn, settle_s=60.0)
+        replay(ov, FaultPlan().add_churn(churn), churn.duration_s + 60.0)
         checked = 0
         for node in ov.nodes:
             if node.started and node.router.view is not None:
@@ -209,7 +209,7 @@ class TestRouteOkMatrixEquivalence:
             with_freshness=False,
             active_members=churn.initial_active,
         )
-        run_churn_workload(ov, churn, settle_s=30.0)
+        replay(ov, FaultPlan().add_churn(churn), churn.duration_s + 30.0)
         ok_new, mask_new = ov.route_ok_matrix()
         ok_ref, mask_ref = self.reference_route_ok_matrix(ov)
         assert np.array_equal(mask_new, mask_ref)

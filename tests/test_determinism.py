@@ -9,7 +9,7 @@ import numpy as np
 from repro.net.trace import planetlab_like, uniform_random_metric
 from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
-from repro.workloads import ChurnTrace, run_churn_workload
+from repro.workloads import ChurnTrace, FaultPlan, replay
 
 
 def run_once(seed=77, n=16, duration=150.0):
@@ -38,8 +38,12 @@ def run_churn_once(seed=5, churn_seed=11, n=20, duration=240.0):
         with_freshness=False,
         active_members=churn.initial_active,
     )
-    workload = run_churn_workload(ov, churn, settle_s=90.0)
-    return ov, workload
+    plan = FaultPlan().add_churn(churn)
+    recorder = replay(ov, plan, churn.duration_s + 90.0)
+    # Every planned event was applied: the overlay ends on the trace's
+    # final active set.
+    assert sorted(ov.active) == list(churn.active_at_end())
+    return ov, plan, recorder
 
 
 class TestDeterminism:
@@ -85,19 +89,19 @@ class TestChurnDeterminism:
     seeds give byte-identical disruption and bandwidth stats."""
 
     def test_same_seed_identical_disruption_and_bandwidth(self):
-        ov_a, wl_a = run_churn_once()
-        ov_b, wl_b = run_churn_once()
-        # The applied event sequence matches exactly...
-        assert wl_a.applied == wl_b.applied
+        ov_a, plan_a, rec_a = run_churn_once()
+        ov_b, plan_b, rec_b = run_churn_once()
+        # The planned event sequence matches exactly...
+        assert plan_a.member_events == plan_b.member_events
         # ...the disruption instrumentation is byte-identical...
-        t_a, avail_a = wl_a.recorder.availability_series()
-        t_b, avail_b = wl_b.recorder.availability_series()
+        t_a, avail_a = rec_a.availability_series()
+        t_b, avail_b = rec_b.availability_series()
         assert np.array_equal(t_a, t_b)
         assert np.array_equal(avail_a, avail_b)
-        assert wl_a.recorder.events() == wl_b.recorder.events()
+        assert rec_a.events() == rec_b.events()
         assert np.array_equal(
-            wl_a.recorder.disruption_durations(),
-            wl_b.recorder.disruption_durations(),
+            rec_a.disruption_durations(),
+            rec_b.disruption_durations(),
         )
         # ...and so is the bandwidth accounting.
         assert np.array_equal(
@@ -108,19 +112,18 @@ class TestChurnDeterminism:
         )
 
     def test_different_churn_seed_differs(self):
-        _, wl_a = run_churn_once(churn_seed=11)
-        _, wl_b = run_churn_once(churn_seed=12)
-        assert wl_a.trace != wl_b.trace
-        assert wl_a.applied != wl_b.applied
+        _, plan_a, _ = run_churn_once(churn_seed=11)
+        _, plan_b, _ = run_churn_once(churn_seed=12)
+        assert plan_a.member_events != plan_b.member_events
 
     def test_different_overlay_seed_differs(self):
         # Same churn trace, different underlay/phases: the event
         # sequence matches but the measured series do not.
-        ov_a, wl_a = run_churn_once(seed=5)
-        ov_b, wl_b = run_churn_once(seed=6)
-        assert wl_a.applied == wl_b.applied
-        _, avail_a = wl_a.recorder.availability_series()
-        _, avail_b = wl_b.recorder.availability_series()
+        ov_a, plan_a, rec_a = run_churn_once(seed=5)
+        ov_b, plan_b, rec_b = run_churn_once(seed=6)
+        assert plan_a.member_events == plan_b.member_events
+        _, avail_a = rec_a.availability_series()
+        _, avail_b = rec_b.availability_series()
         assert not (
             np.array_equal(avail_a, avail_b)
             and np.array_equal(

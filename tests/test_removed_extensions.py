@@ -15,7 +15,11 @@ and one recommendation install, so the scalar lookup, the scalar
 install and the helpers only they called stay gone. Likewise the
 membership experiments run the overlay's ``CallbackClient`` /
 ``WireClient``, so their private copies of those clients, and the
-per-node refresh counts only the wire copy kept, stay gone.
+per-node refresh counts only the wire copy kept, stay gone. And member
+events reach an overlay only through ``FaultPlan``: the second
+scheduler (``repro.workloads.engine``'s ``ChurnWorkload`` /
+``run_churn_workload``), its event type ``MemberEvent`` and the
+recorder marks only it set stay gone.
 """
 
 import importlib
@@ -26,6 +30,7 @@ import numpy as np
 import pytest
 
 import repro.core
+import repro.workloads
 from repro.experiments import membership_scaling
 from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.grid import GridQuorum
@@ -37,7 +42,8 @@ from repro.overlay.linkstate import LinkStateRow, LinkStateTable, SparseLinkStat
 from repro.overlay.monitor import LinkMonitor
 from repro.overlay.router_base import RouterBase
 from repro.overlay.router_quorum import QuorumRouter
-from repro.workloads import ChurnTrace
+from repro.overlay.stats import DisruptionRecorder
+from repro.workloads import ChurnTrace, faults
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -172,3 +178,36 @@ def test_membership_experiments_keep_no_client_copy(name):
 def test_in_band_stats_count_no_refreshes(field_name):
     fields = membership_scaling.InBandMembershipStats.__dataclass_fields__
     assert field_name not in fields
+
+
+def test_churn_workload_engine_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.workloads.engine")
+
+
+@pytest.mark.parametrize("name", ["ChurnWorkload", "run_churn_workload"])
+def test_workloads_export_no_second_scheduler(name):
+    assert name not in repro.workloads.__all__
+    assert not hasattr(repro.workloads, name)
+
+
+def test_fault_plan_has_no_member_event_type():
+    assert "MemberEvent" not in faults.__all__
+    assert not hasattr(faults, "MemberEvent")
+
+
+@pytest.mark.parametrize("name", ["mark", "marks", "_marks"])
+def test_disruption_recorder_keeps_no_marks(name):
+    assert not hasattr(DisruptionRecorder, name)
+    assert not hasattr(DisruptionRecorder(4), name)
+
+
+def test_src_repro_names_no_second_fault_replayer():
+    names = ("workloads.engine", "ChurnWorkload", "run_churn_workload", "MemberEvent", ".mark(")
+    hits = [
+        f"{path.relative_to(REPO_ROOT / 'src' / 'repro')}: {name}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for name in names
+        if name in path.read_text()
+    ]
+    assert hits == []

@@ -1,4 +1,4 @@
-"""Tests for the churn workload engine: traces, lifecycle, detection."""
+"""Churn traces replayed through a fault plan: traces, lifecycle, detection."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from repro.workloads import (
     ACTION_LEAVE,
     ChurnEvent,
     ChurnTrace,
-    ChurnWorkload,
-    run_churn_workload,
+    FaultPlan,
+    replay,
 )
 
 
@@ -29,6 +29,11 @@ def build(n=16, churn=None, router=RouterKind.QUORUM, seed=3, config=None):
         with_freshness=False,
         active_members=churn.initial_active if churn is not None else None,
     )
+
+
+def replay_churn(overlay, churn, settle_s):
+    """Replay ``churn`` and run ``settle_s`` past its horizon."""
+    return replay(overlay, FaultPlan().add_churn(churn), churn.duration_s + settle_s)
 
 
 class TestChurnTrace:
@@ -146,29 +151,30 @@ class TestWorkloadValidation:
         churn = ChurnTrace.flash_crowd(16, count=4, at_s=50.0, duration_s=100.0, seed=1)
         overlay = build(16)  # all 16 active; trace expects 12
         with pytest.raises(WorkloadError):
-            ChurnWorkload(overlay, churn)
+            replay_churn(overlay, churn, settle_s=0.0)
 
     def test_size_mismatch_rejected(self):
         churn = ChurnTrace.mass_failure(16, 0.25, at_s=10.0, duration_s=50.0, seed=1)
         overlay = build(12)
         with pytest.raises(WorkloadError):
-            ChurnWorkload(overlay, churn)
+            replay_churn(overlay, churn, settle_s=0.0)
 
     def test_double_install_rejected(self):
         churn = ChurnTrace.mass_failure(16, 0.25, at_s=10.0, duration_s=50.0, seed=1)
         overlay = build(16, churn)
-        workload = ChurnWorkload(overlay, churn)
-        workload.install()
+        plan = FaultPlan().add_churn(churn)
+        plan.install(overlay)
+        pending = overlay.sim.pending()
         with pytest.raises(WorkloadError):
-            workload.install()
+            replay(overlay, plan, 50.0)
+        assert overlay.sim.pending() == pending
 
     def test_install_after_events_due_rejected(self):
         churn = ChurnTrace.mass_failure(16, 0.25, at_s=10.0, duration_s=50.0, seed=1)
         overlay = build(16, churn)
         overlay.run(20.0)
-        workload = ChurnWorkload(overlay, churn)
         with pytest.raises(WorkloadError):
-            workload.install()
+            replay_churn(overlay, churn, settle_s=0.0)
 
 
 class TestLifecycle:
@@ -180,7 +186,7 @@ class TestLifecycle:
             duration_s=150.0,
         )
         overlay = build(9, churn)
-        run_churn_workload(overlay, churn, settle_s=120.0)
+        replay_churn(overlay, churn, settle_s=120.0)
         node = overlay.nodes[4]
         assert not node.started and not node.registered
         # Every survivor's monitor has declared the crashed node down.
@@ -198,7 +204,7 @@ class TestLifecycle:
             duration_s=250.0,
         )
         overlay = build(9, churn)
-        run_churn_workload(overlay, churn, settle_s=120.0)
+        replay_churn(overlay, churn, settle_s=120.0)
         node = overlay.nodes[3]
         assert node.started and node.registered
         assert overlay.membership.is_member(3)
@@ -256,7 +262,7 @@ class TestLifecycle:
             duration_s=130.0,
         )
         overlay = build(9, churn)
-        run_churn_workload(overlay, churn, settle_s=100.0)
+        replay_churn(overlay, churn, settle_s=100.0)
         t0 = overlay.sim.now
         dead = overlay.nodes[1]
         bytes_before = overlay.bandwidth.bytes_per_node(t0=0.0, t1=t0 + 1.0)[1]
@@ -278,7 +284,7 @@ class TestLifecycle:
             duration_s=150.0,
         )
         overlay = build(9, churn)
-        run_churn_workload(overlay, churn, settle_s=60.0)
+        replay_churn(overlay, churn, settle_s=60.0)
         node = overlay.nodes[8]
         assert not node.started and not node.registered
         assert not overlay.membership.is_member(8)
@@ -287,9 +293,8 @@ class TestLifecycle:
     def test_disruption_recorder_sees_mass_failure(self):
         churn = ChurnTrace.mass_failure(16, 0.25, at_s=120.0, duration_s=180.0, seed=5)
         overlay = build(16, churn)
-        workload = run_churn_workload(overlay, churn, settle_s=180.0)
-        recorder = workload.recorder
-        assert recorder.marks and recorder.marks[0] == ("mass-failure", 120.0)
+        recorder = replay_churn(overlay, churn, settle_s=180.0)
+        assert churn.fail_times() == (120.0,)
         recovery = recorder.recovery_time_after(120.0)
-        assert recovery is not None
+        assert recovery is not None and recovery > 0.0
         assert recorder.open_disruptions() == 0

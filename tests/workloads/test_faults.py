@@ -4,7 +4,8 @@ Covers the :class:`FaultPlan` construction invariants (canonical
 partition pairs, merge-on-insert of overlapping windows, node-outage
 compilation into the failure table) and the correlated churn
 generator, plus installing a member-only plan on a coordinator-free
-(gossip) overlay.
+(gossip) overlay and the install-time replay of member events against
+the overlay's active set.
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ from repro.errors import WorkloadError
 from repro.net.trace import planetlab_like
 from repro.overlay.config import Gossip, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
-from repro.workloads import ACTION_FAIL, ACTION_JOIN, ChurnTrace
-from repro.workloads.faults import FaultPlan, MemberEvent
+from repro.workloads import ACTION_FAIL, ACTION_JOIN, ChurnEvent, ChurnTrace
+from repro.workloads.faults import FaultPlan
 
 
 class TestCorrelatedFailure:
@@ -161,14 +162,14 @@ class TestNodeOutage:
             plan.failure_table(n=8)
 
 
-class TestMemberEvents:
+class TestMemberFaults:
     def test_validation(self):
         with pytest.raises(WorkloadError):
-            MemberEvent(-1.0, ACTION_FAIL, 0)
+            FaultPlan().fail_node(-1.0, 0)
         with pytest.raises(WorkloadError):
-            MemberEvent(0.0, "reboot", 0)
+            ChurnEvent(0.0, "reboot", 0)
         with pytest.raises(WorkloadError):
-            MemberEvent(0.0, ACTION_JOIN, -1)
+            FaultPlan().join_node(0.0, -1)
 
     def test_add_churn_absorbs_trace(self):
         trace = ChurnTrace.correlated_failure(
@@ -177,9 +178,7 @@ class TestMemberEvents:
         )
         plan = FaultPlan().add_churn(trace)
         assert len(plan.member_events) == len(trace.events)
-        assert {(e.time, e.action, e.node) for e in plan.member_events} == {
-            (e.time, e.action, e.node) for e in trace.events
-        }
+        assert plan.member_events == list(trace.events)
 
     def test_member_only_plan_installs_on_gossip_overlay(self):
         rng = np.random.default_rng(21)
@@ -224,8 +223,19 @@ class TestMemberEvents:
             FaultPlan().crash_coordinator(10.0, 0).leave_node(0.5, 4),
             FaultPlan().crash_coordinator(10.0, 0).restore_coordinator(20.0, 7),
             FaultPlan().fail_node(10.0, 99).crash_coordinator(5.0, 0),
+            FaultPlan().fail_node(10.0, 3).fail_node(20.0, 3),
+            FaultPlan().join_node(10.0, 3),
+            FaultPlan().leave_node(20.0, 3).fail_node(10.0, 3),
         ],
-        ids=["node-out-of-range", "member-in-past", "no-such-coordinator", "late-bad-member"],
+        ids=[
+            "node-out-of-range",
+            "member-in-past",
+            "no-such-coordinator",
+            "late-bad-member",
+            "crash-of-crashed",
+            "join-of-active",
+            "leave-after-crash",
+        ],
     )
     def test_rejected_plan_leaves_the_simulator_untouched(self, plan):
         # The first event of each plan is valid: installing event by
@@ -244,3 +254,32 @@ class TestMemberEvents:
         with pytest.raises(WorkloadError):
             plan.install(overlay)
         assert overlay.sim.pending() == pending
+
+
+class TestInstallReplaysMembers:
+    """``install`` replays the member events against ``overlay.active``
+    in schedule order, so a plan the overlay cannot apply fails before
+    the run instead of raising ``ConfigError`` from the harness mid-run."""
+
+    def build_without(self, absent):
+        rng = np.random.default_rng(5)
+        return build_overlay(
+            trace=planetlab_like(8, rng),
+            rng=rng,
+            with_freshness=False,
+            active_members=[i for i in range(8) if i != absent],
+        )
+
+    def test_crash_of_absent_node_rejected(self):
+        overlay = self.build_without(3)
+        pending = overlay.sim.pending()
+        with pytest.raises(WorkloadError):
+            FaultPlan().fail_node(10.0, 3).install(overlay)
+        assert overlay.sim.pending() == pending
+
+    def test_join_then_crash_of_absent_node_installs(self):
+        overlay = self.build_without(3)
+        plan = FaultPlan().fail_node(40.0, 3).join_node(10.0, 3)
+        plan.install(overlay)
+        overlay.run(60.0)
+        assert 3 not in overlay.active

@@ -1,4 +1,8 @@
-"""Count code lines: ``python tools/count_code_lines.py FILE...``.
+"""Count code lines: ``python tools/count_code_lines.py PATH...``.
+
+A path that is a directory stands for every ``*.py`` file under it,
+recursively, in sorted order; each file's count is printed, then the
+total.
 
 A physical line counts when it holds at least one token that is not a
 comment or a blank-line/indentation marker and is not part of a
@@ -12,6 +16,7 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -40,11 +45,18 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines)
 
 
+def python_files(paths: list[str]) -> list[Path]:
+    """``paths`` with each directory replaced by its ``*.py`` files."""
+    files: list[Path] = []
+    for path in map(Path, paths):
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    return files
+
+
 def main(paths: list[str]) -> int:
     total = 0
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            count = code_lines(fh.read())
+    for path in python_files(paths):
+        count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d} {path}")
     print(f"{total:6d} total")
