@@ -9,7 +9,8 @@ kernel, the per-node link-state memory envelope of the benchmark's
 ``steady_n256`` overlay, the
 full-mesh availability sample over the overlay's shared row block,
 one node's round-2 receive work for a routing interval,
-and one gossip digest received in the steady state and one op behind.
+one gossip digest received in the steady state and one op behind,
+and the Fig. 8 failure table's all-sources ground truth.
 
 CI runs this file with ``--benchmark-disable`` (check mode): every
 benchmark body executes once as a plain test, so the regression
@@ -18,18 +19,21 @@ while the statistical timings remain a local/bench-host tool.
 """
 
 import collections
+import gc
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from reference_recommendations import AllArraysOracle  # tests/overlay, via conftest
 
-from bench.workloads import WORKLOADS  # the repo root, via conftest
+from bench.workloads import WORKLOADS, stratified_node_classes  # the repo root, via conftest
 from repro.core.grid import GridQuorum
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.core.protocol import run_two_round
+from repro.net.failures import build_failure_table
 from repro.core.quorum import GridQuorumSystem
 from repro.net.simulator import Simulator
 from repro.net.packet import GossipDigest, RecommendationMessage
@@ -162,6 +166,42 @@ def test_perf_route_ok_matrix_100(benchmark, routed_overlay_100):
     assert mask.all()
     frac = ok.sum() / (mask.sum() * (mask.sum() - 1))
     assert frac > 0.95
+
+
+def test_perf_failure_table_512(benchmark):
+    """One all-sources ground-truth sample of the ``linkfail`` recipe's
+    failure table at n = 512 (stratified classes, 240 s, seed 42). The
+    guards hold on any machine: ``up_matrix`` equals the n per-source
+    rows, and the built table stays within 15 % of its measured
+    ``tracemalloc`` size, 918 272 B of flat window arrays (one
+    ``OutageSchedule`` object per failing link and a per-source dict
+    of them measured 9 426 456 B)."""
+    n = 512
+
+    def build():
+        rng = np.random.default_rng(42)
+        classes = stratified_node_classes(n, rng)
+        return build_failure_table(n, 240.0, rng, node_classes=classes)
+
+    table = build()  # also warms up whatever the first build allocates for good
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traced = build()
+        gc.collect()
+        with_table, _ = tracemalloc.get_traced_memory()
+        del traced
+        gc.collect()
+        held = with_table - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.15 * 918_272
+
+    for t in (30.0, 120.0, 200.0):
+        rows = np.stack([table.up_vector(i, t) for i in range(n)])
+        assert (table.up_matrix(t) == rows).all()
+    m = benchmark(table.up_matrix, 120.0)
+    assert (m == m.T).all() and m.diagonal().all() and not m.all()
 
 
 def test_perf_fullmesh_route_ok_matrix_192(benchmark):

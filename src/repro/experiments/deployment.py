@@ -278,10 +278,7 @@ def _route_effectiveness(overlay: Overlay, tol_rel: float = 0.10) -> tuple:
     t = overlay.sim.now
     n = overlay.n
     w = np.asarray(overlay.topology.rtt_matrix_ms).copy()
-    for i in range(n):
-        up = overlay.topology.up_vector(i, t)
-        w[i, ~up] = np.inf
-        w[~up, i] = np.inf
+    w[~overlay.topology.up_matrix(t)] = np.inf
     np.fill_diagonal(w, 0.0)
     from repro.core.onehop import best_one_hop_all_pairs
 

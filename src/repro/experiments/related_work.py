@@ -93,7 +93,7 @@ def run_availability_comparison(
     up_samples: Dict[str, List[bool]] = {p: [] for p in policies}
 
     for t in times:
-        up_rows = np.stack([failures.up_vector(i, float(t)) for i in range(n)])
+        up_rows = failures.up_matrix(float(t))
         for i, j in zip(pair_src, pair_dst):
             i, j = int(i), int(j)
             up_samples["direct"].append(bool(up_rows[i, j]))

@@ -189,6 +189,19 @@ class Topology:  # reprolint: disable=RL002(one Topology per experiment; holds O
             return np.ones(self.n, dtype=bool)
         return self._failures.up_vector(i, t)
 
+    def up_matrix(self, t: float) -> np.ndarray:
+        """Ground-truth link state of every pair at time ``t``.
+
+        ``m[i]`` is :meth:`up_vector` ``(i, t)`` for every source, built
+        in one pass over the failure table's windows rather than by
+        ``n`` per-source queries. The matrix is symmetric with a true
+        diagonal; a node in an outage has a false row and column except
+        at itself.
+        """
+        if self._failures is None:
+            return np.ones((self.n, self.n), dtype=bool)
+        return self._failures.up_matrix(t)
+
     def rtt_vector_ms(self, i: int) -> np.ndarray:
         """RTT from i to every node (copy)."""
         self._check_pair(i, i)

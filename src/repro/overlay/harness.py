@@ -252,22 +252,14 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         usable route to ``d`` whose path actually works on the underlay
         — the direct link is up, or the one-hop intermediary is a live
         overlay node with both legs up. Pairs routed through a crashed
-        (but not yet detected) node therefore show as disrupted.
+        (but not yet detected) node therefore show as disrupted. The
+        ground truth is one :meth:`Topology.up_matrix` call: every
+        source's link state from one pass over the failure table.
         """
-        t = self.sim.now
         mask = self.started_mask()
         ok = np.zeros((self.n, self.n), dtype=bool)
         ids = np.nonzero(mask)[0]
-        # Ground-truth link state, one row per measurable node. Rows of
-        # non-measured nodes are only read behind a mask[hop] guard,
-        # which already rejects such hops: they stay False, or True
-        # where no failure table exists and every link is up.
-        all_up = self.topology.failures is None
-        up = self.row_block.up_scratch(self.n)
-        up.fill(all_up)
-        if not all_up:
-            for i in ids:
-                up[i] = self.topology.up_vector(int(i), t)
+        up = self.topology.up_matrix(self.sim.now)
         for s in ids:
             s = int(s)
             node = self.nodes[s]

@@ -146,7 +146,7 @@ class RowBlock:
     overlay whose routers never ask (the quorum system) pays nothing.
     """
 
-    __slots__ = ("n", "costs", "held", "sums", "idx", "columns_written", "_up")
+    __slots__ = ("n", "costs", "held", "sums", "idx", "columns_written")
 
     def __init__(self) -> None:
         self.n = 0
@@ -156,7 +156,6 @@ class RowBlock:
         #: Columns of ``costs`` written so far: the block's memory
         #: traffic in units of one row, for the perf guard.
         self.columns_written = 0
-        self._up = np.empty((0, 0), dtype=bool)
 
     def reset(self, n: int) -> None:
         """Become an ``(n, n)`` block that holds no row."""
@@ -169,14 +168,6 @@ class RowBlock:
         self.costs[self.idx, self.idx] = 0.0
         self.held = [None] * n
         self.columns_written += n
-
-    def up_scratch(self, n: int) -> np.ndarray:
-        """An ``(n, n)`` bool buffer for the sampler's ground-truth link
-        state, contents undefined (``n`` is the underlay's size, which
-        the view the cost block follows need not match)."""
-        if self._up.shape[0] != n:
-            self._up = np.empty((n, n), dtype=bool)
-        return self._up
 
 
 class _RowTable:

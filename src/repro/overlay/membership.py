@@ -84,6 +84,7 @@ the replicated and coordinator-free ones.
 from __future__ import annotations
 
 import bisect
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -130,8 +131,15 @@ __all__ = [
 ]
 
 
+class _WeakReferable:
+    """Gives a slotted dataclass a ``__weakref__`` slot (the dataclass
+    ``weakref_slot`` flag needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class MembershipView:
+class MembershipView(_WeakReferable):
     """A versioned, sorted membership snapshot.
 
     All nodes holding the same version hold the same member tuple and
@@ -200,6 +208,12 @@ class ViewDelta:
     to_version: int
     joined: Tuple[int, ...]
     left: Tuple[int, ...]
+    #: ``(held, derived)`` of the last :meth:`apply`, both weak: every
+    #: subscriber holding an equal view gets the same derived object, and
+    #: the memo keeps no view alive (a logged delta outlives its views).
+    _memo: Optional[Tuple["weakref.ref[MembershipView]", "weakref.ref[MembershipView]"]] = (
+        field(default=None, init=False, repr=False, compare=False)
+    )
 
     def __post_init__(self) -> None:
         if self.to_version <= self.from_version:
@@ -218,7 +232,15 @@ class ViewDelta:
 
         ``view`` must be at exactly ``from_version`` (chained deltas are
         pre-coalesced by the service); joins must be new, leaves present.
+        Applied again to the same view, or to an equal one, it returns
+        the view it derived before: the subscribers of one coordinator
+        share one view object and so one ``member_ids`` array.
         """
+        memo = self._memo
+        if memo is not None:
+            held, derived = memo[0](), memo[1]()
+            if derived is not None and (held is view or held == view):
+                return derived
         if view.version != self.from_version:
             raise MembershipError(
                 f"delta from v{self.from_version} cannot apply to "
@@ -233,9 +255,9 @@ class ViewDelta:
             if m in members:
                 raise MembershipError(f"delta adds existing member {m}")
             members.add(m)
-        return MembershipView(
-            version=self.to_version, members=tuple(sorted(members))
-        )
+        result = MembershipView(version=self.to_version, members=tuple(sorted(members)))
+        object.__setattr__(self, "_memo", (weakref.ref(view), weakref.ref(result)))
+        return result
 
 
 #: What the service delivers to subscribers: a full view or a delta.

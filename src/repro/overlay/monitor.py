@@ -184,9 +184,10 @@ class LinkMonitor:
             return np.ones(self.n, dtype=bool)
         return self._transport.registered_vector()
 
-    def _probe_outcome_vector(self, t: float) -> np.ndarray:
-        """Sample which probe exchanges succeed this round."""
-        up = self._topology.up_vector(self.me, t) & self._peer_process_up()
+    def _probe_outcome_vector(self, up: np.ndarray) -> np.ndarray:
+        """Sample which probe exchanges succeed this round, given which
+        links are ``up``."""
+        up = up & self._peer_process_up()
         loss = self._topology.loss_vector(self.me)
         # Request and reply must both survive.
         success_prob = (1.0 - loss) ** 2
@@ -217,7 +218,7 @@ class LinkMonitor:
         """One full probing round over all ``n - 1`` peers."""
         t = self._sim.now
         up = self._topology.up_vector(self.me, t)
-        delivered = self._probe_outcome_vector(t)
+        delivered = self._probe_outcome_vector(up)
         self._account_round(up, delivered, t)
 
         rtt = self._topology.rtt_vector_ms(self.me)

@@ -6,9 +6,9 @@ overlay: coordinator crash/restore and member crash/join/leave events
 :class:`~repro.workloads.trace.ChurnTrace` at once through
 :meth:`FaultPlan.add_churn`) are scheduled on the overlay's simulator,
 while partitions and node outages compile down to an ordinary
-:class:`~repro.net.failures.FailureTable` of
-:class:`~repro.net.failures.OutageSchedule` windows — built *before* the
-overlay, because outage schedules are immutable topology inputs.
+:class:`~repro.net.failures.FailureTable` of outage windows — built
+*before* the overlay, because outage windows are immutable topology
+inputs.
 :func:`replay` installs a plan, attaches the
 :class:`~repro.overlay.stats.DisruptionRecorder` and runs the simulator:
 every churn, failover and gossip experiment goes through it.
@@ -26,7 +26,7 @@ The fault shapes the failover and gossip-membership suites need:
   concurrent views, which the epoch rule must converge after healing.
   Windows for the same side pair that overlap (or touch) are merged at
   construction time, so a plan never compiles two conflicting
-  ``OutageSchedule`` windows for one cut.
+  windows for one cut.
 * :func:`node_outage` — take a node's *links* down for a window without
   crashing its process: the node keeps gossiping into a void and must
   reconcile when connectivity returns. This is the underlay half of a
@@ -45,10 +45,10 @@ coordinator i from members S" is expressed by cutting ``host(i)`` from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.net.failures import FailureTable, OutageSchedule, build_partition_table
+from repro.net.failures import FailureTable, build_partition_table
 from repro.overlay.harness import Overlay
 from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.trace import (
@@ -234,29 +234,17 @@ class FaultPlan:
     # Application
     # ------------------------------------------------------------------
     def failure_table(self, n: int) -> FailureTable:
-        """The partition cuts and node outages compiled to outage schedules.
+        """The partition cuts and node outages compiled to outage windows.
 
         Pass the result to ``build_overlay(..., failures=...)`` (the
         crash/restore/churn events are not part of it — they are
         simulator events installed later).
         """
-        table = build_partition_table(n, self.cuts)
-        if not self.node_outages:
-            return table
-        windows: Dict[int, List[Tuple[float, float]]] = {}
-        for start, end, ids in self.node_outages:
+        for _, _, ids in self.node_outages:
             for node in ids:
                 if not 0 <= node < n:
                     raise WorkloadError(f"outage node {node} out of range for n={n}")
-                windows.setdefault(node, []).append((start, end))
-        return FailureTable(
-            n=n,
-            link_schedules=table.link_schedules,
-            node_schedules={
-                node: OutageSchedule(intervals)
-                for node, intervals in sorted(windows.items())
-            },
-        )
+        return build_partition_table(n, self.cuts, self.node_outages)
 
     def install(self, overlay: Overlay) -> None:
         """Schedule every crash/restore/churn event on the overlay's simulator.

@@ -1,5 +1,7 @@
 """Unit and property tests for failure injection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,8 +16,29 @@ from repro.net.failures import (
     OutageSchedule,
     assign_node_classes,
     build_failure_table,
+    build_partition_table,
     schedule_from_episodes,
 )
+
+
+def windows_digest(table):
+    """sha256 over every link window as int64 ``(i, j)`` then float64
+    ``(start, end)`` columns, in ``(i, j, start)`` order."""
+    i, j, start, end = table.link_windows()
+    ij = np.stack([i, j], axis=1).astype(np.int64)
+    se = np.stack([start, end], axis=1).astype(np.float64)
+    return hashlib.sha256(ij.tobytes() + se.tobytes()).hexdigest(), len(ij)
+
+
+def stratified_classes(n, rng):
+    """The default class mix with fixed counts, permuted by ``rng``."""
+    mediocre, poor = round(0.15 * n), max(1, round(0.05 * n))
+    classes = (
+        [NodeClass.GOOD] * (n - mediocre - poor)
+        + [NodeClass.MEDIOCRE] * mediocre
+        + [NodeClass.POOR] * poor
+    )
+    return [classes[i] for i in rng.permutation(n)]
 
 
 class TestOutageSchedule:
@@ -228,3 +251,133 @@ class TestBuildFailureTable:
     def test_wrong_class_count_rejected(self, rng):
         with pytest.raises(TopologyError):
             build_failure_table(5, 100.0, rng, node_classes=[NodeClass.GOOD] * 3)
+
+    def test_windows_are_pinned(self):
+        """Every interval of two built tables, bit for bit: the values
+        the per-link ``OutageSchedule`` builder produced."""
+        table = build_failure_table(64, 400.0, np.random.default_rng(3))
+        assert windows_digest(table) == (
+            "19967b7ebc1f283e2dd4f85951117cf0f3d99990cfe0dbeaa6cdda06877a5985",
+            511,
+        )
+        rng = np.random.default_rng(42)
+        table = build_failure_table(
+            160, 240.0, rng, node_classes=stratified_classes(160, rng)
+        )
+        assert windows_digest(table) == (
+            "56d9e242b101abe93db6ace1a9391f62393bdb109329d461c8a47069c58b2fe5",
+            2210,
+        )
+
+    def test_each_link_is_drawn_as_schedule_from_episodes_draws_it(self):
+        n, horizon = 12, 900.0
+        classes = stratified_classes(n, np.random.default_rng(5))
+        table = build_failure_table(
+            n, horizon, np.random.default_rng(8), node_classes=classes
+        )
+        rng = np.random.default_rng(8)
+        expected = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                pa, pb = DEFAULT_CLASS_PARAMS[classes[a]], DEFAULT_CLASS_PARAMS[classes[b]]
+                sched = schedule_from_episodes(
+                    rng,
+                    horizon,
+                    0.002 + pa.duty_cycle + pb.duty_cycle,
+                    max(pa.mean_outage_s, pb.mean_outage_s, 45.0),
+                    sigma=max(pa.sigma_outage, pb.sigma_outage),
+                )
+                expected += [(a, b, s, e) for s, e in sched.intervals]
+        assert expected
+        assert list(zip(*(col.tolist() for col in table.link_windows()))) == expected
+
+
+class TestBuildPartitionTable:
+    def test_every_node_id_is_checked(self):
+        # An id on a side paired with an empty side is checked too.
+        with pytest.raises(TopologyError):
+            build_partition_table(5, [(0.0, 10.0, [99], [])])
+        with pytest.raises(TopologyError):
+            build_partition_table(5, [(0.0, 10.0, [], [-1])])
+        with pytest.raises(TopologyError):  # a bad later cut
+            build_partition_table(5, [(0.0, 10.0, [0], [1]), (0.0, 10.0, [5], [])])
+        with pytest.raises(TopologyError):
+            build_partition_table(5, [(0.0, 10.0, [0, 1], [1, 2])])
+        with pytest.raises(TopologyError):
+            build_partition_table(5, [], [(0.0, 10.0, [5])])
+
+    def test_cut_and_outage_windows_merge(self):
+        table = build_partition_table(
+            6,
+            [
+                (10.0, 20.0, [0, 1], [2]),
+                (20.0, 30.0, [0], [2, 3]),  # touches (0, 2)'s first window
+                (15.0, 25.0, [3], [0]),  # overlaps (0, 3)'s window
+            ],
+            [(40.0, 50.0, [4]), (45.0, 60.0, [4, 5])],
+        )
+        i, j, start, end = table.link_windows()
+        assert list(zip(i.tolist(), j.tolist(), start.tolist(), end.tolist())) == [
+            (0, 2, 10.0, 30.0),
+            (0, 3, 15.0, 30.0),
+            (1, 2, 10.0, 20.0),
+        ]
+        for t, node4, node5 in ((39.0, True, True), (40.0, False, True),
+                                (45.0, False, False), (59.9, False, False),
+                                (60.0, True, True)):
+            assert table.node_is_up(4, t) is node4
+            assert table.node_is_up(5, t) is node5
+
+
+_window = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
+    lambda p: (float(min(p)), float(max(p)))
+)
+
+
+@st.composite
+def small_tables(draw):
+    """A random table with overlapping, touching and empty windows on
+    links and nodes, plus the schedules it was built from."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    links = {
+        pair: OutageSchedule(draw(st.lists(_window, max_size=4)))
+        for pair in draw(st.lists(st.sampled_from(pairs), unique=True))
+    } if pairs else {}
+    nodes = {
+        node: OutageSchedule(draw(st.lists(_window, max_size=3)))
+        for node in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
+    }
+    return FailureTable(n=n, link_schedules=links, node_schedules=nodes), links, nodes
+
+
+class TestFlatQueries:
+    @given(small_tables(), st.lists(st.integers(0, 6), max_size=8))
+    def test_every_query_agrees_with_the_schedules(self, built, dsts):
+        table, links, nodes = built
+        n = table.n
+        js = np.array([j % n for j in dsts], dtype=np.int64)
+
+        def node_down(i, t):
+            return i in nodes and nodes[i].is_down(t)
+
+        times = np.arange(-0.5, 13.0, 0.5).tolist()
+        for t in times[1::2] + times[::-2]:  # forwards, then backwards
+            matrix = table.up_matrix(t)
+            assert matrix.shape == (n, n) and matrix.dtype == bool
+            for i in range(n):
+                row = table.up_vector(i, t)
+                assert (matrix[i] == row).all()
+                assert table.node_is_up(i, t) is not node_down(i, t)
+                if node_down(i, t):  # a down source sees only itself
+                    assert row.tolist() == [j == i for j in range(n)]
+                for j in range(n):
+                    key = (min(i, j), max(i, j))
+                    expected = i == j or not (
+                        node_down(i, t)
+                        or node_down(j, t)
+                        or (key in links and links[key].is_down(t))
+                    )
+                    assert table.link_is_up(i, j, t) is expected
+                    assert row[j] == expected
+                assert table.up_many(i, js, t).tolist() == row[js].tolist()

@@ -8,6 +8,9 @@ per subscriber, the same final view (and identical grid) whether
 delivered as deltas, batched deltas, or full views.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,35 @@ class TestViewDelta:
             ViewDelta(1, 2, joined=(), left=(9,)).apply(view)
         with pytest.raises(MembershipError):
             ViewDelta(1, 2, joined=(2,), left=()).apply(view)
+
+    def test_equal_held_views_share_one_derived_view(self):
+        delta = ViewDelta(from_version=3, to_version=4, joined=(4,), left=(2,))
+        held = MembershipView(version=3, members=(1, 2, 5))
+        derived = delta.apply(held)
+        assert delta.apply(held) is derived
+        # An equal view held by another subscriber: same object, one ids array.
+        assert delta.apply(MembershipView(version=3, members=(1, 2, 5))) is derived
+        assert derived.member_ids is delta.apply(held).member_ids
+        # A different base is applied (and checked) afresh.
+        other = delta.apply(MembershipView(version=3, members=(2, 7)))
+        assert other == MembershipView(version=4, members=(4, 7))
+        with pytest.raises(MembershipError):
+            delta.apply(MembershipView(version=3, members=(1, 4)))
+        with pytest.raises(MembershipError):
+            delta.apply(MembershipView(version=2, members=(1, 2, 5)))
+
+    def test_memo_keeps_no_view_alive(self):
+        delta = ViewDelta(from_version=3, to_version=4, joined=(4,), left=())
+        held = MembershipView(version=3, members=(1, 2))
+        derived = delta.apply(held)
+        gone = [weakref.ref(held), weakref.ref(derived)]
+        del held, derived
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
+        # With the derived view gone, the delta derives a new one.
+        assert delta.apply(MembershipView(version=3, members=(1, 2))) == MembershipView(
+            version=4, members=(1, 2, 4)
+        )
 
     def test_validation(self):
         with pytest.raises(MembershipError):

@@ -140,14 +140,24 @@ class TestNodeOutage:
         plan = FaultPlan()
         plan.node_outage(100.0, 200.0, [3, 1, 3])
         plan.partition(50.0, 80.0, [0], [2])
+        plan.node_outage(150.0, 300.0, [1])  # overlaps node 1's first window
+        plan.node_outage(300.0, 320.0, [1])  # touches it
         table = plan.failure_table(n=8)
-        assert sorted(table.node_schedules) == [1, 3]
-        for node in (1, 3):
-            assert not table.node_is_up(node, 150.0)
-            assert table.node_is_up(node, 250.0)
-        # The partition cut coexists as link schedules.
+        # Only nodes 1 and 3 ever go down, each exactly inside its
+        # merged window: [100, 320) for node 1, [100, 200) for node 3.
+        windows = {1: (100.0, 320.0), 3: (100.0, 200.0)}
+        for t in (0.0, 99.9, 100.0, 150.0, 199.9, 200.0, 250.0, 319.9, 320.0, 400.0):
+            for node in range(8):
+                lo, hi = windows.get(node, (np.inf, np.inf))
+                assert table.node_is_up(node, t) == (not lo <= t < hi), (node, t)
+                # A down node takes every one of its links with it.
+                assert table.link_is_up(node, 7 - node, t) == (
+                    table.node_is_up(node, t) and table.node_is_up(7 - node, t)
+                )
+        # The partition cut coexists as link windows.
         assert not table.link_is_up(0, 2, 60.0)
         assert table.link_is_up(0, 2, 90.0)
+        assert table.link_is_up(0, 2, 150.0)
 
     def test_validation(self):
         plan = FaultPlan()
