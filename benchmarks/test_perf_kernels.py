@@ -38,7 +38,7 @@ from repro.core.quorum import GridQuorumSystem
 from repro.net.simulator import Simulator
 from repro.net.packet import GossipDigest, RecommendationMessage
 from repro.net.trace import planetlab_like, uniform_random_metric
-from repro.overlay.config import Gossip, RouterKind
+from repro.overlay.config import RouterKind
 from repro.overlay.gossip import GossipMembershipNode
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow, SparseLinkStateTable
@@ -311,9 +311,7 @@ def test_perf_gossip_digest_64(benchmark):
     n = 64
     transport = _CountingTransport()
     node = SimpleNamespace(sim=Simulator(), id=0, registered=True)
-    engine = GossipMembershipNode(
-        node, transport, Gossip(), 1800.0, np.random.default_rng(0)
-    )
+    engine = GossipMembershipNode(node, transport, 1800.0, np.random.default_rng(0))
     engine.seed_bootstrap(range(n))
     engine.active = True
     # The peer's own tuples, equal to ours but not the same objects.

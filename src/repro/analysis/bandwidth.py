@@ -17,12 +17,17 @@ paper reports for its deployment (13.5 vs 15.3 Kbps at n = 140).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.errors import ConfigError
 from repro.overlay import wire
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import (
+    PROBE_INTERVAL_S,
+    ROUTING_INTERVAL_FULL_S,
+    ROUTING_INTERVAL_QUORUM_S,
+    RouterKind,
+)
 
 __all__ = [
     "probing_bps",
@@ -35,7 +40,7 @@ __all__ = [
 ]
 
 
-def probing_bps(n: float, probe_interval_s: float = 30.0) -> float:
+def probing_bps(n: float, probe_interval_s: float = PROBE_INTERVAL_S) -> float:
     """Per-node probing traffic, incoming plus outgoing, bits/second.
 
     Each probed pair exchanges four 46-byte packets per interval
@@ -46,7 +51,7 @@ def probing_bps(n: float, probe_interval_s: float = 30.0) -> float:
     return 4 * wire.PROBE_BYTES * 8 * n / probe_interval_s
 
 
-def fullmesh_routing_bps(n: float, routing_interval_s: float = 30.0) -> float:
+def fullmesh_routing_bps(n: float, routing_interval_s: float = ROUTING_INTERVAL_FULL_S) -> float:
     """RON's link-state broadcast: ``2 n`` messages of ``3n + 46`` bytes
     per interval (n sent + n received), per node."""
     if n < 0 or routing_interval_s <= 0:
@@ -54,7 +59,7 @@ def fullmesh_routing_bps(n: float, routing_interval_s: float = 30.0) -> float:
     return 2 * n * (3 * n + wire.HEADER_BYTES) * 8 / routing_interval_s
 
 
-def quorum_routing_bps(n: float, routing_interval_s: float = 15.0) -> float:
+def quorum_routing_bps(n: float, routing_interval_s: float = ROUTING_INTERVAL_QUORUM_S) -> float:
     """Quorum routing: per interval a node sends and receives ``2 sqrt(n)``
     link-state messages (``3n + 46`` B) and ``2 sqrt(n)`` recommendation
     messages (``8 sqrt(n) + 46`` B)."""
@@ -67,23 +72,16 @@ def quorum_routing_bps(n: float, routing_interval_s: float = 15.0) -> float:
     return per_interval_bytes * 8 / routing_interval_s
 
 
-def routing_bps(
-    n: float, kind: RouterKind, config: Optional[OverlayConfig] = None
-) -> float:
-    """Routing traffic for either algorithm at its configured interval."""
-    config = config or OverlayConfig()
-    interval = config.routing_interval_s(kind)
+def routing_bps(n: float, kind: RouterKind) -> float:
+    """Routing traffic for either algorithm at its §5 interval."""
     if kind is RouterKind.FULL_MESH:
-        return fullmesh_routing_bps(n, interval)
-    return quorum_routing_bps(n, interval)
+        return fullmesh_routing_bps(n)
+    return quorum_routing_bps(n)
 
 
-def total_bps(
-    n: float, kind: RouterKind, config: Optional[OverlayConfig] = None
-) -> float:
+def total_bps(n: float, kind: RouterKind) -> float:
     """Probing + routing traffic (the §1 capacity arithmetic)."""
-    config = config or OverlayConfig()
-    return probing_bps(n, config.probe_interval_s) + routing_bps(n, kind, config)
+    return probing_bps(n) + routing_bps(n, kind)
 
 
 def paper_coefficients() -> Dict[str, float]:
@@ -95,12 +93,12 @@ def paper_coefficients() -> Dict[str, float]:
     """
     h = wire.HEADER_BYTES
     return {
-        "probing_linear": 4 * wire.PROBE_BYTES * 8 / 30.0,
-        "fullmesh_quadratic": 2 * 3 * 8 / 30.0,
-        "fullmesh_linear": 2 * h * 8 / 30.0,
-        "quorum_n15": 4 * 3 * 8 / 15.0,
-        "quorum_linear": 4 * 8 * 8 / 15.0,
-        "quorum_sqrt": 8 * h * 8 / 15.0,
+        "probing_linear": 4 * wire.PROBE_BYTES * 8 / PROBE_INTERVAL_S,
+        "fullmesh_quadratic": 2 * 3 * 8 / ROUTING_INTERVAL_FULL_S,
+        "fullmesh_linear": 2 * h * 8 / ROUTING_INTERVAL_FULL_S,
+        "quorum_n15": 4 * 3 * 8 / ROUTING_INTERVAL_QUORUM_S,
+        "quorum_linear": 4 * 8 * 8 / ROUTING_INTERVAL_QUORUM_S,
+        "quorum_sqrt": 8 * h * 8 / ROUTING_INTERVAL_QUORUM_S,
     }
 
 
@@ -109,19 +107,18 @@ class BandwidthModel:
     """Convenience bundle evaluating both algorithms at one overlay size."""
 
     n: int
-    config: OverlayConfig = field(default_factory=OverlayConfig)
 
     @property
     def probing(self) -> float:
-        return probing_bps(self.n, self.config.probe_interval_s)
+        return probing_bps(self.n)
 
     @property
     def fullmesh_routing(self) -> float:
-        return fullmesh_routing_bps(self.n, self.config.routing_interval_full_s)
+        return fullmesh_routing_bps(self.n)
 
     @property
     def quorum_routing(self) -> float:
-        return quorum_routing_bps(self.n, self.config.routing_interval_quorum_s)
+        return quorum_routing_bps(self.n)
 
     @property
     def fullmesh_total(self) -> float:

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.bandwidth import (
     fullmesh_routing_bps,
@@ -22,7 +22,7 @@ from repro.analysis.bandwidth import (
     total_bps,
 )
 from repro.errors import ConfigError
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import RouterKind
 
 __all__ = [
     "max_overlay_size",
@@ -33,25 +33,19 @@ __all__ = [
 ]
 
 
-def max_overlay_size(
-    budget_bps: float,
-    kind: RouterKind,
-    config: Optional[OverlayConfig] = None,
-    n_max: int = 1_000_000,
-) -> int:
+def max_overlay_size(budget_bps: float, kind: RouterKind, n_max: int = 1_000_000) -> int:
     """Largest ``n`` whose probing+routing traffic fits ``budget_bps``.
 
     Monotone bisection over the closed-form total.
     """
     if budget_bps <= 0:
         raise ConfigError("budget must be positive")
-    config = config or OverlayConfig()
-    if total_bps(2, kind, config) > budget_bps:
+    if total_bps(2, kind) > budget_bps:
         return 0
     lo, hi = 2, n_max
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if total_bps(mid, kind, config) <= budget_bps:
+        if total_bps(mid, kind) <= budget_bps:
             lo = mid
         else:
             hi = mid - 1
@@ -73,30 +67,24 @@ class CapacityComparison:
         return self.quorum_nodes / self.fullmesh_nodes
 
 
-def capacity_at_budget(
-    budget_bps: float = 56_000.0, config: Optional[OverlayConfig] = None
-) -> CapacityComparison:
+def capacity_at_budget(budget_bps: float = 56_000.0) -> CapacityComparison:
     """The §1 example: 56 Kbps -> 165 nodes (RON) vs ~300 (quorum)."""
-    config = config or OverlayConfig()
     return CapacityComparison(
         budget_bps=budget_bps,
-        fullmesh_nodes=max_overlay_size(budget_bps, RouterKind.FULL_MESH, config),
-        quorum_nodes=max_overlay_size(budget_bps, RouterKind.QUORUM, config),
+        fullmesh_nodes=max_overlay_size(budget_bps, RouterKind.FULL_MESH),
+        quorum_nodes=max_overlay_size(budget_bps, RouterKind.QUORUM),
     )
 
 
-def planetlab_sites_comparison(
-    n: int = 416, config: Optional[OverlayConfig] = None
-) -> Dict[str, float]:
+def planetlab_sites_comparison(n: int = 416) -> Dict[str, float]:
     """Per-node traffic of an overlay on all 416 PlanetLab sites (§1).
 
     Returns probing/routing/total bps for both algorithms; the paper
     quotes the totals as 307 Kbps (prior systems) vs 86 Kbps (ours).
     """
-    config = config or OverlayConfig()
-    probing = probing_bps(n, config.probe_interval_s)
-    full = fullmesh_routing_bps(n, config.routing_interval_full_s)
-    quorum = quorum_routing_bps(n, config.routing_interval_quorum_s)
+    probing = probing_bps(n)
+    full = fullmesh_routing_bps(n)
+    quorum = quorum_routing_bps(n)
     return {
         "n": n,
         "probing_bps": probing,

@@ -163,7 +163,6 @@ def _cmd_churn(args: argparse.Namespace) -> None:
         run_flash_crowd,
         run_in_band_churn,
         run_mass_failure_sweep,
-        run_rate_sweep,
     )
 
     n = args.n or 64
@@ -190,11 +189,6 @@ def _cmd_churn(args: argparse.Namespace) -> None:
     _write(out, "table_churn_mass_failure", mass.format_table())
     flash = run_flash_crowd(n=n, seed=args.seed)
     _write(out, "table_churn_flash_crowd", flash.format_table())
-    if args.full:
-        sweep = run_rate_sweep(
-            n=n, duration_s=args.duration, seed=args.seed
-        )
-        _write(out, "table_churn_rates", sweep.format_table())
 
 
 def _cmd_membership(args: argparse.Namespace) -> None:
@@ -354,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         help="churn: membership events per second (default 0.05)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="churn: also run the (slower) churn-rate sweep",
     )
     parser.add_argument(
         "--smoke",

@@ -1,6 +1,6 @@
 """The paper's core contribution: quorum-based all-pairs overlay routing."""
 
-from repro.core.failover import FailoverConfig, FailoverManager, FailoverPoll
+from repro.core.failover import FailoverManager, FailoverPoll
 from repro.core.grid import GridQuorum, grid_dimensions
 from repro.core.lowerbound import (
     count_diamonds_codegree,
@@ -44,7 +44,6 @@ from repro.core.quorum import (
 __all__ = [
     "CentralQuorum",
     "CommunicationLedger",
-    "FailoverConfig",
     "FailoverManager",
     "FailoverPoll",
     "FullMeshQuorum",

@@ -127,7 +127,7 @@ import numpy as np
 from repro.core.grid import GridQuorum, grid_dimensions
 from repro.errors import RoutingError
 
-__all__ = ["FailoverConfig", "FailoverPoll", "FailoverManager"]
+__all__ = ["FailoverPoll", "FailoverManager"]
 
 SeesAliveFn = Callable[[int], bool]
 #: A server's destinations (ascending) and their flat slot positions.
@@ -142,26 +142,6 @@ _INDEX_OF_SIZE: Dict[int, "_SizeIndex"] = {}
 
 def _known(t: float) -> Optional[float]:
     return None if t == _NEVER else float(t)
-
-
-@dataclass(frozen=True)
-class FailoverConfig:
-    """Timing knobs for failure detection.
-
-    Attributes
-    ----------
-    remote_timeout_s:
-        How long a server may go without covering a destination before it
-        is presumed remotely failed (backstop for lost recommendation
-        messages; an omission by a server that was covering triggers
-        immediately).
-    """
-
-    remote_timeout_s: float = 37.5  # 2.5 routing intervals at r = 15 s
-
-    def __post_init__(self) -> None:
-        if self.remote_timeout_s <= 0:
-            raise RoutingError("remote_timeout_s must be positive")
 
 
 @dataclass
@@ -304,11 +284,17 @@ class FailoverManager:
         self,
         me: int,
         rng: np.random.Generator,
-        config: Optional[FailoverConfig] = None,
+        remote_timeout_s: float = 37.5,  # 2.5 routing intervals at r = 15 s
     ):
+        if remote_timeout_s <= 0:
+            raise RoutingError("remote_timeout_s must be positive")
         self.me = me
         self._rng = rng
-        self.config = config or FailoverConfig()
+        #: How long a server may go without covering a destination before
+        #: it is presumed remotely failed (backstop for lost
+        #: recommendation messages; an omission by a server that was
+        #: covering triggers immediately).
+        self.remote_timeout_s = remote_timeout_s
         self._grid: Optional[GridQuorum] = None
         self._state: Dict[int, _DstState] = {}
         self._off_default: Dict[int, _OffDefaultLog] = {}
@@ -477,7 +463,7 @@ class FailoverManager:
         ``since``, when this node began expecting the server's answer."""
         if omitted > last and (adopted or last > _NEVER):
             return True
-        return now - max(last, since) > self.config.remote_timeout_s
+        return now - max(last, since) > self.remote_timeout_s
 
     def _off_default_failed(self, server: int, dst: int, now: float) -> bool:
         """Remote verdict for a server outside ``dst``'s default pair."""
@@ -541,7 +527,7 @@ class FailoverManager:
         # verdict.
         omitted = self._heard[link]
         remote = ((omitted > cover) & (cover > _NEVER) & (pair != dst_of_slot)) | (
-            now - np.maximum(cover, self._since) > self.config.remote_timeout_s
+            now - np.maximum(cover, self._since) > self.remote_timeout_s
         )
         failed = proximal | (remote & ~own)
         both = failed[:, 0] & failed[:, 1] & is_dst

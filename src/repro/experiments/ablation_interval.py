@@ -50,12 +50,8 @@ def run_interval_ablation(
         )
         overlay.run(warmup_s + duration_s)
 
-        recorder = overlay.freshness
-        assert recorder is not None
-        keep = [
-            i for i, t in enumerate(recorder.sample_times) if t >= warmup_s
-        ]
-        ages = recorder.ages()[keep]
+        assert overlay.freshness is not None
+        ages = overlay.freshness.ages(t0=warmup_s)
         off = ~np.eye(n, dtype=bool)
         sampled = ages[:, off]
         finite = sampled[np.isfinite(sampled)]

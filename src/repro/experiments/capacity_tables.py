@@ -22,7 +22,12 @@ from repro.analysis.capacity import (
     skype_scenario_reduction,
 )
 from repro.analysis.tables import render_table
-from repro.overlay.config import OverlayConfig
+from repro.overlay.config import (
+    PROBE_INTERVAL_S,
+    PROBES_TO_FAIL,
+    ROUTING_INTERVAL_FULL_S,
+    ROUTING_INTERVAL_QUORUM_S,
+)
 
 __all__ = [
     "config_table",
@@ -33,15 +38,13 @@ __all__ = [
 ]
 
 
-def config_table(config: OverlayConfig = None) -> str:
+def config_table() -> str:
     """§5's parameter table."""
-    config = config or OverlayConfig()
     rows = [
-        ["routing interval (r)", f"{config.routing_interval_full_s:.0f}s",
-         f"{config.routing_interval_quorum_s:.0f}s"],
-        ["probing interval (p)", f"{config.probe_interval_s:.0f}s",
-         f"{config.probe_interval_s:.0f}s"],
-        ["#probes for failure", str(config.probes_to_fail), str(config.probes_to_fail)],
+        ["routing interval (r)", f"{ROUTING_INTERVAL_FULL_S:.0f}s",
+         f"{ROUTING_INTERVAL_QUORUM_S:.0f}s"],
+        ["probing interval (p)", f"{PROBE_INTERVAL_S:.0f}s", f"{PROBE_INTERVAL_S:.0f}s"],
+        ["#probes for failure", str(PROBES_TO_FAIL), str(PROBES_TO_FAIL)],
     ]
     return render_table(
         ["Configuration parameter", "Full-mesh (RON)", "Quorum System"],

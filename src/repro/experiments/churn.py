@@ -56,13 +56,11 @@ __all__ = [
     "FlashCrowdResult",
     "InBandChurnResult",
     "MassFailureResult",
-    "RateSweepResult",
     "run_churn_run",
     "run_churn_comparison",
     "run_flash_crowd",
     "run_in_band_churn",
     "run_mass_failure_sweep",
-    "run_rate_sweep",
 ]
 
 ROUTERS: Tuple[RouterKind, ...] = (RouterKind.QUORUM, RouterKind.FULL_MESH)
@@ -320,79 +318,7 @@ def run_mass_failure_sweep(
 
 
 # ----------------------------------------------------------------------
-# Experiment 3: disruption CDF vs churn rate (plus a flash crowd)
-# ----------------------------------------------------------------------
-@dataclass
-class RateSweepResult:
-    """Disruption behavior as the churn rate grows."""
-
-    n: int
-    duration_s: float
-    rows: List[Tuple[float, ChurnRunStats]]  # (rate, stats)
-
-    def format_table(self) -> str:
-        rows = []
-        for rate, s in self.rows:
-            rows.append(
-                [
-                    f"{rate:g}",
-                    s.router,
-                    s.num_joins + s.num_leaves + s.num_fails,
-                    f"{s.mean_availability:.4f}",
-                    f"{s.min_availability:.4f}",
-                    s.num_disruptions,
-                    f"{s.disruption_p50_s:.1f}",
-                    f"{s.disruption_p90_s:.1f}",
-                    f"{s.disruption_p99_s:.1f}",
-                ]
-            )
-        return render_table(
-            [
-                "rate_per_s",
-                "router",
-                "events",
-                "avail_mean",
-                "avail_min",
-                "disruptions",
-                "p50_s",
-                "p90_s",
-                "p99_s",
-            ],
-            rows,
-            title=(
-                f"Churn rate sweep — n={self.n}, {self.duration_s:g}s "
-                "traces; disruption durations in seconds (CDF percentiles)"
-            ),
-        )
-
-
-def run_rate_sweep(
-    n: int = 64,
-    rates: Sequence[float] = (0.01, 0.05, 0.1),
-    duration_s: float = 300.0,
-    seed: int = 42,
-    config: Optional[OverlayConfig] = None,
-) -> RateSweepResult:
-    """Sustained churn at increasing rates, both routers per rate."""
-    rows: List[Tuple[float, ChurnRunStats]] = []
-    for rate in rates:
-        churn = ChurnTrace.poisson(
-            n=n,
-            rate_per_s=rate,
-            duration_s=duration_s,
-            seed=seed,
-            crash_fraction=0.5,
-            warmup_s=60.0,
-        )
-        for router in ROUTERS:
-            rows.append(
-                (rate, run_churn_run(churn, router, seed=seed, config=config))
-            )
-    return RateSweepResult(n=n, duration_s=duration_s, rows=rows)
-
-
-# ----------------------------------------------------------------------
-# Experiment 4: flash crowd
+# Experiment 3: flash crowd
 # ----------------------------------------------------------------------
 @dataclass
 class FlashCrowdResult:
@@ -463,7 +389,7 @@ def run_flash_crowd(
 
 
 # ----------------------------------------------------------------------
-# Experiment 5: lossy in-band membership vs the out-of-band shortcut
+# Experiment 4: lossy in-band membership vs the out-of-band shortcut
 # ----------------------------------------------------------------------
 @dataclass
 class InBandChurnResult:

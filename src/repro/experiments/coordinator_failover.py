@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.experiments.replay import run_plan, view_convergence
-from repro.overlay.config import OverlayConfig, Replicated, RetryBackoff
+from repro.overlay.config import OverlayConfig, Replicated
 from repro.overlay.harness import Overlay
 from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.faults import FaultPlan
@@ -58,24 +58,14 @@ MEASURE_FROM_S = 60.0
 def scenario_config(k: int = 3) -> OverlayConfig:
     """The suite's replicated-membership configuration.
 
-    Timeouts are compressed (vs the paper's hour-scale membership
-    timeout) so detection, promotion, expiry pressure, and recovery all
-    happen within a sub-hour simulated run: members heartbeat every
-    ``timeout/3 = 30 s``, declare the coordinator dead after 20 s of
-    silence, and walk the ring with 2→16 s jittered backoff; replicas
-    promote after 25 s of primary silence per rank.
+    The membership timeout is compressed (vs the paper's hour-scale
+    one) to match :mod:`repro.overlay.coordination`'s ring and replica
+    timings, so members heartbeat every ``timeout/3 = 30 s``; view
+    deltas are batched over 5 s windows.
     """
     return OverlayConfig(
         membership_timeout_s=90.0,
-        membership=Replicated(
-            coordinators=k,
-            deltas=True,
-            notify_batch_s=5.0,
-            failover_timeout_s=20.0,
-            retry=RetryBackoff(base_s=2.0, max_s=16.0),
-            heartbeat_s=5.0,
-            promote_timeout_s=25.0,
-        ),
+        membership=Replicated(coordinators=k, deltas=True, notify_batch_s=5.0),
     )
 
 

@@ -30,7 +30,7 @@ from repro.analysis.cdf import counts_at
 from repro.analysis.tables import render_series
 from repro.net.failures import NodeClass, assign_node_classes, build_failure_table
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import PROBE_INTERVAL_S, RouterKind
 from repro.overlay.harness import Overlay, build_overlay
 from repro.overlay.router_quorum import QuorumRouter
 
@@ -193,20 +193,16 @@ def run_deployment(
     duration_s: float = 900.0,
     warmup_s: float = 240.0,
     seed: int = 42,
-    config: Optional[OverlayConfig] = None,
     router: RouterKind = RouterKind.QUORUM,
 ) -> DeploymentResult:
     """Run the deployment experiment and collect all §6 measurements."""
     rng = np.random.default_rng(seed)
-    config = config or OverlayConfig()
     trace = planetlab_like(n, rng)
     horizon = warmup_s + duration_s + 120.0
     classes = assign_node_classes(n, rng)
     failures = build_failure_table(n, horizon, rng, node_classes=classes)
 
-    overlay = build_overlay(
-        trace=trace, router=router, rng=rng, failures=failures, config=config
-    )
+    overlay = build_overlay(trace=trace, router=router, rng=rng, failures=failures)
 
     concurrent_samples: List[np.ndarray] = []
     double_samples: List[np.ndarray] = []
@@ -220,7 +216,7 @@ def run_deployment(
         if overlay.sim.now >= t_start:
             double_samples.append(overlay.double_failure_counts())
 
-    overlay.sim.periodic(config.probe_interval_s, sample_concurrent, phase=29.0)
+    overlay.sim.periodic(PROBE_INTERVAL_S, sample_concurrent, phase=29.0)
     overlay.sim.periodic(60.0, sample_double, phase=59.0)
 
     overlay.run(warmup_s + duration_s)
@@ -233,21 +229,8 @@ def run_deployment(
             for key, val in router_obj.counters.as_dict().items():
                 counters[key] = counters.get(key, 0) + val
 
-    # Freshness: drop warmup samples.
-    recorder = overlay.freshness
-    assert recorder is not None
-    keep = [i for i, t in enumerate(recorder.sample_times) if t >= t_start]
-    ages = recorder.ages()[keep]
-    finite = np.where(np.isfinite(ages), ages, np.nan)
-    with np.errstate(invalid="ignore"):
-        freshness_stats = {
-            "median": np.nanmedian(finite, axis=0),
-            "average": np.nanmean(finite, axis=0),
-            "p97": np.nanpercentile(finite, 97, axis=0),
-            "max": ages.max(axis=0),
-        }
-    for key, mat in freshness_stats.items():
-        freshness_stats[key] = np.where(np.isnan(mat), np.inf, mat)
+    assert overlay.freshness is not None
+    freshness_stats = overlay.freshness.per_pair_stats(t0=t_start)
 
     optimality, availability = _route_effectiveness(overlay)
 

@@ -22,7 +22,7 @@ import numpy as np
 from repro.analysis.bandwidth import fullmesh_routing_bps, quorum_routing_bps
 from repro.analysis.tables import render_table
 from repro.net.trace import planetlab_like
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
 
 __all__ = ["Fig9Result", "run_fig9"]
@@ -82,10 +82,8 @@ def run_fig9(
     duration_s: float = 300.0,
     warmup_s: float = 60.0,
     seed: int = 9,
-    config: Optional[OverlayConfig] = None,
 ) -> Fig9Result:
     """Run the failure-free emulation sweep for both algorithms."""
-    config = config or OverlayConfig()
     measured: Dict[RouterKind, List[float]] = {
         RouterKind.FULL_MESH: [],
         RouterKind.QUORUM: [],
@@ -98,7 +96,6 @@ def run_fig9(
                 trace=trace,
                 router=kind,
                 rng=rng,
-                config=config,
                 with_freshness=False,
             )
             overlay.run(warmup_s + duration_s)
@@ -108,10 +105,6 @@ def run_fig9(
         sizes=list(sizes),
         measured_fullmesh_bps=measured[RouterKind.FULL_MESH],
         measured_quorum_bps=measured[RouterKind.QUORUM],
-        theory_fullmesh_bps=[
-            fullmesh_routing_bps(n, config.routing_interval_full_s) for n in sizes
-        ],
-        theory_quorum_bps=[
-            quorum_routing_bps(n, config.routing_interval_quorum_s) for n in sizes
-        ],
+        theory_fullmesh_bps=[fullmesh_routing_bps(n) for n in sizes],
+        theory_quorum_bps=[quorum_routing_bps(n) for n in sizes],
     )

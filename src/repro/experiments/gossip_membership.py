@@ -86,14 +86,10 @@ def gossip_config() -> OverlayConfig:
 
     Matches the failover suite's compressed timescale: the 90 s
     membership timeout doubles as the gossip crash-expiry timeout, so
-    both planes detect a silent member on the same clock. Digest rounds
-    every 5 s to ``fanout=3`` live peers (plus one dead-probe) keep
-    epidemic dissemination O(log n) rounds.
+    both planes detect a silent member on the same clock. The push
+    rounds are :mod:`repro.overlay.gossip`'s constants.
     """
-    return OverlayConfig(
-        membership_timeout_s=90.0,
-        membership=Gossip(interval_s=5.0, fanout=3),
-    )
+    return OverlayConfig(membership_timeout_s=90.0, membership=Gossip())
 
 
 def _coordinator_hosts(n: int, k: int = 3) -> Tuple[int, ...]:

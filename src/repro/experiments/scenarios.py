@@ -29,7 +29,7 @@ from repro.core.onehop import best_one_hop_all_pairs
 from repro.errors import ConfigError
 from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.trace import SyntheticTrace, uniform_random_metric
-from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.config import PROBE_INTERVAL_S, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.router_base import SOURCE_RECOMMENDATION
 
@@ -160,14 +160,12 @@ def run_scenario(
     n: int = 49,
     seed: int = 4,
     router: RouterKind = RouterKind.QUORUM,
-    config: Optional[OverlayConfig] = None,
     warmup_s: float = 150.0,
     watch_s: float = 150.0,
 ) -> ScenarioResult:
     """Run one of the three §4.1 scenarios (1, 2, or 3)."""
     if scenario not in (1, 2, 3):
         raise ConfigError(f"scenario must be 1, 2, or 3, got {scenario}")
-    config = config or OverlayConfig()
     trace, src, dst, pair, best_c = _select_geometry(n, seed)
     r1, r2 = pair
     t_fail = warmup_s
@@ -191,7 +189,6 @@ def run_scenario(
         router=router,
         rng=np.random.default_rng(seed),
         failures=failures,
-        config=config,
         with_freshness=False,
     )
     overlay.run(t_fail - 1.0)  # converge
@@ -200,8 +197,8 @@ def run_scenario(
         overlay, src, dst, t_fail, watch_s, exclude_servers=exclude
     )
 
-    p = config.probe_interval_s
-    r = config.routing_interval_s(router)
+    p = PROBE_INTERVAL_S
+    r = OverlayConfig().routing_interval_s(router)
     if router is RouterKind.FULL_MESH:
         bound = p + r
     else:
@@ -219,18 +216,10 @@ def run_scenario(
     )
 
 
-def run_all_scenarios(
-    n: int = 49, seed: int = 4, config: Optional[OverlayConfig] = None
-) -> List[ScenarioResult]:
+def run_all_scenarios(n: int = 49, seed: int = 4) -> List[ScenarioResult]:
     """All three quorum scenarios plus the full-mesh scenario-1 baseline."""
-    results = [
-        run_scenario(s, n=n, seed=seed, config=config) for s in (1, 2, 3)
-    ]
-    results.append(
-        run_scenario(
-            1, n=n, seed=seed, config=config, router=RouterKind.FULL_MESH
-        )
-    )
+    results = [run_scenario(s, n=n, seed=seed) for s in (1, 2, 3)]
+    results.append(run_scenario(1, n=n, seed=seed, router=RouterKind.FULL_MESH))
     return results
 
 

@@ -7,11 +7,26 @@ The paper's deployment parameters::
     probing interval (p)      30 s              30 s
     #probes for failure       5                 5
 
+are this module's ``ROUTING_INTERVAL_FULL_S`` and
+``ROUTING_INTERVAL_QUORUM_S`` (r), ``PROBE_INTERVAL_S`` (p) and
+``PROBES_TO_FAIL``. The values the paper derives from them are constants
+too: ``RAPID_PROBE_INTERVAL_S`` fits the follow-up probes of a first
+loss into one probing interval, ``REC_MEMORY_INTERVALS`` and
+``REMOTE_TIMEOUT_INTERVALS`` count quorum routing intervals, and
+``EWMA_ALPHA``, ``FRESHNESS_SAMPLE_S`` and ``BANDWIDTH_BUCKET_S`` are the
+monitor's and the evaluation's.
+
 The quorum system runs its routing interval at half the full-mesh value
 because, absent rendezvous failures, it takes two routing intervals to
 propagate fresh probing data into optimal routes (§4, "Comparison to n^2
 link-state failover"). Bandwidth scales linearly with both frequencies, so
 the *relative* cost of the two algorithms is interval-independent (§5).
+
+A value is a field of :class:`OverlayConfig` or of a membership variant
+only when two runs set it differently (the interval ablation runs the
+quorum router at 15 s and 30 s; the experiments pick the plane and its
+timeout). Every other value is a named constant beside the code that
+reads it, so no config can mis-set one.
 """
 
 from __future__ import annotations
@@ -26,6 +41,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
 __all__ = [
+    "PROBE_INTERVAL_S",
+    "PROBES_TO_FAIL",
+    "RAPID_PROBE_INTERVAL_S",
+    "ROUTING_INTERVAL_FULL_S",
+    "ROUTING_INTERVAL_QUORUM_S",
+    "EWMA_ALPHA",
+    "REC_MEMORY_INTERVALS",
+    "REMOTE_TIMEOUT_INTERVALS",
+    "FRESHNESS_SAMPLE_S",
+    "BANDWIDTH_BUCKET_S",
     "RouterKind",
     "RetryBackoff",
     "OutOfBand",
@@ -35,6 +60,31 @@ __all__ = [
     "MembershipConfig",
     "OverlayConfig",
 ]
+
+#: Probing interval p (seconds); full link monitoring each interval.
+PROBE_INTERVAL_S = 30.0
+#: Consecutive failed probes before a link is declared down.
+PROBES_TO_FAIL = 5
+#: Interval between the rapid follow-up probes sent after a first loss;
+#: the ``PROBES_TO_FAIL - 1`` follow-ups fit inside one probing interval
+#: ("detects failures within 1 probing period", §5).
+RAPID_PROBE_INTERVAL_S = 6.0
+#: Routing interval r of the full-mesh (RON) router.
+ROUTING_INTERVAL_FULL_S = 30.0
+#: Routing interval r of the quorum router (half of full mesh, §5).
+ROUTING_INTERVAL_QUORUM_S = 15.0
+#: EWMA weight of a new latency sample.
+EWMA_ALPHA = 0.5
+#: A rendezvous uses client link state received within this many
+#: routing intervals when computing recommendations (§6.2.2: 3).
+REC_MEMORY_INTERVALS = 3.0
+#: Remote-failure timeout, in routing intervals (backstop for lost
+#: recommendation messages; affirmative omissions act immediately).
+REMOTE_TIMEOUT_INTERVALS = 2.5
+#: Freshness sampling period used by the evaluation (§6.2.2: 30 s).
+FRESHNESS_SAMPLE_S = 30.0
+#: Bandwidth accounting bucket width (seconds).
+BANDWIDTH_BUCKET_S = 10.0
 
 
 class RouterKind(Enum):
@@ -55,18 +105,13 @@ class RetryBackoff:
     """Jittered exponential backoff: ``base_s * 2**attempt`` capped at
     ``max_s``, stretched by a uniform factor in ``[1, 1 + jitter]`` so
     correlated failures do not make every retrier fire in lockstep.
-    Shared by the coordinator ring walk and the gossip plane's pulls."""
+    The coordinator ring walk and the gossip plane's pulls each hold one
+    as a module constant (``coordination.RING_RETRY``,
+    ``gossip.PULL_RETRY``)."""
 
     base_s: float = 2.0
     max_s: float = 30.0
     jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        _require_positive(retry_base_s=self.base_s, retry_max_s=self.max_s)
-        if self.max_s < self.base_s:
-            raise ConfigError("retry max_s must be >= base_s")
-        if self.jitter < 0:
-            raise ConfigError("retry jitter must be non-negative")
 
     def delay(self, attempt: int, rng: Optional[np.random.Generator]) -> float:
         """The delay before (0-based) retry ``attempt``."""
@@ -105,73 +150,31 @@ class InBand(OutOfBand):
     overlay transport, co-located at node 0: views are wire messages
     subject to loss, outages and delay, and nodes heartbeat with
     refreshes piggybacking their held version so lost updates are
-    detected and repaired."""
-
-    #: While the coordinator itself looks partitioned (it heard *no*
-    #: member heartbeat for over one heartbeat interval) or is freshly
-    #: promoted, the refresh timeout is stretched by this factor so a
-    #: coordinator outage cannot mass-expire healthy members. 1.0
-    #: disables the grace.
-    expiry_grace: float = 4.0
-
-    def __post_init__(self) -> None:
-        OutOfBand.__post_init__(self)
-        if self.expiry_grace < 1.0:
-            raise ConfigError("expiry_grace must be >= 1")
+    detected and repaired. Its expiry grace is
+    :data:`repro.overlay.membership.IN_BAND_EXPIRY_GRACE`."""
 
 
 @dataclass(frozen=True, slots=True)
 class Replicated(InBand):
     """``coordinators`` in-band endpoints: a primary publishes views
     while the others mirror its log over the wire and take over, with an
-    epoch bump, when it goes silent."""
+    epoch bump, when it goes silent. The ring and replica timings are
+    :mod:`repro.overlay.coordination`'s constants."""
 
     coordinators: int = 3
-    #: A node that has heard nothing from its coordinator (view pushes
-    #: or refresh acks) for this long fails over to the next address in
-    #: the ring, retrying with ``retry``.
-    failover_timeout_s: float = 30.0
-    retry: RetryBackoff = RetryBackoff()
-    #: Primary-to-replica heartbeat period.
-    heartbeat_s: float = 10.0
-    #: A replica that heard nothing from the primary for ``rank * this``
-    #: promotes itself (rank = its ring distance after the primary, so
-    #: the first live replica wins without an election).
-    promote_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
-        InBand.__post_init__(self)
+        OutOfBand.__post_init__(self)
         if self.coordinators < 2:
             raise ConfigError("a replicated plane needs coordinators >= 2")
-        _require_positive(
-            failover_timeout_s=self.failover_timeout_s,
-            heartbeat_s=self.heartbeat_s,
-            promote_timeout_s=self.promote_timeout_s,
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class Gossip:
     """No coordinator: joins, leaves and crash expiries are locally
     originated ops, version-vector-ordered and spread by periodic digest
-    push plus anti-entropy pull over the overlay transport."""
-
-    #: Period of each node's digest push round.
-    interval_s: float = 10.0
-    #: Number of random live peers a digest push targets.
-    fanout: int = 3
-    #: Per-origin op-log retention for range replay; pulls reaching past
-    #: it fall back to a full resolved-state snapshot.
-    log_ops: int = 128
-    #: Backoff of the anti-entropy and join pulls.
-    retry: RetryBackoff = RetryBackoff()
-
-    def __post_init__(self) -> None:
-        _require_positive(interval_s=self.interval_s)
-        if self.fanout < 1:
-            raise ConfigError("gossip fanout must be >= 1")
-        if self.log_ops < 1:
-            raise ConfigError("gossip log_ops must be >= 1")
+    push plus anti-entropy pull over the overlay transport. Its round,
+    fanout, log and backoff are :mod:`repro.overlay.gossip`'s constants."""
 
 
 #: The membership plane an overlay runs, with that plane's tunables.
@@ -180,36 +183,16 @@ MembershipConfig = Union[OutOfBand, InBand, Replicated, Gossip]
 
 @dataclass(frozen=True, slots=True)
 class OverlayConfig:
-    """All tunables of the overlay, defaulting to the paper's values."""
+    """What one run of the overlay sets differently from another; the
+    defaults are the paper's values."""
 
-    #: Probing interval p (seconds); full link monitoring each interval.
-    probe_interval_s: float = 30.0
-    #: Consecutive failed probes before a link is declared down.
-    probes_to_fail: int = 5
-    #: Interval between the rapid follow-up probes sent after a first
-    #: loss; chosen so that 5 losses are observable within one probing
-    #: interval ("detects failures within 1 probing period", §5).
-    rapid_probe_interval_s: float = 6.0
-    #: Routing interval r for the full-mesh (RON) router.
-    routing_interval_full_s: float = 30.0
-    #: Routing interval r for the quorum router (half of full mesh, §5).
-    routing_interval_quorum_s: float = 15.0
-    #: EWMA weight of a new latency sample.
-    ewma_alpha: float = 0.5
-    #: A rendezvous uses client link state received within this many
-    #: routing intervals when computing recommendations (§6.2.2: 3).
-    rec_memory_intervals: float = 3.0
-    #: Remote-failure timeout, in routing intervals (backstop for lost
-    #: recommendation messages; affirmative omissions act immediately).
-    remote_timeout_intervals: float = 2.5
+    #: Routing interval r of the quorum router (the interval ablation
+    #: runs 15 s and 30 s).
+    routing_interval_quorum_s: float = ROUTING_INTERVAL_QUORUM_S
     #: Membership timeout (30 minutes, §5).
     membership_timeout_s: float = 1800.0
     #: Which membership plane delivers the view, and its tunables.
     membership: MembershipConfig = OutOfBand()
-    #: Freshness sampling period used by the evaluation (§6.2.2: 30 s).
-    freshness_sample_s: float = 30.0
-    #: Bandwidth accounting bucket width (seconds).
-    bandwidth_bucket_s: float = 10.0
     #: §7 future-work extension: keep recommendations from two distinct
     #: rendezvous per destination and locally cross-validate them at
     #: lookup time, surviving a lying (malicious) rendezvous.
@@ -217,37 +200,20 @@ class OverlayConfig:
 
     def __post_init__(self) -> None:
         _require_positive(
-            probe_interval_s=self.probe_interval_s,
-            rapid_probe_interval_s=self.rapid_probe_interval_s,
-            routing_interval_full_s=self.routing_interval_full_s,
             routing_interval_quorum_s=self.routing_interval_quorum_s,
-            rec_memory_intervals=self.rec_memory_intervals,
-            remote_timeout_intervals=self.remote_timeout_intervals,
             membership_timeout_s=self.membership_timeout_s,
-            freshness_sample_s=self.freshness_sample_s,
-            bandwidth_bucket_s=self.bandwidth_bucket_s,
         )
-        if self.probes_to_fail < 1:
-            raise ConfigError("probes_to_fail must be >= 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigError("ewma_alpha must be in (0, 1]")
-        if self.rapid_probe_interval_s * (self.probes_to_fail - 1) > self.probe_interval_s:
-            raise ConfigError(
-                "rapid probing must fit the detection budget: "
-                f"{self.probes_to_fail - 1} follow-ups at "
-                f"{self.rapid_probe_interval_s}s exceed one probe interval"
-            )
 
     def routing_interval_s(self, kind: RouterKind) -> float:
         """The routing interval for a router kind."""
         if kind is RouterKind.FULL_MESH:
-            return self.routing_interval_full_s
+            return ROUTING_INTERVAL_FULL_S
         return self.routing_interval_quorum_s
 
     def rec_memory_s(self) -> float:
         """Age limit on client link state used in recommendations (3r)."""
-        return self.rec_memory_intervals * self.routing_interval_quorum_s
+        return REC_MEMORY_INTERVALS * self.routing_interval_quorum_s
 
     def remote_timeout_s(self) -> float:
         """Remote rendezvous failure timeout in seconds."""
-        return self.remote_timeout_intervals * self.routing_interval_quorum_s
+        return REMOTE_TIMEOUT_INTERVALS * self.routing_interval_quorum_s

@@ -30,7 +30,7 @@ Design
   anywhere. Epoch 0 is reserved for the unreplicated legacy coordinator
   and costs nothing on the wire.
 * **Failure detection.** The primary heartbeats every backup; a backup
-  that hears nothing for ``promote_timeout_s * rank`` promotes itself,
+  that hears nothing for ``PROMOTE_TIMEOUT_S * rank`` promotes itself,
   where ``rank`` is its ring distance from the believed primary — the
   stagger makes the first live replica win without an election.
 * **Member failover** lives in :class:`RingClient`, each node's
@@ -65,7 +65,7 @@ from repro.net.packet import (
 )
 from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
-from repro.overlay.config import Replicated
+from repro.overlay.config import Replicated, RetryBackoff
 from repro.overlay.membership import (
     MembershipService,
     MembershipView,
@@ -80,6 +80,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.node import OverlayNode
 
 __all__ = ["Coordinator", "CoordinatorGroup", "RingClient"]
+
+# The ring and replica timings, compressed from the paper's hour-scale
+# membership timeout so that detection, promotion, expiry pressure and
+# recovery all happen within a sub-hour simulated run.
+
+#: A member that has heard nothing from its coordinator (view pushes or
+#: refresh acks) for this long fails over to the next address in the
+#: ring, retrying with :data:`RING_RETRY`.
+FAILOVER_TIMEOUT_S = 20.0
+#: Backoff of the ring walk: 2 s doubling to 16 s, jittered.
+RING_RETRY = RetryBackoff(base_s=2.0, max_s=16.0)
+#: Primary-to-replica heartbeat period.
+HEARTBEAT_S = 5.0
+#: A replica that heard nothing from the primary for ``rank * this``
+#: promotes itself (rank = its ring distance after the primary, so the
+#: first live replica wins without an election).
+PROMOTE_TIMEOUT_S = 25.0
 
 ROLE_PRIMARY = "primary"
 ROLE_BACKUP = "backup"
@@ -110,7 +127,6 @@ class Coordinator:
         "role",
         "service",
         "_service_factory",
-        "_promote_timeout_s",
         "_m_epoch",
         "_m_view",
         "_m_log",
@@ -131,8 +147,6 @@ class Coordinator:
         host: int,
         addresses: Tuple[int, ...],
         service_factory: Callable[[], MembershipService],
-        heartbeat_s: float,
-        promote_timeout_s: float,
         stats: CounterSet,
     ):
         self._sim = sim
@@ -144,7 +158,6 @@ class Coordinator:
         self.role = ROLE_BACKUP
         self.service: Optional[MembershipService] = None
         self._service_factory = service_factory
-        self._promote_timeout_s = promote_timeout_s
         #: Mirrored (replica) state: the log head this coordinator could
         #: promote from. Maintained while backup; seeded from the live
         #: service on demotion/crash.
@@ -160,14 +173,14 @@ class Coordinator:
         # role inside the callback — promotion/demotion/restore never
         # has to re-plumb timer state. Phases are staggered by index so
         # coordinators never share a tick.
-        period = promote_timeout_s / 4.0
+        period = PROMOTE_TIMEOUT_S / 4.0
         self._watch_timer = self._sim.periodic(
             period, self._watch_tick, phase=period * (1.0 + index / len(addresses))
         )
         self._heartbeat_timer = self._sim.periodic(
-            heartbeat_s,
+            HEARTBEAT_S,
             self._heartbeat_tick,
-            phase=heartbeat_s * (1.0 + index / len(addresses)),
+            phase=HEARTBEAT_S * (1.0 + index / len(addresses)),
         )
 
     # ------------------------------------------------------------------
@@ -303,7 +316,7 @@ class Coordinator:
         if self.role != ROLE_BACKUP:
             return
         silence = self._sim.now - self._primary_heard_at
-        if silence > self._promote_timeout_s * self._rank():
+        if silence > PROMOTE_TIMEOUT_S * self._rank():
             self._promote()
 
     def _heartbeat_tick(self) -> None:
@@ -467,13 +480,12 @@ class Coordinator:
 class RingClient(WireClient):
     """A node's client on the replicated plane: a :class:`WireClient`
     that heartbeats whichever coordinator it believes is primary and,
-    when that one goes silent past ``failover_timeout_s``, walks the
+    when that one goes silent past :data:`FAILOVER_TIMEOUT_S`, walks the
     ring of ``addresses`` with jittered backoff (``rng`` supplies the
     jitter) until an acknowledgement or view push proves one live."""
 
     __slots__ = (
         "_ring",
-        "_tunables",
         "_rng",
         "_heard_at",
         "_refresh_sent_at",
@@ -490,12 +502,10 @@ class RingClient(WireClient):
         self,
         node: "OverlayNode",
         addresses: Tuple[int, ...],
-        tunables: Replicated,
         rng: np.random.Generator,
     ):
         super().__init__(node, addresses[0])
         self._ring = addresses
-        self._tunables = tunables
         self._rng = rng
         #: Last proof of life from the current coordinator (refresh acks
         #: and view pushes both count).
@@ -546,7 +556,7 @@ class RingClient(WireClient):
         self._heard_at = self.node.sim.now
         if self._watch_timer is not None:
             return
-        interval = self._tunables.failover_timeout_s / 2.0
+        interval = FAILOVER_TIMEOUT_S / 2.0
         self._watch_timer = self.node.sim.periodic(
             interval,
             self._watch_tick,
@@ -563,9 +573,7 @@ class RingClient(WireClient):
         if self._phases is None:
             return
         self.failovers += 1
-        self.node.arm_start_on_view(
-            *self._phases, self._tunables.failover_timeout_s / 2.0
-        )
+        self.node.arm_start_on_view(*self._phases, FAILOVER_TIMEOUT_S / 2.0)
         self.watch()
 
     # -- proof of life --------------------------------------------------
@@ -606,9 +614,7 @@ class RingClient(WireClient):
 
     # -- the ring walk --------------------------------------------------
     def _silent(self) -> bool:
-        return (
-            self.node.sim.now - self._heard_at > self._tunables.failover_timeout_s
-        )
+        return self.node.sim.now - self._heard_at > FAILOVER_TIMEOUT_S
 
     def _watch_tick(self) -> None:
         if not self.node.registered or self._retry_event is not None:
@@ -633,7 +639,7 @@ class RingClient(WireClient):
         self._retry_sent_to = self.address
         self.heartbeat()
         self._retry_event = self.node.sim.schedule(
-            self._tunables.retry.delay(self._retry_attempt, self._rng),
+            RING_RETRY.delay(self._retry_attempt, self._rng),
             self._retry_tick,
         )
 
@@ -702,8 +708,6 @@ class CoordinatorGroup:
                 host=hosts[i],
                 addresses=addresses,
                 service_factory=service_factory,
-                heartbeat_s=tunables.heartbeat_s,
-                promote_timeout_s=tunables.promote_timeout_s,
                 stats=self.stats,
             )
             for i, addr in enumerate(addresses)
@@ -772,10 +776,7 @@ class CoordinatorGroup:
         # The per-node jitter rng is drawn only on this plane, so the
         # others keep their exact build streams.
         client = RingClient(
-            node,
-            self.addresses,
-            self._tunables,
-            np.random.default_rng(rng.integers(2**63)),
+            node, self.addresses, np.random.default_rng(rng.integers(2**63))
         )
         node.membership = client
         self._clients.append(client)

@@ -1,6 +1,6 @@
 """Coordinator-free membership: peer-to-peer gossip anti-entropy.
 
-With ``OverlayConfig(membership=Gossip(...))`` the §5 coordinator
+With ``OverlayConfig(membership=Gossip())`` the §5 coordinator
 disappears entirely. Membership changes — joins, graceful leaves, and crash
 expiries — become locally-originated *ops* that any node can introduce:
 
@@ -18,10 +18,10 @@ so at equal stamps a death claim (leave/expire) beats the join it
 refutes, and a member refutes a false death by re-joining at
 ``stamp + 1``. A member is *alive* iff its winning action is a join.
 
-Dissemination is push-pull epidemic: every ``interval_s`` each
+Dissemination is push-pull epidemic: every :data:`PUSH_INTERVAL_S` each
 node bumps its heartbeat counter and pushes a
 :class:`~repro.net.packet.GossipDigest` (version vector + heartbeat
-vector) to ``fanout`` random live peers. A receiver that is
+vector) to :data:`FANOUT` random live peers. A receiver that is
 behind pulls the missing per-origin ranges
 (:class:`~repro.net.packet.GossipPull`); one that is ahead pushes its
 surplus ops straight back (:class:`~repro.net.packet.GossipOps`). When a
@@ -29,7 +29,7 @@ responder's bounded op log no longer covers a requested range — or the
 range is unreasonably large — it falls back to a full resolved-state
 :class:`~repro.net.packet.GossipSnapshot`, the gossip analogue of the
 coordinator plane's full-view repair. Pull retries back off like the
-coordinator ring walk (:class:`~repro.overlay.config.RetryBackoff`), and
+coordinator ring walk (:data:`PULL_RETRY`), and
 the routers' version-gap callback triggers an immediate (rate-limited)
 extra push round.
 
@@ -70,7 +70,7 @@ from repro.net.packet import (
 )
 from repro.net.simulator import Simulator
 from repro.net.transport import DatagramTransport
-from repro.overlay.config import Gossip
+from repro.overlay.config import RetryBackoff
 from repro.overlay.membership import MembershipView
 from repro.overlay.node import OverlayNode
 from repro.overlay.stats import CounterSet
@@ -84,6 +84,17 @@ __all__ = [
     "GossipMembershipNode",
     "GossipMembershipPlane",
 ]
+
+#: Period of each node's digest push round; with ``FANOUT`` peers per
+#: round (plus one dead-probe) dissemination takes O(log n) rounds.
+PUSH_INTERVAL_S = 5.0
+#: Number of random live peers a digest push targets.
+FANOUT = 3
+#: Per-origin op-log retention for range replay; pulls reaching past it
+#: fall back to a full resolved-state snapshot.
+LOG_OPS = 128
+#: Backoff of the anti-entropy and join pulls.
+PULL_RETRY = RetryBackoff()
 
 #: Membership op actions (the wire codec validates this exact range).
 OP_JOIN = 1
@@ -160,7 +171,6 @@ class GossipMembershipNode:
         "node",
         "sim",
         "transport",
-        "tunables",
         "timeout_s",
         "me",
         "rng",
@@ -192,14 +202,12 @@ class GossipMembershipNode:
         self,
         node: OverlayNode,
         transport: DatagramTransport,
-        tunables: Gossip,
         timeout_s: float,
         rng: np.random.Generator,
     ):
         self.node = node
         self.sim: Simulator = node.sim
         self.transport = transport
-        self.tunables = tunables
         #: A member whose heartbeat has not advanced for this long is
         #: expired (the overlay's membership timeout).
         self.timeout_s = timeout_s
@@ -291,7 +299,7 @@ class GossipMembershipNode:
     ) -> None:
         log = self.logs.get(origin)
         if log is None:
-            log = deque(maxlen=self.tunables.log_ops)
+            log = deque(maxlen=LOG_OPS)
             self.logs[origin] = log
         log.append((seq, action, target, stamp))
         self.vv[origin] = seq
@@ -334,11 +342,10 @@ class GossipMembershipNode:
         rng phase so rounds are unsynchronized across nodes."""
         if self._push_timer is not None:
             return
-        interval = self.tunables.interval_s
         self._push_timer = self.sim.periodic(
-            interval,
+            PUSH_INTERVAL_S,
             self._gossip_tick,
-            phase=interval * (0.1 + 0.9 * float(self.rng.random())),
+            phase=PUSH_INTERVAL_S * (0.1 + 0.9 * float(self.rng.random())),
         )
 
     def on_node_stop(self) -> None:
@@ -377,7 +384,7 @@ class GossipMembershipNode:
         dst = self._join_seeds[int(self.rng.integers(len(self._join_seeds)))]
         self.transport.send(self.me, dst, GossipPull(origin=self.me, ranges=()))
         self.counters.incr("pulls")
-        delay = self.tunables.retry.delay(self._join_attempt, self.rng)
+        delay = PULL_RETRY.delay(self._join_attempt, self.rng)
         self._join_attempt += 1
         self._join_event = self.sim.schedule(delay, self._join_retry_tick)
 
@@ -482,7 +489,7 @@ class GossipMembershipNode:
         return self._dead
 
     def _push_digest(self) -> None:
-        targets = self._pick_peers(self.tunables.fanout)
+        targets = self._pick_peers(FANOUT)
         # Probe one known-dead member per round. After a symmetric
         # partition both sides expire each other, leaving neither with a
         # live peer on the far side — mutual deafness no amount of
@@ -505,7 +512,7 @@ class GossipMembershipNode:
 
     def _push_ops(self, ops: Tuple[Op, ...]) -> None:
         """Eagerly push specific ops (join/leave announcements)."""
-        for dst in self._pick_peers(self.tunables.fanout):
+        for dst in self._pick_peers(FANOUT):
             self.transport.send(self.me, dst, GossipOps(origin=self.me, ops=ops))
             self.counters.incr("ops_sent", len(ops))
 
@@ -514,7 +521,7 @@ class GossipMembershipNode:
         digest round now, rate-limited to one per gossip interval."""
         if not self.active or not self.node.registered:
             return
-        if self.sim.now - self._last_push_at < self.tunables.interval_s:
+        if self.sim.now - self._last_push_at < PUSH_INTERVAL_S:
             return
         self.counters.incr("nudges")
         self._push_digest()
@@ -733,7 +740,7 @@ class GossipMembershipNode:
     def _arm_pull_retry(self) -> None:
         if self._pull_event is not None:
             return
-        delay = self.tunables.retry.delay(self._pull_attempt, self.rng)
+        delay = PULL_RETRY.delay(self._pull_attempt, self.rng)
         self._pull_event = self.sim.schedule(delay, self._pull_retry_tick)
 
     def _settle_pull(self) -> None:
@@ -774,11 +781,8 @@ class GossipMembershipPlane:  # reprolint: disable=RL002(one plane per experimen
     convergence is the engines' business.
     """
 
-    def __init__(
-        self, transport: DatagramTransport, tunables: Gossip, timeout_s: float
-    ):
+    def __init__(self, transport: DatagramTransport, timeout_s: float):
         self.transport = transport
-        self.tunables = tunables
         self.timeout_s = timeout_s
         self.engines: Dict[int, GossipMembershipNode] = {}
 
@@ -789,7 +793,6 @@ class GossipMembershipPlane:  # reprolint: disable=RL002(one plane per experimen
         engine = GossipMembershipNode(
             node,
             self.transport,
-            self.tunables,
             self.timeout_s,
             np.random.default_rng(rng.integers(2**63)),
         )

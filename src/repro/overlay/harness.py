@@ -19,11 +19,21 @@ from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.net.trace import SyntheticTrace, planetlab_like
 from repro.net.transport import DatagramTransport
-from repro.overlay.config import Gossip, InBand, OverlayConfig, Replicated, RouterKind
+from repro.overlay.config import (
+    BANDWIDTH_BUCKET_S,
+    FRESHNESS_SAMPLE_S,
+    PROBE_INTERVAL_S,
+    Gossip,
+    InBand,
+    OverlayConfig,
+    Replicated,
+    RouterKind,
+)
 from repro.overlay.coordination import CoordinatorGroup
 from repro.overlay.gossip import GossipMembershipPlane
 from repro.overlay.linkstate import RowBlock
 from repro.overlay.membership import (
+    IN_BAND_EXPIRY_GRACE,
     InBandPlane,
     MembershipPlane,
     MembershipService,
@@ -132,12 +142,13 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         node.teardown()
         self.active.discard(node_id)
 
-    def start_freshness_sampling(self, period_s: Optional[float] = None) -> None:
+    def start_freshness_sampling(self) -> None:
         """Begin periodic route-freshness snapshots (§6.2.2's 30 s)."""
         if self.freshness is None:
             raise ConfigError("overlay built without a freshness recorder")
-        period = period_s if period_s is not None else self.config.freshness_sample_s
-        self.sim.periodic(period, self._sample_freshness, phase=period)
+        self.sim.periodic(
+            FRESHNESS_SAMPLE_S, self._sample_freshness, phase=FRESHNESS_SAMPLE_S
+        )
 
     def _sample_freshness(self) -> None:
         assert self.freshness is not None
@@ -300,9 +311,9 @@ def _draw_phases(
     """Uniformly random (monitor, router) timer phases for one node,
     reproducing the paper's unsynchronized recommendation arrivals
     (§6.2.2)."""
-    monitor_phase = float(rng.uniform(0.05, config.probe_interval_s * 0.2))
+    monitor_phase = float(rng.uniform(0.05, PROBE_INTERVAL_S * 0.2))
     router_phase = float(
-        rng.uniform(config.probe_interval_s * 0.2, config.routing_interval_s(router))
+        rng.uniform(PROBE_INTERVAL_S * 0.2, config.routing_interval_s(router))
     )
     return monitor_phase, router_phase
 
@@ -317,10 +328,10 @@ def _build_membership(
     """The one place that reads which membership plane the config names."""
     variant = config.membership
     if isinstance(variant, Gossip):
-        return GossipMembershipPlane(transport, variant, config.membership_timeout_s)
+        return GossipMembershipPlane(transport, config.membership_timeout_s)
 
     # Only a coordinator on the wire can look partitioned from its members.
-    expiry_grace = variant.expiry_grace if isinstance(variant, InBand) else 1.0
+    expiry_grace = IN_BAND_EXPIRY_GRACE if isinstance(variant, InBand) else 1.0
 
     def make_service() -> MembershipService:
         return MembershipService(
@@ -390,7 +401,7 @@ def build_overlay(
     n = topology.n
 
     sim = Simulator()
-    bandwidth = BandwidthRecorder(n, bucket_s=config.bandwidth_bucket_s)
+    bandwidth = BandwidthRecorder(n, bucket_s=BANDWIDTH_BUCKET_S)
     freshness = FreshnessRecorder(n) if with_freshness else None
     transport = DatagramTransport(
         sim, topology, np.random.default_rng(rng.integers(2**63)), bandwidth

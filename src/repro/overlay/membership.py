@@ -118,6 +118,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.node import OverlayNode
 
 __all__ = [
+    "IN_BAND_EXPIRY_GRACE",
     "MembershipView",
     "ViewDelta",
     "ViewUpdate",
@@ -129,6 +130,14 @@ __all__ = [
     "InBandPlane",
     "readmit",
 ]
+
+
+#: While a coordinator on the wire looks partitioned (it heard *no*
+#: member heartbeat for over a third of the timeout) or is freshly
+#: promoted, its refresh timeout is stretched by this factor, so a
+#: coordinator outage cannot mass-expire healthy members. The
+#: ``InBand`` and ``Replicated`` planes run with it.
+IN_BAND_EXPIRY_GRACE = 4.0
 
 
 class _WeakReferable:

@@ -2,7 +2,7 @@
 
 Every node probes every other node once per probing interval, maintaining
 an exponentially weighted moving average of latency and a liveness flag.
-A node is marked failed after ``probes_to_fail`` (5) consecutive losses.
+A node is marked failed after ``PROBES_TO_FAIL`` (5) consecutive losses.
 RON's rapid failure detection is implemented: after a first probe loss the
 monitor immediately schedules follow-up probes at a short interval, so the
 five losses needed for a down verdict fit inside one probing interval.
@@ -28,7 +28,12 @@ from repro.net.packet import KIND_PROBE
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.overlay import wire
-from repro.overlay.config import OverlayConfig
+from repro.overlay.config import (
+    EWMA_ALPHA,
+    PROBE_INTERVAL_S,
+    PROBES_TO_FAIL,
+    RAPID_PROBE_INTERVAL_S,
+)
 from repro.overlay.stats import BandwidthRecorder
 
 __all__ = ["LinkMonitor"]
@@ -59,7 +64,6 @@ class LinkMonitor:
         "n",
         "_sim",
         "_topology",
-        "_config",
         "_rng",
         "_bandwidth",
         "_transport",
@@ -79,7 +83,6 @@ class LinkMonitor:
         me: int,
         sim: Simulator,
         topology: Topology,
-        config: OverlayConfig,
         rng: np.random.Generator,
         bandwidth: Optional[BandwidthRecorder] = None,
         on_link_down: Optional[LinkCallback] = None,
@@ -93,7 +96,6 @@ class LinkMonitor:
         self.n = n
         self._sim = sim
         self._topology = topology
-        self._config = config
         self._rng = rng
         self._bandwidth = bandwidth
         self._transport = transport
@@ -122,9 +124,7 @@ class LinkMonitor:
         """Begin periodic probing; the first round fires at ``phase``."""
         if self._timer is not None:
             raise ConfigError("monitor already started")
-        self._timer = self._sim.periodic(
-            self._config.probe_interval_s, self.probe_round, phase=phase
-        )
+        self._timer = self._sim.periodic(PROBE_INTERVAL_S, self.probe_round, phase=phase)
 
     def stop(self) -> None:
         """Halt probing, including any pending rapid follow-up probes.
@@ -227,7 +227,6 @@ class LinkMonitor:
         )
         sample = rtt * noise
 
-        alpha = self._config.ewma_alpha
         ok = delivered.copy()
         ok[self.me] = False
 
@@ -236,7 +235,7 @@ class LinkMonitor:
         self.est_rtt_ms[fresh_first] = sample[fresh_first]
         steady = ok & ~fresh_first
         self.est_rtt_ms[steady] = (
-            alpha * sample[steady] + (1 - alpha) * self.est_rtt_ms[steady]
+            EWMA_ALPHA * sample[steady] + (1 - EWMA_ALPHA) * self.est_rtt_ms[steady]
         )
 
         came_back = ok & ~self.alive
@@ -262,7 +261,7 @@ class LinkMonitor:
         for j_arr in lost_indices:
             j = int(j_arr)
             count = int(self.consecutive_losses[j])
-            if count >= self._config.probes_to_fail:
+            if count >= PROBES_TO_FAIL:
                 pending = self._rapid_pending.pop(j, None)
                 if pending is not None:
                     pending.cancel()
@@ -274,7 +273,7 @@ class LinkMonitor:
             elif self.alive[j] and j not in self._rapid_pending:
                 # First loss on a live link: rapid re-probing (§5).
                 self._rapid_pending[j] = self._sim.schedule(
-                    self._config.rapid_probe_interval_s, self._rapid_probe, j
+                    RAPID_PROBE_INTERVAL_S, self._rapid_probe, j
                 )
 
     def _rapid_probe(self, j: int) -> None:
@@ -303,9 +302,8 @@ class LinkMonitor:
                     1.0 - self._measurement_noise, 1.0 + self._measurement_noise
                 )
             )
-            alpha = self._config.ewma_alpha
             if np.isfinite(self.est_rtt_ms[j]):
-                self.est_rtt_ms[j] = alpha * rtt + (1 - alpha) * self.est_rtt_ms[j]
+                self.est_rtt_ms[j] = EWMA_ALPHA * rtt + (1 - EWMA_ALPHA) * self.est_rtt_ms[j]
             else:
                 self.est_rtt_ms[j] = rtt
             came_back = not self.alive[j]

@@ -71,7 +71,6 @@ class OverlayNode:
             me=node_id,
             sim=sim,
             topology=topology,
-            config=config,
             rng=rng,
             bandwidth=bandwidth,
             on_link_down=self._link_down,

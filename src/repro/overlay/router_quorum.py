@@ -30,7 +30,7 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.failover import FailoverConfig, FailoverManager, FailoverPoll
+from repro.core.failover import FailoverManager, FailoverPoll
 from repro.core.grid import GridQuorum
 from repro.net.packet import LinkStateMessage, Message, RecommendationMessage
 from repro.overlay.config import RouterKind
@@ -109,9 +109,7 @@ class QuorumRouter(RouterBase):
             # stream from the node id so runs stay deterministic.
             self._rng = np.random.default_rng(0x5EED ^ (self.me * 2654435761 % 2**31))
         self.failover = FailoverManager(
-            self.me_idx,
-            self._rng,
-            FailoverConfig(remote_timeout_s=self.config.remote_timeout_s()),
+            self.me_idx, self._rng, self.config.remote_timeout_s()
         )
         self.failover.set_grid(self.grid, self.sim.now)
         self._extra_servers: Set[int] = set()
@@ -182,9 +180,7 @@ class QuorumRouter(RouterBase):
 
         previous = self.failover
         self.failover = FailoverManager(
-            self.me_idx,
-            self._rng,
-            FailoverConfig(remote_timeout_s=self.config.remote_timeout_s()),
+            self.me_idx, self._rng, self.config.remote_timeout_s()
         )
         self.failover.set_grid(self.grid, self.sim.now)
         self.failover.carry_over(previous, old_to_new)

@@ -272,7 +272,8 @@ class FreshnessRecorder:  # reprolint: disable=RL002(one recorder per experiment
     """Periodic snapshots of per-(src, dst) recommendation age.
 
     ``sample(now, last_rec_times)`` appends one ``(n, n)`` age matrix.
-    Figures 12-14 reduce over the sample axis (median / mean / 97% / max).
+    Figures 12-14 reduce over the sample axis (median / mean / 97% / max)
+    of the samples taken at or after a warm-up cut ``t0``.
     """
 
     def __init__(self, n: int):
@@ -298,27 +299,22 @@ class FreshnessRecorder:  # reprolint: disable=RL002(one recorder per experiment
         self._samples.append(age)
         self._times.append(now)
 
-    @property
-    def num_samples(self) -> int:
-        return len(self._samples)
+    def ages(self, t0: float = 0.0) -> np.ndarray:
+        """The samples taken at or after ``t0`` stacked, shape
+        ``(samples, n, n)``."""
+        kept = [age for t, age in zip(self._times, self._samples) if t >= t0]
+        if not kept:
+            raise ConfigError(f"no freshness samples recorded at or after {t0}")
+        return np.stack(kept)
 
-    @property
-    def sample_times(self) -> List[float]:
-        return list(self._times)
-
-    def ages(self) -> np.ndarray:
-        """All samples stacked, shape ``(num_samples, n, n)``."""
-        if not self._samples:
-            raise ConfigError("no freshness samples recorded")
-        return np.stack(self._samples)
-
-    def per_pair_stats(self) -> Dict[str, np.ndarray]:
-        """Per-(src, dst) median / average / 97th-percentile / max ages.
+    def per_pair_stats(self, t0: float = 0.0) -> Dict[str, np.ndarray]:
+        """Per-(src, dst) median / average / 97th-percentile / max ages
+        over the samples taken at or after ``t0``.
 
         Returns a dict of ``(n, n)`` matrices. The diagonal is zero and
         should be excluded by callers.
         """
-        ages = self.ages()
+        ages = self.ages(t0)
         finite = np.where(np.isfinite(ages), ages, np.nan)
         with np.errstate(invalid="ignore"):
             stats = {

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from spec_failover import listed_mask
 
-from repro.core.failover import FailoverConfig, FailoverManager
+from repro.core.failover import FailoverManager
 from repro.core.grid import GridQuorum
 from repro.errors import RoutingError
 
 
 def make_manager(n=9, me=0, remote_timeout=30.0, seed=1):
     mgr = FailoverManager(
-        me, np.random.default_rng(seed), FailoverConfig(remote_timeout_s=remote_timeout)
+        me, np.random.default_rng(seed), remote_timeout_s=remote_timeout
     )
     mgr.set_grid(GridQuorum(list(range(n))), now=0.0)
     return mgr
@@ -45,7 +45,7 @@ def always_alive(_):
 class TestBasics:
     def test_bad_config_rejected(self):
         with pytest.raises(RoutingError):
-            FailoverConfig(remote_timeout_s=0.0)
+            FailoverManager(0, np.random.default_rng(0), remote_timeout_s=0.0)
 
     def test_no_grid_raises(self):
         mgr = FailoverManager(0, np.random.default_rng(0))
@@ -335,7 +335,7 @@ def carried(old, members_before, members_after, now, me_id=0):
     ``members_after`` (sorted ids) leaves behind, as the router builds it."""
     position = {m: i for i, m in enumerate(members_after)}
     old_to_new = np.array([position.get(m, -1) for m in members_before])
-    mgr = FailoverManager(position[me_id], np.random.default_rng(1), old.config)
+    mgr = FailoverManager(position[me_id], np.random.default_rng(1), old.remote_timeout_s)
     mgr.set_grid(GridQuorum(list(range(len(members_after)))), now)
     mgr.carry_over(old, old_to_new)
     return mgr
@@ -424,7 +424,7 @@ class TestCarryOver:
         # A few talkative servers that stay: "stopped" takes two
         # messages from the same one.
         talkers = members[1:5]
-        mgr = FailoverManager(0, np.random.default_rng(0), FailoverConfig(1e6))
+        mgr = FailoverManager(0, np.random.default_rng(0), 1e6)
         mgr.set_grid(GridQuorum(list(range(len(members)))), now=0.0)
         slots = {}  # (server id, dst id) -> [last cover, last omission]
 
@@ -486,7 +486,7 @@ class TestCarryOver:
         me_id = before[0]
         after = sorted([me_id, *stay, *joined])
         timeout = 30.0
-        old = FailoverManager(0, np.random.default_rng(0), FailoverConfig(timeout))
+        old = FailoverManager(0, np.random.default_rng(0), timeout)
         old.set_grid(GridQuorum(list(range(len(before)))), now=3.0)
         # (server id, dst id) -> [last cover, last omission], by identity.
         known = {

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from spec_failover import FailoverSpec, listed_mask
 
-from repro.core.failover import FailoverConfig, FailoverManager
+from repro.core.failover import FailoverManager
 from repro.core.grid import GridQuorum
 
 #: Clock steps: none, sub-interval, a routing interval, and both sides
@@ -33,7 +33,7 @@ class Pair:
         self.new_rng = np.random.default_rng(seed)
         self.spec_rng = np.random.default_rng(seed)
         self.new = FailoverManager(
-            me, self.new_rng, FailoverConfig(remote_timeout_s=TIMEOUT_S)
+            me, self.new_rng, remote_timeout_s=TIMEOUT_S
         )
         self.spec = FailoverSpec(me, self.spec_rng, TIMEOUT_S)
         self.n = 0
@@ -53,7 +53,7 @@ class Pair:
                 old_to_new[old] = new
         self.n, self.me = len(ids), int(old_to_new[self.me])
         previous = self.new
-        self.new = FailoverManager(self.me, self.new_rng, previous.config)
+        self.new = FailoverManager(self.me, self.new_rng, previous.remote_timeout_s)
         self.new.set_grid(GridQuorum(list(range(self.n))), now)
         self.new.carry_over(previous, old_to_new)
         moved_to = {old: int(new) for old, new in enumerate(old_to_new) if new >= 0}

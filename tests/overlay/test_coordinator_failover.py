@@ -13,13 +13,7 @@ from repro.net.topology import Topology
 from repro.net.trace import planetlab_like
 from repro.net.transport import DatagramTransport
 from repro.overlay import wire
-from repro.overlay.config import (
-    InBand,
-    OutOfBand,
-    OverlayConfig,
-    Replicated,
-    RetryBackoff,
-)
+from repro.overlay.config import InBand, OutOfBand, OverlayConfig, Replicated
 from repro.overlay.coordination import (
     ROLE_BACKUP,
     ROLE_DOWN,
@@ -31,15 +25,7 @@ from repro.overlay.harness import build_overlay
 from repro.overlay.membership import MembershipService, MembershipView
 
 
-REPLICATED = Replicated(
-    coordinators=3,
-    deltas=True,
-    notify_batch_s=5.0,
-    failover_timeout_s=20.0,
-    retry=RetryBackoff(base_s=2.0, max_s=16.0),
-    heartbeat_s=5.0,
-    promote_timeout_s=25.0,
-)
+REPLICATED = Replicated(coordinators=3, deltas=True, notify_batch_s=5.0)
 
 
 def _replicated_config() -> OverlayConfig:
@@ -168,7 +154,7 @@ class TestCoordinatorGroupUnit:
             addresses=(6, 7, 8),
             hosts=(0, 2, 4),
             service_factory=factory,
-            tunables=Replicated(heartbeat_s=5.0, promote_timeout_s=20.0),
+            tunables=Replicated(),
         )
         return sim, group
 

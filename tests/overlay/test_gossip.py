@@ -16,6 +16,7 @@ from repro.errors import ConfigError
 from repro.net.packet import GossipDigest, GossipOps, GossipPull, GossipSnapshot
 from repro.net.simulator import Simulator
 from repro.net.trace import planetlab_like
+from repro.overlay import gossip
 from repro.overlay.config import Gossip, OverlayConfig, RouterKind
 from repro.overlay.gossip import (
     MAX_REPLAY_OPS,
@@ -60,14 +61,11 @@ class StubTransport:
         self.sent.append((src, dst, msg))
 
 
-def make_engine(node_id=0, seed=0, **overrides):
-    tunables = Gossip(**{"interval_s": 5.0, "fanout": 2, **overrides})
+def make_engine(node_id=0, seed=0):
     sim = Simulator()
     node = StubNode(sim, node_id)
     transport = StubTransport()
-    engine = GossipMembershipNode(
-        node, transport, tunables, 30.0, np.random.default_rng(seed)
-    )
+    engine = GossipMembershipNode(node, transport, 30.0, np.random.default_rng(seed))
     engine.active = True
     return engine, node, transport
 
@@ -199,8 +197,9 @@ class TestDigestExchange:
         assert digests == [1]
         assert engine.counters.as_dict()["dead_probes"] == 1
 
-    def test_snapshot_fallback_on_truncated_log(self):
-        engine, _, transport = make_engine(log_ops=4)
+    def test_snapshot_fallback_on_truncated_log(self, monkeypatch):
+        monkeypatch.setattr(gossip, "LOG_OPS", 4)
+        engine, _, transport = make_engine()
         engine.seed_bootstrap([0])
         for seq in range(2, 12):  # own log bounded at 4: early seqs evicted
             engine._apply_op(0, seq, OP_JOIN, 0, seq)
@@ -210,7 +209,9 @@ class TestDigestExchange:
         assert snaps[0].records == ((0, 11, OP_JOIN, 0),)
 
     def test_snapshot_fallback_on_oversized_range(self):
-        engine, _, transport = make_engine(log_ops=4 * MAX_REPLAY_OPS)
+        # The log holds the whole range: only its size asks for a snapshot.
+        assert gossip.LOG_OPS > MAX_REPLAY_OPS + 1
+        engine, _, transport = make_engine()
         engine.seed_bootstrap([0])
         for seq in range(2, MAX_REPLAY_OPS + 3):
             engine._apply_op(0, seq, OP_JOIN, 0, seq)
@@ -276,14 +277,19 @@ def run_gossip_schedule(seed, steps=160, k=5):
     every step every engine's caches are checked, and every digest whose
     vector equals the receiver's must send nothing and raise no wanted
     sequence."""
+    with pytest.MonkeyPatch.context() as patch:
+        # Four-op logs so pulls outrun them and snapshots get served.
+        patch.setattr(gossip, "LOG_OPS", 4)
+        patch.setattr(gossip, "FANOUT", 2)
+        return _run_gossip_schedule(seed, steps, k)
+
+
+def _run_gossip_schedule(seed, steps, k):
     rng = np.random.default_rng(seed)
     sim = Simulator()
     bag = StubTransport()
-    tunables = Gossip(interval_s=5.0, fanout=2, log_ops=4)
     engines = [
-        GossipMembershipNode(
-            StubNode(sim, i), bag, tunables, 30.0, np.random.default_rng(seed * 7 + i)
-        )
+        GossipMembershipNode(StubNode(sim, i), bag, 30.0, np.random.default_rng(seed * 7 + i))
         for i in range(k)
     ]
     for engine in engines:
@@ -378,9 +384,7 @@ class TestCachedDerivations:
 
 
 def gossip_test_config():
-    return OverlayConfig(
-        membership_timeout_s=20.0, membership=Gossip(interval_s=2.0, fanout=3)
-    )
+    return OverlayConfig(membership_timeout_s=20.0, membership=Gossip())
 
 
 def build_gossip_overlay(n=12, seed=11, active_members=None):
@@ -401,6 +405,11 @@ def held_versions(overlay):
 
 
 class TestGossipOverlay:
+    @pytest.fixture(autouse=True)
+    def two_second_rounds(self, monkeypatch):
+        # Ten push rounds per 20 s expiry timeout.
+        monkeypatch.setattr(gossip, "PUSH_INTERVAL_S", 2.0)
+
     def test_bootstrap_converges_without_coordinator(self):
         overlay = build_gossip_overlay()
         assert isinstance(overlay.membership, GossipMembershipPlane)

@@ -26,15 +26,8 @@ from repro.overlay.harness import build_overlay
 VARIANTS = [
     OutOfBand(deltas=True, notify_batch_s=2.0),
     InBand(deltas=True),
-    Replicated(
-        coordinators=3,
-        deltas=True,
-        notify_batch_s=2.0,
-        failover_timeout_s=20.0,
-        heartbeat_s=5.0,
-        promote_timeout_s=25.0,
-    ),
-    Gossip(interval_s=2.0),
+    Replicated(coordinators=3, deltas=True, notify_batch_s=2.0),
+    Gossip(),
 ]
 
 PLANE_MODULES = {
@@ -137,7 +130,7 @@ def test_plane_tunables_live_on_the_variant_only(flat_keyword):
 
 
 def test_a_variant_carries_only_its_own_planes_tunables():
-    assert len(dataclasses.fields(OverlayConfig)) <= 17
+    assert len(dataclasses.fields(OverlayConfig)) == 4
     for variant in (OutOfBand, InBand, Replicated):
         assert not hasattr(variant(), "fanout")
     assert not hasattr(Gossip(), "coordinators")

@@ -6,7 +6,6 @@ import pytest
 from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
-from repro.overlay.config import OverlayConfig
 from repro.overlay.monitor import LinkMonitor
 from repro.overlay.stats import BandwidthRecorder
 
@@ -16,7 +15,6 @@ def make_monitor(
     rtt=100.0,
     loss=None,
     failures=None,
-    config=None,
     with_bw=False,
     me=0,
     on_down=None,
@@ -32,7 +30,6 @@ def make_monitor(
         me=me,
         sim=sim,
         topology=topo,
-        config=config or OverlayConfig(),
         rng=np.random.default_rng(seed),
         bandwidth=bw,
         on_link_down=on_down,
@@ -151,7 +148,6 @@ class TestBandwidthAccounting:
                 me=i,
                 sim=sim2,
                 topology=topo,
-                config=OverlayConfig(),
                 rng=np.random.default_rng(i),
                 bandwidth=bw2,
             )

@@ -19,7 +19,9 @@ per-node refresh counts only the wire copy kept, stay gone. And member
 events reach an overlay only through ``FaultPlan``: the second
 scheduler (``repro.workloads.engine``'s ``ChurnWorkload`` /
 ``run_churn_workload``), its event type ``MemberEvent`` and the
-recorder marks only it set stay gone.
+recorder marks only it set stay gone. So does the churn-rate sweep
+(``run_rate_sweep`` behind ``churn --full``) that no results table
+published.
 """
 
 import importlib
@@ -31,8 +33,9 @@ import pytest
 
 import repro.core
 import repro.workloads
-from repro.experiments import membership_scaling
-from repro.core.failover import FailoverConfig, FailoverManager
+from repro.cli import build_parser
+from repro.experiments import churn, membership_scaling
+from repro.core.failover import FailoverManager
 from repro.core.grid import GridQuorum
 from repro.net import packet
 from repro.net.packet import LinkStateMessage, RecommendationMessage
@@ -112,7 +115,7 @@ def test_monitor_keeps_no_loss_estimate(attr):
 
 
 def test_failover_poll_takes_no_allow_relay():
-    mgr = FailoverManager(0, np.random.default_rng(1), FailoverConfig())
+    mgr = FailoverManager(0, np.random.default_rng(1))
     mgr.set_grid(GridQuorum(list(range(9))), now=0.0)
     up = np.ones(9, dtype=bool)
     with pytest.raises(TypeError):
@@ -211,3 +214,14 @@ def test_src_repro_names_no_second_fault_replayer():
         if name in path.read_text()
     ]
     assert hits == []
+
+
+@pytest.mark.parametrize("name", ["run_rate_sweep", "RateSweepResult"])
+def test_churn_experiments_keep_no_rate_sweep(name):
+    assert name not in churn.__all__
+    assert not hasattr(churn, name)
+
+
+def test_churn_full_flag_is_rejected():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["churn", "--full"])

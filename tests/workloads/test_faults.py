@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.net.trace import planetlab_like
+from repro.overlay import gossip
 from repro.overlay.config import Gossip, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.workloads import ACTION_FAIL, ACTION_JOIN, ChurnEvent, ChurnTrace
@@ -190,11 +191,11 @@ class TestMemberFaults:
         assert len(plan.member_events) == len(trace.events)
         assert plan.member_events == list(trace.events)
 
-    def test_member_only_plan_installs_on_gossip_overlay(self):
+    def test_member_only_plan_installs_on_gossip_overlay(self, monkeypatch):
+        # Two-second rounds so the 20 s expiry has ten of them.
+        monkeypatch.setattr(gossip, "PUSH_INTERVAL_S", 2.0)
         rng = np.random.default_rng(21)
-        config = OverlayConfig(
-            membership=Gossip(interval_s=2.0), membership_timeout_s=20.0
-        )
+        config = OverlayConfig(membership=Gossip(), membership_timeout_s=20.0)
         overlay = build_overlay(
             trace=planetlab_like(12, rng),
             router=RouterKind.QUORUM,
