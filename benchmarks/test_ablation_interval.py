@@ -18,7 +18,7 @@ from repro.experiments.ablation_interval import (
 def test_routing_interval_ablation(benchmark, results_dir):
     rows = benchmark.pedantic(
         run_interval_ablation,
-        kwargs={"intervals_s": (15.0, 30.0), "n": 49, "duration_s": 360.0},
+        kwargs={"n": 49, "duration_s": 360.0},
         rounds=1,
         iterations=1,
     )

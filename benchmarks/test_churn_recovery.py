@@ -46,9 +46,10 @@ def test_mass_failure_recovery(benchmark, results_dir):
     )
     emit(results_dir, "table_churn_mass_failure", result.format_table())
 
+    runs = {(frac, s.router): s for frac, s in result.rows}
     for frac in (0.125, 0.25, 0.5):
         for router in ("quorum", "full-mesh"):
-            stats = result.stats_for(frac, router)
+            stats = runs[frac, router]
             # Both algorithms survive the simultaneous crash...
             assert stats.recovered, f"{router} never recovered at p={frac}"
             # ...within detection (<= 1 probing interval + rapid probes)

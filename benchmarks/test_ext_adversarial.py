@@ -19,7 +19,7 @@ from repro.experiments.adversarial import (
 def test_adversarial_rendezvous(benchmark, results_dir):
     results = benchmark.pedantic(
         run_adversarial_sweep,
-        kwargs={"n": 49, "malicious_counts": (0, 3)},
+        kwargs={"n": 49},
         rounds=1,
         iterations=1,
     )

@@ -38,10 +38,11 @@ def test_membership_scaling(benchmark, results_dir):
     )
     emit(results_dir, "table_membership_scaling", result.format_table())
 
+    runs = {(s.n, s.mode): s for s in result.rows}
     for n in SIZES:
-        full = result.stats_for(n, "full")
-        delta = result.stats_for(n, "delta")
-        batched = result.stats_for(n, "delta-batch")
+        full = runs[n, "full"]
+        delta = runs[n, "delta"]
+        batched = runs[n, "delta-batch"]
         # Convergence is the correctness bar in every mode.
         assert full.converged and delta.converged and batched.converged
         # Identical trace => identical immediate-mode publication counts.
@@ -55,11 +56,11 @@ def test_membership_scaling(benchmark, results_dir):
 
     # Acceptance: at n=1024 a single-member view change costs <= 10% of
     # the full-view bytes on the delta path (O(changes), not O(n)).
-    delta_1024 = result.stats_for(1024, "delta")
+    delta_1024 = runs[1024, "delta"]
     assert delta_1024.single_change_ratio <= 0.10
     # And the *measured* per-update cost reflects it: the delta run's
     # mean update is a small fraction of the full-view run's.
-    full_1024 = result.stats_for(1024, "full")
+    full_1024 = runs[1024, "full"]
     assert delta_1024.bytes_per_update <= 0.10 * full_1024.bytes_per_update
 
 
@@ -90,7 +91,7 @@ def test_membership_in_band_guard(benchmark, results_dir):
     # Guard: at n=1024 the in-band delta bytes (including every repair
     # resend and full-view fallback the loss forced) stay within 2x of
     # the out-of-band accounting model on the identical trace.
-    in_1024 = result.stats_for(1024)
+    (in_1024,) = [s for s in result.rows if s.n == 1024]
     out_1024 = run_membership_mode(churn_trace_for(1024), "delta")
     assert in_1024.repairs > 0  # losses occurred and were repaired
     assert in_1024.update_bytes <= 2.0 * out_1024.total_bytes

@@ -16,7 +16,7 @@ from repro.experiments.adversarial import (
 
 def main() -> None:
     print("running 49-node overlays (clean / attacked / defended) ...\n")
-    results = run_adversarial_sweep(n=49, malicious_counts=(0, 3))
+    results = run_adversarial_sweep(n=49)
     print(format_adversarial(results))
 
     by_key = {(r.num_malicious, r.verify): r for r in results}

@@ -8,8 +8,6 @@ failures, and route freshness. For the paper-scale (140-node) run, see
 ``pytest benchmarks/ --benchmark-only``.
 """
 
-import numpy as np
-
 from repro.experiments.deployment import run_deployment
 
 
@@ -17,11 +15,11 @@ def main() -> None:
     print("running a 64-node deployment (6 simulated minutes) ...\n")
     result = run_deployment(n=64, duration_s=360.0, warmup_s=150.0, seed=11)
 
-    print(result.fig8_table(grid=np.arange(0, 33, 4)))
+    print(result.fig8_table())
     print()
-    print(result.fig10_table(grid_kbps=np.arange(0.0, 12.1, 1.5)))
+    print(result.fig10_table())
     print()
-    print(result.fig11_table(grid=np.arange(0, 17, 2)))
+    print(result.fig11_table())
     print()
     print(result.fig12_table())
     print()

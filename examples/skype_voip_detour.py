@@ -86,7 +86,7 @@ def main() -> None:
     )
     print(
         f"\npaper headline — 10,000 nodes: "
-        f"{skype_scenario_reduction(10_000):.0f}x reduction"
+        f"{skype_scenario_reduction():.0f}x reduction"
     )
 
 

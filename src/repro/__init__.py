@@ -23,15 +23,17 @@ Quickstart::
 
     import numpy as np
     from repro import build_overlay, OverlayConfig, RouterKind
+    from repro.net.trace import planetlab_like
 
     rng = np.random.default_rng(7)
-    overlay = build_overlay(n=25, router=RouterKind.QUORUM, rng=rng)
+    trace = planetlab_like(25, rng)
+    overlay = build_overlay(trace=trace, router=RouterKind.QUORUM, rng=rng)
     overlay.run(600.0)                       # 10 simulated minutes
     route = overlay.nodes[0].route_to(17)    # optimal one-hop route
 """
 
 from repro.core.grid import GridQuorum
-from repro.core.onehop import best_one_hop, best_one_hop_all_pairs
+from repro.core.onehop import best_one_hop_all_pairs
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import Overlay, build_overlay
 
@@ -42,7 +44,6 @@ __all__ = [
     "Overlay",
     "OverlayConfig",
     "RouterKind",
-    "best_one_hop",
     "best_one_hop_all_pairs",
     "build_overlay",
     "__version__",

@@ -2,7 +2,6 @@
 
 from repro.analysis.ascii_plot import ascii_cdf, ascii_plot
 from repro.analysis.bandwidth import (
-    BandwidthModel,
     fullmesh_routing_bps,
     paper_coefficients,
     probing_bps,
@@ -17,18 +16,16 @@ from repro.analysis.capacity import (
     planetlab_sites_comparison,
     skype_scenario_reduction,
 )
-from repro.analysis.cdf import cdf_at, counts_at, empirical_cdf, fraction_below
+from repro.analysis.cdf import cdf_at, counts_at, fraction_below
 from repro.analysis.tables import render_series, render_table
 
 __all__ = [
-    "BandwidthModel",
     "ascii_cdf",
     "ascii_plot",
     "CapacityComparison",
     "capacity_at_budget",
     "cdf_at",
     "counts_at",
-    "empirical_cdf",
     "fraction_below",
     "fullmesh_routing_bps",
     "max_overlay_size",

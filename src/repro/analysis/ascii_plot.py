@@ -17,23 +17,24 @@ from repro.errors import ConfigError
 __all__ = ["ascii_plot", "ascii_cdf"]
 
 _MARKERS = "ox+*#@%&"
+#: Chart size in characters.
+WIDTH = 68
+HEIGHT = 16
 
 
 def ascii_plot(
     xs: Sequence[float],
     series: Dict[str, Sequence[float]],
-    width: int = 68,
-    height: int = 16,
     title: str = "",
     x_label: str = "x",
     y_label: str = "y",
-    log_x: bool = False,
 ) -> str:
     """Render named y-series over a shared x grid as an ASCII chart.
 
     Each series gets a marker from ``o x + * ...``; the legend maps them
-    back. ``log_x`` plots x on a log scale (Figures 12-14 style).
+    back.
     """
+    width, height = WIDTH, HEIGHT
     xs_arr = np.asarray(xs, dtype=float)
     if xs_arr.size < 2:
         raise ConfigError("need at least two x points to plot")
@@ -41,11 +42,8 @@ def ascii_plot(
         raise ConfigError("need at least one series")
     if len(series) > len(_MARKERS):
         raise ConfigError(f"too many series (max {len(_MARKERS)})")
-    if log_x and xs_arr.min() <= 0:
-        raise ConfigError("log_x requires positive x values")
 
-    x_plot = np.log10(xs_arr) if log_x else xs_arr
-    x_lo, x_hi = float(x_plot.min()), float(x_plot.max())
+    x_lo, x_hi = float(xs_arr.min()), float(xs_arr.max())
     if x_hi == x_lo:
         raise ConfigError("x range is degenerate")
 
@@ -62,7 +60,7 @@ def ascii_plot(
         ys_arr = np.asarray(ys, dtype=float)
         if ys_arr.shape != xs_arr.shape:
             raise ConfigError(f"series {name!r} length mismatch")
-        for x, y in zip(x_plot, ys_arr):
+        for x, y in zip(xs_arr, ys_arr):
             if not np.isfinite(y):
                 continue
             col = int(round((x - x_lo) / (x_hi - x_lo) * (width - 1)))
@@ -81,12 +79,11 @@ def ascii_plot(
     lines.append(" " * pad + " +" + "-" * width)
     x_left = f"{xs_arr.min():.6g}"
     x_right = f"{xs_arr.max():.6g}"
-    scale = " (log x)" if log_x else ""
     gap = width - len(x_left) - len(x_right)
     lines.append(
         " " * (pad + 2) + x_left + " " * max(1, gap) + x_right
     )
-    lines.append(" " * (pad + 2) + f"{x_label}{scale}  vs  {y_label}")
+    lines.append(" " * (pad + 2) + f"{x_label}  vs  {y_label}")
     legend = "   ".join(
         f"{marker}={name}" for (name, _), marker in zip(series.items(), _MARKERS)
     )
@@ -97,29 +94,12 @@ def ascii_plot(
 def ascii_cdf(
     samples: Dict[str, np.ndarray],
     grid: Sequence[float],
-    title: str = "",
-    x_label: str = "x",
-    counts: bool = False,
-    log_x: bool = False,
-    width: int = 68,
-    height: int = 16,
+    title: str,
+    x_label: str,
 ) -> str:
-    """Plot empirical CDFs of named samples over a grid.
+    """Plot the empirical CDFs (fraction of samples <= x) of named
+    samples over a grid (Figure 1 style)."""
+    from repro.analysis.cdf import cdf_at
 
-    ``counts=True`` plots "number of samples <= x" (Figure 8/10/11
-    style); otherwise fractions (Figure 1 style).
-    """
-    from repro.analysis.cdf import cdf_at, counts_at
-
-    evaluate = counts_at if counts else cdf_at
-    series = {name: evaluate(vals, grid) for name, vals in samples.items()}
-    return ascii_plot(
-        grid,
-        series,
-        width=width,
-        height=height,
-        title=title,
-        x_label=x_label,
-        y_label="count <= x" if counts else "fraction <= x",
-        log_x=log_x,
-    )
+    series = {name: cdf_at(vals, grid) for name, vals in samples.items()}
+    return ascii_plot(grid, series, title=title, x_label=x_label, y_label="fraction <= x")

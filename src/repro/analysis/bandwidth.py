@@ -17,7 +17,6 @@ paper reports for its deployment (13.5 vs 15.3 Kbps at n = 140).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigError
@@ -35,20 +34,19 @@ __all__ = [
     "quorum_routing_bps",
     "routing_bps",
     "total_bps",
-    "BandwidthModel",
     "paper_coefficients",
 ]
 
 
-def probing_bps(n: float, probe_interval_s: float = PROBE_INTERVAL_S) -> float:
+def probing_bps(n: float) -> float:
     """Per-node probing traffic, incoming plus outgoing, bits/second.
 
     Each probed pair exchanges four 46-byte packets per interval
     (request out/in, reply out/in).
     """
-    if n < 0 or probe_interval_s <= 0:
+    if n < 0:
         raise ConfigError("bad probing model arguments")
-    return 4 * wire.PROBE_BYTES * 8 * n / probe_interval_s
+    return 4 * wire.PROBE_BYTES * 8 * n / PROBE_INTERVAL_S
 
 
 def fullmesh_routing_bps(n: float, routing_interval_s: float = ROUTING_INTERVAL_FULL_S) -> float:
@@ -100,34 +98,3 @@ def paper_coefficients() -> Dict[str, float]:
         "quorum_linear": 4 * 8 * 8 / ROUTING_INTERVAL_QUORUM_S,
         "quorum_sqrt": 8 * h * 8 / ROUTING_INTERVAL_QUORUM_S,
     }
-
-
-@dataclass(frozen=True)
-class BandwidthModel:
-    """Convenience bundle evaluating both algorithms at one overlay size."""
-
-    n: int
-
-    @property
-    def probing(self) -> float:
-        return probing_bps(self.n)
-
-    @property
-    def fullmesh_routing(self) -> float:
-        return fullmesh_routing_bps(self.n)
-
-    @property
-    def quorum_routing(self) -> float:
-        return quorum_routing_bps(self.n)
-
-    @property
-    def fullmesh_total(self) -> float:
-        return self.probing + self.fullmesh_routing
-
-    @property
-    def quorum_total(self) -> float:
-        return self.probing + self.quorum_routing
-
-    def routing_reduction(self) -> float:
-        """How many times less routing traffic the quorum algorithm uses."""
-        return self.fullmesh_routing / self.quorum_routing

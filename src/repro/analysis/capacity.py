@@ -32,8 +32,19 @@ __all__ = [
     "skype_scenario_reduction",
 ]
 
+#: §1's probing+routing budget per node, bits/second.
+BUDGET_BPS = 56_000.0
+#: §1's overlay on every PlanetLab site.
+PLANETLAB_SITES = 416
+#: §2's latency-optimization (Skype) overlay, and the routing interval
+#: both algorithms run at there.
+SKYPE_N = 10_000
+SKYPE_ROUTING_INTERVAL_S = 300.0
+#: Upper end of :func:`max_overlay_size`'s bisection.
+N_MAX = 1_000_000
 
-def max_overlay_size(budget_bps: float, kind: RouterKind, n_max: int = 1_000_000) -> int:
+
+def max_overlay_size(budget_bps: float, kind: RouterKind) -> int:
     """Largest ``n`` whose probing+routing traffic fits ``budget_bps``.
 
     Monotone bisection over the closed-form total.
@@ -42,7 +53,7 @@ def max_overlay_size(budget_bps: float, kind: RouterKind, n_max: int = 1_000_000
         raise ConfigError("budget must be positive")
     if total_bps(2, kind) > budget_bps:
         return 0
-    lo, hi = 2, n_max
+    lo, hi = 2, N_MAX
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if total_bps(mid, kind) <= budget_bps:
@@ -67,21 +78,22 @@ class CapacityComparison:
         return self.quorum_nodes / self.fullmesh_nodes
 
 
-def capacity_at_budget(budget_bps: float = 56_000.0) -> CapacityComparison:
+def capacity_at_budget() -> CapacityComparison:
     """The §1 example: 56 Kbps -> 165 nodes (RON) vs ~300 (quorum)."""
     return CapacityComparison(
-        budget_bps=budget_bps,
-        fullmesh_nodes=max_overlay_size(budget_bps, RouterKind.FULL_MESH),
-        quorum_nodes=max_overlay_size(budget_bps, RouterKind.QUORUM),
+        budget_bps=BUDGET_BPS,
+        fullmesh_nodes=max_overlay_size(BUDGET_BPS, RouterKind.FULL_MESH),
+        quorum_nodes=max_overlay_size(BUDGET_BPS, RouterKind.QUORUM),
     )
 
 
-def planetlab_sites_comparison(n: int = 416) -> Dict[str, float]:
+def planetlab_sites_comparison() -> Dict[str, float]:
     """Per-node traffic of an overlay on all 416 PlanetLab sites (§1).
 
     Returns probing/routing/total bps for both algorithms; the paper
     quotes the totals as 307 Kbps (prior systems) vs 86 Kbps (ours).
     """
+    n = PLANETLAB_SITES
     probing = probing_bps(n)
     full = fullmesh_routing_bps(n)
     quorum = quorum_routing_bps(n)
@@ -95,15 +107,13 @@ def planetlab_sites_comparison(n: int = 416) -> Dict[str, float]:
     }
 
 
-def skype_scenario_reduction(n: int = 10_000, routing_interval_s: float = 300.0) -> float:
+def skype_scenario_reduction() -> float:
     """§2/§6: the 10,000-node VoIP overlay.
 
     Latency optimization does not need rapid failover, so both algorithms
     run at the same (long) routing interval; the reduction is then the
     pure algorithmic ratio ~ sqrt(n)/2 ≈ 50 at n = 10,000.
     """
-    if n < 4:
-        raise ConfigError("scenario needs a real overlay size")
-    full = fullmesh_routing_bps(n, routing_interval_s)
-    quorum = quorum_routing_bps(n, routing_interval_s)
+    full = fullmesh_routing_bps(SKYPE_N, SKYPE_ROUTING_INTERVAL_S)
+    quorum = quorum_routing_bps(SKYPE_N, SKYPE_ROUTING_INTERVAL_S)
     return full / quorum

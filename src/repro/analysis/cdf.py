@@ -11,28 +11,13 @@ grid of x values.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["empirical_cdf", "cdf_at", "counts_at", "fraction_below"]
-
-
-def empirical_cdf(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted sample values and cumulative fractions.
-
-    ``inf`` values are kept (they contribute to the denominator but sit
-    at the far right), ``nan`` values are dropped.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        raise ConfigError("empirical_cdf of an empty sample")
-    xs = np.sort(values)
-    fractions = np.arange(1, xs.size + 1) / xs.size
-    return xs, fractions
+__all__ = ["cdf_at", "counts_at", "fraction_below"]
 
 
 def cdf_at(values: np.ndarray, grid: Sequence[float]) -> np.ndarray:

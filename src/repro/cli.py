@@ -31,6 +31,7 @@ measure, not the CLI's: see ``bench/README.md``.
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 from typing import Callable, Dict, List, Optional
@@ -44,6 +45,25 @@ def _write(out_dir: Optional[pathlib.Path], name: str, text: str) -> None:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"{name}.txt").write_text(text + "\n")
+
+
+def _overlay_size(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"an overlay needs at least 2 nodes, got {n}")
+    return n
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+def _size(args: argparse.Namespace, default: int) -> int:
+    """The ``--n`` override, or the command's own size."""
+    return default if args.n is None else args.n
 
 
 def _cmd_capacity(args: argparse.Namespace) -> None:
@@ -61,7 +81,7 @@ def _cmd_capacity(args: argparse.Namespace) -> None:
 def _cmd_fig1(args: argparse.Namespace) -> None:
     from repro.experiments.fig1_onehop_cdf import run_fig1
 
-    result = run_fig1(n_hosts=args.n or 359, seed=args.seed)
+    result = run_fig1(n_hosts=_size(args, 359), seed=args.seed)
     _write(args.out, "fig01_onehop_latency", result.format_table())
     frac = result.fraction_improved_below(400.0)
     summary = "\n".join(
@@ -86,7 +106,7 @@ def _cmd_deployment(args: argparse.Namespace) -> None:
     from repro.experiments.deployment import run_deployment
 
     result = run_deployment(
-        n=args.n or 140,
+        n=_size(args, 140),
         duration_s=args.duration,
         warmup_s=min(240.0, args.duration),
         seed=args.seed,
@@ -103,7 +123,7 @@ def _cmd_deployment(args: argparse.Namespace) -> None:
 def _cmd_scenarios(args: argparse.Namespace) -> None:
     from repro.experiments.scenarios import format_scenarios, run_all_scenarios
 
-    results = run_all_scenarios(n=args.n or 49, seed=args.seed)
+    results = run_all_scenarios(n=_size(args, 49), seed=args.seed)
     _write(args.out, "fig04_07_failover_scenarios", format_scenarios(results))
 
 
@@ -120,13 +140,13 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
     _write(
         args.out,
         "table_ablation_quorum",
-        format_quorum_ablation(run_quorum_ablation(n=args.n or 100, seed=args.seed)),
+        format_quorum_ablation(run_quorum_ablation(n=_size(args, 100), seed=args.seed)),
     )
     _write(
         args.out,
         "table_ablation_interval",
         format_interval_ablation(
-            run_interval_ablation(n=args.n or 49, duration_s=args.duration)
+            run_interval_ablation(n=_size(args, 49), duration_s=args.duration)
         ),
     )
 
@@ -152,7 +172,7 @@ def _cmd_adversarial(args: argparse.Namespace) -> None:
     )
 
     results = run_adversarial_sweep(
-        n=args.n or 49, seed=args.seed, duration_s=args.duration
+        n=_size(args, 49), seed=args.seed, duration_s=args.duration
     )
     _write(args.out, "table_ext_adversarial", format_adversarial(results))
 
@@ -165,7 +185,7 @@ def _cmd_churn(args: argparse.Namespace) -> None:
         run_mass_failure_sweep,
     )
 
-    n = args.n or 64
+    n = _size(args, 64)
     # The churn workload writes its disruption/recovery tables under
     # results/ by default (they are the experiment's deliverable).
     out = args.out if args.out is not None else pathlib.Path("results")
@@ -254,7 +274,7 @@ def _cmd_failover(args: argparse.Namespace) -> None:
     # unless redirected (CI's smoke run passes --out and uploads it).
     out = args.out if args.out is not None else pathlib.Path("results")
     results = run_failover_scenarios(
-        n=args.n or 48, seed=args.seed, smoke=args.smoke
+        n=_size(args, 48), seed=args.seed, smoke=args.smoke
     )
     name = (
         "table_coordinator_failover_smoke"
@@ -280,7 +300,7 @@ def _cmd_gossip(args: argparse.Namespace) -> None:
     # under results/ unless redirected (CI's smoke run passes --out).
     out = args.out if args.out is not None else pathlib.Path("results")
     results = run_gossip_scenarios(
-        n=args.n or 64, seed=args.seed, smoke=args.smoke
+        n=_size(args, 64), seed=args.seed, smoke=args.smoke
     )
     name = (
         "table_gossip_membership_smoke"
@@ -302,8 +322,8 @@ def _cmd_sosr(args: argparse.Namespace) -> None:
         run_latency_repair_comparison,
     )
 
-    avail = run_availability_comparison(n=args.n or 100, seed=args.seed)
-    latency = run_latency_repair_comparison(n=args.n or 359, seed=args.seed)
+    avail = run_availability_comparison(n=_size(args, 100), seed=args.seed)
+    latency = run_latency_repair_comparison(n=_size(args, 359), seed=args.seed)
     _write(args.out, "table_related_work_sosr", format_related_work(avail, latency))
 
 
@@ -339,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         "--nodes",
         dest="n",
-        type=int,
+        type=_overlay_size,
         default=None,
         help="overlay/trace size override",
     )
     parser.add_argument(
         "--rate",
-        type=float,
+        type=_positive,
         default=0.05,
         help="churn: membership events per second (default 0.05)",
     )
@@ -363,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--duration",
-        type=float,
+        type=_positive,
         default=300.0,
         help="simulated measurement duration in seconds (default 300)",
     )

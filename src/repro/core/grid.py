@@ -299,42 +299,13 @@ class GridQuorum:
         si = set(self.servers(i))
         return tuple(m for m in self.servers(j) if m in si)
 
-    def default_rendezvous_pair(self, i: int, j: int) -> Tuple[int, ...]:
-        """The two canonical rendezvous for pair ``(i, j)``.
-
-        For in-grid intersections these are the nodes at ``(row_i, col_j)``
-        and ``(row_j, col_i)``; when an intersection falls on a blank
-        position, the §3 augmentation provides the substitutes ``(col_x,
-        col_j)`` / ``(row_j, col_x)`` described in the paper. Deduplicated;
-        may have length 1 for degenerate (same row *and* column) cases.
-        """
-        if i == j:
-            raise QuorumError("a node has no rendezvous pair with itself")
-        ri, ci = self.position(i)
-        rj, cj = self.position(j)
-        picks: List[int] = []
-        # Intersection of i's row with j's column. Blanks only occur in
-        # the bottom row, so a blank here means i is a bottom-row node and
-        # cj is a blank column; the §3 augmentation's substitute is the
-        # node at (ci, cj), which is both an extra server of i and in j's
-        # column.
-        first = self.at(ri, cj)
-        if first is None:
-            first = self.at(ci, cj)
-        # Intersection of j's row with i's column, symmetric reasoning.
-        second = self.at(rj, ci)
-        if second is None:
-            second = self.at(cj, ci)
-        for node in (first, second):
-            if node is not None and node not in picks:
-                picks.append(node)
-        if not picks:  # pragma: no cover - coverage theorem prevents this
-            raise QuorumError(f"no rendezvous found for pair ({i}, {j})")
-        return tuple(picks)
-
     def default_pairs(self, i: int) -> np.ndarray:
-        """:meth:`default_rendezvous_pair` of ``i`` with every member at once.
+        """The two canonical rendezvous of ``i`` with every member at once.
 
+        For in-grid intersections these are the nodes at ``(row_i,
+        col_j)`` and ``(row_j, col_i)``; when an intersection falls on a
+        blank position, the §3 augmentation provides the substitutes
+        ``(col_i, col_j)`` / ``(col_j, col_i)`` described in the paper.
         Returns an ``(n, 2)`` int64 array in fill order: row ``k`` holds
         the pair for the member at fill slot ``k``. ``-1`` pads ``i``'s
         own row and a second pick equal to the first.
@@ -342,9 +313,10 @@ class GridQuorum:
         ri, ci = self.position(i)
         cols, n = self.cols, self.n
         rj, cj = np.divmod(np.arange(n), cols)
-        # Same intersections and §3 blank substitutes as the scalar
-        # method, as fill slots: (ri, cj) else (ci, cj); (rj, ci) else
-        # (cj, ci). The substitutes lie in full rows, so they exist.
+        # The intersections and §3 blank substitutes as fill slots:
+        # (ri, cj) else (ci, cj); (rj, ci) else (cj, ci). Blanks occur
+        # only in the bottom row, and the substitutes lie in full rows,
+        # so they exist.
         first = ri * cols + cj
         first = np.where(first < n, first, ci * cols + cj)
         second = rj * cols + ci

@@ -8,9 +8,10 @@ a set of ``e`` edges contains at most ``e^2`` diamonds (Lemma 3), so if
 every node receives ``e`` edges then ``n * e^2 >= 3 * C(n, 4)`` forces
 ``e = Ω(n^1.5)`` (Theorem 4).
 
-This module provides exact diamond counting (two independent algorithms,
-cross-checked in tests), the lemma bounds, and the comparison of the grid
-quorum's actual communication against the theorem's floor.
+This module provides exact diamond counting (by co-degrees; the tests
+cross-check it against exhaustive enumeration), Lemma 2's count, and the
+comparison of the grid quorum's actual communication against the
+theorem's floor.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from repro.errors import ReproError
 
 __all__ = [
     "diamonds_in_complete_graph",
-    "count_diamonds_exhaustive",
     "count_diamonds_codegree",
-    "lemma3_bound",
     "theorem4_min_edges_per_node",
     "grid_quorum_edges_received",
     "optimality_ratio",
@@ -51,34 +50,12 @@ def diamonds_in_complete_graph(n: int) -> int:
     return 3 * math.comb(n, 4)
 
 
-def count_diamonds_exhaustive(edges: Iterable[Edge]) -> int:
-    """Count diamonds by enumerating 4-subsets of the touched vertices.
-
-    A diamond ``a-b-c-d`` needs edges (a,b), (b,c), (c,d), (d,a). For each
-    unordered 4-set, the three distinct pairings are checked. O(v^4);
-    intended for small inputs and as a cross-check oracle.
-    """
-    edge_set = _normalize_edges(edges)
-    vertices = sorted({u for e in edge_set for u in e})
-
-    def has(u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in edge_set
-
-    count = 0
-    for a, b, c, d in itertools.combinations(vertices, 4):
-        # Three distinct cycles on {a, b, c, d}: a-b-c-d, a-b-d-c, a-c-b-d.
-        for p, q, r, s in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-            if has(p, q) and has(q, r) and has(r, s) and has(s, p):
-                count += 1
-    return count
-
-
 def count_diamonds_codegree(edges: Iterable[Edge]) -> int:
     """Count diamonds via co-degrees: ``sum over pairs C(cn(u,v), 2) / 2``.
 
     Every 4-cycle is counted once per diagonal pair (twice total). Much
-    faster than exhaustive enumeration; the two implementations are
-    cross-checked by property tests.
+    faster than exhaustive enumeration, which the property tests
+    cross-check it against (``tests/core/reference_lowerbound.py``).
     """
     edge_set = _normalize_edges(edges)
     adj: Dict[int, Set[int]] = {}
@@ -93,13 +70,6 @@ def count_diamonds_codegree(edges: Iterable[Edge]) -> int:
     if twice % 2 != 0:  # pragma: no cover - parity is structural
         raise ReproError("internal error: odd diamond double-count")
     return twice // 2
-
-
-def lemma3_bound(num_edges: int) -> int:
-    """Lemma 3: ``e`` edges form at most ``e^2`` diamonds."""
-    if num_edges < 0:
-        raise ReproError("edge count must be non-negative")
-    return num_edges * num_edges
 
 
 def theorem4_min_edges_per_node(n: int) -> float:

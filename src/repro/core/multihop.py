@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class MultiHopResult:
     next_hop: np.ndarray
     iterations: int
     bytes_per_node: Dict[int, int]
-
-    def max_bytes_per_node(self) -> int:
-        return max(self.bytes_per_node.values(), default=0)
 
 
 def run_multihop(
@@ -187,7 +184,6 @@ def walk_path(
     w: np.ndarray,
     src: int,
     dst: int,
-    max_steps: Optional[int] = None,
 ) -> Tuple[List[int], float]:
     """Forward a packet from ``src`` to ``dst`` following Sec pointers.
 
@@ -195,13 +191,12 @@ def walk_path(
     as §3 describes ("all we need to know is what node to forward a packet
     to"). Returns the realized ``(path, cost)``.
 
-    Raises :class:`RoutingError` on a forwarding loop or missing pointer
+    Raises :class:`RoutingError` on a forwarding loop (a path longer
+    than ``n + 1`` nodes) or missing pointer
     (cannot happen for consistent tables over positive weights, which the
     tests verify).
     """
-    n = next_hop.shape[0]
-    if max_steps is None:
-        max_steps = n + 1
+    max_steps = next_hop.shape[0] + 1
     path = [src]
     cost = 0.0
     current = src

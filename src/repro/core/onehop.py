@@ -21,14 +21,10 @@ import numpy as np
 from repro.errors import RoutingError
 
 __all__ = [
-    "best_one_hop",
     "best_one_hop_all_pairs",
-    "best_one_hop_asymmetric",
-    "best_one_hop_all_pairs_asymmetric",
     "one_hop_totals",
     "best_excluding_top_fraction",
     "validate_cost_matrix",
-    "validate_asymmetric_cost_matrix",
 ]
 
 
@@ -48,33 +44,6 @@ def validate_cost_matrix(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _normalize_hop(hop: int, i: int, j: int) -> int:
-    """Map the degenerate 'hops' i and j to the canonical direct form j."""
-    return j if hop == i or hop == j else hop
-
-
-def best_one_hop(
-    cost_i: np.ndarray, cost_j: np.ndarray, i: int, j: int
-) -> Tuple[int, float]:
-    """Best one-hop route from ``i`` to ``j`` given both link-state rows.
-
-    This is the computation a rendezvous server performs for each pair of
-    its clients (§3). Returns ``(hop, cost)``; ``hop == j`` means the
-    direct path. If ``j`` is unreachable even indirectly, returns
-    ``(j, inf)``.
-    """
-    cost_i = np.asarray(cost_i, dtype=float)
-    cost_j = np.asarray(cost_j, dtype=float)
-    if cost_i.shape != cost_j.shape:
-        raise RoutingError("link-state rows must have equal length")
-    totals = cost_i + cost_j
-    hop = int(np.argmin(totals))
-    cost = float(totals[hop])
-    if not np.isfinite(cost):
-        return j, np.inf
-    return _normalize_hop(hop, i, j), cost
-
-
 def best_one_hop_all_pairs(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """All-pairs optimal one-hop routes for cost matrix ``w``.
 
@@ -86,7 +55,7 @@ def best_one_hop_all_pairs(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _all_pairs(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The n^3 kernel behind both all-pairs oracles (``w`` validated).
+    """The n^3 kernel behind the all-pairs oracle (``w`` validated).
 
     Each source's sums ``totals[j, h] = w[i, h] + w[h, j]`` are reduced
     along contiguous rows of ``wT``; ``argmin`` keeps the first
@@ -108,52 +77,6 @@ def _all_pairs(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(hops, idx)
     np.fill_diagonal(costs, 0.0)
     return costs, hops
-
-
-def validate_asymmetric_cost_matrix(w: np.ndarray) -> np.ndarray:
-    """Validate a directed cost matrix (zero diagonal, non-negative).
-
-    §3's footnote 2: with asymmetric link costs, round 1 transmits both
-    directions; the matrix need not be symmetric.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise RoutingError("cost matrix must be square")
-    if np.any(np.diag(w) != 0):
-        raise RoutingError("cost matrix diagonal must be zero")
-    finite = w[np.isfinite(w)]
-    if finite.size and finite.min() < 0:
-        raise RoutingError("cost matrix must be non-negative")
-    return w
-
-
-def best_one_hop_asymmetric(
-    out_row_i: np.ndarray, in_row_j: np.ndarray, i: int, j: int
-) -> Tuple[int, float]:
-    """Best directed one-hop ``i -> h -> j`` from the rows round 1 ships.
-
-    With asymmetric costs, node ``i`` announces its *outgoing* costs
-    ``w[i, .]`` and node ``j`` its *incoming* costs ``w[., j]`` (each node
-    measures both directions of its links); their element-wise sum over
-    ``h`` is exactly the directed one-hop total.
-    """
-    out_row_i = np.asarray(out_row_i, dtype=float)
-    in_row_j = np.asarray(in_row_j, dtype=float)
-    if out_row_i.shape != in_row_j.shape:
-        raise RoutingError("link-state rows must have equal length")
-    totals = out_row_i + in_row_j
-    hop = int(np.argmin(totals))
-    cost = float(totals[hop])
-    if not np.isfinite(cost):
-        return j, np.inf
-    return _normalize_hop(hop, i, j), cost
-
-
-def best_one_hop_all_pairs_asymmetric(
-    w: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All-pairs optimal directed one-hop routes for directed costs."""
-    return _all_pairs(validate_asymmetric_cost_matrix(w))
 
 
 def one_hop_totals(w: np.ndarray, i: int, j: int) -> np.ndarray:

@@ -14,7 +14,7 @@ perfectly synchronized reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "CommunicationLedger",
     "TwoRoundResult",
     "run_two_round",
-    "run_two_round_asymmetric",
 ]
 
 
@@ -98,16 +97,14 @@ class TwoRoundResult:
 def run_two_round(
     w: np.ndarray,
     quorum: QuorumSystem,
-    index_of: Optional[Dict[int, int]] = None,
 ) -> TwoRoundResult:
     """Execute rounds 1 and 2 of the routing algorithm synchronously.
 
     Parameters
     ----------
     w:
-        Symmetric cost matrix indexed by *matrix position*; member IDs are
-        mapped to positions via ``index_of`` (identity by default, which
-        requires members to be exactly ``0..n-1``).
+        Symmetric cost matrix indexed by member id; the members must be
+        exactly ``0..n-1`` (in any order).
     quorum:
         The rendezvous construction to use.
 
@@ -118,10 +115,8 @@ def run_two_round(
     n = len(members)
     if w.shape[0] != n:
         raise RoutingError(f"matrix is {w.shape[0]}x{w.shape[0]}, quorum has {n}")
-    if index_of is None:
-        index_of = {m: m for m in members}
-        if sorted(members) != list(range(n)):
-            raise RoutingError("members must be 0..n-1 when index_of is omitted")
+    if sorted(members) != list(range(n)):
+        raise RoutingError("members must be 0..n-1")
 
     ledger = CommunicationLedger()
     ls_bytes = wire.linkstate_message_bytes(n)
@@ -149,8 +144,8 @@ def run_two_round(
         client_ids = [c for c in quorum.clients(r, include_self=True) if c in held]
         if len(client_ids) < 2:
             continue
-        rows = np.stack([w[index_of[c]] for c in client_ids])
-        idxs = np.array([index_of[c] for c in client_ids])
+        rows = np.stack([w[c] for c in client_ids])
+        idxs = np.array(client_ids)
         for a_pos, a in enumerate(client_ids):
             # totals[b_pos, h] = w[a, h] + w[b, h]
             totals = rows[a_pos][None, :] + rows
@@ -172,78 +167,6 @@ def run_two_round(
                 ledger.record(r, a, rec_bytes)
 
     # Normalize: hop == source or hop == destination both mean "direct".
-    idx = np.arange(n)
-    direct_like = (hops == idx[:, None]) | (hops == idx[None, :])
-    hops = np.where(direct_like & covered, np.broadcast_to(idx[None, :], (n, n)), hops)
-    np.fill_diagonal(hops, idx)
-    hops[~covered] = -1
-    costs[~covered] = np.inf
-
-    return TwoRoundResult(costs=costs, hops=hops, covered=covered, ledger=ledger)
-
-
-def run_two_round_asymmetric(
-    w: np.ndarray,
-    quorum: QuorumSystem,
-) -> TwoRoundResult:
-    """The §3 footnote-2 variant for asymmetric (directed) link costs.
-
-    Each node's round-1 message carries *both* directions of its links —
-    its outgoing row ``w[i, .]`` and its incoming column ``w[., i]`` — in
-    5-byte entries. A rendezvous holding clients ``i`` and ``j`` combines
-    ``i``'s outgoing row with ``j``'s incoming column to find the optimal
-    directed one-hop ``i -> h -> j``; routes are no longer symmetric.
-    """
-    from repro.core.onehop import validate_asymmetric_cost_matrix
-
-    w = validate_asymmetric_cost_matrix(w)
-    members = quorum.members
-    n = len(members)
-    if w.shape[0] != n:
-        raise RoutingError(f"matrix is {w.shape[0]}x{w.shape[0]}, quorum has {n}")
-    if sorted(members) != list(range(n)):
-        raise RoutingError("run_two_round_asymmetric requires members 0..n-1")
-
-    ledger = CommunicationLedger()
-    ls_bytes = wire.HEADER_BYTES + wire.ASYMMETRIC_LS_ENTRY_BYTES * n
-
-    received: Dict[int, List[int]] = {m: [] for m in members}
-    for m in members:
-        for s in quorum.servers(m, include_self=False):
-            ledger.record(m, s, ls_bytes)
-            received[s].append(m)
-        received[m].append(m)
-
-    costs = np.full((n, n), np.inf)
-    hops = np.full((n, n), -1, dtype=np.int64)
-    covered = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(costs, 0.0)
-    np.fill_diagonal(covered, True)
-
-    for r in members:
-        held = set(received[r])
-        client_ids = [c for c in quorum.clients(r, include_self=True) if c in held]
-        if len(client_ids) < 2:
-            continue
-        out_rows = np.stack([w[c] for c in client_ids])      # w[c, .]
-        in_rows = np.stack([w[:, c] for c in client_ids])    # w[., c]
-        idxs = np.array(client_ids)
-        for a_pos, a in enumerate(client_ids):
-            # totals[b_pos, h] = w[a, h] + w[h, b]
-            totals = out_rows[a_pos][None, :] + in_rows
-            best_h = np.argmin(totals, axis=1)
-            best_cost = totals[np.arange(len(client_ids)), best_h]
-            better = best_cost < costs[a, idxs]
-            if np.any(better):
-                sel = np.where(better)[0]
-                costs[a, idxs[sel]] = best_cost[sel]
-                hops[a, idxs[sel]] = best_h[sel]
-            covered[a, idxs] = True
-        rec_bytes = wire.recommendation_message_bytes(len(client_ids) - 1)
-        for a in client_ids:
-            if a != r:
-                ledger.record(r, a, rec_bytes)
-
     idx = np.arange(n)
     direct_like = (hops == idx[:, None]) | (hops == idx[None, :])
     hops = np.where(direct_like & covered, np.broadcast_to(idx[None, :], (n, n)), hops)

@@ -23,6 +23,9 @@ from repro.overlay.harness import build_overlay
 
 __all__ = ["IntervalAblationRow", "run_interval_ablation", "format_interval_ablation"]
 
+#: The quorum routing intervals compared: the paper's 15 s and double it.
+INTERVALS_S: Sequence[float] = (15.0, 30.0)
+
 
 @dataclass
 class IntervalAblationRow:
@@ -33,7 +36,6 @@ class IntervalAblationRow:
 
 
 def run_interval_ablation(
-    intervals_s: Sequence[float] = (15.0, 30.0),
     n: int = 49,
     duration_s: float = 420.0,
     warmup_s: float = 120.0,
@@ -41,7 +43,7 @@ def run_interval_ablation(
 ) -> List[IntervalAblationRow]:
     """Run the quorum overlay at each routing interval, failure-free."""
     rows = []
-    for interval in intervals_s:
+    for interval in INTERVALS_S:
         config = OverlayConfig(routing_interval_quorum_s=interval)
         rng = np.random.default_rng(seed)
         trace = planetlab_like(n, rng, base_loss=0.0, lossy_fraction=0.0)

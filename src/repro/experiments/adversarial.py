@@ -120,14 +120,17 @@ def run_adversarial(
     )
 
 
+#: Malicious rendezvous counts the sweep compares: none, and three.
+MALICIOUS_COUNTS: Sequence[int] = (0, 3)
+
+
 def run_adversarial_sweep(
     n: int = 49,
-    malicious_counts: Sequence[int] = (0, 3),
     seed: int = 61,
     duration_s: float = 240.0,
 ) -> List[AdversarialResult]:
     results = []
-    for count in malicious_counts:
+    for count in MALICIOUS_COUNTS:
         for verify in (False, True):
             results.append(
                 run_adversarial(

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analysis.bandwidth import (
-    BandwidthModel,
+    fullmesh_routing_bps,
     paper_coefficients,
+    quorum_routing_bps,
 )
 from repro.analysis.capacity import (
     capacity_at_budget,
@@ -101,8 +102,8 @@ class CapacityHeadlines:
             ],
             [
                 "140-node routing Kbps (paper Fig 9: 34.8 vs 15.3)",
-                f"{BandwidthModel(140).fullmesh_routing / 1000:.1f}",
-                f"{BandwidthModel(140).quorum_routing / 1000:.1f}",
+                f"{fullmesh_routing_bps(140) / 1000:.1f}",
+                f"{quorum_routing_bps(140) / 1000:.1f}",
             ],
         ]
         return render_table(
@@ -112,16 +113,16 @@ class CapacityHeadlines:
         )
 
 
-def run_capacity_headlines(budget_bps: float = 56_000.0) -> CapacityHeadlines:
-    comparison = capacity_at_budget(budget_bps)
+def run_capacity_headlines() -> CapacityHeadlines:
+    comparison = capacity_at_budget()
     return CapacityHeadlines(
-        budget_bps=budget_bps,
+        budget_bps=comparison.budget_bps,
         fullmesh_nodes_at_budget=comparison.fullmesh_nodes,
         quorum_nodes_at_budget=comparison.quorum_nodes,
-        planetlab=planetlab_sites_comparison(416),
-        skype_reduction_10k=skype_scenario_reduction(10_000),
+        planetlab=planetlab_sites_comparison(),
+        skype_reduction_10k=skype_scenario_reduction(),
     )
 
 
-def capacity_table(budget_bps: float = 56_000.0) -> str:
-    return run_capacity_headlines(budget_bps).format_table()
+def capacity_table() -> str:
+    return run_capacity_headlines().format_table()

@@ -19,11 +19,10 @@ These experiments drive the §5 membership machinery hard, replaying
   (windows where live nodes held different view versions, and the
   routing disagreement inside them).
 
-Unless a caller overrides ``config``, churn runs default to delta
-publication with in-band wire delivery
-(``membership=InBand(deltas=True)``) — the hardened plane a deployment
-would actually run; the explicit in-band comparison above keeps its own
-side-by-side configs.
+Churn runs use delta publication with in-band wire delivery
+(:data:`CHURN_CONFIG`) — the hardened plane a deployment would actually
+run; the explicit in-band comparison above keeps its own side-by-side
+configs.
 
 "Disrupted" is judged against ground truth: a pair counts as disrupted
 while the source's *chosen* route does not actually work on the current
@@ -66,17 +65,11 @@ __all__ = [
 ROUTERS: Tuple[RouterKind, ...] = (RouterKind.QUORUM, RouterKind.FULL_MESH)
 
 
-def _default_churn_config() -> OverlayConfig:
-    """Default membership plane for the churn experiments.
-
-    Churn runs now exercise the hardened plane by default: view *deltas*
-    (not full views) and *in-band* wire delivery, the combination every
-    real deployment would run. The underlays here are lossless, so the
-    comparison against the out-of-band callback numbers isolates pure
-    delivery latency; pass an explicit ``config`` to reproduce the old
-    out-of-band tables.
-    """
-    return OverlayConfig(membership=InBand(deltas=True))
+#: The churn experiments' plane: view *deltas* (not full views) and
+#: *in-band* wire delivery, the combination a real deployment would run.
+#: The underlays here are lossless, so the comparison against the
+#: out-of-band callback numbers isolates pure delivery latency.
+CHURN_CONFIG = OverlayConfig(membership=InBand(deltas=True))
 
 
 @dataclass
@@ -143,14 +136,13 @@ def run_churn_run(
     seed: int,
     settle_s: float = 180.0,
     measure_from_s: float = 60.0,
-    config: Optional[OverlayConfig] = None,
 ) -> ChurnRunStats:
     """Replay one churn trace on a fresh overlay and summarize it."""
     overlay, recorder = run_plan(
         FaultPlan().add_churn(churn),
         churn.n,
         seed,
-        config if config is not None else _default_churn_config(),
+        CHURN_CONFIG,
         churn.duration_s + settle_s,
         router=router,
         active_members=churn.initial_active,
@@ -213,9 +205,7 @@ def run_churn_comparison(
     rate_per_s: float = 0.05,
     duration_s: float = 300.0,
     seed: int = 42,
-    crash_fraction: float = 0.5,
     settle_s: float = 180.0,
-    config: Optional[OverlayConfig] = None,
 ) -> ChurnComparisonResult:
     """Both algorithms under one identical sustained-churn trace."""
     churn = ChurnTrace.poisson(
@@ -223,13 +213,9 @@ def run_churn_comparison(
         rate_per_s=rate_per_s,
         duration_s=duration_s,
         seed=seed,
-        crash_fraction=crash_fraction,
         warmup_s=60.0,
     )
-    rows = [
-        run_churn_run(churn, router, seed=seed, settle_s=settle_s, config=config)
-        for router in ROUTERS
-    ]
+    rows = [run_churn_run(churn, router, seed=seed, settle_s=settle_s) for router in ROUTERS]
     return ChurnComparisonResult(
         trace_summary=churn.describe(),
         rate_per_s=rate_per_s,
@@ -279,12 +265,6 @@ class MassFailureResult:
             ),
         )
 
-    def stats_for(self, fraction: float, router: str) -> ChurnRunStats:
-        for frac, s in self.rows:
-            if abs(frac - fraction) < 1e-9 and s.router == router:
-                return s
-        raise KeyError(f"no run for fraction={fraction} router={router}")
-
 
 def run_mass_failure_sweep(
     n: int = 64,
@@ -292,7 +272,6 @@ def run_mass_failure_sweep(
     seed: int = 42,
     fail_at_s: float = 240.0,
     settle_s: float = 300.0,
-    config: Optional[OverlayConfig] = None,
 ) -> MassFailureResult:
     """Crash ``p`` of the overlay at one instant, for several ``p``."""
     rows: List[Tuple[float, ChurnRunStats]] = []
@@ -311,7 +290,6 @@ def run_mass_failure_sweep(
                 seed=seed,
                 settle_s=settle_s,
                 measure_from_s=fail_at_s,
-                config=config,
             )
             rows.append((frac, stats))
     return MassFailureResult(n=n, fail_at_s=fail_at_s, rows=rows)
@@ -365,10 +343,8 @@ def run_flash_crowd(
     seed: int = 42,
     at_s: float = 240.0,
     settle_s: float = 240.0,
-    config: Optional[OverlayConfig] = None,
 ) -> FlashCrowdResult:
     """A quarter of the overlay (by default) arrives within 5 seconds."""
-    config = config if config is not None else _default_churn_config()
     count = count if count is not None else max(1, n // 4)
     churn = ChurnTrace.flash_crowd(
         n=n, count=count, at_s=at_s, duration_s=at_s + 60.0, seed=seed
@@ -379,7 +355,7 @@ def run_flash_crowd(
             FaultPlan().add_churn(churn),
             n,
             seed,
-            config,
+            CHURN_CONFIG,
             churn.duration_s + settle_s,
             router=router,
             active_members=churn.initial_active,
@@ -404,12 +380,6 @@ class InBandChurnResult:
     duration_s: float
     loss: float
     rows: List[Tuple[str, ChurnRunStats, Dict[str, float], Dict[str, int]]]
-
-    def stats_for(self, mode: str) -> Tuple[ChurnRunStats, Dict[str, float]]:
-        for name, stats, divergence, _ in self.rows:
-            if name == mode:
-                return stats, divergence
-        raise KeyError(f"no run for mode={mode}")
 
     def format_table(self) -> str:
         rows = []
@@ -467,7 +437,6 @@ def run_in_band_churn(
     rate_per_s: float = 0.05,
     duration_s: float = 300.0,
     seed: int = 42,
-    loss: float = IN_BAND_LOSS,
     settle_s: float = 180.0,
     measure_from_s: float = 60.0,
 ) -> InBandChurnResult:
@@ -484,7 +453,6 @@ def run_in_band_churn(
         rate_per_s=rate_per_s,
         duration_s=duration_s,
         seed=seed,
-        crash_fraction=0.5,
         warmup_s=60.0,
     )
     rows = []
@@ -499,7 +467,7 @@ def run_in_band_churn(
             OverlayConfig(membership=plane, membership_timeout_s=300.0),
             churn.duration_s + settle_s,
             active_members=churn.initial_active,
-            loss=loss,
+            loss=IN_BAND_LOSS,
         )
         rows.append(
             (
@@ -510,5 +478,5 @@ def run_in_band_churn(
             )
         )
     return InBandChurnResult(
-        n=n, rate_per_s=rate_per_s, duration_s=duration_s, loss=loss, rows=rows
+        n=n, rate_per_s=rate_per_s, duration_s=duration_s, loss=IN_BAND_LOSS, rows=rows
     )

@@ -22,7 +22,7 @@ failure injection (see DESIGN.md, "Substitutions").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,6 +38,8 @@ __all__ = ["DeploymentResult", "run_deployment", "FRESHNESS_GRID"]
 
 #: The x grid (seconds, log-scale) of Figures 12-14.
 FRESHNESS_GRID: Tuple[float, ...] = (1, 2, 4, 8, 15, 30, 60, 120, 240, 480, 960)
+#: The x grid (Kbps) of Figure 10.
+BANDWIDTH_GRID_KBPS = np.arange(0.0, 20.1, 2.0)
 
 
 @dataclass
@@ -77,9 +79,12 @@ class DeploymentResult:
     def fig8_max_per_node(self) -> np.ndarray:
         return self.concurrent_failures.max(axis=0)
 
-    def fig8_table(self, grid: Optional[Sequence[float]] = None) -> str:
-        if grid is None:
-            grid = np.arange(0, self.n + 1, max(1, self.n // 14))
+    def _count_grid(self) -> np.ndarray:
+        """The x grid of Figures 8 and 11: about 14 steps up to ``n``."""
+        return np.arange(0, self.n + 1, max(1, self.n // 14))
+
+    def fig8_table(self) -> str:
+        grid = self._count_grid()
         series = {
             "nodes_with_mean<=x": counts_at(self.fig8_mean_per_node(), grid),
             "nodes_with_max<=x": counts_at(self.fig8_max_per_node(), grid),
@@ -95,9 +100,8 @@ class DeploymentResult:
     # ------------------------------------------------------------------
     # Figure 10
     # ------------------------------------------------------------------
-    def fig10_table(self, grid_kbps: Optional[Sequence[float]] = None) -> str:
-        if grid_kbps is None:
-            grid_kbps = np.arange(0.0, 20.1, 2.0)
+    def fig10_table(self) -> str:
+        grid_kbps = BANDWIDTH_GRID_KBPS
         grid_bps = np.asarray(grid_kbps) * 1000.0
         series = {
             "nodes_with_mean<=x": counts_at(self.routing_bps_mean, grid_bps),
@@ -120,9 +124,8 @@ class DeploymentResult:
     def fig11_max_per_node(self) -> np.ndarray:
         return self.double_failures.max(axis=0)
 
-    def fig11_table(self, grid: Optional[Sequence[float]] = None) -> str:
-        if grid is None:
-            grid = np.arange(0, self.n + 1, max(1, self.n // 14))
+    def fig11_table(self) -> str:
+        grid = self._count_grid()
         series = {
             "nodes_with_mean<=x": counts_at(self.fig11_mean_per_node(), grid),
             "nodes_with_max<=x": counts_at(self.fig11_max_per_node(), grid),
@@ -141,7 +144,8 @@ class DeploymentResult:
     def _offdiag(self, mat: np.ndarray) -> np.ndarray:
         return mat[~np.eye(self.n, dtype=bool)]
 
-    def fig12_table(self, grid: Sequence[float] = FRESHNESS_GRID) -> str:
+    def fig12_table(self) -> str:
+        grid = FRESHNESS_GRID
         series = {
             stat: counts_at(self._offdiag(self.freshness_stats[stat]), grid)
             for stat in ("median", "average", "p97", "max")
@@ -166,7 +170,8 @@ class DeploymentResult:
         means = self.fig8_mean_per_node()
         return int(np.argmin(means)), int(np.argmax(means))
 
-    def fig13_14_table(self, node: int, grid: Sequence[float] = FRESHNESS_GRID) -> str:
+    def fig13_14_table(self, node: int) -> str:
+        grid = FRESHNESS_GRID
         series = {
             stat: counts_at(
                 np.delete(self.freshness_stats[stat][node], node), grid
@@ -193,7 +198,6 @@ def run_deployment(
     duration_s: float = 900.0,
     warmup_s: float = 240.0,
     seed: int = 42,
-    router: RouterKind = RouterKind.QUORUM,
 ) -> DeploymentResult:
     """Run the deployment experiment and collect all §6 measurements."""
     rng = np.random.default_rng(seed)
@@ -202,7 +206,7 @@ def run_deployment(
     classes = assign_node_classes(n, rng)
     failures = build_failure_table(n, horizon, rng, node_classes=classes)
 
-    overlay = build_overlay(trace=trace, router=router, rng=rng, failures=failures)
+    overlay = build_overlay(trace=trace, router=RouterKind.QUORUM, rng=rng, failures=failures)
 
     concurrent_samples: List[np.ndarray] = []
     double_samples: List[np.ndarray] = []

@@ -25,6 +25,14 @@ from repro.net.trace import planetlab_like
 
 __all__ = ["Fig1Result", "run_fig1"]
 
+#: The paper's high-latency cut: pairs whose direct RTT exceeds it.
+THRESHOLD_MS = 400.0
+#: Shares of the best intermediates the two "excluding" curves drop.
+EXCLUDE_FRACTIONS: Tuple[float, ...] = (0.03, 0.5)
+#: Latency grids of the table and the chart, ms.
+TABLE_GRID = np.arange(200.0, 1001.0, 50.0)
+PLOT_GRID = np.arange(200.0, 1001.0, 25.0)
+
 
 @dataclass
 class Fig1Result:
@@ -48,9 +56,8 @@ class Fig1Result:
             name: fraction_below(vals, x_ms) for name, vals in self.series.items()
         }
 
-    def format_table(self, grid: np.ndarray = None) -> str:
-        if grid is None:
-            grid = np.arange(200.0, 1001.0, 50.0)
+    def format_table(self) -> str:
+        grid = TABLE_GRID
         return render_series(
             "latency_ms",
             grid,
@@ -62,15 +69,13 @@ class Fig1Result:
             ),
         )
 
-    def format_plot(self, grid: np.ndarray = None) -> str:
+    def format_plot(self) -> str:
         """The same curves as an ASCII chart."""
         from repro.analysis.ascii_plot import ascii_cdf
 
-        if grid is None:
-            grid = np.arange(200.0, 1001.0, 25.0)
         return ascii_cdf(
             self.series,
-            grid,
+            PLOT_GRID,
             title=f"Figure 1 — RTT CDF of high-latency pairs ({self.n_hosts} hosts)",
             x_label="latency_ms",
         )
@@ -79,13 +84,11 @@ class Fig1Result:
 def run_fig1(
     n_hosts: int = 359,
     seed: int = 2005,
-    threshold_ms: float = 400.0,
-    exclude_fractions: Tuple[float, ...] = (0.03, 0.5),
 ) -> Fig1Result:
     """Reproduce Figure 1's four curves.
 
     Matches the paper's methodology: select pairs whose direct path
-    exceeds ``threshold_ms``, then evaluate each routing policy's total
+    exceeds :data:`THRESHOLD_MS`, then evaluate each routing policy's total
     RTT for exactly those pairs.
     """
     rng = np.random.default_rng(seed)
@@ -94,7 +97,7 @@ def run_fig1(
 
     iu = np.triu_indices(n_hosts, 1)
     direct = w[iu]
-    high = direct > threshold_ms
+    high = direct > THRESHOLD_MS
     src = iu[0][high]
     dst = iu[1][high]
 
@@ -103,7 +106,7 @@ def run_fig1(
         "point_to_point": direct[high],
         "best_one_hop": onehop_costs[iu][high],
     }
-    for frac in sorted(exclude_fractions, reverse=True):
+    for frac in sorted(EXCLUDE_FRACTIONS, reverse=True):
         name = f"excluding_top_{int(round(frac * 100))}pct"
         series[name] = np.array(
             [
@@ -114,7 +117,7 @@ def run_fig1(
 
     return Fig1Result(
         n_hosts=n_hosts,
-        threshold_ms=threshold_ms,
+        threshold_ms=THRESHOLD_MS,
         num_high_latency_pairs=int(high.sum()),
         series=series,
     )

@@ -99,6 +99,9 @@ HEARTBEAT_S = TIMEOUT_S / 3.0
 #: loss" regime the reliability layer is stressed under).
 IN_BAND_LOSS = 0.01
 
+#: Poisson churn rate of the traces every membership mode replays.
+CHURN_RATE_PER_S = 0.2
+
 #: View-divergence sampling period of the in-band runs.
 DIVERGENCE_SAMPLE_S = 5.0
 
@@ -324,12 +327,6 @@ class MembershipScalingResult:
     seed: int
     rows: List[MembershipRunStats]
 
-    def stats_for(self, n: int, mode: str) -> MembershipRunStats:
-        for s in self.rows:
-            if s.n == n and s.mode == mode:
-                return s
-        raise KeyError(f"no run for n={n} mode={mode}")
-
     def format_table(self) -> str:
         rows = []
         for s in self.rows:
@@ -379,7 +376,6 @@ class MembershipScalingResult:
 
 def run_membership_scaling(
     sizes: Sequence[int] = (256, 1024, 2048),
-    rate_per_s: float = 0.2,
     duration_s: float = 300.0,
     seed: int = 42,
 ) -> MembershipScalingResult:
@@ -390,29 +386,26 @@ def run_membership_scaling(
     """
     rows: List[MembershipRunStats] = []
     for n in sizes:
-        trace = churn_trace_for(n, rate_per_s, duration_s, seed)
+        trace = churn_trace_for(n, duration_s, seed)
         for mode in MODES:
             rows.append(run_membership_mode(trace, mode))
     return MembershipScalingResult(
         sizes=tuple(sizes),
-        rate_per_s=rate_per_s,
+        rate_per_s=CHURN_RATE_PER_S,
         duration_s=duration_s,
         seed=seed,
         rows=rows,
     )
 
 
-def churn_trace_for(
-    n: int, rate_per_s: float = 0.2, duration_s: float = 300.0, seed: int = 42
-) -> ChurnTrace:
+def churn_trace_for(n: int, duration_s: float = 300.0, seed: int = 42) -> ChurnTrace:
     """The Poisson churn trace every membership mode (out-of-band and
     in-band) replays for a given size, so byte totals are comparable."""
     return ChurnTrace.poisson(
         n=n,
-        rate_per_s=rate_per_s,
+        rate_per_s=CHURN_RATE_PER_S,
         duration_s=duration_s,
         seed=seed,
-        crash_fraction=0.5,
         warmup_s=30.0,
     )
 
@@ -445,15 +438,14 @@ class InBandMembershipStats:
 
 def run_membership_in_band(
     trace: ChurnTrace,
-    loss: float = IN_BAND_LOSS,
-    notify_batch_s: float = 0.0,
     settle_s: float = 90.0,
     seed: int = 42,
 ) -> InBandMembershipStats:
     """Replay one churn trace with view updates on a lossy wire.
 
     The coordinator is a transport endpoint co-located at node 0 of a
-    PlanetLab-like underlay with uniform per-packet ``loss``; every view
+    PlanetLab-like underlay with uniform per-packet loss
+    (:data:`IN_BAND_LOSS`); every view
     update and refresh is a datagram subject to that loss and to real
     delivery delay. Each member is a stand-in node running the
     overlay's :class:`~repro.overlay.membership.WireClient`. The run
@@ -462,6 +454,7 @@ def run_membership_in_band(
     coordinator's exact final view.
     """
     rng = np.random.default_rng(seed)
+    loss = IN_BAND_LOSS
     net = planetlab_like(trace.n, rng, base_loss=loss, lossy_fraction=0.0)
     sim = Simulator()
     transport = DatagramTransport(
@@ -472,7 +465,6 @@ def run_membership_in_band(
         timeout_s=TIMEOUT_S,
         expiry_check_s=EXPIRY_CHECK_S,
         deltas=True,
-        notify_batch_s=notify_batch_s,
     )
     coordinator = trace.n
     service.attach_transport(transport, address=coordinator, host=0)
@@ -539,12 +531,6 @@ class InBandScalingResult:
     loss: float
     rows: List[InBandMembershipStats]
 
-    def stats_for(self, n: int) -> InBandMembershipStats:
-        for s in self.rows:
-            if s.n == n:
-                return s
-        raise KeyError(f"no in-band run for n={n}")
-
     def format_table(self) -> str:
         rows = []
         for s in self.rows:
@@ -594,24 +580,20 @@ class InBandScalingResult:
 
 def run_in_band_scaling(
     sizes: Sequence[int] = (256, 1024),
-    rate_per_s: float = 0.2,
     duration_s: float = 300.0,
     seed: int = 42,
-    loss: float = IN_BAND_LOSS,
 ) -> InBandScalingResult:
     """In-band runs at each size, on the same traces as the out-of-band
     modes (so update-byte totals are directly comparable)."""
     rows = [
-        run_membership_in_band(
-            churn_trace_for(n, rate_per_s, duration_s, seed), loss=loss, seed=seed
-        )
+        run_membership_in_band(churn_trace_for(n, duration_s, seed), seed=seed)
         for n in sizes
     ]
     return InBandScalingResult(
         sizes=tuple(sizes),
-        rate_per_s=rate_per_s,
+        rate_per_s=CHURN_RATE_PER_S,
         duration_s=duration_s,
         seed=seed,
-        loss=loss,
+        loss=IN_BAND_LOSS,
         rows=rows,
     )

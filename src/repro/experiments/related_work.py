@@ -24,6 +24,7 @@ import numpy as np
 from repro.analysis.tables import render_table
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.errors import ConfigError
+from repro.experiments.fig1_onehop_cdf import THRESHOLD_MS
 from repro.net.failures import build_failure_table
 from repro.net.trace import planetlab_like
 
@@ -34,6 +35,12 @@ __all__ = [
     "run_latency_repair_comparison",
     "format_related_work",
 ]
+
+#: How many random intermediaries each SOSR-style policy draws.
+AVAILABILITY_RANDOM_K: Sequence[int] = (1, 4)
+LATENCY_RANDOM_K: Sequence[int] = (1, 4, 16)
+#: Length of the failure process the availability samples fall in.
+HORIZON_S = 3600.0
 
 
 @dataclass
@@ -68,8 +75,6 @@ def run_availability_comparison(
     seed: int = 51,
     num_times: int = 40,
     num_pairs: int = 600,
-    random_k: Sequence[int] = (1, 4),
-    horizon_s: float = 3600.0,
 ) -> AvailabilityResult:
     """Sample (pair, time) availability for each routing policy.
 
@@ -81,15 +86,15 @@ def run_availability_comparison(
     if num_times < 1 or num_pairs < 1:
         raise ConfigError("need at least one time and pair sample")
     rng = np.random.default_rng(seed)
-    failures = build_failure_table(n, horizon_s, rng)
+    failures = build_failure_table(n, HORIZON_S, rng)
 
-    times = rng.uniform(horizon_s * 0.1, horizon_s * 0.9, size=num_times)
+    times = rng.uniform(HORIZON_S * 0.1, HORIZON_S * 0.9, size=num_times)
     pair_src = rng.integers(0, n, size=num_pairs)
     pair_dst = rng.integers(0, n, size=num_pairs)
     valid = pair_src != pair_dst
     pair_src, pair_dst = pair_src[valid], pair_dst[valid]
 
-    policies = ["direct"] + [f"random_{k}" for k in random_k] + ["best_one_hop"]
+    policies = ["direct"] + [f"random_{k}" for k in AVAILABILITY_RANDOM_K] + ["best_one_hop"]
     up_samples: Dict[str, List[bool]] = {p: [] for p in policies}
 
     for t in times:
@@ -103,7 +108,7 @@ def run_availability_comparison(
             up_samples["best_one_hop"].append(
                 bool(up_rows[i, j] or both.any())
             )
-            for k in random_k:
+            for k in AVAILABILITY_RANDOM_K:
                 picks = rng.integers(0, n, size=k)
                 ok = bool(up_rows[i, j]) or any(
                     bool(both[int(h)]) for h in picks if h not in (i, j)
@@ -119,11 +124,10 @@ def run_availability_comparison(
 def run_latency_repair_comparison(
     n: int = 359,
     seed: int = 2005,
-    threshold_ms: float = 400.0,
-    random_k: Sequence[int] = (1, 4, 16),
     trials: int = 25,
 ) -> LatencyRepairResult:
-    """How often each policy repairs a > threshold pair below threshold.
+    """How often each policy repairs a pair above :data:`THRESHOLD_MS`
+    below it.
 
     Random-k policies average over ``trials`` random draws per pair.
     """
@@ -131,14 +135,14 @@ def run_latency_repair_comparison(
     trace = planetlab_like(n, rng)
     w = trace.rtt_ms
     iu = np.triu_indices(n, 1)
-    high = w[iu] > threshold_ms
+    high = w[iu] > THRESHOLD_MS
     src, dst = iu[0][high], iu[1][high]
 
     costs, _ = best_one_hop_all_pairs(w)
     repaired: Dict[str, float] = {
-        "best_one_hop": float((costs[iu][high] < threshold_ms).mean())
+        "best_one_hop": float((costs[iu][high] < THRESHOLD_MS).mean())
     }
-    for k in random_k:
+    for k in LATENCY_RANDOM_K:
         hits = []
         for i, j in zip(src, dst):
             totals = w[i] + w[:, j]
@@ -149,14 +153,14 @@ def run_latency_repair_comparison(
                     (totals[int(h)] for h in picks if h not in (i, j)),
                     default=np.inf,
                 )
-                if min(best, w[i, j]) < threshold_ms:
+                if min(best, w[i, j]) < THRESHOLD_MS:
                     wins += 1
             hits.append(wins / trials)
         repaired[f"random_{k}"] = float(np.mean(hits))
 
     return LatencyRepairResult(
         n=n,
-        threshold_ms=threshold_ms,
+        threshold_ms=THRESHOLD_MS,
         high_latency_pairs=int(high.sum()),
         repaired=repaired,
     )

@@ -13,15 +13,12 @@ from repro.net.packet import (
     LinkStateMessage,
     MembershipUpdate,
     Message,
-    ProbeReply,
-    ProbeRequest,
     RecommendationMessage,
 )
 from repro.net.simulator import Event, PeriodicTimer, Simulator
 from repro.net.topology import Topology
 from repro.net.trace import (
     SyntheticTrace,
-    euclidean_2d,
     planetlab_like,
     uniform_random_metric,
 )
@@ -38,15 +35,12 @@ __all__ = [
     "NodeClassParams",
     "OutageSchedule",
     "PeriodicTimer",
-    "ProbeReply",
-    "ProbeRequest",
     "RecommendationMessage",
     "Simulator",
     "SyntheticTrace",
     "Topology",
     "assign_node_classes",
     "build_failure_table",
-    "euclidean_2d",
     "planetlab_like",
     "schedule_from_episodes",
     "uniform_random_metric",

@@ -98,6 +98,11 @@ DEFAULT_CLASS_PARAMS: Dict[NodeClass, NodeClassParams] = {
 #: Default class mix (GOOD, MEDIOCRE, POOR).
 DEFAULT_CLASS_MIX: Tuple[float, float, float] = (0.80, 0.15, 0.05)
 
+#: Background duty cycle every link carries on top of its endpoints'.
+BASE_DUTY_CYCLE = 0.002
+#: Floor on a link's mean outage duration, seconds.
+BASE_MEAN_OUTAGE_S = 45.0
+
 Window = Tuple[float, float]
 #: One link window ``(i, j, start, end)`` with ``i < j``.
 LinkRow = Tuple[int, int, float, float]
@@ -130,28 +135,6 @@ class OutageSchedule:
 
     def is_up(self, t: float) -> bool:
         return not self.is_down(t)
-
-    def next_transition(self, t: float) -> Optional[float]:
-        """Time of the next up/down edge strictly after ``t``, or None."""
-        idx = bisect_right(self._starts, t) - 1
-        if idx >= 0 and t < self._ends[idx]:
-            return self._ends[idx]
-        nxt = bisect_right(self._starts, t)
-        if nxt < len(self._starts):
-            return self._starts[nxt]
-        return None
-
-    def downtime(self, t0: float, t1: float) -> float:
-        """Total outage seconds within ``[t0, t1]``."""
-        if t1 < t0:
-            raise TopologyError(f"bad window [{t0}, {t1}]")
-        total = 0.0
-        for s, e in zip(self._starts, self._ends):
-            lo = max(s, t0)
-            hi = min(e, t1)
-            if hi > lo:
-                total += hi - lo
-        return total
 
     def __bool__(self) -> bool:
         return bool(self._starts)
@@ -239,12 +222,9 @@ def schedule_from_episodes(
     return OutageSchedule(_episodes(rng, first, horizon, scale, mu, sigma))
 
 
-def assign_node_classes(
-    n: int,
-    rng: np.random.Generator,
-    mix: Tuple[float, float, float] = DEFAULT_CLASS_MIX,
-) -> List[NodeClass]:
-    """Randomly assign connectivity classes to ``n`` nodes.
+def assign_node_classes(n: int, rng: np.random.Generator) -> List[NodeClass]:
+    """Randomly assign connectivity classes to ``n`` nodes in the
+    proportions of :data:`DEFAULT_CLASS_MIX`.
 
     Guarantees at least one GOOD node, and (for n >= 20) at least one POOR
     node so the Figure 13/14 well-vs-poorly-connected comparison is always
@@ -252,11 +232,9 @@ def assign_node_classes(
     """
     if n <= 0:
         raise TopologyError("n must be positive")
-    if abs(sum(mix) - 1.0) > 1e-9:
-        raise TopologyError(f"class mix must sum to 1, got {mix}")
     classes = list(
         rng.choice(
-            [NodeClass.GOOD, NodeClass.MEDIOCRE, NodeClass.POOR], size=n, p=list(mix)
+            [NodeClass.GOOD, NodeClass.MEDIOCRE, NodeClass.POOR], size=n, p=list(DEFAULT_CLASS_MIX)
         )
     )
     if NodeClass.GOOD not in classes:
@@ -471,14 +449,12 @@ def build_failure_table(
     horizon: float,
     rng: np.random.Generator,
     node_classes: Optional[Sequence[NodeClass]] = None,
-    class_params: Optional[Dict[NodeClass, NodeClassParams]] = None,
-    base_duty_cycle: float = 0.002,
-    base_mean_outage_s: float = 45.0,
 ) -> FailureTable:
     """Build a failure table whose statistics mirror the paper's Figure 8.
 
     Each link (i, j) gets an outage process whose duty cycle is the sum of
-    a small background term and both endpoints' class terms: outages are
+    a small background term (:data:`BASE_DUTY_CYCLE`) and both endpoints'
+    class terms (:data:`DEFAULT_CLASS_PARAMS`): outages are
     mostly "caused" by a node's poor access connectivity, which is what
     makes a few nodes see very many concurrent failures. Links are drawn
     in ``(i, j)`` order, each exactly as :func:`schedule_from_episodes`
@@ -488,7 +464,7 @@ def build_failure_table(
         node_classes = assign_node_classes(n, rng)
     if len(node_classes) != n:
         raise TopologyError("node_classes length must equal n")
-    params = class_params or DEFAULT_CLASS_PARAMS
+    params = DEFAULT_CLASS_PARAMS
 
     # Each ordered class pair's process, worked out once; None draws
     # nothing (a zero duty cycle).
@@ -500,11 +476,11 @@ def build_failure_table(
     for pi in kinds:
         row: List[Optional[Tuple[float, float, float]]] = []
         for pj in kinds:
-            duty = base_duty_cycle + pi.duty_cycle + pj.duty_cycle
+            duty = BASE_DUTY_CYCLE + pi.duty_cycle + pj.duty_cycle
             if duty <= 0.0:
                 row.append(None)
                 continue
-            mean_s = max(pi.mean_outage_s, pj.mean_outage_s, base_mean_outage_s)
+            mean_s = max(pi.mean_outage_s, pj.mean_outage_s, BASE_MEAN_OUTAGE_S)
             sigma = max(pi.sigma_outage, pj.sigma_outage)
             row.append((*_episode_params(duty, mean_s, sigma), sigma))
         process.append(row)

@@ -21,8 +21,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Message",
-    "ProbeRequest",
-    "ProbeReply",
     "LinkStateMessage",
     "RecommendationMessage",
     "MembershipUpdate",
@@ -36,7 +34,6 @@ __all__ = [
     "GossipPull",
     "GossipOps",
     "GossipSnapshot",
-    "KIND_PROBE",
     "KIND_LINKSTATE",
     "KIND_RECOMMENDATION",
     "KIND_MEMBERSHIP",
@@ -44,7 +41,6 @@ __all__ = [
     "KIND_GOSSIP",
 ]
 
-KIND_PROBE = "probe"
 KIND_LINKSTATE = "ls"
 KIND_RECOMMENDATION = "rec"
 KIND_MEMBERSHIP = "member"
@@ -72,34 +68,6 @@ class Message:
 
     def wire_size(self) -> int:
         raise NotImplementedError
-
-
-@dataclass(slots=True)
-class ProbeRequest(Message):
-    """A liveness/latency probe (bare header on the wire)."""
-
-    seq: int = 0
-
-    @property
-    def kind(self) -> str:
-        return KIND_PROBE
-
-    def wire_size(self) -> int:
-        return wire.PROBE_BYTES
-
-
-@dataclass(slots=True)
-class ProbeReply(Message):
-    """Reply to a probe; echoes the sequence number."""
-
-    seq: int = 0
-
-    @property
-    def kind(self) -> str:
-        return KIND_PROBE
-
-    def wire_size(self) -> int:
-        return wire.PROBE_BYTES
 
 
 @dataclass(slots=True)

@@ -35,7 +35,6 @@ __all__ = [
     "REGION_BASE_RTT_MS",
     "SyntheticTrace",
     "planetlab_like",
-    "euclidean_2d",
     "uniform_random_metric",
 ]
 
@@ -119,6 +118,31 @@ class SyntheticTrace:
             raise TopologyError("loss must be a probability")
 
 
+# planetlab_like's shape, calibrated so that, at n = 359, a few percent of
+# host pairs exceed 400 ms RTT, the best one-hop rescues roughly half of
+# them, and random intermediates almost never do (Figure 1's regime).
+#: Probability that a long-haul region pair is a congested corridor.
+CORRIDOR_PROB = 0.30
+#: Share of a congested corridor's paths that are inflated.
+CONGESTION_RANGE: Tuple[float, float] = (0.85, 0.98)
+#: Region pairs at least this far apart (base RTT) are long-haul.
+LONG_HAUL_THRESHOLD_MS = 150.0
+#: Policy-inflation factor of an inflated path.
+INFLATION_RANGE: Tuple[float, float] = (1.8, 4.0)
+#: Share of well-provisioned hub hosts (at least one is drawn).
+HUB_FRACTION = 0.02
+#: Median of the log-normal per-host access penalty.
+ACCESS_MEAN_MS = 32.0
+#: Share of overloaded hosts with a 60-250 ms access penalty on top.
+HEAVY_ACCESS_FRACTION = 0.12
+#: Per-packet loss of a lossy link.
+LOSSY_LOSS = 0.05
+
+#: uniform_random_metric's RTT range.
+UNIFORM_LOW_MS = 10.0
+UNIFORM_HIGH_MS = 500.0
+
+
 def _draw_regions(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(len(REGIONS), size=n, p=np.asarray(REGION_WEIGHTS))
 
@@ -126,30 +150,21 @@ def _draw_regions(n: int, rng: np.random.Generator) -> np.ndarray:
 def planetlab_like(
     n: int,
     rng: np.random.Generator,
-    corridor_prob: float = 0.30,
-    congestion_range: Tuple[float, float] = (0.85, 0.98),
-    long_haul_threshold_ms: float = 150.0,
-    inflation_range: Tuple[float, float] = (1.8, 4.0),
-    hub_fraction: float = 0.02,
-    access_mean_ms: float = 32.0,
-    heavy_access_fraction: float = 0.12,
     base_loss: float = 0.003,
     lossy_fraction: float = 0.03,
-    lossy_loss: float = 0.05,
 ) -> SyntheticTrace:
     """Generate a PlanetLab-like RTT/loss matrix for ``n`` hosts.
 
     Policy inflation is modeled at the *corridor* (region-pair) level:
-    with probability ``corridor_prob``, a long-haul region pair is
+    with probability :data:`CORRIDOR_PROB`, a long-haul region pair is
     "congested" and a large fraction (the congestion level) of individual
     paths crossing it are inflated. This correlation is what makes good
     detours scarce, as in the paper's 2005 measurement: a detour must
     dodge the congested corridor *and* go through a lightly loaded host
     with favorable geography — roughly the top few percent of candidates.
 
-    Defaults are calibrated so that, at n = 359, a few percent of host
-    pairs exceed 400 ms RTT, the best one-hop rescues roughly half of
-    them, and random intermediates almost never do (Figure 1's regime).
+    Every link loses ``base_loss`` of its packets, except a
+    ``lossy_fraction`` of them that lose :data:`LOSSY_LOSS`.
     """
     if n < 2:
         raise TopologyError("need at least 2 hosts")
@@ -157,13 +172,13 @@ def planetlab_like(
 
     # Per-host access penalty: log-normal with a small heavy tail of
     # overloaded hosts contributing 60-250 ms.
-    access = rng.lognormal(np.log(access_mean_ms), 0.6, size=n)
-    heavy = rng.random(n) < heavy_access_fraction
+    access = rng.lognormal(np.log(ACCESS_MEAN_MS), 0.6, size=n)
+    heavy = rng.random(n) < HEAVY_ACCESS_FRACTION
     access = np.where(heavy, access + rng.uniform(60.0, 250.0, size=n), access)
 
     # Hubs: well-provisioned hosts. Their access penalty is small and
     # their links are exempt from policy inflation.
-    is_hub = rng.random(n) < hub_fraction
+    is_hub = rng.random(n) < HUB_FRACTION
     if not is_hub.any():
         is_hub[int(rng.integers(n))] = True
     access = np.where(is_hub, rng.uniform(1.0, 4.0, size=n), access)
@@ -179,10 +194,10 @@ def planetlab_like(
     congestion = np.zeros((num_regions, num_regions))
     for a in range(num_regions):
         for b in range(a + 1, num_regions):
-            if REGION_BASE_RTT_MS[a, b] < long_haul_threshold_ms:
+            if REGION_BASE_RTT_MS[a, b] < LONG_HAUL_THRESHOLD_MS:
                 continue
-            if rng.random() < corridor_prob:
-                level = rng.uniform(*congestion_range)
+            if rng.random() < CORRIDOR_PROB:
+                level = rng.uniform(*CONGESTION_RANGE)
                 congestion[a, b] = congestion[b, a] = level
 
     # Per-link inflation draw within congested corridors; hubs exempt.
@@ -191,7 +206,7 @@ def planetlab_like(
     infl_mask = infl_mask | infl_mask.T
     infl_mask[is_hub, :] = False
     infl_mask[:, is_hub] = False
-    factor = rng.uniform(*inflation_range, size=(n, n))
+    factor = rng.uniform(*INFLATION_RANGE, size=(n, n))
     factor = np.triu(factor, 1)
     factor = factor + factor.T
     geo = np.where(infl_mask, geo * factor, geo)
@@ -204,7 +219,7 @@ def planetlab_like(
     lossy = rng.random((n, n)) < lossy_fraction
     lossy = np.triu(lossy, 1)
     lossy = lossy | lossy.T
-    loss = np.where(lossy, lossy_loss, loss)
+    loss = np.where(lossy, LOSSY_LOSS, loss)
     np.fill_diagonal(loss, 0.0)
 
     trace = SyntheticTrace(
@@ -219,41 +234,7 @@ def planetlab_like(
     return trace
 
 
-def euclidean_2d(
-    n: int,
-    rng: np.random.Generator,
-    scale_ms: float = 100.0,
-    min_rtt_ms: float = 1.0,
-) -> SyntheticTrace:
-    """Hosts at uniform positions in the unit square; RTT ~ distance.
-
-    A purely metric topology (triangle inequality holds), useful as a
-    control: one-hop detours should give almost no improvement here.
-    """
-    if n < 2:
-        raise TopologyError("need at least 2 hosts")
-    pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    rtt = np.sqrt((diff**2).sum(axis=2)) * scale_ms + min_rtt_ms
-    np.fill_diagonal(rtt, 0.0)
-    trace = SyntheticTrace(
-        rtt_ms=rtt,
-        loss=np.zeros((n, n)),
-        regions=np.zeros(n, dtype=int),
-        access_ms=np.zeros(n),
-        is_hub=np.zeros(n, dtype=bool),
-        inflated=np.zeros((n, n), dtype=bool),
-    )
-    trace.validate()
-    return trace
-
-
-def uniform_random_metric(
-    n: int,
-    rng: np.random.Generator,
-    low_ms: float = 10.0,
-    high_ms: float = 500.0,
-) -> SyntheticTrace:
+def uniform_random_metric(n: int, rng: np.random.Generator) -> SyntheticTrace:
     """Independent uniform RTTs (no structure; triangle violations common).
 
     Useful for property tests of the routing algorithms, where we only
@@ -261,7 +242,7 @@ def uniform_random_metric(
     """
     if n < 2:
         raise TopologyError("need at least 2 hosts")
-    r = rng.uniform(low_ms, high_ms, size=(n, n))
+    r = rng.uniform(UNIFORM_LOW_MS, UNIFORM_HIGH_MS, size=(n, n))
     r = np.triu(r, 1)
     rtt = r + r.T
     trace = SyntheticTrace(

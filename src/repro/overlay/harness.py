@@ -17,7 +17,7 @@ from repro.errors import ConfigError
 from repro.net.failures import FailureTable
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
-from repro.net.trace import SyntheticTrace, planetlab_like
+from repro.net.trace import SyntheticTrace
 from repro.net.transport import DatagramTransport
 from repro.overlay.config import (
     BANDWIDTH_BUCKET_S,
@@ -42,7 +42,6 @@ from repro.overlay.membership import (
 from repro.overlay.node import OverlayNode
 from repro.overlay.router_quorum import QuorumRouter
 from repro.overlay.stats import (
-    MEMBERSHIP_KINDS,
     ROUTING_KINDS,
     BandwidthRecorder,
     DisruptionRecorder,
@@ -158,11 +157,7 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         )
         self.freshness.sample(self.sim.now, mat)
 
-    def attach_disruption(
-        self,
-        period_s: float = 5.0,
-        recorder: Optional[DisruptionRecorder] = None,
-    ) -> DisruptionRecorder:
+    def attach_disruption(self, period_s: float = 5.0) -> DisruptionRecorder:
         """Begin periodic route-availability sampling (churn workloads).
 
         Every ``period_s`` the overlay checks, for each active pair,
@@ -171,7 +166,7 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         """
         if self.disruption is not None:
             raise ConfigError("disruption recorder already attached")
-        self.disruption = recorder if recorder is not None else DisruptionRecorder(self.n)
+        self.disruption = DisruptionRecorder(self.n)
         self.sim.periodic(period_s, self._sample_disruption, phase=period_s)
         return self.disruption
 
@@ -207,24 +202,9 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
         """Per-node probing traffic (in+out), bits/second."""
         return self.bandwidth.bps_per_node(("probe",), t0, t1)
 
-    def membership_bytes(self, t0: float = 0.0, t1: Optional[float] = None) -> np.ndarray:
-        """Per-node membership view-update bytes received over [t0, t1).
-
-        On the wire planes (``InBand``, ``Replicated``) the transport
-        accounts the real datagrams (lost updates cost the coordinator
-        host its outgoing bytes but are never received); on ``OutOfBand``
-        each update's §5 wire size is credited to the receiver when it
-        is scheduled. Gossip traffic is accounted under its own kinds.
-        Either way full views are O(n) per update, deltas O(changes).
-        Refresh heartbeats are accounted separately (``member-ctl``).
-        """
-        return self.bandwidth.bytes_per_node(
-            MEMBERSHIP_KINDS, t0, t1, directions=("in",)
-        )
-
     def max_minute_routing_bps(self, t0: float, t1: float) -> np.ndarray:
         """Per-node max routing rate over any 1-minute window (Fig 10)."""
-        return self.bandwidth.max_window_bps(60.0, ROUTING_KINDS, t0, t1)
+        return self.bandwidth.max_window_bps(ROUTING_KINDS, t0, t1)
 
     def route_hops(self) -> np.ndarray:
         """Current route table: ``hops[src, dst]`` in underlay indices.
@@ -288,14 +268,14 @@ class Overlay:  # reprolint: disable=RL002(one harness object per experiment; ne
             )
         return ok, mask
 
-    def double_failure_counts(self, proximal_only: bool = True) -> np.ndarray:
+    def double_failure_counts(self) -> np.ndarray:
         """Per-node count of destinations with a double rendezvous
         failure right now (Figure 11's sampled quantity)."""
         counts = np.zeros(self.n, dtype=np.int64)
         for i, node in enumerate(self.nodes):
             router = node.router
             if isinstance(router, QuorumRouter):
-                counts[i] = router.double_failure_count(proximal_only)
+                counts[i] = router.double_failure_count()
         return counts
 
     def monitor_down_counts(self) -> np.ndarray:
@@ -367,11 +347,9 @@ def _build_membership(
 
 
 def build_overlay(
-    n: Optional[int] = None,
+    trace: SyntheticTrace,
     router: RouterKind = RouterKind.QUORUM,
     rng: Optional[np.random.Generator] = None,
-    trace: Optional[SyntheticTrace] = None,
-    topology: Optional[Topology] = None,
     failures: Optional[FailureTable] = None,
     config: Optional[OverlayConfig] = None,
     with_freshness: bool = True,
@@ -380,9 +358,9 @@ def build_overlay(
 ) -> Overlay:
     """Assemble a ready-to-run overlay.
 
-    Provide either ``n`` (a PlanetLab-like topology is synthesized), a
-    ``trace``, or a full ``topology``. Node IDs are ``0..n-1``; all nodes
-    are bootstrapped into the same membership view before start, and
+    Node IDs are ``0..n-1`` for the ``n`` hosts of ``trace`` (with
+    ``failures``' outage windows on its links); all nodes are
+    bootstrapped into the same membership view before start, and
     their probe/routing timers get uniformly random phases, reproducing
     the paper's unsynchronized recommendation arrivals (§6.2.2).
     """
@@ -390,14 +368,7 @@ def build_overlay(
         rng = np.random.default_rng(0)
     config = config or OverlayConfig()
 
-    if topology is None:
-        if trace is None:
-            if n is None:
-                raise ConfigError("provide one of n, trace, or topology")
-            trace = planetlab_like(n, rng)
-        topology = Topology.from_trace(trace, failures)
-    elif failures is not None:
-        raise ConfigError("pass failures together with n/trace, not topology")
+    topology = Topology.from_trace(trace, failures)
     n = topology.n
 
     sim = Simulator()

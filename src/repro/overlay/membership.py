@@ -11,7 +11,7 @@ The coordinator supports two delivery planes:
 
 * **Out-of-band** (the default, and the mode every paper-parameter
   experiment runs in): view updates are delivered through simulator
-  callbacks after a fixed ``notify_delay_s``. Delivery is reliable by
+  callbacks after a fixed ``NOTIFY_DELAY_S``. Delivery is reliable by
   construction — membership traffic is not part of the §6 bandwidth
   evaluation, so keeping it off the transport keeps that accounting
   exactly comparable to the paper's. What each update *would* occupy on
@@ -40,7 +40,7 @@ Convergence only requires that every node eventually hold the same
 ``(version, members)`` pair — it never requires shipping the full member
 list on every change. With ``deltas=True`` the service therefore
 maintains, besides the authoritative view, a bounded **delta log** of the
-last ``delta_log_versions`` single-version transitions, and delivers each
+last ``DELTA_LOG_VERSIONS`` single-version transitions, and delivers each
 subscriber the smallest update that bridges its last-delivered version:
 
 * **Versioning** — every published view transition bumps ``version`` by
@@ -49,7 +49,7 @@ subscriber the smallest update that bridges its last-delivered version:
   version it delivered, so consecutive deltas always chain
   (``from_version`` equals the receiver's current version).
 * **Gap handling** — if a subscriber's version gap cannot be bridged
-  from the log (it fell more than ``delta_log_versions`` behind, or it
+  from the log (it fell more than ``DELTA_LOG_VERSIONS`` behind, or it
   has never held a view, as on join/reboot), the service falls back to a
   full :class:`MembershipView`; the ``view_gap_fallbacks`` counter
   records how often.
@@ -138,6 +138,13 @@ __all__ = [
 #: coordinator outage cannot mass-expire healthy members. The
 #: ``InBand`` and ``Replicated`` planes run with it.
 IN_BAND_EXPIRY_GRACE = 4.0
+
+#: Delay of an out-of-band view callback after publication.
+NOTIFY_DELAY_S = 0.05
+
+#: How many single-version transitions the delta log retains; a
+#: subscriber further behind than this receives a full view.
+DELTA_LOG_VERSIONS = 64
 
 
 class _WeakReferable:
@@ -317,9 +324,6 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
     notify_batch_s:
         Coalescing window for view publication; ``0`` publishes every
         change immediately (one version per change, the legacy cadence).
-    delta_log_versions:
-        How many single-version transitions the delta log retains; a
-        subscriber further behind than this receives a full view.
     bandwidth:
         Optional recorder; each delivered update's wire size is counted
         against the receiving member under the ``member`` kind.
@@ -329,23 +333,18 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         self,
         sim: Simulator,
         timeout_s: float = 1800.0,
-        notify_delay_s: float = 0.05,
         expiry_check_s: float = 60.0,
         deltas: bool = False,
         notify_batch_s: float = 0.0,
-        delta_log_versions: int = 64,
         bandwidth: Optional[BandwidthRecorder] = None,
         expiry_grace: float = 1.0,
     ):
-        if timeout_s <= 0 or notify_delay_s < 0 or notify_batch_s < 0:
+        if timeout_s <= 0 or notify_batch_s < 0:
             raise MembershipError("bad membership service timing parameters")
-        if delta_log_versions < 1:
-            raise MembershipError("delta_log_versions must be >= 1")
         if expiry_grace < 1.0:
             raise MembershipError("expiry_grace must be >= 1")
         self._sim = sim
         self._timeout_s = timeout_s
-        self._notify_delay_s = notify_delay_s
         self._deltas = deltas
         self.notify_batch_s = notify_batch_s
         self._bandwidth = bandwidth
@@ -356,7 +355,7 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         #: per-subscriber last delivered (scheduled) version; 0 = never
         #: held a view, which always forces a full-view delivery.
         self._delivered: Dict[int, int] = {}
-        self._log: Deque[ViewDelta] = deque(maxlen=delta_log_versions)
+        self._log: Deque[ViewDelta] = deque(maxlen=DELTA_LOG_VERSIONS)
         self._pending_joined: set = set()
         self._pending_left: set = set()
         self._flush_event = None
@@ -777,7 +776,7 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
             return
         if callback is None:
             callback = self._subscribers[member]
-        self._sim.schedule(self._notify_delay_s, callback, update)
+        self._sim.schedule(NOTIFY_DELAY_S, callback, update)
 
     def _push_parting(
         self, member: int, t: float, callback: Optional[ViewCallback] = None
@@ -798,7 +797,7 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         self._push(member, self._view, callback)
 
     def _notify_all(self) -> None:
-        deliver_at = self._sim.now + self._notify_delay_s
+        deliver_at = self._sim.now + NOTIFY_DELAY_S
         # All subscribers at the same delivered version need the same
         # coalesced delta; compute it once per distinct version.
         coalesced: Dict[int, Optional[ViewDelta]] = {}

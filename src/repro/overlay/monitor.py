@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.transport import DatagramTransport
 
 from repro.errors import ConfigError
-from repro.net.packet import KIND_PROBE
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.overlay import wire
@@ -34,7 +33,7 @@ from repro.overlay.config import (
     PROBES_TO_FAIL,
     RAPID_PROBE_INTERVAL_S,
 )
-from repro.overlay.stats import BandwidthRecorder
+from repro.overlay.stats import KIND_PROBE, BandwidthRecorder
 
 __all__ = ["LinkMonitor"]
 

@@ -81,7 +81,6 @@ class QuorumRouter(RouterBase):
         "failover",
         "_rng",
         "_extra_servers",
-        "_last_double_failures",
         "route_hop",
         "route_time",
         "route_server",
@@ -113,7 +112,6 @@ class QuorumRouter(RouterBase):
         )
         self.failover.set_grid(self.grid, self.sim.now)
         self._extra_servers: Set[int] = set()
-        self._last_double_failures = 0
 
         # Route state, indexed by view position (see the class docstring
         # for which arrays exist).
@@ -409,7 +407,6 @@ class QuorumRouter(RouterBase):
             self._send_linkstate(newly_adopted)
         if poll.suppressed:
             self.counters.incr("failover_suppressed_polls", poll.suppressed)
-        self._last_double_failures = poll.double_failures
         return poll
 
     def on_link_down(self, j: int) -> None:
@@ -427,17 +424,12 @@ class QuorumRouter(RouterBase):
             self._refresh_own_row()
             self._evaluate_failover()
 
-    def double_failure_count(self, proximal_only: bool = True) -> int:
+    def double_failure_count(self) -> int:
         """Destinations whose both default rendezvous are currently
-        failed (Figure 11's per-interval quantity).
-
-        ``proximal_only`` matches the paper's measurement ("failures *to*
-        both of the destination's default rendezvous nodes" — this node's
-        own links to them); pass False for the full §4 semantics that
-        also count remote rendezvous failures.
-        """
-        poll = self._evaluate_failover()
-        return poll.proximal_double_failures if proximal_only else poll.double_failures
+        failed (Figure 11's per-interval quantity), as the paper measures
+        it: "failures *to* both of the destination's default rendezvous
+        nodes", this node's own links to them."""
+        return self._evaluate_failover().proximal_double_failures
 
     # ------------------------------------------------------------------
     # Route queries

@@ -27,11 +27,11 @@ from repro.net.packet import (
     KIND_LINKSTATE,
     KIND_MEMBERSHIP,
     KIND_MEMBERSHIP_CTRL,
-    KIND_PROBE,
     KIND_RECOMMENDATION,
 )
 
 __all__ = [
+    "KIND_PROBE",
     "ROUTING_KINDS",
     "MEMBERSHIP_KINDS",
     "GOSSIP_KINDS",
@@ -41,6 +41,11 @@ __all__ = [
     "FreshnessRecorder",
     "CounterSet",
 ]
+
+#: Probing traffic. The link monitor sends no probe messages: it accounts
+#: each probe's bytes (``wire.PROBE_BYTES``) under this kind, so no class
+#: in ``net/packet.py`` claims it.
+KIND_PROBE = "probe"
 
 #: Message kinds that count as "routing traffic" in Figures 9 and 10.
 ROUTING_KINDS: Tuple[str, ...] = (KIND_LINKSTATE, KIND_RECOMMENDATION)
@@ -68,6 +73,10 @@ ALL_KINDS: Tuple[str, ...] = (
     KIND_MEMBERSHIP_CTRL,
     KIND_GOSSIP,
 )
+
+#: Figure 10's "max" series: the highest rate over any aligned window of
+#: this many seconds.
+RATE_WINDOW_S = 60.0
 
 
 class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment aggregating all nodes)
@@ -236,16 +245,17 @@ class BandwidthRecorder:  # reprolint: disable=RL002(one recorder per experiment
 
     def max_window_bps(
         self,
-        window_s: float = 60.0,
         kinds: Optional[Iterable[str]] = None,
         t0: float = 0.0,
         t1: Optional[float] = None,
     ) -> np.ndarray:
-        """Per-node maximum rate over any aligned ``window_s`` window.
+        """Per-node maximum rate over any aligned :data:`RATE_WINDOW_S`
+        window.
 
         This is Figure 10's "max (any 1-min window)" series. ``t1=None``
         ends the period with the last bucket holding any bytes.
         """
+        window_s = RATE_WINDOW_S
         if t1 is None:
             t1 = self._filled_buckets() * self.bucket_s
         per_window = round(window_s / self.bucket_s)
@@ -326,13 +336,6 @@ class FreshnessRecorder:  # reprolint: disable=RL002(one recorder per experiment
         for key, mat in stats.items():
             stats[key] = np.where(np.isnan(mat), np.inf, mat)
         return stats
-
-    def per_destination_stats(self, src: int) -> Dict[str, np.ndarray]:
-        """Figure 13/14 view: age stats for each destination of ``src``."""
-        if not 0 <= src < self.n:
-            raise ConfigError(f"src {src} out of range")
-        stats = self.per_pair_stats()
-        return {key: mat[src] for key, mat in stats.items()}
 
 
 class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experiment aggregating all nodes)
@@ -531,10 +534,6 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def num_samples(self) -> int:
-        return len(self._times)
-
     def availability_series(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(times, availability)`` arrays, one entry per sample."""
         return np.array(self._times), np.array(self._avail)
@@ -558,20 +557,19 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
         """Pairs currently mid-disruption (no recovery sampled yet)."""
         return int(np.count_nonzero(self._down_since >= 0))
 
-    def disruption_durations(
-        self, t0: float = 0.0, t1: float = math.inf
-    ) -> np.ndarray:
-        """Durations (s) of closed disruptions that *started* in [t0, t1)."""
+    def disruption_durations(self, t0: float = 0.0) -> np.ndarray:
+        """Durations (s) of closed disruptions that *started* at or after
+        ``t0``."""
         times = np.array(self._times)
         durations = []
         for _, index, end in self._closed:
             start = times[index]
-            durations.append(end - start[(t0 <= start) & (start < t1)])
+            durations.append(end - start[t0 <= start])
         return np.concatenate(durations) if durations else np.array([], dtype=float)
 
-    def min_availability(self, t0: float = 0.0, t1: float = math.inf) -> float:
-        """Lowest sampled availability in [t0, t1) (1.0 if no samples)."""
-        vals = [a for t, a in zip(self._times, self._avail) if t0 <= t < t1]
+    def min_availability(self, t0: float = 0.0) -> float:
+        """Lowest sampled availability from ``t0`` on (1.0 if no samples)."""
+        vals = [a for t, a in zip(self._times, self._avail) if t0 <= t]
         return min(vals) if vals else 1.0
 
     def view_divergence_windows(self) -> List[Tuple[float, float]]:
@@ -642,17 +640,15 @@ class DisruptionRecorder:  # reprolint: disable=RL002(one recorder per experimen
             ),
         }
 
-    def recovery_time_after(
-        self, t_event: float, threshold: float = 1.0
-    ) -> Optional[float]:
+    def recovery_time_after(self, t_event: float) -> Optional[float]:
         """Seconds from ``t_event`` until availability first dipped and
-        then returned to ``>= threshold``; ``None`` if it never recovered
-        within the samples, ``0.0`` if it never dipped."""
+        then returned to 1 (every measured pair routes); ``None`` if it
+        never recovered within the samples, ``0.0`` if it never dipped."""
         dipped = False
         for t, a in zip(self._times, self._avail):
             if t < t_event:
                 continue
-            if a < threshold:
+            if a < 1.0:
                 dipped = True
             elif dipped:
                 return t - t_event

@@ -15,7 +15,7 @@ Layout
     :class:`ChurnTrace` — a materialized, validated schedule of
     :class:`ChurnEvent` s (who joins/leaves/crashes, and when), plus the
     three generator families: ``poisson`` (sustained churn with a
-    configurable crash fraction), ``mass_failure`` (fail a fraction of
+    fixed crash fraction), ``mass_failure`` (fail a fraction of
     the overlay at one instant), and ``flash_crowd`` (a join burst).
     Traces are generated ahead of the run so two router kinds can replay
     *identical* churn.

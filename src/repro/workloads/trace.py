@@ -13,7 +13,7 @@ literature evaluates:
 
 * :meth:`ChurnTrace.poisson` — sustained churn: a Poisson process of
   membership events; each departure is a graceful leave or an abrupt
-  crash (``crash_fraction``), each arrival restarts a standby node.
+  crash (:data:`CRASH_FRACTION`), each arrival restarts a standby node.
 * :meth:`ChurnTrace.mass_failure` — fail a fraction ``p`` of the overlay
   at one instant and watch recovery.
 * :meth:`ChurnTrace.flash_crowd` — a burst of joins inside a few
@@ -25,8 +25,8 @@ literature evaluates:
   neighborhood of gossip peers disappears at once.
 
 Feasibility (joins only of standby *or* previously crashed nodes,
-departures only of active nodes, never fewer than ``min_active``
-members) is validated on construction by replaying the events
+departures only of active nodes, never fewer than
+:data:`MIN_ACTIVE` members) is validated on construction by replaying the events
 symbolically.
 """
 
@@ -52,6 +52,18 @@ ACTION_LEAVE = "leave"
 ACTION_FAIL = "fail"
 
 _ACTIONS = (ACTION_JOIN, ACTION_LEAVE, ACTION_FAIL)
+
+#: Share of the nodes a Poisson trace starts active (the rest stand by).
+ACTIVE_FRACTION = 0.75
+#: A Poisson trace never departs below this many active members.
+MIN_ACTIVE = 8
+#: Share of a Poisson trace's departures that are crashes, not leaves.
+CRASH_FRACTION = 0.5
+#: A correlated failure crashes (and reboots) each node within this
+#: many seconds of the burst instant.
+CORRELATED_SPREAD_S = 2.0
+#: A flash crowd's joiners arrive within this many seconds.
+FLASH_SPREAD_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -185,9 +197,6 @@ class ChurnTrace:
         rate_per_s: float,
         duration_s: float,
         seed: int,
-        active_fraction: float = 0.75,
-        crash_fraction: float = 0.5,
-        min_active: int = 8,
         warmup_s: float = 0.0,
     ) -> "ChurnTrace":
         """Sustained churn: membership events as a Poisson process.
@@ -195,18 +204,14 @@ class ChurnTrace:
         ``rate_per_s`` is the overall event rate; each event is a join
         (from the standby pool) or a departure (of a uniformly random
         active node) with equal probability while both are possible.
-        Departures crash with probability ``crash_fraction`` and leave
+        Departures crash with probability :data:`CRASH_FRACTION` and leave
         gracefully otherwise. No events land before ``warmup_s``, so the
         bootstrap population can converge first.
         """
         if rate_per_s <= 0:
             raise WorkloadError("rate_per_s must be positive")
-        if not 0.0 <= crash_fraction <= 1.0:
-            raise WorkloadError("crash_fraction must be in [0, 1]")
-        if not 0.0 < active_fraction <= 1.0:
-            raise WorkloadError("active_fraction must be in (0, 1]")
         rng = np.random.default_rng(seed)
-        k = max(min(n, min_active), int(round(n * active_fraction)))
+        k = max(min(n, MIN_ACTIVE), int(round(n * ACTIVE_FRACTION)))
         initial = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         active = set(initial)
         standby = sorted(set(range(n)) - active)
@@ -214,7 +219,7 @@ class ChurnTrace:
         t = warmup_s + float(rng.exponential(1.0 / rate_per_s))
         while t < duration_s:
             can_join = bool(standby)
-            can_depart = len(active) > min_active
+            can_depart = len(active) > MIN_ACTIVE
             if not can_join and not can_depart:
                 break
             if can_join and (not can_depart or rng.random() < 0.5):
@@ -225,7 +230,7 @@ class ChurnTrace:
                 pool = sorted(active)
                 node = pool[int(rng.integers(len(pool)))]
                 active.discard(node)
-                if rng.random() < crash_fraction:
+                if rng.random() < CRASH_FRACTION:
                     events.append(ChurnEvent(time=t, action=ACTION_FAIL, node=node))
                 else:
                     events.append(ChurnEvent(time=t, action=ACTION_LEAVE, node=node))
@@ -278,14 +283,14 @@ class ChurnTrace:
         duration_s: float,
         seed: int,
         reboot_at_s: float | None = None,
-        spread_s: float = 2.0,
     ) -> "ChurnTrace":
         """Crash whole node groups (racks / ASes) near-simultaneously.
 
         Nodes ``0..n-1`` are partitioned into contiguous groups of
         ``group_size`` (the last group may be smaller); the trace crashes
         ``groups_to_fail`` uniformly chosen groups, every member of a
-        chosen group within ``spread_s`` seconds of ``crash_at_s``. If
+        chosen group within :data:`CORRELATED_SPREAD_S` seconds of
+        ``crash_at_s``. If
         ``reboot_at_s`` is given, the same nodes rejoin around it —
         rack power restored. Contiguous grouping matches the harness's
         convention that nearby ids share infrastructure (coordinator
@@ -293,8 +298,7 @@ class ChurnTrace:
         """
         if group_size < 1:
             raise WorkloadError("group_size must be >= 1")
-        if spread_s < 0:
-            raise WorkloadError("spread_s must be non-negative")
+        spread_s = CORRELATED_SPREAD_S
         num_groups = (n + group_size - 1) // group_size
         if not 1 <= groups_to_fail < num_groups:
             raise WorkloadError(
@@ -350,13 +354,12 @@ class ChurnTrace:
         at_s: float,
         duration_s: float,
         seed: int,
-        spread_s: float = 5.0,
     ) -> "ChurnTrace":
-        """A join burst: ``count`` standby nodes arrive within ``spread_s``."""
+        """A join burst: ``count`` standby nodes arrive within
+        :data:`FLASH_SPREAD_S`."""
         if count < 1 or count >= n:
             raise WorkloadError("flash crowd count must be in [1, n)")
-        if spread_s < 0:
-            raise WorkloadError("spread_s must be non-negative")
+        spread_s = FLASH_SPREAD_S
         if not 0.0 <= at_s or at_s + spread_s >= duration_s:
             raise WorkloadError("flash crowd must land inside the trace")
         rng = np.random.default_rng(seed)

@@ -22,15 +22,6 @@ class TestAsciiPlot:
         assert "o=a" in out and "x=b" in out
         assert "o" in out and "x" in out
 
-    def test_log_x(self):
-        xs = np.array([1.0, 10.0, 100.0, 1000.0])
-        out = ascii_plot(xs, {"s": np.arange(4.0)}, log_x=True)
-        assert "(log x)" in out
-
-    def test_log_x_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            ascii_plot(np.array([0.0, 1.0]), {"s": np.zeros(2)}, log_x=True)
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             ascii_plot(np.arange(5.0), {"s": np.arange(4.0)})
@@ -58,11 +49,5 @@ class TestAsciiPlot:
 class TestAsciiCdf:
     def test_fraction_mode(self):
         samples = {"a": np.array([1.0, 2.0, 3.0])}
-        out = ascii_cdf(samples, np.linspace(0, 4, 10))
+        out = ascii_cdf(samples, np.linspace(0, 4, 10), title="T", x_label="x")
         assert "fraction <= x" in out
-
-    def test_counts_mode(self):
-        samples = {"a": np.arange(100.0)}
-        out = ascii_cdf(samples, np.linspace(0, 100, 10), counts=True)
-        assert "count <= x" in out
-        assert "100" in out

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.bandwidth import (
-    BandwidthModel,
     fullmesh_routing_bps,
     paper_coefficients,
     probing_bps,
@@ -64,29 +63,29 @@ class TestRoutingDispatch:
         total = total_bps(100, RouterKind.QUORUM)
         assert total == pytest.approx(probing_bps(100) + quorum_routing_bps(100))
 
-    def test_model_bundle(self):
-        model = BandwidthModel(140)
-        assert model.fullmesh_total > model.quorum_total
-        assert model.routing_reduction() == pytest.approx(34.8 / 15.3, rel=0.01)
+    def test_fig9_point_at_140(self):
+        assert total_bps(140, RouterKind.FULL_MESH) > total_bps(140, RouterKind.QUORUM)
+        reduction = fullmesh_routing_bps(140) / quorum_routing_bps(140)
+        assert reduction == pytest.approx(34.8 / 15.3, rel=0.01)
 
 
 class TestCapacity:
     def test_56kbps_headline(self):
         """§1: 56 Kbps supports 165 (full mesh) vs ~300 (quorum) nodes."""
-        comparison = capacity_at_budget(56_000.0)
+        comparison = capacity_at_budget()
         assert comparison.fullmesh_nodes == 165
         assert 280 <= comparison.quorum_nodes <= 310
         assert comparison.improvement > 1.7
 
     def test_planetlab_416_headline(self):
         """§1: 416 sites -> 307 Kbps (full mesh) vs 86 Kbps (quorum)."""
-        result = planetlab_sites_comparison(416)
+        result = planetlab_sites_comparison()
         assert result["fullmesh_total_bps"] / 1000 == pytest.approx(307, abs=2)
         assert result["quorum_total_bps"] / 1000 == pytest.approx(86, abs=2)
 
     def test_skype_10k_headline(self):
         """§6: ~50-fold reduction at 10,000 nodes, equal intervals."""
-        assert skype_scenario_reduction(10_000) == pytest.approx(50, rel=0.08)
+        assert skype_scenario_reduction() == pytest.approx(50, rel=0.08)
 
     def test_capacity_monotone_in_budget(self):
         small = max_overlay_size(10_000, RouterKind.QUORUM)
@@ -107,5 +106,5 @@ class TestCapacity:
 
     def test_quorum_always_fits_more(self):
         for budget in (30_000, 56_000, 200_000):
-            comparison = capacity_at_budget(budget)
-            assert comparison.quorum_nodes >= comparison.fullmesh_nodes
+            quorum = max_overlay_size(budget, RouterKind.QUORUM)
+            assert quorum >= max_overlay_size(budget, RouterKind.FULL_MESH)

@@ -5,26 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cdf import cdf_at, counts_at, empirical_cdf, fraction_below
+from repro.analysis.cdf import cdf_at, counts_at, fraction_below
 from repro.analysis.tables import render_series, render_table
 from repro.errors import ConfigError
 
 
 class TestEmpiricalCdf:
-    def test_basic(self):
-        xs, fr = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert list(fr) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            empirical_cdf(np.array([]))
-
-    def test_nan_dropped_inf_kept(self):
-        xs, fr = empirical_cdf(np.array([1.0, np.nan, np.inf]))
-        assert xs.size == 2
-        assert np.isinf(xs[-1])
-
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=50))
     @settings(max_examples=30)
     def test_cdf_at_matches_definition(self, values):

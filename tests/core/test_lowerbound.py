@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_lowerbound import count_diamonds_exhaustive, lemma3_bound
 from repro.core.lowerbound import (
     count_diamonds_codegree,
-    count_diamonds_exhaustive,
     diamonds_in_complete_graph,
     grid_quorum_edges_received,
-    lemma3_bound,
     optimality_ratio,
     theorem4_min_edges_per_node,
 )

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_asymmetric import best_one_hop_all_pairs_asymmetric
+from reference_onehop import best_one_hop
 from repro.core.onehop import (
     best_excluding_top_fraction,
-    best_one_hop,
     best_one_hop_all_pairs,
-    best_one_hop_all_pairs_asymmetric,
     one_hop_totals,
     validate_cost_matrix,
 )

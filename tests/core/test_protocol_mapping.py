@@ -1,4 +1,4 @@
-"""Two-round protocol with arbitrary member IDs (the index_of path)."""
+"""Two-round protocol member ids: any order of 0..n-1, nothing else."""
 
 import numpy as np
 import pytest
@@ -11,16 +11,6 @@ from tests.conftest import make_symmetric_costs
 
 
 class TestIndexMapping:
-    def test_arbitrary_ids_with_explicit_mapping(self, rng):
-        ids = [100, 205, 3, 42, 77, 8, 901, 55, 12]
-        n = len(ids)
-        w = make_symmetric_costs(rng, n)
-        quorum = GridQuorumSystem(ids)
-        index_of = {m: k for k, m in enumerate(ids)}
-        result = run_two_round(w, quorum, index_of=index_of)
-        oracle, _ = best_one_hop_all_pairs(w)
-        assert np.allclose(result.costs, oracle)
-
     def test_non_contiguous_ids_without_mapping_rejected(self, rng):
         ids = [5, 9, 12, 30]
         w = make_symmetric_costs(rng, 4)

@@ -219,9 +219,7 @@ class TestAblations:
         assert "grid" in format_quorum_ablation(rows)
 
     def test_interval_ablation(self):
-        rows = run_interval_ablation(
-            intervals_s=(15.0, 30.0), n=25, duration_s=240.0, warmup_s=90.0
-        )
+        rows = run_interval_ablation(n=25, duration_s=240.0, warmup_s=90.0)
         fast, slow = rows
         # Halving the interval halves freshness and doubles traffic.
         assert fast.median_freshness_s < slow.median_freshness_s
@@ -268,8 +266,11 @@ class TestChurnExperiments:
         result = run_mass_failure_sweep(
             n=20, fractions=(0.25,), seed=7, fail_at_s=120.0, settle_s=240.0
         )
-        for router in ("quorum", "full-mesh"):
-            stats = result.stats_for(0.25, router)
+        assert [(frac, s.router) for frac, s in result.rows] == [
+            (0.25, "quorum"),
+            (0.25, "full-mesh"),
+        ]
+        for _, stats in result.rows:
             assert stats.num_fails == 5
             assert stats.recovered
             assert stats.recovery_s <= 180.0
@@ -288,21 +289,21 @@ class TestChurnExperiments:
         from repro.experiments.churn import run_in_band_churn
 
         result = run_in_band_churn(n=20, duration_s=150.0, seed=1)
-        for mode in ("out-of-band", "in-band"):
-            stats, divergence = result.stats_for(mode)
+        assert [row[0] for row in result.rows] == ["out-of-band", "in-band"]
+        for _, stats, divergence, _ in result.rows:
             assert 0.0 <= stats.min_availability <= stats.mean_availability <= 1.0
             assert not divergence["open"]  # every divergence window closed
         assert "in-band" in result.format_table()
 
-    def test_in_band_membership_converges_under_loss(self):
+    def test_in_band_membership_converges_under_loss(self, monkeypatch):
+        from repro.experiments import membership_scaling
         from repro.experiments.membership_scaling import (
             churn_trace_for,
             run_membership_in_band,
         )
 
-        stats = run_membership_in_band(
-            churn_trace_for(128, duration_s=200.0, seed=7), loss=0.02, seed=7
-        )
+        monkeypatch.setattr(membership_scaling, "IN_BAND_LOSS", 0.02)
+        stats = run_membership_in_band(churn_trace_for(128, duration_s=200.0, seed=7), seed=7)
         assert stats.transport_dropped > 0  # the wire really dropped traffic
         assert stats.repairs > 0  # ...and the reliability layer repaired it
         assert stats.converged
@@ -326,6 +327,7 @@ class TestMembershipScalingClients:
         return calls
 
     def test_runs_drive_callback_and_wire_clients(self, monkeypatch):
+        from repro.experiments import membership_scaling
         from repro.experiments.membership_scaling import (
             churn_trace_for,
             run_membership_in_band,
@@ -338,9 +340,8 @@ class TestMembershipScalingClients:
         trace = churn_trace_for(64, duration_s=150.0, seed=7)
         assert run_membership_mode(trace, "delta").converged
         assert heartbeats
-        stats = run_membership_in_band(
-            churn_trace_for(128, duration_s=200.0, seed=7), loss=0.02, seed=7
-        )
+        monkeypatch.setattr(membership_scaling, "IN_BAND_LOSS", 0.02)
+        stats = run_membership_in_band(churn_trace_for(128, duration_s=200.0, seed=7), seed=7)
         assert stats.converged
         assert gaps  # a lost delta made a WireClient ask for the repair
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments import related_work
 from repro.experiments.related_work import (
     format_related_work,
     run_availability_comparison,
@@ -43,7 +44,9 @@ class TestAvailability:
 class TestLatencyRepair:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_latency_repair_comparison(n=150, trials=10, random_k=(1, 4))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(related_work, "LATENCY_RANDOM_K", (1, 4))
+            return run_latency_repair_comparison(n=150, trials=10)
 
     def test_random_much_worse_than_best(self, result):
         assert result.repaired["random_1"] < result.repaired["best_one_hop"]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
+from repro.net import trace as trace_module
 from repro.net.trace import (
     REGION_BASE_RTT_MS,
     REGION_WEIGHTS,
     REGIONS,
-    euclidean_2d,
     planetlab_like,
     uniform_random_metric,
 )
@@ -86,25 +86,13 @@ class TestPlanetlabLike:
         assert np.all(np.diag(trace.loss) == 0)
 
 
-class TestEuclidean:
-    def test_triangle_inequality_holds(self, rng):
-        trace = euclidean_2d(30, rng, min_rtt_ms=0.0)
-        w = trace.rtt_ms
-        n = trace.n
-        for i in range(n):
-            via = w[i][:, None] + w
-            best = via.min(axis=0)
-            assert np.all(best >= w[i] - 1e-9)
-
-    def test_validates(self, rng):
-        euclidean_2d(10, rng).validate()
-
-
 class TestUniformRandom:
     def test_validates(self, rng):
         uniform_random_metric(20, rng).validate()
 
-    def test_bounds_respected(self, rng):
-        trace = uniform_random_metric(20, rng, low_ms=50.0, high_ms=60.0)
+    def test_bounds_respected(self, rng, monkeypatch):
+        monkeypatch.setattr(trace_module, "UNIFORM_LOW_MS", 50.0)
+        monkeypatch.setattr(trace_module, "UNIFORM_HIGH_MS", 60.0)
+        trace = uniform_random_metric(20, rng)
         off = trace.rtt_ms[~np.eye(20, dtype=bool)]
         assert off.min() >= 50.0 and off.max() <= 60.0

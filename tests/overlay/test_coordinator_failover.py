@@ -207,9 +207,8 @@ class TestCrashDuringBootstrapWindow:
         # detection, promotion, and the ring walk all start from the
         # bootstrap-delivered view alone.
         config = _replicated_config()
-        overlay = build_overlay(
-            n=12, rng=np.random.default_rng(3), config=config
-        )
+        rng = np.random.default_rng(3)
+        overlay = build_overlay(trace=planetlab_like(12, rng), rng=rng, config=config)
         overlay.sim.schedule_at(
             1.0, overlay.membership.crash_coordinator, 0
         )
@@ -227,9 +226,10 @@ class TestCrashDuringBootstrapWindow:
         # promoted replica + refresh readmission).
         config = _replicated_config()
         joiner = 11
+        rng = np.random.default_rng(3)
         overlay = build_overlay(
-            n=12,
-            rng=np.random.default_rng(3),
+            trace=planetlab_like(12, rng),
+            rng=rng,
             config=config,
             active_members=tuple(range(11)),
         )

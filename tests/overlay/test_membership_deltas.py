@@ -18,9 +18,12 @@ from repro.core.grid import GridQuorum
 from repro.errors import MembershipError
 from repro.net.simulator import Simulator
 from repro.net.trace import uniform_random_metric
+from repro.overlay import membership
 from repro.overlay.config import OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.membership import MembershipService, MembershipView, ViewDelta
+from repro.overlay.stats import MEMBERSHIP_KINDS
+from repro.workloads import trace as churn_traces
 from repro.workloads import (
     ACTION_FAIL,
     ACTION_JOIN,
@@ -188,9 +191,10 @@ class TestDeltaDelivery:
         assert svc.view.version == v0  # no net change published
         assert len(got[1]) == n_updates
 
-    def test_gap_fallback_sends_full_view(self):
+    def test_gap_fallback_sends_full_view(self, monkeypatch):
+        monkeypatch.setattr(membership, "DELTA_LOG_VERSIONS", 2)
         sim = Simulator()
-        svc = MembershipService(sim, deltas=True, delta_log_versions=2)
+        svc = MembershipService(sim, deltas=True)
         got = {}
         svc.bootstrap({1: collect(got, 1), 2: collect(got, 2)})
         for m in (10, 11, 12, 13):
@@ -385,7 +389,8 @@ class TestOverlayIntegration:
         # Deltas (not just full views) actually flowed.
         assert overlay.membership.stats.get("view_delta_msgs") > 0
         # Membership wire cost was accounted.
-        assert overlay.membership_bytes().sum() > 0
+        received = overlay.bandwidth.bytes_per_node(MEMBERSHIP_KINDS, directions=("in",))
+        assert received.sum() > 0
         assert_routers_share_fresh_grids(overlay)
 
     def test_delta_and_full_view_runs_agree_on_final_views(self):
@@ -413,10 +418,9 @@ class TestOverlayIntegration:
                 == full_overlay.nodes[i].router.view
             )
 
-    def test_batched_overlay_publishes_fewer_versions(self):
-        churn = ChurnTrace.flash_crowd(
-            16, count=6, at_s=60.0, duration_s=120.0, seed=4, spread_s=3.0
-        )
+    def test_batched_overlay_publishes_fewer_versions(self, monkeypatch):
+        monkeypatch.setattr(churn_traces, "FLASH_SPREAD_S", 3.0)
+        churn = ChurnTrace.flash_crowd(16, count=6, at_s=60.0, duration_s=120.0, seed=4)
         batched = build_delta_overlay(16, churn, notify_batch_s=5.0)
         replay(batched, FaultPlan().add_churn(churn), churn.duration_s + 120.0)
         immediate = build_delta_overlay(16, churn)

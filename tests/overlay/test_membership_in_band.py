@@ -18,7 +18,7 @@ from repro.overlay import wire
 from repro.overlay.config import InBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow
-from repro.overlay.stats import DisruptionRecorder
+from repro.overlay.stats import MEMBERSHIP_KINDS, DisruptionRecorder
 
 
 def build_in_band_overlay(
@@ -62,7 +62,8 @@ class TestWireDelivery:
             assert overlay.nodes[i].router.view == membership.view
         assert overlay.nodes[7].started
         # Received update bytes were accounted by the transport.
-        assert overlay.membership_bytes().sum() > 0
+        received = overlay.bandwidth.bytes_per_node(MEMBERSHIP_KINDS, directions=("in",))
+        assert received.sum() > 0
 
     def test_delta_wire_size_matches_codec(self):
         msg = MembershipDelta(

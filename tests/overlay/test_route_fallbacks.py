@@ -2,9 +2,7 @@
 
 import numpy as np
 from repro.net.failures import FailureTable, OutageSchedule
-from repro.net.packet import ProbeReply, ProbeRequest
 from repro.net.trace import uniform_random_metric
-from repro.overlay import wire
 from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.router_base import (
@@ -85,13 +83,6 @@ class TestFallbackOrder:
         assert route.cost_ms == 0.0 and route.is_direct
 
 
-class TestProbePackets:
-    def test_probe_wire_sizes(self):
-        assert ProbeRequest(origin=1, seq=9).wire_size() == wire.PROBE_BYTES
-        assert ProbeReply(origin=2, seq=9).wire_size() == wire.PROBE_BYTES
-        assert ProbeRequest(origin=1).kind == "probe"
-
-
 class TestDoubleFailureSemantics:
     def test_proximal_count_at_most_full_count(self):
         n = 25
@@ -100,6 +91,9 @@ class TestDoubleFailureSemantics:
 
         failures = build_failure_table(n, 1200.0, rng)
         ov = build(n=n, failures=failures, run_s=400.0)
-        proximal = ov.double_failure_counts(proximal_only=True)
-        full = ov.double_failure_counts(proximal_only=False)
-        assert np.all(proximal <= full)
+        polls = [node.router._evaluate_failover() for node in ov.nodes]
+        assert all(p.proximal_double_failures <= p.double_failures for p in polls)
+        assert sum(p.double_failures for p in polls) > 0
+        assert [node.router.double_failure_count() for node in ov.nodes] == [
+            p.proximal_double_failures for p in polls
+        ]

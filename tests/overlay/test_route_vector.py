@@ -109,7 +109,6 @@ class TestRouteVectorUnderChurn:
             rate_per_s=0.05,
             duration_s=200.0,
             seed=8,
-            crash_fraction=0.5,
             warmup_s=30.0,
         )
         rng = np.random.default_rng(8)
@@ -198,7 +197,6 @@ class TestRouteOkMatrixEquivalence:
             rate_per_s=0.05,
             duration_s=150.0,
             seed=21,
-            crash_fraction=0.5,
             warmup_s=30.0,
         )
         rng = np.random.default_rng(21)

@@ -16,6 +16,7 @@ from repro.overlay.router_base import (
     SOURCE_RECOMMENDATION,
     SOURCE_REDUNDANT,
 )
+from repro.workloads import trace as churn_traces
 from repro.workloads.faults import FaultPlan
 from repro.workloads.trace import ChurnEvent, ChurnTrace
 
@@ -394,9 +395,9 @@ class TestViewChange:
         n = 64
         for rejoins in (False, True):
             if rejoins:
+                monkeypatch.setattr(churn_traces, "CRASH_FRACTION", 0.0)
                 churn = ChurnTrace.poisson(
-                    n=n, rate_per_s=0.1, duration_s=300.0, seed=3, crash_fraction=0.0,
-                    warmup_s=45.0,
+                    n=n, rate_per_s=0.1, duration_s=300.0, seed=3, warmup_s=45.0
                 )
             else:
                 # 16 first-time joiners in, 16 founders out, one per 8 s.

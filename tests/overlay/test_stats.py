@@ -54,14 +54,14 @@ class TestBandwidthRecorder:
         # quiet minute, then a burst minute
         bw.record_out(0, "ls", 100, 30.0)
         bw.record_out(0, "ls", 10_000, 70.0)
-        peak = bw.max_window_bps(60.0, t0=0.0, t1=120.0)[0]
+        peak = bw.max_window_bps(t0=0.0, t1=120.0)[0]
         assert peak == pytest.approx(10_000 * 8 / 60.0)
 
     def test_max_window_requires_alignment(self):
         bw = BandwidthRecorder(1, bucket_s=7.0)
         bw.record_out(0, "ls", 1, 0.0)
         with pytest.raises(ConfigError):
-            bw.max_window_bps(60.0, t0=0.0, t1=70.0)
+            bw.max_window_bps(t0=0.0, t1=70.0)
 
     def test_bucket_growth(self):
         bw = BandwidthRecorder(1, bucket_s=1.0)
@@ -81,9 +81,9 @@ class TestBandwidthRecorder:
         assert np.array_equal(bw.bps_per_node(), bw.bps_per_node(t0=0.0, t1=50.0))
         assert np.array_equal(bw.bps_per_node(t0=20.0), bw.bps_per_node(t0=20.0, t1=50.0))
         with pytest.raises(ConfigError, match="longer than"):
-            bw.max_window_bps(60.0)
+            bw.max_window_bps()
         bw.record_out(0, "probe", 1000, 119.0)
-        assert np.array_equal(bw.max_window_bps(60.0), bw.max_window_bps(60.0, t0=0.0, t1=120.0))
+        assert np.array_equal(bw.max_window_bps(), bw.max_window_bps(t0=0.0, t1=120.0))
         assert BandwidthRecorder(3).bytes_per_node().tolist() == [0, 0, 0]
 
     def test_vectorized_recording(self):
@@ -130,15 +130,6 @@ class TestFreshnessRecorder:
         assert stats["average"][0, 1] == pytest.approx(15.0)
         assert stats["max"][0, 1] == 30.0
         assert 10.0 < stats["p97"][0, 1] <= 30.0
-
-    def test_per_destination_view(self):
-        fr = FreshnessRecorder(3)
-        last = np.zeros((3, 3))
-        fr.sample(7.0, last)
-        per_dst = fr.per_destination_stats(1)
-        assert per_dst["max"].shape == (3,)
-        with pytest.raises(ConfigError):
-            fr.per_destination_stats(9)
 
     def test_no_samples_raises(self):
         fr = FreshnessRecorder(2)
@@ -242,9 +233,9 @@ class TestDisruptionRecorder:
         assert all(
             [type(v) for v in event] == [int, int, float, float] for event in events
         )
-        for t0, t1 in ((0.0, np.inf), (20.0, 100.0), (1e6, np.inf)):
-            durations = recorder.disruption_durations(t0, t1)
-            loop = np.array([e - s for _, _, s, e in expected if t0 <= s < t1], dtype=float)
+        for t0 in (0.0, 20.0, 1e6):
+            durations = recorder.disruption_durations(t0)
+            loop = np.array([e - s for _, _, s, e in expected if t0 <= s], dtype=float)
             assert durations.dtype == loop.dtype and np.array_equal(durations, loop)
         assert recorder.open_disruptions() == int((~np.isnan(down_since)).sum())
         assert recorder._div_pair_measured == div_measured
@@ -273,7 +264,8 @@ class TestDisruptionRecorder:
             "ov = build_overlay(trace=uniform_random_metric(12, rng), rng=rng, with_freshness=False)\n"
             "recorder = ov.attach_disruption(5.0)\n"
             "ov.run(15.0)\n"
-            "assert recorder.num_samples == 3, recorder.num_samples\n"
+            "times, _ = recorder.availability_series()\n"
+            "assert len(times) == 3, times\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))

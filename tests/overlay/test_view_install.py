@@ -22,7 +22,7 @@ from repro.net.transport import DatagramTransport
 from repro.overlay.config import InBand, OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.membership import MembershipView
-from repro.overlay.stats import ALL_KINDS
+from repro.overlay.stats import ALL_KINDS, MEMBERSHIP_KINDS
 from repro.workloads.faults import FaultPlan
 from repro.workloads.trace import ChurnTrace
 
@@ -116,7 +116,11 @@ def test_the_view_wire_format_moves_only_membership_traffic(plane, monkeypatch):
         assert counts_delta == counts_full
     # The churn really did change the views many times.
     assert max(node.router.view.version for node in ov_full.nodes if node.router.view) > 10
-    assert ov_delta.membership_bytes().sum() != ov_full.membership_bytes().sum()
+    delta_bytes, full_bytes = (
+        ov.bandwidth.bytes_per_node(MEMBERSHIP_KINDS, directions=("in",)).sum()
+        for ov in (ov_delta, ov_full)
+    )
+    assert delta_bytes != full_bytes
 
 
 def steady_router(kind):

@@ -38,6 +38,27 @@ class TestParser:
         )
         assert args.n == 36 and args.duration == 60.0 and args.seed == 7
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--n", "0"],
+            ["fig1", "--n", "1"],
+            ["churn", "--n", "8", "--rate", "0"],
+            ["churn", "--rate", "-0.05"],
+            ["fig9", "--duration", "0"],
+            ["fig9", "--duration", "nan"],
+        ],
+    )
+    def test_invalid_size_rate_or_duration_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --" in capsys.readouterr().err
+
+    def test_smallest_overlay_is_accepted(self):
+        args = build_parser().parse_args(["fig1", "--n", "2", "--rate", "1e-3"])
+        assert args.n == 2 and args.rate == 1e-3
+
     def test_in_band_flag(self):
         args = build_parser().parse_args(["membership", "--in-band", "--smoke"])
         assert args.in_band and args.smoke

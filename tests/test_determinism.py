@@ -26,7 +26,6 @@ def run_churn_once(seed=5, churn_seed=11, n=20, duration=240.0):
         rate_per_s=0.05,
         duration_s=duration,
         seed=churn_seed,
-        crash_fraction=0.5,
         warmup_s=45.0,
     )
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ from repro.errors import ConfigError, WorkloadError
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
+from repro.workloads import trace as churn_traces
 from repro.workloads import (
     ACTION_FAIL,
     ACTION_JOIN,
@@ -44,10 +45,9 @@ class TestChurnTrace:
         assert a == b
         assert a != c
 
-    def test_poisson_respects_min_active(self):
-        trace = ChurnTrace.poisson(
-            16, 1.0, 200.0, seed=1, min_active=8, crash_fraction=1.0
-        )
+    def test_poisson_respects_min_active(self, monkeypatch):
+        monkeypatch.setattr(churn_traces, "CRASH_FRACTION", 1.0)
+        trace = ChurnTrace.poisson(16, 1.0, 200.0, seed=1)
         active = set(trace.initial_active)
         for ev in trace.events:
             if ev.action == ACTION_JOIN:
@@ -62,10 +62,9 @@ class TestChurnTrace:
         assert trace.fail_times() == (100.0,)
         assert len(trace.active_at_end()) == 48
 
-    def test_flash_crowd_layout(self):
-        trace = ChurnTrace.flash_crowd(
-            20, count=5, at_s=50.0, duration_s=100.0, seed=2, spread_s=4.0
-        )
+    def test_flash_crowd_layout(self, monkeypatch):
+        monkeypatch.setattr(churn_traces, "FLASH_SPREAD_S", 4.0)
+        trace = ChurnTrace.flash_crowd(20, count=5, at_s=50.0, duration_s=100.0, seed=2)
         assert trace.count(ACTION_JOIN) == 5
         assert len(trace.initial_active) == 15
         assert all(50.0 <= ev.time <= 54.0 for ev in trace.events)

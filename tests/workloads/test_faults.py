@@ -29,7 +29,6 @@ class TestCorrelatedFailure:
             crash_at_s=100.0,
             duration_s=600.0,
             seed=9,
-            spread_s=2.0,
         )
         assert trace.initial_active == tuple(range(32))
         crashed = sorted(ev.node for ev in trace.events)
