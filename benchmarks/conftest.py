@@ -1,17 +1,22 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared helper of the published-table checks.
 
-The deployment simulation (Figures 8, 10-14) is expensive, so one
-paper-scale run (140 nodes) is shared across all the figure benchmarks
-through a session-scoped fixture. Each benchmark regenerates its
-figure's data series, prints it, and writes it under ``results/``.
+Every ``results/*.txt`` table has one producer, a ``python -m repro``
+command (:data:`repro.cli.COMMANDS`), and each module here checks one
+command's claims. :func:`published` runs the command at its defaults —
+the published parameters, stated once at the experiments' entry points
+— once per session, so the 140-node deployment behind Figures 8 and
+10-14 runs once for all of them. It compares each table the command
+writes with the committed file byte for byte and returns the command's
+result objects for the module's assertions. Nothing here writes under
+``results/``: a table that legitimately moved is rewritten with
+``python -m repro <command> --out results``.
 """
 
+import functools
 import pathlib
 import sys
 
-import pytest
-
-from repro.experiments.deployment import run_deployment
+from repro.cli import build_parser, run_command
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -21,20 +26,18 @@ sys.path.insert(0, str(RESULTS_DIR.parent / "tests" / "overlay"))
 sys.path.insert(0, str(RESULTS_DIR.parent))
 
 
-@pytest.fixture(scope="session")
-def deployment():
-    """One paper-scale deployment run (140 nodes, 10 min measured)."""
-    return run_deployment(n=140, duration_s=600.0, warmup_s=240.0, seed=42)
+@functools.lru_cache(maxsize=None)
+def _run(command: str):
+    return run_command(command, build_parser().parse_args([command]))
 
 
-@pytest.fixture(scope="session")
-def results_dir():
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-def emit(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Print a regenerated table and persist it under results/."""
-    print()
-    print(text)
-    (results_dir / f"{name}.txt").write_text(text + "\n")
+def published(command: str):
+    """``python -m repro <command>``'s result objects, after checking
+    that every table it writes equals the committed one."""
+    result, tables = _run(command)
+    for stem, text in tables.items():
+        committed = (RESULTS_DIR / f"{stem}.txt").read_bytes()
+        assert (text + "\n").encode() == committed, (
+            f"results/{stem}.txt differs from `python -m repro {command}`"
+        )
+    return result

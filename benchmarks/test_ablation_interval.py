@@ -7,24 +7,12 @@ quorum traffic remains far below full mesh at scale.
 """
 
 import pytest
-from conftest import emit
-
-from repro.experiments.ablation_interval import (
-    format_interval_ablation,
-    run_interval_ablation,
-)
+from conftest import published
 
 
-def test_routing_interval_ablation(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        run_interval_ablation,
-        kwargs={"n": 49, "duration_s": 360.0},
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "table_ablation_interval", format_interval_ablation(rows))
+def test_routing_interval_ablation():
+    _, (fast, slow) = published("ablations")
 
-    fast, slow = rows
     assert fast.routing_interval_s == 15.0
     # Twice the traffic...
     assert fast.mean_routing_kbps == pytest.approx(

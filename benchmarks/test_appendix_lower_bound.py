@@ -8,36 +8,17 @@ quorum construction sits within a constant factor of that floor.
 
 import itertools
 
-from conftest import emit
+from conftest import published
 
-from repro.analysis.tables import render_table
 from repro.core.lowerbound import (
     count_diamonds_codegree,
     diamonds_in_complete_graph,
-    grid_quorum_edges_received,
     optimality_ratio,
-    theorem4_min_edges_per_node,
 )
 
 
-def build_lower_bound_table():
-    rows = []
-    for n in (100, 400, 2500, 10_000, 40_000):
-        floor = theorem4_min_edges_per_node(n)
-        actual = grid_quorum_edges_received(n)
-        rows.append(
-            [n, f"{floor:,.0f}", f"{actual:,}", f"{optimality_ratio(n):.2f}x"]
-        )
-    return render_table(
-        ["n", "theorem4_min_edges/node", "grid_quorum_edges/node", "ratio"],
-        rows,
-        title="Appendix A — grid quorum vs the Ω(n√n) lower bound",
-    )
-
-
-def test_lower_bound_table(benchmark, results_dir):
-    table = benchmark.pedantic(build_lower_bound_table, rounds=1, iterations=1)
-    emit(results_dir, "table_appendix_lower_bound", table)
+def test_lower_bound_table():
+    published("capacity")
 
     # Lemma 2 exact check at a nontrivial size.
     n = 9

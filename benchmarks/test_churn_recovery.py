@@ -9,22 +9,11 @@ plus route-repair budget (one probing interval to detect, about two
 routing intervals to repair).
 """
 
-from conftest import emit
-
-from repro.experiments.churn import (
-    run_churn_comparison,
-    run_mass_failure_sweep,
-)
+from conftest import published
 
 
-def test_churn_comparison(benchmark, results_dir):
-    result = benchmark.pedantic(
-        run_churn_comparison,
-        kwargs={"n": 64, "rate_per_s": 0.05, "duration_s": 300.0, "seed": 42},
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "table_churn_comparison", result.format_table())
+def test_churn_comparison():
+    result, _, _, _ = published("churn")
 
     assert len(result.rows) == 2
     for stats in result.rows:
@@ -35,16 +24,8 @@ def test_churn_comparison(benchmark, results_dir):
         assert stats.disruption_max_s < 120.0
 
 
-def test_mass_failure_recovery(benchmark, results_dir):
-    # Same parameters as the CLI default, so both producers of this
-    # results file emit identical content.
-    result = benchmark.pedantic(
-        run_mass_failure_sweep,
-        kwargs={"n": 64, "fractions": (0.125, 0.25, 0.5), "seed": 42},
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "table_churn_mass_failure", result.format_table())
+def test_mass_failure_recovery():
+    _, result, _, _ = published("churn")
 
     runs = {(frac, s.router): s for frac, s in result.rows}
     for frac in (0.125, 0.25, 0.5):
@@ -57,3 +38,14 @@ def test_mass_failure_recovery(benchmark, results_dir):
             assert stats.recovery_s <= 120.0
             # The dip is bounded: most pairs don't route through the dead.
             assert stats.min_availability > 0.9
+
+
+def test_in_band_membership_reconverges():
+    # The same Poisson churn on a 1%-loss underlay, with the view updates
+    # on that wire: every divergence window closes, and availability
+    # stays within a hair of the out-of-band plane's.
+    _, _, _, result = published("churn")
+    (_, out_of_band, _, _), (_, in_band, div, _) = result.rows
+    assert div["windows"] > 0
+    assert all(not row_div["open"] for _, _, row_div, _ in result.rows)
+    assert in_band.mean_availability > out_of_band.mean_availability - 0.005

@@ -9,23 +9,11 @@ concurrent views. Every scenario must converge to a single
 window left open, and no permanent routing disruption.
 """
 
-from conftest import emit
-
-from repro.experiments.coordinator_failover import (
-    format_failover_scenarios,
-    run_failover_scenarios,
-)
+from conftest import published
 
 
-def test_coordinator_failover_scenarios(benchmark, results_dir):
-    results = benchmark.pedantic(
-        run_failover_scenarios, kwargs={"n": 48, "seed": 42}, rounds=1, iterations=1
-    )
-    emit(
-        results_dir,
-        "table_coordinator_failover",
-        format_failover_scenarios(results),
-    )
+def test_coordinator_failover_scenarios():
+    results = published("failover")
 
     assert len(results) == 3
     for res in results:
@@ -39,4 +27,4 @@ def test_coordinator_failover_scenarios(benchmark, results_dir):
     assert any(res.readmissions >= 1 for res in results)
     by_name = {res.name: res for res in results}
     # Split-brain readmits the whole minority side after the heal.
-    assert by_name["split-brain"].readmissions >= 48 // 4
+    assert by_name["split-brain"].readmissions >= by_name["split-brain"].n // 4

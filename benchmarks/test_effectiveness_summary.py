@@ -11,38 +11,10 @@ almost all have a working route and the vast majority are within 10% of
 the true optimal one-hop.
 """
 
-from conftest import emit
-
-from repro.analysis.tables import render_table
+from conftest import published
 
 
-def test_effectiveness_summary(benchmark, deployment, results_dir):
-    def build():
-        return render_table(
-            ["metric", "value"],
-            [
-                [
-                    "reachable pairs with a working route",
-                    f"{deployment.route_availability_fraction * 100:.1f}%",
-                ],
-                [
-                    "reachable pairs within 10% of optimal one-hop",
-                    f"{deployment.route_optimality_fraction * 100:.1f}%",
-                ],
-                [
-                    "typical (median) route freshness",
-                    f"{deployment.fig12_typical_median():.1f}s",
-                ],
-                [
-                    "failover adoptions over the run",
-                    str(deployment.counters.get("failover_adoptions", 0)),
-                ],
-            ],
-            title="§6.2 evaluation summary (140-node deployment, end of run)",
-        )
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
-    emit(results_dir, "table_effectiveness_summary", table)
-
+def test_effectiveness_summary():
+    deployment = published("deployment")
     assert deployment.route_availability_fraction > 0.95
     assert deployment.route_optimality_fraction > 0.90

@@ -8,22 +8,11 @@ redundancy plus local cross-validation of recommendations removes
 essentially all of the inflation.
 """
 
-from conftest import emit
-
-from repro.experiments.adversarial import (
-    format_adversarial,
-    run_adversarial_sweep,
-)
+from conftest import published
 
 
-def test_adversarial_rendezvous(benchmark, results_dir):
-    results = benchmark.pedantic(
-        run_adversarial_sweep,
-        kwargs={"n": 49},
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "table_ext_adversarial", format_adversarial(results))
+def test_adversarial_rendezvous():
+    results = published("adversarial")
 
     by_key = {(r.num_malicious, r.verify): r for r in results}
     clean = by_key[(0, False)]

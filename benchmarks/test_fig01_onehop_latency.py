@@ -7,29 +7,12 @@ excluding the top 50% leaves almost nothing — random intermediaries
 rarely help for latency.
 """
 
-from conftest import emit
-
-from repro.experiments.fig1_onehop_cdf import run_fig1
+from conftest import published
 
 
-def test_fig1_onehop_latency_cdf(benchmark, results_dir):
-    result = benchmark.pedantic(
-        run_fig1, kwargs={"n_hosts": 359, "seed": 2005}, rounds=1, iterations=1
-    )
-    emit(results_dir, "fig01_onehop_latency", result.format_table())
-    emit(results_dir, "fig01_onehop_latency_plot", result.format_plot())
-
+def test_fig1_onehop_latency_cdf():
+    result = published("fig1")
     frac = result.fraction_improved_below(400.0)
-    summary = "\n".join(
-        f"  {name:>22}: {100 * value:.1f}% of high-latency pairs < 400 ms"
-        for name, value in frac.items()
-    )
-    emit(
-        results_dir,
-        "fig01_summary",
-        "Figure 1 summary (paper: best >= 45%, top-3%-excluded ~30%, "
-        "top-50%-excluded ~0%)\n" + summary,
-    )
 
     # Shape assertions from the paper's reading of the figure.
     assert frac["point_to_point"] == 0.0

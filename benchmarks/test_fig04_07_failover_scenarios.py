@@ -6,17 +6,13 @@ link-state routing recovers within one probing + one routing interval.
 Wall-clock bounds therefore add the probing timeout p.
 """
 
-from conftest import emit
+from conftest import published
 
-from repro.experiments.scenarios import format_scenarios, run_all_scenarios
 from repro.overlay.config import RouterKind
 
 
-def test_failover_scenarios(benchmark, results_dir):
-    results = benchmark.pedantic(
-        run_all_scenarios, kwargs={"n": 49, "seed": 4}, rounds=1, iterations=1
-    )
-    emit(results_dir, "fig04_07_failover_scenarios", format_scenarios(results))
+def test_failover_scenarios():
+    results = published("scenarios")
 
     for res in results:
         assert res.within_bound, (

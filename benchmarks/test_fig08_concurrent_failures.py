@@ -7,12 +7,11 @@ max of 123).
 """
 
 import numpy as np
-from conftest import emit
+from conftest import published
 
 
-def test_fig8_concurrent_failures(benchmark, deployment, results_dir):
-    table = benchmark.pedantic(deployment.fig8_table, rounds=1, iterations=1)
-    emit(results_dir, "fig08_concurrent_failures", table)
+def test_fig8_concurrent_failures():
+    deployment = published("deployment")
 
     means = deployment.fig8_mean_per_node()
     # Almost all nodes below 40 on average.

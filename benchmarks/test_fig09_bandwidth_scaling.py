@@ -6,23 +6,11 @@ the quorum algorithm as 6.4 n sqrt(n) + 17.1 n + 196.3 sqrt(n) bps; at
 the closed forms (sitting slightly below them).
 """
 
-from conftest import emit
-
-from repro.experiments.fig9_bandwidth_scaling import run_fig9
+from conftest import published
 
 
-def test_fig9_bandwidth_scaling(benchmark, results_dir):
-    result = benchmark.pedantic(
-        run_fig9,
-        kwargs={
-            "sizes": (16, 36, 64, 100, 140, 196),
-            "duration_s": 180.0,
-            "warmup_s": 60.0,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "fig09_bandwidth_scaling", result.format_table())
+def test_fig9_bandwidth_scaling():
+    result = published("fig9")
 
     sizes = result.sizes
     k140 = sizes.index(140)

@@ -6,14 +6,13 @@ worst burst was under 30% above steady state — failover load is spread
 evenly by the random failover choice.
 """
 
-from conftest import emit
+from conftest import published
 
 from repro.analysis.bandwidth import quorum_routing_bps
 
 
-def test_fig10_bandwidth_cdf(benchmark, deployment, results_dir):
-    table = benchmark.pedantic(deployment.fig10_table, rounds=1, iterations=1)
-    emit(results_dir, "fig10_bandwidth_cdf", table)
+def test_fig10_bandwidth_cdf():
+    deployment = published("deployment")
 
     theory = quorum_routing_bps(deployment.n)
     mean = deployment.routing_bps_mean.mean()

@@ -7,12 +7,11 @@ vast majority of pairs.
 """
 
 import numpy as np
-from conftest import emit
+from conftest import published
 
 
-def test_fig11_double_failures(benchmark, deployment, results_dir):
-    table = benchmark.pedantic(deployment.fig11_table, rounds=1, iterations=1)
-    emit(results_dir, "fig11_double_failures", table)
+def test_fig11_double_failures():
+    deployment = published("deployment")
 
     means = deployment.fig11_mean_per_node()
     # Median node: almost no double failures.

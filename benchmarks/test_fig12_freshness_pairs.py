@@ -8,12 +8,11 @@ median pair's worst case over the run was 30 s.
 """
 
 import numpy as np
-from conftest import emit
+from conftest import published
 
 
-def test_fig12_freshness_all_pairs(benchmark, deployment, results_dir):
-    table = benchmark.pedantic(deployment.fig12_table, rounds=1, iterations=1)
-    emit(results_dir, "fig12_freshness_pairs", table)
+def test_fig12_freshness_all_pairs():
+    deployment = published("deployment")
 
     n = deployment.n
     off = ~np.eye(n, dtype=bool)

@@ -9,21 +9,12 @@ destinations within a minute, 97% of the time.
 
 import numpy as np
 import pytest
-from conftest import emit
+from conftest import published
 
 
-def test_fig13_14_freshness_by_connectivity(benchmark, deployment, results_dir):
+def test_fig13_14_freshness_by_connectivity():
+    deployment = published("deployment")
     well, poor = deployment.well_and_poorly_connected()
-
-    def tables():
-        return (
-            deployment.fig13_14_table(well),
-            deployment.fig13_14_table(poor),
-        )
-
-    well_table, poor_table = benchmark.pedantic(tables, rounds=1, iterations=1)
-    emit(results_dir, "fig13_freshness_well_connected", well_table)
-    emit(results_dir, "fig14_freshness_poorly_connected", poor_table)
 
     means = deployment.fig8_mean_per_node()
     assert means[poor] > 3 * means[well] + 1
@@ -59,9 +50,10 @@ def test_fig13_14_freshness_by_connectivity(benchmark, deployment, results_dir):
         "the ~14 failover servers it holds (results/README.md, ROADMAP item 3)"
     ),
 )
-def test_fig14_poorly_connected_node_is_staler_at_the_median(deployment):
+def test_fig14_poorly_connected_node_is_staler_at_the_median():
     """The other half of the paper's Fig. 13/14 contrast: the typical
     destination too is staler from the poorly connected node."""
+    deployment = published("deployment")
     well, poor = deployment.well_and_poorly_connected()
     median = deployment.freshness_stats["median"]
     poor_med = np.delete(median[poor], poor)

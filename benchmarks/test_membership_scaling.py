@@ -16,30 +16,15 @@ open, and the reliability layer's repair resends must keep total update
 bytes within 2x of the out-of-band accounting model.
 """
 
-from conftest import emit
-
-from repro.experiments.membership_scaling import (
-    churn_trace_for,
-    run_in_band_scaling,
-    run_membership_mode,
-    run_membership_scaling,
-)
-
-SIZES = (256, 1024, 2048)
-IN_BAND_SIZES = (256, 1024)
+from conftest import published
 
 
-def test_membership_scaling(benchmark, results_dir):
-    result = benchmark.pedantic(
-        run_membership_scaling,
-        kwargs={"sizes": SIZES, "duration_s": 300.0, "seed": 42},
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "table_membership_scaling", result.format_table())
+def test_membership_scaling():
+    result, _ = published("membership")
 
     runs = {(s.n, s.mode): s for s in result.rows}
-    for n in SIZES:
+    assert result.sizes == (256, 1024, 2048)
+    for n in result.sizes:
         full = runs[n, "full"]
         delta = runs[n, "delta"]
         batched = runs[n, "delta-batch"]
@@ -64,14 +49,8 @@ def test_membership_scaling(benchmark, results_dir):
     assert delta_1024.bytes_per_update <= 0.10 * full_1024.bytes_per_update
 
 
-def test_membership_in_band_guard(benchmark, results_dir):
-    result = benchmark.pedantic(
-        run_in_band_scaling,
-        kwargs={"sizes": IN_BAND_SIZES, "duration_s": 300.0, "seed": 42},
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "table_membership_in_band", result.format_table())
+def test_membership_in_band_guard():
+    scaling, result = published("membership")
 
     for stats in result.rows:
         # The wire actually dropped traffic — the reliability layer was
@@ -92,6 +71,6 @@ def test_membership_in_band_guard(benchmark, results_dir):
     # resend and full-view fallback the loss forced) stay within 2x of
     # the out-of-band accounting model on the identical trace.
     (in_1024,) = [s for s in result.rows if s.n == 1024]
-    out_1024 = run_membership_mode(churn_trace_for(1024), "delta")
+    (out_1024,) = [s for s in scaling.rows if s.n == 1024 and s.mode == "delta"]
     assert in_1024.repairs > 0  # losses occurred and were repaired
     assert in_1024.update_bytes <= 2.0 * out_1024.total_bytes

@@ -7,23 +7,11 @@ broadcast — and optimal 3-hop routes cost just twice the one-hop
 communication.
 """
 
-
-from conftest import emit
-
-from repro.experiments.multihop_scaling import (
-    format_multihop_scaling,
-    run_multihop_scaling,
-)
+from conftest import published
 
 
-def test_multihop_scaling(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        run_multihop_scaling,
-        kwargs={"sizes": (16, 36, 64, 100, 144)},
-        rounds=1,
-        iterations=1,
-    )
-    emit(results_dir, "table_multihop_scaling", format_multihop_scaling(rows))
+def test_multihop_scaling():
+    rows = published("multihop")
 
     assert all(r.routes_correct for r in rows)
     # Per-node multi-hop bytes grow ~ n^1.5 log n: strictly slower than

@@ -8,23 +8,11 @@ significantly improve latency" — so the best path must be found
 deliberately, which is the quorum protocol's job.
 """
 
-from conftest import emit
-
-from repro.experiments.related_work import (
-    format_related_work,
-    run_availability_comparison,
-    run_latency_repair_comparison,
-)
+from conftest import published
 
 
-def test_related_work_sosr(benchmark, results_dir):
-    def run_both():
-        avail = run_availability_comparison(n=100, num_times=40, num_pairs=600)
-        latency = run_latency_repair_comparison(n=359, trials=25)
-        return avail, latency
-
-    avail, latency = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    emit(results_dir, "table_related_work_sosr", format_related_work(avail, latency))
+def test_related_work_sosr():
+    avail, latency = published("sosr")
 
     # Availability: overlays beat the direct path severalfold; random-4
     # captures nearly all of the optimal policy's availability gain.

@@ -9,29 +9,20 @@ Paper results reproduced exactly from the calibrated wire model:
 """
 
 import pytest
-from conftest import emit
+from conftest import published
 
-from repro.experiments.capacity_tables import (
-    coefficients_table,
-    config_table,
-    run_capacity_headlines,
-)
+from repro.experiments.capacity_tables import coefficients_table, config_table
 
 
-def test_config_and_coefficients_tables(benchmark, results_dir):
-    def build():
-        return config_table(), coefficients_table()
-
-    cfg, coeff = benchmark.pedantic(build, rounds=1, iterations=1)
-    emit(results_dir, "table_config", cfg)
-    emit(results_dir, "table_coefficients", coeff)
+def test_config_and_coefficients_tables():
+    published("capacity")
+    cfg, coeff = config_table(), coefficients_table()
     assert "30s" in cfg and "15s" in cfg
     assert "49.07" in coeff
 
 
-def test_capacity_headlines(benchmark, results_dir):
-    head = benchmark.pedantic(run_capacity_headlines, rounds=1, iterations=1)
-    emit(results_dir, "table_capacity", head.format_table())
+def test_capacity_headlines():
+    head = published("capacity")
 
     assert head.fullmesh_nodes_at_budget == 165
     assert 280 <= head.quorum_nodes_at_budget <= 310

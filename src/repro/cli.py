@@ -2,30 +2,36 @@
 
 Usage (also via ``python -m repro``)::
 
-    repro-experiments capacity                 # §1 headline tables
-    repro-experiments fig1                     # Figure 1 CDF
-    repro-experiments fig9 --duration 120      # bandwidth scaling sweep
-    repro-experiments deployment --n 64        # Figures 8, 10-14
-    repro-experiments scenarios                # §4.1 failover timing
-    repro-experiments ablations                # quorum + interval ablations
-    repro-experiments multihop                 # §3 multi-hop scaling
-    repro-experiments sosr                     # §2 random-intermediary study
-    repro-experiments churn --nodes 64 --rate 0.05   # dynamic membership
-                                               # (writes results/ unless --out)
-    repro-experiments churn --in-band          # lossy in-band membership
-    repro-experiments membership               # view-delta scaling sweep
-    repro-experiments membership --smoke       # fast n=256-only CI path
-    repro-experiments membership --in-band     # updates on the lossy wire
-    repro-experiments failover                 # replicated-coordinator faults
-    repro-experiments failover --smoke         # crash+partition CI subset
-    repro-experiments gossip                   # coordinator-free membership
-    repro-experiments gossip --smoke           # n=24 CI variant
-    repro-experiments all                      # everything above
+    repro-experiments capacity       # §1/§5/§6.1 tables, Appendix A bound
+    repro-experiments fig1           # Figure 1 CDF, chart and summary
+    repro-experiments fig9           # Figure 9 bandwidth scaling sweep
+    repro-experiments deployment     # Figures 8, 10-14, §6.2 summary
+    repro-experiments scenarios      # §4.1 failover timing (Figures 4-7)
+    repro-experiments ablations      # quorum + interval ablations
+    repro-experiments multihop       # §3 multi-hop scaling
+    repro-experiments sosr           # §2 random-intermediary study
+    repro-experiments adversarial    # §7 malicious rendezvous
+    repro-experiments churn          # dynamic membership, in-band included
+    repro-experiments membership     # view-delta scaling, in-band included
+    repro-experiments failover       # replicated-coordinator faults
+    repro-experiments gossip         # coordinator-free membership
+    repro-experiments all            # every command above
 
-Each command prints the same rows/series the paper's corresponding
-figure or table reports; ``--out DIR`` additionally writes them to
-files. Host wall time and memory at scale are the benchmark's to
-measure, not the CLI's: see ``bench/README.md``.
+    repro-experiments fig9 --n 64 --duration 120     # one smaller point
+    repro-experiments churn --nodes 20 --rate 0.1    # a smaller, busier run
+    repro-experiments membership --smoke             # fast CI variants
+    repro-experiments all --out results              # rewrite results/
+
+Each command owns the ``results/*.txt`` tables listed in
+:data:`COMMANDS` and runs its experiments at their entry points' own
+defaults, which are the published values, so ``all --out DIR`` writes
+every committed table byte for byte. ``--n``, ``--duration``, ``--seed``
+and ``--rate`` (churn) replace a default only when given; ``--smoke``
+runs the membership / failover / gossip CI variants, whose tables end in
+``_smoke``. Every command prints its tables, and writes them as
+``DIR/<table>.txt`` only under ``--out DIR``. Host wall time and memory
+at scale are the benchmark's to measure, not the CLI's: see
+``bench/README.md``.
 """
 
 from __future__ import annotations
@@ -34,9 +40,11 @@ import argparse
 import math
 import pathlib
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = ["main", "build_parser"]
+__all__ = ["COMMANDS", "build_parser", "main", "run_command"]
+
+_Ran = Tuple[Any, List[str]]
 
 
 def _write(out_dir: Optional[pathlib.Path], name: str, text: str) -> None:
@@ -61,73 +69,70 @@ def _positive(text: str) -> float:
     return value
 
 
-def _size(args: argparse.Namespace, default: int) -> int:
-    """The ``--n`` override, or the command's own size."""
-    return default if args.n is None else args.n
+def _given(args: argparse.Namespace, *params: str) -> Dict[str, Any]:
+    """The options the user gave, as keywords of an entry point taking
+    ``params``; ``sizes`` is a sweep, which ``--n`` narrows to one size.
+    An option left out keeps the entry point's own default."""
+    values = {
+        "n": args.n,
+        "sizes": None if args.n is None else (args.n,),
+        "duration_s": args.duration,
+        "seed": args.seed,
+        "rate_per_s": args.rate,
+    }
+    return {p: values[p] for p in params if values[p] is not None}
 
 
-def _cmd_capacity(args: argparse.Namespace) -> None:
+def _capacity(args: argparse.Namespace) -> _Ran:
     from repro.experiments.capacity_tables import (
-        capacity_table,
         coefficients_table,
         config_table,
+        lower_bound_table,
+        run_capacity_headlines,
     )
 
-    _write(args.out, "table_config", config_table())
-    _write(args.out, "table_coefficients", coefficients_table())
-    _write(args.out, "table_capacity", capacity_table())
+    head = run_capacity_headlines()
+    return head, [config_table(), coefficients_table(), head.format_table(), lower_bound_table()]
 
 
-def _cmd_fig1(args: argparse.Namespace) -> None:
+def _fig1(args: argparse.Namespace) -> _Ran:
     from repro.experiments.fig1_onehop_cdf import run_fig1
 
-    result = run_fig1(n_hosts=_size(args, 359), seed=args.seed)
-    _write(args.out, "fig01_onehop_latency", result.format_table())
-    frac = result.fraction_improved_below(400.0)
-    summary = "\n".join(
-        f"  {name:>22}: {100 * val:.1f}% of pairs < 400 ms"
-        for name, val in frac.items()
-    )
-    _write(args.out, "fig01_summary", summary)
+    result = run_fig1(**_given(args, "n", "seed"))
+    return result, [result.format_table(), result.format_plot(), result.format_summary()]
 
 
-def _cmd_fig9(args: argparse.Namespace) -> None:
+def _fig9(args: argparse.Namespace) -> _Ran:
     from repro.experiments.fig9_bandwidth_scaling import run_fig9
 
-    result = run_fig9(
-        sizes=(16, 36, 64, 100, 140) if args.n is None else (args.n,),
-        duration_s=args.duration,
-        seed=args.seed,
-    )
-    _write(args.out, "fig09_bandwidth_scaling", result.format_table())
+    result = run_fig9(**_given(args, "sizes", "duration_s", "seed"))
+    return result, [result.format_table()]
 
 
-def _cmd_deployment(args: argparse.Namespace) -> None:
+def _deployment(args: argparse.Namespace) -> _Ran:
     from repro.experiments.deployment import run_deployment
 
-    result = run_deployment(
-        n=_size(args, 140),
-        duration_s=args.duration,
-        warmup_s=min(240.0, args.duration),
-        seed=args.seed,
-    )
-    _write(args.out, "fig08_concurrent_failures", result.fig8_table())
-    _write(args.out, "fig10_bandwidth_cdf", result.fig10_table())
-    _write(args.out, "fig11_double_failures", result.fig11_table())
-    _write(args.out, "fig12_freshness_pairs", result.fig12_table())
+    result = run_deployment(**_given(args, "n", "duration_s", "seed"))
     well, poor = result.well_and_poorly_connected()
-    _write(args.out, "fig13_freshness_well_connected", result.fig13_14_table(well))
-    _write(args.out, "fig14_freshness_poorly_connected", result.fig13_14_table(poor))
+    return result, [
+        result.fig8_table(),
+        result.fig10_table(),
+        result.fig11_table(),
+        result.fig12_table(),
+        result.fig13_14_table(well),
+        result.fig13_14_table(poor),
+        result.effectiveness_table(),
+    ]
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> None:
+def _scenarios(args: argparse.Namespace) -> _Ran:
     from repro.experiments.scenarios import format_scenarios, run_all_scenarios
 
-    results = run_all_scenarios(n=_size(args, 49), seed=args.seed)
-    _write(args.out, "fig04_07_failover_scenarios", format_scenarios(results))
+    results = run_all_scenarios(**_given(args, "n", "seed"))
+    return results, [format_scenarios(results)]
 
 
-def _cmd_ablations(args: argparse.Namespace) -> None:
+def _ablations(args: argparse.Namespace) -> _Ran:
     from repro.experiments.ablation_interval import (
         format_interval_ablation,
         run_interval_ablation,
@@ -137,47 +142,44 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
         run_quorum_ablation,
     )
 
-    _write(
-        args.out,
-        "table_ablation_quorum",
-        format_quorum_ablation(run_quorum_ablation(n=_size(args, 100), seed=args.seed)),
-    )
-    _write(
-        args.out,
-        "table_ablation_interval",
-        format_interval_ablation(
-            run_interval_ablation(n=_size(args, 49), duration_s=args.duration)
-        ),
-    )
+    quorum = run_quorum_ablation(**_given(args, "n", "seed"))
+    interval = run_interval_ablation(**_given(args, "n", "duration_s", "seed"))
+    return (quorum, interval), [
+        format_quorum_ablation(quorum),
+        format_interval_ablation(interval),
+    ]
 
 
-def _cmd_multihop(args: argparse.Namespace) -> None:
+def _multihop(args: argparse.Namespace) -> _Ran:
     from repro.experiments.multihop_scaling import (
         format_multihop_scaling,
         run_multihop_scaling,
     )
 
-    sizes = (16, 36, 64, 100) if args.n is None else (args.n,)
-    _write(
-        args.out,
-        "table_multihop_scaling",
-        format_multihop_scaling(run_multihop_scaling(sizes=sizes, seed=args.seed)),
+    rows = run_multihop_scaling(**_given(args, "sizes", "seed"))
+    return rows, [format_multihop_scaling(rows)]
+
+
+def _adversarial(args: argparse.Namespace) -> _Ran:
+    from repro.experiments.adversarial import format_adversarial, run_adversarial_sweep
+
+    results = run_adversarial_sweep(**_given(args, "n", "seed", "duration_s"))
+    return results, [format_adversarial(results)]
+
+
+def _sosr(args: argparse.Namespace) -> _Ran:
+    from repro.experiments.related_work import (
+        format_related_work,
+        run_availability_comparison,
+        run_latency_repair_comparison,
     )
 
-
-def _cmd_adversarial(args: argparse.Namespace) -> None:
-    from repro.experiments.adversarial import (
-        format_adversarial,
-        run_adversarial_sweep,
-    )
-
-    results = run_adversarial_sweep(
-        n=_size(args, 49), seed=args.seed, duration_s=args.duration
-    )
-    _write(args.out, "table_ext_adversarial", format_adversarial(results))
+    avail = run_availability_comparison(**_given(args, "n", "seed"))
+    latency = run_latency_repair_comparison(**_given(args, "n", "seed"))
+    return (avail, latency), [format_related_work(avail, latency)]
 
 
-def _cmd_churn(args: argparse.Namespace) -> None:
+def _churn(args: argparse.Namespace) -> _Ran:
     from repro.experiments.churn import (
         run_churn_comparison,
         run_flash_crowd,
@@ -185,163 +187,137 @@ def _cmd_churn(args: argparse.Namespace) -> None:
         run_mass_failure_sweep,
     )
 
-    n = _size(args, 64)
-    # The churn workload writes its disruption/recovery tables under
-    # results/ by default (they are the experiment's deliverable).
-    out = args.out if args.out is not None else pathlib.Path("results")
-    if args.in_band:
-        # The lossy in-band membership comparison is its own variant run.
-        result = run_in_band_churn(
-            n=n, rate_per_s=args.rate, duration_s=args.duration, seed=args.seed
-        )
-        _write(out, "table_churn_in_band", result.format_table())
-        for mode, _, divergence, _ in result.rows:
-            if divergence["open"]:
-                raise SystemExit(
-                    f"churn run ({mode}) left a view-divergence window open"
-                )
-        return
-    comparison = run_churn_comparison(
-        n=n, rate_per_s=args.rate, duration_s=args.duration, seed=args.seed
-    )
-    _write(out, "table_churn_comparison", comparison.format_table())
-    mass = run_mass_failure_sweep(n=n, seed=args.seed)
-    _write(out, "table_churn_mass_failure", mass.format_table())
-    flash = run_flash_crowd(n=n, seed=args.seed)
-    _write(out, "table_churn_flash_crowd", flash.format_table())
+    comparison = run_churn_comparison(**_given(args, "n", "rate_per_s", "duration_s", "seed"))
+    mass = run_mass_failure_sweep(**_given(args, "n", "seed"))
+    flash = run_flash_crowd(**_given(args, "n", "seed"))
+    in_band = run_in_band_churn(**_given(args, "n", "rate_per_s", "duration_s", "seed"))
+    results = (comparison, mass, flash, in_band)
+    return results, [r.format_table() for r in results]
 
 
-def _cmd_membership(args: argparse.Namespace) -> None:
+def _membership(args: argparse.Namespace) -> _Ran:
     from repro.experiments.membership_scaling import (
         run_in_band_scaling,
         run_membership_scaling,
     )
 
-    # Like churn, the scaling tables are the deliverable: write them
-    # under results/ unless the caller redirects them.
-    out = args.out if args.out is not None else pathlib.Path("results")
-    if args.in_band:
-        if args.smoke:
-            sizes = (256,)
-        elif args.n is not None:
-            sizes = (args.n,)
-        else:
-            sizes = (256, 1024)
-        result = run_in_band_scaling(
-            sizes=sizes, duration_s=args.duration, seed=args.seed
-        )
-        name = (
-            "table_membership_in_band"
-            if not args.smoke and args.n is None
-            else "table_membership_in_band_smoke"
-        )
-        _write(out, name, result.format_table())
-        for stats in result.rows:
-            if not stats.converged or stats.div_open:
-                raise SystemExit(
-                    f"in-band membership run n={stats.n} did not reconverge"
-                )
-        return
+    given = _given(args, "sizes", "duration_s", "seed")
     if args.smoke:
-        sizes = (256,)
-    elif args.n is not None:
-        sizes = (args.n,)
-    else:
-        sizes = (256, 1024, 2048)
-    result = run_membership_scaling(
-        sizes=sizes, duration_s=args.duration, seed=args.seed
-    )
-    name = (
-        "table_membership_scaling"
-        if not args.smoke and args.n is None
-        else "table_membership_scaling_smoke"
-    )
-    _write(out, name, result.format_table())
-    for stats in result.rows:
-        if not stats.converged:
-            raise SystemExit(
-                f"membership run n={stats.n} mode={stats.mode} did not converge"
-            )
+        given["sizes"] = (256,)
+    scaling = run_membership_scaling(**given)
+    in_band = run_in_band_scaling(**given)
+    return (scaling, in_band), [scaling.format_table(), in_band.format_table()]
 
 
-def _cmd_failover(args: argparse.Namespace) -> None:
+def _failover(args: argparse.Namespace) -> _Ran:
     from repro.experiments.coordinator_failover import (
         format_failover_scenarios,
         run_failover_scenarios,
     )
 
-    # The scenario table is the deliverable; write it under results/
-    # unless redirected (CI's smoke run passes --out and uploads it).
-    out = args.out if args.out is not None else pathlib.Path("results")
-    results = run_failover_scenarios(
-        n=_size(args, 48), seed=args.seed, smoke=args.smoke
-    )
-    name = (
-        "table_coordinator_failover_smoke"
-        if args.smoke
-        else "table_coordinator_failover"
-    )
-    _write(out, name, format_failover_scenarios(results))
-    failed = [r.name for r in results if not r.passed]
-    if failed:
-        raise SystemExit(
-            "failover scenario(s) failed to converge cleanly: "
-            + ", ".join(failed)
-        )
+    results = run_failover_scenarios(**_given(args, "n", "seed"), smoke=args.smoke)
+    return results, [format_failover_scenarios(results)]
 
 
-def _cmd_gossip(args: argparse.Namespace) -> None:
+def _gossip(args: argparse.Namespace) -> _Ran:
     from repro.experiments.gossip_membership import (
         format_gossip_scenarios,
         run_gossip_scenarios,
     )
 
-    # Like failover, the scenario table is the deliverable; write it
-    # under results/ unless redirected (CI's smoke run passes --out).
-    out = args.out if args.out is not None else pathlib.Path("results")
-    results = run_gossip_scenarios(
-        n=_size(args, 64), seed=args.seed, smoke=args.smoke
-    )
-    name = (
-        "table_gossip_membership_smoke"
-        if args.smoke
-        else "table_gossip_membership"
-    )
-    _write(out, name, format_gossip_scenarios(results))
-    failed = [f"{r.name}/{r.plane}" for r in results if not r.passed]
-    if failed:
-        raise SystemExit(
-            "gossip membership scenario(s) failed: " + ", ".join(failed)
-        )
+    results = run_gossip_scenarios(**_given(args, "n", "seed"), smoke=args.smoke)
+    return results, [format_gossip_scenarios(results)]
 
 
-def _cmd_sosr(args: argparse.Namespace) -> None:
-    from repro.experiments.related_work import (
-        format_related_work,
-        run_availability_comparison,
-        run_latency_repair_comparison,
-    )
-
-    avail = run_availability_comparison(n=_size(args, 100), seed=args.seed)
-    latency = run_latency_repair_comparison(n=_size(args, 359), seed=args.seed)
-    _write(args.out, "table_related_work_sosr", format_related_work(avail, latency))
+def _no_bar(result: Any) -> List[str]:
+    return []
 
 
-_COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
-    "adversarial": _cmd_adversarial,
-    "capacity": _cmd_capacity,
-    "churn": _cmd_churn,
-    "fig1": _cmd_fig1,
-    "failover": _cmd_failover,
-    "fig9": _cmd_fig9,
-    "gossip": _cmd_gossip,
-    "deployment": _cmd_deployment,
-    "membership": _cmd_membership,
-    "scenarios": _cmd_scenarios,
-    "ablations": _cmd_ablations,
-    "multihop": _cmd_multihop,
-    "sosr": _cmd_sosr,
+class _Command(NamedTuple):
+    #: Runs the experiments: their result objects and the table texts.
+    run: Callable[[argparse.Namespace], _Ran]
+    #: The ``results/`` stems it writes, in the order ``run`` returns them.
+    tables: Tuple[str, ...]
+    #: The runs that missed the command's acceptance bar; any ends the
+    #: command with an error after its tables are written.
+    failed: Callable[[Any], List[str]] = _no_bar
+    #: Does ``--smoke`` select its CI variant?
+    smoke: bool = False
+
+
+def _churn_failed(results: Any) -> List[str]:
+    return [f"in-band/{mode}" for mode, _, div, _ in results[-1].rows if div["open"]]
+
+
+def _membership_failed(results: Any) -> List[str]:
+    scaling, in_band = results
+    return [f"n={s.n}/{s.mode}" for s in scaling.rows if not s.converged] + [
+        f"n={s.n}/in-band" for s in in_band.rows if not s.converged or s.div_open
+    ]
+
+
+#: Every command, with the published tables it alone writes.
+COMMANDS: Dict[str, _Command] = {
+    "ablations": _Command(_ablations, ("table_ablation_quorum", "table_ablation_interval")),
+    "adversarial": _Command(_adversarial, ("table_ext_adversarial",)),
+    "capacity": _Command(
+        _capacity,
+        ("table_config", "table_coefficients", "table_capacity", "table_appendix_lower_bound"),
+    ),
+    "churn": _Command(
+        _churn,
+        (
+            "table_churn_comparison",
+            "table_churn_mass_failure",
+            "table_churn_flash_crowd",
+            "table_churn_in_band",
+        ),
+        failed=_churn_failed,
+    ),
+    "deployment": _Command(
+        _deployment,
+        (
+            "fig08_concurrent_failures",
+            "fig10_bandwidth_cdf",
+            "fig11_double_failures",
+            "fig12_freshness_pairs",
+            "fig13_freshness_well_connected",
+            "fig14_freshness_poorly_connected",
+            "table_effectiveness_summary",
+        ),
+    ),
+    "failover": _Command(
+        _failover,
+        ("table_coordinator_failover",),
+        failed=lambda results: [r.name for r in results if not r.passed],
+        smoke=True,
+    ),
+    "fig1": _Command(_fig1, ("fig01_onehop_latency", "fig01_onehop_latency_plot", "fig01_summary")),
+    "fig9": _Command(_fig9, ("fig09_bandwidth_scaling",)),
+    "gossip": _Command(
+        _gossip,
+        ("table_gossip_membership",),
+        failed=lambda results: [f"{r.name}/{r.plane}" for r in results if not r.passed],
+        smoke=True,
+    ),
+    "membership": _Command(
+        _membership,
+        ("table_membership_scaling", "table_membership_in_band"),
+        failed=_membership_failed,
+        smoke=True,
+    ),
+    "multihop": _Command(_multihop, ("table_multihop_scaling",)),
+    "scenarios": _Command(_scenarios, ("fig04_07_failover_scenarios",)),
+    "sosr": _Command(_sosr, ("table_related_work_sosr",)),
 }
+
+
+def run_command(name: str, args: argparse.Namespace) -> Tuple[Any, Dict[str, str]]:
+    """Run one command: its result objects and its tables by file stem."""
+    command = COMMANDS[name]
+    result, texts = command.run(args)
+    suffix = "_smoke" if args.smoke and command.smoke else ""
+    return result, {stem + suffix: text for stem, text in zip(command.tables, texts, strict=True)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=sorted(_COMMANDS) + ["all"],
+        choices=sorted(COMMANDS) + ["all"],
         help="which experiment to run ('all' runs every one)",
     )
     parser.add_argument(
@@ -360,14 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--nodes",
         dest="n",
         type=_overlay_size,
-        default=None,
-        help="overlay/trace size override",
+        help="overlay/trace size (a size sweep runs this one size)",
     )
     parser.add_argument(
         "--rate",
         type=_positive,
-        default=0.05,
-        help="churn: membership events per second (default 0.05)",
+        help="churn: membership events per second",
     )
     parser.add_argument(
         "--smoke",
@@ -375,23 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="membership/failover/gossip: fast CI path (smaller runs)",
     )
     parser.add_argument(
-        "--in-band",
-        dest="in_band",
-        action="store_true",
-        help="membership/churn: run the lossy in-band delivery variant "
-        "(view updates as real wire messages with piggyback repair)",
-    )
-    parser.add_argument(
         "--duration",
         type=_positive,
-        default=300.0,
-        help="simulated measurement duration in seconds (default 300)",
+        help="simulated measurement duration in seconds",
     )
-    parser.add_argument("--seed", type=int, default=42, help="random seed")
+    parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument(
         "--out",
         type=pathlib.Path,
-        default=None,
         help="directory to also write the tables into",
     )
     return parser
@@ -399,12 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "all":
-        for name in sorted(_COMMANDS):
+    names = sorted(COMMANDS) if args.command == "all" else [args.command]
+    for name in names:
+        if args.command == "all":
             print(f"##### {name} #####")
-            _COMMANDS[name](args)
-    else:
-        _COMMANDS[args.command](args)
+        result, tables = run_command(name, args)
+        for stem, text in tables.items():
+            _write(args.out, stem, text)
+        failed = COMMANDS[name].failed(result)
+        if failed:
+            raise SystemExit(f"{name}: failed its acceptance check: " + ", ".join(failed))
     return 0
 
 

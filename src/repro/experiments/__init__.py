@@ -1,10 +1,13 @@
 """Experiment runners, one per figure/table of the paper's evaluation.
 
+Each ``run_*`` entry point's defaults are the published parameters: the
+CLI (:mod:`repro.cli`) runs them unchanged to write ``results/``.
+
 * :mod:`repro.experiments.fig1_onehop_cdf` — Figure 1
 * :mod:`repro.experiments.fig9_bandwidth_scaling` — Figure 9
-* :mod:`repro.experiments.deployment` — Figures 8, 10, 11, 12, 13, 14
+* :mod:`repro.experiments.deployment` — Figures 8, 10-14, §6.2 summary
 * :mod:`repro.experiments.scenarios` — §4.1 scenarios (Figures 4-7)
-* :mod:`repro.experiments.capacity_tables` — §1/§5/§6.1 tables
+* :mod:`repro.experiments.capacity_tables` — §1/§5/§6.1 tables, Appendix A
 * :mod:`repro.experiments.ablation_quorum` — quorum-construction ablation
 * :mod:`repro.experiments.ablation_interval` — routing-interval ablation
 * :mod:`repro.experiments.multihop_scaling` — §3 multi-hop extension
@@ -31,9 +34,9 @@ from repro.experiments.ablation_quorum import (
 )
 from repro.experiments.capacity_tables import (
     CapacityHeadlines,
-    capacity_table,
     coefficients_table,
     config_table,
+    lower_bound_table,
     run_capacity_headlines,
 )
 from repro.experiments.deployment import (
@@ -89,9 +92,9 @@ __all__ = [
     "MultiHopRow",
     "QuorumAblationRow",
     "ScenarioResult",
-    "capacity_table",
     "coefficients_table",
     "config_table",
+    "lower_bound_table",
     "format_interval_ablation",
     "format_multihop_scaling",
     "format_quorum_ablation",

@@ -37,7 +37,7 @@ class IntervalAblationRow:
 
 def run_interval_ablation(
     n: int = 49,
-    duration_s: float = 420.0,
+    duration_s: float = 360.0,
     warmup_s: float = 120.0,
     seed: int = 23,
 ) -> List[IntervalAblationRow]:

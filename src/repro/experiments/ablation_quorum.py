@@ -62,7 +62,7 @@ def _measure(name: str, quorum: QuorumSystem, w: np.ndarray) -> QuorumAblationRo
     )
 
 
-def run_quorum_ablation(n: int = 100, seed: int = 17) -> List[QuorumAblationRow]:
+def run_quorum_ablation(n: int = 144, seed: int = 17) -> List[QuorumAblationRow]:
     """Run the two-round protocol over all four constructions."""
     rng = np.random.default_rng(seed)
     w = uniform_random_metric(n, rng).rtt_ms

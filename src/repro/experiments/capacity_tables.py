@@ -1,10 +1,12 @@
-"""The paper's headline capacity arithmetic (§1, §2, §5, §6.1).
+"""The paper's headline capacity arithmetic (§1, §2, §5, §6.1, App. A).
 
-Three tables:
+Four tables:
 
 * the §5 configuration-parameter table,
-* the §1 capacity comparison (56 Kbps budget; 416 PlanetLab sites),
-* the §2/§6 Skype scenario (10,000 nodes, equal routing intervals).
+* the §6.1 bandwidth coefficients against the paper's,
+* the §1 capacity headlines (56 Kbps budget; 416 PlanetLab sites; the
+  §2/§6 Skype scenario of 10,000 nodes at equal routing intervals),
+* Appendix A: the grid quorum against the Ω(n√n) lower bound.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from repro.analysis.capacity import (
     skype_scenario_reduction,
 )
 from repro.analysis.tables import render_table
+from repro.core.lowerbound import (
+    grid_quorum_edges_received,
+    optimality_ratio,
+    theorem4_min_edges_per_node,
+)
 from repro.overlay.config import (
     PROBE_INTERVAL_S,
     PROBES_TO_FAIL,
@@ -32,7 +39,7 @@ from repro.overlay.config import (
 
 __all__ = [
     "config_table",
-    "capacity_table",
+    "lower_bound_table",
     "coefficients_table",
     "CapacityHeadlines",
     "run_capacity_headlines",
@@ -124,5 +131,24 @@ def run_capacity_headlines() -> CapacityHeadlines:
     )
 
 
-def capacity_table() -> str:
-    return run_capacity_headlines().format_table()
+#: Overlay sizes of the Appendix A table.
+LOWER_BOUND_SIZES = (100, 400, 2500, 10_000, 40_000)
+
+
+def lower_bound_table() -> str:
+    """Edges each node receives under the grid quorum against Theorem 4's
+    floor."""
+    rows = [
+        [
+            n,
+            f"{theorem4_min_edges_per_node(n):,.0f}",
+            f"{grid_quorum_edges_received(n):,}",
+            f"{optimality_ratio(n):.2f}x",
+        ]
+        for n in LOWER_BOUND_SIZES
+    ]
+    return render_table(
+        ["n", "theorem4_min_edges/node", "grid_quorum_edges/node", "ratio"],
+        rows,
+        title="Appendix A — grid quorum vs the Ω(n√n) lower bound",
+    )

@@ -13,7 +13,9 @@ and 10-14:
 * Figure 12 — route freshness (time since last recommendation) for all
   (src, dst) pairs: median / average / 97th percentile / max;
 * Figures 13/14 — the same freshness statistics from one well-connected
-  and one poorly-connected node.
+  and one poorly-connected node;
+* §6.2 evaluation summary — working and near-optimal routes among the
+  reachable pairs at the end of the run.
 
 The underlay is the synthetic PlanetLab-like topology with calibrated
 failure injection (see DESIGN.md, "Substitutions").
@@ -27,7 +29,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.analysis.cdf import counts_at
-from repro.analysis.tables import render_series
+from repro.analysis.tables import render_series, render_table
 from repro.net.failures import NodeClass, assign_node_classes, build_failure_table
 from repro.net.trace import planetlab_like
 from repro.overlay.config import PROBE_INTERVAL_S, RouterKind
@@ -165,6 +167,31 @@ class DeploymentResult:
         """The paper's "typical path" freshness (median of medians)."""
         return float(np.median(self._offdiag(self.freshness_stats["median"])))
 
+    def effectiveness_table(self) -> str:
+        """§6.2 "Evaluation summary": the end state of the run."""
+        return render_table(
+            ["metric", "value"],
+            [
+                [
+                    "reachable pairs with a working route",
+                    f"{self.route_availability_fraction * 100:.1f}%",
+                ],
+                [
+                    "reachable pairs within 10% of optimal one-hop",
+                    f"{self.route_optimality_fraction * 100:.1f}%",
+                ],
+                [
+                    "typical (median) route freshness",
+                    f"{self.fig12_typical_median():.1f}s",
+                ],
+                [
+                    "failover adoptions over the run",
+                    str(self.counters.get("failover_adoptions", 0)),
+                ],
+            ],
+            title=f"§6.2 evaluation summary ({self.n}-node deployment, end of run)",
+        )
+
     def well_and_poorly_connected(self) -> Tuple[int, int]:
         """Node indices for Figures 13 (well) and 14 (poorly)."""
         means = self.fig8_mean_per_node()
@@ -195,7 +222,7 @@ class DeploymentResult:
 
 def run_deployment(
     n: int = 140,
-    duration_s: float = 900.0,
+    duration_s: float = 600.0,
     warmup_s: float = 240.0,
     seed: int = 42,
 ) -> DeploymentResult:

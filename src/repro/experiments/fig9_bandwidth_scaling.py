@@ -79,7 +79,7 @@ class Fig9Result:
 
 def run_fig9(
     sizes: Sequence[int] = DEFAULT_SIZES,
-    duration_s: float = 300.0,
+    duration_s: float = 180.0,
     warmup_s: float = 60.0,
     seed: int = 9,
 ) -> Fig9Result:

@@ -40,7 +40,7 @@ class MultiHopRow:
 
 
 def run_multihop_scaling(
-    sizes: Sequence[int] = (16, 36, 64, 100),
+    sizes: Sequence[int] = (16, 36, 64, 100, 144),
     seed: int = 31,
 ) -> List[MultiHopRow]:
     """Per-node communication of one-hop vs all-pairs-shortest-path."""

@@ -19,7 +19,6 @@ from repro.experiments.ablation_quorum import (
     run_quorum_ablation,
 )
 from repro.experiments.capacity_tables import (
-    capacity_table,
     coefficients_table,
     config_table,
     run_capacity_headlines,
@@ -38,7 +37,7 @@ from repro.overlay import wire
 class TestFig1:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig1(n_hosts=200, seed=2005)
+        return run_fig1(n=200, seed=2005)
 
     def test_series_present(self, result):
         assert set(result.series) == {
@@ -201,7 +200,7 @@ class TestCapacityTables:
     def test_tables_render(self):
         assert "routing interval" in config_table()
         assert "49.1" in coefficients_table()
-        assert "165" in capacity_table()
+        assert "165" in run_capacity_headlines().format_table()
 
 
 class TestAblations:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.errors import WireFormatError
 from repro.net.packet import LinkStateMessage, RecommendationMessage

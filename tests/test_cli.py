@@ -4,18 +4,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+ALL_COMMANDS = (
+    "ablations", "adversarial", "capacity", "churn", "deployment", "failover",
+    "fig1", "fig9", "gossip", "membership", "multihop", "scenarios", "sosr",
+)
 
 
 class TestParser:
     def test_known_commands(self):
+        assert tuple(sorted(COMMANDS)) == ALL_COMMANDS
         parser = build_parser()
-        for cmd in ("capacity", "fig1", "fig9", "deployment", "scenarios",
-                    "ablations", "multihop", "sosr", "churn", "all"):
+        for cmd in (*ALL_COMMANDS, "all"):
             args = parser.parse_args([cmd])
             assert args.command == cmd
+
+    def test_options_default_to_the_entry_points_own(self):
+        # Not given, an option is not passed on: each entry point runs at
+        # its own (published) defaults.
+        args = build_parser().parse_args(["fig9"])
+        assert (args.n, args.duration, args.seed, args.rate) == (None,) * 4
 
     def test_perf_command_is_gone(self):
         # Host wall time and memory are measured by bench/, not the CLI.
@@ -55,14 +65,30 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "argument --" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["churn", "membership"])
+    def test_in_band_variant_is_no_flag(self, command):
+        # churn and membership write their in-band tables on every run.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--in-band"])
+
     def test_smallest_overlay_is_accepted(self):
         args = build_parser().parse_args(["fig1", "--n", "2", "--rate", "1e-3"])
         assert args.n == 2 and args.rate == 1e-3
 
-    def test_in_band_flag(self):
-        args = build_parser().parse_args(["membership", "--in-band", "--smoke"])
-        assert args.in_band and args.smoke
-        assert not build_parser().parse_args(["membership"]).in_band
+
+
+class TestPublishedTables:
+    def test_each_committed_table_has_exactly_one_command(self):
+        declared = [stem for command in COMMANDS.values() for stem in command.tables]
+        committed = sorted(p.stem for p in (REPO_ROOT / "results").glob("*.txt"))
+        assert len(set(declared)) == len(declared)
+        assert sorted(declared) == committed
+
+    def test_nothing_is_written_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["failover", "--smoke"]) == 0
+        assert "crash-mid-batch" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCommands:
@@ -101,10 +127,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 8" in out and "Figure 12" in out
         # Every table lands under its published name.
-        written = {p.name for p in tmp_path.iterdir()}
-        published = {p.name for p in (REPO_ROOT / "results").iterdir()}
-        assert len(written) == 6
-        assert written <= published, sorted(written - published)
+        written = {p.stem for p in tmp_path.iterdir()}
+        assert written == set(COMMANDS["deployment"].tables)
+        assert "table_effectiveness_summary" in written
 
     def test_adversarial_small(self, capsys):
         assert main(["adversarial", "--n", "25", "--duration", "120"]) == 0
@@ -128,3 +153,4 @@ class TestCommands:
         written = {p.name for p in tmp_path.iterdir()}
         assert "table_churn_comparison.txt" in written
         assert "table_churn_mass_failure.txt" in written
+        assert "table_churn_in_band.txt" in written

@@ -4,14 +4,17 @@ Two guards read it (CONTRIBUTING, "The Options rule"):
 ``test_parameter_values.py`` asks which defaulted parameters the
 callers set to one value only, ``test_public_names_used.py`` which
 public names no caller reaches. Callers are ``src/repro``, ``bench/``
-and the ``benchmarks/`` modules that publish a table, plus ``examples/``
-for a use; tests do not count, since a test can call and set anything.
+and the ``benchmarks/`` modules that check a published table, plus
+``examples/`` for a use; tests do not count, since a test can call and
+set anything.
 
 The scan matches by name, not by type: a call ``x.tick(...)`` counts as
 a call of every public ``tick``, and a reference ``x.stats`` as a use of
 every public ``stats``. That errs towards leniency (two classes sharing
 a method name pool their callers) and never flags a name a caller does
-reach.
+reach. One name is not pooled: a function or class that a file outside
+``src/repro`` defines for itself is that file's own, so its references
+to it are no use of a ``src/repro`` name.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ def py_files(*dirs: Path) -> List[Path]:
 
 
 def _publishes(path: Path) -> bool:
-    """A ``benchmarks/`` module that writes a table under ``results/``
-    (through ``conftest.emit``) is a run like any CLI command."""
+    """A ``benchmarks/`` module that checks a published table (through
+    ``conftest.published``, which runs its CLI command) reads that
+    command's results as a run does."""
     return any(
-        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "emit"
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "published"
         for node in ast.walk(ast.parse(path.read_text()))
     )
 
@@ -95,14 +101,22 @@ def definitions(paths: Iterable[Path]) -> Iterator[Defined]:
 def referenced_names(paths: Iterable[Path]) -> set:
     """Every name read as a bare name or an attribute. An import is not a
     use (a re-export in a package ``__init__`` reaches nothing), and
-    neither is the ``def`` or ``class`` statement itself."""
+    neither is the ``def`` or ``class`` statement itself, nor a file
+    outside ``src/repro`` reading a name it defines."""
     names: set = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+        tree = ast.parse(path.read_text())
+        own = set() if SRC in path.parents else {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        read = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        names |= read - own
     return names
 
 

@@ -3,8 +3,8 @@
 The Options rule of ``test_config_fields.py`` applied to every public
 function, method and constructor in ``src/repro``: each defaulted
 parameter must take at least two distinct values across the calls in
-``src/repro``, ``bench/`` and the ``benchmarks/`` modules that publish a
-table (its default is one value, each value a call passes another, and a
+``src/repro``, ``bench/`` and the ``benchmarks/`` modules that check a
+published table through ``conftest.published`` (its default is one value, each value a call passes another, and a
 name or an expression counts as a value of its own). A value every run
 shares is a module constant beside the code that reads it; a test that
 needs another value patches the constant (CONTRIBUTING, "The Options

@@ -2,7 +2,8 @@
 
 Every public function, class and method in ``src/repro`` must be named
 somewhere in ``src/repro``, ``bench/``, ``examples/`` or a
-``benchmarks/`` module that publishes a table. Code only tests reach is
+``benchmarks/`` module that checks a published table; a name such a
+file defines for itself does not count. Code only tests reach is
 deleted with the tests that check only it, or moved beside its tests as
 a reference model (``tests/<pkg>/reference_*.py``, CONTRIBUTING "The
 Options rule"). What stays on purpose is on :data:`ALLOWED` with its
@@ -89,4 +90,15 @@ def test_the_check_fails_on_a_name_only_tests_reach(tmp_path):
     defined = list(definitions([module]))
     assert unreached(defined, [user]) == ["helpers:only_tested"]
     user.write_text("used()\nonly_tested()\nTable().row\n")
+    assert unreached(defined, [user]) == []
+
+
+def test_a_name_the_user_defines_itself_is_not_a_use(tmp_path):
+    module = tmp_path / "helpers.py"
+    module.write_text("def stats_for(node):\n    return node\n")
+    user = tmp_path / "user.py"
+    user.write_text("def stats_for(node):\n    return 2 * node\n\nstats_for(1)\n")
+    defined = list(definitions([module]))
+    assert unreached(defined, [user]) == ["helpers:stats_for"]
+    user.write_text("from helpers import stats_for\n\nstats_for(1)\n")
     assert unreached(defined, [user]) == []
