@@ -174,8 +174,8 @@ def test_perf_failure_table_512(benchmark):
     guards hold on any machine: ``up_matrix`` equals the n per-source
     rows, and the built table stays within 15 % of its measured
     ``tracemalloc`` size, 918 272 B of flat window arrays (one
-    ``OutageSchedule`` object per failing link and a per-source dict
-    of them measured 9 426 456 B)."""
+    interval-list object per failing link and a per-source dict of
+    them measured 9 426 456 B)."""
     n = 512
 
     def build():

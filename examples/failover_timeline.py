@@ -8,52 +8,20 @@ best-hop information — then prints the full scenario table (Figures
 4-7's timing bounds).
 """
 
-import numpy as np
-
 from repro.experiments.scenarios import (
+    build_scenario,
     format_scenarios,
     run_all_scenarios,
 )
-from repro.net.failures import FailureTable, OutageSchedule
-from repro.net.trace import uniform_random_metric
 from repro.overlay.config import RouterKind
-from repro.overlay.harness import build_overlay
 
 
 def narrated_scenario_2(n: int = 49, seed: int = 4) -> None:
-    rng = np.random.default_rng(seed)
-    trace = uniform_random_metric(n, rng)
-    probe = build_overlay(
-        trace=trace, router=RouterKind.QUORUM,
-        rng=np.random.default_rng(seed), with_freshness=False,
-    )
-    src = 0
-    router = probe.nodes[src].router
-    dst = next(
-        d
-        for d in range(n - 1, 0, -1)
-        if len(router.failover.default_pair(d)) == 2
-        and src not in router.failover.default_pair(d)
-        and d not in router.failover.default_pair(d)
-    )
-    r1, r2 = router.failover.default_pair(dst)
-    print(f"src={src}  dst={dst}  default rendezvous: R1={r1}, R2={r2}")
-
     t_fail = 150.0
-    forever = OutageSchedule([(t_fail, 1e12)])
-    failures = FailureTable(
-        n=n,
-        link_schedules={
-            tuple(sorted((src, dst))): forever,
-            tuple(sorted((src, r1))): forever,
-            tuple(sorted((src, r2))): forever,
-        },
-    )
-    overlay = build_overlay(
-        trace=trace, router=RouterKind.QUORUM,
-        rng=np.random.default_rng(seed), failures=failures,
-        with_freshness=False,
-    )
+    setup = build_scenario(2, n, seed, RouterKind.QUORUM, t_fail)
+    overlay, src, dst = setup.overlay, setup.src, setup.dst
+    r1, r2 = setup.pair
+    print(f"src={src}  dst={dst}  default rendezvous: R1={r1}, R2={r2}")
     node = overlay.nodes[src]
 
     events = []

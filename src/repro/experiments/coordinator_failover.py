@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
-from repro.experiments.replay import run_plan, view_convergence
+from repro.experiments.replay import MEASURE_FROM_S, run_plan, view_convergence
 from repro.overlay.config import OverlayConfig, Replicated
 from repro.overlay.harness import Overlay
 from repro.overlay.stats import DisruptionRecorder
@@ -51,9 +51,6 @@ __all__ = [
     "run_failover_scenarios",
     "scenario_config",
 ]
-
-MEASURE_FROM_S = 60.0
-
 
 def scenario_config(k: int = 3) -> OverlayConfig:
     """The suite's replicated-membership configuration.

@@ -48,8 +48,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.tables import render_table
 from repro.errors import WorkloadError
 from repro.experiments.coordinator_failover import scenario_config
-from repro.experiments.replay import run_plan, view_convergence
+from repro.experiments.replay import MEASURE_FROM_S, run_plan, view_convergence
 from repro.overlay.config import Gossip, OverlayConfig
+from repro.overlay.coordination import coordinator_hosts
 from repro.overlay.harness import Overlay
 from repro.overlay.stats import (
     GOSSIP_KINDS,
@@ -66,8 +67,6 @@ __all__ = [
     "gossip_config",
     "run_gossip_scenarios",
 ]
-
-MEASURE_FROM_S = 60.0
 
 PLANE_GOSSIP = "gossip"
 PLANE_COORD = "coord-k3"
@@ -92,9 +91,8 @@ def gossip_config() -> OverlayConfig:
     return OverlayConfig(membership_timeout_s=90.0, membership=Gossip())
 
 
-def _coordinator_hosts(n: int, k: int = 3) -> Tuple[int, ...]:
-    """Where ``build_overlay`` puts the k coordinator endpoints."""
-    return tuple((i * n) // k for i in range(k))
+#: Coordinators of the replicated arm, ``scenario_config(COORDINATORS)``.
+COORDINATORS = 3
 
 
 @dataclass
@@ -162,7 +160,7 @@ def _run_arm(
     joiner: Optional[int] = None,
     initial_active: Optional[Sequence[int]] = None,
 ) -> GossipScenarioResult:
-    config = gossip_config() if plane == PLANE_GOSSIP else scenario_config(k=3)
+    config = gossip_config() if plane == PLANE_GOSSIP else scenario_config(COORDINATORS)
     overlay, recorder = run_plan(
         plan, n, seed, config, duration_s, active_members=initial_active
     )
@@ -225,20 +223,19 @@ def _summarize_arm(
 # ----------------------------------------------------------------------
 # The scenarios
 # ----------------------------------------------------------------------
-def _rack_layout(
-    n: int, seed: int, hosts: Sequence[int]
-) -> Tuple[ChurnTrace, Set[int], Tuple[int, ...]]:
+def _rack_layout(n: int, seed: int) -> Tuple[ChurnTrace, Set[int], Tuple[int, ...]]:
     """A correlated rack-crash trace plus a disjoint rack for the outage.
 
     The crashed racks are drawn from seeds ``seed, seed+1, ...`` until
-    they avoid the coordinator hosts — the same node-level trace must be
-    replayable on both planes, and a crashed coordinator *host* with a
-    live coordinator *process* would be a different fault than the one
-    this scenario studies (coordinator death is scenario two's job).
+    they avoid the replicated arm's coordinator hosts — the same
+    node-level trace must be replayable on both planes, and a crashed
+    coordinator *host* with a live coordinator *process* would be a
+    different fault than the one this scenario studies (coordinator
+    death is scenario two's job).
     """
     group_size = max(4, n // 8)
     crash_at, reboot_at, duration = 240.0, 480.0, 900.0
-    host_set = set(hosts)
+    host_set = set(coordinator_hosts(n, COORDINATORS))
     for attempt in range(seed, seed + 256):
         trace = ChurnTrace.correlated_failure(
             n=n,
@@ -266,8 +263,7 @@ def _rack_crash_outage(
     n: int, seed: int, plane: str
 ) -> GossipScenarioResult:
     """Correlated rack crash + reboot, with a third rack's links cut."""
-    hosts = _coordinator_hosts(n)
-    trace, _, outage_rack = _rack_layout(n, seed, hosts)
+    trace, _, outage_rack = _rack_layout(n, seed)
     plan = FaultPlan().add_churn(trace)
     plan.node_outage(200.0, 380.0, outage_rack)
     return _run_arm(
@@ -293,7 +289,7 @@ def _coordinator_loss(
     promote, the buffered join can never be applied — the arm passes by
     failing the join. The gossip arm has no such role to lose.
     """
-    hosts = _coordinator_hosts(n)
+    hosts = coordinator_hosts(n, COORDINATORS)
     joiner = n - 1
     if joiner in hosts:
         raise WorkloadError("joiner collides with a coordinator host")

@@ -23,7 +23,11 @@ from repro.overlay.membership import MembershipView
 from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.faults import FaultPlan, replay
 
-__all__ = ["run_plan", "view_convergence"]
+__all__ = ["MEASURE_FROM_S", "run_plan", "view_convergence"]
+
+#: Where the failover and gossip suites start measuring availability
+#: and plane traffic: past bootstrap (first views, first routes).
+MEASURE_FROM_S = 60.0
 
 
 def run_plan(

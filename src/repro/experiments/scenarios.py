@@ -27,13 +27,20 @@ import numpy as np
 from repro.analysis.tables import render_table
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.errors import ConfigError
-from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.trace import SyntheticTrace, uniform_random_metric
 from repro.overlay.config import PROBE_INTERVAL_S, OverlayConfig, RouterKind
-from repro.overlay.harness import build_overlay
+from repro.overlay.harness import Overlay, build_overlay
 from repro.overlay.router_base import SOURCE_RECOMMENDATION
+from repro.workloads.faults import FaultPlan
 
-__all__ = ["ScenarioResult", "run_scenario", "run_all_scenarios", "format_scenarios"]
+__all__ = [
+    "ScenarioResult",
+    "ScenarioSetup",
+    "build_scenario",
+    "run_scenario",
+    "run_all_scenarios",
+    "format_scenarios",
+]
 
 
 @dataclass
@@ -155,6 +162,49 @@ def _watch_recovery(
     return state["any"], state["rec"]
 
 
+@dataclass(frozen=True)
+class ScenarioSetup:
+    """A built, not yet run, overlay with one scenario's links failing."""
+
+    overlay: Overlay
+    src: int
+    dst: int
+    #: Src's default rendezvous pair for Dst, (R1, R2).
+    pair: Tuple[int, int]
+    #: The links that fail at ``t_fail`` and stay down, as ``(i, j)``
+    #: with ``i < j``.
+    failed_links: List[Tuple[int, int]]
+
+
+def build_scenario(
+    scenario: int, n: int, seed: int, router: RouterKind, t_fail: float
+) -> ScenarioSetup:
+    """Build the overlay for one of the three §4.1 scenarios (1, 2, or 3),
+    its failed links stated as single-node cuts from ``t_fail`` on."""
+    if scenario not in (1, 2, 3):
+        raise ConfigError(f"scenario must be 1, 2, or 3, got {scenario}")
+    trace, src, dst, pair, best_c = _select_geometry(n, seed)
+    r1, r2 = pair
+    if scenario == 1:
+        cuts = [(src, dst), (src, best_c)]
+    elif scenario == 2:
+        cuts = [(src, dst), (src, r1), (src, r2)]
+    else:  # scenario 3: proximal to r1, remote (r2 <-> dst)
+        cuts = [(src, dst), (src, r1), (r2, dst)]
+    plan = FaultPlan()
+    for a, b in cuts:
+        plan.partition(t_fail, 1e12, (a,), (b,))
+    overlay = build_overlay(
+        trace=trace,
+        router=router,
+        rng=np.random.default_rng(seed),
+        failures=plan.failure_table(n),
+        with_freshness=False,
+    )
+    failed = sorted((min(a, b), max(a, b)) for a, b in cuts)
+    return ScenarioSetup(overlay, src, dst, (r1, r2), failed)
+
+
 def run_scenario(
     scenario: int,
     n: int = 49,
@@ -164,35 +214,11 @@ def run_scenario(
     watch_s: float = 150.0,
 ) -> ScenarioResult:
     """Run one of the three §4.1 scenarios (1, 2, or 3)."""
-    if scenario not in (1, 2, 3):
-        raise ConfigError(f"scenario must be 1, 2, or 3, got {scenario}")
-    trace, src, dst, pair, best_c = _select_geometry(n, seed)
-    r1, r2 = pair
     t_fail = warmup_s
-
-    forever = OutageSchedule([(t_fail, 1e12)])
-    links: Dict[Tuple[int, int], OutageSchedule] = {
-        tuple(sorted((src, dst))): forever
-    }
-    if scenario == 1:
-        links[tuple(sorted((src, best_c)))] = forever
-    elif scenario == 2:
-        links[tuple(sorted((src, r1)))] = forever
-        links[tuple(sorted((src, r2)))] = forever
-    else:  # scenario 3: proximal to r1, remote (r2 <-> dst)
-        links[tuple(sorted((src, r1)))] = forever
-        links[tuple(sorted((r2, dst)))] = forever
-
-    failures = FailureTable(n=n, link_schedules=dict(links))
-    overlay = build_overlay(
-        trace=trace,
-        router=router,
-        rng=np.random.default_rng(seed),
-        failures=failures,
-        with_freshness=False,
-    )
+    setup = build_scenario(scenario, n, seed, router, t_fail)
+    overlay, src, dst = setup.overlay, setup.src, setup.dst
     overlay.run(t_fail - 1.0)  # converge
-    exclude = pair if (scenario in (2, 3) and router is RouterKind.QUORUM) else ()
+    exclude = setup.pair if (scenario in (2, 3) and router is RouterKind.QUORUM) else ()
     recovered_at, rec_recovered_at = _watch_recovery(
         overlay, src, dst, t_fail, watch_s, exclude_servers=exclude
     )
@@ -208,7 +234,7 @@ def run_scenario(
         router=router,
         src=src,
         dst=dst,
-        failed_links=sorted(links),
+        failed_links=setup.failed_links,
         t_fail=t_fail,
         recovered_at=recovered_at,
         rec_recovered_at=rec_recovered_at,

@@ -4,10 +4,8 @@ from repro.net.failures import (
     FailureTable,
     NodeClass,
     NodeClassParams,
-    OutageSchedule,
     assign_node_classes,
     build_failure_table,
-    schedule_from_episodes,
 )
 from repro.net.packet import (
     LinkStateMessage,
@@ -33,7 +31,6 @@ __all__ = [
     "Message",
     "NodeClass",
     "NodeClassParams",
-    "OutageSchedule",
     "PeriodicTimer",
     "RecommendationMessage",
     "Simulator",
@@ -42,6 +39,5 @@ __all__ = [
     "assign_node_classes",
     "build_failure_table",
     "planetlab_like",
-    "schedule_from_episodes",
     "uniform_random_metric",
 ]

@@ -13,18 +13,18 @@ A :class:`FailureTable` holds the whole environment as flat arrays of
 ``i``'s windows sit at positions ``off[i]:off[i + 1]`` of the peer /
 start / end arrays, sorted by peer and then start, and every link is
 stored under both of its endpoints. Node windows (a down node brings
-all of its links down) are grouped by node the same way. One pair's
-windows are merged on the way in — sorted, overlapping or touching
-windows joined, empty ones dropped — so they are disjoint and
-ascending. Scalar queries bisect those arrays from Python; vector
-queries compare a source's slice in numpy, and
+all of its links down) are grouped by node the same way. The table has
+one constructor, over window rows already merged per link and per node
+(disjoint and ascending). Scalar queries bisect those arrays from
+Python; vector queries compare a source's slice in numpy, and
 :meth:`FailureTable.up_matrix` answers every source in one pass.
 
-:func:`build_failure_table` draws every link's windows in one pass over
-the link pairs, with exactly the draws :func:`schedule_from_episodes`
-makes for one link. An :class:`OutageSchedule` is the one-link value: an
-immutable sorted list of intervals queried by bisection, which the
-:class:`FailureTable` constructor accepts and converts.
+Two things build one. :func:`build_failure_table` draws the Fig. 8
+process, every link's windows in one pass over the link pairs.
+:class:`~repro.workloads.faults.FaultPlan` is the one writer of a
+targeted fault — the §4.1 scenarios' failed links, partitions and node
+outages — and :meth:`~repro.workloads.faults.FaultPlan.failure_table`
+merges its windows into a table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,12 +42,9 @@ __all__ = [
     "NodeClass",
     "NodeClassParams",
     "DEFAULT_CLASS_PARAMS",
-    "OutageSchedule",
     "FailureTable",
     "assign_node_classes",
     "build_failure_table",
-    "build_partition_table",
-    "schedule_from_episodes",
 ]
 
 
@@ -110,57 +107,6 @@ LinkRow = Tuple[int, int, float, float]
 NodeRow = Tuple[int, float, float]
 
 
-class OutageSchedule:
-    """Sorted, non-overlapping ``[start, end)`` outage intervals for a link.
-
-    The empty schedule means "always up".
-    """
-
-    __slots__ = ("_starts", "_ends")
-
-    def __init__(self, intervals: Sequence[Window] = ()):
-        merged = _merge_intervals(intervals)
-        self._starts = [s for s, _ in merged]
-        self._ends = [e for _, e in merged]
-
-    @property
-    def intervals(self) -> List[Window]:
-        """The merged outage intervals."""
-        return list(zip(self._starts, self._ends))
-
-    def is_down(self, t: float) -> bool:
-        """True if the link is in an outage at time ``t``."""
-        idx = bisect_right(self._starts, t) - 1
-        return idx >= 0 and t < self._ends[idx]
-
-    def is_up(self, t: float) -> bool:
-        return not self.is_down(t)
-
-    def __bool__(self) -> bool:
-        return bool(self._starts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<OutageSchedule {len(self._starts)} intervals>"
-
-
-def _merge_intervals(intervals: Iterable[Window]) -> List[Window]:
-    """Sort and merge possibly-overlapping intervals; drop empty ones."""
-    cleaned = []
-    for s, e in intervals:
-        if e < s:
-            raise TopologyError(f"interval end {e} before start {s}")
-        if e > s:
-            cleaned.append((float(s), float(e)))
-    cleaned.sort()
-    merged: List[Window] = []
-    for s, e in cleaned:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
-
-
 def _episode_params(
     duty_cycle: float, mean_outage_s: float, sigma: float
 ) -> Tuple[float, float]:
@@ -185,8 +131,8 @@ def _episodes(
     same value as ``rng.exponential(scale)``), so a link whose first
     arrival is past the horizon costs that one draw. Each episode then
     lasts ``LogNormal(mu, sigma)`` and the next arrives an exponential
-    gap after it ends. Starts only grow, so merging in one pass gives
-    exactly :func:`_merge_intervals`' windows.
+    gap after it ends. Starts only grow, so one pass merges overlapping
+    and touching episodes.
     """
     windows: List[Window] = []
     lognormal = rng.lognormal
@@ -201,25 +147,6 @@ def _episodes(
                 windows.append((t, end))
         t += duration + scale * gap()
     return windows
-
-
-def schedule_from_episodes(
-    rng: np.random.Generator,
-    horizon: float,
-    duty_cycle: float,
-    mean_outage_s: float,
-    sigma: float = 0.8,
-) -> OutageSchedule:
-    """Draw an alternating-renewal outage schedule over ``[0, horizon]``.
-
-    Episodes arrive Poisson with rate ``duty_cycle / mean_outage_s`` and
-    last ``LogNormal`` with the requested mean. Overlapping episodes merge.
-    """
-    if duty_cycle <= 0.0:
-        return OutageSchedule()
-    scale, mu = _episode_params(duty_cycle, mean_outage_s, sigma)
-    first = scale * rng.standard_exponential()
-    return OutageSchedule(_episodes(rng, first, horizon, scale, mu, sigma))
 
 
 def assign_node_classes(n: int, rng: np.random.Generator) -> List[NodeClass]:
@@ -248,11 +175,11 @@ class FailureTable:
     """Outage windows for every link and node of an ``n``-node full mesh.
 
     Links without a window are permanently up. A node window brings
-    down all of that node's links. Build one with
-    :func:`build_failure_table` or :func:`build_partition_table`, or
-    from ``link_schedules`` (``{(i, j): OutageSchedule}`` with
-    ``i < j``) and ``node_schedules`` (``{node: OutageSchedule}``),
-    which are converted once and not kept.
+    down all of that node's links. ``links`` holds ``(i, j, start,
+    end)`` rows with ``i < j`` and ``nodes`` ``(node, start, end)``
+    rows, each link's and each node's windows merged (disjoint) and in
+    start order: :func:`build_failure_table` and
+    :meth:`~repro.workloads.faults.FaultPlan.failure_table` write them.
 
     Queries at time ``t`` agree with one another: ``link_is_up(i, j,
     t)`` is ``up_vector(i, t)[j]`` is ``up_matrix(t)[i, j]``. The matrix
@@ -276,33 +203,7 @@ class FailureTable:
         "_nodes_up_at",
     )
 
-    def __init__(
-        self,
-        n: int,
-        link_schedules: Optional[Dict[Tuple[int, int], OutageSchedule]] = None,
-        node_schedules: Optional[Dict[int, OutageSchedule]] = None,
-    ):
-        links: List[LinkRow] = []
-        nodes: List[NodeRow] = []
-        for (i, j), sched in (link_schedules or {}).items():
-            if not (0 <= i < j < n):
-                raise TopologyError(f"bad link key ({i}, {j}) for n={n}")
-            links += [(i, j, s, e) for s, e in sched.intervals]
-        for i, sched in (node_schedules or {}).items():
-            if not 0 <= i < n:
-                raise TopologyError(f"bad node key {i} for n={n}")
-            nodes += [(i, s, e) for s, e in sched.intervals]
-        self._fill(n, links, nodes)
-
-    @classmethod
-    def _from_rows(cls, n: int, links: List[LinkRow], nodes: List[NodeRow]) -> "FailureTable":
-        """A table over windows already merged per link and per node,
-        each link's and each node's listed in start order."""
-        table = cls.__new__(cls)
-        table._fill(n, links, nodes)
-        return table
-
-    def _fill(self, n: int, links: List[LinkRow], nodes: List[NodeRow]) -> None:
+    def __init__(self, n: int, links: List[LinkRow], nodes: List[NodeRow]):
         self.n = n
         rows = np.array(links, dtype=np.float64).reshape(-1, 4)
         i, j = rows[:, 0].astype(np.int32), rows[:, 1].astype(np.int32)
@@ -342,13 +243,6 @@ class FailureTable:
         # bounds hold for no time.
         lo = np.nan if self._outage_nodes else -np.inf
         self._nodes_up_at = (lo, -lo, np.ones(n, dtype=bool))
-
-    def link_windows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every link window once, as ``(i, j, start, end)`` arrays with
-        ``i < j``, in ``(i, j, start)`` order."""
-        src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._off))
-        once = src < self._peer
-        return src[once], self._peer[once], self._start[once], self._end[once]
 
     def _node_down(self, i: int, t: float) -> bool:
         """Whether node ``i``, one of ``_outage_nodes``, is down at ``t``."""
@@ -457,8 +351,8 @@ def build_failure_table(
     class terms (:data:`DEFAULT_CLASS_PARAMS`): outages are
     mostly "caused" by a node's poor access connectivity, which is what
     makes a few nodes see very many concurrent failures. Links are drawn
-    in ``(i, j)`` order, each exactly as :func:`schedule_from_episodes`
-    would draw it.
+    in ``(i, j)`` order, each a first arrival and then :func:`_episodes`'
+    draws (``tests/net/reference_failures.py`` draws one link alone).
     """
     if node_classes is None:
         node_classes = assign_node_classes(n, rng)
@@ -500,62 +394,4 @@ def build_failure_table(
             if first < horizon:
                 _, mu, sigma = process[codes[i]][codes[j]]
                 links += [(i, j, s, e) for s, e in _episodes(rng, first, horizon, scale, mu, sigma)]
-    return FailureTable._from_rows(n, links, [])
-
-
-def build_partition_table(
-    n: int,
-    cuts: Sequence[Tuple[float, float, Sequence[int], Sequence[int]]],
-    node_outages: Sequence[Tuple[float, float, Sequence[int]]] = (),
-) -> FailureTable:
-    """A failure table injecting network partitions and node outages.
-
-    Each cut is ``(start, end, side_a, side_b)``: during ``[start, end)``
-    every link with one endpoint in ``side_a`` and the other in
-    ``side_b`` is down (links within one side stay up). Sides need not
-    exhaust the nodes, and multiple cuts may overlap — each cross link
-    accumulates the union of its cut windows. Each node outage is
-    ``(start, end, nodes)``: every link of those nodes is down during
-    ``[start, end)``. Every cut and every node id is checked before
-    anything is built. The coordinator-failover scenarios use this to
-    sever coordinators from node subsets and to split the membership
-    plane into conflicting halves.
-    """
-    sides = []
-    for start, end, side_a, side_b in cuts:
-        if end <= start:
-            raise TopologyError(f"bad cut window [{start}, {end})")
-        a = sorted(set(side_a))
-        b = sorted(set(side_b))
-        if any(not 0 <= i < n for i in a + b):
-            raise TopologyError(f"cut node out of range for n={n}")
-        if set(a) & set(b):
-            raise TopologyError("cut sides must be disjoint")
-        sides.append((float(start), float(end), a, b))
-    for start, end, ids in node_outages:
-        if end <= start:
-            raise TopologyError(f"bad outage window [{start}, {end})")
-        for node in ids:
-            if not 0 <= node < n:
-                raise TopologyError(f"outage node {node} out of range for n={n}")
-
-    link_windows: Dict[Tuple[int, int], List[Window]] = {}
-    for start, end, a, b in sides:
-        for i in a:
-            for j in b:
-                key = (i, j) if i < j else (j, i)
-                link_windows.setdefault(key, []).append((start, end))
-    node_windows: Dict[int, List[Window]] = {}
-    for start, end, ids in node_outages:
-        for node in ids:
-            node_windows.setdefault(node, []).append((float(start), float(end)))
-
-    links = [
-        (i, j, s, e)
-        for (i, j), windows in link_windows.items()
-        for s, e in _merge_intervals(windows)
-    ]
-    nodes = [
-        (node, s, e) for node, windows in node_windows.items() for s, e in _merge_intervals(windows)
-    ]
-    return FailureTable._from_rows(n, links, nodes)
+    return FailureTable(n, links, [])

@@ -79,7 +79,7 @@ from repro.overlay.stats import CounterSet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.node import OverlayNode
 
-__all__ = ["Coordinator", "CoordinatorGroup", "RingClient"]
+__all__ = ["Coordinator", "CoordinatorGroup", "RingClient", "coordinator_hosts"]
 
 # The ring and replica timings, compressed from the paper's hour-scale
 # membership timeout so that detection, promotion, expiry pressure and
@@ -658,6 +658,13 @@ class RingClient(WireClient):
         self.retries += 1
         self._retry_attempt += 1
         self._contact()
+
+
+def coordinator_hosts(n: int, k: int) -> Tuple[int, ...]:
+    """The underlay nodes hosting the ``k`` coordinator endpoints of an
+    ``n``-node overlay: spread out, so one host outage cannot take the
+    whole membership plane down."""
+    return tuple((i * n) // k for i in range(k))
 
 
 #: A control operation buffered while no primary is live.

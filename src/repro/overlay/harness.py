@@ -29,7 +29,7 @@ from repro.overlay.config import (
     Replicated,
     RouterKind,
 )
-from repro.overlay.coordination import CoordinatorGroup
+from repro.overlay.coordination import CoordinatorGroup, coordinator_hosts
 from repro.overlay.gossip import GossipMembershipPlane
 from repro.overlay.linkstate import RowBlock
 from repro.overlay.membership import (
@@ -325,15 +325,14 @@ def _build_membership(
 
     if isinstance(variant, Replicated):
         # k coordinator endpoints at addresses n..n+k-1, hosted on a
-        # spread of underlay nodes so one host outage cannot take the
-        # whole membership plane down. Index 0 is the initial primary;
-        # the others mirror its view log.
+        # spread of underlay nodes. Index 0 is the initial primary; the
+        # others mirror its view log.
         k = variant.coordinators
         return CoordinatorGroup(
             sim,
             transport,
             addresses=tuple(n + i for i in range(k)),
-            hosts=tuple((i * n) // k for i in range(k)),
+            hosts=coordinator_hosts(n, k),
             service_factory=make_service,
             tunables=variant,
         )

@@ -8,10 +8,20 @@ overlay: coordinator crash/restore and member crash/join/leave events
 while partitions and node outages compile down to an ordinary
 :class:`~repro.net.failures.FailureTable` of outage windows — built
 *before* the overlay, because outage windows are immutable topology
-inputs.
+inputs. It is also the one way to write a targeted underlay fault: the
+§4.1 scenarios' failed links are single-node cuts, ``partition(t, end,
+(a,), (b,))``. (The Fig. 8 outage process is
+:func:`~repro.net.failures.build_failure_table`'s.)
+
 :func:`replay` installs a plan, attaches the
 :class:`~repro.overlay.stats.DisruptionRecorder` and runs the simulator:
 every churn, failover and gossip experiment goes through it.
+
+Each input is checked once. Window order, empty or overlapping sides
+and negative ids are refused where the plan is written; node ids are
+checked against ``n`` in :meth:`FaultPlan.failure_table`, which merges
+each link's and each node's windows (overlapping or touching ones
+join) into the table. The plan itself keeps every window as written.
 
 The fault shapes the failover and gossip-membership suites need:
 
@@ -24,9 +34,6 @@ The fault shapes the failover and gossip-membership suites need:
   mass-expiry, bounded staleness); partitioning the coordinators from
   *each other* while each side keeps some members forces conflicting
   concurrent views, which the epoch rule must converge after healing.
-  Windows for the same side pair that overlap (or touch) are merged at
-  construction time, so a plan never compiles two conflicting
-  windows for one cut.
 * :func:`node_outage` — take a node's *links* down for a window without
   crashing its process: the node keeps gossiping into a void and must
   reconcile when connectivity returns. This is the underlay half of a
@@ -45,10 +52,10 @@ coordinator i from members S" is expressed by cutting ``host(i)`` from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.net.failures import FailureTable, build_partition_table
+from repro.net.failures import FailureTable
 from repro.overlay.harness import Overlay
 from repro.overlay.stats import DisruptionRecorder
 from repro.workloads.trace import (
@@ -85,25 +92,31 @@ class FaultEvent:
             raise WorkloadError("coordinator index must be non-negative")
 
 
-def _canonical_sides(
-    side_a: Sequence[int], side_b: Sequence[int]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Validate and canonicalize a partition's side pair.
+def _node_ids(nodes: Sequence[int], what: str) -> Tuple[int, ...]:
+    """``nodes`` deduplicated and sorted; refuses an empty or negative set."""
+    ids = tuple(sorted(set(int(i) for i in nodes)))
+    if not ids:
+        raise WorkloadError(f"{what} needs at least one node")
+    if ids[0] < 0:
+        raise WorkloadError(f"{what} ids must be >= 0")
+    return ids
 
-    Sides are deduplicated, sorted, and ordered so the lexicographically
-    smaller side comes first — two cuts severing the same pair of sets
-    always canonicalize identically, which is what lets overlapping
-    windows for the same cut be detected and merged.
-    """
-    a = tuple(sorted(set(int(i) for i in side_a)))
-    b = tuple(sorted(set(int(i) for i in side_b)))
-    if not a or not b:
-        raise WorkloadError("partition sides must be non-empty")
-    if a[0] < 0 or b[0] < 0:
-        raise WorkloadError("partition sides must contain node ids >= 0")
-    if set(a) & set(b):
-        raise WorkloadError("partition sides must be disjoint")
-    return (a, b) if a <= b else (b, a)
+
+def _window(start: float, end: float, what: str) -> Tuple[float, float]:
+    if end <= start:
+        raise WorkloadError(f"bad {what} window [{start}, {end})")
+    return float(start), float(end)
+
+
+def _merged(windows: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """``windows`` sorted, with overlapping or touching ones joined."""
+    merged: List[Tuple[float, float]] = []
+    for start, end in sorted(windows):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
 
 
 @dataclass(slots=True)
@@ -119,8 +132,8 @@ class FaultPlan:
     events: List[FaultEvent] = field(default_factory=list)
     #: Member-level crash/join/leave events.
     member_events: List[ChurnEvent] = field(default_factory=list)
-    #: Partition cuts as ``(start, end, side_a, side_b)`` node-id sets.
-    #: Sides are canonicalized and same-pair windows merged on insert.
+    #: Partition cuts as ``(start, end, side_a, side_b)``, each side a
+    #: sorted tuple of node ids, in the order they were written.
     cuts: List[Tuple[float, float, Tuple[int, ...], Tuple[int, ...]]] = field(
         default_factory=list
     )
@@ -186,28 +199,15 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Cut every ``side_a`` <-> ``side_b`` link during ``[start, end)``.
 
-        Sides must be non-empty and disjoint. A window that overlaps (or
-        exactly duplicates) an earlier window for the same side pair is
-        merged with it instead of being stored twice — the plan's
-        ``cuts`` list always holds disjoint windows per canonical pair,
-        so it reads back as the schedule that will actually be compiled.
+        Sides must be non-empty and disjoint; a single link is the cut
+        ``(a,), (b,)``. Windows may overlap or repeat earlier ones: the
+        compiled table merges each link's windows.
         """
-        if end <= start:
-            raise WorkloadError(f"bad partition window [{start}, {end})")
-        sides = _canonical_sides(side_a, side_b)
-        lo, hi = float(start), float(end)
-        kept: List[Tuple[float, float, Tuple[int, ...], Tuple[int, ...]]] = []
-        for cut in self.cuts:
-            c_start, c_end, c_a, c_b = cut
-            if (c_a, c_b) == sides and c_start <= hi and lo <= c_end:
-                # Overlapping or touching window for the same cut: widen
-                # the new window to cover it and drop the old entry.
-                lo = min(lo, c_start)
-                hi = max(hi, c_end)
-            else:
-                kept.append(cut)
-        kept.append((lo, hi, sides[0], sides[1]))
-        self.cuts[:] = kept
+        lo, hi = _window(start, end, "partition")
+        a, b = _node_ids(side_a, "partition side"), _node_ids(side_b, "partition side")
+        if set(a) & set(b):
+            raise WorkloadError("partition sides must be disjoint")
+        self.cuts.append((lo, hi, a, b))
         return self
 
     def node_outage(
@@ -220,14 +220,8 @@ class FaultPlan:
         loss), after which the isolated nodes must anti-entropy their
         way back to the converged view.
         """
-        if end <= start:
-            raise WorkloadError(f"bad outage window [{start}, {end})")
-        ids = tuple(sorted(set(int(i) for i in nodes)))
-        if not ids:
-            raise WorkloadError("node outage needs at least one node")
-        if ids[0] < 0:
-            raise WorkloadError("node outage ids must be >= 0")
-        self.node_outages.append((float(start), float(end), ids))
+        lo, hi = _window(start, end, "outage")
+        self.node_outages.append((lo, hi, _node_ids(nodes, "node outage")))
         return self
 
     # ------------------------------------------------------------------
@@ -238,13 +232,26 @@ class FaultPlan:
 
         Pass the result to ``build_overlay(..., failures=...)`` (the
         crash/restore/churn events are not part of it — they are
-        simulator events installed later).
+        simulator events installed later). Every node id must be below
+        ``n``.
         """
-        for _, _, ids in self.node_outages:
+        links: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
+        for start, end, side_a, side_b in self.cuts:
+            for i in side_a:
+                for j in side_b:
+                    links.setdefault((min(i, j), max(i, j)), []).append((start, end))
+        nodes: Dict[int, List[Tuple[float, float]]] = {}
+        for start, end, ids in self.node_outages:
             for node in ids:
-                if not 0 <= node < n:
-                    raise WorkloadError(f"outage node {node} out of range for n={n}")
-        return build_partition_table(n, self.cuts, self.node_outages)
+                nodes.setdefault(node, []).append((start, end))
+        bad = [i for pair in links for i in pair if i >= n] + [i for i in nodes if i >= n]
+        if bad:
+            raise WorkloadError(f"fault node {max(bad)} out of range for n={n}")
+        return FailureTable(
+            n,
+            [(i, j, s, e) for (i, j), spans in links.items() for s, e in _merged(spans)],
+            [(node, s, e) for node, spans in nodes.items() for s, e in _merged(spans)],
+        )
 
     def install(self, overlay: Overlay) -> None:
         """Schedule every crash/restore/churn event on the overlay's simulator.

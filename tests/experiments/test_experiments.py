@@ -30,8 +30,14 @@ from repro.experiments.multihop_scaling import (
     format_multihop_scaling,
     run_multihop_scaling,
 )
-from repro.experiments.scenarios import format_scenarios, run_all_scenarios
+from repro.experiments import gossip_membership
+from repro.experiments.coordinator_failover import scenario_config
+from repro.experiments.scenarios import build_scenario, format_scenarios, run_all_scenarios
+from repro.net.trace import planetlab_like
 from repro.overlay import wire
+from repro.overlay.config import RouterKind
+from repro.overlay.coordination import coordinator_hosts
+from repro.overlay.harness import build_overlay
 
 
 class TestFig1:
@@ -188,6 +194,31 @@ class TestScenarios:
 
     def test_format(self, results):
         assert "scenario-1" in format_scenarios(results)
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_failed_links_are_down_from_t_fail_on(self, scenario):
+        setup = build_scenario(scenario, 36, 8, RouterKind.QUORUM, 100.0)
+        topo = setup.overlay.topology
+        assert topo.up_matrix(99.9).all()
+        for t in (100.0, 1e6):
+            down = np.argwhere(np.triu(~topo.up_matrix(t)))
+            assert [(int(i), int(j)) for i, j in down] == setup.failed_links
+        assert (min(setup.src, setup.dst), max(setup.src, setup.dst)) in setup.failed_links
+
+
+class TestGossipScenarioHosts:
+    @pytest.mark.parametrize("n", [24, 64])
+    def test_rack_layout_avoids_the_built_planes_coordinator_hosts(self, n):
+        k = gossip_membership.COORDINATORS
+        overlay = build_overlay(
+            trace=planetlab_like(n, np.random.default_rng(n)),
+            config=scenario_config(k),
+            with_freshness=False,
+        )
+        hosts = [c.host for c in overlay.membership.coordinators]
+        assert list(coordinator_hosts(n, k)) == hosts
+        _, failed, outage_rack = gossip_membership._rack_layout(n, 42)
+        assert not (failed | set(outage_rack)) & set(hosts)
 
 
 class TestCapacityTables:

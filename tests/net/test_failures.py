@@ -1,4 +1,9 @@
-"""Unit and property tests for failure injection."""
+"""Unit and property tests for failure injection.
+
+Tables with targeted faults are written as a run writes them, through
+:class:`~repro.workloads.faults.FaultPlan`; the Fig. 8 builder is held
+to one link's draws in ``reference_failures.py``.
+"""
 
 import hashlib
 
@@ -6,25 +11,31 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_failures import schedule_from_episodes
 
-from repro.errors import TopologyError
+from repro.errors import TopologyError, WorkloadError
 from repro.net.failures import (
     DEFAULT_CLASS_PARAMS,
-    FailureTable,
     NodeClass,
     NodeClassParams,
-    OutageSchedule,
     assign_node_classes,
     build_failure_table,
-    build_partition_table,
-    schedule_from_episodes,
 )
+from repro.workloads.faults import FaultPlan
+
+
+def link_windows(table):
+    """Every link window of ``table`` once, as ``(i, j, start, end)``
+    arrays with ``i < j``, in ``(i, j, start)`` order."""
+    src = np.repeat(np.arange(table.n, dtype=np.int32), np.diff(table._off))
+    once = src < table._peer
+    return src[once], table._peer[once], table._start[once], table._end[once]
 
 
 def windows_digest(table):
     """sha256 over every link window as int64 ``(i, j)`` then float64
     ``(start, end)`` columns, in ``(i, j, start)`` order."""
-    i, j, start, end = table.link_windows()
+    i, j, start, end = link_windows(table)
     ij = np.stack([i, j], axis=1).astype(np.int64)
     se = np.stack([start, end], axis=1).astype(np.float64)
     return hashlib.sha256(ij.tobytes() + se.tobytes()).hexdigest(), len(ij)
@@ -41,59 +52,6 @@ def stratified_classes(n, rng):
     return [classes[i] for i in rng.permutation(n)]
 
 
-class TestOutageSchedule:
-    def test_empty_schedule_is_always_up(self):
-        sched = OutageSchedule()
-        assert sched.is_up(0.0)
-        assert sched.is_up(1e9)
-        assert not sched
-
-    def test_basic_interval_queries(self):
-        sched = OutageSchedule([(10.0, 20.0), (30.0, 40.0)])
-        assert sched.is_up(5.0)
-        assert sched.is_down(10.0)  # half-open: start inclusive
-        assert sched.is_down(15.0)
-        assert sched.is_up(20.0)  # end exclusive
-        assert sched.is_down(35.0)
-        assert sched.is_up(45.0)
-
-    def test_overlapping_intervals_merge(self):
-        sched = OutageSchedule([(10.0, 25.0), (20.0, 30.0), (30.0, 35.0)])
-        assert sched.intervals == [(10.0, 35.0)]
-
-    def test_empty_intervals_dropped(self):
-        sched = OutageSchedule([(5.0, 5.0)])
-        assert sched.intervals == []
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(TopologyError):
-            OutageSchedule([(10.0, 5.0)])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0, 1000, allow_nan=False),
-                st.floats(0, 1000, allow_nan=False),
-            ).map(lambda p: (min(p), max(p))),
-            max_size=20,
-        )
-    )
-    def test_merged_intervals_are_sorted_and_disjoint(self, intervals):
-        sched = OutageSchedule(intervals)
-        merged = sched.intervals
-        for (s1, e1), (s2, e2) in zip(merged, merged[1:]):
-            assert e1 < s2
-        for s, e in merged:
-            assert s < e
-
-    @given(st.floats(0, 1000, allow_nan=False))
-    def test_point_query_matches_interval_membership(self, t):
-        intervals = [(100.0, 200.0), (300.0, 450.0)]
-        sched = OutageSchedule(intervals)
-        expected = any(s <= t < e for s, e in intervals)
-        assert sched.is_down(t) == expected
-
-
 class TestScheduleFromEpisodes:
     def test_zero_duty_cycle_gives_empty_schedule(self, rng):
         sched = schedule_from_episodes(rng, 1000.0, 0.0, 60.0)
@@ -103,12 +61,12 @@ class TestScheduleFromEpisodes:
         horizon = 500_000.0
         duty = 0.10
         sched = schedule_from_episodes(rng, horizon, duty, 60.0)
-        measured = sum(e - s for s, e in sched.intervals) / horizon
+        measured = sum(e - s for s, e in sched) / horizon
         assert 0.5 * duty < measured < 1.8 * duty
 
     def test_intervals_within_horizon(self, rng):
         sched = schedule_from_episodes(rng, 1000.0, 0.3, 60.0)
-        for s, e in sched.intervals:
+        for s, e in sched:
             assert 0.0 <= s < e <= 1000.0
 
 
@@ -134,38 +92,63 @@ class TestNodeClasses:
         assert 0.7 < frac_good < 0.9
 
 
+def cut(n, *links, start=0.0, end=100.0):
+    """The table with each ``(i, j)`` in ``links`` down during ``[start, end)``."""
+    plan = FaultPlan()
+    for i, j in links:
+        plan.partition(start, end, (i,), (j,))
+    return plan.failure_table(n)
+
+
 class TestFailureTable:
-    def test_keys_validated(self):
-        with pytest.raises(TopologyError):
-            FailureTable(n=3, link_schedules={(2, 1): OutageSchedule()})
-        with pytest.raises(TopologyError):
-            FailureTable(n=3, node_schedules={5: OutageSchedule()})
+    def test_ids_are_checked_against_n(self):
+        with pytest.raises(WorkloadError):  # a cut id >= n
+            FaultPlan().partition(0.0, 10.0, (0,), (3,)).failure_table(3)
+        with pytest.raises(WorkloadError):
+            FaultPlan().node_outage(0.0, 10.0, (5,)).failure_table(3)
+        assert FaultPlan().partition(0.0, 10.0, (0,), (2,)).failure_table(3).n == 3
+
+    def test_empty_plan_is_always_up(self):
+        table = FaultPlan().failure_table(3)
+        for t in (0.0, 1e9):
+            assert table.up_matrix(t).all()
+            assert all(table.node_is_up(i, t) for i in range(3))
+
+    def test_windows_are_half_open(self):
+        table = (
+            FaultPlan()
+            .partition(10.0, 20.0, (0,), (1,))
+            .partition(30.0, 40.0, (1,), (0,))
+            .node_outage(10.0, 20.0, (2,))
+            .failure_table(3)
+        )
+        # The start is inside a window, the end is not.
+        for t, down in ((5.0, False), (10.0, True), (15.0, True), (20.0, False)):
+            assert table.link_is_up(0, 1, t) is not down, t
+            assert table.node_is_up(2, t) is not down, t
+        for t, down in ((29.5, False), (30.0, True), (35.0, True), (40.0, False)):
+            assert table.link_is_up(0, 1, t) is not down, t
 
     def test_link_down_during_outage(self):
-        table = FailureTable(
-            n=3, link_schedules={(0, 1): OutageSchedule([(10.0, 20.0)])}
-        )
+        table = cut(3, (0, 1), start=10.0, end=20.0)
         assert table.link_is_up(0, 1, 5.0)
         assert not table.link_is_up(0, 1, 15.0)
         assert not table.link_is_up(1, 0, 15.0)  # symmetric
         assert table.link_is_up(0, 2, 15.0)
 
     def test_node_outage_kills_all_links(self):
-        table = FailureTable(
-            n=3, node_schedules={1: OutageSchedule([(10.0, 20.0)])}
-        )
+        table = FaultPlan().node_outage(10.0, 20.0, (1,)).failure_table(3)
         assert not table.link_is_up(0, 1, 15.0)
         assert not table.link_is_up(1, 2, 15.0)
         assert table.link_is_up(0, 2, 15.0)
 
     def test_up_vector_matches_scalar_queries(self):
-        table = FailureTable(
-            n=4,
-            link_schedules={
-                (0, 1): OutageSchedule([(0.0, 100.0)]),
-                (0, 3): OutageSchedule([(50.0, 60.0)]),
-            },
-            node_schedules={2: OutageSchedule([(55.0, 58.0)])},
+        table = (
+            FaultPlan()
+            .partition(0.0, 100.0, (0,), (1,))
+            .partition(50.0, 60.0, (0,), (3,))
+            .node_outage(55.0, 58.0, (2,))
+            .failure_table(4)
         )
         for t in (25.0, 56.0, 70.0, 200.0):
             vec = table.up_vector(0, t)
@@ -176,17 +159,13 @@ class TestFailureTable:
                     assert vec[j] == table.link_is_up(0, j, t)
 
     def test_up_many_matches_scalar_queries(self):
-        table = FailureTable(
-            n=5,
-            link_schedules={
-                (0, 1): OutageSchedule([(0.0, 100.0)]),
-                (0, 3): OutageSchedule([(50.0, 60.0)]),
-                (2, 3): OutageSchedule([(50.0, 60.0)]),
-            },
-            node_schedules={
-                2: OutageSchedule([(55.0, 58.0)]),
-                4: OutageSchedule([(69.0, 71.0)]),
-            },
+        table = (
+            FaultPlan()
+            .partition(0.0, 100.0, (0,), (1,))
+            .partition(50.0, 60.0, (3,), (0, 2))
+            .node_outage(55.0, 58.0, (2,))
+            .node_outage(69.0, 71.0, (4,))
+            .failure_table(5)
         )
         # Any order, duplicates, the source itself, a subset of the row.
         js = np.array([3, 0, 1, 4, 2, 2, 0, 3])
@@ -198,20 +177,14 @@ class TestFailureTable:
                 assert table.up_many(i, js[:0], t).tolist() == []
 
     def test_crashed_source_sees_everything_down(self):
-        table = FailureTable(n=3, node_schedules={0: OutageSchedule([(0.0, 10.0)])})
+        table = FaultPlan().node_outage(0.0, 10.0, (0,)).failure_table(3)
         vec = table.up_vector(0, 5.0)
         assert vec[0]
         assert not vec[1] and not vec[2]
         assert table.up_many(0, np.array([2, 0, 1]), 5.0).tolist() == [False, True, False]
 
     def test_concurrent_failures_counts_down_links(self):
-        table = FailureTable(
-            n=4,
-            link_schedules={
-                (0, 1): OutageSchedule([(0.0, 100.0)]),
-                (0, 2): OutageSchedule([(0.0, 100.0)]),
-            },
-        )
+        table = cut(4, (0, 1), (0, 2))
         assert table.concurrent_failures(0, 50.0) == 2
         assert table.concurrent_failures(0, 150.0) == 0
         assert table.concurrent_failures(3, 50.0) == 0
@@ -233,7 +206,7 @@ class TestBuildFailureTable:
 
     def test_windows_are_pinned(self):
         """Every interval of two built tables, bit for bit: the values
-        the per-link ``OutageSchedule`` builder produced."""
+        the builder produced when it drew one link at a time."""
         table = build_failure_table(64, 400.0, np.random.default_rng(3))
         assert windows_digest(table) == (
             "19967b7ebc1f283e2dd4f85951117cf0f3d99990cfe0dbeaa6cdda06877a5985",
@@ -266,36 +239,59 @@ class TestBuildFailureTable:
                     max(pa.mean_outage_s, pb.mean_outage_s, 45.0),
                     sigma=max(pa.sigma_outage, pb.sigma_outage),
                 )
-                expected += [(a, b, s, e) for s, e in sched.intervals]
+                expected += [(a, b, s, e) for s, e in sched]
         assert expected
-        assert list(zip(*(col.tolist() for col in table.link_windows()))) == expected
+        assert list(zip(*(col.tolist() for col in link_windows(table)))) == expected
 
 
-class TestBuildPartitionTable:
+class TestPlanTable:
     def test_every_node_id_is_checked(self):
-        # An id on a side paired with an empty side is checked too.
-        with pytest.raises(TopologyError):
-            build_partition_table(5, [(0.0, 10.0, [99], [])])
-        with pytest.raises(TopologyError):
-            build_partition_table(5, [(0.0, 10.0, [], [-1])])
-        with pytest.raises(TopologyError):  # a bad later cut
-            build_partition_table(5, [(0.0, 10.0, [0], [1]), (0.0, 10.0, [5], [])])
-        with pytest.raises(TopologyError):
-            build_partition_table(5, [(0.0, 10.0, [0, 1], [1, 2])])
-        with pytest.raises(TopologyError):
-            build_partition_table(5, [], [(0.0, 10.0, [5])])
+        with pytest.raises(WorkloadError):  # an empty side
+            FaultPlan().partition(0.0, 10.0, [99], [])
+        with pytest.raises(WorkloadError):
+            FaultPlan().partition(0.0, 10.0, [0], [-1])
+        with pytest.raises(WorkloadError):
+            FaultPlan().partition(0.0, 10.0, [0, 1], [1, 2])
+        plan = FaultPlan().partition(0.0, 10.0, [0], [1]).partition(0.0, 10.0, [2], [5])
+        with pytest.raises(WorkloadError):  # a bad later cut
+            plan.failure_table(5)
+        with pytest.raises(WorkloadError):
+            FaultPlan().node_outage(0.0, 10.0, [5]).failure_table(5)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=8),
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=8),
+    )
+    def test_merged_windows_are_sorted_and_disjoint(self, cuts, outages):
+        plan = FaultPlan()
+        for a, b in cuts:
+            if a != b:
+                plan.partition(min(a, b), max(a, b), (0,), (1,))
+        for a, b in outages:
+            if a != b:
+                plan.node_outage(min(a, b), max(a, b), (2,))
+        table = plan.failure_table(3)
+        _, _, link_start, link_end = link_windows(table)
+        for start, end in (
+            (link_start, link_end),
+            (table._node_start, table._node_end),
+        ):
+            # Each window is non-empty and ends strictly before the next
+            # starts: touching windows were joined too.
+            assert (start < end).all()
+            assert (end[:-1] < start[1:]).all()
 
     def test_cut_and_outage_windows_merge(self):
-        table = build_partition_table(
-            6,
-            [
-                (10.0, 20.0, [0, 1], [2]),
-                (20.0, 30.0, [0], [2, 3]),  # touches (0, 2)'s first window
-                (15.0, 25.0, [3], [0]),  # overlaps (0, 3)'s window
-            ],
-            [(40.0, 50.0, [4]), (45.0, 60.0, [4, 5])],
+        table = (
+            FaultPlan()
+            .partition(10.0, 20.0, [0, 1], [2])
+            .partition(20.0, 30.0, [0], [2, 3])  # touches (0, 2)'s first window
+            .partition(15.0, 25.0, [3], [0])  # overlaps (0, 3)'s window
+            .node_outage(40.0, 50.0, [4])
+            .node_outage(45.0, 60.0, [4, 5])
+            .failure_table(6)
         )
-        i, j, start, end = table.link_windows()
+        i, j, start, end = link_windows(table)
         assert list(zip(i.tolist(), j.tolist(), start.tolist(), end.tolist())) == [
             (0, 2, 10.0, 30.0),
             (0, 3, 15.0, 30.0),
@@ -308,37 +304,62 @@ class TestBuildPartitionTable:
             assert table.node_is_up(5, t) is node5
 
 
+#: Windows on a small integer grid, so that overlapping, touching,
+#: duplicate and empty ones are all common.
 _window = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
     lambda p: (float(min(p)), float(max(p)))
 )
 
 
 @st.composite
-def small_tables(draw):
-    """A random table with overlapping, touching and empty windows on
-    links and nodes, plus the schedules it was built from."""
+def fault_specs(draw):
+    """``n``, then partition cuts ``(start, end, side_a, side_b)`` on
+    random disjoint side pairs (singletons included, some cuts repeated)
+    and node outages ``(start, end, nodes)``, as a plan would be given
+    them."""
     n = draw(st.integers(1, 7))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    links = {
-        pair: OutageSchedule(draw(st.lists(_window, max_size=4)))
-        for pair in draw(st.lists(st.sampled_from(pairs), unique=True))
-    } if pairs else {}
-    nodes = {
-        node: OutageSchedule(draw(st.lists(_window, max_size=3)))
-        for node in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
-    }
-    return FailureTable(n=n, link_schedules=links, node_schedules=nodes), links, nodes
+    cuts = []
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        a = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        b = draw(st.sets(st.sampled_from(sorted(set(range(n)) - a)), min_size=1))
+        cuts.append((*draw(_window), sorted(a), sorted(b, reverse=True)))
+    if cuts:
+        cuts += draw(st.lists(st.sampled_from(cuts), max_size=2))
+    outages = [
+        (*draw(_window), draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return n, cuts, outages
 
 
 class TestFlatQueries:
-    @given(small_tables(), st.lists(st.integers(0, 6), max_size=8))
-    def test_every_query_agrees_with_the_schedules(self, built, dsts):
-        table, links, nodes = built
-        n = table.n
+    @given(fault_specs(), st.lists(st.integers(0, 6), max_size=8))
+    def test_every_query_agrees_with_the_raw_windows(self, spec, dsts):
+        n, cuts, outages = spec
+        plan = FaultPlan()
+        for start, end, a, b in cuts:
+            if end > start:
+                plan.partition(start, end, a, b)
+            else:  # an empty window is refused where it is written
+                with pytest.raises(WorkloadError):
+                    plan.partition(start, end, a, b)
+        for start, end, nodes in outages:
+            if end > start:
+                plan.node_outage(start, end, nodes)
+            else:
+                with pytest.raises(WorkloadError):
+                    plan.node_outage(start, end, nodes)
+        table = plan.failure_table(n)
         js = np.array([j % n for j in dsts], dtype=np.int64)
 
         def node_down(i, t):
-            return i in nodes and nodes[i].is_down(t)
+            return any(s <= t < e and i in nodes for s, e, nodes in outages)
+
+        def cut_down(i, j, t):
+            return any(
+                s <= t < e and ((i in a and j in b) or (i in b and j in a))
+                for s, e, a, b in cuts
+            )
 
         times = np.arange(-0.5, 13.0, 0.5).tolist()
         for t in times[1::2] + times[::-2]:  # forwards, then backwards
@@ -351,11 +372,8 @@ class TestFlatQueries:
                 if node_down(i, t):  # a down source sees only itself
                     assert row.tolist() == [j == i for j in range(n)]
                 for j in range(n):
-                    key = (min(i, j), max(i, j))
                     expected = i == j or not (
-                        node_down(i, t)
-                        or node_down(j, t)
-                        or (key in links and links[key].is_down(t))
+                        node_down(i, t) or node_down(j, t) or cut_down(i, j, t)
                     )
                     assert table.link_is_up(i, j, t) is expected
                     assert row[j] == expected

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.topology import Topology
 from repro.net.trace import uniform_random_metric
+from repro.workloads.faults import FaultPlan
 
 
 def simple_rtt(n=4, value=100.0):
@@ -46,7 +46,7 @@ class TestValidation:
 
     def test_failure_table_size_mismatch_rejected(self):
         with pytest.raises(TopologyError):
-            Topology(simple_rtt(4), failures=FailureTable(n=5))
+            Topology(simple_rtt(4), failures=FaultPlan().failure_table(5))
 
     def test_out_of_range_pair_rejected(self):
         topo = Topology(simple_rtt(4))
@@ -97,9 +97,7 @@ class TestPacketDelivery:
         assert 0.63 < delivered / 5000 < 0.77
 
     def test_outage_blocks_delivery(self, rng):
-        failures = FailureTable(
-            n=4, link_schedules={(0, 1): OutageSchedule([(10.0, 20.0)])}
-        )
+        failures = FaultPlan().partition(10.0, 20.0, (0,), (1,)).failure_table(4)
         topo = Topology(simple_rtt(4), failures=failures)
         assert topo.packet_delivered(0, 1, 5.0, rng)
         assert not topo.packet_delivered(0, 1, 15.0, rng)
@@ -114,9 +112,7 @@ class TestPacketDelivery:
         n = 5
         loss = np.full((n, n), 0.4)
         loss[0, 3] = loss[3, 0] = 0.0
-        failures = FailureTable(
-            n=n, link_schedules={(0, 2): OutageSchedule([(10.0, 20.0)])}
-        )
+        failures = FaultPlan().partition(10.0, 20.0, (0,), (2,)).failure_table(n)
         rtt = simple_rtt(n) + np.arange(n)[:, None] + np.arange(n)[None, :]
         np.fill_diagonal(rtt, 0.0)
         topo = Topology(rtt, loss=loss, failures=failures)
@@ -139,13 +135,11 @@ class TestPacketDelivery:
 
 class TestConcurrentFailures:
     def test_counts_match_failure_table(self):
-        failures = FailureTable(
-            n=5,
-            link_schedules={
-                (0, 1): OutageSchedule([(0.0, 50.0)]),
-                (0, 2): OutageSchedule([(0.0, 50.0)]),
-                (3, 4): OutageSchedule([(0.0, 50.0)]),
-            },
+        failures = (
+            FaultPlan()
+            .partition(0.0, 50.0, (0,), (1, 2))
+            .partition(0.0, 50.0, (3,), (4,))
+            .failure_table(5)
         )
         topo = Topology(simple_rtt(5), failures=failures)
         assert topo.concurrent_failures(0, 25.0) == 2

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError, TopologyError
-from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
@@ -14,6 +13,7 @@ from repro.net.transport import DatagramTransport
 from repro.overlay import wire
 from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.stats import BandwidthRecorder
+from repro.workloads.faults import FaultPlan
 
 
 def make_setup(n=3, rtt=100.0, loss=None, failures=None, with_bw=True):
@@ -277,27 +277,21 @@ def fanout_worlds(draw):
     # Few distinct RTTs, so arrivals collide and datagrams coalesce.
     rtt = np.zeros((n, n))
     loss = np.zeros((n, n))
-    link_schedules = {}
+    plan = FaultPlan()
     for i, j in pairs:
         rtt[i, j] = rtt[j, i] = draw(st.sampled_from([20.0, 40.0, 60.0]))
         loss[i, j] = loss[j, i] = draw(st.sampled_from([0.0, 0.0, 0.3, 0.7, 1.0]))
         if draw(st.integers(0, 3)) == 0:
             start = draw(st.sampled_from([0.0, 0.02, 0.05]))
-            link_schedules[(i, j)] = OutageSchedule([(start, start + 0.04)])
+            plan.partition(start, start + 0.04, (i,), (j,))
     for i in range(n):
         # An endpoint talking to its own host never touches the wire,
         # whatever the matrix says about the diagonal.
         loss[i, i] = draw(st.sampled_from([0.0, 1.0]))
-    node_schedules = {
-        i: OutageSchedule([(0.01, 0.06)])
-        for i in range(n)
-        if draw(st.integers(0, 5)) == 0
-    }
-    failures = None
-    if draw(st.booleans()):
-        failures = FailureTable(
-            n=n, link_schedules=link_schedules, node_schedules=node_schedules
-        )
+    down = [i for i in range(n) if draw(st.integers(0, 5)) == 0]
+    if down:
+        plan.node_outage(0.01, 0.06, down)
+    failures = plan.failure_table(n) if draw(st.booleans()) else None
     registered = [i for i in range(n) if draw(st.integers(0, 4)) > 0]
     # Service endpoints: above the node range and, sometimes, at the
     # address of a node that never registered.
@@ -435,9 +429,7 @@ class TestSendMany:
         loss = np.zeros((n, n))
         loss[0, 2] = loss[2, 0] = 0.5
         loss[0, 4] = loss[4, 0] = 0.5
-        failures = FailureTable(
-            n=n, link_schedules={(0, 4): OutageSchedule([(0.0, 1.0)])}
-        )
+        failures = FaultPlan().partition(0.0, 1.0, (0,), (4,)).failure_table(n)
         sim, topo, transport, _ = make_setup(n=n, loss=loss, failures=failures)
         reference = np.random.default_rng(1)  # make_setup's seed
         in_flight = transport.send_many(0, [1, 2, 3, 4], ls_msg(0, n))

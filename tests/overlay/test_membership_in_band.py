@@ -11,7 +11,6 @@ fix ("you are out" notices), and the view-divergence metric.
 import numpy as np
 import pytest
 
-from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.packet import LinkStateMessage, MembershipDelta, MembershipRefresh
 from repro.net.trace import uniform_random_metric
 from repro.overlay import wire
@@ -19,6 +18,7 @@ from repro.overlay.config import InBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow
 from repro.overlay.stats import MEMBERSHIP_KINDS, DisruptionRecorder
+from repro.workloads.faults import FaultPlan
 
 
 def build_in_band_overlay(
@@ -120,9 +120,7 @@ class TestGapRepair:
     def test_coordinator_outage_window_reconverges_after(self):
         # The coordinator shares node 0's links; an outage of that site
         # makes every view update and refresh in the window vanish.
-        outage = FailureTable(
-            n=8, node_schedules={0: OutageSchedule([(2.0, 22.0)])}
-        )
+        outage = FaultPlan().node_outage(2.0, 22.0, (0,)).failure_table(8)
         overlay = build_in_band_overlay(8, failures=outage)
         membership = overlay.membership
         overlay.run(3.0)  # inside the outage now

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.overlay.monitor import LinkMonitor
 from repro.overlay.stats import BandwidthRecorder
+from repro.workloads.faults import FaultPlan
 
 
 def make_monitor(
@@ -64,9 +64,7 @@ class TestSteadyState:
             assert row[j] == pytest.approx(80.0, rel=0.05)
 
     def test_latency_row_has_inf_for_down_links(self):
-        failures = FailureTable(
-            n=4, link_schedules={(0, 1): OutageSchedule([(0.0, 1e6)])}
-        )
+        failures = FaultPlan().partition(0.0, 1e6, (0,), (1,)).failure_table(4)
         sim, mon, _ = make_monitor(failures=failures)
         mon.start(phase=1.0)
         sim.run_until(120.0)
@@ -79,9 +77,7 @@ class TestFailureDetection:
     def test_detection_within_one_probe_interval(self):
         """§5: rapid probing detects failures within 1 probing period."""
         down_events = []
-        failures = FailureTable(
-            n=4, link_schedules={(0, 1): OutageSchedule([(100.0, 1e6)])}
-        )
+        failures = FaultPlan().partition(100.0, 1e6, (0,), (1,)).failure_table(4)
         sim, mon, _ = make_monitor(
             failures=failures, on_down=lambda j: down_events.append((j, sim.now))
         )
@@ -98,9 +94,7 @@ class TestFailureDetection:
         """A blip shorter than the rapid-probe sequence is not declared."""
         down_events = []
         # Outage from 100 to 104 s: only 1-2 probes lost.
-        failures = FailureTable(
-            n=4, link_schedules={(0, 1): OutageSchedule([(100.5, 104.0)])}
-        )
+        failures = FaultPlan().partition(100.5, 104.0, (0,), (1,)).failure_table(4)
         sim, mon, _ = make_monitor(
             failures=failures, on_down=lambda j: down_events.append(j)
         )
@@ -111,9 +105,7 @@ class TestFailureDetection:
 
     def test_recovery_detected(self):
         up_events = []
-        failures = FailureTable(
-            n=4, link_schedules={(0, 1): OutageSchedule([(100.0, 200.0)])}
-        )
+        failures = FaultPlan().partition(100.0, 200.0, (0,), (1,)).failure_table(4)
         sim, mon, _ = make_monitor(
             failures=failures, on_up=lambda j: up_events.append((j, sim.now))
         )

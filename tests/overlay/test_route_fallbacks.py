@@ -1,7 +1,6 @@
 """Edge cases of route selection and router internals."""
 
 import numpy as np
-from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import RouterKind
 from repro.overlay.harness import build_overlay
@@ -10,6 +9,7 @@ from repro.overlay.router_base import (
     SOURCE_REDUNDANT,
     Route,
 )
+from repro.workloads.faults import FaultPlan
 
 
 def build(n=16, seed=41, failures=None, config=None, run_s=120.0):
@@ -55,9 +55,7 @@ class TestFallbackOrder:
 
     def test_unreachable_destination_yields_unusable_route(self):
         n = 16
-        failures = FailureTable(
-            n=n, node_schedules={7: OutageSchedule([(0.0, 1e12)])}
-        )
+        failures = FaultPlan().node_outage(0.0, 1e12, (7,)).failure_table(n)
         ov = build(failures=failures, run_s=200.0)
         router = ov.nodes[0].router
         router.route_time[:] = -np.inf

@@ -6,7 +6,6 @@ import pytest
 from repro.core.failover import FailoverManager
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.experiments.coordinator_failover import scenario_config
-from repro.net.failures import FailureTable, OutageSchedule
 from repro.net.trace import SyntheticTrace, planetlab_like, uniform_random_metric
 from repro.overlay.config import InBand, OutOfBand, OverlayConfig, RouterKind
 from repro.overlay.harness import build_overlay
@@ -168,11 +167,10 @@ class TestQuorumFailover:
         opt, hops = best_one_hop_all_pairs(np.asarray(w))
         best_c = int(hops[src, dst])
         fail_at = 200.0
-        sched = OutageSchedule([(fail_at, 1e9)])
-        links = {(src, dst): sched}
+        plan = FaultPlan().partition(fail_at, 1e9, (src,), (dst,))
         if best_c not in (src, dst):
-            links[tuple(sorted((src, best_c)))] = sched
-        failures = FailureTable(n=n, link_schedules=links)
+            plan.partition(fail_at, 1e9, (src,), (best_c,))
+        failures = plan.failure_table(n)
         ov = build(n=n, failures=failures, seed=11, trace=trace)
         ov.run(fail_at)
         ov.run(200.0)  # detection (<=30 s) + 2 routing intervals + slack
@@ -196,10 +194,7 @@ class TestQuorumFailover:
         if 0 in pair or dst in pair:
             pytest.skip("degenerate geometry for this seed")
         fail_at = 200.0
-        sched = OutageSchedule([(fail_at, 1e9)])
-        links = {tuple(sorted((0, r))): sched for r in pair}
-        links[(0, dst)] = sched
-        failures = FailureTable(n=n, link_schedules=links)
+        failures = FaultPlan().partition(fail_at, 1e9, (0,), (*pair, dst)).failure_table(n)
 
         ov = build(n=n, failures=failures, seed=13, trace=trace)
         ov.run(fail_at + 150.0)
@@ -214,9 +209,7 @@ class TestQuorumFailover:
         failover candidates after the initial attempt."""
         n = 16
         fail_at = 150.0
-        failures = FailureTable(
-            n=n, node_schedules={15: OutageSchedule([(fail_at, 1e9)])}
-        )
+        failures = FaultPlan().node_outage(fail_at, 1e9, (15,)).failure_table(n)
         ov = build(n=n, failures=failures, seed=7)
         ov.run(fail_at + 300.0)
         router = ov.nodes[0].router
@@ -319,17 +312,14 @@ class TestQuorumFailover:
             for d in range(n - 1, 0, -1)
             if src not in grid.servers(d) and d not in grid.servers(src)
         )
-        forever = OutageSchedule([(fail_at, 1e12)])
-        links = {tuple(sorted((src, dst))): forever}
-        for member in grid.servers(dst, include_self=False):
-            links[tuple(sorted((src, member)))] = forever
-        for member in grid.servers(src, include_self=False):
-            links[tuple(sorted((dst, member)))] = forever
+        plan = FaultPlan().partition(fail_at, 1e12, (src,), (dst,))
+        plan.partition(fail_at, 1e12, (src,), grid.servers(dst, include_self=False))
+        plan.partition(fail_at, 1e12, (dst,), grid.servers(src, include_self=False))
         ov = build_overlay(
             trace=trace,
             router=RouterKind.QUORUM,
             rng=np.random.default_rng(seed),
-            failures=FailureTable(n=n, link_schedules=links),
+            failures=plan.failure_table(n),
             with_freshness=False,
         )
         ov.run(fail_at + 150.0)

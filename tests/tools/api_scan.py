@@ -1,9 +1,10 @@
 """An AST scan of the public API of ``src/repro`` and of who reaches it.
 
-Two guards read it (CONTRIBUTING, "The Options rule"):
+Three guards read it (CONTRIBUTING, "The Options rule"):
 ``test_parameter_values.py`` asks which defaulted parameters the
-callers set to one value only, ``test_public_names_used.py`` which
-public names no caller reaches. Callers are ``src/repro``, ``bench/``
+callers set to one value only, ``test_config_fields.py`` the same of
+the config fields, and ``test_public_names_used.py`` which public
+names no caller reaches. Callers are ``src/repro``, ``bench/``
 and the ``benchmarks/`` modules that check a published table, plus
 ``examples/`` for a use; tests do not count, since a test can call and
 set anything.
@@ -184,7 +185,10 @@ def passed_values(paths: Iterable[Path]) -> Dict[str, List[ast.Call]]:
     return calls
 
 
-def _values_for(calls: List[ast.Call], position: int, name: str) -> List[object]:
+def values_for(calls: List[ast.Call], position: int, name: str) -> List[object]:
+    """The values ``calls`` pass for a parameter at ``position`` (``-1``:
+    keyword only) or by ``name``; a call unpacking ``*args`` or
+    ``**kwargs`` passes a value of its own."""
     values: List[object] = []
     for call in calls:
         starred = any(isinstance(a, ast.Starred) for a in call.args)
@@ -234,6 +238,6 @@ def single_valued(defined: Iterable[Defined], callers: Iterable[Path]) -> List[s
         else:
             reaching = calls.get(d.name, [])
         for position, name, default in params:
-            if len({repr(v) for v in [default, *_values_for(reaching, position, name)]}) < 2:
+            if len({repr(v) for v in [default, *values_for(reaching, position, name)]}) < 2:
                 flagged.append(f"{d.qualname}({name})")
     return sorted(flagged)

@@ -2,23 +2,22 @@
 
 Every field of :class:`repro.overlay.config.OverlayConfig` and of each
 membership variant must take at least two distinct values across the
-calls in ``src/repro`` and ``bench/``: its default is one value, each
-keyword a call passes is another, and a keyword bound to a name or an
-expression (a loop variable, a parameter) counts as a value of its own.
-The deployment settings on :data:`DEPLOYMENT` are exempt. A value every
-run shares is a named constant beside the code that reads it
-(CONTRIBUTING, "The Options rule"); tests and examples do not count as
-callers, since a test can set anything.
+calls of :data:`api_scan.CALLERS` (``src/repro``, ``bench/`` and the
+``benchmarks/`` modules that check a published table): its default is
+one value, each keyword a call passes is another, and a keyword bound
+to a name or an expression (a loop variable, a parameter) counts as a
+value of its own. The deployment settings on :data:`DEPLOYMENT` are
+exempt. A value every run shares is a named constant beside the code
+that reads it (CONTRIBUTING, "The Options rule"); tests and examples do
+not count as callers, since a test can set anything.
 """
 
-import ast
 import dataclasses
-from pathlib import Path
+
+from api_scan import CALLERS, passed_values, values_for
 
 from repro.overlay.config import Gossip, InBand, OutOfBand, OverlayConfig, Replicated
 
-ROOT = Path(__file__).resolve().parents[2]
-CALLERS = [*sorted((ROOT / "src" / "repro").rglob("*.py")), *sorted((ROOT / "bench").rglob("*.py"))]
 CONFIGS = (OverlayConfig, OutOfBand, InBand, Replicated, Gossip)
 #: What a deployment chooses rather than tunes: which membership plane,
 #: and how many coordinators the replicated one runs.
@@ -36,33 +35,13 @@ def _config_fields() -> dict:
     }
 
 
-def _called_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Name):
-        return func.id
-    return func.attr if isinstance(func, ast.Attribute) else ""
-
-
-def _keyword_values(paths) -> dict:
-    """Field name -> the values calls to a config class pass for it."""
-    classes = {cls.__name__ for cls in CONFIGS}
-    found: dict = {}
-    for path in paths:
-        for node in ast.walk(ast.parse(Path(path).read_text())):
-            if not (isinstance(node, ast.Call) and _called_name(node.func) in classes):
-                continue
-            for keyword in node.keywords:
-                try:
-                    value = ast.literal_eval(keyword.value)
-                except ValueError:
-                    value = ast.dump(keyword.value)  # varies at run time
-                found.setdefault(keyword.arg, []).append(value)
-    return found
-
-
 def _single_valued(fields: dict, paths) -> list:
-    passed = _keyword_values(paths)
+    calls = passed_values(paths)
+    config_calls = [call for cls in CONFIGS for call in calls.get(cls.__name__, [])]
     return sorted(
-        name for name, default in fields.items() if len({default, *passed.get(name, [])}) < 2
+        name
+        for name, default in fields.items()
+        if len({default, *values_for(config_calls, -1, name)}) < 2
     )
 
 

@@ -13,6 +13,13 @@ def test_src_repro_lints_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
+def test_examples_lint_clean():
+    """The examples promise reproducible numbers, so RL001 (determinism)
+    and the other rules hold there too."""
+    findings = lint_paths([str(REPO_ROOT / "examples")])
+    assert findings == [], "\n".join(f.render() for f in findings)
+
+
 def test_reprolint_itself_lints_clean():
     findings = lint_paths([str(REPO_ROOT / "tools")])
     assert findings == [], "\n".join(f.render() for f in findings)

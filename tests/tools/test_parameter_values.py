@@ -36,12 +36,6 @@ RUN_SIZES = {
 }
 
 ALLOWED = {
-    "repro.net.failures:FailureTable.__init__(node_schedules)": (
-        "tests write node outages by hand; the builders pass windows through _from_rows"
-    ),
-    "repro.net.failures:schedule_from_episodes(sigma)": (
-        "one link's process is (duty, mean, sigma); the builder's test passes each class pair's"
-    ),
     "repro.overlay.router_base:RouterBase.__init__(row_block)": (
         "OverlayNode passes the overlay's block through router_cls(...), which the scan "
         "cannot resolve; a router built alone makes its own"

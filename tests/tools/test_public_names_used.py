@@ -38,9 +38,6 @@ ALLOWED = {
         "the 2 sqrt(n) load bound of §3, read by the quorum tests"
     ),
     "repro.net.failures:FailureTable.node_is_up": _ACCESSOR,
-    "repro.net.failures:schedule_from_episodes": (
-        "one link's draws, as build_failure_table makes them; the builder is pinned to it"
-    ),
     "repro.net.simulator:PeriodicTimer.stopped": _ACCESSOR,
     "repro.net.simulator:Simulator.cancelled_pending": _ACCESSOR,
     "repro.overlay.membership:MembershipClient": (

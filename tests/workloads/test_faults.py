@@ -1,8 +1,11 @@
 """Fault plans and correlated-failure traces.
 
-Covers the :class:`FaultPlan` construction invariants (canonical
-partition pairs, merge-on-insert of overlapping windows, node-outage
-compilation into the failure table) and the correlated churn
+Covers the :class:`FaultPlan` construction invariants (window and side
+checks where a fault is written, the compiled table's merge of each
+link's overlapping, touching and repeated windows, node-outage
+compilation into the failure table; ``tests/net/test_failures.py``
+holds every table query to the raw windows a random plan is given) and
+the correlated churn
 generator, plus installing a member-only plan on a coordinator-free
 (gossip) overlay and the install-time replay of member events against
 the overlay's active set.
@@ -95,19 +98,43 @@ class TestCorrelatedFailure:
             )
 
 
+#: Every half second of the plans' horizon.
+GRID = np.arange(0.0, 100.0, 0.5).tolist()
+
+
+def assert_down_exactly(table, links, windows):
+    """Each ``(i, j)`` of ``links`` is down, both ways, exactly during the
+    half-open ``windows``, checked on :data:`GRID`."""
+    for t in GRID:
+        down = any(s <= t < e for s, e in windows)
+        for i, j in links:
+            assert table.link_is_up(i, j, t) is not down, (i, j, t)
+            assert table.link_is_up(j, i, t) is not down, (j, i, t)
+
+
 class TestPartitionMerging:
+    """The plan keeps cuts as written; the compiled table merges each
+    link's windows, so every lookup sees one disjoint window per span."""
+
     def test_overlapping_windows_same_pair_merge(self):
         plan = FaultPlan()
         plan.partition(10.0, 50.0, [0, 1], [2, 3])
         plan.partition(40.0, 90.0, [3, 2], [1, 0])  # swapped + unsorted
-        assert plan.cuts == [(10.0, 90.0, (0, 1), (2, 3))]
+        assert plan.cuts == [
+            (10.0, 50.0, (0, 1), (2, 3)),
+            (40.0, 90.0, (2, 3), (0, 1)),
+        ]
+        table = plan.failure_table(4)
+        assert_down_exactly(table, [(0, 2), (0, 3), (1, 2), (1, 3)], [(10.0, 90.0)])
+        assert_down_exactly(table, [(0, 1), (2, 3)], [])  # within a side
 
     def test_touching_and_duplicate_windows_merge(self):
         plan = FaultPlan()
         plan.partition(10.0, 50.0, [0], [1])
         plan.partition(50.0, 70.0, [0], [1])  # touching
         plan.partition(10.0, 50.0, [0], [1])  # exact duplicate
-        assert plan.cuts == [(10.0, 70.0, (0,), (1,))]
+        assert len(plan.cuts) == 3
+        assert_down_exactly(plan.failure_table(2), [(0, 1)], [(10.0, 70.0)])
 
     def test_disjoint_windows_and_pairs_kept_separate(self):
         plan = FaultPlan()
@@ -115,18 +142,27 @@ class TestPartitionMerging:
         plan.partition(30.0, 40.0, [0], [1])
         plan.partition(10.0, 20.0, [0], [2])
         assert len(plan.cuts) == 3
+        table = plan.failure_table(3)
+        assert_down_exactly(table, [(0, 1)], [(10.0, 20.0), (30.0, 40.0)])
+        assert_down_exactly(table, [(0, 2)], [(10.0, 20.0)])
+        assert_down_exactly(table, [(1, 2)], [])
 
     def test_merge_chains_across_existing_windows(self):
         plan = FaultPlan()
         plan.partition(10.0, 20.0, [0], [1])
         plan.partition(30.0, 40.0, [0], [1])
         plan.partition(15.0, 35.0, [0], [1])  # bridges both
-        assert plan.cuts == [(10.0, 40.0, (0,), (1,))]
+        # Nested in the bridge and starting after it: an unmerged lookup
+        # would take this window for t in [25, 30) and see the link up.
+        plan.partition(22.0, 25.0, [1], [0])
+        assert_down_exactly(plan.failure_table(2), [(0, 1)], [(10.0, 40.0)])
 
     def test_validation(self):
         plan = FaultPlan()
         with pytest.raises(WorkloadError):
             plan.partition(50.0, 50.0, [0], [1])  # empty window
+        with pytest.raises(WorkloadError):
+            plan.partition(50.0, 40.0, [0], [1])  # reversed window
         with pytest.raises(WorkloadError):
             plan.partition(0.0, 10.0, [], [1])  # empty side
         with pytest.raises(WorkloadError):
@@ -136,7 +172,7 @@ class TestPartitionMerging:
 
 
 class TestNodeOutage:
-    def test_compiles_into_node_schedules(self):
+    def test_compiles_into_node_windows(self):
         plan = FaultPlan()
         plan.node_outage(100.0, 200.0, [3, 1, 3])
         plan.partition(50.0, 80.0, [0], [2])

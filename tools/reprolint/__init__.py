@@ -10,10 +10,10 @@ Code      Invariant
 ========  ============================================================
 RL001     Determinism: no ambient randomness (``random``, legacy
           ``np.random`` globals, ``uuid4``) or wall-clock reads
-          (``time.time``, ``datetime.now``) under ``src/repro/`` — all
-          randomness flows through an explicitly passed, seeded
-          ``numpy.random.Generator``; all time through the simulator
-          clock.
+          (``time.time``, ``datetime.now``) under ``src/repro/`` and
+          ``examples/`` — all randomness flows through an explicitly
+          passed, seeded ``numpy.random.Generator``; all time through
+          the simulator clock.
 RL002     Memory hygiene: classes in ``repro/overlay/`` and
           ``repro/net/`` (instantiated per-node or per-event) declare
           ``__slots__``.

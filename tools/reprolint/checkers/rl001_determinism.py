@@ -73,12 +73,12 @@ def _outermost_chains(tree: ast.AST) -> List[ast.AST]:
 class DeterminismChecker(Checker):
     code = "RL001"
     description = (
-        "no ambient randomness or wall-clock reads under src/repro/ — "
-        "seeded numpy Generators and the simulator clock only"
+        "no ambient randomness or wall-clock reads under src/repro/ or "
+        "examples/ — seeded numpy Generators and the simulator clock only"
     )
 
     def applies(self, module: Module) -> bool:
-        return module.in_package("src/repro")
+        return module.in_package("src/repro", "examples")
 
     def check(self, module: Module) -> List[Finding]:
         findings: List[Finding] = []

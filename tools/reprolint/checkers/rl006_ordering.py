@@ -146,7 +146,7 @@ class UnorderedIterationChecker(Checker):
     )
 
     def applies(self, module: Module) -> bool:
-        return module.in_package("src/repro")
+        return module.in_package("src/repro", "examples")
 
     def check(self, module: Module) -> List[Finding]:
         findings: List[Finding] = []
