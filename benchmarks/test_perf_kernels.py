@@ -267,7 +267,6 @@ def test_perf_recommendation_receive_256(benchmark):
                 origin=members[server],
                 entries=entries,
                 view_version=router.wire_view_version(),
-                sent_at=0.0,
             )
         )
     assert len(messages) == 30 and all(len(m.entries) == 29 for m in messages)

@@ -35,9 +35,5 @@ class RoutingError(ReproError):
     """A routing-layer operation failed (unknown destination, no route)."""
 
 
-class WireFormatError(ReproError):
-    """A message could not be encoded to or decoded from its wire format."""
-
-
 class WorkloadError(ReproError):
     """A churn trace or workload is malformed or infeasible."""

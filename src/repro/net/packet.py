@@ -2,15 +2,15 @@
 
 Messages carry structured payloads (numpy arrays, entry lists) for speed;
 their :meth:`wire_size` reports what the compact §5 wire encoding *would*
-occupy, which is what the bandwidth accounting uses. The byte-level codecs
-in :mod:`repro.overlay.wire` are exercised separately and round-trip the
-same information.
+occupy (:mod:`repro.overlay.wire`'s formulas), which is what the bandwidth
+accounting uses. No run serialises a message; the tests hold every datagram
+a run sends to a byte-level reference encoding of exactly that size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -84,24 +84,17 @@ class LinkStateMessage(Message):
         this one object.
     view_version:
         Membership view version this row is indexed against.
-    sec:
-        Optional ``Sec`` (second node on best path) identities, present
-        only in the multi-hop extension.
     """
 
     row: LinkStateRow
     view_version: int = 0
-    sent_at: float = 0.0
-    sec: Optional[np.ndarray] = None
 
     @property
     def kind(self) -> str:
         return KIND_LINKSTATE
 
     def wire_size(self) -> int:
-        return wire.linkstate_message_bytes(
-            len(self.row.latency_ms), multihop=self.sec is not None
-        )
+        return wire.linkstate_message_bytes(len(self.row.latency_ms))
 
 
 @dataclass(slots=True)
@@ -120,7 +113,6 @@ class RecommendationMessage(Message):
         default_factory=lambda: np.empty((0, 2), dtype=np.int64)
     )
     view_version: int = 0
-    sent_at: float = 0.0
 
     def __post_init__(self) -> None:
         ent = self.entries
@@ -170,7 +162,7 @@ class MembershipDelta(Message):
 
     Carries one coalesced ``(from_version, to_version)`` transition; the
     receiver applies it to the view it holds at exactly ``from_version``
-    (the :func:`repro.overlay.wire.encode_view_delta` layout).
+    (:func:`repro.overlay.wire.membership_delta_message_bytes` prices it).
     """
 
     from_version: int = 0
@@ -208,8 +200,7 @@ class MembershipRefresh(Message):
         return KIND_MEMBERSHIP_CTRL
 
     def wire_size(self) -> int:
-        base = wire.membership_refresh_message_bytes()
-        return base + (wire.EPOCH_BYTES if self.epoch else 0)
+        return wire.MEMBERSHIP_REFRESH_BYTES + (wire.EPOCH_BYTES if self.epoch else 0)
 
 
 @dataclass(slots=True)
@@ -233,7 +224,7 @@ class MembershipAck(Message):
         return KIND_MEMBERSHIP_CTRL
 
     def wire_size(self) -> int:
-        return wire.membership_ack_message_bytes()
+        return wire.MEMBERSHIP_ACK_BYTES
 
 
 @dataclass(slots=True)
@@ -248,7 +239,7 @@ class CoordinatorHeartbeat(Message):
         return KIND_MEMBERSHIP_CTRL
 
     def wire_size(self) -> int:
-        return wire.coordinator_sync_message_bytes()
+        return wire.COORDINATOR_SYNC_BYTES
 
 
 @dataclass(slots=True)
@@ -268,7 +259,7 @@ class CoordinatorPull(Message):
         return KIND_MEMBERSHIP_CTRL
 
     def wire_size(self) -> int:
-        return wire.coordinator_sync_message_bytes()
+        return wire.COORDINATOR_SYNC_BYTES
 
 
 @dataclass(slots=True)
@@ -350,8 +341,10 @@ class GossipPull(Message):
 class GossipOps(Message):
     """A replay of membership ops, answering a pull or pushing surplus.
 
-    Each op is ``(origin, seq, action, target, stamp)`` — the
-    :func:`repro.overlay.wire.encode_gossip_ops` layout.
+    Each op is ``(origin, seq, action, target, stamp)``: the op's place
+    in its origin's log, then its action (1 = join, 2 = leave, 3 =
+    expire), target and incarnation stamp
+    (:data:`repro.overlay.wire.GOSSIP_OP_BYTES` each).
     """
 
     ops: Tuple[Tuple[int, int, int, int, int], ...] = ()

@@ -42,7 +42,6 @@ class MaliciousQuorumRouter(QuorumRouter):
         covered = fresh[self._links_up_view_many(fresh)]
         if covered.size < 2:
             return
-        now = self.sim.now
         # Every destination, always via me; each recipient gets the rows
         # for everyone but itself.
         lie = np.stack((covered, np.full_like(covered, self.me_idx)), axis=1)
@@ -51,7 +50,6 @@ class MaliciousQuorumRouter(QuorumRouter):
                 origin=self.me,
                 entries=lie[covered != a_idx],
                 view_version=self.wire_view_version(),
-                sent_at=now,
             )
             for a_idx in covered.tolist()
         ]

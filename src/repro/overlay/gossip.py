@@ -96,7 +96,7 @@ LOG_OPS = 128
 #: Backoff of the anti-entropy and join pulls.
 PULL_RETRY = RetryBackoff()
 
-#: Membership op actions (the wire codec validates this exact range).
+#: Membership op actions: one action byte on the wire (1-3).
 OP_JOIN = 1
 OP_LEAVE = 2
 OP_EXPIRE = 3

@@ -110,7 +110,6 @@ from repro.net.packet import (
     Message,
 )
 from repro.net.simulator import Simulator
-from repro.overlay import wire
 from repro.overlay.stats import BandwidthRecorder, CounterSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -504,13 +503,7 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
             update = self._view
         self.stats.incr("refresh_repairs")
         self._delivered[member] = self._version
-        self._account(member, update, self._sim.now)
-        self._push(member, update)
-
-    @property
-    def pending_changes(self) -> int:
-        """Changes buffered in the current batching window."""
-        return len(self._pending_joined) + len(self._pending_left)
+        self._push(member, update, self._account(member, update, self._sim.now))
 
     def is_member(self, member: int) -> bool:
         """Whether ``member`` is currently in the membership."""
@@ -645,8 +638,7 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         now = self._sim.now
         for member in sorted(self._subscribers):
             self._delivered[member] = self._version
-            self._account(member, self._view, now)
-            self._push(member, self._view)
+            self._push(member, self._view, self._account(member, self._view, now))
 
     def deactivate(self) -> None:
         """Stop all timers and drop buffered (unpublished) changes.
@@ -733,19 +725,19 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
             self._bandwidth.grow_to(member + 1)
         self._bandwidth.record_in(member, KIND_MEMBERSHIP, nbytes, t)
 
-    def _account(self, member: int, update: ViewUpdate, t: float) -> None:
-        """Count what ``update`` occupies on the wire (§5 encoding)."""
+    def _account(self, member: int, update: ViewUpdate, t: float) -> Message:
+        """Count what ``update`` occupies on the wire: the size of the
+        message that carries it, which is returned for :meth:`_push`."""
+        msg = self._wire_message(update)
+        nbytes = msg.wire_size()
         if isinstance(update, ViewDelta):
-            nbytes = wire.membership_delta_message_bytes(
-                len(update.joined), len(update.left)
-            )
             self.stats.incr("view_delta_msgs")
             self.stats.incr("view_delta_bytes", nbytes)
         else:
-            nbytes = wire.membership_message_bytes(update.n)
             self.stats.incr("view_full_msgs")
             self.stats.incr("view_full_bytes", nbytes)
         self._record_bandwidth(member, nbytes, t)
+        return msg
 
     def _wire_message(self, update: ViewUpdate) -> Message:
         if isinstance(update, ViewDelta):
@@ -768,11 +760,13 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         self,
         member: int,
         update: ViewUpdate,
+        msg: Message,
         callback: Optional[ViewCallback] = None,
     ) -> None:
-        """Deliver ``update`` to ``member`` on the configured plane."""
+        """Deliver ``update`` to ``member`` on the configured plane: in
+        band as ``msg``, the message :meth:`_account` billed."""
         if self._transport is not None:
-            self._transport.send(self.address, member, self._wire_message(update))
+            self._transport.send(self.address, member, msg)
             return
         if callback is None:
             callback = self._subscribers[member]
@@ -791,10 +785,11 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
         if self._transport is None and callback is None:
             return
         self.stats.incr("parting_notices")
-        nbytes = wire.membership_message_bytes(self._view.n)
+        msg = self._wire_message(self._view)
+        nbytes = msg.wire_size()
         self.stats.incr("parting_notice_bytes", nbytes)
         self._record_bandwidth(member, nbytes, t)
-        self._push(member, self._view, callback)
+        self._push(member, self._view, msg, callback)
 
     def _notify_all(self) -> None:
         deliver_at = self._sim.now + NOTIFY_DELAY_S
@@ -815,8 +810,8 @@ class MembershipService:  # reprolint: disable=RL002(one membership authority pe
             if update is None:
                 update = self._view
             self._delivered[member] = self._version
-            self._account(member, update, deliver_at)
-            self._push(member, update, callback)
+            msg = self._account(member, update, deliver_at)
+            self._push(member, update, msg, callback)
         # Expired members learn the view transition that excluded them —
         # without this, a live node whose refreshes were merely slow (or
         # lost) keeps routing on a stale grid forever.

@@ -231,7 +231,6 @@ class RouterBase(abc.ABC):
             origin=self.me,
             row=self.table.row(self.me_idx),
             view_version=self.wire_view_version(),
-            sent_at=self.sim.now,
         )
 
     # ------------------------------------------------------------------

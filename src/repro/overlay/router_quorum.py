@@ -233,7 +233,6 @@ class QuorumRouter(RouterBase):
             return
         covered_ids = covered.astype(np.int64)
         pair_hop, pair_ok = self._best_one_hops(self.table.cost_matrix(covered_ids))
-        now = self.sim.now
         table, keep = self._entry_table(covered_ids, pair_hop, pair_ok)
         # One (address, message) per client, put on the wire together.
         # The messages are consecutive column ranges of one (2, total)
@@ -250,7 +249,6 @@ class QuorumRouter(RouterBase):
                     origin=self.me,
                     entries=entries[:, start:end].T,
                     view_version=version,
-                    sent_at=now,
                 )
                 out.append((view.members[a_idx], msg))
             start = end

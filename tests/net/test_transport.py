@@ -330,15 +330,15 @@ def _replay(world, fan_out):
     rng = np.random.default_rng(seed)
     transport = DatagramTransport(sim, Topology(rtt, loss, failures), rng, bw)
     deliveries = []
-    # ``sent_at`` doubles as a serial number, so the delivery log can
-    # say *which* message arrived.
+    # ``view_version`` doubles as a serial number, so the delivery log
+    # can say *which* message arrived.
     serial = iter(range(1, 10_000))
     echo = ls_msg(forwarder, n)
-    echo.sent_at = -1.0
+    echo.view_version = -1
 
     def handler_for(address):
         def handler(msg, src):
-            deliveries.append((sim.now, address, src, msg.kind, msg.sent_at))
+            deliveries.append((sim.now, address, src, msg.kind, msg.view_version))
             if address == quitter:
                 transport.unregister(address)
             if address == forwarder and msg is not echo:
@@ -358,7 +358,7 @@ def _replay(world, fan_out):
         sim.run_until(sim.now + advance)
         if broadcast:
             msgs = ls_msg(src, n)
-            msgs.sent_at = float(next(serial))
+            msgs.view_version = next(serial)
         else:
             # Mixed kinds and sizes, one per destination.
             msgs = [
@@ -368,7 +368,7 @@ def _replay(world, fan_out):
                 for k in range(len(dsts))
             ]
             for msg in msgs:
-                msg.sent_at = float(next(serial))
+                msg.view_version = next(serial)
         results.append([bool(ok) for ok in fan_out(transport, src, dsts, msgs)])
         heaps.append(sorted((time, seq) for time, seq, _ in sim._queue))
     sim.run()

@@ -80,7 +80,7 @@ class TestEpochWireCost:
 
     def test_ack_and_replicate_sizes(self):
         ack = MembershipAck(origin=64, epoch=1, version=3, leader=64)
-        assert ack.wire_size() == wire.membership_ack_message_bytes()
+        assert ack.wire_size() == wire.MEMBERSHIP_ACK_BYTES
         snap = CoordinatorReplicate(
             origin=64, epoch=1, version=3, members=(0, 1)
         )

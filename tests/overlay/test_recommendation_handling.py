@@ -30,18 +30,16 @@ def make_router(verify=False, n=9, seed=4):
     return ov, ov.nodes[0].router
 
 
-def rec(origin, entries, view, sent_at):
-    return RecommendationMessage(
-        origin=origin, entries=entries, view_version=view.version, sent_at=sent_at
-    )
+def rec(origin, entries, view):
+    return RecommendationMessage(origin=origin, entries=entries, view_version=view.version)
 
 
 class TestOutOfOrderDelivery:
     def test_out_of_order_rec_overwrites_without_timestamps(self):
         ov, router = make_router()
         view = router.view
-        newer = rec(view.members[1], [(5, 3)], view, sent_at=100.0)
-        older = rec(view.members[2], [(5, 7)], view, sent_at=90.0)
+        newer = rec(view.members[1], [(5, 3)], view)
+        older = rec(view.members[2], [(5, 7)], view)
         router.on_recommendation(newer, view.members[1])
         router.on_recommendation(older, view.members[2])  # delivered later, computed earlier
         assert router.route_hop[5] == 7  # last-delivered wins
@@ -50,9 +48,9 @@ class TestOutOfOrderDelivery:
         ov, router = make_router()
         view = router.view
         src_a, src_b = view.members[1], view.members[2]
-        router.on_recommendation(rec(src_a, [(5, 3), (6, 3), (7, 3)], view, 100.0), src_a)
+        router.on_recommendation(rec(src_a, [(5, 3), (6, 3), (7, 3)], view), src_a)
         ov.run(1.0)
-        router.on_recommendation(rec(src_b, [(7, 4), (5, 4)], view, 90.0), src_b)
+        router.on_recommendation(rec(src_b, [(7, 4), (5, 4)], view), src_b)
         assert list(router.route_hop[5:8]) == [4, 3, 4]
         assert router.route_server[5] == router.route_server[7] == view.index_of(src_b)
         assert float(router.route_time[5]) == float(router.route_time[7]) == ov.sim.now
@@ -65,9 +63,9 @@ class TestOutOfOrderDelivery:
         src_a, src_b = view.members[1], view.members[2]
         src_b_idx = view.index_of(src_b)
         assert src_b_idx in router.failover.default_pair(dst)
-        router.on_recommendation(rec(src_a, [(dst, 4)], view, sent_at=0.0), src_a)
+        router.on_recommendation(rec(src_a, [(dst, 4)], view), src_a)
         ov.run(1.0)
-        router.on_recommendation(rec(src_b, [(dst, 5)], view, sent_at=-5.0), src_b)
+        router.on_recommendation(rec(src_b, [(dst, 5)], view), src_b)
         # The rendezvous demonstrably recommends dst: no omission signal.
         assert router.failover.last_cover(src_b_idx, dst) == ov.sim.now
 
@@ -76,9 +74,9 @@ class TestOutOfOrderDelivery:
         view = router.view
         dst = 3
         src_a, src_b = view.members[1], view.members[2]
-        router.on_recommendation(rec(src_a, [(dst, 4)], view, sent_at=0.0), src_a)
+        router.on_recommendation(rec(src_a, [(dst, 4)], view), src_a)
         ov.run(1.0)
-        router.on_recommendation(rec(src_b, [(dst, 5)], view, sent_at=0.5), src_b)
+        router.on_recommendation(rec(src_b, [(dst, 5)], view), src_b)
         assert router.route_hop[dst] == 5
         assert float(router.route_time[dst]) == ov.sim.now
         # The displaced rendezvous' opinion is kept as the secondary.
@@ -91,7 +89,7 @@ class TestBatchApplication:
         ov, router = make_router()
         view = router.view
         src = view.members[1]
-        msg = rec(src, [(3, 4), (3, 5), (6, 7), (3, 8)], view, 0.0)
+        msg = rec(src, [(3, 4), (3, 5), (6, 7), (3, 8)], view)
         router.on_recommendation(msg, src)
         assert router.route_hop[3] == 8  # sequential last-wins
         assert router.route_hop[6] == 7
@@ -101,7 +99,7 @@ class TestBatchApplication:
         view = router.view
         src = view.members[1]
         me = router.me_idx
-        msg = rec(src, [(-1, 2), (3, view.n), (view.n, 2), (me, 4), (5, 6)], view, 0.0)
+        msg = rec(src, [(-1, 2), (3, view.n), (view.n, 2), (me, 4), (5, 6)], view)
         router.on_recommendation(msg, src)
         assert router.route_hop[5] == 6
         assert router.route_hop[me] == -1
@@ -126,7 +124,7 @@ class TestBatchApplication:
         for server, entries, dt in batches:
             ov.run(dt)
             src = view.members[server]
-            router.on_recommendation(rec(src, entries, view, ov.sim.now), src)
+            router.on_recommendation(rec(src, entries, view), src)
             oracle.apply(server, entries, ov.sim.now)
             oracle.assert_router_matches(router)
         assert (router.route_hop2 is not None) == verify

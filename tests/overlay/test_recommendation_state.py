@@ -60,7 +60,6 @@ def deliver(router, oracle, server, entries):
         origin=router.view.members[server],
         entries=entries,
         view_version=router.wire_view_version(),
-        sent_at=now,
     )
     router.on_recommendation(msg, msg.origin)
     covered = oracle.apply(server, entries, now)

@@ -1,11 +1,13 @@
-"""Tests for the compact wire formats (§5) and the bandwidth calibration."""
+"""Tests for the compact wire sizes (§5), the bandwidth calibration and the
+reference byte layouts (``reference_wire.py``) that those sizes stand for."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import WireFormatError
+import reference_wire as ref
+from reference_wire import WireFormatError
 from repro.net.packet import LinkStateMessage, RecommendationMessage
 from repro.overlay import wire
 from repro.overlay.linkstate import LinkStateRow
@@ -33,8 +35,6 @@ class TestMessageSizes:
     def test_linkstate_message_costs_3_per_entry(self):
         row = LinkStateRow(0, np.zeros(10), np.ones(10, dtype=bool))
         assert LinkStateMessage(origin=0, row=row).wire_size() == 46 + 3 * 10
-        multihop = LinkStateMessage(origin=0, row=row, sec=np.zeros(10))
-        assert multihop.wire_size() == 46 + 5 * 10
 
     def test_probe_is_bare_header(self):
         assert wire.PROBE_BYTES == wire.HEADER_BYTES == 46
@@ -63,8 +63,8 @@ class TestMessageSizes:
 
 class TestLinkStateCodec:
     def encode_decode(self, latency, alive, loss):
-        data = wire.encode_linkstate(latency, alive, loss)
-        return wire.decode_linkstate(data, len(latency))
+        data = ref.encode_linkstate(latency, alive, loss)
+        return ref.decode_linkstate(data, len(latency))
 
     def test_round_trip_simple(self):
         latency = np.array([0.0, 120.0, 65000.0, 3.0])
@@ -76,38 +76,39 @@ class TestLinkStateCodec:
         assert list(alive2) == [True, True, True, False]
         assert loss2[1] == pytest.approx(0.25, abs=0.005)
 
-    def test_infinite_latency_encodes_as_dead(self):
+    def test_infinite_latency_keeps_the_alive_bit(self):
+        # A link presumed up but not yet measured: no latency, still alive.
         lat, alive, _ = self.encode_decode(
-            np.array([np.inf]), np.array([True]), np.array([0.0])
+            np.array([np.inf, np.inf]), np.array([True, False]), np.array([0.0, 0.0])
         )
-        assert np.isinf(lat[0])
-        assert not alive[0]
+        assert np.isinf(lat).all()
+        assert list(alive) == [True, False]
 
     def test_latency_clamped_to_16_bits(self):
         lat, alive, _ = self.encode_decode(
             np.array([1e9]), np.array([True]), np.array([0.0])
         )
-        assert lat[0] == wire.MAX_ENCODABLE_LATENCY_MS
+        assert lat[0] == ref.MAX_ENCODABLE_LATENCY_MS
         assert alive[0]
 
     def test_payload_size_is_3n(self):
         n = 37
-        data = wire.encode_linkstate(
+        data = ref.encode_linkstate(
             np.zeros(n), np.ones(n, dtype=bool), np.zeros(n)
         )
         assert len(data) == 3 * n
 
     def test_wrong_length_decode_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.decode_linkstate(b"\x00" * 7, 2)
+            ref.decode_linkstate(b"\x00" * 7, 2)
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_linkstate(np.zeros(3), np.ones(2, dtype=bool), np.zeros(3))
+            ref.encode_linkstate(np.zeros(3), np.ones(2, dtype=bool), np.zeros(3))
 
     def test_bad_loss_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_linkstate(
+            ref.encode_linkstate(
                 np.zeros(1), np.ones(1, dtype=bool), np.array([1.2])
             )
 
@@ -133,28 +134,28 @@ class TestLinkStateCodec:
 class TestRecommendationCodec:
     def test_round_trip(self):
         entries = [(3, 7), (10, 10), (65535, 0)]
-        data = wire.encode_recommendations(entries)
+        data = ref.encode_recommendations(entries)
         assert len(data) == 4 * len(entries)
-        assert wire.decode_recommendations(data) == entries
+        assert ref.decode_recommendations(data) == entries
 
     def test_round_trip_array_form(self):
         # RecommendationMessage.entries is a (k, 2) int64 array.
         entries = RecommendationMessage(origin=0, entries=[(3, 7), (10, 10), (65535, 0)]).entries
         assert entries.shape == (3, 2) and entries.dtype == np.int64
-        data = wire.encode_recommendations(entries)
+        data = ref.encode_recommendations(entries)
         assert len(data) == 4 * len(entries)
-        assert np.array_equal(wire.decode_recommendations(data), entries)
+        assert np.array_equal(ref.decode_recommendations(data), entries)
 
     def test_empty(self):
-        assert wire.decode_recommendations(b"") == []
+        assert ref.decode_recommendations(b"") == []
 
     def test_id_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_recommendations([(70000, 1)])
+            ref.encode_recommendations([(70000, 1)])
 
     def test_bad_length_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.decode_recommendations(b"\x00" * 6)
+            ref.decode_recommendations(b"\x00" * 6)
 
     @given(
         st.lists(
@@ -162,8 +163,8 @@ class TestRecommendationCodec:
         )
     )
     def test_round_trip_property(self, entries):
-        data = wire.encode_recommendations(entries)
-        assert wire.decode_recommendations(data) == entries
+        data = ref.encode_recommendations(entries)
+        assert ref.decode_recommendations(data) == entries
 
 
 class TestMembershipDeltaWire:
@@ -177,29 +178,29 @@ class TestMembershipDeltaWire:
         assert delta <= 0.10 * full
 
     def test_round_trip(self):
-        data = wire.encode_view_delta(41, 43, (3, 9), (7,))
+        data = ref.encode_view_delta(41, 43, (3, 9), (7,))
         fixed = 2 * wire.VIEW_VERSION_BYTES + 2 * wire.DELTA_COUNT_BYTES
         assert len(data) == fixed + 3 * wire.NODE_ID_BYTES
-        assert wire.decode_view_delta(data) == (41, 43, (3, 9), (7,))
+        assert ref.decode_view_delta(data) == (41, 43, (3, 9), (7,))
 
     def test_empty_delta_round_trip(self):
-        data = wire.encode_view_delta(5, 6, (), ())
-        assert wire.decode_view_delta(data) == (5, 6, (), ())
+        data = ref.encode_view_delta(5, 6, (), ())
+        assert ref.decode_view_delta(data) == (5, 6, (), ())
 
     def test_version_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_view_delta(2**32, 2**32 + 1, (), ())
+            ref.encode_view_delta(2**32, 2**32 + 1, (), ())
 
     def test_member_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_view_delta(1, 2, (70000,), ())
+            ref.encode_view_delta(1, 2, (70000,), ())
 
     def test_truncated_payload_rejected(self):
-        data = wire.encode_view_delta(1, 2, (3,), (4,))
+        data = ref.encode_view_delta(1, 2, (3,), (4,))
         with pytest.raises(WireFormatError):
-            wire.decode_view_delta(data[:-1])
+            ref.decode_view_delta(data[:-1])
         with pytest.raises(WireFormatError):
-            wire.decode_view_delta(b"\x00\x01")
+            ref.decode_view_delta(b"\x00\x01")
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -208,8 +209,8 @@ class TestMembershipDeltaWire:
         st.lists(st.integers(0, 65535), max_size=40),
     )
     def test_round_trip_property(self, v_from, v_to, joined, left):
-        data = wire.encode_view_delta(v_from, v_to, joined, left)
-        assert wire.decode_view_delta(data) == (
+        data = ref.encode_view_delta(v_from, v_to, joined, left)
+        assert ref.decode_view_delta(data) == (
             v_from,
             v_to,
             tuple(joined),
@@ -226,37 +227,37 @@ class TestGossipDigestWire:
     def test_round_trip(self):
         vv = ((0, 5), (7, 1), (65535, 2**32 - 1))
         hb = ((0, 9), (7, 12))
-        data = wire.encode_gossip_digest(vv, hb)
+        data = ref.encode_gossip_digest(vv, hb)
         assert len(data) == 4 + 6 * 5
-        assert wire.decode_gossip_digest(data) == (vv, hb)
+        assert ref.decode_gossip_digest(data) == (vv, hb)
 
     def test_empty_round_trip(self):
-        assert wire.decode_gossip_digest(wire.encode_gossip_digest((), ())) == (
+        assert ref.decode_gossip_digest(ref.encode_gossip_digest((), ())) == (
             (),
             (),
         )
 
     def test_id_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_gossip_digest(((70000, 1),), ())
+            ref.encode_gossip_digest(((70000, 1),), ())
 
     def test_seq_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_gossip_digest(((1, 2**32),), ())
+            ref.encode_gossip_digest(((1, 2**32),), ())
 
     def test_truncated_payload_rejected(self):
-        data = wire.encode_gossip_digest(((1, 2), (3, 4)), ((1, 9),))
+        data = ref.encode_gossip_digest(((1, 2), (3, 4)), ((1, 9),))
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_digest(data[:-1])
+            ref.decode_gossip_digest(data[:-1])
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_digest(data + b"\x00")
+            ref.decode_gossip_digest(data + b"\x00")
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_digest(b"\x00")
+            ref.decode_gossip_digest(b"\x00")
 
     def test_garbage_counts_rejected(self):
         # Counts claiming more entries than the payload carries.
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_digest(b"\x00\x09\x00\x00" + b"\x00" * 6)
+            ref.decode_gossip_digest(b"\x00\x09\x00\x00" + b"\x00" * 6)
 
     @given(
         st.lists(
@@ -269,8 +270,8 @@ class TestGossipDigestWire:
         ),
     )
     def test_round_trip_property(self, vv, hb):
-        data = wire.encode_gossip_digest(vv, hb)
-        assert wire.decode_gossip_digest(data) == (tuple(vv), tuple(hb))
+        data = ref.encode_gossip_digest(vv, hb)
+        assert ref.decode_gossip_digest(data) == (tuple(vv), tuple(hb))
 
 
 class TestGossipOpsWire:
@@ -281,18 +282,18 @@ class TestGossipOpsWire:
 
     def test_round_trip(self):
         ops = ((3, 1, 1, 3, 1), (3, 2, 3, 9, 4), (65535, 2**32 - 1, 2, 0, 0))
-        data = wire.encode_gossip_ops(ops)
+        data = ref.encode_gossip_ops(ops)
         assert len(data) == 2 + 13 * 3
-        assert wire.decode_gossip_ops(data) == ops
+        assert ref.decode_gossip_ops(data) == ops
 
     def test_empty_round_trip(self):
-        assert wire.decode_gossip_ops(wire.encode_gossip_ops(())) == ()
+        assert ref.decode_gossip_ops(ref.encode_gossip_ops(())) == ()
 
     def test_bad_action_rejected_on_encode(self):
         with pytest.raises(WireFormatError):
-            wire.encode_gossip_ops(((1, 1, 0, 2, 1),))
+            ref.encode_gossip_ops(((1, 1, 0, 2, 1),))
         with pytest.raises(WireFormatError):
-            wire.encode_gossip_ops(((1, 1, 4, 2, 1),))
+            ref.encode_gossip_ops(((1, 1, 4, 2, 1),))
 
     def test_bad_action_rejected_on_decode(self):
         import struct
@@ -301,26 +302,26 @@ class TestGossipOpsWire:
         # a forged or corrupted op must not reach the engine.
         data = struct.pack(">H", 1) + struct.pack(">HIBHI", 1, 1, 7, 2, 1)
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_ops(data)
+            ref.decode_gossip_ops(data)
 
     def test_id_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_gossip_ops(((70000, 1, 1, 2, 1),))
+            ref.encode_gossip_ops(((70000, 1, 1, 2, 1),))
         with pytest.raises(WireFormatError):
-            wire.encode_gossip_ops(((1, 1, 1, 70000, 1),))
+            ref.encode_gossip_ops(((1, 1, 1, 70000, 1),))
 
     def test_seq_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_gossip_ops(((1, 2**32, 1, 2, 1),))
+            ref.encode_gossip_ops(((1, 2**32, 1, 2, 1),))
 
     def test_truncated_payload_rejected(self):
-        data = wire.encode_gossip_ops(((1, 1, 1, 2, 1),))
+        data = ref.encode_gossip_ops(((1, 1, 1, 2, 1),))
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_ops(data[:-1])
+            ref.decode_gossip_ops(data[:-1])
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_ops(data + b"\x00")
+            ref.decode_gossip_ops(data + b"\x00")
         with pytest.raises(WireFormatError):
-            wire.decode_gossip_ops(b"\x00")
+            ref.decode_gossip_ops(b"\x00")
 
     @given(
         st.lists(
@@ -335,5 +336,5 @@ class TestGossipOpsWire:
         )
     )
     def test_round_trip_property(self, ops):
-        data = wire.encode_gossip_ops(ops)
-        assert wire.decode_gossip_ops(data) == tuple(ops)
+        data = ref.encode_gossip_ops(ops)
+        assert ref.decode_gossip_ops(data) == tuple(ops)

@@ -21,7 +21,10 @@ scheduler (``repro.workloads.engine``'s ``ChurnWorkload`` /
 ``run_churn_workload``), its event type ``MemberEvent`` and the
 recorder marks only it set stay gone. So does the churn-rate sweep
 (``run_rate_sweep`` behind ``churn --full``) that no results table
-published.
+published. So do the routing-message fields that no receiver read and
+the byte bill did not price: ``LinkStateMessage.sec`` (multi-hop link
+state is priced by ``wire.linkstate_message_bytes(n, multihop=True)``)
+and ``sent_at``.
 """
 
 import importlib
@@ -96,6 +99,24 @@ def test_linkstate_message_has_no_relay_via():
 def test_recommendation_message_has_no_timestamped_flag():
     with pytest.raises(TypeError):
         RecommendationMessage(origin=0, entries=[(1, 2)], timestamped=True)
+
+
+def test_linkstate_message_has_no_sec():
+    with pytest.raises(TypeError):
+        LinkStateMessage(origin=0, row=row10(), sec=np.zeros(10))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LinkStateMessage(origin=0, row=row10(), sent_at=1.0),
+        lambda: RecommendationMessage(origin=0, entries=[(1, 2)], sent_at=1.0),
+    ],
+    ids=["linkstate", "recommendation"],
+)
+def test_routing_messages_have_no_sent_at(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_wire_has_no_timestamped_entry_size():

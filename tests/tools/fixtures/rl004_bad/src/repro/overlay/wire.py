@@ -1,11 +1,3 @@
-"""RL004 true positives: encode without decode."""
+"""RL004 fixture: a wire module without the name packet.py asks for."""
 
 HEADER_BYTES = 46
-
-
-def encode_linkstate(payload):
-    return payload  # no decode_linkstate anywhere
-
-
-def decode_recommendations(buf):
-    return buf  # no encode_recommendations either

@@ -1,12 +1,4 @@
-"""RL004 false-positive guards: paired codecs and real constants."""
+"""RL004 false-positive guards: the size constants packet.py uses."""
 
 HEADER_BYTES = 46
 LS_ENTRY_BYTES = 10
-
-
-def encode_linkstate(payload):
-    return payload
-
-
-def decode_linkstate(buf):
-    return buf

@@ -17,10 +17,6 @@ from api_scan import SRC_FILES, USERS, definitions, unreached
 from repro.spans import SPANS
 
 _ACCESSOR = "test accessor: state the tests check that no run reads"
-_CODEC = (
-    "the executable spec of its byte formula (test_wire.py round-trips it); "
-    "RL004 pairs encode_* with decode_*"
-)
 
 ALLOWED = {
     "repro.core.failover:FailoverManager.last_cover": _ACCESSOR,
@@ -43,13 +39,7 @@ ALLOWED = {
     "repro.overlay.membership:MembershipClient": (
         "the interface every plane's client implements; nothing names it at run time"
     ),
-    "repro.overlay.membership:MembershipService.pending_changes": _ACCESSOR,
     "repro.overlay.stats:DisruptionRecorder.view_divergence_windows": _ACCESSOR,
-    **{
-        f"repro.overlay.wire:{verb}_{what}": _CODEC
-        for verb in ("encode", "decode")
-        for what in ("gossip_digest", "gossip_ops", "linkstate", "recommendations", "view_delta")
-    },
 }
 
 

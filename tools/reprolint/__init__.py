@@ -21,8 +21,8 @@ RL003     Simulator discipline: no blocking calls (``time.sleep``,
           socket/file IO, threads, subprocesses) inside the simulation
           core — everything is an event on the virtual clock.
 RL004     Wire accounting: every packet kind in ``net/packet.py`` has a
-          byte-size rule backed by a ``wire`` constant, and every wire
-          codec has a matching encode/decode pair.
+          byte-size rule backed by a ``wire`` constant, and every
+          ``KIND_*`` constant is claimed by a message class.
 RL005     No mutable (or ``np.ndarray``) default arguments.
 RL006     No unordered-set iteration feeding accumulation or message
           ordering (wrap in ``sorted(...)`` or waive with a proof).

@@ -4,17 +4,20 @@ The paper's bandwidth tables are computed from per-message byte sizes,
 not from serialized bytes on a real wire — so the accounting lives in
 two places that must agree: every ``Message`` subclass in
 ``repro/net/packet.py`` reports a ``kind`` and a ``wire_size``, and the
-size/codec helpers live in ``repro/overlay/wire.py``. This checker is a
-cross-file pass that keeps that contract closed:
+size constants and formulas live in ``repro/overlay/wire.py``. This
+checker is a cross-file pass that keeps that contract closed:
 
 * every concrete Message subclass defines both ``kind`` and
   ``wire_size``;
 * every ``wire.X`` name that packet.py references actually exists in
   wire.py;
-* every ``encode_*`` in wire.py has a matching ``decode_*`` (and vice
-  versa);
 * every ``KIND_*`` constant is returned by some ``kind`` property, so
   no packet kind exists without a class that claims it.
+
+That each size is the size of real bytes is not a lint question: the
+byte layouts are ``tests/overlay/reference_wire.py``, and
+``tests/overlay/test_wire_tap.py`` holds every datagram of a run of each
+membership plane to them (and every ``Message`` class to a codec).
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class WireAccountingChecker(Checker):
     code = "RL004"
     description = (
         "every packet kind carries byte accounting: kind/wire_size on each "
-        "Message, encode/decode pairs and size constants in wire.py"
+        "Message, backed by size constants in wire.py"
     )
 
     def _find(self, modules: Sequence[Module], suffix: str) -> Optional[Module]:
@@ -98,8 +101,6 @@ class WireAccountingChecker(Checker):
 
         if packet is not None:
             findings.extend(self._check_packet(packet, wire))
-        if wire is not None:
-            findings.extend(self._check_wire(wire))
         return findings
 
     def _check_packet(
@@ -167,29 +168,4 @@ class WireAccountingChecker(Checker):
                                 "wire.py does not define it",
                             )
                         )
-        return findings
-
-    def _check_wire(self, wire: Module) -> List[Finding]:
-        findings: List[Finding] = []
-        top: Dict[str, ast.AST] = {}
-        for stmt in wire.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                top[stmt.name] = stmt
-        for name, stmt in top.items():
-            if name.startswith("encode_"):
-                partner = "decode_" + name[len("encode_") :]
-            elif name.startswith("decode_"):
-                partner = "encode_" + name[len("decode_") :]
-            else:
-                continue
-            if partner not in top:
-                findings.append(
-                    self.finding(
-                        wire,
-                        stmt,
-                        f"`{name}` has no matching `{partner}`; wire codecs "
-                        "must come in encode/decode pairs so byte accounting "
-                        "round-trips",
-                    )
-                )
         return findings
