@@ -23,6 +23,7 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 # The kernel guards compare with the tests' reference implementations
 # and build the benchmark's own workloads (``bench`` at the repo root).
 sys.path.insert(0, str(RESULTS_DIR.parent / "tests" / "overlay"))
+sys.path.insert(0, str(RESULTS_DIR.parent / "tests" / "core"))
 sys.path.insert(0, str(RESULTS_DIR.parent))
 
 

@@ -23,13 +23,18 @@ import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from failover_state import last_cover  # tests/core, via conftest
 from reference_recommendations import AllArraysOracle  # tests/overlay, via conftest
+from reference_routes import best_one_hops  # tests/overlay, via conftest
 
 from bench.workloads import WORKLOADS, stratified_node_classes  # the repo root, via conftest
+from repro.core import failover
+from repro.core.failover import FailoverManager
 from repro.core.grid import GridQuorum
 from repro.core.onehop import best_one_hop_all_pairs
 from repro.core.protocol import run_two_round
@@ -42,6 +47,7 @@ from repro.overlay.config import RouterKind
 from repro.overlay.gossip import GossipMembershipNode
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow, SparseLinkStateTable
+from repro.overlay.router_quorum import QuorumRouter
 
 
 def test_perf_simulator_event_loop(benchmark):
@@ -109,6 +115,42 @@ def _filled_sparse_table(n, rows, seed=0):
     for idx in held:
         table.update_row(int(idx), _published_row(rng, n, int(idx)), 0.0)
     return table, np.sort(held)
+
+
+def _round2_rows(m, n, seed):
+    """``m`` clients' cost rows over ``n`` destinations in
+    ``LinkStateRow``'s normal form (entries ``>= 0`` or ``inf``, a
+    client's own entry 0), built so the kernel's corner cases occur:
+    latencies drawn from 39 values (ties on most pairs), every 17th
+    destination unreachable from every client (``inf`` columns), 5 %
+    dead links, and one dead client (``inf`` but for its own 0)."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(n, size=m, replace=False))
+    rows = rng.integers(1, 40, size=(m, n)) * 2.5
+    rows[rng.random((m, n)) < 0.05] = np.inf
+    rows[:, ::17] = np.inf
+    rows[m // 2] = np.inf
+    rows[np.arange(m), ids] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("m, n", [(64, 1024), (90, 2048), (128, 4096)])
+def test_perf_round2_kernel(benchmark, m, n):
+    """Round 2's min-plus (``QuorumRouter._best_one_hops``) over the
+    ~2 sqrt(n) client rows a rendezvous holds at n = 1024, 2048 and 4096:
+    ``(pair_hop, pair_ok)`` bit for bit equal to the one-client-at-a-time
+    reference, first index on ties. A kernel change is judged here first."""
+    rows = _round2_rows(m, n, seed=m)
+    pair_hop, pair_ok = benchmark.pedantic(
+        QuorumRouter._best_one_hops, args=(rows,), rounds=3, iterations=1
+    )
+    want_hop, want_ok = best_one_hops(rows)
+    assert pair_hop.dtype == want_hop.dtype and np.array_equal(pair_hop, want_hop)
+    assert pair_ok.dtype == want_ok.dtype and np.array_equal(pair_ok, want_ok)
+    # The planted cases occur: tied minima, and pairs with no finite one.
+    sums = rows[0] + rows[1:]
+    assert (np.count_nonzero(sums == sums.min(axis=1, keepdims=True), axis=1) > 1).any()
+    assert not pair_ok[m // 2].all() and pair_ok[0, 1]
 
 
 def test_perf_sparse_update_and_minplus_2048(benchmark):
@@ -238,6 +280,68 @@ def test_perf_fullmesh_route_ok_matrix_192(benchmark):
     assert ok.sum() == n * (n - 1)  # lossless and static: every route works
 
 
+class _TableBuilds:
+    """Counts the failover manager's per-size default-pair tables, and
+    checks at each build that no live manager already holds that size's."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        self.installs = 0
+        self._managers = weakref.WeakSet()
+        monkeypatch.setattr(failover, "_INDEX_OF_SIZE", weakref.WeakValueDictionary())
+        build, set_grid = failover._default_pair_table, FailoverManager.set_grid
+
+        def counted_build(n, *args):
+            held = {mgr._index.n for mgr in self._managers if hasattr(mgr, "_index")}
+            assert n not in held, f"a second table of size {n} while one is held"
+            self.sizes.append(n)
+            return build(n, *args)
+
+        def counted_set_grid(mgr, grid, now):
+            self.installs += 1
+            self._managers.discard(mgr)  # its next index is the one it installs
+            set_grid(mgr, grid, now)
+            self._managers.add(mgr)
+
+        monkeypatch.setattr(failover, "_default_pair_table", counted_build)
+        monkeypatch.setattr(FailoverManager, "set_grid", counted_set_grid)
+
+
+def test_bootstrap_builds_one_failover_table(monkeypatch):
+    """A view install is paid once per view size, not once per router:
+    bootstrapping 256 quorum routers builds one default-pair table, every
+    router's pairs are a row of it, and the grid derives no router's
+    pairs (it has no per-position pair method to call)."""
+    builds = _TableBuilds(monkeypatch)
+    overlay = WORKLOADS["steady_n256"].build(42, 256, 45.0).overlay
+    assert builds.sizes == [256] and builds.installs == 256
+    table = overlay.nodes[0].router.failover._index.pairs
+    for node in overlay.nodes:
+        assert node.router.failover._pair.base is table
+    assert not hasattr(GridQuorum, "default_pairs")
+
+
+def test_churn_builds_one_failover_table_per_view_size_held(monkeypatch):
+    """Under join / leave / crash churn a view size's table is built when
+    the first router installs that size and dropped when the last one
+    leaves it (a size a router holds is never built twice), so the run
+    builds one table per size it reaches, and again only for a size it
+    returns to after every router left it; none outlives its holders."""
+    builds = _TableBuilds(monkeypatch)
+    workload = WORKLOADS["churn_n160"]
+    built = workload.build(42, workload.n, workload.duration_s)
+    built.overlay.run(workload.duration_s)
+    # Seed 42 reaches six sizes in 1 554 installs, and returns to one
+    # of them after every router left it: seven builds.
+    assert len(set(builds.sizes)) >= 5 and builds.installs >= 100 * len(builds.sizes)
+    assert len(builds.sizes) > len(set(builds.sizes))
+    held = {
+        node.router.failover._index.n for node in built.overlay.nodes if node.router.view is not None
+    }
+    gc.collect()
+    assert set(failover._INDEX_OF_SIZE) == held
+
+
 def test_perf_recommendation_receive_256(benchmark):
     """One node's round-2 receive work for one routing interval at
     n = 256: a message from each of its 30 rendezvous servers, 29
@@ -287,7 +391,7 @@ def test_perf_recommendation_receive_256(benchmark):
         server = router.view.index_of(msg.origin)
         for dst in msg.entries[:, 0].tolist():
             if server in failover.default_pair(dst):
-                assert failover.last_cover(server, dst) == 0.0, (server, dst)
+                assert last_cover(failover, server, dst) == 0.0, (server, dst)
     assert failover._off_default == {}
 
 

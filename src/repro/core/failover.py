@@ -47,22 +47,31 @@ polls it, so every §4 behaviour is unit-testable in isolation.
 State layout
 ------------
 Failover state is indexed by *view position* (the grid holds ``0..n-1``).
-A manager holds what the node learned, the node's default pairs, and
-references to what the view size alone determines; nothing else the
-grid already says is copied per node.
+A manager holds what the node learned, and references to what the view
+size alone determines; nothing the grid already says is copied per
+node, so a view install is one vector pass per router.
 
+* **One table per view size.** Which servers are a position's defaults
+  towards every destination, which slots each server's message renews,
+  and the destination of every slot depend on ``n`` alone. They live in
+  one :class:`_SizeIndex` per size, built vectorised by the first
+  manager that installs the size, and held weakly by the module: it
+  lives while a manager holds it, so a churn run's past sizes do not
+  pile up (a size the run returns to after every manager left it is
+  built again). Each manager holds its size's index, so a memory walk
+  from the managers charges the tables once.
 * **Default pairs** — every destination has at most two default
-  servers. ``_pair`` (``(n, 2)`` view positions from
-  :meth:`GridQuorum.default_pairs`, ``-1`` for none, held as int32:
-  8 B per destination) names them, and their evidence lives in
-  ``(n, 2)`` float64 arrays beside it: the last cover time (``-inf`` =
-  never) and when the node began expecting the server to cover (one
-  broadcast scalar until a carry-over writes it). ``set_grid`` blanks
-  both; on a view change :meth:`FailoverManager.carry_over` then moves
-  the previous view's values into every slot whose (server,
-  destination) members were a default pair already, so "has covered"
-  means "since the two became a default pair", not "under this view
-  version".
+  servers. ``_pair`` (``(n, 2)`` view positions, ``-1`` for none) is
+  this node's row of the size's read-only ``(n, n, 2)`` int32 table
+  (:func:`_default_pair_table`), and their evidence lives in ``(n, 2)``
+  float64 arrays beside it: the last cover time (``-inf`` = never) and
+  when the node began expecting the server to cover (one zero-stride
+  scalar until a carry-over writes it). ``set_grid`` blanks both; on a
+  view change :meth:`FailoverManager.carry_over` then moves the
+  previous view's values into every slot whose (server, destination)
+  members were a default pair already — one pass finds each slot's old
+  slot, and each evidence array is one gather — so "has covered" means
+  "since the two became a default pair", not "under this view version".
 * **An omission is one number per server.** A message from a server
   either lists a destination it is a default for or leaves it out, so
   "its latest message left ``dst`` out" needs no time of its own: with
@@ -77,11 +86,12 @@ grid already says is copied per node.
   whatever ``heard`` says. A message writes ``heard`` and the covers it
   renews, nothing per omitted destination. A server never lists itself,
   so omissions do not count in the slot where the server *is* the
-  destination (same row/column). ``poll`` derives each slot's link
-  (the server, or the destination where this node is the rendezvous)
-  and the absent / own / omission-counting masks from ``_pair`` on every
-  call, then the proximal / remote / both-failed masks for all
-  destinations, in a handful of array operations.
+  destination (same row/column). On every ``poll``,
+  :meth:`FailoverManager._slot_verdicts` derives each slot's link (the
+  server, or the destination where this node is the rendezvous) and the
+  absent / own / omission-counting masks from ``_pair``, then the
+  proximal / remote / failed masks for all destinations, in a handful
+  of array operations.
 * **One slot index per view size.** ``note_recommendations`` renews the
   covers of one server through a per-server index of flat positions
   ``dst * 2 + slot``, and which slots a server fills depends on the
@@ -93,9 +103,10 @@ grid already says is copied per node.
   column ``c``); for a node in a blank column, the server at
   ``(r, ci)`` also stands in for the blank ``(bottom, ci)`` towards the
   bottom-row node in column ``r`` (slot 1, after row ``r``). The
-  ``(destinations, flat positions)`` arrays are built once per size
-  (:class:`_SizeIndex`); a manager's per-server dict only refers to
-  them.
+  ``(destinations, flat positions)`` arrays of every column and row are
+  the size's; a manager's per-server dict zips its row's and column's
+  servers with them, and adds the slots where it is its own rendezvous
+  (the flat slots of its ``_pair`` that pick itself).
 * **Off-default pairs** — a server's message also covers destinations
   it is *not* a default for, but a verdict reads that only for a server
   this node *adopted* for the destination. So a log
@@ -119,8 +130,9 @@ grid already says is copied per node.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
 
@@ -130,18 +142,28 @@ from repro.errors import RoutingError
 __all__ = ["FailoverPoll", "FailoverManager"]
 
 SeesAliveFn = Callable[[int], bool]
+
+
+class Draws(Protocol):
+    """Where a manager draws its failover choices from: a
+    ``np.random.Generator``, or anything that draws like one."""
+
+    def integers(self, high: int, /) -> int: ...
+
+
 #: A server's destinations (ascending) and their flat slot positions.
 Slots = Tuple[np.ndarray, np.ndarray]
 
 #: "No such event yet" in the time arrays.
 _NEVER = -np.inf
+#: The gather sentinels :meth:`FailoverManager.carry_over` appends: no
+#: time, and no default pair.
+_NEVER_AT_END = np.array([_NEVER])
+_NO_PAIR = np.array([-1, -1], dtype=np.int32)
 
-#: :meth:`_SizeIndex.of_size`'s indexes, by view size.
-_INDEX_OF_SIZE: Dict[int, "_SizeIndex"] = {}
-
-
-def _known(t: float) -> Optional[float]:
-    return None if t == _NEVER else float(t)
+#: :meth:`_SizeIndex.of_size`'s indexes, by view size, while a manager
+#: holds one: a churn run's past sizes do not pile up.
+_INDEX_OF_SIZE: "weakref.WeakValueDictionary[int, _SizeIndex]" = weakref.WeakValueDictionary()
 
 
 @dataclass
@@ -208,12 +230,49 @@ def _slots(dsts: np.ndarray, slot: int) -> Slots:
     return dsts, dsts * 2 + slot
 
 
+def _default_pair_table(n: int, rows: int, cols: int, fill: int) -> np.ndarray:
+    """Every view position's default pairs, as one read-only ``(n, n, 2)``
+    int32 array: ``table[me, dst]`` holds the servers at ``(r_me,
+    c_dst)`` and ``(r_dst, c_me)``, or their §3 substitutes ``(c_me,
+    c_dst)`` / ``(c_dst, c_me)`` where that cell is a blank of the bottom
+    row. The two picks differ for every ``dst != me`` (the substitutes
+    lie off both rows involved), so ``-1`` ("none") is only
+    ``table[me, me]``."""
+    position = np.arange(n, dtype=np.int32)
+    row_start, col = position - position % cols, position % cols
+    table = np.empty((n, n, 2), dtype=np.int32)
+    np.add(row_start[:, None], col, out=table[:, :, 0])
+    np.add(row_start, col[:, None], out=table[:, :, 1])
+    if fill < cols:
+        bottom = (rows - 1) * cols
+        blank_col = np.flatnonzero(col >= fill)
+        # A bottom-row node towards a destination in a blank column.
+        table[bottom:, blank_col, 0] = col[bottom:, None] * cols + col[blank_col]
+        # A node in a blank column towards a bottom-row destination.
+        table[blank_col, bottom:, 1] = col[bottom:] * cols + col[blank_col, None]
+    table[position, position] = -1
+    table.flags.writeable = False
+    return table
+
+
 class _SizeIndex:
     """What every manager of one view size derives from the grid alone:
-    which slots each server's message renews, and the destination of
-    every slot. Built once per size and process (see "State layout")."""
+    each position's default pairs, which slots each server's message
+    renews, and the destination of every slot. Built once per size while
+    a manager of that size lives (see "State layout")."""
 
-    __slots__ = ("n", "cols", "fill", "dst_of_slot", "_columns", "_rows", "_rows_blank", "_own")
+    __slots__ = (
+        "n",
+        "cols",
+        "fill",
+        "dst_of_slot",
+        "pairs",
+        "_columns",
+        "_blank_columns",
+        "_rows",
+        "_rows_blank",
+        "__weakref__",
+    )
 
     @classmethod
     def of_size(cls, n: int) -> "_SizeIndex":
@@ -227,12 +286,15 @@ class _SizeIndex:
         self.n, self.cols = n, cols
         #: Filled cells of the bottom row; columns from here on are blank there.
         self.fill = n - (rows - 1) * cols
+        #: ``pairs[me]`` is the node at ``me``'s ``(n, 2)`` default pairs.
+        self.pairs = _default_pair_table(n, rows, cols, self.fill)
         position = np.arange(n)
-        #: ``dst_of_slot[dst, 0] == dst``, broadcasting over both slots.
-        self.dst_of_slot = position[:, None]
+        #: ``dst_of_slot[dst, slot] == dst``.
+        self.dst_of_slot = position.repeat(2).reshape(n, 2)
         in_row = [position[r * cols : (r + 1) * cols] for r in range(rows)]
         #: Slot 0 of column c's destinations.
         self._columns = [_slots(position[c::cols], 0) for c in range(cols)]
+        self._blank_columns = self._columns[self.fill :]
         #: Slot 1 of row r's destinations; ``_rows_blank`` for a server
         #: in a blank column, which also stands in for the blank bottom
         #: cell of its column towards the bottom-row node in column r.
@@ -244,34 +306,28 @@ class _SizeIndex:
                 _slots(np.append(row, bottom + r) if r < self.fill else row, 1)
                 for r, row in enumerate(in_row)
             ]
-        #: position -> its slots as a server for itself, built on demand.
-        self._own: Dict[int, Slots] = {}
 
     def slots_by_server(self, me: int) -> Dict[int, Slots]:
         """Server -> the slots its message renews for the node at ``me``:
-        :meth:`GridQuorum.default_pairs` ``(me)`` inverted."""
-        n, cols = self.n, self.cols
-        ri, ci = divmod(me, cols)
-        out: Dict[int, Slots] = {}
-        for c, column in enumerate(self._columns):
-            server = ri * cols + c
-            # A blank (ri, c) — this node is in the bottom row — has the
-            # §3 substitute (ci, c).
-            out[server if server < n else ci * cols + c] = column
-        rows = self._rows_blank if ci >= self.fill else self._rows
-        for r, row in enumerate(rows):
-            server = r * cols + ci
-            if server < n:
-                out[server] = row
-        # This node's own cell was given its column's and its row's
-        # slots above; as a server for itself it has both, minus itself.
-        own = self._own.get(me)
-        if own is None:
-            flat = np.concatenate((self._columns[ci][1], rows[ri][1]))
-            flat = np.sort(flat[flat >> 1 != me])
-            own = self._own[me] = (flat >> 1, flat)
-        if own[1].size:
-            out[me] = own
+        ``pairs[me]`` inverted, from the size's arrays."""
+        n, cols, fill = self.n, self.cols, self.fill
+        ci = me % cols
+        row_start = me - ci
+        # The server at (ri, c) is slot 0 of column c's destinations ...
+        out = dict(zip(range(row_start, min(row_start + cols, n)), self._columns))
+        if row_start + cols > n:
+            # ... and a blank (ri, c) -- this node is in the bottom row
+            # -- has the §3 substitute (ci, c).
+            out.update(zip(range(ci * cols + fill, ci * cols + cols), self._blank_columns))
+        # The server at (r, ci) is slot 1 of row r's destinations; the
+        # column's blank bottom cell, if any, has no server.
+        out.update(zip(range(ci, n, cols), self._rows_blank if ci >= fill else self._rows))
+        # This node's own cell was given its row's and its column's
+        # slots above; as a server for itself it has both, minus itself:
+        # the flat slots of its pairs that pick itself.
+        own = (self.pairs[me].reshape(-1) == me).nonzero()[0]
+        if own.size:
+            out[me] = (own >> 1, own)
         else:
             del out[me]
         return out
@@ -283,7 +339,7 @@ class FailoverManager:
     def __init__(
         self,
         me: int,
-        rng: np.random.Generator,
+        rng: Draws,
         remote_timeout_s: float = 37.5,  # 2.5 routing intervals at r = 15 s
     ):
         if remote_timeout_s <= 0:
@@ -315,16 +371,17 @@ class FailoverManager:
         self._grid = grid
         self._state.clear()
         self._off_default.clear()
-        index = _SizeIndex.of_size(n)
-        self._pair = grid.default_pairs(self.me).astype(np.int32)
-        self._dst_of_slot = index.dst_of_slot
+        index = self._index = _SizeIndex.of_size(n)
+        #: A row of the size's table, shared and read-only.
+        self._pair = index.pairs[self.me]
         self._cover = np.full((n, 2), _NEVER)
         #: When each server's last message arrived, whatever it listed.
         self._heard = np.full(n, _NEVER)
         #: When this node began expecting each slot's server to cover:
         #: now (one broadcast scalar), until :meth:`carry_over` finds
         #: pairs that are older than this grid.
-        self._since = np.broadcast_to(np.float64(now), (n, 2))
+        self._since = np.ndarray((n, 2), buffer=np.array([now]), strides=(0, 0))
+        self._since.flags.writeable = False
         self._cover_flat = self._cover.reshape(-1)
         #: server -> (destinations it is a default for, ascending, and
         #: their flat positions dst * 2 + slot in the (n, 2) arrays);
@@ -351,21 +408,28 @@ class FailoverManager:
         grid creates keep :meth:`set_grid`'s blank slate, and so do
         adopted failovers (re-adopted while the need remains).
         """
-        self._since = self._since.copy()
-        old_dst = np.flatnonzero(old_to_new >= 0)
-        dst = old_to_new[old_dst]
-        self._heard[dst] = old._heard[old_dst]
-        was = old._pair[old_dst]
-        was = np.where(was >= 0, old_to_new[was], -1)
-        for slot in (0, 1):
-            for old_slot in (0, 1):
-                server = was[:, old_slot]
-                same = (self._pair[dst, slot] == server) & (server >= 0)
-                for mine, theirs in (
-                    (self._cover, old._cover),
-                    (self._since, old._since),
-                ):
-                    mine[dst[same], slot] = theirs[old_dst[same], old_slot]
+        # One pass over the flat slots finds, for each, the old flat slot
+        # holding the same (server, destination) members, or the
+        # sentinel past the old arrays' end; each evidence array is then
+        # one gather.
+        n, n_old = len(self._heard), len(old._heard)
+        survivors = (old_to_new >= 0).nonzero()[0]
+        # New position -> old position, the sentinel n_old for a joiner
+        # and, at index -1, for an absent pick.
+        new_to_old = np.empty(n + 1, dtype=np.intp)
+        new_to_old.fill(n_old)
+        new_to_old[old_to_new[survivors]] = survivors
+        self._heard = np.concatenate((old._heard, _NEVER_AT_END))[new_to_old[:n]]
+        first = new_to_old[self._index.dst_of_slot.reshape(-1)] * 2
+        server = new_to_old[self._pair.reshape(-1)]
+        # A joiner destination's old pair is the blank one past the end;
+        # the sentinel server is no old pick.
+        was = np.concatenate((old._pair.reshape(-1), _NO_PAIR))
+        second = was[first + 1] == server
+        take = np.where((was[first] == server) | second, first + second, 2 * n_old)
+        self._cover = np.concatenate((old._cover.reshape(-1), _NEVER_AT_END))[take].reshape(n, 2)
+        self._since = np.concatenate((old._since.reshape(-1), self._since[0, :1]))[take].reshape(n, 2)
+        self._cover_flat = self._cover.reshape(-1)
 
     @property
     def grid(self) -> GridQuorum:
@@ -383,17 +447,6 @@ class FailoverManager:
         """Currently adopted failover server for ``dst``, if any."""
         st = self._state.get(dst)
         return st.active if st else None
-
-    def last_cover(self, server: int, dst: int) -> Optional[float]:
-        """When ``server`` last covered ``dst`` in a recommendation
-        message, or None if it never has: for a default, since the two
-        became a default pair; for any other server, since this node
-        first adopted it for ``dst`` (nothing is kept otherwise)."""
-        slot = self._default_slot(server, dst)
-        if slot is None:
-            log = self._off_default.get(server)
-            return _known(log.covers.get(dst, _NEVER)) if log is not None else None
-        return _known(self._cover[dst, slot])
 
     # ------------------------------------------------------------------
     # Event inputs
@@ -446,13 +499,6 @@ class FailoverManager:
     # ------------------------------------------------------------------
     # Health evaluation
     # ------------------------------------------------------------------
-    def _default_slot(self, server: int, dst: int) -> Optional[int]:
-        """Column of ``server`` in ``dst``'s default pair, if it is in it."""
-        first, second = self._pair[dst].tolist()
-        if server == first:
-            return 0
-        return 1 if server == second else None
-
     def _remote_verdict(
         self, last: float, omitted: float, since: float, now: float, adopted: bool
     ) -> bool:
@@ -475,28 +521,35 @@ class FailoverManager:
             log.covers.get(dst, _NEVER), log.omitted.get(dst, _NEVER), since, now, adopted=True
         )
 
-    def _remote_failed(self, server: int, dst: int, now: float) -> bool:
-        slot = self._default_slot(server, dst)
-        if slot is None:
-            return self._off_default_failed(server, dst, now)
-        # A server never lists itself: its silence about itself is no omission.
-        omitted = self._heard[server] if server != dst else _NEVER
-        return self._remote_verdict(
-            self._cover[dst, slot], omitted, self._since[dst, slot], now, adopted=False
-        )
+    def _slot_verdicts(self, now: float, up: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every default slot's health at ``now``: the ``(n, 2)`` masks
+        of failed slots (proximally, or remotely by
+        :meth:`_remote_verdict`'s rule) and of proximally failed ones.
+        An absent slot reads failed both ways.
 
-    def server_failed(self, server: int, dst: int, now: float, up: np.ndarray) -> bool:
-        """Is ``server`` (proximally or remotely) failed w.r.t. ``dst``?
-
-        ``server == me`` encodes the same-row/column case where this node
-        is itself a rendezvous for the pair: it fails exactly when the
-        direct link to the destination is down (no link state flows).
+        ``up[x]`` is the link monitor's verdict for the direct link to
+        view position ``x``. Where this node is itself a destination's
+        rendezvous (same row/column), the slot fails exactly when the
+        direct link to the destination is down: no link state flows.
         """
-        if server == self.me:
-            return not up[dst]
-        if not up[server]:
-            return True
-        return self._remote_failed(server, dst, now)
+        cover, pair, dst_of_slot = self._cover, self._pair, self._index.dst_of_slot
+        absent = pair < 0
+        own = pair == self.me
+        # The link whose liveness decides a slot's proximal health: to
+        # the server, or, where this node is itself the rendezvous, straight
+        # to the destination. An absent slot's -1 gathers the last
+        # member's values, which ``absent`` overrides.
+        link = np.where(own, dst_of_slot, pair)
+        proximal = ~up[link] | absent
+        # _remote_verdict for every default slot at once. A server never
+        # lists itself, so its silence about itself is no omission; own
+        # slots gather some other member's time and carry no remote
+        # verdict.
+        omitted = self._heard[link]
+        remote = ((omitted > cover) & (cover > _NEVER) & (pair != dst_of_slot)) | (
+            now - np.maximum(cover, self._since) > self.remote_timeout_s
+        )
+        return proximal | (remote & ~own), proximal
 
     # ------------------------------------------------------------------
     # Polling
@@ -511,25 +564,8 @@ class FailoverManager:
         """
         grid = self.grid
         result = FailoverPoll()
-        cover, pair, dst_of_slot = self._cover, self._pair, self._dst_of_slot
-        absent = pair < 0
-        own = pair == self.me
-        is_dst = ~absent[:, 0]
-        # The link whose liveness decides a slot's proximal health: to
-        # the server, or, where this node is itself the rendezvous (same
-        # row/column), straight to the destination. An absent slot's -1
-        # gathers the last member's values, which ``absent`` overrides.
-        link = np.where(own, dst_of_slot, pair)
-        proximal = ~up[link] | absent
-        # _remote_verdict for every default slot at once. A server never
-        # lists itself, so its silence about itself is no omission; own
-        # slots gather some other member's time and carry no remote
-        # verdict.
-        omitted = self._heard[link]
-        remote = ((omitted > cover) & (cover > _NEVER) & (pair != dst_of_slot)) | (
-            now - np.maximum(cover, self._since) > self.remote_timeout_s
-        )
-        failed = proximal | (remote & ~own)
+        failed, proximal = self._slot_verdicts(now, up)
+        is_dst = self._pair[:, 0] >= 0
         both = failed[:, 0] & failed[:, 1] & is_dst
         result.proximal_double_failures = int(
             np.count_nonzero(proximal[:, 0] & proximal[:, 1] & is_dst)
@@ -568,7 +604,7 @@ class FailoverManager:
                 st.suppressed = True
                 result.suppressed += 1
                 continue
-            defaults = pair[dst].tolist()
+            defaults = self._pair[dst].tolist()
             candidates = [
                 c
                 for c in grid.failover_candidates(dst)

@@ -21,7 +21,14 @@ nodes that share a membership view derive identical grids (§5,
 "Membership Service"). The routers build theirs over view *positions*
 ``0..n-1``, so that grid is a function of ``n`` alone, and every router
 of a view size shares one: :meth:`GridQuorum.of_size` builds it once
-per size and process, and refuses to let a holder resize it.
+per size and process, and refuses to let a holder resize it. What the
+§4.1 failover manager reads of it is a function of ``n`` too, so it is
+built once per size as well, from grid coordinates rather than from
+this class: every position's two default rendezvous towards every
+destination (an ``(n, n, 2)`` int32 table, blank-space substitutes
+included) and, per position, which slots each of its servers' messages
+renew (``repro.core.failover._SizeIndex``). Those are held only while a
+manager of that size lives.
 
 Because the fill is row-major over an explicit member list, a single
 membership change can still be applied *incrementally* to a grid of
@@ -37,8 +44,6 @@ from __future__ import annotations
 import bisect
 import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.errors import QuorumError
 
@@ -298,35 +303,6 @@ class GridQuorum:
         ``i``/``j`` themselves for same-row/column pairs)."""
         si = set(self.servers(i))
         return tuple(m for m in self.servers(j) if m in si)
-
-    def default_pairs(self, i: int) -> np.ndarray:
-        """The two canonical rendezvous of ``i`` with every member at once.
-
-        For in-grid intersections these are the nodes at ``(row_i,
-        col_j)`` and ``(row_j, col_i)``; when an intersection falls on a
-        blank position, the §3 augmentation provides the substitutes
-        ``(col_i, col_j)`` / ``(col_j, col_i)`` described in the paper.
-        Returns an ``(n, 2)`` int64 array in fill order: row ``k`` holds
-        the pair for the member at fill slot ``k``. ``-1`` pads ``i``'s
-        own row and a second pick equal to the first.
-        """
-        ri, ci = self.position(i)
-        cols, n = self.cols, self.n
-        rj, cj = np.divmod(np.arange(n), cols)
-        # The intersections and §3 blank substitutes as fill slots:
-        # (ri, cj) else (ci, cj); (rj, ci) else (cj, ci). Blanks occur
-        # only in the bottom row, and the substitutes lie in full rows,
-        # so they exist.
-        first = ri * cols + cj
-        first = np.where(first < n, first, ci * cols + cj)
-        second = rj * cols + ci
-        second = np.where(second < n, second, cj * cols + ci)
-        members = np.array(self._members, dtype=np.int64)
-        pairs = np.empty((n, 2), dtype=np.int64)
-        pairs[:, 0] = members[first]
-        pairs[:, 1] = np.where(first == second, -1, members[second])
-        pairs[self._index[i]] = -1
-        return pairs
 
     def failover_candidates(self, dst: int) -> Tuple[int, ...]:
         """§4.1 failover set for ``dst``: nodes in ``dst``'s row+column.

@@ -48,6 +48,28 @@ from repro.overlay.stats import CounterSet
 __all__ = ["QuorumRouter"]
 
 
+class _FailoverStream:
+    """A router's failover random stream, made on its first draw.
+
+    Building a ``np.random.Generator`` costs about as much as the rest
+    of the failover manager's view install, and a node that never adopts
+    a failover server (every node of a lossless static overlay) never
+    draws. The first draw builds the Generator the router would have had
+    from the same seed, so the draws do not change.
+    """
+
+    __slots__ = ("_seed", "_generator")
+
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._generator: Optional[np.random.Generator] = None
+
+    def integers(self, high: int) -> int:
+        if self._generator is None:
+            self._generator = np.random.default_rng(self._seed)
+        return self._generator.integers(high)
+
+
 class QuorumRouter(RouterBase):
     """Two-round quorum routing with rapid rendezvous failover.
 
@@ -106,7 +128,7 @@ class QuorumRouter(RouterBase):
         if not hasattr(self, "_rng"):
             # Failover choices must be node-local randomness; derive a
             # stream from the node id so runs stay deterministic.
-            self._rng = np.random.default_rng(0x5EED ^ (self.me * 2654435761 % 2**31))
+            self._rng = _FailoverStream(0x5EED ^ (self.me * 2654435761 % 2**31))
         self.failover = FailoverManager(
             self.me_idx, self._rng, self.config.remote_timeout_s()
         )

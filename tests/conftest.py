@@ -1,6 +1,8 @@
 """Shared fixtures for the test suite."""
 
 import os
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from hypothesis import settings
 # every run (a failure is then a change in the code, not in the draw).
 # Locally they keep exploring.
 settings.register_profile("ci", derandomize=True)
+
+# Test-side accessors of the failover manager's state
+# (tests/core/failover_state.py) serve tests in every package.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "core"))
 if os.environ.get("CI"):
     settings.load_profile("ci")
 

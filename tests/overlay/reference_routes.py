@@ -95,3 +95,21 @@ def reference_route(router, dst, counts):
     if link_up(router, dst):
         return Route(dst=dst, hop=dst, cost_ms=float(own[dst]), source=SOURCE_DIRECT, age_s=0.0)
     return Route(dst=dst, hop=-1, cost_ms=np.inf, source=SOURCE_DIRECT, age_s=np.inf)
+
+
+def best_one_hops(rows):
+    """Round 2's min-plus over ``m`` clients' cost rows, one client
+    against all of them at a time, without the kernel's symmetry:
+    ``pair_hop[a, b]`` is the first ``h`` minimising ``rows[a, h] +
+    rows[b, h]`` (0 on the diagonal), ``pair_ok[a, b]`` whether that
+    minimum is finite. ``QuorumRouter._best_one_hops`` must return the
+    same two arrays bit for bit."""
+    m = rows.shape[0]
+    pair_hop = np.zeros((m, m), dtype=np.int64)
+    pair_ok = np.zeros((m, m), dtype=bool)
+    for a in range(m):
+        sums = rows[a] + rows
+        pair_hop[a] = sums.argmin(axis=1)
+        pair_ok[a] = np.isfinite(sums.min(axis=1))
+    pair_hop[np.arange(m), np.arange(m)] = 0
+    return pair_hop, pair_ok

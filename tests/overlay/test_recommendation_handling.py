@@ -7,6 +7,7 @@ counts as §4.1 coverage for failover omission detection.
 
 import numpy as np
 import pytest
+from failover_state import last_cover
 from reference_recommendations import AllArraysOracle
 
 from repro.net.packet import RecommendationMessage
@@ -67,7 +68,7 @@ class TestOutOfOrderDelivery:
         ov.run(1.0)
         router.on_recommendation(rec(src_b, [(dst, 5)], view), src_b)
         # The rendezvous demonstrably recommends dst: no omission signal.
-        assert router.failover.last_cover(src_b_idx, dst) == ov.sim.now
+        assert last_cover(router.failover, src_b_idx, dst) == ov.sim.now
 
     def test_newer_entry_installs_and_refreshes(self):
         ov, router = make_router(verify=True)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from failover_state import last_cover
 from reference_recommendations import AllArraysOracle
 
 from repro.net.packet import RecommendationMessage
@@ -66,7 +67,7 @@ def deliver(router, oracle, server, entries):
     oracle.assert_router_matches(router)
     for dst in covered:
         if server in router.failover.default_pair(dst):
-            assert router.failover.last_cover(server, dst) == now, (server, dst)
+            assert last_cover(router.failover, server, dst) == now, (server, dst)
 
 
 def change_view(router, oracle, leaver, joiner):

@@ -28,6 +28,7 @@ import pytest
 from repro.net.topology import Topology
 from repro.net.trace import uniform_random_metric
 from repro.overlay.config import OverlayConfig, RouterKind
+from repro.overlay.router_quorum import _FailoverStream
 from repro.overlay.harness import build_overlay
 from repro.errors import ConfigError
 from repro.overlay.linkstate import LinkStateTable, SparseLinkStateTable
@@ -84,14 +85,18 @@ class TestNarrowPositions:
             assert router.route_hop.dtype == router.route_server.dtype == np.int32
             assert router.failover._pair.dtype == np.int32
 
-    def test_default_pairs_are_int32(self):
+    def test_default_pairs_are_int32_rows_of_one_read_only_table(self):
         ov = overlay()
+        table = routers(ov)[0].failover._index.pairs
+        assert table.dtype == np.int32 and table.shape == (N, N, 2)
+        assert not table.flags.writeable
         for router in routers(ov):
             pair = router.failover._pair
             assert pair.dtype == np.int32 and pair.shape == (N, 2)
+            assert pair.base is table and np.shares_memory(pair, table[router.me_idx])
             dst = (router.me_idx + 1) % N
             assert router.failover.default_pair(dst) == tuple(
-                s for s in router.grid.default_pairs(router.me_idx)[dst].tolist() if s >= 0
+                s for s in table[router.me_idx, dst].tolist() if s >= 0
             )
 
 
@@ -135,6 +140,22 @@ class TestSharedPerView:
         assert table.nbytes() == 8 * N
 
 
+class TestFailoverStream:
+    """A router's failover Generator is built on its first draw."""
+
+    def test_a_node_that_never_adopts_builds_no_generator(self):
+        ov = overlay()
+        ov.run(60.0)
+        for router in routers(ov):
+            assert router.counters.get("failover_adoptions") == 0
+            assert router._rng._generator is None
+
+    def test_the_first_draw_builds_the_seeded_generator(self):
+        stream, generator = _FailoverStream(0x5EED), np.random.default_rng(0x5EED)
+        highs = (5, 3, 9, 2, 40, 1, 7)
+        assert [stream.integers(k) for k in highs] == [generator.integers(k) for k in highs]
+
+
 class TestLosslessTopology:
     @pytest.mark.parametrize("zeros", [False, True])
     def test_holds_no_loss_matrix(self, zeros):
@@ -163,9 +184,10 @@ class TestLosslessTopology:
 
 class TestByteBudget:
     """Router + failover + table arrays over destinations: route hop and
-    sender (4 + 4), route time (8), default pairs (8), cover times (16),
-    last-message times (8), receive times (8) — and the expecting-since
-    times (16) once a view delta has carried them over."""
+    sender (4 + 4), route time (8), cover times (16), last-message times
+    (8), receive times (8) — and the expecting-since times (16) once a
+    view delta has carried them over. The default pairs are a row of the
+    view size's shared table."""
 
     def per_destination(self, router):
         n = router.view.n
@@ -178,7 +200,7 @@ class TestByteBudget:
         ov = overlay()
         ov.run(60.0)
         for router in routers(ov):
-            assert self.per_destination(router) <= 56
+            assert self.per_destination(router) <= 48
 
     def test_after_a_view_delta(self):
         ov = overlay(active_members=range(N - 1))
@@ -186,7 +208,7 @@ class TestByteBudget:
         ov.join_node(N - 1)
         ov.run(30.0)
         budgets = [self.per_destination(r) for r in routers(ov)]
-        assert max(budgets) <= 72
+        assert max(budgets) <= 64
 
 
 class TestRecorderLayout:

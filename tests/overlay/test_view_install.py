@@ -14,6 +14,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from failover_state import last_cover
 
 from repro.experiments.coordinator_failover import scenario_config
 from repro.net.packet import KIND_MEMBERSHIP, KIND_MEMBERSHIP_CTRL
@@ -172,7 +173,7 @@ def test_a_full_view_without_one_member_keeps_the_survivors_rows(kind):
     if kind is RouterKind.QUORUM:
         # The default pairs the new grid keeps keep their evidence too.
         covers = [
-            router.failover.last_cover(server, dst)
+            last_cover(router.failover, server, dst)
             for dst in range(router.view.n)
             if dst != router.me_idx
             for server in router.failover.default_pair(dst)

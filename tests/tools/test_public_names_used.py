@@ -19,8 +19,6 @@ from repro.spans import SPANS
 _ACCESSOR = "test accessor: state the tests check that no run reads"
 
 ALLOWED = {
-    "repro.core.failover:FailoverManager.last_cover": _ACCESSOR,
-    "repro.core.failover:FailoverManager.server_failed": _ACCESSOR,
     "repro.core.grid:GridQuorum.assert_equals_fresh": (
         "the oracle for a grid changed in place: it must equal one built fresh"
     ),
