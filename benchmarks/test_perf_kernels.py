@@ -10,6 +10,7 @@ kernel, the per-node link-state memory envelope of the benchmark's
 full-mesh availability sample over the overlay's shared row block,
 one node's round-2 receive work for a routing interval,
 one gossip digest received in the steady state and one op behind,
+the object count of a 256-engine gossip bootstrap,
 and the Fig. 8 failure table's all-sources ground truth.
 
 CI runs this file with ``--benchmark-disable`` (check mode): every
@@ -29,6 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from failover_state import last_cover  # tests/core, via conftest
+from gossip_state import stub_plane  # tests/overlay, via conftest
 from reference_recommendations import AllArraysOracle  # tests/overlay, via conftest
 from reference_routes import best_one_hops  # tests/overlay, via conftest
 
@@ -44,6 +46,7 @@ from repro.net.simulator import Simulator
 from repro.net.packet import GossipDigest, RecommendationMessage
 from repro.net.trace import planetlab_like, uniform_random_metric
 from repro.overlay.config import RouterKind
+from repro.overlay import gossip
 from repro.overlay.gossip import GossipMembershipNode
 from repro.overlay.harness import build_overlay
 from repro.overlay.linkstate import LinkStateRow, SparseLinkStateTable
@@ -415,7 +418,7 @@ def test_perf_gossip_digest_64(benchmark):
     transport = _CountingTransport()
     node = SimpleNamespace(sim=Simulator(), id=0, registered=True)
     engine = GossipMembershipNode(node, transport, 1800.0, np.random.default_rng(0))
-    engine.seed_bootstrap(range(n))
+    gossip._seed_engines([engine], range(n))
     engine.active = True
     # The peer's own tuples, equal to ours but not the same objects.
     vv = tuple((origin, seq) for origin, seq in engine._vv_items())
@@ -436,6 +439,45 @@ def test_perf_gossip_digest_64(benchmark):
 
     benchmark(receive)
     assert set(transport.sent) == {"GossipPull"}
+
+
+#: What the gossip guard counts as a container an engine holds.
+_CONTAINERS = (dict, list, tuple, set, frozenset, collections.deque)
+
+
+def _reachable_containers(roots):
+    """Every builtin container reachable from ``roots`` through other
+    containers, each counted once however many roots share it (the walk
+    does not enter the nodes, clocks or transports an engine points at)."""
+    seen, found = set(), []
+    stack = [ref for root in roots for ref in gc.get_referents(root)]
+    while stack:
+        obj = stack.pop()
+        if not isinstance(obj, _CONTAINERS) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_gossip_bootstrap_is_one_pass(monkeypatch):
+    """A gossip bootstrap is resolved once per plane and shared: 256
+    engines hash one packed version between them, hold no deque, and
+    the containers they reach grow as O(n), not O(n^2) — the per-op
+    seeding built a log, a log entry and a record tuple per (engine,
+    member)."""
+    hashes = []
+    vv_hash = gossip._vv_hash
+    monkeypatch.setattr(gossip, "_vv_hash", lambda items: hashes.append(1) or vv_hash(items))
+    n = 256
+    plane, _ = stub_plane(Simulator(), n, range(n))
+    engines = list(plane.engines.values())
+    assert len(hashes) == 1
+    assert {engine.view_version() for engine in engines} == {engines[0].view_version()}
+    containers = _reachable_containers(engines)
+    assert not any(isinstance(obj, collections.deque) for obj in containers)
+    assert len(containers) <= 16 * n, len(containers)
 
 
 def test_overlay_linkstate_memory_is_subquadratic():

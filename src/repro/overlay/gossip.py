@@ -45,18 +45,37 @@ exactly when their op knowledge is equal, so the routers'
 version-equality drop rule and the harness's view-divergence metric
 work unchanged (with coordinator epoch 0).
 
+State layout: every engine starts from the same §5 bootstrap knowledge,
+one join op per initial member at seq 1 and stamp 1, as if each had
+introduced itself. :meth:`GossipMembershipPlane.bootstrap` resolves it
+once per plane (:func:`_seed_engines`): the members' one-entry op logs,
+their records, the sorted vector, the alive tuple and one packed
+version. Each engine, in the member set or not, owns copies of only the
+maps it writes (``vv``, ``records``, ``hb``, ``last_advance``, made by
+``dict.copy`` / ``dict.fromkeys``) and holds the rest by reference, so
+a bootstrap hashes one packed version, not one per engine, and leaves
+no container per (engine, member) behind. An engine's op log for a
+bootstrap origin is the plane's shared one-entry list (``seed_logs``)
+until the engine first appends to that origin, which copies it into
+``logs`` (copy-on-write); ``_apply_op`` and ``_collect_range`` are the
+only readers. A log is a plain list trimmed to :data:`LOG_OPS` on
+append: entries arrive one append at a time, so dropping the head
+whenever the list grows past the bound keeps exactly the newest
+``LOG_OPS`` entries, in order, as ``deque(maxlen=LOG_OPS)`` does.
+
 An engine derives four things from its state on nearly every message —
 the alive and dead member tuples (from ``records``) and the sorted
 vector and packed version (from ``vv``) — and caches each until a
 writer of its source clears it: ``_merge_record`` when a target's
 liveness changes, ``_apply_op`` / ``_on_snapshot`` when an entry of
-``vv`` moves.
+``vv`` moves. A bootstrap hands every engine the plane's values of all
+four (equal to what each would derive), so the first digest, push and
+view install derive nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -113,6 +132,8 @@ _FNV_PRIME = 0x01000193
 Record = Tuple[int, int, int]
 #: A replayable op: (origin, seq, action, target, stamp).
 Op = Tuple[int, int, int, int, int]
+#: One origin's op-log entry: (seq, action, target, stamp).
+LogEntry = Tuple[int, int, int, int]
 
 
 def _vv_hash(items: Tuple[Tuple[int, int], ...]) -> int:
@@ -176,6 +197,7 @@ class GossipMembershipNode:
         "rng",
         "vv",
         "logs",
+        "seed_logs",
         "records",
         "pending",
         "hb",
@@ -216,11 +238,14 @@ class GossipMembershipNode:
         #: Version vector: per origin, the highest contiguously-applied
         #: op sequence (dense from 1, so equality implies equal op sets).
         self.vv: Dict[int, int] = {}
-        #: Bounded per-origin op logs for range replay. Entries are
-        #: ``(seq, action, target, stamp)`` in application order; after
-        #: a snapshot adoption a log may have seq holes, which the range
+        #: Bounded per-origin op logs for range replay, each at most
+        #: :data:`LOG_OPS` entries in application order; after a
+        #: snapshot adoption a log may have seq holes, which the range
         #: server detects and answers with another snapshot.
-        self.logs: Dict[int, Deque[Tuple[int, int, int, int]]] = {}
+        self.logs: Dict[int, List[LogEntry]] = {}
+        #: The plane's shared bootstrap logs, read for an origin until
+        #: this engine's first append to it copies one into ``logs``.
+        self.seed_logs: Dict[int, List[LogEntry]] = {}
         #: Resolved per-target membership records (LWW winners),
         #: including tombstones for dead members.
         self.records: Dict[int, Record] = {}
@@ -299,9 +324,10 @@ class GossipMembershipNode:
     ) -> None:
         log = self.logs.get(origin)
         if log is None:
-            log = deque(maxlen=LOG_OPS)
-            self.logs[origin] = log
+            log = self.logs[origin] = list(self.seed_logs.get(origin, ()))
         log.append((seq, action, target, stamp))
+        if len(log) > LOG_OPS:
+            del log[0]
         self.vv[origin] = seq
         self._vv_changed()
         self._merge_record(target, (stamp, action, origin))
@@ -326,17 +352,6 @@ class GossipMembershipNode:
     # ------------------------------------------------------------------
     # Lifecycle (called by the plane and the owning node)
     # ------------------------------------------------------------------
-    def seed_bootstrap(self, members: Sequence[int]) -> None:
-        """Install the out-of-band bootstrap knowledge: one join op per
-        initial member, as if each had introduced itself. Seeded into
-        every engine identically (zero wire bytes, like the coordinator
-        plane's bootstrap), so all initial packed versions agree."""
-        now = self.sim.now
-        for member in sorted(members):
-            self._apply_op(member, 1, OP_JOIN, member, 1)
-            self.hb.setdefault(member, 0)
-            self.last_advance[member] = now
-
     def on_node_start(self, monitor_phase: float, router_phase: float) -> None:
         """The owning node started: begin periodic push rounds, with an
         rng phase so rounds are unsynchronized across nodes."""
@@ -675,7 +690,9 @@ class GossipMembershipNode:
         bounded log no longer covers the range contiguously."""
         log = self.logs.get(origin)
         if log is None:
-            return None
+            log = self.seed_logs.get(origin)
+            if log is None:
+                return None
         by_seq = {entry[0]: entry for entry in log}
         out: List[Op] = []
         for seq in range(have + 1, top + 1):
@@ -774,6 +791,32 @@ class GossipMembershipNode:
         self._arm_pull_retry()
 
 
+def _seed_engines(
+    engines: Iterable[GossipMembershipNode], members: Iterable[int]
+) -> None:
+    """Install the out-of-band bootstrap knowledge into fresh ``engines``:
+    one join op per initial member at seq 1 and stamp 1, as if each had
+    introduced itself. Resolved once and handed to every engine
+    identically (zero wire bytes, like the coordinator plane's
+    bootstrap), so all initial packed versions agree; each engine gets
+    its own copy of the maps it writes and the rest by reference."""
+    ids = tuple(sorted(members))
+    logs: Dict[int, List[LogEntry]] = {m: [(1, OP_JOIN, m, 1)] for m in ids}
+    records: Dict[int, Record] = {m: (1, OP_JOIN, m) for m in ids}
+    vv_sorted = tuple((m, 1) for m in ids)
+    version = packed_view_version(dict(vv_sorted))
+    for engine in engines:
+        engine.vv = dict.fromkeys(ids, 1)
+        engine.records = records.copy()
+        engine.hb = dict.fromkeys(ids, 0)
+        engine.last_advance = dict.fromkeys(ids, engine.sim.now)
+        engine.seed_logs = logs
+        engine._alive = ids
+        engine._dead = ()
+        engine._vv_sorted = vv_sorted
+        engine._version = version
+
+
 class GossipMembershipPlane:  # reprolint: disable=RL002(one plane per experiment aggregating all engines)
     """The coordinator-free
     :class:`~repro.overlay.membership.MembershipPlane`: no endpoint at
@@ -802,12 +845,11 @@ class GossipMembershipPlane:  # reprolint: disable=RL002(one plane per experimen
         """Seed every engine with the initial member set (out-of-band,
         like the coordinator bootstrap) and install the initial view on
         the active participants."""
-        members = tuple(sorted(node.id for node in nodes))
-        member_set = set(members)
-        for node_id in sorted(self.engines):
-            engine = self.engines[node_id]
-            engine.seed_bootstrap(members)
-            if node_id in member_set:
+        members = {node.id for node in nodes}
+        engines = [self.engines[node_id] for node_id in sorted(self.engines)]
+        _seed_engines(engines, members)
+        for engine in engines:
+            if engine.me in members:
                 engine.active = True
                 engine._maybe_install()
 

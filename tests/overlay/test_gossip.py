@@ -26,39 +26,12 @@ from repro.overlay.gossip import (
     GossipMembershipNode,
     GossipMembershipPlane,
     _record_key,
+    _seed_engines,
     packed_view_version,
 )
 from repro.overlay.harness import build_overlay
 
-
-class StubRouter:
-    """Holds whatever view the engine installs."""
-
-    view = None
-
-    def on_view_change(self, view):
-        self.view = view
-
-
-class StubNode:
-    """The slice of OverlayNode the engine touches."""
-
-    def __init__(self, sim, node_id):
-        self.sim = sim
-        self.id = node_id
-        self.registered = True
-        self.router = StubRouter()
-
-    def start_if_armed(self):
-        pass
-
-
-class StubTransport:
-    def __init__(self):
-        self.sent = []
-
-    def send(self, src, dst, msg):
-        self.sent.append((src, dst, msg))
+from gossip_state import StubNode, StubTransport  # tests/overlay
 
 
 def make_engine(node_id=0, seed=0):
@@ -135,7 +108,7 @@ class TestOpApplication:
         a, _, _ = make_engine(node_id=0, seed=1)
         b, _, _ = make_engine(node_id=1, seed=2)
         for engine in (a, b):
-            engine.seed_bootstrap(range(8))
+            _seed_engines([engine], range(8))
         assert a.view_version() == b.view_version()
         assert a.alive_members() == b.alive_members() == tuple(range(8))
 
@@ -143,7 +116,7 @@ class TestOpApplication:
 class TestExpiryAndRefutation:
     def test_expiry_originated_once_per_incarnation(self):
         engine, _, _ = make_engine()
-        engine.seed_bootstrap([0, 1])
+        _seed_engines([engine], [0, 1])
         engine.sim.run_until(100.0)  # past membership_timeout_s=30
         assert engine._check_expiries(engine.sim.now)
         assert engine.alive_members() == (0,)
@@ -153,7 +126,7 @@ class TestExpiryAndRefutation:
 
     def test_refutes_own_death_at_next_stamp(self):
         engine, _, transport = make_engine()
-        engine.seed_bootstrap([0, 1])
+        _seed_engines([engine], [0, 1])
         engine._on_ops(GossipOps(origin=1, ops=((1, 2, OP_EXPIRE, 0, 1),)))
         # The engine re-joined itself at stamp 2 and eagerly pushed it.
         assert engine.records[0] == (2, OP_JOIN, 0)
@@ -163,7 +136,7 @@ class TestExpiryAndRefutation:
 
     def test_inactive_engine_does_not_refute(self):
         engine, _, _ = make_engine()
-        engine.seed_bootstrap([0, 1])
+        _seed_engines([engine], [0, 1])
         engine.active = False
         engine._on_ops(GossipOps(origin=1, ops=((1, 2, OP_EXPIRE, 0, 1),)))
         assert engine.records[0][1] == OP_EXPIRE
@@ -172,7 +145,7 @@ class TestExpiryAndRefutation:
 class TestDigestExchange:
     def test_behind_receiver_pulls_missing_ranges(self):
         engine, _, transport = make_engine()
-        engine.seed_bootstrap([0, 1, 2])
+        _seed_engines([engine], [0, 1, 2])
         engine._on_digest(
             GossipDigest(origin=1, vv=((1, 4), (2, 1)), heartbeats=()), src=1
         )
@@ -181,14 +154,14 @@ class TestDigestExchange:
 
     def test_ahead_receiver_pushes_surplus_back(self):
         engine, _, transport = make_engine()
-        engine.seed_bootstrap([0, 1])
+        _seed_engines([engine], [0, 1])
         engine._on_digest(GossipDigest(origin=1, vv=((1, 1),), heartbeats=()), src=1)
         ops = [m for _, dst, m in transport.sent if isinstance(m, GossipOps) and dst == 1]
         assert ops and (0, 1, OP_JOIN, 0, 1) in ops[0].ops
 
     def test_dead_member_probed_each_round(self):
         engine, _, transport = make_engine()
-        engine.seed_bootstrap([0, 1])
+        _seed_engines([engine], [0, 1])
         engine._on_ops(GossipOps(origin=0, ops=((0, 2, OP_LEAVE, 1, 1),)))
         assert engine._dead_targets() == (1,)
         engine._push_digest()
@@ -200,7 +173,7 @@ class TestDigestExchange:
     def test_snapshot_fallback_on_truncated_log(self, monkeypatch):
         monkeypatch.setattr(gossip, "LOG_OPS", 4)
         engine, _, transport = make_engine()
-        engine.seed_bootstrap([0])
+        _seed_engines([engine], [0])
         for seq in range(2, 12):  # own log bounded at 4: early seqs evicted
             engine._apply_op(0, seq, OP_JOIN, 0, seq)
         engine._serve_ranges(((0, 1),), dst=3)
@@ -212,7 +185,7 @@ class TestDigestExchange:
         # The log holds the whole range: only its size asks for a snapshot.
         assert gossip.LOG_OPS > MAX_REPLAY_OPS + 1
         engine, _, transport = make_engine()
-        engine.seed_bootstrap([0])
+        _seed_engines([engine], [0])
         for seq in range(2, MAX_REPLAY_OPS + 3):
             engine._apply_op(0, seq, OP_JOIN, 0, seq)
         engine._serve_ranges(((0, 0),), dst=3)
@@ -220,7 +193,7 @@ class TestDigestExchange:
 
     def test_empty_pull_serves_bootstrap_snapshot(self):
         engine, _, transport = make_engine()
-        engine.seed_bootstrap([0, 1])
+        _seed_engines([engine], [0, 1])
         engine._on_pull(GossipPull(origin=5, ranges=()), src=5)
         snaps = [m for _, dst, m in transport.sent if isinstance(m, GossipSnapshot)]
         assert len(snaps) == 1 and snaps[0].vv == ((0, 1), (1, 1))
@@ -229,14 +202,14 @@ class TestDigestExchange:
 class TestJoinProtocol:
     def test_join_with_no_seeds_rejected(self):
         engine, _, _ = make_engine()
-        engine.seed_bootstrap([0])  # only self
+        _seed_engines([engine], [0])  # only self
         with pytest.raises(ConfigError):
             engine.begin_join()
 
     def test_snapshot_completes_join_with_fresh_incarnation(self):
         engine, node, transport = make_engine(node_id=2)
         engine.active = False
-        engine.seed_bootstrap([0, 1])
+        _seed_engines([engine], [0, 1])
         engine.begin_join()
         assert any(
             isinstance(m, GossipPull) and m.ranges == ()
@@ -292,8 +265,8 @@ def _run_gossip_schedule(seed, steps, k):
         GossipMembershipNode(StubNode(sim, i), bag, 30.0, np.random.default_rng(seed * 7 + i))
         for i in range(k)
     ]
+    _seed_engines(engines, range(k - 1))
     for engine in engines:
-        engine.seed_bootstrap(range(k - 1))
         engine.active = engine.me < k - 1
     equal_digests = 0
     for _ in range(steps):
@@ -354,8 +327,7 @@ class TestCachedDerivations:
     def test_an_equal_vector_digest_sends_nothing(self):
         a, _, transport = make_engine(node_id=0)
         b, _, _ = make_engine(node_id=1)
-        for engine in (a, b):
-            engine.seed_bootstrap(range(4))
+        _seed_engines((a, b), range(4))
         b.hb[1] = 7
         want = dict(a._want_vv)
         a.on_message(
@@ -371,7 +343,7 @@ class TestCachedDerivations:
 
     def test_a_cached_derivation_is_reused_until_its_source_moves(self):
         engine, _, _ = make_engine()
-        engine.seed_bootstrap(range(3))
+        _seed_engines([engine], range(3))
         alive, vv = engine.alive_members(), engine._vv_items()
         assert engine.alive_members() is alive and engine._vv_items() is vv
         engine._merge_record(1, (2, OP_JOIN, 1))  # a new stamp, still alive
